@@ -42,8 +42,9 @@ example = LossExample(
     prompt=["p"], preferred=["a", EOS], rejected=["b", EOS],
     preferred_actuality=s_w, rejected_actuality=s_l, effective_variance=v,
 )
-grad, loss = loss_gradient([example], policy, reference, config)
-print("\nbatch loss %.4f, gradient norm %.4f" % (loss, np.linalg.norm(grad)))
+step = loss_gradient([example], policy, reference, config)
+print("\nbatch loss %.4f, gradient norm %.4f, weighted margin beta*S %.4f"
+      % (step.loss, np.linalg.norm(step.gradient), step.weighted_margin))
 
 estimate = compute_finesse(policy, ["p"], config, np.random.default_rng(7))
 print("finesse estimate for prompt 'p': variance %.5f, effective %.5f"

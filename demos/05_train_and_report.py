@@ -7,13 +7,14 @@ from hindpo import (
     TrainConfig,
     evaluate,
     generate,
+    loss_gradient,
     report_table,
     toy_corpus,
     train,
     vocab_from_pairs,
 )
 from hindpo.dataforge import forge
-from hindpo.trainer import TOY_LEARNING_RATE, encode_pairs, preference_stats
+from hindpo.trainer import TOY_LEARNING_RATE, encode_pairs
 
 SEED = 7
 
@@ -40,11 +41,11 @@ for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):
         loss=LossConfig(mode=mode),
     )
     trained, log = train(result.curriculum, base.copy(), config)
-    margin, accuracy = preference_stats(
-        trained, base.snapshot(), encode_pairs(result.curriculum.all_pairs()), config.loss.beta
+    step = loss_gradient(
+        encode_pairs(result.curriculum.all_pairs()), trained, base.snapshot(), config.loss
     )
     print("%-8s  %d steps  final margin %6.2f  preference accuracy %.2f"
-          % (mode, len(log.records), margin, accuracy))
+          % (mode, len(log.records), step.margin, step.accuracy))
     reports.append(evaluate(generate(trained, prompts, seed=SEED), references, mode))
 
 print()

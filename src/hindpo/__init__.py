@@ -7,7 +7,9 @@ Library tour:
 - :mod:`hindpo.dataforge` corpus loading, ranking, bucketization, emission
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
-- :mod:`hindpo.losses` the four preference-loss modes and finesse estimate
+- :mod:`hindpo.losses` the four preference-loss modes, the finesse
+  estimate, and ``loss_gradient``: one pass per batch giving the loss,
+  its gradient, the raw and weighted margins and the accuracy
 - :mod:`hindpo.trainer` staged training loop, gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
@@ -41,11 +43,11 @@ from .losses import (
     LogRatios,
     LossConfig,
     LossExample,
+    LossStep,
     compute_finesse,
     hin_dpo_loss,
     loss_gradient,
     preference_score,
-    standard_dpo_loss,
 )
 from .policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
 from .textmetrics import (
@@ -66,10 +68,8 @@ from .trainer import (
     attach_finesse,
     encode_pairs,
     gradcheck,
-    preference_stats,
     train,
     vocab_from_pairs,
-    weighted_margin_stats,
 )
 from .welford import Welford
 

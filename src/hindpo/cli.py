@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,23 @@ from .trainer import TOY_LEARNING_RATE, TrainConfig
 
 GRADCHECK_TOLERANCE = 1e-5
 
+_SPLIT_KEYS = ("train", "val", "test")
+_SECTION_KEYS = {
+    "loss": {f.name for f in fields(LossConfig)},
+    "train": {"epochs_per_stage", "learning_rate", "batch_size", "refresh_reference_per_stage"},
+    "eval": {"max_len", "temperature"},
+}
+
+
+def _check_keys(section: object, allowed, where: str) -> dict:
+    """The section as a dict; ValueError naming any key not in ``allowed``."""
+    if not isinstance(section, dict):
+        raise ValueError("config %s must be an object, got %r" % (where, section))
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ValueError("unknown config keys in %s: %s" % (where, sorted(unknown)))
+    return section
+
 
 @dataclass
 class RunConfig:
@@ -50,10 +67,10 @@ class RunConfig:
     split: tuple[float, float, float] = DEFAULT_SPLIT
     noise_std: float = 0.01
     loss: LossConfig = field(default_factory=LossConfig)
-    epochs_per_stage: int = 10
-    learning_rate: float = 1e-4
-    batch_size: int = 2
-    refresh_reference_per_stage: bool = True
+    epochs_per_stage: int = TrainConfig.epochs_per_stage
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    refresh_reference_per_stage: bool = TrainConfig.refresh_reference_per_stage
     eval_max_len: int = 24
     eval_temperature: float = 0.0
 
@@ -65,35 +82,25 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """Read a JSON config; absent keys keep the defaults, unknown ones raise."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {"corpus", "out_dir", "seed", "order", "split", "noise_std", "loss", "train", "eval"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError("unknown config keys: %s" % sorted(unknown))
-        split = data.get("split", {})
+        plain = {"corpus", "out_dir", "seed", "order", "noise_std"}
+        _check_keys(data, plain | {"split", *_SECTION_KEYS}, str(path))
+        kwargs = {key: value for key, value in data.items() if key in plain}
+        split = data.get("split")
         if isinstance(split, dict):
-            split = (
-                split.get("train", DEFAULT_SPLIT[0]),
-                split.get("val", DEFAULT_SPLIT[1]),
-                split.get("test", DEFAULT_SPLIT[2]),
-            )
-        train = data.get("train", {})
-        eval_cfg = data.get("eval", {})
-        return cls(
-            corpus=data.get("corpus"),
-            out_dir=data.get("out_dir", "out"),
-            seed=data.get("seed", 0),
-            order=data.get("order", "algorithm1"),
-            split=tuple(split) if data.get("split") else DEFAULT_SPLIT,
-            noise_std=data.get("noise_std", 0.01),
-            loss=LossConfig(**data.get("loss", {})),
-            epochs_per_stage=train.get("epochs_per_stage", 10),
-            learning_rate=train.get("learning_rate", 1e-4),
-            batch_size=train.get("batch_size", 2),
-            refresh_reference_per_stage=train.get("refresh_reference_per_stage", True),
-            eval_max_len=eval_cfg.get("max_len", 24),
-            eval_temperature=eval_cfg.get("temperature", 0.0),
-        )
+            _check_keys(split, _SPLIT_KEYS, "%s section 'split'" % path)
+            split = tuple(split.get(key, d) for key, d in zip(_SPLIT_KEYS, DEFAULT_SPLIT))
+        if split:
+            kwargs["split"] = tuple(split)
+        sections = {
+            name: _check_keys(data.get(name, {}), keys, "%s section %r" % (path, name))
+            for name, keys in _SECTION_KEYS.items()
+        }
+        kwargs["loss"] = LossConfig(**sections["loss"])
+        kwargs.update(sections["train"])
+        kwargs.update(("eval_" + key, value) for key, value in sections["eval"].items())
+        return cls(**kwargs)
 
     def train_config(self, mode: str) -> TrainConfig:
         return TrainConfig(

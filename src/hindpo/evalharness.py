@@ -74,6 +74,8 @@ def evaluate(
             "generated and references must have equal length: %d vs %d"
             % (len(generated), len(references))
         )
+    if not generated:
+        raise ValueError("evaluate needs at least one generated/reference pair, got none")
     semantic = semantic or CharTrigramCosine()
     rows = []
     for cand_text, ref_text in zip(generated, references):

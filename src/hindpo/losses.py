@@ -19,12 +19,12 @@ collapses to plain DPO, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .policy import BigramPolicy
+from .policy import BigramPolicy, log_softmax, softmax, transition_grad, transition_log_prob
 from .welford import Welford
 
 MODES = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
@@ -92,6 +92,24 @@ class FinesseEstimate:
     effective: float
 
 
+@dataclass(frozen=True)
+class LossStep:
+    """One batch's loss, gradient and preference statistics.
+
+    Every field comes from the same per-pair log-ratios r_w / r_l, taken
+    against the reference before any update. ``margin`` is the mean raw
+    beta * (r_w - r_l); ``weighted_margin`` is the mean sigmoid argument
+    beta * S after the mode's weights, the separation the loss drives;
+    ``accuracy`` is the fraction of pairs with r_w > r_l.
+    """
+
+    gradient: np.ndarray
+    loss: float
+    margin: float
+    weighted_margin: float
+    accuracy: float
+
+
 @dataclass
 class LossExample:
     """One tokenized preference pair with its loss weights.
@@ -147,23 +165,11 @@ def preference_score(
 
 
 def hin_dpo_loss(score: float, beta: float) -> float:
-    """softplus(-beta * score): the stable form of -log(sigmoid(beta * score))."""
+    """softplus(-beta * score): the stable form of -log(sigmoid(beta * score)).
+
+    With score = r_w - r_l this is the plain DPO loss.
+    """
     return float(np.logaddexp(0.0, -beta * score))
-
-
-def standard_dpo_loss(ratios: LogRatios, beta: float) -> float:
-    """Plain preference loss softplus(-beta * (r_w - r_l))."""
-    return hin_dpo_loss(ratios.preferred - ratios.rejected, beta)
-
-
-def log_ratios(policy: BigramPolicy, reference: BigramPolicy, example: LossExample) -> LogRatios:
-    """Per-pair log-probability ratios of policy against reference."""
-    return LogRatios(
-        preferred=policy.sequence_log_prob(example.prompt, example.preferred)
-        - reference.sequence_log_prob(example.prompt, example.preferred),
-        rejected=policy.sequence_log_prob(example.prompt, example.rejected)
-        - reference.sequence_log_prob(example.prompt, example.rejected),
-    )
 
 
 def compute_finesse(
@@ -183,13 +189,13 @@ def compute_finesse(
     ``normalize_variance`` is on. A prompt with no valid continuation
     (out-of-vocabulary token) raises.
     """
-    scaled = policy.with_temperature(config.finesse_temperature)
+    scaled = log_softmax(policy.logits / config.finesse_temperature)
     stats = Welford()
     for _ in range(config.finesse_samples):
         response = policy.sample_response(
             prompt, config.finesse_temperature, config.finesse_max_len, rng
         )
-        log_prob = scaled.sequence_log_prob(prompt, response)
+        log_prob = transition_log_prob(scaled, policy.transitions(prompt, response))
         stats.update(float(np.exp(log_prob / len(response))))
     variance = stats.variance
     if config.normalize_variance:
@@ -199,27 +205,12 @@ def compute_finesse(
     return FinesseEstimate(variance=variance, effective=effective)
 
 
-def batch_loss(
-    examples: list[LossExample],
-    policy: BigramPolicy,
-    reference: BigramPolicy,
-    config: LossConfig,
-) -> float:
-    """Mean loss over a batch; the scalar the gradient is taken of."""
-    if not examples:
-        raise ValueError("batch must be non-empty")
-    total = 0.0
-    for example in examples:
-        ratios = log_ratios(policy, reference, example)
-        score = preference_score(
-            ratios,
-            example.preferred_actuality,
-            example.rejected_actuality,
-            example.effective_variance,
-            config,
-        )
-        total += hin_dpo_loss(score, config.beta)
-    return total / len(examples)
+def _expit(x: float) -> float:
+    """Logistic sigmoid 1 / (1 + e^-x); 0 where e^-x overflows a double."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def loss_gradient(
@@ -227,34 +218,56 @@ def loss_gradient(
     policy: BigramPolicy,
     reference: BigramPolicy,
     config: LossConfig,
-) -> tuple[np.ndarray, float]:
-    """Analytic batch gradient of the mean loss w.r.t. the policy logits.
+) -> LossStep:
+    """Mean batch loss, its analytic gradient w.r.t. the policy logits, and
+    the batch's preference statistics, from one pass over the pairs.
 
-    Per pair, with u = beta * S, the chain rule gives the coefficient
+    The policy's log-softmax and softmax tables and the reference's
+    log-softmax table are each computed once per call. Per pair, with
+    u = beta * S, the chain rule gives the coefficient
     -(1 - sigma(u)) * beta * mult applied to m_w * grad(log pi(y_w)) and
     the opposite sign on m_l * grad(log pi(y_l)). The finesse variance is
     treated as a constant: it is computed outside this function and no
-    gradient flows through it. Returns (gradient table, mean loss).
+    gradient flows through it.
     """
     if not examples:
         raise ValueError("batch must be non-empty")
+    if reference.vocab != policy.vocab:
+        raise ValueError("policy and reference vocabularies differ")
+    policy_log = log_softmax(policy.logits)
+    policy_probs = softmax(policy.logits)
+    reference_log = log_softmax(reference.logits)
     grad = np.zeros_like(policy.logits)
     total = 0.0
+    margins = []
+    arguments = []
+    wins = 0
     for example in examples:
-        ratios = log_ratios(policy, reference, example)
-        m_w, m_l, mult = _weights(
-            example.preferred_actuality,
-            example.rejected_actuality,
-            example.effective_variance,
-            config,
+        preferred = policy.transitions(example.prompt, example.preferred)
+        rejected = policy.transitions(example.prompt, example.rejected)
+        ratios = LogRatios(
+            preferred=transition_log_prob(policy_log, preferred)
+            - transition_log_prob(reference_log, preferred),
+            rejected=transition_log_prob(policy_log, rejected)
+            - transition_log_prob(reference_log, rejected),
         )
-        score = (m_w * ratios.preferred - m_l * ratios.rejected) * mult
+        s_w, s_l, v = example.preferred_actuality, example.rejected_actuality, example.effective_variance
+        m_w, m_l, mult = _weights(s_w, s_l, v, config)
+        score = preference_score(ratios, s_w, s_l, v, config)
         u = config.beta * score
-        slack = float(expit(-u))  # == 1 - sigma(u), stable for large |u|
-        coeff = config.beta * mult * slack
-        grad -= coeff * m_w * policy.grad_sequence_log_prob(example.prompt, example.preferred)
-        grad += coeff * m_l * policy.grad_sequence_log_prob(example.prompt, example.rejected)
-        total += float(np.logaddexp(0.0, -u))
+        coeff = config.beta * mult * _expit(-u)  # expit(-u) == 1 - sigma(u)
+        grad -= coeff * m_w * transition_grad(policy_probs, preferred)
+        grad += coeff * m_l * transition_grad(policy_probs, rejected)
+        total += hin_dpo_loss(score, config.beta)
+        margins.append(config.beta * (ratios.preferred - ratios.rejected))
+        arguments.append(u)
+        wins += ratios.preferred > ratios.rejected
     n = len(examples)
     grad /= n
-    return grad, total / n
+    return LossStep(
+        gradient=grad,
+        loss=total / n,
+        margin=float(np.mean(margins)),
+        weighted_margin=float(np.mean(arguments)),
+        accuracy=wins / n,
+    )

@@ -16,12 +16,41 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
 BOS = "<bos>"
 EOS = "<eos>"
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the row maximum for stability."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """log(softmax(x)) along the last axis, without forming the softmax."""
+    t = x - np.max(x, axis=-1, keepdims=True)
+    return t - np.log(np.sum(np.exp(t), axis=-1, keepdims=True))
+
+
+def transition_log_prob(log_table: np.ndarray, transitions: Sequence[tuple[int, int]]) -> float:
+    """Sum of ``log_table[p, t]`` over a sequence's transitions, in order."""
+    return float(sum(log_table[p, t] for p, t in transitions))
+
+
+def transition_grad(probs: np.ndarray, transitions: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Gradient of a sequence's log-probability given the softmax table.
+
+    Each transition (p -> t) adds ``onehot(t) - probs[p]`` to row p; rows
+    the sequence never visits stay zero.
+    """
+    grad = np.zeros_like(probs)
+    for p, t in transitions:
+        grad[p] -= probs[p]
+        grad[p, t] += 1.0
+    return grad
 
 
 class OutOfVocabularyError(ValueError):
@@ -102,7 +131,8 @@ class BigramPolicy:
             logits = rng.normal(0.0, noise_std, size=logits.shape)
         return cls(vocab, logits)
 
-    def _transitions(self, prompt: Sequence[str], response: Sequence[str]) -> list[tuple[int, int]]:
+    def transitions(self, prompt: Sequence[str], response: Sequence[str]) -> list[tuple[int, int]]:
+        """(previous, next) index pairs the response walks through."""
         prompt_idx = self.vocab.encode(prompt)
         response_idx = self.vocab.encode(response)
         prev = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
@@ -120,21 +150,11 @@ class BigramPolicy:
         predecessor. The sum includes the terminal EOS transition when the
         response carries one.
         """
-        table = log_softmax(self.logits, axis=1)
-        return float(sum(table[p, t] for p, t in self._transitions(prompt, response)))
+        return transition_log_prob(log_softmax(self.logits), self.transitions(prompt, response))
 
     def grad_sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> np.ndarray:
-        """d(sequence_log_prob)/d(logits), same shape as the logit table.
-
-        Each transition (p -> t) adds ``onehot(t) - softmax(logits[p])`` to
-        row p; rows the sequence never visits stay zero.
-        """
-        probs = softmax(self.logits, axis=1)
-        grad = np.zeros_like(self.logits)
-        for p, t in self._transitions(prompt, response):
-            grad[p] -= probs[p]
-            grad[p, t] += 1.0
-        return grad
+        """d(sequence_log_prob)/d(logits), same shape as the logit table."""
+        return transition_grad(softmax(self.logits), self.transitions(prompt, response))
 
     def sample_response(
         self,
@@ -188,12 +208,6 @@ class BigramPolicy:
 
     def copy(self) -> "BigramPolicy":
         return BigramPolicy(self.vocab, self.logits)
-
-    def with_temperature(self, temperature: float) -> "BigramPolicy":
-        """Policy whose rows are softmax(logits / temperature)."""
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0, got %r" % temperature)
-        return BigramPolicy(self.vocab, self.logits / temperature)
 
     def save(self, path: str | Path) -> Path:
         """Write a checkpoint: format version, vocabulary, row-major logits."""

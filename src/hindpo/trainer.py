@@ -18,15 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair
-from .losses import (
-    LossConfig,
-    LossExample,
-    batch_loss,
-    compute_finesse,
-    log_ratios,
-    loss_gradient,
-    preference_score,
-)
+from .losses import LossConfig, LossExample, compute_finesse, loss_gradient
 from .policy import EOS, BigramPolicy, Vocabulary
 from .textmetrics import tokenize
 
@@ -36,7 +28,7 @@ TOY_LEARNING_RATE = 0.5
 
 
 class TrainingError(RuntimeError):
-    """Training cannot proceed (empty stage, non-finite loss)."""
+    """Training cannot proceed (empty stage, non-finite loss or gradient)."""
 
 
 @dataclass
@@ -128,51 +120,6 @@ def vocab_from_pairs(pairs: Sequence[PreferencePair]) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
-def preference_stats(
-    policy: BigramPolicy,
-    reference: BigramPolicy,
-    examples: Sequence[LossExample],
-    beta: float,
-) -> tuple[float, float]:
-    """(mean margin beta * (r_w - r_l), fraction of pairs with r_w > r_l)."""
-    margins = []
-    wins = 0
-    for example in examples:
-        ratios = log_ratios(policy, reference, example)
-        margins.append(beta * (ratios.preferred - ratios.rejected))
-        wins += ratios.preferred > ratios.rejected
-    return float(np.mean(margins)), wins / len(examples)
-
-
-def weighted_margin_stats(
-    policy: BigramPolicy,
-    reference: BigramPolicy,
-    examples: Sequence[LossExample],
-    config: LossConfig,
-) -> tuple[float, float]:
-    """(mean sigmoid argument beta * S, preference accuracy).
-
-    Unlike :func:`preference_stats` this applies the mode's actuality
-    weights and variance multiplier, so it measures the separation the
-    loss actually drives; that makes it the right quantity for comparing
-    runs across loss modes.
-    """
-    arguments = []
-    wins = 0
-    for example in examples:
-        ratios = log_ratios(policy, reference, example)
-        score = preference_score(
-            ratios,
-            example.preferred_actuality,
-            example.rejected_actuality,
-            example.effective_variance,
-            config,
-        )
-        arguments.append(config.beta * score)
-        wins += ratios.preferred > ratios.rejected
-    return float(np.mean(arguments)), wins / len(examples)
-
-
 def attach_finesse(
     examples: list[LossExample],
     policy: BigramPolicy,
@@ -201,7 +148,8 @@ def train(
 
     Per-step records carry the batch loss, the mean raw margin
     beta * (r_w - r_l) and the batch preference accuracy, all measured
-    against the in-stage reference before the update is applied.
+    against the in-stage reference before the update is applied. A step
+    whose loss or gradient is not finite raises before the update.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -219,16 +167,18 @@ def train(
             order = rng.permutation(len(examples))
             for start in range(0, len(order), config.batch_size):
                 batch = [examples[i] for i in order[start : start + config.batch_size]]
-                grad, loss = loss_gradient(batch, policy, reference, config.loss)
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        "non-finite loss at stage %r epoch %d step %d" % (stage_name, epoch, step + 1)
-                    )
-                margin, accuracy = preference_stats(policy, reference, batch, config.loss.beta)
-                policy.logits -= config.learning_rate * grad
+                result = loss_gradient(batch, policy, reference, config.loss)
+                where = "at stage %r epoch %d step %d" % (stage_name, epoch, step + 1)
+                if not np.isfinite(result.loss):
+                    raise TrainingError("non-finite loss " + where)
+                if not np.isfinite(result.gradient).all():
+                    raise TrainingError("non-finite gradient " + where)
+                policy.logits -= config.learning_rate * result.gradient
                 step += 1
                 log.records.append(
-                    TrainStepRecord(stage_name, epoch, step, loss, margin, accuracy)
+                    TrainStepRecord(
+                        stage_name, epoch, step, result.loss, result.margin, result.accuracy
+                    )
                 )
                 if config.checkpoint_every and step % config.checkpoint_every == 0:
                     directory = Path(config.checkpoint_dir or ".")
@@ -257,16 +207,16 @@ def gradcheck(
         raise ValueError("gradcheck needs a non-empty batch")
     if reference is None:
         reference = policy.snapshot()
-    analytic, _ = loss_gradient(examples, policy, reference, config)
+    analytic = loss_gradient(examples, policy, reference, config).gradient
     numeric = np.zeros_like(analytic)
     logits = policy.logits
     for i in range(logits.shape[0]):
         for j in range(logits.shape[1]):
             original = logits[i, j]
             logits[i, j] = original + h
-            plus = batch_loss(examples, policy, reference, config)
+            plus = loss_gradient(examples, policy, reference, config).loss
             logits[i, j] = original - h
-            minus = batch_loss(examples, policy, reference, config)
+            minus = loss_gradient(examples, policy, reference, config).loss
             logits[i, j] = original
             numeric[i, j] = (plus - minus) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)

@@ -110,3 +110,79 @@ def finite_difference_gradient(loss_fn, logits, h=1e-5) -> np.ndarray:
 def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+def chi_square_pvalue(observed, expected) -> float:
+    """Pearson goodness-of-fit p-value with len(observed) - 1 degrees of
+    freedom: the regularized upper incomplete gamma Q(k / 2, x / 2)."""
+    import mpmath
+
+    statistic = float(np.sum((np.asarray(observed) - expected) ** 2 / expected))
+    dof = len(observed) - 1
+    return float(mpmath.gammainc(dof / 2, statistic / 2, mpmath.inf, regularized=True))
+
+
+# Per-pair preference loss: every sequence scored by its own call into the
+# policy (each renormalising the whole table), the weights written out from
+# the loss definition, and 1 - sigma(u) taken as exp(-softplus(u)).
+
+
+def log_ratios(policy, reference, example) -> tuple[float, float]:
+    """(r_w, r_l): policy-vs-reference log-probability ratios of one pair."""
+    return (
+        policy.sequence_log_prob(example.prompt, example.preferred)
+        - reference.sequence_log_prob(example.prompt, example.preferred),
+        policy.sequence_log_prob(example.prompt, example.rejected)
+        - reference.sequence_log_prob(example.prompt, example.rejected),
+    )
+
+
+def pair_weights(example, config) -> tuple[float, float, float]:
+    """(m_w, m_l, mult) of one pair under the config's loss mode."""
+    actuality = config.mode in ("dpo_act", "hin_dpo")
+    finesse = config.mode in ("dpo_fin", "hin_dpo")
+    m_w = 1.0 + example.preferred_actuality if actuality else 1.0
+    m_l = max(0.01, example.rejected_actuality) if actuality else 1.0
+    mult = min(1.0 / (example.effective_variance + config.epsilon), config.scale_cap) if finesse else 1.0
+    return m_w, m_l, mult
+
+
+def sigmoid_argument(policy, reference, example, config) -> float:
+    """u = beta * S for one pair."""
+    r_w, r_l = log_ratios(policy, reference, example)
+    m_w, m_l, mult = pair_weights(example, config)
+    return config.beta * (m_w * r_w - m_l * r_l) * mult
+
+
+def batch_loss(examples, policy, reference, config) -> float:
+    """Mean of softplus(-u) over the batch."""
+    total = sum(float(np.logaddexp(0.0, -sigmoid_argument(policy, reference, e, config))) for e in examples)
+    return total / len(examples)
+
+
+def loss_gradient(examples, policy, reference, config) -> tuple[np.ndarray, float]:
+    """(gradient of the mean loss w.r.t. the policy logits, mean loss)."""
+    grad = np.zeros_like(policy.logits)
+    total = 0.0
+    for example in examples:
+        m_w, m_l, mult = pair_weights(example, config)
+        u = sigmoid_argument(policy, reference, example, config)
+        coeff = config.beta * mult * math.exp(-float(np.logaddexp(0.0, u)))
+        grad -= coeff * m_w * policy.grad_sequence_log_prob(example.prompt, example.preferred)
+        grad += coeff * m_l * policy.grad_sequence_log_prob(example.prompt, example.rejected)
+        total += float(np.logaddexp(0.0, -u))
+    return grad / len(examples), total / len(examples)
+
+
+def preference_stats(policy, reference, examples, beta) -> tuple[float, float]:
+    """(mean raw margin beta * (r_w - r_l), fraction of pairs with r_w > r_l)."""
+    ratios = [log_ratios(policy, reference, e) for e in examples]
+    margin = math.fsum(beta * (r_w - r_l) for r_w, r_l in ratios) / len(examples)
+    return margin, sum(r_w > r_l for r_w, r_l in ratios) / len(examples)
+
+
+def weighted_margin_stats(policy, reference, examples, config) -> tuple[float, float]:
+    """(mean u = beta * S, fraction of pairs with r_w > r_l)."""
+    arguments = [sigmoid_argument(policy, reference, e, config) for e in examples]
+    _, accuracy = preference_stats(policy, reference, examples, config.beta)
+    return math.fsum(arguments) / len(examples), accuracy

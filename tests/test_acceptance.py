@@ -14,13 +14,7 @@ from hindpo.cli import main
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import emit_forge, forge, load_pairs, read_manifest
 from hindpo.evalharness import parse_table
-from hindpo.losses import (
-    LogRatios,
-    LossConfig,
-    hin_dpo_loss,
-    preference_score,
-    standard_dpo_loss,
-)
+from hindpo.losses import LogRatios, LossConfig, hin_dpo_loss, loss_gradient, preference_score
 from hindpo.policy import EOS, BigramPolicy, Vocabulary
 from hindpo.trainer import (
     TOY_LEARNING_RATE,
@@ -28,10 +22,8 @@ from hindpo.trainer import (
     attach_finesse,
     encode_pairs,
     gradcheck,
-    preference_stats,
     train,
     vocab_from_pairs,
-    weighted_margin_stats,
 )
 from hindpo.welford import Welford
 
@@ -52,7 +44,7 @@ def test_criterion_1_dpo_reduction_equivalence():
     for _ in range(1000):
         ratios = LogRatios(float(rng.normal(0, 3)), float(rng.normal(0, 3)))
         collapsed = hin_dpo_loss(preference_score(ratios, 0.0, 1.0, 0.0, config), config.beta)
-        plain = standard_dpo_loss(ratios, config.beta)
+        plain = hin_dpo_loss(ratios.preferred - ratios.rejected, config.beta)
         worst = max(worst, abs(collapsed - plain))
     assert worst == 0.0
     report(1, "dpo reduction equivalence", started)
@@ -163,9 +155,8 @@ def test_criterion_6_learning_behavior():
         examples = encode_pairs(curriculum.all_pairs())
         if config.loss.uses_finesse():
             attach_finesse(examples, trained, config.loss, np.random.default_rng(99))
-        _, accuracy = preference_stats(trained, initial, examples, config.loss.beta)
-        margin, _ = weighted_margin_stats(trained, initial, examples, config.loss)
-        return margin, accuracy
+        step = loss_gradient(examples, trained, initial, config.loss)
+        return step.weighted_margin, step.accuracy
 
     margins = {}
     for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hindpo.cli import main
+from hindpo.cli import RunConfig, main
 from hindpo.dataforge import read_manifest
 
 
@@ -89,6 +89,20 @@ class TestTrainEval:
         path.write_text(json.dumps({"out_dir": "x", "typo_key": 1}), encoding="utf-8")
         assert main(["forge", "--config", str(path)]) == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, typo", [("train", "epoch_per_stage"), ("loss", "bta"), ("eval", "maxlen"), ("split", "tran")]
+    )
+    def test_unknown_section_key_rejected(self, tmp_path, capsys, section, typo):
+        config = write_config(tmp_path, **{section: {typo: 3}})
+        with pytest.raises(ValueError, match=r"section '%s': \['%s'\]" % (section, typo)):
+            RunConfig.from_file(config)
+        assert main(["forge", "--config", str(config)]) == 1
+        assert typo in capsys.readouterr().err
+
+    def test_section_must_be_an_object(self, tmp_path):
+        with pytest.raises(ValueError, match="'train' must be an object"):
+            RunConfig.from_file(write_config(tmp_path, train=3))
 
     def test_bad_split_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})

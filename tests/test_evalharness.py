@@ -89,6 +89,10 @@ class TestEvaluate:
         for column in ("r1", "r2", "rl", "meteor", "semantic"):
             assert getattr(base, column) == pytest.approx(getattr(shuffled, column), abs=1e-15)
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="got none"):
+            evaluate([], [], "x")
+
 
 def sample_reports():
     return [

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from hindpo.losses import (
+    MODES,
     LogRatios,
     LossConfig,
     LossExample,
-    batch_loss,
     compute_finesse,
     hin_dpo_loss,
-    log_ratios,
     loss_gradient,
     preference_score,
-    standard_dpo_loss,
 )
 from hindpo.policy import EOS, BigramPolicy, Vocabulary
 
+import oracles
 from oracles import finite_difference_gradient, relative_gradient_error, two_pass_variance
 
 
@@ -133,6 +132,11 @@ class TestHinDpoLoss:
             assert math.isfinite(loss) and loss > 0.0
 
 
+def standard_dpo_loss(ratios: LogRatios, beta: float) -> float:
+    """Plain DPO loss: hin_dpo_loss of the unweighted margin r_w - r_l."""
+    return hin_dpo_loss(ratios.preferred - ratios.rejected, beta)
+
+
 class TestStandardDpoLoss:
     def test_equal_ratios(self):
         assert standard_dpo_loss(LogRatios(0.4, 0.4), 0.6) == pytest.approx(math.log(2))
@@ -217,7 +221,7 @@ class TestComputeFinesse:
         rng = np.random.default_rng(71)
         estimate = compute_finesse(policy, ["a"], config, rng)
         rng = np.random.default_rng(71)
-        scaled = policy.with_temperature(config.finesse_temperature)
+        scaled = BigramPolicy(policy.vocab, policy.logits / config.finesse_temperature)
         scalars = []
         for _ in range(config.finesse_samples):
             response = policy.sample_response(
@@ -251,7 +255,8 @@ class TestLossGradient:
             preferred_actuality=0.0, rejected_actuality=1.0,
         )
         config = LossConfig(mode="hin_dpo", epsilon=1.0, beta=0.6)
-        grad, loss = loss_gradient([example], policy, reference, config)
+        step = loss_gradient([example], policy, reference, config)
+        grad, loss = step.gradient, step.loss
         expected = -(0.6 / 2) * (
             policy.grad_sequence_log_prob(example.prompt, example.preferred)
             - policy.grad_sequence_log_prob(example.prompt, example.rejected)
@@ -265,9 +270,9 @@ class TestLossGradient:
         policy = make_policy(83)
         reference = make_policy(89).snapshot()
         examples = random_examples(np.random.default_rng(97))
-        analytic, _ = loss_gradient(examples, policy, reference, config)
+        analytic = loss_gradient(examples, policy, reference, config).gradient
         numeric = finite_difference_gradient(
-            lambda: batch_loss(examples, policy, reference, config), policy.logits
+            lambda: loss_gradient(examples, policy, reference, config).loss, policy.logits
         )
         assert relative_gradient_error(analytic, numeric) < 1e-5
 
@@ -278,23 +283,30 @@ class TestLossGradient:
             policy = make_policy(seed, std=0.8)
             reference = make_policy(seed + 1000).snapshot()
             examples = random_examples(rng, n=2)
-            grad, loss = loss_gradient(examples, policy, reference, config)
-            policy.logits -= 0.01 * grad
-            assert batch_loss(examples, policy, reference, config) < loss
+            step = loss_gradient(examples, policy, reference, config)
+            policy.logits -= 0.01 * step.gradient
+            assert loss_gradient(examples, policy, reference, config).loss < step.loss
 
     def test_mean_reduction_is_batch_size_invariant(self):
         config = LossConfig(mode="dpo")
         policy = make_policy(103)
         reference = make_policy(104).snapshot()
         example = random_examples(np.random.default_rng(105), n=1)[0]
-        single, _ = loss_gradient([example], policy, reference, config)
-        tripled, _ = loss_gradient([example] * 3, policy, reference, config)
+        single = loss_gradient([example], policy, reference, config).gradient
+        tripled = loss_gradient([example] * 3, policy, reference, config).gradient
         assert np.allclose(single, tripled)
 
     def test_empty_batch_rejected(self):
         policy = make_policy(107)
         with pytest.raises(ValueError):
             loss_gradient([], policy, policy.snapshot(), LossConfig())
+
+    def test_reference_vocabulary_must_match(self):
+        policy = make_policy(108)
+        other = make_policy(108, tokens=("a", "b", "d"))
+        example = LossExample(prompt=["a"], preferred=["b", EOS], rejected=["a", EOS])
+        with pytest.raises(ValueError, match="vocabularies differ"):
+            loss_gradient([example], policy, other.snapshot(), LossConfig())
 
     def test_finesse_constant_no_gradient_through_v(self):
         # Two different variances change the loss but both gradients still
@@ -305,24 +317,92 @@ class TestLossGradient:
         example = random_examples(np.random.default_rng(111), n=1)[0]
         for v in (0.1, 0.9):
             example.effective_variance = v
-            analytic, _ = loss_gradient([example], policy, reference, config)
+            analytic = loss_gradient([example], policy, reference, config).gradient
             numeric = finite_difference_gradient(
-                lambda: batch_loss([example], policy, reference, config), policy.logits
+                lambda: loss_gradient([example], policy, reference, config).loss, policy.logits
             )
             assert relative_gradient_error(analytic, numeric) < 1e-5
 
 
 class TestLogRatios:
+    # The log-ratios reach the caller through the step's margins. With
+    # unequal actuality weights (m_w = 1.5, m_l = 1) a zero raw margin and a
+    # zero weighted margin together force r_w = r_l = 0.
     def test_identical_policies_zero(self):
         policy = make_policy(113)
-        example = LossExample(prompt=["a"], preferred=["b", EOS], rejected=["c", EOS])
-        ratios = log_ratios(policy, policy.snapshot(), example)
-        assert ratios.preferred == 0.0
-        assert ratios.rejected == 0.0
+        example = LossExample(
+            prompt=["a"], preferred=["b", EOS], rejected=["c", EOS],
+            preferred_actuality=0.5, rejected_actuality=1.0,
+        )
+        step = loss_gradient([example], policy, policy.snapshot(), LossConfig(mode="dpo_act"))
+        assert step.margin == 0.0
+        assert step.weighted_margin == 0.0
 
     def test_finite(self):
         policy = make_policy(127, std=3.0)
         reference = make_policy(131, std=3.0).snapshot()
         example = LossExample(prompt=["a"], preferred=["b", "b", EOS], rejected=["c", EOS])
-        ratios = log_ratios(policy, reference, example)
-        assert math.isfinite(ratios.preferred) and math.isfinite(ratios.rejected)
+        step = loss_gradient([example], policy, reference, LossConfig())
+        assert math.isfinite(step.margin) and math.isfinite(step.weighted_margin)
+
+
+def oracle_setup():
+    """Policy, reference and batches for the oracle comparison.
+
+    The batches hold random pairs; pairs that revisit one row, within a
+    response and across the batch, next to a tie (r_w == r_l, which does
+    not count as a win); and a pair whose beta * S is far past the point
+    where exp(beta * S) overflows. For that pair the reference all but
+    rules out a -> b, so r_w is ~2000 and beta * S exceeds 710 in every
+    mode.
+    """
+    rng = np.random.default_rng(137)
+    policy = make_policy(139)
+    reference_logits = make_policy(149).logits
+    reference_logits[policy.vocab.index("a"), policy.vocab.index("b")] = -2000.0
+    reference = BigramPolicy(policy.vocab, reference_logits).snapshot()
+    revisits = [
+        LossExample(
+            prompt=["a"], preferred=["a", "a", "b", EOS], rejected=["a", "c", EOS],
+            preferred_actuality=0.7, rejected_actuality=0.2, effective_variance=0.3,
+        ),
+        LossExample(
+            prompt=["a"], preferred=["a", "b", EOS], rejected=["c", "c", "a", EOS],
+            preferred_actuality=0.1, rejected_actuality=0.005, effective_variance=0.9,
+        ),
+        LossExample(prompt=["b"], preferred=["c", EOS], rejected=["c", EOS]),
+    ]
+    far_apart = LossExample(
+        prompt=["a"], preferred=["b", EOS], rejected=["c", EOS],
+        preferred_actuality=0.4, rejected_actuality=0.6, effective_variance=0.5,
+    )
+    batches = [random_examples(rng, n=4), revisits, [far_apart], [far_apart] + random_examples(rng, n=2)]
+    return policy, reference, batches
+
+
+class TestLossGradientMatchesOracle:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_matches_per_pair_oracle(self, mode):
+        config = LossConfig(mode=mode)
+        policy, reference, batches = oracle_setup()
+        for batch in batches:
+            step = loss_gradient(batch, policy, reference, config)
+            grad, loss = oracles.loss_gradient(batch, policy, reference, config)
+            margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
+            weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
+            assert np.abs(step.gradient - grad).max() <= 1e-12
+            assert step.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+            assert step.loss == pytest.approx(
+                oracles.batch_loss(batch, policy, reference, config), rel=1e-12, abs=1e-12
+            )
+            assert step.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+            assert step.weighted_margin == pytest.approx(weighted, rel=1e-12, abs=1e-12)
+            assert step.accuracy == accuracy
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_argument_contributes_no_gradient(self, mode):
+        policy, reference, batches = oracle_setup()
+        step = loss_gradient(batches[2], policy, reference, LossConfig(mode=mode))
+        assert step.weighted_margin > 710.0
+        assert step.loss == 0.0
+        assert not step.gradient.any()

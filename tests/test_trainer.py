@@ -3,7 +3,7 @@ import pytest
 
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, forge
-from hindpo.losses import LossConfig
+from hindpo.losses import LossConfig, LossStep, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TOY_LEARNING_RATE,
@@ -12,10 +12,8 @@ from hindpo.trainer import (
     attach_finesse,
     encode_pairs,
     gradcheck,
-    preference_stats,
     train,
     vocab_from_pairs,
-    weighted_margin_stats,
 )
 
 
@@ -73,7 +71,7 @@ class TestTrainOnSeparableCorpus:
         initial = policy.snapshot()
         trained, _ = train(curriculum, policy, toy_train_config(mode))
         examples = encode_pairs(curriculum.all_pairs())
-        _, accuracy = preference_stats(trained, initial, examples, 0.6)
+        accuracy = loss_gradient(examples, trained, initial, LossConfig(beta=0.6)).accuracy
         assert accuracy >= 0.95
 
     @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
@@ -95,7 +93,7 @@ class TestTrainOnSeparableCorpus:
         initial = policy.snapshot()
         trained_dpo, _ = train(curriculum, policy, config_dpo)
         examples = encode_pairs(curriculum.all_pairs())
-        margin_dpo, _ = weighted_margin_stats(trained_dpo, initial, examples, config_dpo.loss)
+        margin_dpo = loss_gradient(examples, trained_dpo, initial, config_dpo.loss).weighted_margin
 
         config_hin = toy_train_config("hin_dpo")
         curriculum_hin, policy_hin = separable_setup(
@@ -104,7 +102,7 @@ class TestTrainOnSeparableCorpus:
         trained_hin, _ = train(curriculum_hin, policy_hin, config_hin)
         examples_hin = encode_pairs(curriculum_hin.all_pairs())
         attach_finesse(examples_hin, trained_hin, config_hin.loss, np.random.default_rng(123))
-        margin_hin, _ = weighted_margin_stats(trained_hin, initial, examples_hin, config_hin.loss)
+        margin_hin = loss_gradient(examples_hin, trained_hin, initial, config_hin.loss).weighted_margin
         assert margin_hin > margin_dpo
 
 
@@ -165,8 +163,9 @@ class TestStages:
             curriculum, policy, toy_train_config(epochs_per_stage=3)
         )
         examples = encode_pairs(curriculum.all_pairs())
-        margin_vs_initial, _ = preference_stats(trained, initial, examples, 0.6)
-        margin_vs_refreshed, _ = preference_stats(trained, trained.snapshot(), examples, 0.6)
+        config = LossConfig(beta=0.6)
+        margin_vs_initial = loss_gradient(examples, trained, initial, config).margin
+        margin_vs_refreshed = loss_gradient(examples, trained, trained.snapshot(), config).margin
         assert margin_vs_initial > 0.0
         assert margin_vs_refreshed == 0.0
 
@@ -185,11 +184,25 @@ class TestStages:
         curriculum, policy = separable_setup()
 
         def exploding(examples, pol, ref, cfg):
-            return np.zeros_like(pol.logits), float("nan")
+            return LossStep(np.zeros_like(pol.logits), float("nan"), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr("hindpo.trainer.loss_gradient", exploding)
         with pytest.raises(TrainingError, match="non-finite"):
             train(curriculum, policy, toy_train_config())
+
+    def test_non_finite_gradient_aborts_before_update(self, monkeypatch, tmp_path):
+        curriculum, policy = separable_setup()
+        before = policy.logits.copy()
+
+        def nan_gradient(examples, pol, ref, cfg):
+            return LossStep(np.full_like(pol.logits, np.nan), 0.5, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr("hindpo.trainer.loss_gradient", nan_gradient)
+        config = toy_train_config(checkpoint_every=1, checkpoint_dir=tmp_path)
+        with pytest.raises(TrainingError, match="non-finite gradient at stage 'B_H' epoch 1 step 1"):
+            train(curriculum, policy, config)
+        assert np.array_equal(policy.logits, before)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainLog:
@@ -269,8 +282,9 @@ class TestToyCorpusEndToEnd:
         config = toy_train_config("hin_dpo", epochs_per_stage=3, seed=7)
         trained, log = train(result.curriculum, policy, config)
         assert log.stages() == ["B_L", "B_M", "B_H"]
-        margin, accuracy = preference_stats(
-            trained, initial, encode_pairs(result.curriculum.all_pairs()), 0.6
+        step = loss_gradient(
+            encode_pairs(result.curriculum.all_pairs()), trained, initial, LossConfig(beta=0.6)
         )
+        margin, accuracy = step.margin, step.accuracy
         assert margin > 0.0
         assert accuracy > 0.8
