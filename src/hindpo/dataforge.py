@@ -27,7 +27,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -49,6 +49,8 @@ STAGE_ORDERS = {
     "section4": ("B_H", "B_M", "B_L"),
 }
 DEFAULT_SPLIT = (0.75, 0.05, 0.20)
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -171,7 +173,10 @@ class PreferencePair:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PreferencePair":
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise SchemaError("malformed pair: %s" % exc) from exc
 
 
 @dataclass
@@ -189,28 +194,31 @@ class CurriculumDataset:
 # Corpus I/O
 
 
+def _parse_jsonl(path: Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """(line number, parsed record) of each non-blank line of a JSONL file;
+    errors name the file and line."""
+    with path.open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield lineno, parse(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise SchemaError("%s:%d: invalid JSON: %s" % (path, lineno, exc)) from exc
+            except SchemaError as exc:
+                raise SchemaError("%s:%d: %s" % (path, lineno, exc)) from exc
+
+
 def load_articles(path: str | Path) -> list[ArticleRecord]:
     """Read and validate a JSONL corpus; errors carry the offending line."""
     path = Path(path)
     records: list[ArticleRecord] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError("%s:%d: invalid JSON: %s" % (path, lineno, exc)) from exc
-            try:
-                record = ArticleRecord.from_json_dict(data)
-            except SchemaError as exc:
-                raise SchemaError("%s:%d: %s" % (path, lineno, exc)) from exc
-            if record.id in seen_ids:
-                raise SchemaError("%s:%d: duplicate article id %r" % (path, lineno, record.id))
-            seen_ids.add(record.id)
-            records.append(record)
+    for lineno, record in _parse_jsonl(path, ArticleRecord.from_json_dict):
+        if record.id in seen_ids:
+            raise SchemaError("%s:%d: duplicate article id %r" % (path, lineno, record.id))
+        seen_ids.add(record.id)
+        records.append(record)
     return records
 
 
@@ -231,8 +239,8 @@ def articles_sha256(records: Iterable[ArticleRecord]) -> str:
 
 
 def load_pairs(path: str | Path) -> list[PreferencePair]:
-    with Path(path).open(encoding="utf-8") as handle:
-        return [PreferencePair.from_json_dict(json.loads(line)) for line in handle if line.strip()]
+    """Read a JSONL pair file; errors carry the offending line."""
+    return [pair for _, pair in _parse_jsonl(Path(path), PreferencePair.from_json_dict)]
 
 
 def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
@@ -356,6 +364,7 @@ class FileActuality(ActualityProvider):
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._scores: dict[tuple[str, str], float] = {}
+        first_line: dict[tuple[str, str], int] = {}
         with self.path.open(encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -376,7 +385,14 @@ class FileActuality(ActualityProvider):
                     raise ActualityError(
                         "%s:%d: score %r out of [0, 1]" % (self.path, lineno, score)
                     )
-                self._scores[(record_id, role)] = score
+                key = (record_id, role)
+                if key in first_line:
+                    raise ActualityError(
+                        "%s:%d: duplicate %s score for record %r (first given on line %d)"
+                        % (self.path, lineno, role, record_id, first_line[key])
+                    )
+                first_line[key] = lineno
+                self._scores[key] = score
 
     def _lookup(self, article_id: str, role: str) -> float:
         try:

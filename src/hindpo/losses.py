@@ -15,16 +15,22 @@ finesse estimate: normalized variance of the policy's own high-temperature
 response probabilities, computed outside the loss so no gradient flows
 through it. With s_w = 0, s_l = 1 and v_effective + epsilon = 1 every mode
 collapses to plain DPO, bit for bit.
+
+The weighting and loss functions are elementwise (scalars in, scalars out;
+per-pair arrays in, per-pair arrays out), so one formula serves a single
+pair and a whole batch. ``loss_gradient`` works in count form: a bigram
+sequence's log-probability and its gradient are linear in the sequence's
+transition counts, so a batch needs one pass over all its transitions and
+no per-pair loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import BigramPolicy, log_softmax, softmax, transition_grad, transition_log_prob
+from .policy import BigramPolicy, log_softmax, softmax, transition_grad
 from .welford import Welford
 
 MODES = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
@@ -78,10 +84,11 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LogRatios:
-    """Policy-vs-reference log-probability ratios for one preference pair."""
+    """Policy-vs-reference log-probability ratios of one preference pair, or
+    per-pair arrays of them for a batch."""
 
-    preferred: float
-    rejected: float
+    preferred: float | np.ndarray
+    rejected: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,20 +134,16 @@ class LossExample:
     effective_variance: float = field(default=0.0)
 
 
-def scale_multiplier(effective_variance: float, config: LossConfig) -> float:
+def scale_multiplier(effective_variance: float | np.ndarray, config: LossConfig) -> float | np.ndarray:
     """min(1 / (v_effective + epsilon), scale_cap); the low-variance boost."""
-    return min(1.0 / (effective_variance + config.epsilon), config.scale_cap)
+    return np.minimum(1.0 / (effective_variance + config.epsilon), config.scale_cap)
 
 
-def _weights(
-    preferred_actuality: float,
-    rejected_actuality: float,
-    effective_variance: float,
-    config: LossConfig,
-) -> tuple[float, float, float]:
+def _weights(preferred_actuality, rejected_actuality, effective_variance, config: LossConfig):
+    """(m_w, m_l, mult): the mode's preferred, rejected and finesse weights."""
     if config.uses_actuality():
         m_w = 1.0 + preferred_actuality
-        m_l = max(REJECTED_WEIGHT_FLOOR, rejected_actuality)
+        m_l = np.maximum(REJECTED_WEIGHT_FLOOR, rejected_actuality)
     else:
         m_w, m_l = 1.0, 1.0
     mult = scale_multiplier(effective_variance, config) if config.uses_finesse() else 1.0
@@ -149,11 +152,11 @@ def _weights(
 
 def preference_score(
     ratios: LogRatios,
-    preferred_actuality: float,
-    rejected_actuality: float,
-    effective_variance: float,
+    preferred_actuality: float | np.ndarray,
+    rejected_actuality: float | np.ndarray,
+    effective_variance: float | np.ndarray,
     config: LossConfig,
-) -> float:
+) -> float | np.ndarray:
     """Sigmoid argument of the loss, before the beta factor.
 
     dpo: r_w - r_l. dpo_act: (1 + s_w) r_w - max(0.01, s_l) r_l.
@@ -164,12 +167,12 @@ def preference_score(
     return (m_w * ratios.preferred - m_l * ratios.rejected) * mult
 
 
-def hin_dpo_loss(score: float, beta: float) -> float:
+def hin_dpo_loss(score: float | np.ndarray, beta: float) -> float | np.ndarray:
     """softplus(-beta * score): the stable form of -log(sigmoid(beta * score)).
 
     With score = r_w - r_l this is the plain DPO loss.
     """
-    return float(np.logaddexp(0.0, -beta * score))
+    return np.logaddexp(0.0, -beta * score)
 
 
 def compute_finesse(
@@ -195,7 +198,7 @@ def compute_finesse(
         response = policy.sample_response(
             prompt, config.finesse_temperature, config.finesse_max_len, rng
         )
-        log_prob = transition_log_prob(scaled, policy.transitions(prompt, response))
+        log_prob = float(sum(scaled[policy.transitions(prompt, response)]))
         stats.update(float(np.exp(log_prob / len(response))))
     variance = stats.variance
     if config.normalize_variance:
@@ -205,14 +208,6 @@ def compute_finesse(
     return FinesseEstimate(variance=variance, effective=effective)
 
 
-def _expit(x: float) -> float:
-    """Logistic sigmoid 1 / (1 + e^-x); 0 where e^-x overflows a double."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
-
-
 def loss_gradient(
     examples: list[LossExample],
     policy: BigramPolicy,
@@ -220,54 +215,45 @@ def loss_gradient(
     config: LossConfig,
 ) -> LossStep:
     """Mean batch loss, its analytic gradient w.r.t. the policy logits, and
-    the batch's preference statistics, from one pass over the pairs.
+    the batch's preference statistics, in count form.
 
-    The policy's log-softmax and softmax tables and the reference's
-    log-softmax table are each computed once per call. Per pair, with
-    u = beta * S, the chain rule gives the coefficient
-    -(1 - sigma(u)) * beta * mult applied to m_w * grad(log pi(y_w)) and
-    the opposite sign on m_l * grad(log pi(y_l)). The finesse variance is
-    treated as a constant: it is computed outside this function and no
-    gradient flows through it.
+    All transitions of the batch form one index set (row, column, owning
+    sequence), so one ``np.bincount`` per table gives every sequence's
+    log-probability, hence all r_w / r_l; weights, u = beta * S, losses and
+    statistics are per-pair arrays. With coeff = beta * mult * (1 - sigma(u))
+    each preferred transition weighs -coeff * m_w and each rejected one
+    +coeff * m_l in one ``transition_grad`` call. The finesse variance is a
+    constant computed outside this function; no gradient flows through it.
     """
     if not examples:
         raise ValueError("batch must be non-empty")
     if reference.vocab != policy.vocab:
         raise ValueError("policy and reference vocabularies differ")
-    policy_log = log_softmax(policy.logits)
-    policy_probs = softmax(policy.logits)
-    reference_log = log_softmax(reference.logits)
-    grad = np.zeros_like(policy.logits)
-    total = 0.0
-    margins = []
-    arguments = []
-    wins = 0
-    for example in examples:
-        preferred = policy.transitions(example.prompt, example.preferred)
-        rejected = policy.transitions(example.prompt, example.rejected)
-        ratios = LogRatios(
-            preferred=transition_log_prob(policy_log, preferred)
-            - transition_log_prob(reference_log, preferred),
-            rejected=transition_log_prob(policy_log, rejected)
-            - transition_log_prob(reference_log, rejected),
-        )
-        s_w, s_l, v = example.preferred_actuality, example.rejected_actuality, example.effective_variance
-        m_w, m_l, mult = _weights(s_w, s_l, v, config)
-        score = preference_score(ratios, s_w, s_l, v, config)
-        u = config.beta * score
-        coeff = config.beta * mult * _expit(-u)  # expit(-u) == 1 - sigma(u)
-        grad -= coeff * m_w * transition_grad(policy_probs, preferred)
-        grad += coeff * m_l * transition_grad(policy_probs, rejected)
-        total += hin_dpo_loss(score, config.beta)
-        margins.append(config.beta * (ratios.preferred - ratios.rejected))
-        arguments.append(u)
-        wins += ratios.preferred > ratios.rejected
+    # Sequence 2i is pair i's preferred response, 2i + 1 its rejected one.
+    paths = [policy.transitions(e.prompt, seq) for e in examples for seq in (e.preferred, e.rejected)]
+    rows = np.concatenate([r for r, _ in paths])
+    cols = np.concatenate([c for _, c in paths])
+    owner = np.repeat(np.arange(len(paths)), [len(r) for r, _ in paths])
+
+    def log_probs(logits: np.ndarray) -> np.ndarray:
+        terms = log_softmax(logits)[rows, cols]
+        return np.bincount(owner, terms, minlength=len(paths)).reshape(-1, 2)
+
+    r_w, r_l = (log_probs(policy.logits) - log_probs(reference.logits)).T
+    s_w, s_l, v = np.array(
+        [(e.preferred_actuality, e.rejected_actuality, e.effective_variance) for e in examples]
+    ).T
+    m_w, m_l, mult = _weights(s_w, s_l, v, config)
+    score = preference_score(LogRatios(r_w, r_l), s_w, s_l, v, config)
+    u = config.beta * score
+    with np.errstate(over="ignore"):
+        coeff = config.beta * mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+    side = np.stack([-coeff * m_w, coeff * m_l], axis=1).ravel()
     n = len(examples)
-    grad /= n
     return LossStep(
-        gradient=grad,
-        loss=total / n,
-        margin=float(np.mean(margins)),
-        weighted_margin=float(np.mean(arguments)),
-        accuracy=wins / n,
+        gradient=transition_grad(softmax(policy.logits), rows, cols, side[owner]) / n,
+        loss=float(np.mean(hin_dpo_loss(score, config.beta))),
+        margin=float(np.mean(config.beta * (r_w - r_l))),
+        weighted_margin=float(np.mean(u)),
+        accuracy=float(np.mean(r_w > r_l)),
     )

@@ -35,21 +35,18 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return t - np.log(np.sum(np.exp(t), axis=-1, keepdims=True))
 
 
-def transition_log_prob(log_table: np.ndarray, transitions: Sequence[tuple[int, int]]) -> float:
-    """Sum of ``log_table[p, t]`` over a sequence's transitions, in order."""
-    return float(sum(log_table[p, t] for p, t in transitions))
+def transition_grad(
+    probs: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Gradient of sum_k weights[k] * log softmax(L)[rows[k], cols[k]] w.r.t. L.
 
-
-def transition_grad(probs: np.ndarray, transitions: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Gradient of a sequence's log-probability given the softmax table.
-
-    Each transition (p -> t) adds ``onehot(t) - probs[p]`` to row p; rows
-    the sequence never visits stay zero.
+    Transition k (p -> t) adds ``weights[k] * (onehot(t) - probs[p])`` to
+    row p, so a row's gradient is its weighted transition counts minus its
+    total weight times its softmax row; rows no transition visits stay zero.
+    Unit weights give the gradient of one sequence's log-probability.
     """
-    grad = np.zeros_like(probs)
-    for p, t in transitions:
-        grad[p] -= probs[p]
-        grad[p, t] += 1.0
+    grad = -np.bincount(rows, weights, minlength=len(probs))[:, None] * probs
+    np.add.at(grad, (rows, cols), weights)
     return grad
 
 
@@ -131,16 +128,14 @@ class BigramPolicy:
             logits = rng.normal(0.0, noise_std, size=logits.shape)
         return cls(vocab, logits)
 
-    def transitions(self, prompt: Sequence[str], response: Sequence[str]) -> list[tuple[int, int]]:
-        """(previous, next) index pairs the response walks through."""
+    def transitions(
+        self, prompt: Sequence[str], response: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(previous, next) token indices of each transition the response walks through."""
         prompt_idx = self.vocab.encode(prompt)
-        response_idx = self.vocab.encode(response)
-        prev = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
-        out = []
-        for nxt in response_idx:
-            out.append((prev, nxt))
-            prev = nxt
-        return out
+        start = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
+        path = np.array([start, *self.vocab.encode(response)], dtype=np.intp)
+        return path[:-1], path[1:]
 
     def sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> float:
         """log-probability of the response given the prompt.
@@ -148,13 +143,14 @@ class BigramPolicy:
         The first response token conditions on the last prompt token (BOS
         for an empty prompt); each later token conditions on its
         predecessor. The sum includes the terminal EOS transition when the
-        response carries one.
+        response carries one; its terms are added in sequence order.
         """
-        return transition_log_prob(log_softmax(self.logits), self.transitions(prompt, response))
+        return float(sum(log_softmax(self.logits)[self.transitions(prompt, response)]))
 
     def grad_sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> np.ndarray:
         """d(sequence_log_prob)/d(logits), same shape as the logit table."""
-        return transition_grad(softmax(self.logits), self.transitions(prompt, response))
+        rows, cols = self.transitions(prompt, response)
+        return transition_grad(softmax(self.logits), rows, cols, np.ones(len(rows)))
 
     def sample_response(
         self,

@@ -11,7 +11,7 @@ seeded generator, so identical inputs give identical logs and parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +28,7 @@ TOY_LEARNING_RATE = 0.5
 
 
 class TrainingError(RuntimeError):
-    """Training cannot proceed (empty stage, non-finite loss or gradient)."""
+    """Training cannot proceed (empty stage, non-finite loss, gradient or logits)."""
 
 
 @dataclass
@@ -61,16 +61,8 @@ class TrainStepRecord:
     loss: float
     margin: float
     accuracy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "epoch": self.epoch,
-            "step": self.step,
-            "loss": self.loss,
-            "margin": self.margin,
-            "accuracy": self.accuracy,
-        }
+    weighted_margin: float
+    grad_norm: float
 
 
 @dataclass
@@ -87,7 +79,7 @@ class TrainLog:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.write_text(
-            "".join(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n" for r in self.records),
+            "".join(json.dumps(asdict(r), ensure_ascii=False) + "\n" for r in self.records),
             encoding="utf-8",
         )
         return path
@@ -147,9 +139,11 @@ def train(
     """Run the staged training loop; mutates and returns the policy.
 
     Per-step records carry the batch loss, the mean raw margin
-    beta * (r_w - r_l) and the batch preference accuracy, all measured
-    against the in-stage reference before the update is applied. A step
-    whose loss or gradient is not finite raises before the update.
+    beta * (r_w - r_l), the batch preference accuracy, the mean weighted
+    margin beta * S and the gradient's Frobenius norm, all measured against
+    the in-stage reference before the update is applied. A step whose loss,
+    gradient or updated logits are not finite raises before the policy
+    changes, is logged or is checkpointed.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -173,11 +167,16 @@ def train(
                     raise TrainingError("non-finite loss " + where)
                 if not np.isfinite(result.gradient).all():
                     raise TrainingError("non-finite gradient " + where)
-                policy.logits -= config.learning_rate * result.gradient
+                with np.errstate(over="ignore"):
+                    updated = policy.logits - config.learning_rate * result.gradient
+                if not np.isfinite(updated).all():
+                    raise TrainingError("non-finite logits after the update " + where)
+                policy.logits = updated
                 step += 1
                 log.records.append(
                     TrainStepRecord(
-                        stage_name, epoch, step, result.loss, result.margin, result.accuracy
+                        stage_name, epoch, step, result.loss, result.margin, result.accuracy,
+                        result.weighted_margin, float(np.linalg.norm(result.gradient)),
                     )
                 )
                 if config.checkpoint_every and step % config.checkpoint_every == 0:

@@ -209,6 +209,12 @@ class TestActuality:
         with pytest.raises(ActualityError):
             FileActuality(path)
 
+    def test_file_duplicate_line_rejected(self, tmp_path):
+        path = tmp_path / "act.txt"
+        path.write_text("r1 pref 0.2\nr1 cand0 0.5\nr1 pref 0.9\n", encoding="utf-8")
+        with pytest.raises(ActualityError, match=r"act\.txt:3: duplicate pref .*'r1'.*line 1"):
+            FileActuality(path)
+
 
 class TestBucketize:
     def test_rank_to_bucket_mapping(self):
@@ -349,3 +355,30 @@ def test_dump_load_pairs_round_trip(tmp_path):
     path = dump_pairs(pairs, tmp_path / "pairs.jsonl")
     loaded = load_pairs(path)
     assert [p.to_json_dict() for p in loaded] == [p.to_json_dict() for p in pairs]
+
+
+def _without_prompt(pair: dict) -> str:
+    del pair["prompt"]
+    return json.dumps(pair)
+
+
+def _with_extra_key(pair: dict) -> str:
+    pair["winner"] = "a"
+    return json.dumps(pair)
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        (_without_prompt, r"pairs\.jsonl:2: malformed pair: .*prompt"),
+        (_with_extra_key, r"pairs\.jsonl:2: malformed pair: .*winner"),
+        (lambda pair: "{not json", r"pairs\.jsonl:2: invalid JSON"),
+    ],
+    ids=["missing-key", "extra-key", "invalid-json"],
+)
+def test_load_pairs_bad_line_names_file_and_line(tmp_path, bad_line, message):
+    good = score_and_rank(make_record(), MetricBundle())[0].to_json_dict()
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(good) + "\n" + bad_line(dict(good)) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=message):
+        load_pairs(path)

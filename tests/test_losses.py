@@ -351,10 +351,13 @@ def oracle_setup():
 
     The batches hold random pairs; pairs that revisit one row, within a
     response and across the batch, next to a tie (r_w == r_l, which does
-    not count as a win); and a pair whose beta * S is far past the point
-    where exp(beta * S) overflows. For that pair the reference all but
-    rules out a -> b, so r_w is ~2000 and beta * S exceeds 710 in every
-    mode.
+    not count as a win); a pair whose beta * S is far past the point
+    where exp(beta * S) overflows; that pair mixed with others; a single
+    random pair; nine random pairs (more than numpy's 8-element pairwise
+    summation block); and EOS-only responses, one after an empty prompt
+    (so the transition leaves BOS). For the overflowing pair the reference
+    all but rules out a -> b, so r_w is ~2000 and beta * S exceeds 710 in
+    every mode.
     """
     rng = np.random.default_rng(137)
     policy = make_policy(139)
@@ -376,7 +379,23 @@ def oracle_setup():
         prompt=["a"], preferred=["b", EOS], rejected=["c", EOS],
         preferred_actuality=0.4, rejected_actuality=0.6, effective_variance=0.5,
     )
-    batches = [random_examples(rng, n=4), revisits, [far_apart], [far_apart] + random_examples(rng, n=2)]
+    eos_only = [
+        LossExample(
+            prompt=["c"], preferred=[EOS], rejected=["b", "a", EOS],
+            preferred_actuality=0.8, rejected_actuality=0.4, effective_variance=0.2,
+        ),
+        LossExample(prompt=[], preferred=["a", EOS], rejected=[EOS], effective_variance=0.6),
+        LossExample(prompt=["b"], preferred=[EOS], rejected=[EOS], preferred_actuality=0.3),
+    ]
+    batches = [
+        random_examples(rng, n=4),
+        revisits,
+        [far_apart],
+        [far_apart] + random_examples(rng, n=2),
+        random_examples(rng, n=1),
+        random_examples(rng, n=9),
+        eos_only,
+    ]
     return policy, reference, batches
 
 
@@ -385,6 +404,7 @@ class TestLossGradientMatchesOracle:
     def test_step_matches_per_pair_oracle(self, mode):
         config = LossConfig(mode=mode)
         policy, reference, batches = oracle_setup()
+        assert [len(batch) for batch in batches] == [4, 3, 1, 3, 1, 9, 3]
         for batch in batches:
             step = loss_gradient(batch, policy, reference, config)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestDeterminism:
         for _ in range(2):
             curriculum, policy = separable_setup()
             trained, log = train(curriculum, policy, toy_train_config("hin_dpo"))
-            results.append((trained.logits.copy(), [r.to_json_dict() for r in log.records]))
+            results.append((trained.logits.copy(), [asdict(r) for r in log.records]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
@@ -204,6 +206,18 @@ class TestStages:
         assert np.array_equal(policy.logits, before)
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_update_aborts_before_log_and_checkpoint(self, tmp_path):
+        # A finite gradient times a huge learning rate overflows the logits;
+        # the step must stop before anything unloadable is written.
+        curriculum = separable_curriculum(n_pairs=6)
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()))
+        before = policy.logits.copy()
+        config = TrainConfig(learning_rate=1e308, checkpoint_every=1, checkpoint_dir=tmp_path)
+        with pytest.raises(TrainingError, match="non-finite logits after the update .* step 1$"):
+            train(curriculum, policy, config)
+        assert np.array_equal(policy.logits, before)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainLog:
     def test_save_jsonl(self, tmp_path):
@@ -215,7 +229,31 @@ class TestTrainLog:
         import json
 
         first = json.loads(lines[0])
-        assert set(first) == {"stage", "epoch", "step", "loss", "margin", "accuracy"}
+        assert list(first) == [
+            "stage", "epoch", "step", "loss", "margin", "accuracy", "weighted_margin", "grad_norm"
+        ]
+
+    def test_records_carry_the_step_diagnostics(self, tmp_path):
+        # Each batch holds the whole single-stage curriculum, so step 2's
+        # record must match the step computed from the step-1 checkpoint
+        # against the initial reference.
+        curriculum, policy = separable_setup("hin_dpo", preferred_actuality=0.9, rejected_actuality=0.3)
+        pairs = curriculum.all_pairs()
+        config = toy_train_config(
+            "hin_dpo", epochs_per_stage=2, batch_size=len(pairs),
+            checkpoint_every=1, checkpoint_dir=tmp_path,
+        )
+        reference = policy.snapshot()
+        examples = encode_pairs(pairs)
+        attach_finesse(examples, policy, config.loss, np.random.default_rng(config.seed))
+        _, log = train(curriculum, policy, config)
+        after_first = BigramPolicy.load(tmp_path / "step_000001.json")
+        step = loss_gradient(examples, after_first, reference, config.loss)
+        second = log.records[1]
+        assert second.weighted_margin == pytest.approx(step.weighted_margin, rel=1e-12)
+        assert second.weighted_margin > second.margin > 0.0
+        assert second.grad_norm == pytest.approx(np.linalg.norm(step.gradient), rel=1e-12)
+        assert second.grad_norm > 0.0
 
     def test_checkpoint_cadence(self, tmp_path):
         curriculum, policy = separable_setup()
