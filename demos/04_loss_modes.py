@@ -11,6 +11,7 @@ from hindpo import (
     LossExample,
     Vocabulary,
     compute_finesse,
+    encode_examples,
     hin_dpo_loss,
     loss_gradient,
     preference_score,
@@ -42,10 +43,10 @@ example = LossExample(
     prompt=["p"], preferred=["a", EOS], rejected=["b", EOS],
     preferred_actuality=s_w, rejected_actuality=s_l, effective_variance=v,
 )
-step = loss_gradient([example], policy, reference, config)
+step = loss_gradient(encode_examples([example], policy, reference), policy, config)
 print("\nbatch loss %.4f, gradient norm %.4f, weighted margin beta*S %.4f"
       % (step.loss, np.linalg.norm(step.gradient), step.weighted_margin))
 
-estimate = compute_finesse(policy, ["p"], config, np.random.default_rng(7))
+[estimate] = compute_finesse(policy, [["p"]], config, np.random.default_rng(7))
 print("finesse estimate for prompt 'p': variance %.5f, effective %.5f"
       % (estimate.variance, estimate.effective))

@@ -5,6 +5,7 @@ from hindpo import (
     BigramPolicy,
     LossConfig,
     TrainConfig,
+    encode_examples,
     evaluate,
     generate,
     loss_gradient,
@@ -41,9 +42,8 @@ for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):
         loss=LossConfig(mode=mode),
     )
     trained, log = train(result.curriculum, base.copy(), config)
-    step = loss_gradient(
-        encode_pairs(result.curriculum.all_pairs()), trained, base.snapshot(), config.loss
-    )
+    examples = encode_pairs(result.curriculum.all_pairs())
+    step = loss_gradient(encode_examples(examples, trained, base.snapshot()), trained, config.loss)
     print("%-8s  %d steps  final margin %6.2f  preference accuracy %.2f"
           % (mode, len(log.records), step.margin, step.accuracy))
     reports.append(evaluate(generate(trained, prompts, seed=SEED), references, mode))

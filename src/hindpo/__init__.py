@@ -8,8 +8,10 @@ Library tour:
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
-  estimate, and ``loss_gradient``: one pass per batch giving the loss,
-  its gradient, the raw and weighted margins and the accuracy
+  estimate, ``encode_examples`` (pairs as transition indices, scored
+  under the frozen reference once) and ``loss_gradient``: one pass per
+  batch of that encoding giving the loss, its gradient, the raw and
+  weighted margins and the accuracy
 - :mod:`hindpo.trainer` staged training loop, gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
@@ -39,12 +41,14 @@ from .dataforge import (
 )
 from .evalharness import MetricReport, evaluate, generate, parse_table, report_table
 from .losses import (
+    EncodedPairs,
     FinesseEstimate,
     LogRatios,
     LossConfig,
     LossExample,
     LossStep,
     compute_finesse,
+    encode_examples,
     hin_dpo_loss,
     loss_gradient,
     preference_score,

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS
+from .fileio import write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TOY_LEARNING_RATE, TrainConfig
@@ -200,7 +201,7 @@ def _run_eval(config: RunConfig) -> str:
         )
         reports.append(evalharness.evaluate(generated, references, name))
     text = evalharness.report_table(reports, json_path=out_dir / "report.json")
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    write_atomic(out_dir / "report.txt", text)
     return text
 
 
@@ -233,20 +234,8 @@ def _run_gradcheck(config: RunConfig, mode: str, tolerance: float) -> tuple[floa
     out_dir.mkdir(parents=True, exist_ok=True)
     policy, reference, examples = _gradcheck_fixture(config)
     error = trainer.gradcheck(policy, examples, replace(config.loss, mode=mode), reference)
-    report_path = out_dir / ("gradcheck_%s.json" % mode)
-    report_path.write_text(
-        json.dumps(
-            {
-                "mode": mode,
-                "max_relative_error": error,
-                "tolerance": tolerance,
-                "passed": error < tolerance,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    report = {"mode": mode, "max_relative_error": error, "tolerance": tolerance, "passed": error < tolerance}
+    report_path = write_atomic(out_dir / ("gradcheck_%s.json" % mode), json.dumps(report, indent=2) + "\n")
     return error, report_path
 
 

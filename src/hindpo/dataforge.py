@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from .fileio import write_atomic
 from .textmetrics import (
     CharTrigramCosine,
     SemanticScorer,
@@ -229,9 +230,7 @@ def _article_lines(records: Iterable[ArticleRecord]) -> str:
 
 
 def dump_articles(records: Iterable[ArticleRecord], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(_article_lines(records), encoding="utf-8")
-    return path
+    return write_atomic(path, _article_lines(records))
 
 
 def articles_sha256(records: Iterable[ArticleRecord]) -> str:
@@ -244,12 +243,7 @@ def load_pairs(path: str | Path) -> list[PreferencePair]:
 
 
 def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(
-        "".join(json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n" for p in pairs),
-        encoding="utf-8",
-    )
-    return path
+    return write_atomic(path, (json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n" for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +570,7 @@ def emit_curriculum(
         "articles": n_articles,
         "corpus_sha256": corpus_sha256,
     }
-    manifest_path = out_dir / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest_path
+    return write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
 
 
 def emit_forge(result: ForgeResult, out_dir: str | Path) -> Path:

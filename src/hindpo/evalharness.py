@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileio import write_atomic
 from .policy import BOS, EOS, BigramPolicy
 from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, tokenize
 
@@ -149,9 +150,7 @@ def report_table(reports: Sequence[MetricReport], json_path: str | Path | None =
             }
             for r in ordered
         ]
-        Path(json_path).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(json_path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
     return text
 
 

@@ -21,16 +21,21 @@ per-pair arrays in, per-pair arrays out), so one formula serves a single
 pair and a whole batch. ``loss_gradient`` works in count form: a bigram
 sequence's log-probability and its gradient are linear in the sequence's
 transition counts, so a batch needs one pass over all its transitions and
-no per-pair loop.
+no per-pair loop. What stays fixed while the policy trains is computed
+once: ``encode_examples`` turns pairs into transition indices and scores
+them under the frozen reference, and ``loss_gradient`` steps on batches of
+that encoding, normalising only the policy rows a batch visits.
+``compute_finesse`` draws all its samples from one temperature table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .policy import BigramPolicy, log_softmax, softmax, transition_grad
+from .policy import EOS, BigramPolicy, Vocabulary, draw, normalise, sampling_tables, transition_grad
 from .welford import Welford
 
 MODES = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
@@ -177,81 +182,140 @@ def hin_dpo_loss(score: float | np.ndarray, beta: float) -> float | np.ndarray:
 
 def compute_finesse(
     policy: BigramPolicy,
-    prompt: list[str],
+    prompts: Sequence[Sequence[str]],
     config: LossConfig,
     rng: np.random.Generator,
-) -> FinesseEstimate:
-    """Variance of the policy's own response probabilities for a prompt.
+) -> list[FinesseEstimate]:
+    """Variance of the policy's own response probabilities, one estimate
+    per prompt, in order.
 
-    Draws ``finesse_samples`` responses at ``finesse_temperature`` and
-    scores each by its per-token geometric-mean probability under the
-    temperature-scaled policy (a scalar in [0, 1], well defined even when
-    the samples differ in length). The running sample variance of those
-    scalars is the raw estimate; the effective value divides by 0.25 (the
-    maximum variance of [0, 1] values) and clamps to [0, 1] when
-    ``normalize_variance`` is on. A prompt with no valid continuation
-    (out-of-vocabulary token) raises.
+    Draws ``finesse_samples`` responses per prompt at
+    ``finesse_temperature`` and scores each by its per-token geometric-mean
+    probability under the temperature-scaled policy (a scalar in [0, 1],
+    well defined even when the samples differ in length). The running
+    sample variance of those scalars is the raw estimate; the effective
+    value divides by 0.25 (the maximum variance of [0, 1] values) and
+    clamps to [0, 1] when ``normalize_variance`` is on. The temperature
+    table is built once per call and the drawn indices are scored as
+    drawn. A prompt with an out-of-vocabulary token raises.
     """
-    scaled = log_softmax(policy.logits / config.finesse_temperature)
-    stats = Welford()
-    for _ in range(config.finesse_samples):
-        response = policy.sample_response(
-            prompt, config.finesse_temperature, config.finesse_max_len, rng
+    log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
+    eos = policy.vocab.index(EOS)
+    estimates = []
+    for prompt in prompts:
+        start = policy.vocab.start(prompt)
+        stats = Welford()
+        for _ in range(config.finesse_samples):
+            path = [start, *draw(cdf, start, eos, config.finesse_max_len, rng)]
+            log_prob = float(sum(log_probs[path[:-1], path[1:]]))
+            stats.update(float(np.exp(log_prob / (len(path) - 1))))
+        variance = stats.variance
+        if config.normalize_variance:
+            effective = min(variance / VARIANCE_NORMALIZER, 1.0)
+        else:
+            effective = variance
+        estimates.append(FinesseEstimate(variance=variance, effective=effective))
+    return estimates
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedPairs:
+    """Preference pairs as transition index arrays, scored against a
+    frozen reference once; ``loss_gradient`` steps on any batch of them.
+
+    Sequence 2i is pair i's preferred response and 2i + 1 its rejected
+    one. ``rows``/``cols`` hold every transition of every sequence, in
+    sequence order, and ``lengths`` the transition count of each sequence.
+    ``reference`` holds the sequences' reference log-probabilities as an
+    (n, 2) table; ``factors`` holds each pair's (s_w, s_l, v_effective).
+    """
+
+    vocab: Vocabulary
+    rows: np.ndarray
+    cols: np.ndarray
+    lengths: np.ndarray
+    reference: np.ndarray
+    factors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.reference)
+
+    def take(self, pairs: Sequence[int] | np.ndarray) -> "EncodedPairs":
+        """The pairs at the given positions, in that order (repeats allowed)."""
+        pairs = np.asarray(pairs, dtype=np.intp)
+        seqs = (2 * pairs[:, None] + np.arange(2)).ravel()
+        lengths = self.lengths[seqs]
+        starts = (np.cumsum(self.lengths) - self.lengths)[seqs]  # where each sequence begins here
+        offsets = np.cumsum(lengths) - lengths  # where it begins in the batch
+        # Batch transition t of sequence k is transition starts[k] + t - offsets[k] here.
+        picked = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        return EncodedPairs(
+            self.vocab, self.rows[picked], self.cols[picked], lengths,
+            self.reference[pairs], self.factors[pairs],
         )
-        log_prob = float(sum(scaled[policy.transitions(prompt, response)]))
-        stats.update(float(np.exp(log_prob / len(response))))
-    variance = stats.variance
-    if config.normalize_variance:
-        effective = min(variance / VARIANCE_NORMALIZER, 1.0)
-    else:
-        effective = variance
-    return FinesseEstimate(variance=variance, effective=effective)
 
 
-def loss_gradient(
-    examples: list[LossExample],
-    policy: BigramPolicy,
-    reference: BigramPolicy,
-    config: LossConfig,
-) -> LossStep:
-    """Mean batch loss, its analytic gradient w.r.t. the policy logits, and
-    the batch's preference statistics, in count form.
+def encode_examples(
+    examples: Sequence[LossExample], policy: BigramPolicy, reference: BigramPolicy
+) -> EncodedPairs:
+    """Encode pairs into transition indices and score them under ``reference``.
 
-    All transitions of the batch form one index set (row, column, owning
-    sequence), so one ``np.bincount`` per table gives every sequence's
-    log-probability, hence all r_w / r_l; weights, u = beta * S, losses and
-    statistics are per-pair arrays. With coeff = beta * mult * (1 - sigma(u))
-    each preferred transition weighs -coeff * m_w and each rejected one
-    +coeff * m_l in one ``transition_grad`` call. The finesse variance is a
-    constant computed outside this function; no gradient flows through it.
+    Each sequence's reference log-probability comes from one
+    ``np.bincount`` over all transitions, which adds every sequence's
+    terms in order. The reference must share the policy's vocabulary.
     """
     if not examples:
-        raise ValueError("batch must be non-empty")
+        raise ValueError("no pairs to encode")
     if reference.vocab != policy.vocab:
         raise ValueError("policy and reference vocabularies differ")
-    # Sequence 2i is pair i's preferred response, 2i + 1 its rejected one.
     paths = [policy.transitions(e.prompt, seq) for e in examples for seq in (e.preferred, e.rejected)]
     rows = np.concatenate([r for r, _ in paths])
     cols = np.concatenate([c for _, c in paths])
-    owner = np.repeat(np.arange(len(paths)), [len(r) for r, _ in paths])
+    lengths = np.array([len(r) for r, _ in paths], dtype=np.intp)
+    terms = normalise(reference.logits)[0][rows, cols]
+    sequence_log_probs = np.bincount(np.repeat(np.arange(len(paths)), lengths), terms, minlength=len(paths))
+    factors = np.array(
+        [(e.preferred_actuality, e.rejected_actuality, e.effective_variance) for e in examples],
+        dtype=np.float64,
+    )
+    return EncodedPairs(policy.vocab, rows, cols, lengths, sequence_log_probs.reshape(-1, 2), factors)
 
-    def log_probs(logits: np.ndarray) -> np.ndarray:
-        terms = log_softmax(logits)[rows, cols]
-        return np.bincount(owner, terms, minlength=len(paths)).reshape(-1, 2)
 
-    r_w, r_l = (log_probs(policy.logits) - log_probs(reference.logits)).T
-    s_w, s_l, v = np.array(
-        [(e.preferred_actuality, e.rejected_actuality, e.effective_variance) for e in examples]
-    ).T
+def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
+    """Mean batch loss, its analytic gradient w.r.t. the policy logits, and
+    the batch's preference statistics, in count form.
+
+    Only the policy rows the batch visits are normalised. One
+    ``np.bincount`` over the batch's transitions gives every sequence's
+    policy log-probability, hence all r_w / r_l against the encoded
+    reference scores; weights, u = beta * S, losses and statistics are
+    per-pair arrays. With coeff = beta * mult * (1 - sigma(u)) each
+    preferred transition weighs -coeff * m_w and each rejected one
+    +coeff * m_l in one ``transition_grad`` call over the visited rows,
+    written into a dense zero gradient. The finesse variance is a constant
+    computed outside this function; no gradient flows through it.
+    """
+    n = len(batch)
+    if not n:
+        raise ValueError("batch must be non-empty")
+    if batch.vocab != policy.vocab:
+        raise ValueError("batch was encoded for another vocabulary")
+    owner = np.repeat(np.arange(2 * n), batch.lengths)
+    visited, local = np.unique(batch.rows, return_inverse=True)
+    log_probs, probs = normalise(policy.logits[visited])
+    sequence_log_probs = np.bincount(owner, log_probs[local, batch.cols], minlength=2 * n)
+    r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
+    s_w, s_l, v = batch.factors.T
     m_w, m_l, mult = _weights(s_w, s_l, v, config)
     score = preference_score(LogRatios(r_w, r_l), s_w, s_l, v, config)
     u = config.beta * score
     with np.errstate(over="ignore"):
         coeff = config.beta * mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
     side = np.stack([-coeff * m_w, coeff * m_l], axis=1).ravel()
-    n = len(examples)
+    gradient = np.zeros_like(policy.logits)
+    gradient[visited] = transition_grad(probs, local, batch.cols, side[owner]) / n
     return LossStep(
-        gradient=transition_grad(softmax(policy.logits), rows, cols, side[owner]) / n,
+        gradient=gradient,
         loss=float(np.mean(hin_dpo_loss(score, config.beta))),
         margin=float(np.mean(config.beta * (r_w - r_l))),
         weighted_margin=float(np.mean(u)),

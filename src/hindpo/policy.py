@@ -6,7 +6,10 @@ deliberately small: preference losses consume only sequence
 log-probabilities and their parameter gradients, and a bigram softmax
 policy provides both exactly and cheaply. Sequences terminate with a
 reserved EOS token, which makes the per-prompt response distribution
-proper and enumerable in tests.
+proper and enumerable in tests. Sampling draws from a table of row CDFs
+(``sampling_tables``, ``draw``), so a caller drawing many responses at one
+temperature builds the table once; each draw consumes the generator
+exactly as one ``rng.choice`` per token would.
 """
 
 from __future__ import annotations
@@ -17,22 +20,56 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fileio import write_atomic
+
 BOS = "<bos>"
 EOS = "<eos>"
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, shifted by the row maximum for stability."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+def normalise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log_softmax(x), softmax(x)) along the last axis, from one shared exp.
+
+    Each row is shifted by its maximum for stability. The reductions run
+    row by row, so a row's values do not depend on which other rows are
+    normalised with it.
+    """
+    log_probs = x - np.max(x, axis=-1, keepdims=True)
+    probs = np.exp(log_probs)
+    total = np.sum(probs, axis=-1, keepdims=True)
+    log_probs -= np.log(total)
+    probs /= total
+    return log_probs, probs
 
 
-def log_softmax(x: np.ndarray) -> np.ndarray:
-    """log(softmax(x)) along the last axis, without forming the softmax."""
-    t = x - np.max(x, axis=-1, keepdims=True)
-    return t - np.log(np.sum(np.exp(t), axis=-1, keepdims=True))
+def sampling_tables(logits: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log-probabilities, row CDFs) of softmax(logits / temperature).
+
+    A CDF row is the cumulative sum of the row's probabilities divided by
+    its last entry: the table ``rng.choice(V, p=row)`` builds for a draw,
+    so :func:`draw` consumes a generator exactly as ``rng.choice`` would.
+    """
+    log_probs, cdf = normalise(logits / temperature)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    cdf /= cdf[:, -1:]
+    return log_probs, cdf
+
+
+def draw(cdf: np.ndarray, start: int, eos: int, max_len: int, rng: np.random.Generator) -> list[int]:
+    """Token indices drawn row by row from ``cdf``, starting after ``start``.
+
+    Each draw is one ``rng.random()`` located in the previous token's CDF
+    row. Stops after drawing ``eos`` or after ``max_len`` tokens.
+    """
+    out: list[int] = []
+    prev = start
+    for _ in range(max_len):
+        prev = int(cdf[prev].searchsorted(rng.random(), side="right"))
+        out.append(prev)
+        if prev == eos:
+            break
+    return out
 
 
 def transition_grad(
@@ -85,6 +122,12 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.index(t) for t in tokens]
 
+    def start(self, prompt: Sequence[str]) -> int:
+        """Index the first response token conditions on: the prompt's last
+        token, or BOS for an empty prompt. Every prompt token must be known."""
+        prompt_idx = self.encode(prompt)
+        return prompt_idx[-1] if prompt_idx else self._index[BOS]
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -132,9 +175,7 @@ class BigramPolicy:
         self, prompt: Sequence[str], response: Sequence[str]
     ) -> tuple[np.ndarray, np.ndarray]:
         """(previous, next) token indices of each transition the response walks through."""
-        prompt_idx = self.vocab.encode(prompt)
-        start = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
-        path = np.array([start, *self.vocab.encode(response)], dtype=np.intp)
+        path = np.array([self.vocab.start(prompt), *self.vocab.encode(response)], dtype=np.intp)
         return path[:-1], path[1:]
 
     def sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> float:
@@ -145,12 +186,12 @@ class BigramPolicy:
         predecessor. The sum includes the terminal EOS transition when the
         response carries one; its terms are added in sequence order.
         """
-        return float(sum(log_softmax(self.logits)[self.transitions(prompt, response)]))
+        return float(sum(normalise(self.logits)[0][self.transitions(prompt, response)]))
 
     def grad_sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> np.ndarray:
         """d(sequence_log_prob)/d(logits), same shape as the logit table."""
         rows, cols = self.transitions(prompt, response)
-        return transition_grad(softmax(self.logits), rows, cols, np.ones(len(rows)))
+        return transition_grad(normalise(self.logits)[1], rows, cols, np.ones(len(rows)))
 
     def sample_response(
         self,
@@ -168,24 +209,13 @@ class BigramPolicy:
             raise ValueError("temperature must be > 0, got %r" % temperature)
         if max_len < 1:
             raise ValueError("max_len must be >= 1, got %d" % max_len)
-        scaled = self.logits / temperature
-        prompt_idx = self.vocab.encode(prompt)
-        prev = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
-        eos = self.vocab.index(EOS)
-        out: list[str] = []
-        for _ in range(max_len):
-            row = softmax(scaled[prev])
-            nxt = int(rng.choice(len(row), p=row))
-            out.append(self.vocab.tokens[nxt])
-            if nxt == eos:
-                break
-            prev = nxt
-        return out
+        _, cdf = sampling_tables(self.logits, temperature)
+        drawn = draw(cdf, self.vocab.start(prompt), self.vocab.index(EOS), max_len, rng)
+        return [self.vocab.tokens[i] for i in drawn]
 
     def greedy_response(self, prompt: Sequence[str], max_len: int) -> list[str]:
         """Argmax decoding; the zero-temperature limit of sample_response."""
-        prompt_idx = self.vocab.encode(prompt)
-        prev = prompt_idx[-1] if prompt_idx else self.vocab.index(BOS)
+        prev = self.vocab.start(prompt)
         eos = self.vocab.index(EOS)
         out: list[str] = []
         for _ in range(max_len):
@@ -207,14 +237,12 @@ class BigramPolicy:
 
     def save(self, path: str | Path) -> Path:
         """Write a checkpoint: format version, vocabulary, row-major logits."""
-        path = Path(path)
         payload = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "vocab": list(self.vocab.tokens),
             "logits": [[float(x) for x in row] for row in self.logits],
         }
-        path.write_text(json.dumps(payload, ensure_ascii=False, indent=None) + "\n", encoding="utf-8")
-        return path
+        return write_atomic(path, json.dumps(payload, ensure_ascii=False, indent=None) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramPolicy":

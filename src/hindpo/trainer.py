@@ -2,23 +2,26 @@
 
 Stages run in dataset order. At the start of each stage the finesse
 variance is computed once per unique (prompt, preferred) pair (finesse
-modes only); within a stage the policy takes plain gradient-descent steps
-on shuffled batches; at the end of a stage the frozen reference is
-optionally refreshed to the current policy. Everything is driven by one
-seeded generator, so identical inputs give identical logs and parameters.
+modes only, from one temperature table), and the stage's pairs are encoded
+into transition indices and scored under the frozen reference once; within
+a stage the policy takes plain gradient-descent steps on shuffled batches
+of that encoding; at the end of a stage the frozen reference is optionally
+refreshed to the current policy. Everything is driven by one seeded
+generator, so identical inputs give identical logs and parameters.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair
-from .losses import LossConfig, LossExample, compute_finesse, loss_gradient
+from .fileio import write_atomic
+from .losses import LossConfig, LossExample, compute_finesse, encode_examples, loss_gradient
 from .policy import EOS, BigramPolicy, Vocabulary
 from .textmetrics import tokenize
 
@@ -77,12 +80,8 @@ class TrainLog:
         return out
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(
-            "".join(json.dumps(asdict(r), ensure_ascii=False) + "\n" for r in self.records),
-            encoding="utf-8",
-        )
-        return path
+        """One JSON object per record, keys in field order."""
+        return write_atomic(path, (json.dumps(vars(r), ensure_ascii=False) + "\n" for r in self.records))
 
 
 def encode_pairs(pairs: Sequence[PreferencePair]) -> list[LossExample]:
@@ -120,15 +119,14 @@ def attach_finesse(
 ) -> None:
     """Fill effective_variance, one estimate per unique (prompt, preferred).
 
-    Estimates are computed in first-appearance order so the generator is
-    consumed deterministically.
+    All estimates come from one ``compute_finesse`` call, in
+    first-appearance order, so the generator is consumed deterministically.
     """
-    estimates: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+    keys = list(dict.fromkeys((tuple(e.prompt), tuple(e.preferred)) for e in examples))
+    estimates = compute_finesse(policy, [prompt for prompt, _ in keys], config, rng)
+    effective = {key: estimate.effective for key, estimate in zip(keys, estimates)}
     for example in examples:
-        key = (tuple(example.prompt), tuple(example.preferred))
-        if key not in estimates:
-            estimates[key] = compute_finesse(policy, example.prompt, config, rng).effective
-        example.effective_variance = estimates[key]
+        example.effective_variance = effective[(tuple(example.prompt), tuple(example.preferred))]
 
 
 def train(
@@ -157,11 +155,12 @@ def train(
         examples = encode_pairs(pairs)
         if config.loss.uses_finesse():
             attach_finesse(examples, policy, config.loss, rng)
+        encoded = encode_examples(examples, policy, reference)
         for epoch in range(1, config.epochs_per_stage + 1):
-            order = rng.permutation(len(examples))
+            order = rng.permutation(len(encoded))
             for start in range(0, len(order), config.batch_size):
-                batch = [examples[i] for i in order[start : start + config.batch_size]]
-                result = loss_gradient(batch, policy, reference, config.loss)
+                batch = encoded.take(order[start : start + config.batch_size])
+                result = loss_gradient(batch, policy, config.loss)
                 where = "at stage %r epoch %d step %d" % (stage_name, epoch, step + 1)
                 if not np.isfinite(result.loss):
                     raise TrainingError("non-finite loss " + where)
@@ -197,25 +196,27 @@ def gradcheck(
 ) -> float:
     """Compare the analytic gradient with central finite differences.
 
-    Every logit is perturbed by +/- h. The returned error is the largest
-    entrywise deviation, scaled by the largest gradient magnitude (which
-    keeps untouched, exactly-zero entries from dominating the ratio).
+    The batch is encoded once and every logit is perturbed by +/- h. The
+    returned error is the largest entrywise deviation, scaled by the
+    largest gradient magnitude (which keeps untouched, exactly-zero entries
+    from dominating the ratio).
     """
     examples = list(examples)
     if not examples:
         raise ValueError("gradcheck needs a non-empty batch")
     if reference is None:
         reference = policy.snapshot()
-    analytic = loss_gradient(examples, policy, reference, config).gradient
+    batch = encode_examples(examples, policy, reference)
+    analytic = loss_gradient(batch, policy, config).gradient
     numeric = np.zeros_like(analytic)
     logits = policy.logits
     for i in range(logits.shape[0]):
         for j in range(logits.shape[1]):
             original = logits[i, j]
             logits[i, j] = original + h
-            plus = loss_gradient(examples, policy, reference, config).loss
+            plus = loss_gradient(batch, policy, config).loss
             logits[i, j] = original - h
-            minus = loss_gradient(examples, policy, reference, config).loss
+            minus = loss_gradient(batch, policy, config).loss
             logits[i, j] = original
             numeric[i, j] = (plus - minus) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)

@@ -4,6 +4,8 @@ Each oracle deliberately avoids the code path of the implementation it
 verifies: brute-force enumeration instead of dynamic programming, explicit
 softmax materialization instead of log-space tables, two-pass instead of
 running statistics, finite differences instead of analytic gradients.
+Some keep an earlier implementation of a rewritten hot path, so the
+rewrite can be shown to agree with it.
 """
 
 from __future__ import annotations
@@ -186,3 +188,52 @@ def weighted_margin_stats(policy, reference, examples, config) -> tuple[float, f
     arguments = [sigmoid_argument(policy, reference, e, config) for e in examples]
     _, accuracy = preference_stats(policy, reference, examples, config.beta)
     return math.fsum(arguments) / len(examples), accuracy
+
+
+# Per-token sampling and per-prompt finesse: the temperature table divided
+# out on every call, one softmax row and one rng.choice per drawn token, and
+# the drawn tokens encoded again to be scored.
+
+
+def softmax(x):
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def log_softmax(x):
+    t = x - np.max(x, axis=-1, keepdims=True)
+    return t - np.log(np.sum(np.exp(t), axis=-1, keepdims=True))
+
+
+def sample_response(policy, prompt, temperature, max_len, rng) -> list[str]:
+    """Tokens drawn from softmax(logits[prev] / temperature) until EOS or max_len."""
+    scaled = policy.logits / temperature
+    prompt_idx = policy.vocab.encode(prompt)
+    prev = prompt_idx[-1] if prompt_idx else policy.vocab.index("<bos>")
+    eos = policy.vocab.index("<eos>")
+    out = []
+    for _ in range(max_len):
+        row = softmax(scaled[prev])
+        nxt = int(rng.choice(len(row), p=row))
+        out.append(policy.vocab.tokens[nxt])
+        if nxt == eos:
+            break
+        prev = nxt
+    return out
+
+
+def compute_finesse(policy, prompt, config, rng):
+    """The FinesseEstimate of one prompt, from responses drawn by
+    ``sample_response`` and scored under the temperature-scaled table."""
+    from hindpo.losses import VARIANCE_NORMALIZER, FinesseEstimate
+    from hindpo.welford import Welford
+
+    scaled = log_softmax(policy.logits / config.finesse_temperature)
+    stats = Welford()
+    for _ in range(config.finesse_samples):
+        response = sample_response(policy, prompt, config.finesse_temperature, config.finesse_max_len, rng)
+        log_prob = float(sum(scaled[policy.transitions(prompt, response)]))
+        stats.update(float(np.exp(log_prob / len(response))))
+    variance = stats.variance
+    effective = min(variance / VARIANCE_NORMALIZER, 1.0) if config.normalize_variance else variance
+    return FinesseEstimate(variance=variance, effective=effective)

@@ -14,7 +14,14 @@ from hindpo.cli import main
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import emit_forge, forge, load_pairs, read_manifest
 from hindpo.evalharness import parse_table
-from hindpo.losses import LogRatios, LossConfig, hin_dpo_loss, loss_gradient, preference_score
+from hindpo.losses import (
+    LogRatios,
+    LossConfig,
+    encode_examples,
+    hin_dpo_loss,
+    loss_gradient,
+    preference_score,
+)
 from hindpo.policy import EOS, BigramPolicy, Vocabulary
 from hindpo.trainer import (
     TOY_LEARNING_RATE,
@@ -155,7 +162,7 @@ def test_criterion_6_learning_behavior():
         examples = encode_pairs(curriculum.all_pairs())
         if config.loss.uses_finesse():
             attach_finesse(examples, trained, config.loss, np.random.default_rng(99))
-        step = loss_gradient(examples, trained, initial, config.loss)
+        step = loss_gradient(encode_examples(examples, trained, initial), trained, config.loss)
         return step.weighted_margin, step.accuracy
 
     margins = {}

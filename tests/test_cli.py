@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -157,6 +159,35 @@ class TestDemo:
         first = tree_bytes(tmp_path / "out")
         main(["demo", "--config", str(config), "--seed", "7"])
         assert tree_bytes(tmp_path / "out") == first
+
+
+class TestAtomicArtefacts:
+    def test_failed_write_leaves_the_out_dir_as_it_was(self, tmp_path, monkeypatch):
+        # The train log's serialisation fails after 20 of its lines have
+        # gone to the temp file: the earlier log stays whole and no temp
+        # file is left behind.
+        from hindpo import trainer
+
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["forge", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 0
+        before = tree_bytes(out)
+        lines = []
+        temp_files = []
+
+        def failing_dumps(obj, **kwargs):
+            lines.append(obj)
+            if len(lines) > 20:
+                temp_files.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
+                raise RuntimeError("disk full")
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(trainer, "json", types.SimpleNamespace(dumps=failing_dumps))
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 1
+        assert len(lines) == 21
+        assert temp_files == [".trainlog_dpo.jsonl.%d.tmp" % os.getpid()]  # failed mid-write
+        assert tree_bytes(out) == before
 
 
 class TestParsing:

@@ -10,6 +10,7 @@ from hindpo.losses import (
     LossConfig,
     LossExample,
     compute_finesse,
+    encode_examples,
     hin_dpo_loss,
     loss_gradient,
     preference_score,
@@ -24,6 +25,11 @@ def softplus_oracle(x: float) -> float:
     """High-precision log(1 + exp(x))."""
     with mpmath.workdps(50):
         return float(mpmath.log(1 + mpmath.exp(x)))
+
+
+def step_of(examples, policy, reference, config):
+    """``loss_gradient`` on the examples, encoded against the reference."""
+    return loss_gradient(encode_examples(examples, policy, reference), policy, config)
 
 
 def make_policy(seed, std=1.0, tokens=("a", "b", "c")):
@@ -209,7 +215,7 @@ class TestComputeFinesse:
         logits[:, vocab.index(EOS)] = 10.0
         policy = BigramPolicy(vocab, logits)
         config = LossConfig(finesse_temperature=1e-6)
-        estimate = compute_finesse(policy, ["a"], config, np.random.default_rng(0))
+        [estimate] = compute_finesse(policy, [["a"]], config, np.random.default_rng(0))
         assert estimate.variance == 0.0
         assert estimate.effective == 0.0
 
@@ -219,7 +225,7 @@ class TestComputeFinesse:
         # Re-draw the same responses and rebuild the scalars independently,
         # then compare the one-pass variance with the two-pass oracle.
         rng = np.random.default_rng(71)
-        estimate = compute_finesse(policy, ["a"], config, rng)
+        [estimate] = compute_finesse(policy, [["a"]], config, rng)
         rng = np.random.default_rng(71)
         scaled = BigramPolicy(policy.vocab, policy.logits / config.finesse_temperature)
         scalars = []
@@ -234,14 +240,30 @@ class TestComputeFinesse:
         policy = make_policy(73, std=2.0)
         config = LossConfig(normalize_variance=True)
         for seed in range(10):
-            estimate = compute_finesse(policy, ["b"], config, np.random.default_rng(seed))
+            [estimate] = compute_finesse(policy, [["b"]], config, np.random.default_rng(seed))
             assert estimate.variance >= 0.0
             assert 0.0 <= estimate.effective <= 1.0
 
     def test_out_of_vocabulary_prompt(self):
         policy = make_policy(79)
         with pytest.raises(Exception):
-            compute_finesse(policy, ["zz"], LossConfig(), np.random.default_rng(0))
+            compute_finesse(policy, [["zz"]], LossConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [57, 301])
+    @pytest.mark.parametrize("temperature", [0.3, 0.9, 1.5])
+    def test_matches_per_prompt_oracle_bit_for_bit(self, size, temperature):
+        # One table for all prompts against the per-prompt, per-token loop.
+        # The prompts include an empty one (the draw starts at BOS) and a
+        # repeat; max_len 6 truncates some draws.
+        policy = make_policy(size, std=1.5, tokens=["t%03d" % i for i in range(size - 2)])
+        prompts = [[], ["t000"], ["t003", "t010"], ["t000"]]
+        for normalize in (True, False):
+            config = LossConfig(
+                finesse_temperature=temperature, finesse_max_len=6, normalize_variance=normalize
+            )
+            got = compute_finesse(policy, prompts, config, np.random.default_rng(size))
+            rng = np.random.default_rng(size)
+            assert got == [oracles.compute_finesse(policy, p, config, rng) for p in prompts]
 
 
 class TestLossGradient:
@@ -255,7 +277,7 @@ class TestLossGradient:
             preferred_actuality=0.0, rejected_actuality=1.0,
         )
         config = LossConfig(mode="hin_dpo", epsilon=1.0, beta=0.6)
-        step = loss_gradient([example], policy, reference, config)
+        step = step_of([example], policy, reference, config)
         grad, loss = step.gradient, step.loss
         expected = -(0.6 / 2) * (
             policy.grad_sequence_log_prob(example.prompt, example.preferred)
@@ -270,9 +292,9 @@ class TestLossGradient:
         policy = make_policy(83)
         reference = make_policy(89).snapshot()
         examples = random_examples(np.random.default_rng(97))
-        analytic = loss_gradient(examples, policy, reference, config).gradient
+        analytic = step_of(examples, policy, reference, config).gradient
         numeric = finite_difference_gradient(
-            lambda: loss_gradient(examples, policy, reference, config).loss, policy.logits
+            lambda: step_of(examples, policy, reference, config).loss, policy.logits
         )
         assert relative_gradient_error(analytic, numeric) < 1e-5
 
@@ -283,30 +305,33 @@ class TestLossGradient:
             policy = make_policy(seed, std=0.8)
             reference = make_policy(seed + 1000).snapshot()
             examples = random_examples(rng, n=2)
-            step = loss_gradient(examples, policy, reference, config)
+            step = step_of(examples, policy, reference, config)
             policy.logits -= 0.01 * step.gradient
-            assert loss_gradient(examples, policy, reference, config).loss < step.loss
+            assert step_of(examples, policy, reference, config).loss < step.loss
 
     def test_mean_reduction_is_batch_size_invariant(self):
         config = LossConfig(mode="dpo")
         policy = make_policy(103)
         reference = make_policy(104).snapshot()
         example = random_examples(np.random.default_rng(105), n=1)[0]
-        single = loss_gradient([example], policy, reference, config).gradient
-        tripled = loss_gradient([example] * 3, policy, reference, config).gradient
+        single = step_of([example], policy, reference, config).gradient
+        tripled = step_of([example] * 3, policy, reference, config).gradient
         assert np.allclose(single, tripled)
 
     def test_empty_batch_rejected(self):
         policy = make_policy(107)
         with pytest.raises(ValueError):
-            loss_gradient([], policy, policy.snapshot(), LossConfig())
+            step_of([], policy, policy.snapshot(), LossConfig())
+        encoded = encode_examples(random_examples(np.random.default_rng(107), n=1), policy, policy.snapshot())
+        with pytest.raises(ValueError, match="non-empty"):
+            loss_gradient(encoded.take([]), policy, LossConfig())
 
     def test_reference_vocabulary_must_match(self):
         policy = make_policy(108)
         other = make_policy(108, tokens=("a", "b", "d"))
         example = LossExample(prompt=["a"], preferred=["b", EOS], rejected=["a", EOS])
         with pytest.raises(ValueError, match="vocabularies differ"):
-            loss_gradient([example], policy, other.snapshot(), LossConfig())
+            encode_examples([example], policy, other.snapshot())
 
     def test_finesse_constant_no_gradient_through_v(self):
         # Two different variances change the loss but both gradients still
@@ -317,9 +342,9 @@ class TestLossGradient:
         example = random_examples(np.random.default_rng(111), n=1)[0]
         for v in (0.1, 0.9):
             example.effective_variance = v
-            analytic = loss_gradient([example], policy, reference, config).gradient
+            analytic = step_of([example], policy, reference, config).gradient
             numeric = finite_difference_gradient(
-                lambda: loss_gradient([example], policy, reference, config).loss, policy.logits
+                lambda: step_of([example], policy, reference, config).loss, policy.logits
             )
             assert relative_gradient_error(analytic, numeric) < 1e-5
 
@@ -334,7 +359,7 @@ class TestLogRatios:
             prompt=["a"], preferred=["b", EOS], rejected=["c", EOS],
             preferred_actuality=0.5, rejected_actuality=1.0,
         )
-        step = loss_gradient([example], policy, policy.snapshot(), LossConfig(mode="dpo_act"))
+        step = step_of([example], policy, policy.snapshot(), LossConfig(mode="dpo_act"))
         assert step.margin == 0.0
         assert step.weighted_margin == 0.0
 
@@ -342,7 +367,7 @@ class TestLogRatios:
         policy = make_policy(127, std=3.0)
         reference = make_policy(131, std=3.0).snapshot()
         example = LossExample(prompt=["a"], preferred=["b", "b", EOS], rejected=["c", EOS])
-        step = loss_gradient([example], policy, reference, LossConfig())
+        step = step_of([example], policy, reference, LossConfig())
         assert math.isfinite(step.margin) and math.isfinite(step.weighted_margin)
 
 
@@ -406,7 +431,7 @@ class TestLossGradientMatchesOracle:
         policy, reference, batches = oracle_setup()
         assert [len(batch) for batch in batches] == [4, 3, 1, 3, 1, 9, 3]
         for batch in batches:
-            step = loss_gradient(batch, policy, reference, config)
+            step = step_of(batch, policy, reference, config)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
             weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
@@ -420,9 +445,37 @@ class TestLossGradientMatchesOracle:
             assert step.accuracy == accuracy
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_batches_of_one_encoding_match_oracle(self, mode):
+        # Every oracle pair in one encoding, as train builds once per stage;
+        # the batches taken from it repeat pairs and reorder them.
+        config = LossConfig(mode=mode)
+        policy, reference, batches = oracle_setup()
+        examples = [example for batch in batches for example in batch]
+        encoded = encode_examples(examples, policy, reference)
+        last = len(examples) - 1
+        for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
+            batch = [examples[i] for i in picks]
+            step = loss_gradient(encoded.take(picks), policy, config)
+            assert len(encoded.take(picks)) == len(picks)
+            grad, loss = oracles.loss_gradient(batch, policy, reference, config)
+            margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
+            weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
+            assert np.abs(step.gradient - grad).max() <= 1e-12
+            assert step.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+            assert step.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+            assert step.weighted_margin == pytest.approx(weighted, rel=1e-12, abs=1e-12)
+            assert step.accuracy == accuracy
+            # A batch taken from the stage encoding is the batch encoded alone.
+            direct = step_of(batch, policy, reference, config)
+            assert np.array_equal(step.gradient, direct.gradient)
+            assert (step.loss, step.margin, step.weighted_margin) == (
+                direct.loss, direct.margin, direct.weighted_margin
+            )
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_overflowing_argument_contributes_no_gradient(self, mode):
         policy, reference, batches = oracle_setup()
-        step = loss_gradient(batches[2], policy, reference, LossConfig(mode=mode))
+        step = step_of(batches[2], policy, reference, LossConfig(mode=mode))
         assert step.weighted_margin > 710.0
         assert step.loss == 0.0
         assert not step.gradient.any()

@@ -6,6 +6,7 @@ import pytest
 
 from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
 
+import oracles
 from oracles import (
     chi_square_pvalue,
     finite_difference_gradient,
@@ -169,6 +170,33 @@ class TestSampling:
             policy.sample_response([], 0.0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             policy.sample_response([], 1.0, 0, np.random.default_rng(0))
+
+
+def random_policy(size, seed, std=1.5):
+    """A seeded random table over ``size`` tokens, BOS and EOS included."""
+    vocab = Vocabulary.from_tokens(["t%03d" % i for i in range(size - 2)])
+    return BigramPolicy(vocab, np.random.default_rng(seed).normal(0, std, (size, size)))
+
+
+class TestSamplerMatchesOracle:
+    # The table sampler against the per-token softmax and rng.choice loop:
+    # the same tokens, and the generator left in the same state.
+    @pytest.mark.parametrize("size", [57, 301])
+    @pytest.mark.parametrize("temperature", [0.3, 0.9, 1.5])
+    def test_same_tokens_and_generator_state(self, size, temperature):
+        policy = random_policy(size, seed=size)
+        policy.logits[:, policy.vocab.index(EOS)] += 3.0  # some draws end, some run into max_len
+        max_len = 8
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = []
+        for _ in range(20):
+            for prompt in ([], ["t000"], ["t004", "t017"]):
+                got = policy.sample_response(prompt, temperature, max_len, ours)
+                assert got == oracles.sample_response(policy, prompt, temperature, max_len, theirs)
+                drawn.append(got)
+        assert ours.random() == theirs.random()
+        assert any(r[-1] == EOS for r in drawn)
+        assert any(len(r) == max_len and r[-1] != EOS for r in drawn)
 
 
 def enumerate_mass(policy, prompt, max_len):

@@ -3,9 +3,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import oracles
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, forge
-from hindpo.losses import LossConfig, LossStep, loss_gradient
+from hindpo.losses import LossConfig, LossStep, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TOY_LEARNING_RATE,
@@ -73,7 +74,7 @@ class TestTrainOnSeparableCorpus:
         initial = policy.snapshot()
         trained, _ = train(curriculum, policy, toy_train_config(mode))
         examples = encode_pairs(curriculum.all_pairs())
-        accuracy = loss_gradient(examples, trained, initial, LossConfig(beta=0.6)).accuracy
+        accuracy = loss_gradient(encode_examples(examples, trained, initial), trained, LossConfig(beta=0.6)).accuracy
         assert accuracy >= 0.95
 
     @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
@@ -95,7 +96,9 @@ class TestTrainOnSeparableCorpus:
         initial = policy.snapshot()
         trained_dpo, _ = train(curriculum, policy, config_dpo)
         examples = encode_pairs(curriculum.all_pairs())
-        margin_dpo = loss_gradient(examples, trained_dpo, initial, config_dpo.loss).weighted_margin
+        margin_dpo = loss_gradient(
+            encode_examples(examples, trained_dpo, initial), trained_dpo, config_dpo.loss
+        ).weighted_margin
 
         config_hin = toy_train_config("hin_dpo")
         curriculum_hin, policy_hin = separable_setup(
@@ -104,8 +107,56 @@ class TestTrainOnSeparableCorpus:
         trained_hin, _ = train(curriculum_hin, policy_hin, config_hin)
         examples_hin = encode_pairs(curriculum_hin.all_pairs())
         attach_finesse(examples_hin, trained_hin, config_hin.loss, np.random.default_rng(123))
-        margin_hin = loss_gradient(examples_hin, trained_hin, initial, config_hin.loss).weighted_margin
+        margin_hin = loss_gradient(
+            encode_examples(examples_hin, trained_hin, initial), trained_hin, config_hin.loss
+        ).weighted_margin
         assert margin_hin > margin_dpo
+
+
+def oracle_train(curriculum, policy, config):
+    """``train`` with the per-prompt oracle finesse and the per-pair oracle
+    step; returns the policy and the per-step losses."""
+    rng = np.random.default_rng(config.seed)
+    reference = policy.snapshot()
+    losses = []
+    for _, pairs in curriculum.stages:
+        examples = encode_pairs(pairs)
+        if config.loss.uses_finesse():
+            estimates = {}
+            for example in examples:
+                key = (tuple(example.prompt), tuple(example.preferred))
+                if key not in estimates:
+                    estimates[key] = oracles.compute_finesse(policy, example.prompt, config.loss, rng).effective
+                example.effective_variance = estimates[key]
+        for _ in range(config.epochs_per_stage):
+            order = rng.permutation(len(examples))
+            for start in range(0, len(order), config.batch_size):
+                batch = [examples[i] for i in order[start : start + config.batch_size]]
+                grad, loss = oracles.loss_gradient(batch, policy, reference, config.loss)
+                policy.logits = policy.logits - config.learning_rate * grad
+                losses.append(loss)
+        if config.refresh_reference_per_stage:
+            reference = policy.snapshot()
+    return policy, losses
+
+
+class TestTrainMatchesOracleLoop:
+    @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_logits_and_losses(self, mode, stages):
+        # The separable pairs as one stage, or split into two so the
+        # reference refresh and a second finesse table are exercised; a
+        # batch size of 3 leaves a short last batch.
+        curriculum, policy = separable_setup(preferred_actuality=0.7, rejected_actuality=0.2)
+        if stages == 2:
+            pairs = curriculum.all_pairs()
+            curriculum = CurriculumDataset(stages=[("B_L", pairs[:20]), ("B_H", pairs[20:])], order="algorithm1")
+        config = toy_train_config(mode, batch_size=3, epochs_per_stage=4)
+        expected, losses = oracle_train(curriculum, policy.copy(), config)
+        trained, log = train(curriculum, policy, config)
+        assert np.abs(trained.logits - expected.logits).max() <= 1e-10
+        assert len(log.records) == len(losses)
+        assert max(abs(r.loss - loss) for r, loss in zip(log.records, losses)) <= 1e-10
 
 
 class TestDeterminism:
@@ -166,8 +217,10 @@ class TestStages:
         )
         examples = encode_pairs(curriculum.all_pairs())
         config = LossConfig(beta=0.6)
-        margin_vs_initial = loss_gradient(examples, trained, initial, config).margin
-        margin_vs_refreshed = loss_gradient(examples, trained, trained.snapshot(), config).margin
+        margin_vs_initial = loss_gradient(encode_examples(examples, trained, initial), trained, config).margin
+        margin_vs_refreshed = loss_gradient(
+            encode_examples(examples, trained, trained.snapshot()), trained, config
+        ).margin
         assert margin_vs_initial > 0.0
         assert margin_vs_refreshed == 0.0
 
@@ -185,7 +238,7 @@ class TestStages:
     def test_non_finite_loss_aborts_with_diagnostic(self, monkeypatch):
         curriculum, policy = separable_setup()
 
-        def exploding(examples, pol, ref, cfg):
+        def exploding(batch, pol, cfg):
             return LossStep(np.zeros_like(pol.logits), float("nan"), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr("hindpo.trainer.loss_gradient", exploding)
@@ -196,7 +249,7 @@ class TestStages:
         curriculum, policy = separable_setup()
         before = policy.logits.copy()
 
-        def nan_gradient(examples, pol, ref, cfg):
+        def nan_gradient(batch, pol, cfg):
             return LossStep(np.full_like(pol.logits, np.nan), 0.5, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr("hindpo.trainer.loss_gradient", nan_gradient)
@@ -248,12 +301,26 @@ class TestTrainLog:
         attach_finesse(examples, policy, config.loss, np.random.default_rng(config.seed))
         _, log = train(curriculum, policy, config)
         after_first = BigramPolicy.load(tmp_path / "step_000001.json")
-        step = loss_gradient(examples, after_first, reference, config.loss)
+        step = loss_gradient(encode_examples(examples, after_first, reference), after_first, config.loss)
         second = log.records[1]
         assert second.weighted_margin == pytest.approx(step.weighted_margin, rel=1e-12)
         assert second.weighted_margin > second.margin > 0.0
         assert second.grad_norm == pytest.approx(np.linalg.norm(step.gradient), rel=1e-12)
         assert second.grad_norm > 0.0
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        curriculum, policy = separable_setup()
+        _, log = train(curriculum, policy, toy_train_config(epochs_per_stage=1))
+        path = log.save(tmp_path / "log.jsonl")
+        before = path.read_bytes()
+        log.records[3].loss = object()  # not JSON: fails after three lines are written
+        with pytest.raises(TypeError):
+            log.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        log.records[3].loss = 0.25
+        assert log.save(path).read_bytes() != before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_checkpoint_cadence(self, tmp_path):
         curriculum, policy = separable_setup()
@@ -320,9 +387,8 @@ class TestToyCorpusEndToEnd:
         config = toy_train_config("hin_dpo", epochs_per_stage=3, seed=7)
         trained, log = train(result.curriculum, policy, config)
         assert log.stages() == ["B_L", "B_M", "B_H"]
-        step = loss_gradient(
-            encode_pairs(result.curriculum.all_pairs()), trained, initial, LossConfig(beta=0.6)
-        )
+        examples = encode_pairs(result.curriculum.all_pairs())
+        step = loss_gradient(encode_examples(examples, trained, initial), trained, LossConfig(beta=0.6))
         margin, accuracy = step.margin, step.accuracy
         assert margin > 0.0
         assert accuracy > 0.8
