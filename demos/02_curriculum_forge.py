@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hindpo import MetricBundle, bucketize, score_and_rank, toy_corpus
+from hindpo import bucketize, score_and_rank, toy_corpus
 from hindpo.dataforge import emit_forge, forge
 
 articles = toy_corpus()
@@ -19,11 +19,11 @@ print("bundled corpus: %d articles (%d fake / %d real)" % (
 record = articles[0]
 print("\nprompt:     ", record.news_text)
 print("ground truth:", record.ground_truth_explanation)
-for pair in sorted(score_and_rank(record, MetricBundle()), key=lambda p: p.rank):
+for pair in sorted(score_and_rank(record), key=lambda p: p.rank):
     print("  rank %d  fs %.3f  (%s)  %s..." % (pair.rank, pair.fs, pair.model_id, pair.rejected[:32]))
 
 # rank 2 -> B_L, rank 1 -> B_M, rank 0 -> B_H
-dataset = bucketize(score_and_rank(record, MetricBundle()))
+dataset = bucketize(score_and_rank(record))
 print("\nstage order:", [name for name, _ in dataset.stages])
 
 # the full pipeline also splits train/val/test at article level and emits

@@ -15,7 +15,7 @@ from hindpo import (
     vocab_from_pairs,
 )
 from hindpo.dataforge import forge
-from hindpo.trainer import TOY_LEARNING_RATE, encode_pairs
+from hindpo.trainer import encode_pairs
 
 SEED = 7
 
@@ -36,7 +36,6 @@ reports = [evaluate(generate(base, prompts, seed=SEED), references, "base")]
 for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):
     config = TrainConfig(
         epochs_per_stage=10,
-        learning_rate=TOY_LEARNING_RATE,
         batch_size=2,
         seed=SEED,
         loss=LossConfig(mode=mode),
@@ -54,7 +53,6 @@ print("sample generation (hin_dpo):")
 trained_hin, _ = train(
     result.curriculum,
     base.copy(),
-    TrainConfig(epochs_per_stage=10, learning_rate=TOY_LEARNING_RATE,
-                batch_size=2, seed=SEED, loss=LossConfig(mode="hin_dpo")),
+    TrainConfig(epochs_per_stage=10, batch_size=2, seed=SEED, loss=LossConfig(mode="hin_dpo")),
 )
 print(" ", generate(trained_hin, prompts[:1], seed=SEED)[0])

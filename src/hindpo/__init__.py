@@ -26,14 +26,13 @@ from .dataforge import (
     ConstantActuality,
     CurriculumDataset,
     FileActuality,
-    MetricBundle,
     PreferencePair,
     RecordEmbeddedActuality,
     SchemaError,
     attach_actuality,
     bucketize,
     dump_articles,
-    emit_curriculum,
+    emit_forge,
     forge,
     load_articles,
     score_and_rank,

@@ -16,7 +16,7 @@ files. Config schema, with defaults:
                "finesse_samples": 5, "finesse_temperature": 0.9,
                "finesse_max_len": 16, "scale_cap": 20.0,
                "normalize_variance": true},
-      "train": {"epochs_per_stage": 10, "learning_rate": 1e-4,
+      "train": {"epochs_per_stage": 10, "learning_rate": 0.5,
                 "batch_size": 2, "refresh_reference_per_stage": true},
       "eval": {"max_len": 24, "temperature": 0.0}
     }
@@ -37,26 +37,40 @@ from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS
 from .fileio import write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
-from .trainer import TOY_LEARNING_RATE, TrainConfig
+from .trainer import TrainConfig
 
 GRADCHECK_TOLERANCE = 1e-5
 
 _SPLIT_KEYS = ("train", "val", "test")
-_SECTION_KEYS = {
-    "loss": {f.name for f in fields(LossConfig)},
-    "train": {"epochs_per_stage", "learning_rate", "batch_size", "refresh_reference_per_stage"},
-    "eval": {"max_len", "temperature"},
+_TRAIN_KEYS = ("epochs_per_stage", "learning_rate", "batch_size", "refresh_reference_per_stage")
+_EVAL_KEYS = ("max_len", "temperature")
+# The type of a key's default -> (what a value must be, the value types accepted).
+_KINDS = {
+    bool: ("true or false", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a string or null", (str, type(None))),
 }
 
 
-def _check_keys(section: object, allowed, where: str) -> dict:
-    """The section as a dict; ValueError naming any key not in ``allowed``."""
+def _check_section(section: object, defaults: dict, where: str) -> None:
+    """ValueError naming ``where`` and the key for any key not in
+    ``defaults`` or any value whose type is not its default's kind; a
+    dict default is a nested section, checked in turn."""
     if not isinstance(section, dict):
         raise ValueError("config %s must be an object, got %r" % (where, section))
-    unknown = set(section) - set(allowed)
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ValueError("unknown config keys in %s: %s" % (where, sorted(unknown)))
-    return section
+    for key, value in section.items():
+        default = defaults[key]
+        if isinstance(default, dict):
+            _check_section(value, default, "%s section %r" % (where, key))
+            continue
+        kind, accepted = _KINDS[type(default)]
+        if type(value) not in accepted:
+            raise ValueError("config %s key %r must be %s, got %r" % (where, key, kind, value))
 
 
 @dataclass
@@ -83,24 +97,26 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Read a JSON config; absent keys keep the defaults, unknown ones raise."""
+        """Read a JSON config; absent keys keep the defaults, unknown keys and
+        values of the wrong type raise ValueError naming the file and key."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        plain = {"corpus", "out_dir", "seed", "order", "noise_std"}
-        _check_keys(data, plain | {"split", *_SECTION_KEYS}, str(path))
-        kwargs = {key: value for key, value in data.items() if key in plain}
-        split = data.get("split")
-        if isinstance(split, dict):
-            _check_keys(split, _SPLIT_KEYS, "%s section 'split'" % path)
-            split = tuple(split.get(key, d) for key, d in zip(_SPLIT_KEYS, DEFAULT_SPLIT))
-        if split:
-            kwargs["split"] = tuple(split)
-        sections = {
-            name: _check_keys(data.get(name, {}), keys, "%s section %r" % (path, name))
-            for name, keys in _SECTION_KEYS.items()
+        defaults = {
+            **{key: getattr(cls, key) for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
+            "split": dict(zip(_SPLIT_KEYS, DEFAULT_SPLIT)),
+            "loss": {f.name: f.default for f in fields(LossConfig)},
+            "train": {key: getattr(cls, key) for key in _TRAIN_KEYS},
+            "eval": {key: getattr(cls, "eval_" + key) for key in _EVAL_KEYS},
         }
-        kwargs["loss"] = LossConfig(**sections["loss"])
-        kwargs.update(sections["train"])
-        kwargs.update(("eval_" + key, value) for key, value in sections["eval"].items())
+        split = data.get("split") if isinstance(data, dict) else None
+        if isinstance(split, list) and len(split) == len(_SPLIT_KEYS):
+            data["split"] = dict(zip(_SPLIT_KEYS, split))
+        _check_section(data, defaults, str(path))
+        kwargs = {key: value for key, value in data.items() if not isinstance(defaults[key], dict)}
+        if "split" in data:
+            kwargs["split"] = tuple(data["split"].get(key, d) for key, d in defaults["split"].items())
+        kwargs["loss"] = LossConfig(**data.get("loss", {}))
+        kwargs.update(data.get("train", {}))
+        kwargs.update(("eval_" + key, value) for key, value in data.get("eval", {}).items())
         return cls(**kwargs)
 
     def train_config(self, mode: str) -> TrainConfig:
@@ -126,8 +142,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config.corpus = args.corpus
     if getattr(args, "mode", None) is not None:
         config.loss = replace(config.loss, mode=args.mode)
-    if getattr(args, "toy_preset", False):
-        config.learning_rate = TOY_LEARNING_RATE
     config.__post_init__()
     return config
 
@@ -274,8 +288,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     """Full pipeline on the bundled toy corpus: forge, train all modes, eval."""
     config = _resolve_config(args)
-    if not getattr(args, "full_rate", False):
-        config.learning_rate = TOY_LEARNING_RATE
     manifest_path = _run_forge(config)
     print("forged %s" % manifest_path)
     for mode in MODES:
@@ -303,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", parents=[common], help="train one loss mode on forged stages")
     train.add_argument("--mode", choices=MODES, help="loss mode to train")
-    train.add_argument("--toy-preset", action="store_true", help="use the toy learning rate (%s)" % TOY_LEARNING_RATE)
     train.set_defaults(handler=cmd_train)
 
     eval_cmd = sub.add_parser("eval", parents=[common], help="score trained policies on the test split")
@@ -316,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", parents=[common], help="full pipeline on the bundled toy corpus")
     demo.add_argument("--order", choices=sorted(STAGE_ORDERS), help="stage order")
-    demo.add_argument("--full-rate", action="store_true", help="keep the configured learning rate instead of the toy preset")
     demo.set_defaults(handler=cmd_demo)
     return parser
 

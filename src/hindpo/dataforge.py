@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -250,34 +250,25 @@ def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
 # Scoring and ranking
 
 
-@dataclass
-class MetricBundle:
-    """The scorers used to rank candidates against the ground truth."""
-
-    semantic: SemanticScorer = field(default_factory=CharTrigramCosine)
-
-    def fs(self, cand_text: str, ref_text: str) -> float:
-        cand = tokenize(cand_text)
-        ref = tokenize(ref_text)
-        return final_score(
-            self.semantic.score(cand_text, ref_text),
-            rouge_l(cand, ref).f1,
-            meteor(cand, ref),
-        )
-
-
-def score_and_rank(record: ArticleRecord, scorer: MetricBundle) -> list[PreferencePair]:
+def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None) -> list[PreferencePair]:
     """Score the three candidates and assign ranks by descending score.
 
-    Rank 0 is the candidate most aligned with the ground truth; ties break
-    by ascending model_id so the output is a deterministic function of the
+    Each candidate's score is :func:`final_score` of its semantic score
+    (``semantic``, by default :class:`CharTrigramCosine`), ROUGE-L F1 and
+    METEOR against the ground truth, which is tokenized once. Rank 0 is
+    the candidate most aligned with the ground truth; ties break by
+    ascending model_id so the output is a deterministic function of the
     record. Returned pairs are ordered by candidate index.
     """
     record.validate()
-    scored = [
-        (scorer.fs(cand.text, record.ground_truth_explanation), cand, idx)
-        for idx, cand in enumerate(record.candidates)
-    ]
+    semantic = semantic or CharTrigramCosine()
+    truth = record.ground_truth_explanation
+    ref = tokenize(truth)
+    scored = []
+    for idx, cand in enumerate(record.candidates):
+        tokens = tokenize(cand.text)
+        fs = final_score(semantic.score(cand.text, truth), rouge_l(tokens, ref).f1, meteor(tokens, ref))
+        scored.append((fs, cand, idx))
     by_quality = sorted(scored, key=lambda item: (-item[0], item[1].model_id))
     rank_by_index = {idx: rank for rank, (_, _, idx) in enumerate(by_quality)}
     return [
@@ -287,7 +278,7 @@ def score_and_rank(record: ArticleRecord, scorer: MetricBundle) -> list[Preferen
             candidate_index=idx,
             model_id=cand.model_id,
             prompt=record.news_text,
-            preferred=record.ground_truth_explanation,
+            preferred=truth,
             rejected=cand.text,
             fs=fs,
             rank=rank_by_index[idx],
@@ -488,7 +479,7 @@ class ForgeResult:
 
 def forge(
     articles: Sequence[ArticleRecord],
-    scorer: MetricBundle | None = None,
+    semantic: SemanticScorer | None = None,
     provider: ActualityProvider | None = None,
     *,
     order: str = "algorithm1",
@@ -497,10 +488,10 @@ def forge(
 ) -> ForgeResult:
     """Full pipeline: split, score, rank, weight, bucketize.
 
-    The provider defaults to record-embedded scores when present on every
-    record, otherwise a 0.5 constant stub.
+    ``semantic`` is handed to :func:`score_and_rank`. The provider
+    defaults to record-embedded scores when present on every record,
+    otherwise a 0.5 constant stub.
     """
-    scorer = scorer or MetricBundle()
     if provider is None:
         if all(r.actuality_preferred is not None and r.actuality_candidates is not None for r in articles):
             provider = RecordEmbeddedActuality(articles)
@@ -511,7 +502,7 @@ def forge(
     def build(records: Sequence[ArticleRecord]) -> list[PreferencePair]:
         pairs: list[PreferencePair] = []
         for record in sorted(records, key=lambda r: r.id):
-            pairs.extend(score_and_rank(record, scorer))
+            pairs.extend(score_and_rank(record, semantic))
         return attach_actuality(pairs, provider)
 
     curriculum = bucketize(build(train), order=order)
@@ -538,52 +529,29 @@ def _file_entry(pairs: Sequence[PreferencePair], path: Path) -> dict:
 MANIFEST_NAME = "manifest.json"
 
 
-def emit_curriculum(
-    dataset: CurriculumDataset,
-    out_dir: str | Path,
-    *,
-    val_pairs: Sequence[PreferencePair] = (),
-    test_pairs: Sequence[PreferencePair] = (),
-    split: Sequence[float] = DEFAULT_SPLIT,
-    seed: int | None = None,
-    corpus_sha256: str | None = None,
-    n_articles: int | None = None,
-) -> Path:
+def emit_forge(result: ForgeResult, out_dir: str | Path) -> Path:
     """Write one JSONL file per stage plus val/test files and a manifest.
 
-    Output is a deterministic function of the inputs (no timestamps), so
+    Output is a deterministic function of the result (no timestamps), so
     re-emitting unchanged data yields byte-identical files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_entries = []
-    for position, (bucket, pairs) in enumerate(dataset.stages):
+    for position, (bucket, pairs) in enumerate(result.curriculum.stages):
         entry = _file_entry(pairs, out_dir / ("stage_%d_%s.jsonl" % (position, bucket)))
         stage_entries.append({"bucket": bucket, **entry})
     manifest = {
-        "order": dataset.order,
+        "order": result.curriculum.order,
         "stages": stage_entries,
-        "val": _file_entry(val_pairs, out_dir / "val.jsonl"),
-        "test": _file_entry(test_pairs, out_dir / "test.jsonl"),
-        "split": {"train": split[0], "val": split[1], "test": split[2]},
-        "seed": seed,
-        "articles": n_articles,
-        "corpus_sha256": corpus_sha256,
+        "val": _file_entry(result.val_pairs, out_dir / "val.jsonl"),
+        "test": _file_entry(result.test_pairs, out_dir / "test.jsonl"),
+        "split": {"train": result.split[0], "val": result.split[1], "test": result.split[2]},
+        "seed": result.seed,
+        "articles": result.n_articles,
+        "corpus_sha256": result.corpus_sha256,
     }
     return write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
-
-
-def emit_forge(result: ForgeResult, out_dir: str | Path) -> Path:
-    return emit_curriculum(
-        result.curriculum,
-        out_dir,
-        val_pairs=result.val_pairs,
-        test_pairs=result.test_pairs,
-        split=result.split,
-        seed=result.seed,
-        corpus_sha256=result.corpus_sha256,
-        n_articles=result.n_articles,
-    )
 
 
 def read_manifest(out_dir: str | Path) -> dict:

@@ -50,15 +50,16 @@ class SemanticScorer(ABC):
 
 
 @lru_cache(maxsize=4096)
-def _normalize_char(ch: str) -> str:
-    # Case-fold Latin letters only; other scripts pass through untouched.
+def _fold(ch: str) -> str:
+    # One NFC character as it appears in a token: a space for a separator
+    # (whitespace or any punctuation class), lowercase for a Latin letter,
+    # itself otherwise. A folded non-separator is never whitespace, so
+    # str.split() cuts exactly at the separators.
+    if ch.isspace() or unicodedata.category(ch).startswith("P"):
+        return " "
     if "LATIN" in unicodedata.name(ch, ""):
         return ch.lower()
     return ch
-
-
-def _is_separator(ch: str) -> bool:
-    return ch.isspace() or unicodedata.category(ch).startswith("P")
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -70,19 +71,7 @@ def tokenize(text: str) -> TokenSequence:
     so Devanagari clusters are never broken apart. Pure and deterministic;
     empty input yields an empty sequence.
     """
-    text = unicodedata.normalize("NFC", text)
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if _is_separator(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(_normalize_char(ch))
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return "".join(map(_fold, unicodedata.normalize("NFC", text))).split()
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -137,16 +126,12 @@ def rouge_l(cand: TokenSequence, ref: TokenSequence) -> PrfScore:
 
 def _greedy_alignment(cand: TokenSequence, ref: TokenSequence) -> list[tuple[int, int]]:
     # Each token matches at most once; candidate positions scan left to
-    # right and claim the first unused identical reference token.
-    used = [False] * len(ref)
-    pairs: list[tuple[int, int]] = []
-    for ci, token in enumerate(cand):
-        for rj, ref_token in enumerate(ref):
-            if not used[rj] and token == ref_token:
-                used[rj] = True
-                pairs.append((ci, rj))
-                break
-    return pairs
+    # right and claim the first unused identical reference token, i.e. the
+    # top of that token's stack of free positions (smallest on top).
+    free: dict[str, list[int]] = {}
+    for rj in range(len(ref) - 1, -1, -1):
+        free.setdefault(ref[rj], []).append(rj)
+    return [(ci, free[token].pop()) for ci, token in enumerate(cand) if free.get(token)]
 
 
 def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
@@ -185,7 +170,6 @@ class CharTrigramCosine(SemanticScorer):
     """
 
     def _vector(self, text: str) -> Counter:
-        text = unicodedata.normalize("NFC", text)
         return Counter(text[i : i + 3] for i in range(len(text) - 2))
 
     def score(self, cand: str, ref: str) -> float:

@@ -25,10 +25,6 @@ from .losses import LossConfig, LossExample, compute_finesse, encode_examples, l
 from .policy import EOS, BigramPolicy, Vocabulary
 from .textmetrics import tokenize
 
-# Default learning rate is sized for large models; the toy preset is what
-# actually moves a bigram table in 10 epochs.
-TOY_LEARNING_RATE = 0.5
-
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (empty stage, non-finite loss, gradient or logits)."""
@@ -37,7 +33,7 @@ class TrainingError(RuntimeError):
 @dataclass
 class TrainConfig:
     epochs_per_stage: int = 10
-    learning_rate: float = 1e-4
+    learning_rate: float = 0.5
     batch_size: int = 2
     seed: int = 0
     refresh_reference_per_stage: bool = True

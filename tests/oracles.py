@@ -11,9 +11,30 @@ rewrite can be shown to agree with it.
 from __future__ import annotations
 
 import math
+import unicodedata
 from itertools import combinations
 
 import numpy as np
+
+
+def tokenize_loop(text: str) -> list[str]:
+    """The earlier tokenizer: one pass over the NFC characters that cuts a
+    token at whitespace or any punctuation class and lowercases Latin
+    letters one character at a time."""
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in unicodedata.normalize("NFC", text):
+        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+            if current:
+                tokens.append("".join(current))
+                current = []
+        elif "LATIN" in unicodedata.name(ch, ""):
+            current.append(ch.lower())
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
 
 
 def is_subsequence(sub, seq) -> bool:

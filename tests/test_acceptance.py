@@ -24,7 +24,6 @@ from hindpo.losses import (
 )
 from hindpo.policy import EOS, BigramPolicy, Vocabulary
 from hindpo.trainer import (
-    TOY_LEARNING_RATE,
     TrainConfig,
     attach_finesse,
     encode_pairs,
@@ -153,7 +152,7 @@ def test_criterion_6_learning_behavior():
         initial = policy.snapshot()
         config = TrainConfig(
             epochs_per_stage=10,
-            learning_rate=TOY_LEARNING_RATE,
+            learning_rate=0.5,
             batch_size=2,
             seed=5,
             loss=LossConfig(mode=mode),

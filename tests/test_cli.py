@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+import hindpo
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import read_manifest
 
@@ -70,7 +71,7 @@ class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["forge", "--config", str(config)]) == 0
-        assert main(["train", "--config", str(config), "--mode", "dpo", "--toy-preset"]) == 0
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 0
         out = tmp_path / "out"
         assert (out / "policy_base.json").exists()
         assert (out / "policy_dpo.json").exists()
@@ -105,6 +106,38 @@ class TestTrainEval:
     def test_section_must_be_an_object(self, tmp_path):
         with pytest.raises(ValueError, match="'train' must be an object"):
             RunConfig.from_file(write_config(tmp_path, train=3))
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"train": {"refresh_reference_per_stage": "no"}}, r"section 'train' key 'refresh_reference_per_stage' must be true or false"),
+            ({"seed": "7"}, r"key 'seed' must be an integer"),
+            ({"train": {"epochs_per_stage": "3"}}, r"section 'train' key 'epochs_per_stage' must be an integer"),
+            ({"train": {"batch_size": 2.5}}, r"section 'train' key 'batch_size' must be an integer"),
+            ({"split": "abc"}, r"section 'split' must be an object"),
+            ({"split": {"train": "0.75"}}, r"section 'split' key 'train' must be a number"),
+            ({"loss": {"normalize_variance": 1}}, r"section 'loss' key 'normalize_variance' must be true or false"),
+            ({"eval": {"max_len": True}}, r"section 'eval' key 'max_len' must be an integer"),
+            ({"corpus": 3}, r"key 'corpus' must be a string or null"),
+        ],
+        ids=[
+            "refresh-str", "seed-str", "epochs-str", "batch-float", "split-str",
+            "split-train-str", "normalize-int", "max-len-bool", "corpus-int",
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, overrides, where):
+        config = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=where) as excinfo:
+            RunConfig.from_file(config)
+        assert str(excinfo.value).startswith("config %s " % config)
+        assert main(["forge", "--config", str(config)]) == 1
+        assert str(config) in capsys.readouterr().err
+
+    def test_values_of_the_default_types_accepted(self, tmp_path):
+        config = RunConfig.from_file(
+            write_config(tmp_path, corpus=None, noise_std=0, split=[1, 0, 0], train={"learning_rate": 1})
+        )
+        assert (config.corpus, config.noise_std, config.split, config.learning_rate) == (None, 0, (1, 0, 0), 1)
 
     def test_bad_split_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})
@@ -152,6 +185,15 @@ class TestDemo:
         ]
         # nothing written outside the output directory
         assert {p.name for p in tmp_path.iterdir()} == {"config.json", "out"}
+
+    def test_demo_honours_the_configured_learning_rate(self, tmp_path):
+        slow = {"epochs_per_stage": 2, "learning_rate": 0.05}
+        for name, overrides in (("default", {}), ("slow", {"train": slow})):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, **overrides)
+            assert main(["demo", "--config", str(config), "--seed", "7"]) == 0
+        policy = "out/policy_dpo.json"
+        assert (tmp_path / "default" / policy).read_bytes() != (tmp_path / "slow" / policy).read_bytes()
 
     def test_demo_idempotent(self, tmp_path):
         config = write_config(tmp_path)
@@ -202,10 +244,14 @@ class TestParsing:
         assert excinfo.value.code == 2
 
     def test_module_entry_point(self, tmp_path):
+        # The child imports the same hindpo as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(hindpo.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "hindpo.cli", "forge", "--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "forged" in result.stdout

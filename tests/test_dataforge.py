@@ -4,12 +4,13 @@ import pytest
 
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import (
+    DEFAULT_SPLIT,
     ActualityError,
     ArticleRecord,
     Candidate,
     ConstantActuality,
     FileActuality,
-    MetricBundle,
+    ForgeResult,
     RecordEmbeddedActuality,
     SchemaError,
     articles_sha256,
@@ -17,7 +18,6 @@ from hindpo.dataforge import (
     bucketize,
     dump_articles,
     dump_pairs,
-    emit_curriculum,
     emit_forge,
     forge,
     load_articles,
@@ -114,7 +114,7 @@ class TestToyCorpus:
 
 class TestScoreAndRank:
     def test_rank_order_by_score(self):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         by_rank = sorted(pairs, key=lambda p: p.rank)
         assert by_rank[0].fs >= by_rank[1].fs >= by_rank[2].fs
         assert {p.rank for p in pairs} == {0, 1, 2}
@@ -124,7 +124,7 @@ class TestScoreAndRank:
         record = make_record(
             candidates=[Candidate("m-c", text), Candidate("m-a", text), Candidate("m-b", text)]
         )
-        pairs = score_and_rank(record, MetricBundle())
+        pairs = score_and_rank(record)
         rank_by_model = {p.model_id: p.rank for p in pairs}
         assert rank_by_model == {"m-a": 0, "m-b": 1, "m-c": 2}
 
@@ -137,7 +137,7 @@ class TestScoreAndRank:
                 Candidate("m-c", "आज मौसम सुहाना है"),
             ]
         )
-        pairs = {p.model_id: p for p in score_and_rank(record, MetricBundle())}
+        pairs = {p.model_id: p for p in score_and_rank(record)}
         copy_pair = pairs["m-b"]
         assert copy_pair.rank == 0
         tokens = tokenize(truth)
@@ -146,7 +146,7 @@ class TestScoreAndRank:
         assert copy_pair.fs == pytest.approx(expected_fs, abs=1e-12)
 
     def test_pair_fields(self):
-        pairs = score_and_rank(make_record("art-9"), MetricBundle())
+        pairs = score_and_rank(make_record("art-9"))
         assert [p.candidate_index for p in pairs] == [0, 1, 2]
         assert all(p.article_id == "art-9" for p in pairs)
         assert all(p.prompt and p.preferred and p.rejected for p in pairs)
@@ -154,7 +154,7 @@ class TestScoreAndRank:
 
 class TestActuality:
     def test_constant_stub(self):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         attach_actuality(pairs, ConstantActuality(0.5))
         assert all(p.s_w == 0.5 and p.s_l == 0.5 for p in pairs)
 
@@ -166,7 +166,7 @@ class TestActuality:
         record = make_record(
             actuality_preferred=0.9, actuality_candidates=[1.0, 0.0, 0.3]
         )
-        pairs = score_and_rank(record, MetricBundle())
+        pairs = score_and_rank(record)
         attach_actuality(pairs, RecordEmbeddedActuality([record]))
         by_index = {p.candidate_index: p for p in pairs}
         assert [by_index[i].s_l for i in range(3)] == [1.0, 0.0, 0.3]
@@ -174,7 +174,7 @@ class TestActuality:
 
     def test_record_embedded_missing_scores(self):
         record = make_record()
-        pairs = score_and_rank(record, MetricBundle())
+        pairs = score_and_rank(record)
         with pytest.raises(ActualityError):
             attach_actuality(pairs, RecordEmbeddedActuality([record]))
 
@@ -184,7 +184,7 @@ class TestActuality:
             "art-1 pref 0.75\nart-1 cand0 0.2\nart-1 cand1 0.4\nart-1 cand2 0.6\n",
             encoding="utf-8",
         )
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         attach_actuality(pairs, FileActuality(path))
         assert all(p.s_w == 0.75 for p in pairs)
         by_index = {p.candidate_index: p for p in pairs}
@@ -193,7 +193,7 @@ class TestActuality:
     def test_file_lookup_miss(self, tmp_path):
         path = tmp_path / "act.txt"
         path.write_text("art-1 pref 0.75\n", encoding="utf-8")
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         with pytest.raises(ActualityError, match="cand0"):
             attach_actuality(pairs, FileActuality(path))
 
@@ -218,7 +218,7 @@ class TestActuality:
 
 class TestBucketize:
     def test_rank_to_bucket_mapping(self):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         dataset = bucketize(pairs)
         stage_names = [name for name, _ in dataset.stages]
         assert stage_names == ["B_L", "B_M", "B_H"]
@@ -228,7 +228,7 @@ class TestBucketize:
         assert by_bucket["B_H"][0].fs >= by_bucket["B_L"][0].fs
 
     def test_section4_order(self):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         dataset = bucketize(pairs, order="section4")
         assert [name for name, _ in dataset.stages] == ["B_H", "B_M", "B_L"]
 
@@ -237,7 +237,7 @@ class TestBucketize:
             bucketize([], order="random")
 
     def test_missing_rank_rejected(self):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         with pytest.raises(ValueError, match="ranks"):
             bucketize(pairs[:2])
 
@@ -315,10 +315,18 @@ class TestEmit:
         ]
 
     def test_plain_emit_curriculum(self, tmp_path):
-        pairs = score_and_rank(make_record(), MetricBundle())
+        pairs = score_and_rank(make_record())
         attach_actuality(pairs, ConstantActuality(0.5))
-        dataset = bucketize(pairs)
-        manifest_path = emit_curriculum(dataset, tmp_path)
+        result = ForgeResult(
+            curriculum=bucketize(pairs),
+            val_pairs=[],
+            test_pairs=[],
+            split=DEFAULT_SPLIT,
+            seed=0,
+            corpus_sha256=articles_sha256([make_record()]),
+            n_articles=1,
+        )
+        manifest_path = emit_forge(result, tmp_path)
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert len(manifest["stages"]) == 3
         assert manifest["split"] == {"train": 0.75, "val": 0.05, "test": 0.2}
@@ -349,7 +357,7 @@ class TestForge:
 
 
 def test_dump_load_pairs_round_trip(tmp_path):
-    pairs = score_and_rank(make_record(), MetricBundle())
+    pairs = score_and_rank(make_record())
     attach_actuality(pairs, ConstantActuality(0.25))
     bucketize(pairs)
     path = dump_pairs(pairs, tmp_path / "pairs.jsonl")
@@ -377,7 +385,7 @@ def _with_extra_key(pair: dict) -> str:
     ids=["missing-key", "extra-key", "invalid-json"],
 )
 def test_load_pairs_bad_line_names_file_and_line(tmp_path, bad_line, message):
-    good = score_and_rank(make_record(), MetricBundle())[0].to_json_dict()
+    good = score_and_rank(make_record())[0].to_json_dict()
     path = tmp_path / "pairs.jsonl"
     path.write_text(json.dumps(good) + "\n" + bad_line(dict(good)) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=message):

@@ -14,7 +14,8 @@ from hindpo.textmetrics import (
     tokenize,
 )
 
-from oracles import meteor_reference, ngram_overlap_brute, rouge_l_f1_brute
+from hindpo.corpora import toy_corpus
+from oracles import meteor_reference, ngram_overlap_brute, rouge_l_f1_brute, tokenize_loop
 
 # Hand-tokenized fixture sentences: Latin, Devanagari, and mixed content.
 TOKENIZE_FIXTURE = [
@@ -41,10 +42,56 @@ TOKENIZE_FIXTURE = [
 ]
 
 
+def _toy_texts() -> list[str]:
+    return [
+        text
+        for record in toy_corpus()
+        for text in (record.news_text, record.ground_truth_explanation, *(c.text for c in record.candidates))
+    ]
+
+
+def _long_explanations() -> list[str]:
+    # 400 explanations of 40-80 words drawn from the toy corpus and
+    # mixed-case Latin, joined by spaces and punctuation.
+    rng = np.random.default_rng(17)
+    words = sorted({w for text in _toy_texts() for w in text.split()})
+    words += ["Fact", "CHECK", "viral", "Claim", "COVID-19", "WhatsApp", "Modi"]
+    joins = [" ", " ", " ", ", ", "। ", "-", "\n", "? ", " (", ") "]
+    texts = []
+    for _ in range(400):
+        n = int(rng.integers(40, 81))
+        picked = rng.integers(0, len(words), n)
+        glue = rng.integers(0, len(joins), n)
+        texts.append("".join(words[w] + joins[g] for w, g in zip(picked, glue)))
+    return texts
+
+
+# Separators and case-folding corner cases: U+0130 lowercases to two
+# characters; U+0085, U+00A0, U+001C-U+001F, U+2028/9 and U+3000 are
+# whitespace; U+200B, U+200D and U+FEFF are not; U+0964/5 are dandas.
+_EDGE_CODE_POINTS = [0x130, 0x85, 0xA0, 0x1C, 0x1D, 0x1E, 0x1F, 0x2028, 0x2029, 0x3000, 0x200B, 0x200D, 0xFEFF, 0x964, 0x965]
+
+
+def _random_strings() -> list[str]:
+    # Latin, Latin-1, Latin Extended-A/B and Devanagari (whose nuktas and
+    # matras recompose under NFC), plus the corner cases above.
+    pool = [
+        chr(cp)
+        for cp in [*range(0x20, 0x7F), *range(0xA0, 0x250), *range(0x900, 0x980), *_EDGE_CODE_POINTS]
+    ]
+    rng = np.random.default_rng(29)
+    return ["".join(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 30))) for _ in range(20000)]
+
+
 class TestTokenize:
     @pytest.mark.parametrize("text,expected", TOKENIZE_FIXTURE)
     def test_fixture(self, text, expected):
         assert tokenize(text) == expected
+
+    @pytest.mark.parametrize("texts", [_toy_texts, _long_explanations, _random_strings])
+    def test_matches_character_loop_oracle(self, texts):
+        for text in texts():
+            assert tokenize(text) == tokenize_loop(text)
 
     def test_idempotent_on_normalized_tokens(self):
         for text, _ in TOKENIZE_FIXTURE:
@@ -159,11 +206,14 @@ class TestMeteor:
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(3)
-        alphabet = list("abcd")
-        for _ in range(500):
-            cand = [alphabet[i] for i in rng.integers(0, 4, rng.integers(1, 10))]
-            ref = [alphabet[i] for i in rng.integers(0, 4, rng.integers(1, 10))]
-            assert meteor(cand, ref) == pytest.approx(meteor_reference(cand, ref), abs=1e-14)
+        # Short draws over four symbols, then long repetitive ones in which
+        # every token recurs and later matches must skip claimed positions.
+        for n_symbols, max_len, trials in [(4, 9, 500), *((n, 80, 500) for n in range(2, 7))]:
+            alphabet = list("abcdef"[:n_symbols])
+            for _ in range(trials):
+                cand = [alphabet[i] for i in rng.integers(0, n_symbols, rng.integers(1, max_len + 1))]
+                ref = [alphabet[i] for i in rng.integers(0, n_symbols, rng.integers(1, max_len + 1))]
+                assert meteor(cand, ref) == pytest.approx(meteor_reference(cand, ref), abs=1e-14)
 
 
 class _FailingScorer(SemanticScorer):

@@ -9,7 +9,6 @@ from hindpo.dataforge import CurriculumDataset, forge
 from hindpo.losses import LossConfig, LossStep, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
-    TOY_LEARNING_RATE,
     TrainConfig,
     TrainingError,
     attach_finesse,
@@ -23,7 +22,7 @@ from hindpo.trainer import (
 def toy_train_config(mode="dpo", **overrides):
     defaults = dict(
         epochs_per_stage=10,
-        learning_rate=TOY_LEARNING_RATE,
+        learning_rate=0.5,
         batch_size=2,
         seed=5,
         loss=LossConfig(mode=mode),
