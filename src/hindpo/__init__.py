@@ -4,7 +4,9 @@ Library tour:
 
 - :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR/semantic scorers,
   the weighted final score used for candidate ranking
-- :mod:`hindpo.dataforge` corpus loading, ranking, bucketization, emission
+- :mod:`hindpo.dataforge` corpus loading (actuality scores are record
+  fields; ``embed_actuality`` fills them from a lookup file), ranking,
+  bucketization, emission, and manifest-checked read-back
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
@@ -20,18 +22,14 @@ Library tour:
 from .corpora import separable_curriculum, toy_corpus
 from .dataforge import (
     ActualityError,
-    ActualityProvider,
     ArticleRecord,
     Candidate,
-    ConstantActuality,
     CurriculumDataset,
-    FileActuality,
     PreferencePair,
-    RecordEmbeddedActuality,
     SchemaError,
-    attach_actuality,
     bucketize,
     dump_articles,
+    embed_actuality,
     emit_forge,
     forge,
     load_articles,

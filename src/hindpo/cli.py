@@ -161,6 +161,10 @@ def _run_forge(config: RunConfig) -> Path:
     result = dataforge.forge(
         articles, order=config.order, split=config.split, seed=config.seed
     )
+    # Checkpoints left by an earlier forge belong to its vocabulary and
+    # split; train and eval would read them back as this forge's.
+    for name in evalharness.CONFIG_ORDER:
+        (out_dir / ("policy_%s.json" % name)).unlink(missing_ok=True)
     return dataforge.emit_forge(result, out_dir)
 
 
@@ -171,7 +175,7 @@ def _base_policy(config: RunConfig, out_dir: Path) -> BigramPolicy:
     manifest = dataforge.read_manifest(out_dir)
     pairs = dataforge.load_curriculum(out_dir).all_pairs()
     for entry in (manifest["val"], manifest["test"]):
-        pairs.extend(dataforge.load_pairs(out_dir / entry["file"]))
+        pairs.extend(dataforge.load_checked_pairs(out_dir, entry))
     vocab = trainer.vocab_from_pairs(pairs)
     base = BigramPolicy.new(vocab, seed=config.seed, noise_std=config.noise_std)
     base.save(base_path)
@@ -191,7 +195,7 @@ def _run_train(config: RunConfig, mode: str) -> tuple[Path, Path]:
 def _run_eval(config: RunConfig) -> str:
     out_dir = Path(config.out_dir)
     manifest = dataforge.read_manifest(out_dir)
-    test_pairs = dataforge.load_pairs(out_dir / manifest["test"]["file"])
+    test_pairs = dataforge.load_checked_pairs(out_dir, manifest["test"])
     seen: dict[str, tuple[str, str]] = {}
     for pair in test_pairs:
         seen.setdefault(pair.article_id, (pair.prompt, pair.preferred))

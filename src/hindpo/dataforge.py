@@ -11,21 +11,22 @@ Input corpus format (UTF-8 JSONL, one article per line):
 Every article carries exactly three candidate (rejected) explanations.
 Each candidate is scored against the ground-truth explanation with the
 weighted metric blend, ranked per article (rank 0 = highest score, ties
-broken by ascending model_id), given actuality weights from a pluggable
-provider, and routed to a quality bucket: rank 2 -> B_L, rank 1 -> B_M,
+broken by ascending model_id), given the actuality weights carried on its
+record, and routed to a quality bucket: rank 2 -> B_L, rank 1 -> B_M,
 rank 0 -> B_H. Buckets become curriculum stages in either "algorithm1"
 order (B_L, B_M, B_H) or "section4" order (B_H, B_M, B_L).
 
-Actuality file format: lines of ``<record_id> <role> <score>`` where role
-is ``pref`` or ``cand0``/``cand1``/``cand2`` (original candidate index).
+Actuality file format, read by :func:`embed_actuality`: lines of
+``<record_id> <role> <score>`` where role is ``pref`` or
+``cand0``/``cand1``/``cand2`` (original candidate index).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -50,6 +51,9 @@ STAGE_ORDERS = {
     "section4": ("B_H", "B_M", "B_L"),
 }
 DEFAULT_SPLIT = (0.75, 0.05, 0.20)
+# Every s_w and s_l of a corpus in which some record carries no actuality.
+DEFAULT_ACTUALITY = 0.5
+ACTUALITY_ROLES = ("pref",) + tuple("cand%d" % i for i in range(CANDIDATES_PER_ARTICLE))
 
 T = TypeVar("T")
 
@@ -140,7 +144,8 @@ class PreferencePair:
     """One (prompt, preferred, rejected) training instance.
 
     article_id, candidate_index and model_id tie the pair back to its
-    source record; s_w/s_l and bucket are filled by later pipeline steps.
+    source record, whose actuality scores are s_w/s_l; bucket is filled
+    by :func:`bucketize`.
     """
 
     id: str
@@ -195,19 +200,18 @@ class CurriculumDataset:
 # Corpus I/O
 
 
-def _parse_jsonl(path: Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """(line number, parsed record) of each non-blank line of a JSONL file;
-    errors name the file and line."""
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, parse(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SchemaError("%s:%d: invalid JSON: %s" % (path, lineno, exc)) from exc
-            except SchemaError as exc:
-                raise SchemaError("%s:%d: %s" % (path, lineno, exc)) from exc
+def _parse_jsonl(path: Path, lines: Iterable[str], parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """(line number, parsed record) of each non-blank line of the JSONL
+    file ``path`` read as ``lines``; errors name the file and line."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield lineno, parse(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise SchemaError("%s:%d: invalid JSON: %s" % (path, lineno, exc)) from exc
+        except SchemaError as exc:
+            raise SchemaError("%s:%d: %s" % (path, lineno, exc)) from exc
 
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
@@ -215,12 +219,63 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
     path = Path(path)
     records: list[ArticleRecord] = []
     seen_ids: set[str] = set()
-    for lineno, record in _parse_jsonl(path, ArticleRecord.from_json_dict):
-        if record.id in seen_ids:
-            raise SchemaError("%s:%d: duplicate article id %r" % (path, lineno, record.id))
-        seen_ids.add(record.id)
-        records.append(record)
+    with path.open(encoding="utf-8") as handle:
+        for lineno, record in _parse_jsonl(path, handle, ArticleRecord.from_json_dict):
+            if record.id in seen_ids:
+                raise SchemaError("%s:%d: duplicate article id %r" % (path, lineno, record.id))
+            seen_ids.add(record.id)
+            records.append(record)
     return records
+
+
+def embed_actuality(records: Iterable[ArticleRecord], path: str | Path) -> list[ArticleRecord]:
+    """Copies of ``records`` carrying the scores of an actuality file.
+
+    Each line is ``<record_id> <role> <score>`` with a role from
+    ``ACTUALITY_ROLES`` and a score in [0, 1]; blank lines are skipped.
+    A malformed line, a bad or out-of-range score, a role given twice for
+    one record, or a record without a score for some role raises
+    :class:`ActualityError` naming the file (and line).
+    """
+    path = Path(path)
+    scores: dict[tuple[str, str], tuple[float, int]] = {}
+    with path.open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 3 or parts[1] not in ACTUALITY_ROLES:
+                raise ActualityError(
+                    "%s:%d: expected '<record_id> <%s> <score>'" % (path, lineno, "|".join(ACTUALITY_ROLES))
+                )
+            record_id, role, raw = parts
+            try:
+                score = float(raw)
+            except ValueError:
+                raise ActualityError("%s:%d: bad score %r" % (path, lineno, raw)) from None
+            if not 0.0 <= score <= 1.0:
+                raise ActualityError("%s:%d: score %r out of [0, 1]" % (path, lineno, score))
+            if (record_id, role) in scores:
+                raise ActualityError(
+                    "%s:%d: duplicate %s score for record %r (first given on line %d)"
+                    % (path, lineno, role, record_id, scores[record_id, role][1])
+                )
+            scores[record_id, role] = (score, lineno)
+
+    def lookup(record_id: str, role: str) -> float:
+        try:
+            return scores[record_id, role][0]
+        except KeyError:
+            raise ActualityError("%s: no %s score for record %r" % (path, role, record_id)) from None
+
+    return [
+        replace(
+            record,
+            actuality_preferred=lookup(record.id, "pref"),
+            actuality_candidates=[lookup(record.id, role) for role in ACTUALITY_ROLES[1:]],
+        )
+        for record in records
+    ]
 
 
 def _article_lines(records: Iterable[ArticleRecord]) -> str:
@@ -237,9 +292,15 @@ def articles_sha256(records: Iterable[ArticleRecord]) -> str:
     return hashlib.sha256(_article_lines(records).encode("utf-8")).hexdigest()
 
 
+def _parse_pairs(path: Path, data: bytes) -> list[PreferencePair]:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as lines:
+        return [pair for _, pair in _parse_jsonl(path, lines, PreferencePair.from_json_dict)]
+
+
 def load_pairs(path: str | Path) -> list[PreferencePair]:
     """Read a JSONL pair file; errors carry the offending line."""
-    return [pair for _, pair in _parse_jsonl(Path(path), PreferencePair.from_json_dict)]
+    path = Path(path)
+    return _parse_pairs(path, path.read_bytes())
 
 
 def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
@@ -258,12 +319,14 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
     METEOR against the ground truth, which is tokenized once. Rank 0 is
     the candidate most aligned with the ground truth; ties break by
     ascending model_id so the output is a deterministic function of the
-    record. Returned pairs are ordered by candidate index.
+    record. s_w and s_l are the record's actuality scores, None where it
+    carries none. Returned pairs are ordered by candidate index.
     """
     record.validate()
     semantic = semantic or CharTrigramCosine()
     truth = record.ground_truth_explanation
     ref = tokenize(truth)
+    s_l = record.actuality_candidates or [None] * CANDIDATES_PER_ARTICLE
     scored = []
     for idx, cand in enumerate(record.candidates):
         tokens = tokenize(cand.text)
@@ -282,126 +345,16 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
             rejected=cand.text,
             fs=fs,
             rank=rank_by_index[idx],
+            s_w=_score(record.actuality_preferred),
+            s_l=_score(s_l[idx]),
         )
         for fs, cand, idx in scored
     ]
 
 
-# ---------------------------------------------------------------------------
-# Actuality providers
-
-
-class ActualityProvider(ABC):
-    """Source of factual-consistency scores for preferred/rejected texts."""
-
-    @abstractmethod
-    def preferred_score(self, article_id: str) -> float: ...
-
-    @abstractmethod
-    def candidate_score(self, article_id: str, candidate_index: int) -> float: ...
-
-
-class ConstantActuality(ActualityProvider):
-    """Stub provider: the same score for everything."""
-
-    def __init__(self, value: float):
-        if not 0.0 <= value <= 1.0:
-            raise ActualityError("constant actuality must be in [0, 1], got %r" % value)
-        self.value = value
-
-    def preferred_score(self, article_id: str) -> float:
-        return self.value
-
-    def candidate_score(self, article_id: str, candidate_index: int) -> float:
-        return self.value
-
-
-class RecordEmbeddedActuality(ActualityProvider):
-    """Scores carried on the article records themselves."""
-
-    def __init__(self, records: Iterable[ArticleRecord]):
-        self._records = {r.id: r for r in records}
-
-    def _record(self, article_id: str) -> ArticleRecord:
-        try:
-            return self._records[article_id]
-        except KeyError:
-            raise ActualityError("no record with id %r" % article_id) from None
-
-    def preferred_score(self, article_id: str) -> float:
-        value = self._record(article_id).actuality_preferred
-        if value is None:
-            raise ActualityError("record %r carries no actuality_preferred" % article_id)
-        return value
-
-    def candidate_score(self, article_id: str, candidate_index: int) -> float:
-        values = self._record(article_id).actuality_candidates
-        if values is None:
-            raise ActualityError("record %r carries no actuality_candidates" % article_id)
-        return values[candidate_index]
-
-
-class FileActuality(ActualityProvider):
-    """Scores read from a ``<record_id> <role> <score>`` lookup file."""
-
-    _ROLES = ("pref",) + tuple("cand%d" % i for i in range(CANDIDATES_PER_ARTICLE))
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._scores: dict[tuple[str, str], float] = {}
-        first_line: dict[tuple[str, str], int] = {}
-        with self.path.open(encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or parts[1] not in self._ROLES:
-                    raise ActualityError(
-                        "%s:%d: expected '<record_id> <%s> <score>'"
-                        % (self.path, lineno, "|".join(self._ROLES))
-                    )
-                record_id, role, raw = parts
-                try:
-                    score = float(raw)
-                except ValueError:
-                    raise ActualityError("%s:%d: bad score %r" % (self.path, lineno, raw)) from None
-                if not 0.0 <= score <= 1.0:
-                    raise ActualityError(
-                        "%s:%d: score %r out of [0, 1]" % (self.path, lineno, score)
-                    )
-                key = (record_id, role)
-                if key in first_line:
-                    raise ActualityError(
-                        "%s:%d: duplicate %s score for record %r (first given on line %d)"
-                        % (self.path, lineno, role, record_id, first_line[key])
-                    )
-                first_line[key] = lineno
-                self._scores[key] = score
-
-    def _lookup(self, article_id: str, role: str) -> float:
-        try:
-            return self._scores[(article_id, role)]
-        except KeyError:
-            raise ActualityError(
-                "%s: no %s score for record %r" % (self.path, role, article_id)
-            ) from None
-
-    def preferred_score(self, article_id: str) -> float:
-        return self._lookup(article_id, "pref")
-
-    def candidate_score(self, article_id: str, candidate_index: int) -> float:
-        return self._lookup(article_id, "cand%d" % candidate_index)
-
-
-def attach_actuality(
-    pairs: list[PreferencePair], provider: ActualityProvider
-) -> list[PreferencePair]:
-    """Fill s_w/s_l from the provider, clamped to [0, 1]. Mutates pairs."""
-    for pair in pairs:
-        pair.s_w = min(1.0, max(0.0, provider.preferred_score(pair.article_id)))
-        pair.s_l = min(1.0, max(0.0, provider.candidate_score(pair.article_id, pair.candidate_index)))
-    return pairs
+def _score(value: float | None) -> float | None:
+    """An actuality value as a float (a corpus may hold 0 or 1 as JSON ints)."""
+    return None if value is None else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +433,6 @@ class ForgeResult:
 def forge(
     articles: Sequence[ArticleRecord],
     semantic: SemanticScorer | None = None,
-    provider: ActualityProvider | None = None,
     *,
     order: str = "algorithm1",
     split: Sequence[float] = DEFAULT_SPLIT,
@@ -488,22 +440,27 @@ def forge(
 ) -> ForgeResult:
     """Full pipeline: split, score, rank, weight, bucketize.
 
-    ``semantic`` is handed to :func:`score_and_rank`. The provider
-    defaults to record-embedded scores when present on every record,
-    otherwise a 0.5 constant stub.
+    ``semantic`` is handed to :func:`score_and_rank`, which weights each
+    pair with its record's actuality scores. If any record lacks them,
+    every pair of the corpus gets ``DEFAULT_ACTUALITY`` instead.
     """
-    if provider is None:
-        if all(r.actuality_preferred is not None and r.actuality_candidates is not None for r in articles):
-            provider = RecordEmbeddedActuality(articles)
-        else:
-            provider = ConstantActuality(0.5)
+    corpus_sha256 = articles_sha256(articles)
+    if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):
+        articles = [
+            replace(
+                r,
+                actuality_preferred=DEFAULT_ACTUALITY,
+                actuality_candidates=[DEFAULT_ACTUALITY] * CANDIDATES_PER_ARTICLE,
+            )
+            for r in articles
+        ]
     train, val, test = split_articles(articles, split, seed)
 
     def build(records: Sequence[ArticleRecord]) -> list[PreferencePair]:
         pairs: list[PreferencePair] = []
         for record in sorted(records, key=lambda r: r.id):
             pairs.extend(score_and_rank(record, semantic))
-        return attach_actuality(pairs, provider)
+        return pairs
 
     curriculum = bucketize(build(train), order=order)
     return ForgeResult(
@@ -512,7 +469,7 @@ def forge(
         test_pairs=build(test),
         split=tuple(split),
         seed=seed,
-        corpus_sha256=articles_sha256(articles),
+        corpus_sha256=corpus_sha256,
         n_articles=len(articles),
     )
 
@@ -558,11 +515,23 @@ def read_manifest(out_dir: str | Path) -> dict:
     return json.loads((Path(out_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
 
 
+def load_checked_pairs(out_dir: str | Path, entry: dict) -> list[PreferencePair]:
+    """The pairs of the file a manifest ``entry`` lists, which must still
+    hold the entry's pair count and sha256; a mismatch raises
+    :class:`SchemaError` naming the file."""
+    path = Path(out_dir) / entry["file"]
+    data = path.read_bytes()
+    pairs = _parse_pairs(path, data)
+    if len(pairs) != entry["pairs"]:
+        raise SchemaError("%s: holds %d pairs, the manifest lists %d" % (path, len(pairs), entry["pairs"]))
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise SchemaError("%s: sha256 differs from the manifest's" % path)
+    return pairs
+
+
 def load_curriculum(out_dir: str | Path) -> CurriculumDataset:
-    """Rebuild the curriculum from an emitted manifest and stage files."""
-    out_dir = Path(out_dir)
+    """Rebuild the curriculum from an emitted manifest and its checked
+    stage files."""
     manifest = read_manifest(out_dir)
-    stages = [
-        (entry["bucket"], load_pairs(out_dir / entry["file"])) for entry in manifest["stages"]
-    ]
+    stages = [(entry["bucket"], load_checked_pairs(out_dir, entry)) for entry in manifest["stages"]]
     return CurriculumDataset(stages=stages, order=manifest["order"])

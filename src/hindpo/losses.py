@@ -155,6 +155,11 @@ def _weights(preferred_actuality, rejected_actuality, effective_variance, config
     return m_w, m_l, mult
 
 
+def _weighted_score(r_w, r_l, m_w, m_l, mult):
+    """(m_w * r_w - m_l * r_l) * mult: the score formula of every mode."""
+    return (m_w * r_w - m_l * r_l) * mult
+
+
 def preference_score(
     ratios: LogRatios,
     preferred_actuality: float | np.ndarray,
@@ -168,8 +173,8 @@ def preference_score(
     dpo_fin: (r_w - r_l) scaled by the capped variance multiplier.
     hin_dpo: actuality weighting and variance scaling combined.
     """
-    m_w, m_l, mult = _weights(preferred_actuality, rejected_actuality, effective_variance, config)
-    return (m_w * ratios.preferred - m_l * ratios.rejected) * mult
+    weights = _weights(preferred_actuality, rejected_actuality, effective_variance, config)
+    return _weighted_score(ratios.preferred, ratios.rejected, *weights)
 
 
 def hin_dpo_loss(score: float | np.ndarray, beta: float) -> float | np.ndarray:
@@ -307,7 +312,7 @@ def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig)
     r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
     s_w, s_l, v = batch.factors.T
     m_w, m_l, mult = _weights(s_w, s_l, v, config)
-    score = preference_score(LogRatios(r_w, r_l), s_w, s_l, v, config)
+    score = _weighted_score(r_w, r_l, m_w, m_l, mult)
     u = config.beta * score
     with np.errstate(over="ignore"):
         coeff = config.beta * mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,34 @@ class TestForge:
         main(["forge", "--out", str(out), "--seed", "3"])
         assert tree_bytes(out) == first
 
+    def test_seed_7_manifest_bytes_are_pinned(self, tmp_path):
+        # The manifest holds the sha256 of every stage, val and test file
+        # and of the corpus, so this pins every forged byte.
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+        assert digest == "c809283bc4f11cb34acc329b88d18887b7c46242b405cd8dc9ba15fc5b898d21"
+
+    def test_reforge_drops_the_checkpoints_of_the_earlier_forge(self, tmp_path):
+        from hindpo.corpora import toy_corpus
+        from hindpo.dataforge import dump_articles
+
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["forge", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 0
+        records = toy_corpus()[:8]
+        for record in records:
+            record.ground_truth_explanation += " नवीनतम"
+        corpus = dump_articles(records, tmp_path / "corpus.jsonl")
+        assert main(["forge", "--config", str(config), "--corpus", str(corpus)]) == 0
+        assert not list(out.glob("policy_*.json"))
+        assert main(["train", "--config", str(config), "--mode", "hin_dpo"]) == 0
+        assert "नवीनतम" in json.loads((out / "policy_base.json").read_text(encoding="utf-8"))["vocab"]
+        assert main(["eval", "--config", str(config)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [row["config"] for row in report] == ["base", "hin_dpo"]
+
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         code = main(["forge", "--out", str(tmp_path / "out"), "--corpus", "missing.jsonl"])
         assert code == 1
@@ -80,6 +109,24 @@ class TestTrainEval:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [entry["config"] for entry in report] == ["base", "dpo"]
         assert (out / "report.txt").exists()
+
+    def test_train_rejects_a_truncated_stage_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        stage = out / "stage_0_B_L.jsonl"
+        stage.write_text("".join(stage.read_text(encoding="utf-8").splitlines(keepends=True)[:10]), encoding="utf-8")
+        assert main(["train", "--out", str(out), "--seed", "7", "--mode", "dpo"]) == 1
+        assert "stage_0_B_L.jsonl: holds 10 pairs, the manifest lists 45" in capsys.readouterr().err
+        assert not (out / "policy_dpo.json").exists()
+
+    def test_eval_rejects_an_edited_test_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        test_file = out / "test.jsonl"
+        test_file.write_text(test_file.read_text(encoding="utf-8").replace('"s_w": ', '"s_w":', 1), encoding="utf-8")
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 1
+        assert "test.jsonl: sha256 differs from the manifest's" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         config = write_config(tmp_path, order="section4")

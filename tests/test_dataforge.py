@@ -4,20 +4,18 @@ import pytest
 
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import (
+    DEFAULT_ACTUALITY,
     DEFAULT_SPLIT,
     ActualityError,
     ArticleRecord,
     Candidate,
-    ConstantActuality,
-    FileActuality,
     ForgeResult,
-    RecordEmbeddedActuality,
     SchemaError,
     articles_sha256,
-    attach_actuality,
     bucketize,
     dump_articles,
     dump_pairs,
+    embed_actuality,
     emit_forge,
     forge,
     load_articles,
@@ -152,68 +150,83 @@ class TestScoreAndRank:
         assert all(p.prompt and p.preferred and p.rejected for p in pairs)
 
 
+SCORED = {"actuality_preferred": 0.9, "actuality_candidates": [1.0, 0.0, 0.3]}
+
+
+def write_actuality(tmp_path, text):
+    path = tmp_path / "act.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestActuality:
-    def test_constant_stub(self):
-        pairs = score_and_rank(make_record())
-        attach_actuality(pairs, ConstantActuality(0.5))
-        assert all(p.s_w == 0.5 and p.s_l == 0.5 for p in pairs)
-
-    def test_constant_rejects_out_of_range(self):
-        with pytest.raises(ActualityError):
-            ConstantActuality(1.2)
-
     def test_record_embedded_passthrough(self):
-        record = make_record(
-            actuality_preferred=0.9, actuality_candidates=[1.0, 0.0, 0.3]
-        )
-        pairs = score_and_rank(record)
-        attach_actuality(pairs, RecordEmbeddedActuality([record]))
+        pairs = score_and_rank(make_record(**SCORED))
         by_index = {p.candidate_index: p for p in pairs}
         assert [by_index[i].s_l for i in range(3)] == [1.0, 0.0, 0.3]
         assert all(p.s_w == 0.9 for p in pairs)
 
     def test_record_embedded_missing_scores(self):
-        record = make_record()
-        pairs = score_and_rank(record)
-        with pytest.raises(ActualityError):
-            attach_actuality(pairs, RecordEmbeddedActuality([record]))
+        pairs = score_and_rank(make_record())
+        assert all(p.s_w is None and p.s_l is None for p in pairs)
+
+    def test_integer_scores_written_as_floats(self):
+        pairs = score_and_rank(make_record(actuality_preferred=1, actuality_candidates=[0, 1, 0.5]))
+        assert [json.dumps([p.s_w, p.s_l]) for p in pairs] == ["[1.0, 0.0]", "[1.0, 1.0]", "[1.0, 0.5]"]
+
+    def test_constant_stub(self):
+        # One record without scores puts the whole corpus on the stub,
+        # the scored records included.
+        records = [make_record(r, **SCORED) for r in "abc"] + [make_record("d")]
+        result = forge(records, split=(0.5, 0.25, 0.25), seed=0)
+        pairs = result.curriculum.all_pairs() + result.val_pairs + result.test_pairs
+        assert len(pairs) == 12
+        assert all(p.s_w == p.s_l == DEFAULT_ACTUALITY == 0.5 for p in pairs)
+        assert result.corpus_sha256 == articles_sha256(records)
 
     def test_file_lookup(self, tmp_path):
-        path = tmp_path / "act.txt"
-        path.write_text(
-            "art-1 pref 0.75\nart-1 cand0 0.2\nart-1 cand1 0.4\nart-1 cand2 0.6\n",
-            encoding="utf-8",
+        path = write_actuality(
+            tmp_path, "art-1 pref 0.75\nart-1 cand0 0.2\n\nart-1 cand1 0.4\nart-1 cand2 0.6\n"
         )
-        pairs = score_and_rank(make_record())
-        attach_actuality(pairs, FileActuality(path))
+        record = make_record(**SCORED)
+        [embedded] = embed_actuality([record], path)
+        assert (embedded.actuality_preferred, embedded.actuality_candidates) == (0.75, [0.2, 0.4, 0.6])
+        assert (record.actuality_preferred, record.actuality_candidates) == (0.9, [1.0, 0.0, 0.3])
+        pairs = score_and_rank(embedded)
         assert all(p.s_w == 0.75 for p in pairs)
         by_index = {p.candidate_index: p for p in pairs}
         assert [by_index[i].s_l for i in range(3)] == [0.2, 0.4, 0.6]
 
     def test_file_lookup_miss(self, tmp_path):
-        path = tmp_path / "act.txt"
-        path.write_text("art-1 pref 0.75\n", encoding="utf-8")
-        pairs = score_and_rank(make_record())
-        with pytest.raises(ActualityError, match="cand0"):
-            attach_actuality(pairs, FileActuality(path))
+        path = write_actuality(tmp_path, "art-1 pref 0.75\n")
+        with pytest.raises(ActualityError, match=r"act\.txt: no cand0 score for record 'art-1'"):
+            embed_actuality([make_record()], path)
 
     def test_file_out_of_range(self, tmp_path):
-        path = tmp_path / "act.txt"
-        path.write_text("art-1 pref 1.75\n", encoding="utf-8")
-        with pytest.raises(ActualityError, match="out of"):
-            FileActuality(path)
+        path = write_actuality(tmp_path, "art-1 pref 1.75\n")
+        with pytest.raises(ActualityError, match=r"act\.txt:1: score 1\.75 out of"):
+            embed_actuality([make_record()], path)
 
     def test_file_bad_role(self, tmp_path):
-        path = tmp_path / "act.txt"
-        path.write_text("art-1 winner 0.5\n", encoding="utf-8")
-        with pytest.raises(ActualityError):
-            FileActuality(path)
+        path = write_actuality(tmp_path, "art-1 cand0 0.5\nart-1 winner 0.5\n")
+        with pytest.raises(ActualityError, match=r"act\.txt:2: expected '<record_id> <pref\|cand0"):
+            embed_actuality([make_record()], path)
+
+    @pytest.mark.parametrize("line", ["art-1 pref", "art-1 pref 0.5 extra"], ids=["two-fields", "four-fields"])
+    def test_file_wrong_field_count(self, tmp_path, line):
+        path = write_actuality(tmp_path, line + "\n")
+        with pytest.raises(ActualityError, match=r"act\.txt:1: expected"):
+            embed_actuality([make_record()], path)
+
+    def test_file_bad_score(self, tmp_path):
+        path = write_actuality(tmp_path, "art-1 pref x\n")
+        with pytest.raises(ActualityError, match=r"act\.txt:1: bad score 'x'"):
+            embed_actuality([make_record()], path)
 
     def test_file_duplicate_line_rejected(self, tmp_path):
-        path = tmp_path / "act.txt"
-        path.write_text("r1 pref 0.2\nr1 cand0 0.5\nr1 pref 0.9\n", encoding="utf-8")
+        path = write_actuality(tmp_path, "r1 pref 0.2\nr1 cand0 0.5\nr1 pref 0.9\n")
         with pytest.raises(ActualityError, match=r"act\.txt:3: duplicate pref .*'r1'.*line 1"):
-            FileActuality(path)
+            embed_actuality([make_record("r1")], path)
 
 
 class TestBucketize:
@@ -314,9 +327,29 @@ class TestEmit:
             p.id for _, pairs in result.curriculum.stages for p in pairs
         ]
 
+    def test_load_curriculum_rejects_truncated_stage(self, tmp_path):
+        emit_forge(forge(toy_corpus(), seed=7), tmp_path)
+        stage = tmp_path / "stage_0_B_L.jsonl"
+        lines = stage.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 45
+        stage.write_text("".join(lines[:10]), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"stage_0_B_L\.jsonl: holds 10 pairs, the manifest lists 45"):
+            load_curriculum(tmp_path)
+
+    def test_load_curriculum_rejects_edited_stage(self, tmp_path):
+        emit_forge(forge(toy_corpus(), seed=7), tmp_path)
+        stage = tmp_path / "stage_2_B_H.jsonl"
+        pair = json.loads(stage.read_text(encoding="utf-8").splitlines()[0])
+        edited = stage.read_text(encoding="utf-8").replace(
+            json.dumps(pair, ensure_ascii=False), json.dumps({**pair, "s_w": 1.0}, ensure_ascii=False), 1
+        )
+        assert edited != stage.read_text(encoding="utf-8")
+        stage.write_text(edited, encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"stage_2_B_H\.jsonl: sha256 differs from the manifest's"):
+            load_curriculum(tmp_path)
+
     def test_plain_emit_curriculum(self, tmp_path):
-        pairs = score_and_rank(make_record())
-        attach_actuality(pairs, ConstantActuality(0.5))
+        pairs = score_and_rank(make_record(actuality_preferred=0.5, actuality_candidates=[0.5] * 3))
         result = ForgeResult(
             curriculum=bucketize(pairs),
             val_pairs=[],
@@ -357,8 +390,7 @@ class TestForge:
 
 
 def test_dump_load_pairs_round_trip(tmp_path):
-    pairs = score_and_rank(make_record())
-    attach_actuality(pairs, ConstantActuality(0.25))
+    pairs = score_and_rank(make_record(actuality_preferred=0.25, actuality_candidates=[0.25] * 3))
     bucketize(pairs)
     path = dump_pairs(pairs, tmp_path / "pairs.jsonl")
     loaded = load_pairs(path)
