@@ -161,11 +161,22 @@ def _run_forge(config: RunConfig) -> Path:
     result = dataforge.forge(
         articles, order=config.order, split=config.split, seed=config.seed
     )
-    # Checkpoints left by an earlier forge belong to its vocabulary and
-    # split; train and eval would read them back as this forge's.
-    for name in evalharness.CONFIG_ORDER:
-        (out_dir / ("policy_%s.json" % name)).unlink(missing_ok=True)
-    return dataforge.emit_forge(result, out_dir)
+    manifest_path = dataforge.emit_forge(result, out_dir)
+    # What an earlier forge, train or eval left here belongs to another
+    # corpus, vocabulary or split; train and eval would read its
+    # checkpoints back as this forge's. Removed only once the new forge is
+    # written, so a failed forge leaves the earlier run whole.
+    current = {entry["file"] for entry in dataforge.read_manifest(out_dir)["stages"]}
+    stale = [path for path in out_dir.glob("stage_*.jsonl") if path.name not in current]
+    stale += [out_dir / ("policy_%s.json" % name) for name in evalharness.CONFIG_ORDER]
+    stale += [out_dir / ("trainlog_%s.jsonl" % mode) for mode in MODES]
+    stale += [out_dir / "report.txt", out_dir / "report.json"]
+    toy_copy = out_dir / "toy_articles.jsonl"
+    if config.corpus and toy_copy.resolve() != Path(config.corpus).resolve():
+        stale.append(toy_copy)
+    for path in stale:
+        path.unlink(missing_ok=True)
+    return manifest_path
 
 
 def _base_policy(config: RunConfig, out_dir: Path) -> BigramPolicy:
@@ -310,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (flags override file values)")
     common.add_argument("--seed", type=int, help="random seed")
     common.add_argument("--out", help="output directory")
+    common.add_argument("--traceback", action="store_true", help="on error, raise with the full traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     forge = sub.add_parser("forge", parents=[common], help="build curriculum files from a corpus")
@@ -340,6 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:  # surfaced as a clean diagnostic, not a traceback
+        if args.traceback:
+            raise
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -3,9 +3,13 @@
 All scorers operate on token sequences produced by :func:`tokenize`, which
 is Unicode-aware: Devanagari grapheme clusters survive intact and only
 Latin letters are case-folded. Lexical metrics (ROUGE-N, ROUGE-L, METEOR)
-are exact-match based. Semantic similarity is pluggable behind
-:class:`SemanticScorer`; the built-in implementation is a character
-trigram cosine so the whole pipeline runs without external services.
+are exact-match based. ROUGE-L's longest common subsequence is the
+bit-parallel algorithm of Allison & Dix (1986) and Hyyrö (2004), which
+the tests check against the row-rolling dynamic program
+(``tests/oracles.py:lcs_dp``) and against brute-force enumeration.
+Semantic similarity is pluggable behind :class:`SemanticScorer`; the
+built-in implementation is a character trigram cosine so the whole
+pipeline runs without external services.
 
 The weighted blend used to rank candidate explanations is
 ``(semantic + 3 * (rouge_l + meteor)) / 4``; see :func:`final_score`.
@@ -101,19 +105,19 @@ def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
 
 
 def _lcs_length(a: TokenSequence, b: TokenSequence) -> int:
-    # Row-rolling O(len(a) * len(b)) dynamic program.
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        row = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                row.append(prev[j - 1] + 1)
-            else:
-                row.append(max(prev[j], row[j - 1]))
-        prev = row
-    return prev[-1]
+    # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004), one big-int step
+    # per token of a: bit j of v is 0 where the LCS of the prefix of a and
+    # b[: j + 1] grows at j, so the LCS is the count of zero bits. Equal to
+    # the O(len(a) * len(b)) dynamic program kept as tests/oracles.py lcs_dp.
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(cand: TokenSequence, ref: TokenSequence) -> PrfScore:
@@ -166,23 +170,37 @@ class CharTrigramCosine(SemanticScorer):
     Deterministic stand-in for embedding-based semantic scorers. Identical
     non-empty strings score exactly 1.0; strings sharing no trigram score
     0.0. Only ordering and identity properties should be relied upon, not
-    absolute values.
+    absolute values. An instance keeps the profile of the last reference it
+    saw, so the candidates of one article share one reference profile.
     """
 
+    def __init__(self) -> None:
+        # (raw reference, its NFC form, trigram Counter, root of its squared counts)
+        self._ref: tuple[str, str, Counter, float] | None = None
+
     def _vector(self, text: str) -> Counter:
-        return Counter(text[i : i + 3] for i in range(len(text) - 2))
+        return Counter([text[i : i + 3] for i in range(len(text) - 2)])
+
+    def _reference(self, ref: str) -> tuple[str, str, Counter, float]:
+        cached = self._ref
+        if cached is None or cached[0] != ref:
+            nfc = unicodedata.normalize("NFC", ref)
+            vector = self._vector(nfc)
+            cached = (ref, nfc, vector, sqrt(sum(c * c for c in vector.values())))
+            self._ref = cached
+        return cached
 
     def score(self, cand: str, ref: str) -> float:
         cand = unicodedata.normalize("NFC", cand)
-        ref = unicodedata.normalize("NFC", ref)
+        _, ref, vr, ref_norm = self._reference(ref)
         if cand and cand == ref:
             return 1.0
         vc = self._vector(cand)
-        vr = self._vector(ref)
         if not vc or not vr:
             return 0.0
-        dot = sum(count * vr[gram] for gram, count in vc.items())
-        norm = sqrt(sum(c * c for c in vc.values())) * sqrt(sum(c * c for c in vr.values()))
+        get = vr.get
+        dot = sum(count * get(gram, 0) for gram, count in vc.items())
+        norm = sqrt(sum(c * c for c in vc.values())) * ref_norm
         return min(dot / norm, 1.0)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -51,11 +52,42 @@ def lcs_brute(a, b) -> int:
     return 0
 
 
+def lcs_dp(a, b) -> int:
+    """The earlier LCS: the row-rolling O(len(a) * len(b)) dynamic program."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                row.append(prev[j - 1] + 1)
+            else:
+                row.append(max(prev[j], row[j - 1]))
+        prev = row
+    return prev[-1]
+
+
 def rouge_l_f1_brute(cand, ref) -> float:
     lcs = lcs_brute(cand, ref)
     p = lcs / len(cand) if cand else 0.0
     r = lcs / len(ref) if ref else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0
+
+
+def trigram_cosine(cand: str, ref: str) -> float:
+    """The earlier character-trigram cosine, both profiles built per call."""
+    cand = unicodedata.normalize("NFC", cand)
+    ref = unicodedata.normalize("NFC", ref)
+    if cand and cand == ref:
+        return 1.0
+    vc = Counter(cand[i : i + 3] for i in range(len(cand) - 2))
+    vr = Counter(ref[i : i + 3] for i in range(len(ref) - 2))
+    if not vc or not vr:
+        return 0.0
+    dot = sum(count * vr[gram] for gram, count in vc.items())
+    norm = math.sqrt(sum(c * c for c in vc.values())) * math.sqrt(sum(c * c for c in vr.values()))
+    return min(dot / norm, 1.0)
 
 
 def ngram_overlap_brute(cand, ref, n) -> int:

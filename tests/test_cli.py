@@ -90,10 +90,40 @@ class TestForge:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [row["config"] for row in report] == ["base", "hin_dpo"]
 
+    def test_reforge_leaves_only_what_a_fresh_forge_writes(self, tmp_path):
+        from hindpo.corpora import toy_corpus
+        from hindpo.dataforge import dump_articles
+
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["forge", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 0
+        assert main(["eval", "--config", str(config)]) == 0
+        assert {"trainlog_dpo.jsonl", "report.txt", "report.json", "toy_articles.jsonl"} <= {
+            p.name for p in out.iterdir()
+        }
+        corpus = dump_articles(toy_corpus()[:8], tmp_path / "corpus.jsonl")
+        forge = ["forge", "--config", str(config), "--corpus", str(corpus), "--order", "section4"]
+        assert main(forge) == 0
+        assert main([*forge, "--out", str(tmp_path / "fresh")]) == 0
+        assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+    def test_reforge_keeps_the_toy_copy_it_reads_as_its_corpus(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        assert main(["forge", "--out", str(out), "--corpus", str(out / "toy_articles.jsonl")]) == 0
+        assert tree_bytes(out) == before
+
     def test_missing_corpus_is_clean_error(self, tmp_path, capsys):
         code = main(["forge", "--out", str(tmp_path / "out"), "--corpus", "missing.jsonl"])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_traceback_flag_raises_the_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="missing.jsonl"):
+            main(["forge", "--out", str(tmp_path / "out"), "--corpus", "missing.jsonl", "--traceback"])
 
 
 class TestTrainEval:

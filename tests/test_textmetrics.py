@@ -1,4 +1,5 @@
 import itertools
+import unicodedata
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hindpo.textmetrics import (
     CharTrigramCosine,
     SemanticScorer,
     SemanticScorerError,
+    _lcs_length,
     final_score,
     meteor,
     rouge_l,
@@ -15,7 +17,14 @@ from hindpo.textmetrics import (
 )
 
 from hindpo.corpora import toy_corpus
-from oracles import meteor_reference, ngram_overlap_brute, rouge_l_f1_brute, tokenize_loop
+from oracles import (
+    lcs_dp,
+    meteor_reference,
+    ngram_overlap_brute,
+    rouge_l_f1_brute,
+    tokenize_loop,
+    trigram_cosine,
+)
 
 # Hand-tokenized fixture sentences: Latin, Devanagari, and mixed content.
 TOKENIZE_FIXTURE = [
@@ -191,6 +200,35 @@ class TestRougeL:
             ref = [alphabet[i] for i in rng.integers(0, 3, 8)]
             assert rouge_l(cand, ref).f1 == rouge_l_f1_brute(cand, ref)
 
+    def test_matches_dp_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20000):
+            size = int(rng.integers(1, 9))
+            a = ["t%d" % i for i in rng.integers(0, size, rng.integers(0, 81))]
+            b = ["t%d" % i for i in rng.integers(0, size, rng.integers(0, 81))]
+            assert _lcs_length(a, b) == lcs_dp(a, b)
+
+    def test_matches_dp_oracle_across_word_boundaries(self):
+        # Reference lengths 60-300 put the position masks across the 64- and
+        # 128-bit boundaries, with small and large alphabets.
+        rng = np.random.default_rng(43)
+        for size in (2, 8, 40, 400):
+            for _ in range(15):
+                a = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
+                b = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
+                assert _lcs_length(a, b) == lcs_dp(a, b)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
+    def test_distinct_and_identical_pairs(self, n):
+        rng = np.random.default_rng(n)
+        tokens = ["t%d" % i for i in range(n)]
+        shuffled = [tokens[i] for i in rng.permutation(n)]
+        assert _lcs_length(tokens, tokens) == n
+        assert _lcs_length(shuffled, shuffled) == n
+        assert _lcs_length(tokens, ["u%d" % i for i in range(n)]) == 0
+        assert _lcs_length(tokens, shuffled) == lcs_dp(tokens, shuffled)
+        assert _lcs_length(shuffled, tokens) == lcs_dp(shuffled, tokens)
+
 
 class TestMeteor:
     def test_identity_penalty(self):
@@ -255,6 +293,24 @@ class TestSemanticScore:
         for anchor, paraphrase, unrelated in SEMANTIC_FIXTURE:
             for text in (paraphrase, unrelated):
                 assert 0.0 <= scorer.score(text, anchor) <= 1.0
+
+    def test_matches_uncached_oracle_with_alternating_references(self):
+        texts = [text for triple in SEMANTIC_FIXTURE for text in triple] + _toy_texts()[:60]
+        scorer = CharTrigramCosine()
+        for i, cand in enumerate(texts):
+            for ref in (texts[(i + 1) % len(texts)], texts[(i + 7) % len(texts)], cand):
+                expected = trigram_cosine(cand, ref)
+                assert scorer.score(cand, ref) == expected
+                assert CharTrigramCosine().score(cand, ref) == expected
+
+    def test_nfd_reference_scores_one_against_its_nfc_candidate(self):
+        composed = "café की जांच, résumé"
+        decomposed = unicodedata.normalize("NFD", composed)
+        assert decomposed != composed
+        scorer = CharTrigramCosine()
+        assert scorer.score(composed, decomposed) == 1.0
+        assert scorer.score(decomposed, composed) == 1.0
+        assert scorer.score(composed, decomposed) == 1.0
 
     def test_provider_failure_is_loud(self):
         with pytest.raises(SemanticScorerError):
