@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,22 +74,19 @@ def _check_section(section: object, defaults: dict, where: str) -> None:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
+    """The train settings plus where the data comes from and goes to."""
+
     corpus: str | None = None
     out_dir: str = "out"
-    seed: int = 0
     order: str = "algorithm1"
     split: tuple[float, float, float] = DEFAULT_SPLIT
     noise_std: float = 0.01
-    loss: LossConfig = field(default_factory=LossConfig)
-    epochs_per_stage: int = TrainConfig.epochs_per_stage
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    refresh_reference_per_stage: bool = TrainConfig.refresh_reference_per_stage
     eval_max_len: int = 24
     eval_temperature: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1, got %r" % (self.split,))
         if self.order not in STAGE_ORDERS:
@@ -119,31 +116,19 @@ class RunConfig:
         kwargs.update(("eval_" + key, value) for key, value in data.get("eval", {}).items())
         return cls(**kwargs)
 
-    def train_config(self, mode: str) -> TrainConfig:
-        return TrainConfig(
-            epochs_per_stage=self.epochs_per_stage,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            refresh_reference_per_stage=self.refresh_reference_per_stage,
-            loss=replace(self.loss, mode=mode),
-        )
-
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values (or the defaults) with the given flags on top."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "order", None) is not None:
-        config.order = args.order
-    if getattr(args, "corpus", None) is not None:
-        config.corpus = args.corpus
-    if getattr(args, "mode", None) is not None:
-        config.loss = replace(config.loss, mode=args.mode)
-    config.__post_init__()
-    return config
+    mode = getattr(args, "mode", None)
+    flags = {
+        "out_dir": args.out,
+        "seed": args.seed,
+        "order": getattr(args, "order", None),
+        "corpus": getattr(args, "corpus", None),
+        "loss": None if mode is None else replace(config.loss, mode=mode),
+    }
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _load_corpus(config: RunConfig, out_dir: Path) -> list[dataforge.ArticleRecord]:
@@ -197,7 +182,7 @@ def _run_train(config: RunConfig, mode: str) -> tuple[Path, Path]:
     out_dir = Path(config.out_dir)
     curriculum = dataforge.load_curriculum(out_dir)
     base = _base_policy(config, out_dir)
-    trained, log = trainer.train(curriculum, base.copy(), config.train_config(mode))
+    trained, log = trainer.train(curriculum, base.copy(), replace(config, loss=replace(config.loss, mode=mode)))
     policy_path = trained.save(out_dir / ("policy_%s.json" % mode))
     log_path = log.save(out_dir / ("trainlog_%s.jsonl" % mode))
     return policy_path, log_path

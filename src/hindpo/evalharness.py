@@ -139,17 +139,7 @@ def report_table(reports: Sequence[MetricReport], json_path: str | Path | None =
         )
     text = "\n".join(lines) + "\n"
     if json_path is not None:
-        payload = [
-            {
-                "config": r.config_name,
-                "r1": r.r1,
-                "r2": r.r2,
-                "rl": r.rl,
-                "meteor": r.meteor,
-                "semantic": r.semantic,
-            }
-            for r in ordered
-        ]
+        payload = [{"config": r.config_name, **{c: getattr(r, c) for c in _COLUMNS}} for r in ordered]
         write_atomic(json_path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
     return text
 

@@ -47,6 +47,12 @@ REJECTED_WEIGHT_FLOOR = 0.01
 # Maximum sample variance attainable by values confined to [0, 1].
 VARIANCE_NORMALIZER = 0.25
 
+# A pair counts towards accuracy only when r_w - r_l exceeds this. Log-ratios
+# that are equal in exact arithmetic (say, the same transitions summed in
+# another order) differ by summation-order noise of about 1e-15, which must
+# read as a tie, not as a preference.
+TIE_TOLERANCE = 1e-12
+
 _ACTUALITY_MODES = frozenset({"dpo_act", "hin_dpo"})
 _FINESSE_MODES = frozenset({"dpo_fin", "hin_dpo"})
 
@@ -112,7 +118,9 @@ class LossStep:
     against the reference before any update. ``margin`` is the mean raw
     beta * (r_w - r_l); ``weighted_margin`` is the mean sigmoid argument
     beta * S after the mode's weights, the separation the loss drives;
-    ``accuracy`` is the fraction of pairs with r_w > r_l.
+    ``accuracy`` is the fraction of pairs with r_w - r_l > TIE_TOLERANCE:
+    a tie, including one hidden by rounding noise, does not count as
+    preferred.
     """
 
     gradient: np.ndarray
@@ -324,5 +332,5 @@ def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig)
         loss=float(np.mean(hin_dpo_loss(score, config.beta))),
         margin=float(np.mean(config.beta * (r_w - r_l))),
         weighted_margin=float(np.mean(u)),
-        accuracy=float(np.mean(r_w > r_l)),
+        accuracy=float(np.mean(r_w - r_l > TIE_TOLERANCE)),
     )

@@ -26,8 +26,6 @@ from math import sqrt
 
 TokenSequence = list[str]
 
-MAX_FINAL_SCORE = 1.75
-
 
 @dataclass(frozen=True)
 class PrfScore:

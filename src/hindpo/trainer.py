@@ -38,8 +38,6 @@ class TrainConfig:
     seed: int = 0
     refresh_reference_per_stage: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
-    checkpoint_every: int | None = None
-    checkpoint_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.epochs_per_stage < 1:
@@ -48,8 +46,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 when set")
 
 
 @dataclass
@@ -137,7 +133,7 @@ def train(
     margin beta * S and the gradient's Frobenius norm, all measured against
     the in-stage reference before the update is applied. A step whose loss,
     gradient or updated logits are not finite raises before the policy
-    changes, is logged or is checkpointed.
+    changes or is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -174,10 +170,6 @@ def train(
                         result.weighted_margin, float(np.linalg.norm(result.gradient)),
                     )
                 )
-                if config.checkpoint_every and step % config.checkpoint_every == 0:
-                    directory = Path(config.checkpoint_dir or ".")
-                    directory.mkdir(parents=True, exist_ok=True)
-                    policy.save(directory / ("step_%06d.json" % step))
         if config.refresh_reference_per_stage:
             reference = policy.snapshot()
     return policy, log

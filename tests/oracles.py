@@ -17,6 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
+from hindpo.losses import TIE_TOLERANCE
+
 
 def tokenize_loop(text: str) -> list[str]:
     """The earlier tokenizer: one pass over the NFC characters that cuts a
@@ -230,14 +232,15 @@ def loss_gradient(examples, policy, reference, config) -> tuple[np.ndarray, floa
 
 
 def preference_stats(policy, reference, examples, beta) -> tuple[float, float]:
-    """(mean raw margin beta * (r_w - r_l), fraction of pairs with r_w > r_l)."""
+    """(mean raw margin beta * (r_w - r_l), fraction of pairs with
+    r_w - r_l > TIE_TOLERANCE)."""
     ratios = [log_ratios(policy, reference, e) for e in examples]
     margin = math.fsum(beta * (r_w - r_l) for r_w, r_l in ratios) / len(examples)
-    return margin, sum(r_w > r_l for r_w, r_l in ratios) / len(examples)
+    return margin, sum(r_w - r_l > TIE_TOLERANCE for r_w, r_l in ratios) / len(examples)
 
 
 def weighted_margin_stats(policy, reference, examples, config) -> tuple[float, float]:
-    """(mean u = beta * S, fraction of pairs with r_w > r_l)."""
+    """(mean u = beta * S, fraction of pairs with r_w - r_l > TIE_TOLERANCE)."""
     arguments = [sigmoid_argument(policy, reference, e, config) for e in examples]
     _, accuracy = preference_stats(policy, reference, examples, config.beta)
     return math.fsum(arguments) / len(examples), accuracy

@@ -1,15 +1,20 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
+from dataclasses import fields
 
 import pytest
 
 import hindpo
+from hindpo import cli
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import read_manifest
+from hindpo.losses import LossConfig
+from hindpo.trainer import TrainConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -220,6 +225,36 @@ class TestTrainEval:
         config = write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})
         assert main(["forge", "--config", str(config)]) == 1
         assert "sum to 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
+    def test_bad_train_value_rejected_when_the_config_loads(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, train={"epochs_per_stage": 0})
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: epochs_per_stage must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_docstring_config_block_is_the_default_config(self, tmp_path):
+        doc = cli.__doc__
+        block = json.loads(re.sub(r"#[^\n]*", "", doc[doc.index("{") : doc.rindex("}") + 1]))
+        # Each RunConfig field is one key: a train setting in "train", eval_*
+        # in "eval", the loss and split fields as sections, the rest on top.
+        train_settings = {f.name for f in fields(TrainConfig)} - {"seed", "loss"}
+        accepted = {
+            "train": set(), "eval": set(), "split": {"train", "val", "test"},
+            "loss": {f.name for f in fields(LossConfig)},
+        }
+        for f in fields(RunConfig):
+            if f.name in train_settings:
+                accepted["train"].add(f.name)
+            elif f.name.startswith("eval_"):
+                accepted["eval"].add(f.name[len("eval_"):])
+            elif f.name not in accepted:
+                accepted[f.name] = None
+        documented = {key: set(value) if isinstance(value, dict) else None for key, value in block.items()}
+        assert documented == accepted
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(block), encoding="utf-8")
+        assert RunConfig.from_file(path) == RunConfig()
 
 
 class TestGradcheck:

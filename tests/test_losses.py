@@ -3,9 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hindpo.losses import (
     MODES,
+    TIE_TOLERANCE,
     LogRatios,
     LossConfig,
     LossExample,
@@ -266,7 +269,42 @@ class TestComputeFinesse:
             assert got == [oracles.compute_finesse(policy, p, config, rng) for p in prompts]
 
 
+_WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
+_NEUTRAL_PAIRS = st.lists(
+    st.tuples(_WORDS, _WORDS.map(lambda w: w + [EOS]), _WORDS.map(lambda w: w + [EOS])),
+    min_size=1, max_size=6,
+)
+
+
+def _step_bytes(step):
+    return step.gradient.tobytes(), np.array(
+        [step.loss, step.margin, step.weighted_margin, step.accuracy]
+    ).tobytes()
+
+
 class TestLossGradient:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        pairs=_NEUTRAL_PAIRS,
+        seed=st.integers(0, 2**32 - 2),
+        std=st.floats(0.1, 4.0),
+        beta=st.floats(0.01, 5.0),
+    )
+    def test_neutral_hin_dpo_step_is_the_dpo_step(self, pairs, seed, std, beta):
+        # s_w = 0, s_l = 1, epsilon = 1 and v = 0 make every weight exactly
+        # 1, so the count-form step must be plain DPO's, bit for bit.
+        policy = make_policy(seed, std=std)
+        reference = make_policy(seed + 1, std=std).snapshot()
+        examples = [
+            LossExample(prompt, preferred, rejected, preferred_actuality=0.0,
+                        rejected_actuality=1.0, effective_variance=0.0)
+            for prompt, preferred, rejected in pairs
+        ]
+        encoded = encode_examples(examples, policy, reference)
+        neutral = loss_gradient(encoded, policy, LossConfig(mode="hin_dpo", beta=beta, epsilon=1.0))
+        plain = loss_gradient(encoded, policy, LossConfig(mode="dpo", beta=beta, epsilon=1.0))
+        assert _step_bytes(neutral) == _step_bytes(plain)
+
     def test_sigma_zero_coefficient_is_half_beta(self):
         # Policy equals reference, neutral weights: u = 0 and the gradient
         # is exactly -(beta / 2) * (grad_w - grad_l).
@@ -369,6 +407,35 @@ class TestLogRatios:
         example = LossExample(prompt=["a"], preferred=["b", "b", EOS], rejected=["c", EOS])
         step = step_of([example], policy, reference, LossConfig())
         assert math.isfinite(step.margin) and math.isfinite(step.weighted_margin)
+
+
+class TestAccuracy:
+    def test_rounding_noise_is_a_tie(self):
+        # Both responses take the same transitions in another order, so
+        # r_w = r_l in exact arithmetic; the summation order leaves a few
+        # 1e-15 either way, which must not count as a preference.
+        tokens = ("q", "a", "b", "c")
+        example = LossExample(
+            prompt=["q"], preferred=["a", "b", "a", "c", "a", EOS], rejected=["a", "c", "a", "b", "a", EOS]
+        )
+        margins = []
+        for seed in range(20):
+            policy = make_policy(seed, tokens=tokens)
+            reference = make_policy(seed + 100, tokens=tokens).snapshot()
+            step = step_of([example], policy, reference, LossConfig(mode="dpo"))
+            assert abs(step.margin) < TIE_TOLERANCE
+            assert step.accuracy == 0.0
+            margins.append(step.margin)
+        assert max(margins) > 0.0  # the noise does land on the preferred side
+
+    def test_a_margin_past_the_tolerance_counts(self):
+        policy = make_policy(151)
+        reference = policy.snapshot()
+        logits = policy.logits.copy()
+        logits[policy.vocab.index("a"), policy.vocab.index("b")] += 1e-9
+        moved = BigramPolicy(policy.vocab, logits)
+        example = LossExample(prompt=["a"], preferred=["b", EOS], rejected=["c", EOS])
+        assert step_of([example], moved, reference, LossConfig(mode="dpo")).accuracy == 1.0
 
 
 def oracle_setup():
