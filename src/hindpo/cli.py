@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
-from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS
+from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
 from .fileio import write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
@@ -87,10 +87,15 @@ class RunConfig(TrainConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1, got %r" % (self.split,))
+        _check_split(self.split)
         if self.order not in STAGE_ORDERS:
             raise ValueError("order must be one of %s" % sorted(STAGE_ORDERS))
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be >= 0")
+        if self.eval_max_len < 1:
+            raise ValueError("eval max_len must be >= 1")
+        if self.eval_temperature < 0:
+            raise ValueError("eval temperature must be >= 0")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -135,13 +140,13 @@ def _load_corpus(config: RunConfig, out_dir: Path) -> list[dataforge.ArticleReco
     if config.corpus:
         return dataforge.load_articles(config.corpus)
     articles = corpora.toy_corpus()
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataforge.dump_articles(articles, out_dir / "toy_articles.jsonl")
     return articles
 
 
 def _run_forge(config: RunConfig) -> Path:
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     articles = _load_corpus(config, out_dir)
     result = dataforge.forge(
         articles, order=config.order, split=config.split, seed=config.seed

@@ -8,6 +8,10 @@ Input corpus format (UTF-8 JSONL, one article per line):
      "actuality_preferred": 0.9,            # optional, [0, 1]
      "actuality_candidates": [0.1, 0.5, 0.8]}  # optional, 3 values in [0, 1]
 
+These are the fields of :class:`ArticleRecord` and :class:`Candidate`; a
+line with a key they do not name, a missing key or a value of the wrong
+type raises :class:`SchemaError` naming the file and line.
+
 Every article carries exactly three candidate (rejected) explanations.
 Each candidate is scored against the ground-truth explanation with the
 weighted metric blend, ranked per article (rank 0 = highest score, ties
@@ -26,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -72,9 +76,14 @@ class Candidate:
     text: str
 
 
+def _is_score(value: object) -> bool:
+    """A number in [0, 1]; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+
+
 @dataclass
 class ArticleRecord:
-    """One fact-checked news item with its candidate explanations."""
+    """One fact-checked news item and its candidate explanations; the fields are its corpus keys."""
 
     id: str
     label: str
@@ -85,6 +94,12 @@ class ArticleRecord:
     actuality_candidates: list[float] | None = None
 
     def validate(self) -> None:
+        # Each field annotated ``str`` (annotations are strings here), of the
+        # record and of each candidate, holds a str.
+        for prefix, part in [("", self)] + [("candidates[%d]." % i, c) for i, c in enumerate(self.candidates)]:
+            for f in fields(part):
+                if f.type == "str" and not isinstance(getattr(part, f.name), str):
+                    raise SchemaError("%s%s must be a string, got %r" % (prefix, f.name, getattr(part, f.name)))
         if not self.id:
             raise SchemaError("record id must be non-empty")
         if self.label not in LABELS:
@@ -96,53 +111,39 @@ class ArticleRecord:
                 "expected exactly %d candidates, got %d"
                 % (CANDIDATES_PER_ARTICLE, len(self.candidates))
             )
-        if self.actuality_preferred is not None and not 0.0 <= self.actuality_preferred <= 1.0:
-            raise SchemaError("actuality_preferred must be in [0, 1]")
-        if self.actuality_candidates is not None:
-            if len(self.actuality_candidates) != CANDIDATES_PER_ARTICLE:
-                raise SchemaError("actuality_candidates must hold %d values" % CANDIDATES_PER_ARTICLE)
-            if any(not 0.0 <= s <= 1.0 for s in self.actuality_candidates):
-                raise SchemaError("actuality_candidates values must be in [0, 1]")
+        if self.actuality_preferred is not None and not _is_score(self.actuality_preferred):
+            raise SchemaError("actuality_preferred must be a number in [0, 1], got %r" % (self.actuality_preferred,))
+        if self.actuality_candidates is not None and not (
+            isinstance(self.actuality_candidates, list)
+            and len(self.actuality_candidates) == CANDIDATES_PER_ARTICLE
+            and all(_is_score(s) for s in self.actuality_candidates)
+        ):
+            raise SchemaError(
+                "actuality_candidates must be a list of %d numbers in [0, 1], got %r"
+                % (CANDIDATES_PER_ARTICLE, self.actuality_candidates)
+            )
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "label": self.label,
-            "news_text": self.news_text,
-            "ground_truth_explanation": self.ground_truth_explanation,
-            "candidates": [{"model_id": c.model_id, "text": c.text} for c in self.candidates],
-        }
-        if self.actuality_preferred is not None:
-            out["actuality_preferred"] = self.actuality_preferred
-        if self.actuality_candidates is not None:
-            out["actuality_candidates"] = list(self.actuality_candidates)
+        out = {key: value for key, value in vars(self).items() if value is not None}
+        out["candidates"] = [dict(vars(c)) for c in self.candidates]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArticleRecord":
         try:
-            record = cls(
-                id=data["id"],
-                label=data["label"],
-                news_text=data["news_text"],
-                ground_truth_explanation=data["ground_truth_explanation"],
-                candidates=[Candidate(c["model_id"], c["text"]) for c in data["candidates"]],
-                actuality_preferred=data.get("actuality_preferred"),
-                actuality_candidates=data.get("actuality_candidates"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError("malformed record: %s" % exc) from exc
-        try:
-            record.validate()
+            record = cls(**data)
+            record.candidates = [Candidate(**c) for c in record.candidates]
         except TypeError as exc:
             raise SchemaError("malformed record: %s" % exc) from exc
+        record.validate()
         return record
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PreferencePair:
     """One (prompt, preferred, rejected) training instance.
 
+    The fields, in order, are the JSON keys of a stage, val or test line.
     article_id, candidate_index and model_id tie the pair back to its
     source record, whose actuality scores are s_w/s_l; bucket is filled
     by :func:`bucketize`.
@@ -155,27 +156,14 @@ class PreferencePair:
     prompt: str
     preferred: str
     rejected: str
-    fs: float
-    rank: int
     s_w: float | None = None
     s_l: float | None = None
+    fs: float
+    rank: int
     bucket: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "article_id": self.article_id,
-            "candidate_index": self.candidate_index,
-            "model_id": self.model_id,
-            "prompt": self.prompt,
-            "preferred": self.preferred,
-            "rejected": self.rejected,
-            "s_w": self.s_w,
-            "s_l": self.s_l,
-            "fs": self.fs,
-            "rank": self.rank,
-            "bucket": self.bucket,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PreferencePair":
@@ -390,6 +378,14 @@ def bucketize(pairs: Sequence[PreferencePair], order: str = "algorithm1") -> Cur
     )
 
 
+def _check_split(fractions: Sequence[float]) -> None:
+    """ValueError unless ``fractions`` are three non-negative values summing to 1."""
+    if len(fractions) != 3 or any(f < 0 for f in fractions):
+        raise ValueError("split fractions must be three non-negative values, got %r" % (tuple(fractions),))
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("split fractions must sum to 1, got %r" % (tuple(fractions),))
+
+
 def split_articles(
     articles: Sequence[ArticleRecord],
     fractions: Sequence[float] = DEFAULT_SPLIT,
@@ -400,10 +396,7 @@ def split_articles(
     The split happens at article level so no article's pairs leak across
     splits.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be three non-negative values")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1, got %r" % (tuple(fractions),))
+    _check_split(fractions)
     rng = np.random.default_rng(seed)
     shuffled = [articles[i] for i in rng.permutation(len(articles))]
     n_train = int(round(fractions[0] * len(articles)))

@@ -1,11 +1,11 @@
 """Curriculum training loop and gradient checking.
 
 Stages run in dataset order. At the start of each stage the finesse
-variance is computed once per unique (prompt, preferred) pair (finesse
-modes only, from one temperature table), and the stage's pairs are encoded
-into transition indices and scored under the frozen reference once; within
-a stage the policy takes plain gradient-descent steps on shuffled batches
-of that encoding; at the end of a stage the frozen reference is optionally
+variance is computed once per unique prompt (finesse modes only, from one
+temperature table), and the stage's pairs are encoded into transition
+indices and scored under the frozen reference once; within a stage the
+policy takes plain gradient-descent steps on shuffled batches of that
+encoding; at the end of a stage the frozen reference is optionally
 refreshed to the current policy. Everything is driven by one seeded
 generator, so identical inputs give identical logs and parameters.
 """
@@ -109,16 +109,16 @@ def attach_finesse(
     config: LossConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Fill effective_variance, one estimate per unique (prompt, preferred).
+    """Fill effective_variance, one estimate per unique prompt (all it depends on).
 
     All estimates come from one ``compute_finesse`` call, in
     first-appearance order, so the generator is consumed deterministically.
     """
-    keys = list(dict.fromkeys((tuple(e.prompt), tuple(e.preferred)) for e in examples))
-    estimates = compute_finesse(policy, [prompt for prompt, _ in keys], config, rng)
-    effective = {key: estimate.effective for key, estimate in zip(keys, estimates)}
+    prompts = list(dict.fromkeys(tuple(e.prompt) for e in examples))
+    estimates = compute_finesse(policy, prompts, config, rng)
+    effective = {prompt: estimate.effective for prompt, estimate in zip(prompts, estimates)}
     for example in examples:
-        example.effective_variance = effective[(tuple(example.prompt), tuple(example.preferred))]
+        example.effective_variance = effective[tuple(example.prompt)]
 
 
 def train(

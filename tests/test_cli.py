@@ -126,6 +126,23 @@ class TestForge:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_misspelt_corpus_key_fails_before_forging(self, tmp_path, capsys):
+        # One misspelt actuality key used to load cleanly and put every
+        # pair of the corpus at s_w = s_l = 0.5.
+        from hindpo.corpora import toy_corpus
+
+        records = [record.to_json_dict() for record in toy_corpus()[:6]]
+        records[3]["actuality_prefered"] = records[3].pop("actuality_preferred")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: %s:4: malformed record: .*'actuality_prefered'\n" % re.escape(str(corpus)), err
+        ), err
+        assert not out.exists()
+
     def test_traceback_flag_raises_the_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.jsonl"):
             main(["forge", "--out", str(tmp_path / "out"), "--corpus", "missing.jsonl", "--traceback"])
@@ -225,6 +242,22 @@ class TestTrainEval:
         config = write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})
         assert main(["forge", "--config", str(config)]) == 1
         assert "sum to 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"split": [1.5, -0.5, 0]}, "split fractions must be three non-negative values, got (1.5, -0.5, 0)"),
+            ({"noise_std": -1}, "noise_std must be >= 0"),
+            ({"eval": {"max_len": 0}}, "eval max_len must be >= 1"),
+            ({"eval": {"temperature": -0.5}}, "eval temperature must be >= 0"),
+        ],
+        ids=["split-negative", "noise-negative", "max-len-zero", "temperature-negative"],
+    )
+    def test_bad_value_rejected_when_the_config_loads(self, tmp_path, capsys, overrides, error):
+        config = write_config(tmp_path, **overrides)
+        assert main(["forge", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % error
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
     def test_bad_train_value_rejected_when_the_config_loads(self, tmp_path, capsys, command):

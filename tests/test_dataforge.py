@@ -1,15 +1,21 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import (
+    BUCKET_BY_RANK,
     DEFAULT_ACTUALITY,
     DEFAULT_SPLIT,
+    LABELS,
     ActualityError,
     ArticleRecord,
     Candidate,
     ForgeResult,
+    PreferencePair,
     SchemaError,
     articles_sha256,
     bucketize,
@@ -86,6 +92,61 @@ class TestLoadArticles:
     def test_actuality_range_checked(self):
         with pytest.raises(SchemaError):
             make_record(actuality_preferred=1.5).validate()
+
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+def _set_candidate(index, key, value):
+    return lambda record: record["candidates"][index].update({key: value})
+
+
+_BAD_KEYS = [
+    pytest.param(
+        lambda record: record.update(actuality_prefered=record.pop("actuality_preferred")),
+        r"malformed record: .*'actuality_prefered'",
+        id="misspelt-key",
+    ),
+    pytest.param(
+        lambda record: record.pop("ground_truth_explanation"),
+        r"malformed record: .*'ground_truth_explanation'",
+        id="missing-key",
+    ),
+    pytest.param(_set_candidate(1, "score", 0.5), r"malformed record: .*'score'", id="extra-candidate-key"),
+]
+_BAD_VALUES = [
+    pytest.param(_set("id", 5), r"id must be a string, got 5", id="int-id"),
+    pytest.param(_set("news_text", 5), r"news_text must be a string, got 5", id="int-news-text"),
+    pytest.param(_set_candidate(2, "text", 5), r"candidates\[2\]\.text must be a string, got 5", id="int-candidate-text"),
+    pytest.param(_set_candidate(0, "model_id", 5), r"candidates\[0\]\.model_id must be a string, got 5", id="int-model-id"),
+    pytest.param(_set("actuality_preferred", True), r"actuality_preferred must be a number in \[0, 1\], got True", id="bool-score"),
+    pytest.param(_set("actuality_candidates", [0.1, "0.2", 0.3]), r"actuality_candidates must be .*'0\.2'", id="string-score"),
+]
+
+
+def _record_dicts(edit):
+    """Two good corpus lines as dicts, the second then changed by ``edit``."""
+    lines = [make_record(r, actuality_preferred=0.9, actuality_candidates=[0.1, 0.5, 0.8]).to_json_dict() for r in "ab"]
+    edit(lines[1])
+    return lines
+
+
+@pytest.mark.parametrize("edit, message", _BAD_KEYS + _BAD_VALUES)
+def test_load_articles_rejects_a_bad_key_naming_file_line_and_key(tmp_path, edit, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in _record_dicts(edit)), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"^%s:2: %s" % (re.escape(str(path)), message)):
+        load_articles(path)
+
+
+@pytest.mark.parametrize("edit, message", _BAD_VALUES)
+def test_score_and_rank_checks_a_hand_built_record(edit, message):
+    data = _record_dicts(edit)[1]
+    record = ArticleRecord(**{**data, "candidates": [Candidate(**c) for c in data["candidates"]]})
+    with pytest.raises(SchemaError, match=message):
+        score_and_rank(record)
 
 
 class TestToyCorpus:
@@ -422,3 +483,50 @@ def test_load_pairs_bad_line_names_file_and_line(tmp_path, bad_line, message):
     path.write_text(json.dumps(good) + "\n" + bad_line(dict(good)) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=message):
         load_pairs(path)
+
+
+_SCORES = st.none() | st.integers(0, 1) | st.floats(0.0, 1.0)
+_ARTICLES = st.builds(
+    ArticleRecord,
+    id=st.text(min_size=1),
+    label=st.sampled_from(LABELS),
+    news_text=st.text(min_size=1),
+    ground_truth_explanation=st.text(),
+    candidates=st.lists(st.builds(Candidate, model_id=st.text(), text=st.text()), min_size=3, max_size=3),
+    actuality_preferred=_SCORES,
+    actuality_candidates=st.none() | st.lists(_SCORES.filter(lambda s: s is not None), min_size=3, max_size=3),
+)
+_FLOATS = st.floats(allow_nan=False)
+_PAIRS = st.builds(
+    PreferencePair,
+    id=st.text(),
+    article_id=st.text(),
+    candidate_index=st.integers(0, 2),
+    model_id=st.text(),
+    prompt=st.text(),
+    preferred=st.text(),
+    rejected=st.text(),
+    s_w=st.none() | _FLOATS,
+    s_l=st.none() | _FLOATS,
+    fs=_FLOATS,
+    rank=st.integers(0, 2),
+    bucket=st.none() | st.sampled_from(sorted(BUCKET_BY_RANK.values())),
+)
+
+
+@settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_ARTICLES, min_size=1, max_size=3, unique_by=lambda r: r.id))
+def test_article_dump_load_round_trip(tmp_path, records):
+    first = dump_articles(records, tmp_path / "one.jsonl")
+    loaded = load_articles(first)
+    assert loaded == records
+    assert dump_articles(loaded, tmp_path / "two.jsonl").read_bytes() == first.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(_PAIRS, max_size=3))
+def test_pair_dump_load_round_trip(tmp_path, pairs):
+    first = dump_pairs(pairs, tmp_path / "one.jsonl")
+    loaded = load_pairs(first)
+    assert loaded == pairs
+    assert dump_pairs(loaded, tmp_path / "two.jsonl").read_bytes() == first.read_bytes()

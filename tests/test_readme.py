@@ -1,13 +1,17 @@
 """Every fenced ``python`` block of README.md runs to completion against the
-current API, each on its own in an empty directory."""
+current API, each on its own in an empty directory, and the record keys
+README lists under "File formats" are the record dataclasses' fields."""
 
 import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+
+from hindpo.dataforge import ArticleRecord, Candidate, PreferencePair
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
@@ -25,3 +29,29 @@ def test_block_runs(index, tmp_path):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert list(tmp_path.iterdir()) == []
+
+
+def _format_entry(name: str) -> str:
+    """The README "File formats" bullet whose bold title is ``name``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## File formats") :]
+    return re.search(r"^- \*\*%s\*\*(.*?)(?=^- |^#)" % re.escape(name), section, re.M | re.S).group(1)
+
+
+def _quoted_keys(text: str) -> list[str]:
+    # A quoted word after ": " or "|" is a value ("fake"|"real"), not a key.
+    return re.findall(r'(?<!: )(?<!\|)"(\w+)"', text)
+
+
+def test_file_formats_list_the_article_fields_in_order():
+    articles = _format_entry("Articles")
+    candidate = re.search(r"\[\{(.*?)\}", articles).group(1)
+    assert _quoted_keys(candidate) == [f.name for f in fields(Candidate)]
+    assert _quoted_keys(articles.replace(candidate, "")) == [f.name for f in fields(ArticleRecord)]
+    optional = [f.name for f in fields(ArticleRecord) if f.default is not MISSING]
+    assert re.findall(r'"(\w+)"\?', articles) == optional
+
+
+def test_file_formats_list_the_pair_fields_in_order():
+    keys = re.search(r"\{([^}]*)\}", _format_entry("Stage / val / test files")).group(1)
+    assert [key.strip() for key in keys.split(",")] == [f.name for f in fields(PreferencePair)]

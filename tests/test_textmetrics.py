@@ -3,6 +3,8 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hindpo.textmetrics import (
     CharTrigramCosine,
@@ -359,3 +361,45 @@ class TestSelfSimilarityIsMaximal:
                 assert meteor(tokens, other_tokens) <= self_mt
                 assert rouge_n(tokens, other_tokens, 1).f1 <= self_r1
                 assert scorer.score(text, other) <= self_sem
+
+
+# Text drawn from all of Unicode, or from a mix of Latin, Devanagari
+# (with a virama and a vowel sign), punctuation and whitespace that
+# exercises the separator and case rules far more often.
+_TEXTS = st.text() | st.text(alphabet="aAbB .,!?।\t\nकखगा्ि")
+_TOKENS = st.lists(st.sampled_from("abcdef"), max_size=40)
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=500)
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(text=_TEXTS)
+    def test_tokenize_tokens_are_nonempty_unbroken_and_stable(self, text):
+        tokens = tokenize(text)
+        assert all(token and not any(ch.isspace() for ch in token) for token in tokens)
+        assert tokenize(" ".join(tokens)) == tokens
+
+    @_PROPERTY
+    @given(a=_TOKENS, b=_TOKENS)
+    def test_lcs_length_is_the_dynamic_program(self, a, b):
+        assert _lcs_length(a, b) == lcs_dp(a, b)
+
+    @_PROPERTY
+    @given(a=_TOKENS, b=_TOKENS)
+    def test_rouge_l_f1_is_symmetric_and_in_unit_interval(self, a, b):
+        f1 = rouge_l(a, b).f1
+        assert f1 == rouge_l(b, a).f1
+        assert 0.0 <= f1 <= 1.0
+
+    @_PROPERTY
+    @given(a=_TOKENS, b=_TOKENS)
+    def test_meteor_in_unit_interval(self, a, b):
+        assert 0.0 <= meteor(a, b) <= 1.0
+
+    @_PROPERTY
+    @given(cand=_TEXTS, ref=_TEXTS)
+    def test_trigram_cosine_in_unit_interval_and_one_on_identity(self, cand, ref):
+        scorer = CharTrigramCosine()
+        assert 0.0 <= scorer.score(cand, ref) <= 1.0
+        if ref:
+            assert scorer.score(ref, ref) == 1.0

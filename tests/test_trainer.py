@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from hindpo import trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, forge
-from hindpo.losses import LossConfig, LossStep, encode_examples, loss_gradient
+from hindpo.losses import LossConfig, LossStep, compute_finesse, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -123,7 +124,7 @@ def oracle_train(curriculum, policy, config):
         if config.loss.uses_finesse():
             estimates = {}
             for example in examples:
-                key = (tuple(example.prompt), tuple(example.preferred))
+                key = tuple(example.prompt)
                 if key not in estimates:
                     estimates[key] = oracles.compute_finesse(policy, example.prompt, config.loss, rng).effective
                 example.effective_variance = estimates[key]
@@ -137,6 +138,25 @@ def oracle_train(curriculum, policy, config):
         if config.refresh_reference_per_stage:
             reference = policy.snapshot()
     return policy, losses
+
+
+def test_attach_finesse_draws_one_estimate_per_prompt(monkeypatch):
+    # Two pairs share a prompt but prefer different responses: the
+    # estimate depends only on the prompt, so both get the same one.
+    pairs = separable_curriculum(n_pairs=6, seed=1).all_pairs()
+    pairs[1] = replace(pairs[1], prompt=pairs[0].prompt, preferred="a b")
+    policy = BigramPolicy.new(vocab_from_pairs(pairs))
+    examples = encode_pairs(pairs)
+    received = []
+
+    def recording(policy, prompts, config, rng):
+        received.extend(list(p) for p in prompts)
+        return compute_finesse(policy, prompts, config, rng)
+
+    monkeypatch.setattr(trainer, "compute_finesse", recording)
+    attach_finesse(examples, policy, LossConfig(mode="hin_dpo"), np.random.default_rng(0))
+    assert received == [[prompt] for prompt in dict.fromkeys(pair.prompt for pair in pairs)]
+    assert examples[1].effective_variance == examples[0].effective_variance
 
 
 class TestTrainMatchesOracleLoop:
