@@ -132,6 +132,8 @@ class ArticleRecord:
     def from_json_dict(cls, data: dict) -> "ArticleRecord":
         try:
             record = cls(**data)
+            if not (isinstance(record.candidates, list) and all(isinstance(c, dict) for c in record.candidates)):
+                raise SchemaError("malformed record: candidates must be a list of objects, got %r" % (record.candidates,))
             record.candidates = [Candidate(**c) for c in record.candidates]
         except TypeError as exc:
             raise SchemaError("malformed record: %s" % exc) from exc

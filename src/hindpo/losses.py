@@ -114,8 +114,11 @@ class FinesseEstimate:
 class LossStep:
     """One batch's loss, gradient and preference statistics.
 
-    Every field comes from the same per-pair log-ratios r_w / r_l, taken
-    against the reference before any update. ``margin`` is the mean raw
+    ``rows`` holds the sorted indices of the policy rows the batch visits
+    and ``gradient`` the (len(rows), V) block of the loss gradient on those
+    rows; every other row's gradient is zero. The other fields come from
+    the same per-pair log-ratios r_w / r_l, taken against the reference
+    before any update. ``margin`` is the mean raw
     beta * (r_w - r_l); ``weighted_margin`` is the mean sigmoid argument
     beta * S after the mode's weights, the separation the loss drives;
     ``accuracy`` is the fraction of pairs with r_w - r_l > TIE_TOLERANCE:
@@ -123,6 +126,7 @@ class LossStep:
     preferred.
     """
 
+    rows: np.ndarray
     gradient: np.ndarray
     loss: float
     margin: float
@@ -295,8 +299,9 @@ def encode_examples(
 
 
 def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
-    """Mean batch loss, its analytic gradient w.r.t. the policy logits, and
-    the batch's preference statistics, in count form.
+    """Mean batch loss, its analytic gradient w.r.t. the policy logits on
+    the rows the batch visits, and the batch's preference statistics, in
+    count form.
 
     Only the policy rows the batch visits are normalised. One
     ``np.bincount`` over the batch's transitions gives every sequence's
@@ -305,8 +310,9 @@ def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig)
     per-pair arrays. With coeff = beta * mult * (1 - sigma(u)) each
     preferred transition weighs -coeff * m_w and each rejected one
     +coeff * m_l in one ``transition_grad`` call over the visited rows,
-    written into a dense zero gradient. The finesse variance is a constant
-    computed outside this function; no gradient flows through it.
+    which gives the gradient block on those rows; every other row's
+    gradient is zero. The finesse variance is a constant computed outside
+    this function; no gradient flows through it.
     """
     n = len(batch)
     if not n:
@@ -325,10 +331,9 @@ def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig)
     with np.errstate(over="ignore"):
         coeff = config.beta * mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
     side = np.stack([-coeff * m_w, coeff * m_l], axis=1).ravel()
-    gradient = np.zeros_like(policy.logits)
-    gradient[visited] = transition_grad(probs, local, batch.cols, side[owner]) / n
     return LossStep(
-        gradient=gradient,
+        rows=visited,
+        gradient=transition_grad(probs, local, batch.cols, side[owner]) / n,
         loss=float(np.mean(hin_dpo_loss(score, config.beta))),
         margin=float(np.mean(config.beta * (r_w - r_l))),
         weighted_margin=float(np.mean(u)),

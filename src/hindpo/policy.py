@@ -9,11 +9,14 @@ reserved EOS token, which makes the per-prompt response distribution
 proper and enumerable in tests. Sampling draws from a table of row CDFs
 (``sampling_tables``, ``draw``), so a caller drawing many responses at one
 temperature builds the table once; each draw consumes the generator
-exactly as one ``rng.choice`` per token would.
+exactly as one ``rng.choice`` per token would. A checkpoint is a JSON
+object whose ``logits`` is the base64 of the table as row-major
+little-endian float64, so it reads back exactly and fast.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +28,8 @@ from .fileio import write_atomic
 BOS = "<bos>"
 EOS = "<eos>"
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+_CHECKPOINT_KEYS = {"format_version", "vocab", "logits"}
 
 
 def normalise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +106,8 @@ class Vocabulary:
             raise ValueError("vocabulary must contain the reserved %s and %s tokens" % (BOS, EOS))
         if len(tokens) < 3:
             raise ValueError("vocabulary needs at least 3 tokens, got %d" % len(tokens))
-        if any(t == "" for t in tokens):
-            raise ValueError("vocabulary must not contain empty tokens")
+        if not all(isinstance(t, str) and t for t in tokens):
+            raise ValueError("vocabulary tokens must be non-empty strings")
         self.tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
 
@@ -236,19 +240,37 @@ class BigramPolicy:
         return BigramPolicy(self.vocab, self.logits)
 
     def save(self, path: str | Path) -> Path:
-        """Write a checkpoint: format version, vocabulary, row-major logits."""
+        """Write a checkpoint: format version, vocabulary, and the logit
+        table as base64 of its row-major little-endian float64 bytes."""
         payload = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "vocab": list(self.vocab.tokens),
-            "logits": [[float(x) for x in row] for row in self.logits],
+            "logits": base64.b64encode(self.logits.astype("<f8").tobytes()).decode("ascii"),
         }
         return write_atomic(path, json.dumps(payload, ensure_ascii=False, indent=None) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramPolicy":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = payload.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError("unsupported checkpoint format version: %r" % version)
-        vocab = Vocabulary(payload["vocab"])
-        return cls(vocab, np.array(payload["logits"], dtype=np.float64))
+        """Read a checkpoint of this format, or of version 1 (the table as a
+        list of rows). A malformed one raises ``ValueError("<path>: ...")``."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
+                found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+                raise ValueError("checkpoint keys must be %s, got %s" % (sorted(_CHECKPOINT_KEYS), found))
+            version = payload["format_version"]
+            if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
+                raise ValueError("unsupported checkpoint format version: %r" % version)
+            vocab = Vocabulary(payload["vocab"])
+            if version == 1:
+                return cls(vocab, np.array(payload["logits"], dtype=np.float64))
+            try:
+                data = base64.b64decode(payload["logits"], validate=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError("logits are not a base64 string: %s" % exc) from None
+            size = len(vocab)
+            if len(data) != 8 * size * size:
+                raise ValueError("logits hold %d bytes, expected %d" % (len(data), 8 * size * size))
+            return cls(vocab, np.frombuffer(data, dtype="<f8").reshape(size, size))
+        except (TypeError, ValueError) as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None

@@ -128,15 +128,18 @@ def train(
 ) -> tuple[BigramPolicy, TrainLog]:
     """Run the staged training loop; mutates and returns the policy.
 
-    Per-step records carry the batch loss, the mean raw margin
-    beta * (r_w - r_l), the batch preference accuracy, the mean weighted
-    margin beta * S and the gradient's Frobenius norm, all measured against
-    the in-stage reference before the update is applied. A step whose loss,
-    gradient or updated logits are not finite raises before the policy
-    changes or is logged.
+    The policy gets its own copy of the logit table at entry, so the
+    caller's array is never written and a frozen snapshot trains too; each
+    step then updates only the rows its batch visits. Per-step records
+    carry the batch loss, the mean raw margin beta * (r_w - r_l), the batch
+    preference accuracy, the mean weighted margin beta * S and the
+    gradient's Frobenius norm, all measured against the in-stage reference
+    before the update is applied. A step whose loss, gradient or updated
+    logits are not finite raises before the policy changes or is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
+    policy.logits = np.array(policy.logits)
     rng = np.random.default_rng(config.seed)
     reference = policy.snapshot()
     log = TrainLog()
@@ -159,10 +162,10 @@ def train(
                 if not np.isfinite(result.gradient).all():
                     raise TrainingError("non-finite gradient " + where)
                 with np.errstate(over="ignore"):
-                    updated = policy.logits - config.learning_rate * result.gradient
+                    updated = policy.logits[result.rows] - config.learning_rate * result.gradient
                 if not np.isfinite(updated).all():
                     raise TrainingError("non-finite logits after the update " + where)
-                policy.logits = updated
+                policy.logits[result.rows] = updated
                 step += 1
                 log.records.append(
                     TrainStepRecord(
@@ -195,7 +198,9 @@ def gradcheck(
     if reference is None:
         reference = policy.snapshot()
     batch = encode_examples(examples, policy, reference)
-    analytic = loss_gradient(batch, policy, config).gradient
+    step = loss_gradient(batch, policy, config)
+    analytic = np.zeros_like(policy.logits)
+    analytic[step.rows] = step.gradient
     numeric = np.zeros_like(analytic)
     logits = policy.logits
     for i in range(logits.shape[0]):

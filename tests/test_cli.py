@@ -180,6 +180,17 @@ class TestTrainEval:
         assert "test.jsonl: sha256 differs from the manifest's" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_eval_rejects_a_truncated_checkpoint_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 0
+        base = out / "policy_base.json"
+        base.write_bytes(base.read_bytes()[:1000])
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: %s: [^\n]+\n" % re.escape(str(base)), err), err
+
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         config = write_config(tmp_path, order="section4")
         assert main(["forge", "--config", str(config), "--order", "algorithm1"]) == 0

@@ -125,6 +125,12 @@ _BAD_VALUES = [
     pytest.param(_set("actuality_candidates", [0.1, "0.2", 0.3]), r"actuality_candidates must be .*'0\.2'", id="string-score"),
 ]
 
+_BAD_CANDIDATES = [
+    pytest.param(_set("candidates", 5), r"malformed record: candidates must be a list of objects, got 5", id="int-candidates"),
+    pytest.param(_set("candidates", None), r"malformed record: candidates must be .*got None", id="null-candidates"),
+    pytest.param(_set("candidates", [5, 5, 5]), r"malformed record: candidates must be .*got \[5, 5, 5\]", id="int-candidate-items"),
+]
+
 
 def _record_dicts(edit):
     """Two good corpus lines as dicts, the second then changed by ``edit``."""
@@ -133,7 +139,7 @@ def _record_dicts(edit):
     return lines
 
 
-@pytest.mark.parametrize("edit, message", _BAD_KEYS + _BAD_VALUES)
+@pytest.mark.parametrize("edit, message", _BAD_KEYS + _BAD_VALUES + _BAD_CANDIDATES)
 def test_load_articles_rejects_a_bad_key_naming_file_line_and_key(tmp_path, edit, message):
     path = tmp_path / "c.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in _record_dicts(edit)), encoding="utf-8")

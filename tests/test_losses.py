@@ -35,6 +35,13 @@ def step_of(examples, policy, reference, config):
     return loss_gradient(encode_examples(examples, policy, reference), policy, config)
 
 
+def dense_gradient(step, policy):
+    """The step's gradient block scattered into a full V x V table."""
+    grad = np.zeros_like(policy.logits)
+    grad[step.rows] = step.gradient
+    return grad
+
+
 def make_policy(seed, std=1.0, tokens=("a", "b", "c")):
     vocab = Vocabulary.from_tokens(tokens)
     rng = np.random.default_rng(seed)
@@ -277,7 +284,7 @@ _NEUTRAL_PAIRS = st.lists(
 
 
 def _step_bytes(step):
-    return step.gradient.tobytes(), np.array(
+    return step.rows.tobytes(), step.gradient.tobytes(), np.array(
         [step.loss, step.margin, step.weighted_margin, step.accuracy]
     ).tobytes()
 
@@ -316,7 +323,7 @@ class TestLossGradient:
         )
         config = LossConfig(mode="hin_dpo", epsilon=1.0, beta=0.6)
         step = step_of([example], policy, reference, config)
-        grad, loss = step.gradient, step.loss
+        grad, loss = dense_gradient(step, policy), step.loss
         expected = -(0.6 / 2) * (
             policy.grad_sequence_log_prob(example.prompt, example.preferred)
             - policy.grad_sequence_log_prob(example.prompt, example.rejected)
@@ -330,7 +337,7 @@ class TestLossGradient:
         policy = make_policy(83)
         reference = make_policy(89).snapshot()
         examples = random_examples(np.random.default_rng(97))
-        analytic = step_of(examples, policy, reference, config).gradient
+        analytic = dense_gradient(step_of(examples, policy, reference, config), policy)
         numeric = finite_difference_gradient(
             lambda: step_of(examples, policy, reference, config).loss, policy.logits
         )
@@ -344,7 +351,7 @@ class TestLossGradient:
             reference = make_policy(seed + 1000).snapshot()
             examples = random_examples(rng, n=2)
             step = step_of(examples, policy, reference, config)
-            policy.logits -= 0.01 * step.gradient
+            policy.logits -= 0.01 * dense_gradient(step, policy)
             assert step_of(examples, policy, reference, config).loss < step.loss
 
     def test_mean_reduction_is_batch_size_invariant(self):
@@ -352,8 +359,8 @@ class TestLossGradient:
         policy = make_policy(103)
         reference = make_policy(104).snapshot()
         example = random_examples(np.random.default_rng(105), n=1)[0]
-        single = step_of([example], policy, reference, config).gradient
-        tripled = step_of([example] * 3, policy, reference, config).gradient
+        single = dense_gradient(step_of([example], policy, reference, config), policy)
+        tripled = dense_gradient(step_of([example] * 3, policy, reference, config), policy)
         assert np.allclose(single, tripled)
 
     def test_empty_batch_rejected(self):
@@ -380,7 +387,7 @@ class TestLossGradient:
         example = random_examples(np.random.default_rng(111), n=1)[0]
         for v in (0.1, 0.9):
             example.effective_variance = v
-            analytic = step_of([example], policy, reference, config).gradient
+            analytic = dense_gradient(step_of([example], policy, reference, config), policy)
             numeric = finite_difference_gradient(
                 lambda: step_of([example], policy, reference, config).loss, policy.logits
             )
@@ -502,7 +509,7 @@ class TestLossGradientMatchesOracle:
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
             weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
-            assert np.abs(step.gradient - grad).max() <= 1e-12
+            assert np.abs(dense_gradient(step, policy) - grad).max() <= 1e-12
             assert step.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
             assert step.loss == pytest.approx(
                 oracles.batch_loss(batch, policy, reference, config), rel=1e-12, abs=1e-12
@@ -527,13 +534,14 @@ class TestLossGradientMatchesOracle:
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
             weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
-            assert np.abs(step.gradient - grad).max() <= 1e-12
+            assert np.abs(dense_gradient(step, policy) - grad).max() <= 1e-12
             assert step.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
             assert step.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
             assert step.weighted_margin == pytest.approx(weighted, rel=1e-12, abs=1e-12)
             assert step.accuracy == accuracy
             # A batch taken from the stage encoding is the batch encoded alone.
             direct = step_of(batch, policy, reference, config)
+            assert np.array_equal(step.rows, direct.rows)
             assert np.array_equal(step.gradient, direct.gradient)
             assert (step.loss, step.margin, step.weighted_margin) == (
                 direct.loss, direct.margin, direct.weighted_margin

@@ -1,5 +1,8 @@
+import base64
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,7 +284,75 @@ class TestCheckpoint:
     def test_rejects_unknown_version(self, tmp_path):
         policy = BigramPolicy.new(small_vocab())
         path = policy.save(tmp_path / "ckpt.json")
-        payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        payload = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(payload)
         with pytest.raises(ValueError):
             BigramPolicy.load(path)
+
+    def test_logits_are_base64_little_endian_float64(self, tmp_path):
+        policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        payload = json.loads(policy.save(tmp_path / "ckpt.json").read_text(encoding="utf-8"))
+        assert list(payload) == ["format_version", "vocab", "logits"]
+        assert payload["format_version"] == 2
+        assert base64.b64decode(payload["logits"]) == policy.logits.astype("<f8").tobytes()
+
+    def test_reads_a_version_1_checkpoint(self, tmp_path):
+        policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "vocab": list(policy.vocab.tokens),
+            "logits": [[float(x) for x in row] for row in policy.logits],
+        }), encoding="utf-8")
+        loaded = BigramPolicy.load(path)
+        assert loaded.vocab == policy.vocab
+        assert np.array_equal(loaded.logits, policy.logits)
+
+
+def _b64(table):
+    return base64.b64encode(np.asarray(table, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _edit(key, value):
+    def edit(text):
+        payload = json.loads(text)
+        payload[key] = value
+        return json.dumps(payload)
+    return edit
+
+
+def _drop(key):
+    def edit(text):
+        payload = json.loads(text)
+        del payload[key]
+        return json.dumps(payload)
+    return edit
+
+
+_NAN_TABLE = np.zeros((4, 4))
+_NAN_TABLE[1, 2] = np.nan
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], "Unterminated string", id="truncated-json"),
+        pytest.param(lambda text: "[]", "checkpoint keys must be", id="not-an-object"),
+        pytest.param(_drop("logits"), r"checkpoint keys must be .*got \['format_version', 'vocab'\]", id="missing-key"),
+        pytest.param(_edit("step", 3), r"checkpoint keys must be .*'step'", id="extra-key"),
+        pytest.param(_edit("format_version", 3), "unsupported checkpoint format version: 3", id="unsupported-version"),
+        pytest.param(_edit("format_version", True), "unsupported checkpoint format version: True", id="bool-version"),
+        pytest.param(_edit("logits", "not base64!"), "logits are not a base64 string", id="invalid-base64"),
+        pytest.param(_edit("logits", [[0.0] * 4] * 4), "logits are not a base64 string", id="list-under-version-2"),
+        pytest.param(_edit("logits", _b64(np.zeros(15))), "logits hold 120 bytes, expected 128", id="wrong-byte-count"),
+        pytest.param(_edit("logits", _b64(_NAN_TABLE)), "logits must be finite", id="non-finite"),
+        pytest.param(_edit("vocab", ["<bos>", "a", "b"]), "reserved", id="vocab-without-eos"),
+        pytest.param(_edit("vocab", ["<bos>", "<eos>", "a", 5]), "non-empty strings", id="vocab-non-string"),
+        pytest.param(_edit("vocab", ["<bos>", "<eos>", "a", "a"]), "unique", id="vocab-duplicate"),
+    ],
+)
+def test_load_rejects_a_bad_checkpoint_naming_the_file(tmp_path, edit, message):
+    path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s: .*(%s)" % (re.escape(str(path)), message)):
+        BigramPolicy.load(path)

@@ -178,6 +178,52 @@ class TestTrainMatchesOracleLoop:
         assert max(abs(r.loss - loss) for r, loss in zip(log.records, losses)) <= 1e-10
 
 
+def dense_train(curriculum, policy, config):
+    """``train``'s steps, each applied to the whole table as
+    logits - lr * dense with the step's gradient block scattered into a
+    dense zero gradient."""
+    rng = np.random.default_rng(config.seed)
+    reference = policy.snapshot()
+    for _, pairs in curriculum.stages:
+        examples = encode_pairs(pairs)
+        if config.loss.uses_finesse():
+            attach_finesse(examples, policy, config.loss, rng)
+        encoded = encode_examples(examples, policy, reference)
+        for _ in range(config.epochs_per_stage):
+            order = rng.permutation(len(encoded))
+            for start in range(0, len(order), config.batch_size):
+                step = loss_gradient(encoded.take(order[start : start + config.batch_size]), policy, config.loss)
+                dense = np.zeros_like(policy.logits)
+                dense[step.rows] = step.gradient
+                policy.logits = policy.logits - config.learning_rate * dense
+        if config.refresh_reference_per_stage:
+            reference = policy.snapshot()
+    return policy
+
+
+class TestVisitedRowUpdate:
+    @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
+    def test_logits_equal_the_dense_update(self, mode):
+        curriculum = two_stage_curriculum()
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+        config = toy_train_config(mode, batch_size=3, epochs_per_stage=3)
+        expected = dense_train(curriculum, policy.copy(), config)
+        trained, _ = train(curriculum, policy, config)
+        assert np.array_equal(trained.logits, expected.logits)
+
+    def test_callers_array_unwritten_and_a_snapshot_trains(self):
+        curriculum, policy = separable_setup()
+        original = policy.logits
+        before = original.copy()
+        frozen = policy.snapshot()
+        trained, _ = train(curriculum, policy, toy_train_config())
+        assert trained is policy
+        assert np.array_equal(original, before)
+        trained_frozen, _ = train(curriculum, frozen, toy_train_config())
+        assert not np.array_equal(trained_frozen.logits, before)
+        assert np.array_equal(trained_frozen.logits, trained.logits)
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         results = []
@@ -258,7 +304,7 @@ class TestStages:
         curriculum, policy = separable_setup()
 
         def exploding(batch, pol, cfg):
-            return LossStep(np.zeros_like(pol.logits), float("nan"), 0.0, 0.0, 0.0)
+            return LossStep(np.arange(len(pol.logits)), np.zeros_like(pol.logits), float("nan"), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr("hindpo.trainer.loss_gradient", exploding)
         with pytest.raises(TrainingError, match="non-finite"):
@@ -269,7 +315,7 @@ class TestStages:
         before = policy.logits.copy()
 
         def nan_gradient(batch, pol, cfg):
-            return LossStep(np.full_like(pol.logits, np.nan), 0.5, 0.0, 0.0, 0.0)
+            return LossStep(np.arange(len(pol.logits)), np.full_like(pol.logits, np.nan), 0.5, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr("hindpo.trainer.loss_gradient", nan_gradient)
         with pytest.raises(TrainingError, match="non-finite gradient at stage 'B_H' epoch 1 step 1"):
