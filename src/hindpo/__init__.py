@@ -11,9 +11,10 @@ Library tour:
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_examples`` (pairs as transition indices, scored
-  under the frozen reference once) and ``loss_gradient``: one pass per
-  batch of that encoding giving the loss, its gradient, the raw and
-  weighted margins and the accuracy
+  under the frozen reference once), ``EncodedPairs.plan`` (an epoch's
+  batches, planned at once) and ``loss_gradient``: one pass per batch
+  giving the loss, its gradient, the raw and weighted margins and the
+  accuracy
 - :mod:`hindpo.trainer` staged training loop, gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
@@ -38,12 +39,14 @@ from .dataforge import (
 )
 from .evalharness import MetricReport, evaluate, generate, parse_table, report_table
 from .losses import (
+    Batch,
     EncodedPairs,
     FinesseEstimate,
     LogRatios,
     LossConfig,
     LossExample,
     LossStep,
+    PairWeights,
     compute_finesse,
     encode_examples,
     hin_dpo_loss,

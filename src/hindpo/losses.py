@@ -21,10 +21,18 @@ per-pair arrays in, per-pair arrays out), so one formula serves a single
 pair and a whole batch. ``loss_gradient`` works in count form: a bigram
 sequence's log-probability and its gradient are linear in the sequence's
 transition counts, so a batch needs one pass over all its transitions and
-no per-pair loop. What stays fixed while the policy trains is computed
-once: ``encode_examples`` turns pairs into transition indices and scores
-them under the frozen reference, and ``loss_gradient`` steps on batches of
-that encoding, normalising only the policy rows a batch visits.
+no per-pair loop. Only what depends on the policy is computed per step;
+the rest is planned ahead, at three levels:
+
+- per stage, ``encode_examples`` turns the pairs into transition indices
+  and scores them under the frozen reference, and
+  ``EncodedPairs.weights`` computes each pair's mode weights;
+- per epoch, ``EncodedPairs.plan`` cuts the permuted pairs into
+  ``Batch``es: one gather of their transitions, and one ``np.unique``
+  over the key batch * V + row for every batch's visited rows;
+- per step, ``loss_gradient`` normalises the visited rows and computes
+  the loss, its gradient on those rows and the batch statistics.
+
 ``compute_finesse`` draws all its samples from one temperature table.
 """
 
@@ -236,9 +244,58 @@ def compute_finesse(
 
 
 @dataclass(frozen=True, eq=False)
+class PairWeights:
+    """Pairs' loss weights under one config, one entry per pair.
+
+    ``m_w`` / ``m_l`` are the mode's preferred / rejected weights, ``mult``
+    the finesse multiplier and ``beta_mult`` beta * mult; ``sides`` is the
+    (n, 2) table (-m_w, +m_l), each response's signed weight in the
+    gradient before the pair's coefficient. None of it depends on the
+    policy.
+    """
+
+    config: LossConfig
+    m_w: np.ndarray
+    m_l: np.ndarray
+    mult: np.ndarray
+    beta_mult: np.ndarray
+    sides: np.ndarray
+
+    def take(self, pairs: np.ndarray | slice) -> "PairWeights":
+        """The weights of the pairs at ``pairs`` (an index array or a slice)."""
+        return PairWeights(
+            self.config, self.m_w[pairs], self.m_l[pairs], self.mult[pairs], self.beta_mult[pairs], self.sides[pairs]
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """One train step's pairs, planned before the step: everything the step
+    needs that does not depend on the policy.
+
+    ``rows`` holds the sorted policy rows the batch visits. Per transition,
+    ``local`` is its row as an index into ``rows``, ``cols`` its next token
+    and ``owner`` its sequence: 2i for pair i's preferred response, 2i + 1
+    for its rejected one. ``reference`` is the pairs' (m, 2) reference
+    log-probabilities and ``weights`` their loss weights.
+    """
+
+    vocab: Vocabulary
+    rows: np.ndarray
+    local: np.ndarray
+    cols: np.ndarray
+    owner: np.ndarray
+    reference: np.ndarray
+    weights: PairWeights
+
+    def __len__(self) -> int:
+        return len(self.reference)
+
+
+@dataclass(frozen=True, eq=False)
 class EncodedPairs:
     """Preference pairs as transition index arrays, scored against a
-    frozen reference once; ``loss_gradient`` steps on any batch of them.
+    frozen reference once; ``plan`` cuts them into the batches of an epoch.
 
     Sequence 2i is pair i's preferred response and 2i + 1 its rejected
     one. ``rows``/``cols`` hold every transition of every sequence, in
@@ -257,19 +314,52 @@ class EncodedPairs:
     def __len__(self) -> int:
         return len(self.reference)
 
-    def take(self, pairs: Sequence[int] | np.ndarray) -> "EncodedPairs":
-        """The pairs at the given positions, in that order (repeats allowed)."""
-        pairs = np.asarray(pairs, dtype=np.intp)
-        seqs = (2 * pairs[:, None] + np.arange(2)).ravel()
+    def weights(self, config: LossConfig) -> PairWeights:
+        """Every pair's loss weights under ``config``, in encoding order."""
+        s_w, s_l, v = self.factors.T
+        m_w, m_l, mult = (np.broadcast_to(w, len(self)) for w in _weights(s_w, s_l, v, config))
+        return PairWeights(config, m_w, m_l, mult, config.beta * mult, np.stack([-m_w, m_l], axis=1))
+
+    def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, weights: PairWeights) -> list[Batch]:
+        """The batches of one epoch: the pairs at the positions ``order``
+        (repeats allowed), cut every ``batch_size`` pairs, the last batch
+        holding the rest.
+
+        One gather takes every transition of the epoch in batch order, and
+        one ``np.unique`` over the key batch * V + row gives every batch's
+        sorted visited rows and each transition's index into them; the
+        reference scores and the ``weights`` are gathered once and sliced.
+        """
+        order = np.asarray(order, dtype=np.intp)
+        n = len(order)
+        if not n or batch_size < 1:
+            raise ValueError("an epoch must be non-empty and batch_size >= 1, got %d pairs and %d" % (n, batch_size))
+        seqs = (2 * order[:, None] + np.arange(2)).ravel()
         lengths = self.lengths[seqs]
         starts = (np.cumsum(self.lengths) - self.lengths)[seqs]  # where each sequence begins here
-        offsets = np.cumsum(lengths) - lengths  # where it begins in the batch
-        # Batch transition t of sequence k is transition starts[k] + t - offsets[k] here.
-        picked = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-        return EncodedPairs(
-            self.vocab, self.rows[picked], self.cols[picked], lengths,
-            self.reference[pairs], self.factors[pairs],
-        )
+        ends = np.cumsum(lengths)  # where it ends in the epoch
+        # Epoch transition t of sequence k is transition starts[k] + t - (ends[k] - lengths[k]) here.
+        picked = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        batch_of, owner = np.divmod(np.repeat(np.arange(2 * n), lengths), 2 * batch_size)
+        vocab_size = len(self.vocab)
+        keys, inverse = np.unique(batch_of * vocab_size + self.rows[picked], return_inverse=True)
+        batch_ids = np.arange(-(-n // batch_size) + 1)
+        key_bounds = np.searchsorted(keys, batch_ids * vocab_size)  # batch b's keys lie in [b * V, (b + 1) * V)
+        local = inverse - key_bounds[batch_of]
+        rows, cols = keys % vocab_size, self.cols[picked]
+        step_bounds, key_bounds = np.searchsorted(batch_of, batch_ids).tolist(), key_bounds.tolist()
+        reference, weights = self.reference[order], weights.take(order)
+        batches = []
+        for b, start in enumerate(range(0, n, batch_size)):
+            visited, steps = slice(*key_bounds[b : b + 2]), slice(*step_bounds[b : b + 2])
+            pairs = slice(start, start + batch_size)
+            batches.append(
+                Batch(
+                    self.vocab, rows[visited], local[steps], cols[steps], owner[steps], reference[pairs],
+                    weights.take(pairs),
+                )
+            )
+        return batches
 
 
 def encode_examples(
@@ -298,44 +388,47 @@ def encode_examples(
     return EncodedPairs(policy.vocab, rows, cols, lengths, sequence_log_probs.reshape(-1, 2), factors)
 
 
-def loss_gradient(batch: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
+def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
     """Mean batch loss, its analytic gradient w.r.t. the policy logits on
     the rows the batch visits, and the batch's preference statistics, in
     count form.
 
-    Only the policy rows the batch visits are normalised. One
-    ``np.bincount`` over the batch's transitions gives every sequence's
-    policy log-probability, hence all r_w / r_l against the encoded
-    reference scores; weights, u = beta * S, losses and statistics are
-    per-pair arrays. With coeff = beta * mult * (1 - sigma(u)) each
-    preferred transition weighs -coeff * m_w and each rejected one
-    +coeff * m_l in one ``transition_grad`` call over the visited rows,
-    which gives the gradient block on those rows; every other row's
-    gradient is zero. The finesse variance is a constant computed outside
-    this function; no gradient flows through it.
+    ``batch`` is a planned ``Batch``, or a whole ``EncodedPairs``, which
+    is planned here as one batch in encoding order. Only the policy rows
+    the batch visits are normalised. One ``np.bincount`` over the batch's
+    transitions gives every sequence's policy log-probability, hence all
+    r_w / r_l against the encoded reference scores; u = beta * S, the
+    losses and the statistics are per-pair arrays, each mean taken as
+    ``np.add.reduce(x) / m``, which is how ``np.mean`` sums. With
+    coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
+    -coeff * m_w and each rejected one +coeff * m_l in one
+    ``transition_grad`` call over the visited rows, which gives the
+    gradient block on those rows; every other row's gradient is zero. The
+    finesse variance is a constant computed outside this function; no
+    gradient flows through it.
     """
-    n = len(batch)
-    if not n:
-        raise ValueError("batch must be non-empty")
+    if isinstance(batch, EncodedPairs):
+        batch = batch.plan(np.arange(len(batch)), len(batch), batch.weights(config))[0]
     if batch.vocab != policy.vocab:
         raise ValueError("batch was encoded for another vocabulary")
-    owner = np.repeat(np.arange(2 * n), batch.lengths)
-    visited, local = np.unique(batch.rows, return_inverse=True)
-    log_probs, probs = normalise(policy.logits[visited])
-    sequence_log_probs = np.bincount(owner, log_probs[local, batch.cols], minlength=2 * n)
+    weights = batch.weights
+    if weights.config is not config and weights.config != config:
+        raise ValueError("batch was planned for another loss config")
+    m = len(batch.reference)
+    log_probs, probs = normalise(policy.logits[batch.rows])
+    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * m)
     r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
-    s_w, s_l, v = batch.factors.T
-    m_w, m_l, mult = _weights(s_w, s_l, v, config)
-    score = _weighted_score(r_w, r_l, m_w, m_l, mult)
+    score = _weighted_score(r_w, r_l, weights.m_w, weights.m_l, weights.mult)
     u = config.beta * score
     with np.errstate(over="ignore"):
-        coeff = config.beta * mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-    side = np.stack([-coeff * m_w, coeff * m_l], axis=1).ravel()
+        coeff = weights.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+    side = (coeff[:, None] * weights.sides).ravel()
+    diff = r_w - r_l
     return LossStep(
-        rows=visited,
-        gradient=transition_grad(probs, local, batch.cols, side[owner]) / n,
-        loss=float(np.mean(hin_dpo_loss(score, config.beta))),
-        margin=float(np.mean(config.beta * (r_w - r_l))),
-        weighted_margin=float(np.mean(u)),
-        accuracy=float(np.mean(r_w - r_l > TIE_TOLERANCE)),
+        rows=batch.rows,
+        gradient=transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m,
+        loss=float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m),
+        margin=float(np.add.reduce(config.beta * diff) / m),
+        weighted_margin=float(np.add.reduce(u) / m),
+        accuracy=np.count_nonzero(diff > TIE_TOLERANCE) / m,
     )

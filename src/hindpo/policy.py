@@ -39,9 +39,9 @@ def normalise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row by row, so a row's values do not depend on which other rows are
     normalised with it.
     """
-    log_probs = x - np.max(x, axis=-1, keepdims=True)
+    log_probs = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     probs = np.exp(log_probs)
-    total = np.sum(probs, axis=-1, keepdims=True)
+    total = np.add.reduce(probs, axis=-1, keepdims=True)
     log_probs -= np.log(total)
     probs /= total
     return log_probs, probs

@@ -2,17 +2,20 @@
 
 Stages run in dataset order. At the start of each stage the finesse
 variance is computed once per unique prompt (finesse modes only, from one
-temperature table), and the stage's pairs are encoded into transition
-indices and scored under the frozen reference once; within a stage the
-policy takes plain gradient-descent steps on shuffled batches of that
-encoding; at the end of a stage the frozen reference is optionally
-refreshed to the current policy. Everything is driven by one seeded
-generator, so identical inputs give identical logs and parameters.
+temperature table), the stage's pairs are encoded into transition indices
+and scored under the frozen reference, and each pair's mode weights are
+computed. Each epoch draws a permutation of the stage's pairs and plans
+all its batches in one call; each step then takes one plain
+gradient-descent step on its batch, on the policy rows the batch visits.
+At the end of a stage the frozen reference is optionally refreshed to the
+current policy. Everything is driven by one seeded generator, so
+identical inputs give identical logs and parameters.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -151,26 +154,26 @@ def train(
         if config.loss.uses_finesse():
             attach_finesse(examples, policy, config.loss, rng)
         encoded = encode_examples(examples, policy, reference)
+        weights = encoded.weights(config.loss)
         for epoch in range(1, config.epochs_per_stage + 1):
-            order = rng.permutation(len(encoded))
-            for start in range(0, len(order), config.batch_size):
-                batch = encoded.take(order[start : start + config.batch_size])
+            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, weights):
                 result = loss_gradient(batch, policy, config.loss)
-                where = "at stage %r epoch %d step %d" % (stage_name, epoch, step + 1)
-                if not np.isfinite(result.loss):
+                step += 1
+                where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
+                if not math.isfinite(result.loss):
                     raise TrainingError("non-finite loss " + where)
-                if not np.isfinite(result.gradient).all():
+                gradient = result.gradient.ravel()
+                if not np.isfinite(gradient).all():
                     raise TrainingError("non-finite gradient " + where)
                 with np.errstate(over="ignore"):
                     updated = policy.logits[result.rows] - config.learning_rate * result.gradient
                 if not np.isfinite(updated).all():
                     raise TrainingError("non-finite logits after the update " + where)
                 policy.logits[result.rows] = updated
-                step += 1
                 log.records.append(
                     TrainStepRecord(
                         stage_name, epoch, step, result.loss, result.margin, result.accuracy,
-                        result.weighted_margin, float(np.linalg.norm(result.gradient)),
+                        result.weighted_margin, math.sqrt(gradient.dot(gradient)),
                     )
                 )
         if config.refresh_reference_per_stage:
@@ -187,17 +190,21 @@ def gradcheck(
 ) -> float:
     """Compare the analytic gradient with central finite differences.
 
-    The batch is encoded once and every logit is perturbed by +/- h. The
-    returned error is the largest entrywise deviation, scaled by the
-    largest gradient magnitude (which keeps untouched, exactly-zero entries
-    from dominating the ratio).
+    The batch is encoded and planned once, and every logit of a copy of
+    the policy is perturbed by +/- h, so the caller's policy is never
+    written and a frozen snapshot is checked too. The returned error is the
+    largest entrywise deviation, scaled by the largest gradient magnitude
+    (which keeps untouched, exactly-zero entries from dominating the
+    ratio).
     """
     examples = list(examples)
     if not examples:
         raise ValueError("gradcheck needs a non-empty batch")
     if reference is None:
         reference = policy.snapshot()
-    batch = encode_examples(examples, policy, reference)
+    policy = policy.copy()
+    encoded = encode_examples(examples, policy, reference)
+    [batch] = encoded.plan(np.arange(len(encoded)), len(encoded), encoded.weights(config))
     step = loss_gradient(batch, policy, config)
     analytic = np.zeros_like(policy.logits)
     analytic[step.rows] = step.gradient

@@ -293,3 +293,93 @@ def compute_finesse(policy, prompt, config, rng):
     variance = stats.variance
     effective = min(variance / VARIANCE_NORMALIZER, 1.0) if config.normalize_variance else variance
     return FinesseEstimate(variance=variance, effective=effective)
+
+
+# The per-step train path before batches were planned once per epoch: each
+# step gathers its pairs from the stage encoding, finds its visited rows
+# with its own np.unique, recomputes the mode weights and takes its
+# statistics with np.mean and its gradient norm with np.linalg.norm.
+
+
+def take(encoded, pairs):
+    """The pairs of an ``EncodedPairs`` at the given positions, in that
+    order (repeats allowed), as another ``EncodedPairs``."""
+    from hindpo.losses import EncodedPairs
+
+    pairs = np.asarray(pairs, dtype=np.intp)
+    seqs = (2 * pairs[:, None] + np.arange(2)).ravel()
+    lengths = encoded.lengths[seqs]
+    starts = (np.cumsum(encoded.lengths) - encoded.lengths)[seqs]
+    offsets = np.cumsum(lengths) - lengths
+    picked = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    return EncodedPairs(
+        encoded.vocab, encoded.rows[picked], encoded.cols[picked], lengths,
+        encoded.reference[pairs], encoded.factors[pairs],
+    )
+
+
+def per_step_loss_gradient(batch, policy, config):
+    """The ``LossStep`` of an ``EncodedPairs`` batch, everything computed in
+    the step."""
+    from hindpo.losses import LossStep, hin_dpo_loss
+    from hindpo.policy import normalise, transition_grad
+
+    n = len(batch)
+    owner = np.repeat(np.arange(2 * n), batch.lengths)
+    visited, local = np.unique(batch.rows, return_inverse=True)
+    log_probs, probs = normalise(policy.logits[visited])
+    sequence_log_probs = np.bincount(owner, log_probs[local, batch.cols], minlength=2 * n)
+    r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
+    s_w, s_l, v = batch.factors.T
+    if config.mode in ("dpo_act", "hin_dpo"):
+        m_w = 1.0 + s_w
+        m_l = np.maximum(0.01, s_l)
+    else:
+        m_w, m_l = 1.0, 1.0
+    mult = np.minimum(1.0 / (v + config.epsilon), config.scale_cap) if config.mode in ("dpo_fin", "hin_dpo") else 1.0
+    score = (m_w * r_w - m_l * r_l) * mult
+    u = config.beta * score
+    with np.errstate(over="ignore"):
+        coeff = config.beta * mult / (1.0 + np.exp(u))
+    side = np.stack([-coeff * m_w, coeff * m_l], axis=1).ravel()
+    return LossStep(
+        rows=visited,
+        gradient=transition_grad(probs, local, batch.cols, side[owner]) / n,
+        loss=float(np.mean(hin_dpo_loss(score, config.beta))),
+        margin=float(np.mean(config.beta * (r_w - r_l))),
+        weighted_margin=float(np.mean(u)),
+        accuracy=float(np.mean(r_w - r_l > TIE_TOLERANCE)),
+    )
+
+
+def per_step_train(curriculum, policy, config):
+    """``trainer.train`` with every batch taken and stepped on its own:
+    (policy, TrainLog)."""
+    from hindpo.losses import encode_examples
+    from hindpo.trainer import TrainLog, TrainStepRecord, attach_finesse, encode_pairs
+
+    policy.logits = np.array(policy.logits)
+    rng = np.random.default_rng(config.seed)
+    reference = policy.snapshot()
+    log = TrainLog()
+    step = 0
+    for stage_name, pairs in curriculum.stages:
+        examples = encode_pairs(pairs)
+        if config.loss.uses_finesse():
+            attach_finesse(examples, policy, config.loss, rng)
+        encoded = encode_examples(examples, policy, reference)
+        for epoch in range(1, config.epochs_per_stage + 1):
+            order = rng.permutation(len(encoded))
+            for start in range(0, len(order), config.batch_size):
+                result = per_step_loss_gradient(take(encoded, order[start : start + config.batch_size]), policy, config.loss)
+                policy.logits[result.rows] = policy.logits[result.rows] - config.learning_rate * result.gradient
+                step += 1
+                log.records.append(
+                    TrainStepRecord(
+                        stage_name, epoch, step, result.loss, result.margin, result.accuracy,
+                        result.weighted_margin, float(np.linalg.norm(result.gradient)),
+                    )
+                )
+        if config.refresh_reference_per_stage:
+            reference = policy.snapshot()
+    return policy, log

@@ -324,6 +324,20 @@ class TestGradcheck:
         assert code == 1
 
 
+SEED_7_TRAINING_SHA256 = {
+    "policy_base.json": "372e16713e055080540ebaa5b233dc16d4657d67a0aca40eb2d2c1424f25d41c",
+    "policy_dpo.json": "a370ebede26d3f49c46caefd17f0b9846cbbfb6531ce5bce97d38fdb61e44861",
+    "policy_dpo_act.json": "f03fff9a776e45647ddf88c6e0d9d922452764c12078f1f235e28b487d3535e7",
+    "policy_dpo_fin.json": "df15e06ffd09bed487a85dd042f54e2df77c2795cf46bd3a6e260acf731f3188",
+    "policy_hin_dpo.json": "b9254ea89b7139ba9d3231333694487bc566e381af3f0230a178e1c394ecddc8",
+    "report.json": "bf922d4a9ff44a66ff7a7a6fad35193fa85db0ba55e949341d1f58cd7f59e4f3",
+    "trainlog_dpo.jsonl": "5514856061adb624e64a7fb8e738bf03fc6f846745d4a3ab72465e7f4cd7b462",
+    "trainlog_dpo_act.jsonl": "75655bdd511373fa562ba13db64f978285461abe49bdd506972e90d3c96e6163",
+    "trainlog_dpo_fin.jsonl": "2018897c38ad1ef988b92a11e73ac00233ce669f66eb7d08f58d6a5a5e352066",
+    "trainlog_hin_dpo.jsonl": "0f819ef794eff25dc31224ca0a2eebb5db1996882434442c503f88fecd3dc361",
+}
+
+
 class TestDemo:
     def test_demo_produces_full_artifact_set(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -350,6 +364,18 @@ class TestDemo:
             assert main(["demo", "--config", str(config), "--seed", "7"]) == 0
         policy = "out/policy_dpo.json"
         assert (tmp_path / "default" / policy).read_bytes() != (tmp_path / "slow" / policy).read_bytes()
+
+    def test_seed_7_training_bytes_are_pinned(self, tmp_path):
+        # Every checkpoint, every trainlog and the eval report of the
+        # default demo: a change to the train step that moves one bit of
+        # one logit or logged value fails here.
+        out = tmp_path / "out"
+        assert main(["demo", "--out", str(out), "--seed", "7"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(SEED_7_TRAINING_SHA256)
+        }
+        assert digests == SEED_7_TRAINING_SHA256
 
     def test_demo_idempotent(self, tmp_path):
         config = write_config(tmp_path)

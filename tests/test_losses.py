@@ -369,7 +369,9 @@ class TestLossGradient:
             step_of([], policy, policy.snapshot(), LossConfig())
         encoded = encode_examples(random_examples(np.random.default_rng(107), n=1), policy, policy.snapshot())
         with pytest.raises(ValueError, match="non-empty"):
-            loss_gradient(encoded.take([]), policy, LossConfig())
+            encoded.plan([], 2, encoded.weights(LossConfig()))
+        with pytest.raises(ValueError, match="batch_size >= 1"):
+            encoded.plan([0], 0, encoded.weights(LossConfig()))
 
     def test_reference_vocabulary_must_match(self):
         policy = make_policy(108)
@@ -377,6 +379,14 @@ class TestLossGradient:
         example = LossExample(prompt=["a"], preferred=["b", EOS], rejected=["a", EOS])
         with pytest.raises(ValueError, match="vocabularies differ"):
             encode_examples([example], policy, other.snapshot())
+
+    def test_batch_steps_only_under_the_config_it_was_planned_for(self):
+        policy = make_policy(109)
+        encoded = encode_examples(random_examples(np.random.default_rng(109)), policy, make_policy(110).snapshot())
+        [batch] = encoded.plan([2, 0, 1], 3, encoded.weights(LossConfig(mode="dpo")))
+        with pytest.raises(ValueError, match="another loss config"):
+            loss_gradient(batch, policy, LossConfig(mode="hin_dpo"))
+        assert loss_gradient(batch, policy, LossConfig(mode="dpo")).loss > 0.0
 
     def test_finesse_constant_no_gradient_through_v(self):
         # Two different variances change the loss but both gradients still
@@ -521,16 +531,18 @@ class TestLossGradientMatchesOracle:
     @pytest.mark.parametrize("mode", MODES)
     def test_batches_of_one_encoding_match_oracle(self, mode):
         # Every oracle pair in one encoding, as train builds once per stage;
-        # the batches taken from it repeat pairs and reorder them.
+        # the batches planned from it repeat pairs and reorder them.
         config = LossConfig(mode=mode)
         policy, reference, batches = oracle_setup()
         examples = [example for batch in batches for example in batch]
         encoded = encode_examples(examples, policy, reference)
+        weights = encoded.weights(config)
         last = len(examples) - 1
         for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
             batch = [examples[i] for i in picks]
-            step = loss_gradient(encoded.take(picks), policy, config)
-            assert len(encoded.take(picks)) == len(picks)
+            [planned] = encoded.plan(picks, len(picks), weights)
+            step = loss_gradient(planned, policy, config)
+            assert len(planned) == len(picks)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
             weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)
@@ -539,7 +551,7 @@ class TestLossGradientMatchesOracle:
             assert step.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
             assert step.weighted_margin == pytest.approx(weighted, rel=1e-12, abs=1e-12)
             assert step.accuracy == accuracy
-            # A batch taken from the stage encoding is the batch encoded alone.
+            # A batch planned from the stage encoding is the batch encoded alone.
             direct = step_of(batch, policy, reference, config)
             assert np.array_equal(step.rows, direct.rows)
             assert np.array_equal(step.gradient, direct.gradient)

@@ -7,7 +7,7 @@ import oracles
 from hindpo import trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, forge
-from hindpo.losses import LossConfig, LossStep, compute_finesse, encode_examples, loss_gradient
+from hindpo.losses import EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -189,10 +189,10 @@ def dense_train(curriculum, policy, config):
         if config.loss.uses_finesse():
             attach_finesse(examples, policy, config.loss, rng)
         encoded = encode_examples(examples, policy, reference)
+        weights = encoded.weights(config.loss)
         for _ in range(config.epochs_per_stage):
-            order = rng.permutation(len(encoded))
-            for start in range(0, len(order), config.batch_size):
-                step = loss_gradient(encoded.take(order[start : start + config.batch_size]), policy, config.loss)
+            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, weights):
+                step = loss_gradient(batch, policy, config.loss)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
                 policy.logits = policy.logits - config.learning_rate * dense
@@ -222,6 +222,98 @@ class TestVisitedRowUpdate:
         trained_frozen, _ = train(curriculum, frozen, toy_train_config())
         assert not np.array_equal(trained_frozen.logits, before)
         assert np.array_equal(trained_frozen.logits, trained.logits)
+
+
+@pytest.fixture(scope="module")
+def toy_stages():
+    """Two 13-pair stages of the forged toy corpus: every batch size below
+    but 17 leaves a short last batch, and 17 exceeds a stage."""
+    curriculum = forge(toy_corpus(), seed=7).curriculum
+    stages = [(name, pairs[:13]) for name, pairs in curriculum.stages[:2]]
+    return CurriculumDataset(stages=stages, order=curriculum.order)
+
+
+def record_bits(record):
+    """A record with every float as its exact hex form, so -0.0 differs from 0.0."""
+    values = (record.loss, record.margin, record.accuracy, record.weighted_margin, record.grad_norm)
+    return (record.stage, record.epoch, record.step, *map(float.hex, values))
+
+
+class TestPlannedStepMatchesPerStepOracle:
+    @pytest.mark.parametrize("refresh", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 8, 9, 17])
+    @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
+    def test_logits_and_records_bit_equal(self, toy_stages, mode, batch_size, refresh):
+        # The per-step oracle takes its statistics with np.mean and its
+        # gradient norm with np.linalg.norm; batches of 9 and 13 pairs sum
+        # past numpy's 8-element unrolled block.
+        policy = BigramPolicy.new(vocab_from_pairs(toy_stages.all_pairs()), seed=4, noise_std=0.3)
+        config = toy_train_config(
+            mode, batch_size=batch_size, epochs_per_stage=2, seed=11, refresh_reference_per_stage=refresh
+        )
+        expected, expected_log = oracles.per_step_train(toy_stages, policy.copy(), config)
+        trained, log = train(toy_stages, policy, config)
+        assert trained.logits.tobytes() == expected.logits.tobytes()
+        assert [asdict(r) for r in log.records] == [asdict(r) for r in expected_log.records]
+        assert list(map(record_bits, log.records)) == list(map(record_bits, expected_log.records))
+
+
+def test_one_plan_per_epoch_and_one_step_call_per_step(monkeypatch):
+    calls = {"plan": 0, "loss_gradient": 0}
+    plan, step = EncodedPairs.plan, trainer.loss_gradient
+
+    def counting_plan(*args, **kwargs):
+        calls["plan"] += 1
+        return plan(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        calls["loss_gradient"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(EncodedPairs, "plan", counting_plan)
+    monkeypatch.setattr(trainer, "loss_gradient", counting_step)
+    curriculum = two_stage_curriculum()
+    config = toy_train_config("hin_dpo", batch_size=3, epochs_per_stage=4)
+    _, log = train(curriculum, BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs())), config)
+    assert calls == {"plan": 2 * 4, "loss_gradient": len(log.records)}
+    assert len(log.records) == 2 * 4 * 4  # ten pairs a stage: batches of 3, 3, 3 and 1
+
+
+class TestRaiseBeforeUpdate:
+    """A real planned step whose third result is made non-finite: train
+    raises naming the step, before the policy takes it or it is logged."""
+
+    @pytest.mark.parametrize(
+        "field, value, learning_rate, message",
+        [
+            ("loss", lambda step: float("nan"), 0.5, "non-finite loss"),
+            ("gradient", lambda step: np.full_like(step.gradient, np.nan), 0.5, "non-finite gradient"),
+            ("gradient", lambda step: np.full_like(step.gradient, 1e308), 4.0, "non-finite logits after the update"),
+        ],
+        ids=["loss", "gradient", "logits"],
+    )
+    def test_third_step_raises_unapplied_and_unlogged(self, monkeypatch, field, value, learning_rate, message):
+        curriculum, policy = separable_setup()
+        seen = []
+        logged = []
+        real, real_record = trainer.loss_gradient, trainer.TrainStepRecord
+
+        def corrupt_third(batch, pol, cfg):
+            seen.append(pol.logits.copy())
+            result = real(batch, pol, cfg)
+            return replace(result, **{field: value(result)}) if len(seen) == 3 else result
+
+        def record(*args):
+            logged.append(args)
+            return real_record(*args)
+
+        monkeypatch.setattr(trainer, "loss_gradient", corrupt_third)
+        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        with pytest.raises(TrainingError, match="^%s at stage 'B_H' epoch 1 step 3$" % message):
+            train(curriculum, policy, toy_train_config(learning_rate=learning_rate))
+        assert len(seen) == 3 and len(logged) == 2
+        assert np.array_equal(policy.logits, seen[2])
+        assert not np.array_equal(seen[2], seen[1])
 
 
 class TestDeterminism:
@@ -299,28 +391,6 @@ class TestStages:
         vocab = vocab_from_pairs(separable_curriculum(n_pairs=2).all_pairs())
         with pytest.raises(TrainingError):
             train(CurriculumDataset(stages=[], order="algorithm1"), BigramPolicy.new(vocab), toy_train_config())
-
-    def test_non_finite_loss_aborts_with_diagnostic(self, monkeypatch):
-        curriculum, policy = separable_setup()
-
-        def exploding(batch, pol, cfg):
-            return LossStep(np.arange(len(pol.logits)), np.zeros_like(pol.logits), float("nan"), 0.0, 0.0, 0.0)
-
-        monkeypatch.setattr("hindpo.trainer.loss_gradient", exploding)
-        with pytest.raises(TrainingError, match="non-finite"):
-            train(curriculum, policy, toy_train_config())
-
-    def test_non_finite_gradient_aborts_before_update(self, monkeypatch):
-        curriculum, policy = separable_setup()
-        before = policy.logits.copy()
-
-        def nan_gradient(batch, pol, cfg):
-            return LossStep(np.arange(len(pol.logits)), np.full_like(pol.logits, np.nan), 0.5, 0.0, 0.0, 0.0)
-
-        monkeypatch.setattr("hindpo.trainer.loss_gradient", nan_gradient)
-        with pytest.raises(TrainingError, match="non-finite gradient at stage 'B_H' epoch 1 step 1"):
-            train(curriculum, policy, toy_train_config())
-        assert np.array_equal(policy.logits, before)
 
     def test_overflowing_update_aborts_before_log_and_checkpoint(self):
         # A finite gradient times a huge learning rate overflows the logits;
@@ -422,6 +492,14 @@ class TestGradcheck:
         curriculum, policy = separable_setup()
         with pytest.raises(ValueError):
             gradcheck(policy, [], LossConfig())
+
+    def test_frozen_policy_checked_and_unwritten(self):
+        policy, reference, examples = self.make_fixture(151)
+        frozen = policy.snapshot()
+        error = gradcheck(frozen, examples, LossConfig(mode="dpo"), reference)
+        assert error == gradcheck(policy, examples, LossConfig(mode="dpo"), reference) < 1e-5
+        assert np.array_equal(frozen.logits, policy.logits)
+        assert not frozen.logits.flags.writeable
 
 
 class TestToyCorpusEndToEnd:
