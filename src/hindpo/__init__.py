@@ -2,7 +2,9 @@
 
 Library tour:
 
-- :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR/semantic scorers,
+- :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR, the character
+  trigram cosine (the default semantic scorer; ``forge``, ``score_and_rank``
+  and ``evaluate`` take any ``(cand, ref) -> float`` function instead),
   the weighted final score used for candidate ranking
 - :mod:`hindpo.dataforge` corpus loading (actuality scores are record
   fields; ``embed_actuality`` fills them from a lookup file), ranking,
@@ -57,8 +59,6 @@ from .policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
 from .textmetrics import (
     CharTrigramCosine,
     PrfScore,
-    SemanticScorer,
-    SemanticScorerError,
     final_score,
     meteor,
     rouge_l,

@@ -14,8 +14,7 @@ files. Config schema, with defaults:
       "noise_std": 0.01,           # base-policy init noise
       "loss": {"beta": 0.6, "epsilon": 0.05, "mode": "hin_dpo",
                "finesse_samples": 5, "finesse_temperature": 0.9,
-               "finesse_max_len": 16, "scale_cap": 20.0,
-               "normalize_variance": true},
+               "finesse_max_len": 16, "scale_cap": 20.0},
       "train": {"epochs_per_stage": 10, "learning_rate": 0.5,
                 "batch_size": 2, "refresh_reference_per_stage": true},
       "eval": {"max_len": 24, "temperature": 0.0}
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -56,8 +56,9 @@ _KINDS = {
 
 def _check_section(section: object, defaults: dict, where: str) -> None:
     """ValueError naming ``where`` and the key for any key not in
-    ``defaults`` or any value whose type is not its default's kind; a
-    dict default is a nested section, checked in turn."""
+    ``defaults``, any value whose type is not its default's kind and any
+    non-finite number (``json`` reads NaN and Infinity); a dict default is
+    a nested section, checked in turn."""
     if not isinstance(section, dict):
         raise ValueError("config %s must be an object, got %r" % (where, section))
     unknown = set(section) - set(defaults)
@@ -71,6 +72,8 @@ def _check_section(section: object, defaults: dict, where: str) -> None:
         kind, accepted = _KINDS[type(default)]
         if type(value) not in accepted:
             raise ValueError("config %s key %r must be %s, got %r" % (where, key, kind, value))
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError("config %s key %r must be finite, got %r" % (where, key, value))
 
 
 @dataclass

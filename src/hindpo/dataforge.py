@@ -37,14 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .fileio import write_atomic
-from .textmetrics import (
-    CharTrigramCosine,
-    SemanticScorer,
-    final_score,
-    meteor,
-    rouge_l,
-    tokenize,
-)
+from .textmetrics import CharTrigramCosine, final_score, meteor, rouge_l, tokenize
 
 LABELS = ("fake", "real")
 CANDIDATES_PER_ARTICLE = 3
@@ -301,11 +294,13 @@ def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
 # Scoring and ranking
 
 
-def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None) -> list[PreferencePair]:
+def score_and_rank(
+    record: ArticleRecord, semantic: Callable[[str, str], float] | None = None
+) -> list[PreferencePair]:
     """Score the three candidates and assign ranks by descending score.
 
     Each candidate's score is :func:`final_score` of its semantic score
-    (``semantic``, by default :class:`CharTrigramCosine`), ROUGE-L F1 and
+    (``semantic``, by default ``CharTrigramCosine().score``), ROUGE-L F1 and
     METEOR against the ground truth, which is tokenized once. Rank 0 is
     the candidate most aligned with the ground truth; ties break by
     ascending model_id so the output is a deterministic function of the
@@ -313,14 +308,14 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
     carries none. Returned pairs are ordered by candidate index.
     """
     record.validate()
-    semantic = semantic or CharTrigramCosine()
+    semantic = semantic or CharTrigramCosine().score
     truth = record.ground_truth_explanation
     ref = tokenize(truth)
     s_l = record.actuality_candidates or [None] * CANDIDATES_PER_ARTICLE
     scored = []
     for idx, cand in enumerate(record.candidates):
         tokens = tokenize(cand.text)
-        fs = final_score(semantic.score(cand.text, truth), rouge_l(tokens, ref).f1, meteor(tokens, ref))
+        fs = final_score(semantic(cand.text, truth), rouge_l(tokens, ref).f1, meteor(tokens, ref))
         scored.append((fs, cand, idx))
     by_quality = sorted(scored, key=lambda item: (-item[0], item[1].model_id))
     rank_by_index = {idx: rank for rank, (_, _, idx) in enumerate(by_quality)}
@@ -427,7 +422,7 @@ class ForgeResult:
 
 def forge(
     articles: Sequence[ArticleRecord],
-    semantic: SemanticScorer | None = None,
+    semantic: Callable[[str, str], float] | None = None,
     *,
     order: str = "algorithm1",
     split: Sequence[float] = DEFAULT_SPLIT,

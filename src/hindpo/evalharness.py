@@ -12,15 +12,16 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fileio import write_atomic
+from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy
-from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, tokenize
+from .textmetrics import CharTrigramCosine, meteor, rouge_l, rouge_n, tokenize
 
-CONFIG_ORDER = ("base", "dpo", "dpo_act", "dpo_fin", "hin_dpo")
+CONFIG_ORDER = ("base", *MODES)
 
 _COLUMNS = ("r1", "r2", "rl", "meteor", "semantic")
 _HEADERS = ("R-1", "R-2", "R-L", "MT", "Sem")
@@ -67,7 +68,7 @@ def evaluate(
     generated: Sequence[str],
     references: Sequence[str],
     config_name: str,
-    semantic: SemanticScorer | None = None,
+    semantic: Callable[[str, str], float] | None = None,
 ) -> MetricReport:
     """Corpus scores as the arithmetic mean of per-pair scores."""
     if len(generated) != len(references):
@@ -77,7 +78,7 @@ def evaluate(
         )
     if not generated:
         raise ValueError("evaluate needs at least one generated/reference pair, got none")
-    semantic = semantic or CharTrigramCosine()
+    semantic = semantic or CharTrigramCosine().score
     rows = []
     for cand_text, ref_text in zip(generated, references):
         cand = tokenize(cand_text)
@@ -88,7 +89,7 @@ def evaluate(
                 rouge_n(cand, ref, 2).f1,
                 rouge_l(cand, ref).f1,
                 meteor(cand, ref),
-                semantic.score(cand_text, ref_text),
+                semantic(cand_text, ref_text),
             )
         )
     means = [float(np.mean(col)) for col in zip(*rows)]

@@ -11,10 +11,11 @@ coefficients:
 r_w / r_l are the log-probability ratios of the preferred / rejected
 response between the trainable policy and a frozen reference. s_w / s_l
 are factual-consistency (actuality) weights in [0, 1]. v_effective is the
-finesse estimate: normalized variance of the policy's own high-temperature
-response probabilities, computed outside the loss so no gradient flows
-through it. With s_w = 0, s_l = 1 and v_effective + epsilon = 1 every mode
-collapses to plain DPO, bit for bit.
+finesse estimate: the variance of the policy's own high-temperature
+response probabilities over its maximum 0.25, clamped to 1, computed
+outside the loss so no gradient flows through it. With s_w = 0, s_l = 1
+and v_effective + epsilon = 1 every mode collapses to plain DPO, bit for
+bit.
 
 The weighting and loss functions are elementwise (scalars in, scalars out;
 per-pair arrays in, per-pair arrays out), so one formula serves a single
@@ -76,7 +77,6 @@ class LossConfig:
     finesse_temperature: float = 0.9
     finesse_max_len: int = 16
     scale_cap: float = 20.0
-    normalize_variance: bool = True
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -112,7 +112,8 @@ class LogRatios:
 
 @dataclass(frozen=True)
 class FinesseEstimate:
-    """Raw and effective (normalized) response-probability variance."""
+    """Raw response-probability variance and its effective value,
+    min(variance / 0.25, 1)."""
 
     variance: float
     effective: float
@@ -219,10 +220,10 @@ def compute_finesse(
     probability under the temperature-scaled policy (a scalar in [0, 1],
     well defined even when the samples differ in length). The running
     sample variance of those scalars is the raw estimate; the effective
-    value divides by 0.25 (the maximum variance of [0, 1] values) and
-    clamps to [0, 1] when ``normalize_variance`` is on. The temperature
-    table is built once per call and the drawn indices are scored as
-    drawn. A prompt with an out-of-vocabulary token raises.
+    value divides it by 0.25 (the maximum variance of [0, 1] values) and
+    clamps to [0, 1]. The temperature table is built once per call and the
+    drawn indices are scored as drawn. A prompt with an out-of-vocabulary
+    token raises.
     """
     log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
     eos = policy.vocab.index(EOS)
@@ -235,10 +236,7 @@ def compute_finesse(
             log_prob = float(sum(log_probs[path[:-1], path[1:]]))
             stats.update(float(np.exp(log_prob / (len(path) - 1))))
         variance = stats.variance
-        if config.normalize_variance:
-            effective = min(variance / VARIANCE_NORMALIZER, 1.0)
-        else:
-            effective = variance
+        effective = min(variance / VARIANCE_NORMALIZER, 1.0)
         estimates.append(FinesseEstimate(variance=variance, effective=effective))
     return estimates
 
@@ -419,16 +417,20 @@ def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: Los
     sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * m)
     r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
     score = _weighted_score(r_w, r_l, weights.m_w, weights.m_l, weights.mult)
-    u = config.beta * score
-    with np.errstate(over="ignore"):
-        coeff = weights.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-    side = (coeff[:, None] * weights.sides).ravel()
     diff = r_w - r_l
+    # An overflow shows as a non-finite value, which the trainer rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = config.beta * score
+        coeff = weights.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+        loss = float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m)
+        margin = float(np.add.reduce(config.beta * diff) / m)
+        weighted_margin = float(np.add.reduce(u) / m)
+    side = (coeff[:, None] * weights.sides).ravel()
     return LossStep(
         rows=batch.rows,
         gradient=transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m,
-        loss=float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m),
-        margin=float(np.add.reduce(config.beta * diff) / m),
-        weighted_margin=float(np.add.reduce(u) / m),
+        loss=loss,
+        margin=margin,
+        weighted_margin=weighted_margin,
         accuracy=np.count_nonzero(diff > TIE_TOLERANCE) / m,
     )

@@ -7,9 +7,11 @@ are exact-match based. ROUGE-L's longest common subsequence is the
 bit-parallel algorithm of Allison & Dix (1986) and Hyyrö (2004), which
 the tests check against the row-rolling dynamic program
 (``tests/oracles.py:lcs_dp``) and against brute-force enumeration.
-Semantic similarity is pluggable behind :class:`SemanticScorer`; the
-built-in implementation is a character trigram cosine so the whole
-pipeline runs without external services.
+A semantic scorer is any function ``(cand, ref) -> float`` giving the
+similarity of two raw strings in [0, 1]; an exception it raises
+propagates, so a failing provider never reads as a score of 0. The
+built-in one, ``CharTrigramCosine().score``, is a character trigram
+cosine, so the whole pipeline runs without external services.
 
 The weighted blend used to rank candidate explanations is
 ``(semantic + 3 * (rouge_l + meteor)) / 4``; see :func:`final_score`.
@@ -18,7 +20,6 @@ The weighted blend used to rank candidate explanations is
 from __future__ import annotations
 
 import unicodedata
-from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,21 +35,6 @@ class PrfScore:
     precision: float
     recall: float
     f1: float
-
-
-class SemanticScorerError(RuntimeError):
-    """A semantic-score provider failed; never silently mapped to 0."""
-
-
-class SemanticScorer(ABC):
-    """Similarity of two raw strings, in [0, 1].
-
-    Implementations must return 1.0 for identical non-empty strings and
-    must raise :class:`SemanticScorerError` on provider failure.
-    """
-
-    @abstractmethod
-    def score(self, cand: str, ref: str) -> float: ...
 
 
 @lru_cache(maxsize=4096)
@@ -162,7 +148,7 @@ def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
     return fmean * (1 - penalty)
 
 
-class CharTrigramCosine(SemanticScorer):
+class CharTrigramCosine:
     """Cosine similarity over character 3-gram frequency vectors.
 
     Deterministic stand-in for embedding-based semantic scorers. Identical

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -137,8 +139,9 @@ def train(
     carry the batch loss, the mean raw margin beta * (r_w - r_l), the batch
     preference accuracy, the mean weighted margin beta * S and the
     gradient's Frobenius norm, all measured against the in-stage reference
-    before the update is applied. A step whose loss, gradient or updated
-    logits are not finite raises before the policy changes or is logged.
+    before the update is applied. A step whose loss, gradient, updated
+    logits, gradient norm or margins are not finite raises before the
+    policy changes or is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -167,13 +170,19 @@ def train(
                     raise TrainingError("non-finite gradient " + where)
                 with np.errstate(over="ignore"):
                     updated = policy.logits[result.rows] - config.learning_rate * result.gradient
+                    grad_norm = math.sqrt(gradient.dot(gradient))
                 if not np.isfinite(updated).all():
                     raise TrainingError("non-finite logits after the update " + where)
+                for name, value in (
+                    ("gradient norm", grad_norm), ("margin", result.margin), ("weighted margin", result.weighted_margin)
+                ):
+                    if not math.isfinite(value):
+                        raise TrainingError("non-finite %s %s" % (name, where))
                 policy.logits[result.rows] = updated
                 log.records.append(
                     TrainStepRecord(
                         stage_name, epoch, step, result.loss, result.margin, result.accuracy,
-                        result.weighted_margin, math.sqrt(gradient.dot(gradient)),
+                        result.weighted_margin, grad_norm,
                     )
                 )
         if config.refresh_reference_per_stage:

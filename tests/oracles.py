@@ -291,7 +291,7 @@ def compute_finesse(policy, prompt, config, rng):
         log_prob = float(sum(scaled[policy.transitions(prompt, response)]))
         stats.update(float(np.exp(log_prob / len(response))))
     variance = stats.variance
-    effective = min(variance / VARIANCE_NORMALIZER, 1.0) if config.normalize_variance else variance
+    effective = min(variance / VARIANCE_NORMALIZER, 1.0)
     return FinesseEstimate(variance=variance, effective=effective)
 
 

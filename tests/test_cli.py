@@ -162,6 +162,18 @@ class TestTrainEval:
         assert [entry["config"] for entry in report] == ["base", "dpo"]
         assert (out / "report.txt").exists()
 
+    def test_train_overflow_is_one_clean_error(self, tmp_path, capsys):
+        # beta = 1e300 keeps every gradient entry finite but overflows
+        # their squared sum: the step fails before it is applied, with no
+        # numpy warning ahead of the error line.
+        config = write_config(tmp_path, loss={"beta": 1e300})
+        assert main(["forge", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite [a-z ]+ at stage '\w+' epoch \d+ step \d+\n", err), err
+        assert not (tmp_path / "out" / "policy_hin_dpo.json").exists()
+
     def test_train_rejects_a_truncated_stage_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
@@ -204,7 +216,11 @@ class TestTrainEval:
         assert "typo_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section, typo", [("train", "epoch_per_stage"), ("loss", "bta"), ("eval", "maxlen"), ("split", "tran")]
+        "section, typo",
+        [
+            ("train", "epoch_per_stage"), ("loss", "bta"), ("eval", "maxlen"), ("split", "tran"),
+            ("loss", "normalize_variance"),
+        ],
     )
     def test_unknown_section_key_rejected(self, tmp_path, capsys, section, typo):
         config = write_config(tmp_path, **{section: {typo: 3}})
@@ -226,13 +242,13 @@ class TestTrainEval:
             ({"train": {"batch_size": 2.5}}, r"section 'train' key 'batch_size' must be an integer"),
             ({"split": "abc"}, r"section 'split' must be an object"),
             ({"split": {"train": "0.75"}}, r"section 'split' key 'train' must be a number"),
-            ({"loss": {"normalize_variance": 1}}, r"section 'loss' key 'normalize_variance' must be true or false"),
+            ({"train": {"refresh_reference_per_stage": 1}}, r"section 'train' key 'refresh_reference_per_stage' must be true or false"),
             ({"eval": {"max_len": True}}, r"section 'eval' key 'max_len' must be an integer"),
             ({"corpus": 3}, r"key 'corpus' must be a string or null"),
         ],
         ids=[
             "refresh-str", "seed-str", "epochs-str", "batch-float", "split-str",
-            "split-train-str", "normalize-int", "max-len-bool", "corpus-int",
+            "split-train-str", "refresh-int", "max-len-bool", "corpus-int",
         ],
     )
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, overrides, where):
@@ -268,6 +284,35 @@ class TestTrainEval:
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config)]) == 1
         assert capsys.readouterr().err == "error: %s\n" % error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"noise_std": float("nan")}, "key 'noise_std' must be finite, got nan"),
+            ({"eval": {"temperature": float("nan")}}, "section 'eval' key 'temperature' must be finite, got nan"),
+            (
+                {"split": {"train": float("nan"), "val": 0.05, "test": 0.2}},
+                "section 'split' key 'train' must be finite, got nan",
+            ),
+            ({"split": [float("inf"), 0, 0]}, "section 'split' key 'train' must be finite, got inf"),
+            ({"train": {"learning_rate": float("inf")}}, "section 'train' key 'learning_rate' must be finite, got inf"),
+            ({"loss": {"beta": -float("inf")}}, "section 'loss' key 'beta' must be finite, got -inf"),
+        ],
+        ids=["noise-nan", "temperature-nan", "split-nan", "split-list-inf", "learning-rate-inf", "beta-minus-inf"],
+    )
+    def test_non_finite_number_rejected_when_the_config_loads(self, tmp_path, capsys, overrides, where):
+        # json reads NaN and Infinity, which every range check lets through.
+        config = write_config(tmp_path, **overrides)
+        assert main(["forge", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: config %s %s\n" % (config, where)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, flags", [({}, ["--seed", "-1"]), ({"seed": -1}, [])], ids=["flag", "config"])
+    def test_negative_seed_rejected_before_anything_is_written(self, tmp_path, capsys, overrides, flags):
+        config = write_config(tmp_path, **overrides)
+        assert main(["forge", "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
@@ -331,6 +376,7 @@ SEED_7_TRAINING_SHA256 = {
     "policy_dpo_fin.json": "df15e06ffd09bed487a85dd042f54e2df77c2795cf46bd3a6e260acf731f3188",
     "policy_hin_dpo.json": "b9254ea89b7139ba9d3231333694487bc566e381af3f0230a178e1c394ecddc8",
     "report.json": "bf922d4a9ff44a66ff7a7a6fad35193fa85db0ba55e949341d1f58cd7f59e4f3",
+    "report.txt": "434e260313b06dc1ff231761474e739a68aa18102dab805612732ff03ed31e13",
     "trainlog_dpo.jsonl": "5514856061adb624e64a7fb8e738bf03fc6f846745d4a3ab72465e7f4cd7b462",
     "trainlog_dpo_act.jsonl": "75655bdd511373fa562ba13db64f978285461abe49bdd506972e90d3c96e6163",
     "trainlog_dpo_fin.jsonl": "2018897c38ad1ef988b92a11e73ac00233ce669f66eb7d08f58d6a5a5e352066",
@@ -366,7 +412,7 @@ class TestDemo:
         assert (tmp_path / "default" / policy).read_bytes() != (tmp_path / "slow" / policy).read_bytes()
 
     def test_seed_7_training_bytes_are_pinned(self, tmp_path):
-        # Every checkpoint, every trainlog and the eval report of the
+        # Every checkpoint, every trainlog and both eval reports of the
         # default demo: a change to the train step that moves one bit of
         # one logit or logged value fails here.
         out = tmp_path / "out"

@@ -248,7 +248,7 @@ class TestComputeFinesse:
 
     def test_effective_range_when_normalized(self):
         policy = make_policy(73, std=2.0)
-        config = LossConfig(normalize_variance=True)
+        config = LossConfig()
         for seed in range(10):
             [estimate] = compute_finesse(policy, [["b"]], config, np.random.default_rng(seed))
             assert estimate.variance >= 0.0
@@ -267,13 +267,10 @@ class TestComputeFinesse:
         # repeat; max_len 6 truncates some draws.
         policy = make_policy(size, std=1.5, tokens=["t%03d" % i for i in range(size - 2)])
         prompts = [[], ["t000"], ["t003", "t010"], ["t000"]]
-        for normalize in (True, False):
-            config = LossConfig(
-                finesse_temperature=temperature, finesse_max_len=6, normalize_variance=normalize
-            )
-            got = compute_finesse(policy, prompts, config, np.random.default_rng(size))
-            rng = np.random.default_rng(size)
-            assert got == [oracles.compute_finesse(policy, p, config, rng) for p in prompts]
+        config = LossConfig(finesse_temperature=temperature, finesse_max_len=6)
+        got = compute_finesse(policy, prompts, config, np.random.default_rng(size))
+        rng = np.random.default_rng(size)
+        assert got == [oracles.compute_finesse(policy, p, config, rng) for p in prompts]
 
 
 _WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)

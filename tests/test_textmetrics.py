@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from hindpo.textmetrics import (
     CharTrigramCosine,
-    SemanticScorer,
-    SemanticScorerError,
     _lcs_length,
     final_score,
     meteor,
@@ -19,6 +17,8 @@ from hindpo.textmetrics import (
 )
 
 from hindpo.corpora import toy_corpus
+from hindpo.dataforge import forge
+from hindpo.evalharness import evaluate
 from oracles import (
     lcs_dp,
     meteor_reference,
@@ -256,11 +256,6 @@ class TestMeteor:
                 assert meteor(cand, ref) == pytest.approx(meteor_reference(cand, ref), abs=1e-14)
 
 
-class _FailingScorer(SemanticScorer):
-    def score(self, cand, ref):
-        raise SemanticScorerError("provider unreachable")
-
-
 # Paraphrase vs unrelated text, 10 hand-built triples.
 SEMANTIC_FIXTURE = [
     ("यह खबर गलत है", "यह खबर झूठी है", "आज मौसम सुहाना रहेगा"),
@@ -314,9 +309,18 @@ class TestSemanticScore:
         assert scorer.score(decomposed, composed) == 1.0
         assert scorer.score(composed, decomposed) == 1.0
 
-    def test_provider_failure_is_loud(self):
-        with pytest.raises(SemanticScorerError):
-            _FailingScorer().score("a", "b")
+    def test_a_failing_scorer_propagates_from_forge_and_evaluate(self):
+        # A provider failure is never mapped silently to a score of 0.
+        class ProviderDown(Exception):
+            pass
+
+        def failing(cand, ref):
+            raise ProviderDown("provider unreachable")
+
+        with pytest.raises(ProviderDown, match="provider unreachable"):
+            forge(toy_corpus()[:4], semantic=failing)
+        with pytest.raises(ProviderDown, match="provider unreachable"):
+            evaluate(["a b"], ["a c"], "base", semantic=failing)
 
 
 class TestFinalScore:

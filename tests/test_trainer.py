@@ -289,8 +289,10 @@ class TestRaiseBeforeUpdate:
             ("loss", lambda step: float("nan"), 0.5, "non-finite loss"),
             ("gradient", lambda step: np.full_like(step.gradient, np.nan), 0.5, "non-finite gradient"),
             ("gradient", lambda step: np.full_like(step.gradient, 1e308), 4.0, "non-finite logits after the update"),
+            ("gradient", lambda step: np.full_like(step.gradient, 1e200), 1e-200, "non-finite gradient norm"),
+            ("margin", lambda step: float("inf"), 0.5, "non-finite margin"),
         ],
-        ids=["loss", "gradient", "logits"],
+        ids=["loss", "gradient", "logits", "norm", "margin"],
     )
     def test_third_step_raises_unapplied_and_unlogged(self, monkeypatch, field, value, learning_rate, message):
         curriculum, policy = separable_setup()
