@@ -39,6 +39,7 @@ the rest is planned ahead, at three levels:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,6 +80,9 @@ class LossConfig:
     scale_cap: float = 20.0
 
     def __post_init__(self) -> None:
+        for name in ("beta", "epsilon", "scale_cap", "finesse_temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.beta <= 0:
             raise ValueError("beta must be > 0, got %r" % self.beta)
         if self.epsilon <= 0:
@@ -316,7 +320,10 @@ class EncodedPairs:
         """Every pair's loss weights under ``config``, in encoding order."""
         s_w, s_l, v = self.factors.T
         m_w, m_l, mult = (np.broadcast_to(w, len(self)) for w in _weights(s_w, s_l, v, config))
-        return PairWeights(config, m_w, m_l, mult, config.beta * mult, np.stack([-m_w, m_l], axis=1))
+        # An overflowing beta * mult shows in the step as a non-finite value.
+        with np.errstate(over="ignore"):
+            beta_mult = config.beta * mult
+        return PairWeights(config, m_w, m_l, mult, beta_mult, np.stack([-m_w, m_l], axis=1))
 
     def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, weights: PairWeights) -> list[Batch]:
         """The batches of one epoch: the pairs at the positions ``order``
@@ -425,10 +432,11 @@ def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: Los
         loss = float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m)
         margin = float(np.add.reduce(config.beta * diff) / m)
         weighted_margin = float(np.add.reduce(u) / m)
-    side = (coeff[:, None] * weights.sides).ravel()
+        side = (coeff[:, None] * weights.sides).ravel()
+        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
     return LossStep(
         rows=batch.rows,
-        gradient=transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m,
+        gradient=gradient,
         loss=loss,
         margin=margin,
         weighted_margin=weighted_margin,

@@ -2,16 +2,23 @@
 
 All scorers operate on token sequences produced by :func:`tokenize`, which
 is Unicode-aware: Devanagari grapheme clusters survive intact and only
-Latin letters are case-folded. Lexical metrics (ROUGE-N, ROUGE-L, METEOR)
-are exact-match based. ROUGE-L's longest common subsequence is the
-bit-parallel algorithm of Allison & Dix (1986) and Hyyrö (2004), which
-the tests check against the row-rolling dynamic program
-(``tests/oracles.py:lcs_dp``) and against brute-force enumeration.
+Latin letters are case-folded. It folds a whole string with one
+``str.translate`` through a table that learns each code point's folding
+on first sight and holds at most 4096 of them; the per-character loop it
+replaced is kept as ``tests/oracles.py:tokenize_loop``. Lexical metrics
+(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L's longest
+common subsequence is the bit-parallel algorithm of Allison & Dix (1986)
+and Hyyrö (2004), which the tests check against the row-rolling dynamic
+program (``tests/oracles.py:lcs_dp``) and against brute-force
+enumeration.
 A semantic scorer is any function ``(cand, ref) -> float`` giving the
 similarity of two raw strings in [0, 1]; an exception it raises
 propagates, so a failing provider never reads as a score of 0. The
 built-in one, ``CharTrigramCosine().score``, is a character trigram
-cosine, so the whole pipeline runs without external services.
+cosine, so the whole pipeline runs without external services. It codes
+each trigram as one int64 and counts a string's trigrams with
+``np.unique``; its scores equal the ``Counter`` version kept as
+``tests/oracles.py:trigram_cosine`` bit for bit.
 
 The weighted blend used to rank candidate explanations is
 ``(semantic + 3 * (rouge_l + meteor)) / 4``; see :func:`final_score`.
@@ -22,8 +29,9 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
+
+import numpy as np
 
 TokenSequence = list[str]
 
@@ -37,7 +45,6 @@ class PrfScore:
     f1: float
 
 
-@lru_cache(maxsize=4096)
 def _fold(ch: str) -> str:
     # One NFC character as it appears in a token: a space for a separator
     # (whitespace or any punctuation class), lowercase for a Latin letter,
@@ -50,6 +57,25 @@ def _fold(ch: str) -> str:
     return ch
 
 
+# The translate table keeps at most this many folded code points (threads
+# racing past the check may add one each); beyond it a character is folded
+# on every lookup, so memory stays bounded.
+_FOLD_LIMIT = 4096
+
+
+class _FoldTable(dict):
+    # str.translate looks each code point up here; the first lookup of a
+    # code point folds it and, while the table has room, keeps the result.
+    def __missing__(self, code: int) -> str:
+        folded = _fold(chr(code))
+        if len(self) < _FOLD_LIMIT:
+            self[code] = folded
+        return folded
+
+
+_FOLD = _FoldTable()
+
+
 def tokenize(text: str) -> TokenSequence:
     """Split text into normalized tokens.
 
@@ -59,7 +85,7 @@ def tokenize(text: str) -> TokenSequence:
     so Devanagari clusters are never broken apart. Pure and deterministic;
     empty input yields an empty sequence.
     """
-    return "".join(map(_fold, unicodedata.normalize("NFC", text))).split()
+    return unicodedata.normalize("NFC", text).translate(_FOLD).split()
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -148,44 +174,57 @@ def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
     return fmean * (1 - penalty)
 
 
+def _trigram_profile(nfc: str) -> tuple[np.ndarray, np.ndarray, float]:
+    # (sorted distinct trigram keys, their counts, root of the squared
+    # counts' sum). A code point fits in 21 bits, so a trigram packs into
+    # one int64 key c0 << 42 | c1 << 21 | c2; a lone surrogate is a code
+    # point like any other. Every sum is an exact integer.
+    codes = np.frombuffer(nfc.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+    keys, counts = np.unique(codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:], return_counts=True)
+    return keys, counts, sqrt(int(counts @ counts))
+
+
 class CharTrigramCosine:
     """Cosine similarity over character 3-gram frequency vectors.
 
     Deterministic stand-in for embedding-based semantic scorers. Identical
     non-empty strings score exactly 1.0; strings sharing no trigram score
     0.0. Only ordering and identity properties should be relied upon, not
-    absolute values. An instance keeps the profile of the last reference it
-    saw, so the candidates of one article share one reference profile.
+    absolute values. A string's profile is integer-coded: the sorted
+    distinct trigrams of its NFC form, each packed from three 21-bit code
+    points into one int64 key, with their counts. The dot product gathers
+    the reference's counts at the candidate's keys by binary search; every
+    sum is an exact integer, so a score equals the ``Counter``-of-strings
+    cosine kept as ``tests/oracles.py:trigram_cosine`` bit for bit. An
+    instance keeps the profile of the last reference it saw, so the
+    candidates of one article share one reference profile.
     """
 
     def __init__(self) -> None:
-        # (raw reference, its NFC form, trigram Counter, root of its squared counts)
-        self._ref: tuple[str, str, Counter, float] | None = None
+        # (raw reference, its NFC form, its trigram profile)
+        self._ref: tuple[str, str, tuple[np.ndarray, np.ndarray, float]] | None = None
 
-    def _vector(self, text: str) -> Counter:
-        return Counter([text[i : i + 3] for i in range(len(text) - 2)])
-
-    def _reference(self, ref: str) -> tuple[str, str, Counter, float]:
+    def _reference(self, ref: str) -> tuple[str, str, tuple[np.ndarray, np.ndarray, float]]:
         cached = self._ref
         if cached is None or cached[0] != ref:
             nfc = unicodedata.normalize("NFC", ref)
-            vector = self._vector(nfc)
-            cached = (ref, nfc, vector, sqrt(sum(c * c for c in vector.values())))
+            cached = (ref, nfc, _trigram_profile(nfc))
             self._ref = cached
         return cached
 
     def score(self, cand: str, ref: str) -> float:
         cand = unicodedata.normalize("NFC", cand)
-        _, ref, vr, ref_norm = self._reference(ref)
+        _, ref, (ref_keys, ref_counts, ref_norm) = self._reference(ref)
         if cand and cand == ref:
             return 1.0
-        vc = self._vector(cand)
-        if not vc or not vr:
+        keys, counts, norm = _trigram_profile(cand)
+        if not len(keys) or not len(ref_keys):
             return 0.0
-        get = vr.get
-        dot = sum(count * get(gram, 0) for gram, count in vc.items())
-        norm = sqrt(sum(c * c for c in vc.values())) * ref_norm
-        return min(dot / norm, 1.0)
+        at = np.searchsorted(ref_keys, keys)
+        at[at == len(ref_keys)] = 0
+        shared = ref_keys[at] == keys
+        dot = int(counts[shared] @ ref_counts[at[shared]])
+        return min(dot / (norm * ref_norm), 1.0)
 
 
 def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> float:

@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs_per_stage < 1:
             raise ValueError("epochs_per_stage must be >= 1")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite, got %r" % self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:

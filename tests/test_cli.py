@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -172,6 +173,22 @@ class TestTrainEval:
         assert main(["train", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite [a-z ]+ at stage '\w+' epoch \d+ step \d+\n", err), err
+        assert not (tmp_path / "out" / "policy_hin_dpo.json").exists()
+
+    def test_beta_overflowing_the_pair_weights_is_one_clean_error(self, tmp_path, capsys):
+        # beta = 1e308 overflows beta * mult (mult reaches scale_cap) when
+        # the stage's weights are computed: the first step's gradient is
+        # non-finite and the trainer's own check reports it, with no numpy
+        # warning raised or printed on the way.
+        config = write_config(tmp_path, loss={"beta": 1e308})
+        assert main(["forge", "--config", str(config)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(config)]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite gradient at stage '\w+' epoch 1 step 1\n", err), err
         assert not (tmp_path / "out" / "policy_hin_dpo.json").exists()
 
     def test_train_rejects_a_truncated_stage_file(self, tmp_path, capsys):

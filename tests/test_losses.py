@@ -90,6 +90,13 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["beta", "epsilon", "scale_cap", "finesse_temperature"])
+    def test_non_finite_value_rejected_naming_the_field(self, name, value):
+        # NaN passes every `x <= 0` range check, so it needs its own.
+        with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (name, value)):
+            LossConfig(**{name: value})
+
 
 class TestPreferenceScore:
     def test_hand_arithmetic(self):

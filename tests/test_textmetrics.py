@@ -94,15 +94,78 @@ def _random_strings() -> list[str]:
     return ["".join(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 30))) for _ in range(20000)]
 
 
+# Inputs at the edges of the integer-coded kernels: lone surrogates, astral
+# code points up to U+10FFFF (which needs all 21 bits of a key field), and
+# combining marks that NFC composes onto the letter before them.
+_KERNEL_POOL = [
+    *"aAbB é.",
+    "\u0301", "\u0308", "\u093c", "क", "ख", "ा", "्",
+    "\ud800", "\udbff", "\udc00", "\udfff",
+    "\U00010000", "\U0001f600", "\U000fffff", "\U0010fffe", "\U0010ffff",
+]
+
+
+def _kernel_edge_strings() -> list[str]:
+    # Every string of length 0-3 over a small alphabet, then repeated
+    # trigrams and NFD spellings.
+    alphabet = ["a", "\ud800", "\U0010ffff", "\u0301"]
+    short = ["".join(chars) for n in range(4) for chars in itertools.product(alphabet, repeat=n)]
+    repeated = [
+        "aaaa", "aaaaaaa", "abcabcabc", "abab", "\U0010ffff" * 5, "\ud800\ud800\ud800\ud800",
+        "a\U0010ffffa\U0010ffffa", "कककक", "खा खा खा",
+    ]
+    decomposed = [unicodedata.normalize("NFD", t) for t in ("café résumé", "Ǻngström", "क़ा ख़ा", "éééé")]
+    return short + repeated + decomposed
+
+
+def _kernel_random_strings() -> list[str]:
+    # 2,000 seeded strings over the pool above, a tenth of their characters
+    # drawn from anywhere in U+10000-U+10FFFF instead.
+    rng = np.random.default_rng(41)
+    texts = []
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        chars = [_KERNEL_POOL[i] for i in rng.integers(0, len(_KERNEL_POOL), n)]
+        for at in np.flatnonzero(rng.random(n) < 0.1):
+            chars[at] = chr(int(rng.integers(0x10000, 0x110000)))
+        texts.append("".join(chars))
+    return texts
+
+
+def _kernel_pairs() -> list[tuple[str, str]]:
+    # Each candidate against the next string, that string's NFD form, a
+    # copy of itself with a suffix, and itself.
+    texts = _kernel_edge_strings() + _kernel_random_strings()
+    pairs = []
+    for cand, other in zip(texts, texts[1:] + texts[:1]):
+        pairs += [(cand, other), (cand, unicodedata.normalize("NFD", other)), (cand, cand + "a"), (cand, cand)]
+    return pairs
+
+
 class TestTokenize:
     @pytest.mark.parametrize("text,expected", TOKENIZE_FIXTURE)
     def test_fixture(self, text, expected):
         assert tokenize(text) == expected
 
-    @pytest.mark.parametrize("texts", [_toy_texts, _long_explanations, _random_strings])
+    @pytest.mark.parametrize(
+        "texts", [_toy_texts, _long_explanations, _random_strings, _kernel_edge_strings, _kernel_random_strings]
+    )
     def test_matches_character_loop_oracle(self, texts):
         for text in texts():
             assert tokenize(text) == tokenize_loop(text)
+
+    def test_fold_table_stays_bounded_past_its_limit(self):
+        # Tokenizing three times as many distinct code points as the table
+        # holds leaves it within its limit, and the code points past it
+        # still fold right.
+        from hindpo import textmetrics
+
+        codes = range(0x20, 0x20 + 3 * textmetrics._FOLD_LIMIT)
+        assert textmetrics._FOLD_LIMIT == 4096
+        for start in range(0, len(codes), 64):
+            text = "".join(map(chr, codes[start : start + 64]))
+            assert tokenize(text) == tokenize_loop(text)
+        assert len(textmetrics._FOLD) <= textmetrics._FOLD_LIMIT
 
     def test_idempotent_on_normalized_tokens(self):
         for text, _ in TOKENIZE_FIXTURE:
@@ -300,6 +363,16 @@ class TestSemanticScore:
                 assert scorer.score(cand, ref) == expected
                 assert CharTrigramCosine().score(cand, ref) == expected
 
+    def test_matches_oracle_at_the_edges(self):
+        # Lengths 0-3, repeated trigrams, lone surrogates, astral code points
+        # and NFD references, with one scorer whose reference cache turns
+        # over and with a fresh scorer per pair.
+        scorer = CharTrigramCosine()
+        for cand, ref in _kernel_pairs():
+            expected = trigram_cosine(cand, ref)
+            assert scorer.score(cand, ref) == expected, (cand, ref)
+            assert CharTrigramCosine().score(cand, ref) == expected, (cand, ref)
+
     def test_nfd_reference_scores_one_against_its_nfc_candidate(self):
         composed = "café की जांच, résumé"
         decomposed = unicodedata.normalize("NFD", composed)
@@ -308,6 +381,42 @@ class TestSemanticScore:
         assert scorer.score(composed, decomposed) == 1.0
         assert scorer.score(decomposed, composed) == 1.0
         assert scorer.score(composed, decomposed) == 1.0
+
+    def test_forge_ranks_as_with_the_oracle(self):
+        # 60 generated articles with 40-80-token explanations in Devanagari
+        # and mixed-case Latin, some NFD: the default scorer and the oracle
+        # give equal pairs, final scores included.
+        from hindpo.dataforge import ArticleRecord, Candidate
+
+        rng = np.random.default_rng(53)
+        words = sorted({w for text in _toy_texts() for w in text.split()}) + ["Café", "RÉSUMÉ", "Fact-Check"]
+
+        def text(n):
+            return " ".join(words[i] for i in rng.integers(0, len(words), n))
+
+        records = []
+        for k in range(60):
+            truth = text(int(rng.integers(40, 81)))
+            tokens = truth.split()
+            near = " ".join(t if rng.random() > 0.1 else text(1) for t in tokens)
+            partial = " ".join(tokens[: len(tokens) // 2]) + " " + text(len(tokens) - len(tokens) // 2)
+            candidates = [near, partial, text(len(tokens))]
+            if k % 3 == 0:
+                candidates[0] = unicodedata.normalize("NFD", candidates[0])
+            order = rng.permutation(3)
+            records.append(
+                ArticleRecord(
+                    id="a%03d" % k,
+                    label="fake" if k % 2 else "real",
+                    news_text=text(12),
+                    ground_truth_explanation=truth,
+                    candidates=[Candidate("m%d" % i, candidates[i]) for i in order],
+                )
+            )
+        default, oracle = forge(records), forge(records, semantic=trigram_cosine)
+        assert default.curriculum.stages == oracle.curriculum.stages
+        assert (default.val_pairs, default.test_pairs) == (oracle.val_pairs, oracle.test_pairs)
+        assert len({pair.fs for pair in default.curriculum.all_pairs()}) > 100
 
     def test_a_failing_scorer_propagates_from_forge_and_evaluate(self):
         # A provider failure is never mapped silently to a score of 0.

@@ -66,6 +66,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="^learning_rate must be finite, got %r$" % value):
+            TrainConfig(learning_rate=value)
+
 
 class TestTrainOnSeparableCorpus:
     @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
