@@ -14,9 +14,9 @@ Library tour:
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_examples`` (pairs as transition indices, scored
   under the frozen reference once), ``EncodedPairs.plan`` (an epoch's
-  batches, planned at once) and ``loss_gradient``: one pass per batch
-  giving the loss, its gradient, the raw and weighted margins and the
-  accuracy
+  batches with their loss weights, planned at once) and
+  ``loss_gradient``: one pass per batch giving the loss, its gradient,
+  the raw and weighted margins and the accuracy
 - :mod:`hindpo.trainer` staged training loop, gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
@@ -48,7 +48,6 @@ from .losses import (
     LossConfig,
     LossExample,
     LossStep,
-    PairWeights,
     compute_finesse,
     encode_examples,
     hin_dpo_loss,

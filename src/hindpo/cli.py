@@ -102,9 +102,13 @@ class RunConfig(TrainConfig):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Read a JSON config; absent keys keep the defaults, unknown keys and
-        values of the wrong type raise ValueError naming the file and key."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a JSON config; absent keys keep the defaults. Invalid JSON,
+        unknown keys, values of the wrong type and values out of range raise
+        ValueError naming the file."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # a JSON or UTF-8 decoding error
+            raise ValueError("config %s: invalid JSON: %s" % (path, exc)) from exc
         defaults = {
             **{key: getattr(cls, key) for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
             "split": dict(zip(_SPLIT_KEYS, DEFAULT_SPLIT)),
@@ -119,10 +123,12 @@ class RunConfig(TrainConfig):
         kwargs = {key: value for key, value in data.items() if not isinstance(defaults[key], dict)}
         if "split" in data:
             kwargs["split"] = tuple(data["split"].get(key, d) for key, d in defaults["split"].items())
-        kwargs["loss"] = LossConfig(**data.get("loss", {}))
         kwargs.update(data.get("train", {}))
         kwargs.update(("eval_" + key, value) for key, value in data.get("eval", {}).items())
-        return cls(**kwargs)
+        try:
+            return cls(loss=LossConfig(**data.get("loss", {})), **kwargs)
+        except ValueError as exc:
+            raise ValueError("config %s: %s" % (path, exc)) from exc
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -285,6 +291,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError("--tolerance must be a finite number > 0, got %r" % args.tolerance)
     config = _resolve_config(args)
     mode = config.loss.mode
     error, report_path = _run_gradcheck(config, mode, args.tolerance)
@@ -294,7 +302,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    """Full pipeline on the bundled toy corpus: forge, train all modes, eval."""
+    """Full pipeline: forge the bundled toy corpus (or the config file's
+    ``corpus``), train all modes, eval."""
     config = _resolve_config(args)
     manifest_path = _run_forge(config)
     print("forged %s" % manifest_path)
@@ -334,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
     gradcheck.set_defaults(handler=cmd_gradcheck)
 
-    demo = sub.add_parser("demo", parents=[common], help="full pipeline on the bundled toy corpus")
+    demo = sub.add_parser("demo", parents=[common], help="full pipeline: forge, train all modes, eval")
     demo.add_argument("--order", choices=sorted(STAGE_ORDERS), help="stage order")
     demo.set_defaults(handler=cmd_demo)
     return parser

@@ -501,8 +501,39 @@ def emit_forge(result: ForgeResult, out_dir: str | Path) -> Path:
     return write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
 
 
+# The manifest keys read back, and the keys of each file entry, with their types.
+_MANIFEST_KEYS = {"order": str, "stages": list, "val": dict, "test": dict}
+_ENTRY_KEYS = {"file": str, "pairs": int, "sha256": str}
+_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
+def _check_keys(section: object, keys: dict, path: Path, where: str) -> None:
+    """SchemaError naming ``path`` unless ``section`` is an object holding
+    every key of ``keys`` with a value of exactly its type."""
+    if not isinstance(section, dict):
+        raise SchemaError("%s: %s must be an object, got %r" % (path, where, section))
+    for key, kind in keys.items():
+        if key not in section:
+            raise SchemaError("%s: %s has no key %r" % (path, where, key))
+        if type(section[key]) is not kind:
+            raise SchemaError("%s: %s key %r must be %s, got %r" % (path, where, key, _JSON_TYPES[kind], section[key]))
+
+
 def read_manifest(out_dir: str | Path) -> dict:
-    return json.loads((Path(out_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
+    """The manifest ``emit_forge`` wrote in ``out_dir``. Invalid JSON, or a
+    key that train and eval read back missing or of the wrong type, raises
+    :class:`SchemaError` naming the file."""
+    path = Path(out_dir) / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
+        raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
+    _check_keys(manifest, _MANIFEST_KEYS, path, "the manifest")
+    for position, entry in enumerate(manifest["stages"]):
+        _check_keys(entry, {"bucket": str, **_ENTRY_KEYS}, path, "stage entry %d" % position)
+    for name in ("val", "test"):
+        _check_keys(manifest[name], _ENTRY_KEYS, path, "the %s entry" % name)
+    return manifest
 
 
 def load_checked_pairs(out_dir: str | Path, entry: dict) -> list[PreferencePair]:

@@ -26,11 +26,11 @@ no per-pair loop. Only what depends on the policy is computed per step;
 the rest is planned ahead, at three levels:
 
 - per stage, ``encode_examples`` turns the pairs into transition indices
-  and scores them under the frozen reference, and
-  ``EncodedPairs.weights`` computes each pair's mode weights;
-- per epoch, ``EncodedPairs.plan`` cuts the permuted pairs into
-  ``Batch``es: one gather of their transitions, and one ``np.unique``
-  over the key batch * V + row for every batch's visited rows;
+  and scores them under the frozen reference;
+- per epoch, ``EncodedPairs.plan`` computes the permuted pairs' mode
+  weights and cuts the pairs into ``Batch``es: one gather of their
+  transitions, and one ``np.unique`` over the key batch * V + row for
+  every batch's visited rows;
 - per step, ``loss_gradient`` normalises the visited rows and computes
   the loss, its gradient on those rows and the batch statistics.
 
@@ -164,19 +164,18 @@ class LossExample:
     effective_variance: float = field(default=0.0)
 
 
-def scale_multiplier(effective_variance: float | np.ndarray, config: LossConfig) -> float | np.ndarray:
-    """min(1 / (v_effective + epsilon), scale_cap); the low-variance boost."""
-    return np.minimum(1.0 / (effective_variance + config.epsilon), config.scale_cap)
-
-
 def _weights(preferred_actuality, rejected_actuality, effective_variance, config: LossConfig):
-    """(m_w, m_l, mult): the mode's preferred, rejected and finesse weights."""
+    """(m_w, m_l, mult): the mode's preferred, rejected and finesse weights,
+    mult being the low-variance boost min(1 / (v_effective + epsilon), scale_cap)."""
     if config.uses_actuality():
         m_w = 1.0 + preferred_actuality
         m_l = np.maximum(REJECTED_WEIGHT_FLOOR, rejected_actuality)
     else:
         m_w, m_l = 1.0, 1.0
-    mult = scale_multiplier(effective_variance, config) if config.uses_finesse() else 1.0
+    if config.uses_finesse():
+        mult = np.minimum(1.0 / (effective_variance + config.epsilon), config.scale_cap)
+    else:
+        mult = 1.0
     return m_w, m_l, mult
 
 
@@ -246,31 +245,6 @@ def compute_finesse(
 
 
 @dataclass(frozen=True, eq=False)
-class PairWeights:
-    """Pairs' loss weights under one config, one entry per pair.
-
-    ``m_w`` / ``m_l`` are the mode's preferred / rejected weights, ``mult``
-    the finesse multiplier and ``beta_mult`` beta * mult; ``sides`` is the
-    (n, 2) table (-m_w, +m_l), each response's signed weight in the
-    gradient before the pair's coefficient. None of it depends on the
-    policy.
-    """
-
-    config: LossConfig
-    m_w: np.ndarray
-    m_l: np.ndarray
-    mult: np.ndarray
-    beta_mult: np.ndarray
-    sides: np.ndarray
-
-    def take(self, pairs: np.ndarray | slice) -> "PairWeights":
-        """The weights of the pairs at ``pairs`` (an index array or a slice)."""
-        return PairWeights(
-            self.config, self.m_w[pairs], self.m_l[pairs], self.mult[pairs], self.beta_mult[pairs], self.sides[pairs]
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Batch:
     """One train step's pairs, planned before the step: everything the step
     needs that does not depend on the policy.
@@ -279,7 +253,11 @@ class Batch:
     ``local`` is its row as an index into ``rows``, ``cols`` its next token
     and ``owner`` its sequence: 2i for pair i's preferred response, 2i + 1
     for its rejected one. ``reference`` is the pairs' (m, 2) reference
-    log-probabilities and ``weights`` their loss weights.
+    log-probabilities. The pairs' loss weights under ``config`` follow:
+    ``m_w`` / ``m_l`` are the mode's preferred / rejected weights, ``mult``
+    the finesse multiplier and ``beta_mult`` beta * mult; ``sides`` is the
+    (m, 2) table (-m_w, +m_l), each response's signed weight in the
+    gradient before the pair's coefficient.
     """
 
     vocab: Vocabulary
@@ -288,7 +266,12 @@ class Batch:
     cols: np.ndarray
     owner: np.ndarray
     reference: np.ndarray
-    weights: PairWeights
+    config: LossConfig
+    m_w: np.ndarray
+    m_l: np.ndarray
+    mult: np.ndarray
+    beta_mult: np.ndarray
+    sides: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reference)
@@ -316,24 +299,16 @@ class EncodedPairs:
     def __len__(self) -> int:
         return len(self.reference)
 
-    def weights(self, config: LossConfig) -> PairWeights:
-        """Every pair's loss weights under ``config``, in encoding order."""
-        s_w, s_l, v = self.factors.T
-        m_w, m_l, mult = (np.broadcast_to(w, len(self)) for w in _weights(s_w, s_l, v, config))
-        # An overflowing beta * mult shows in the step as a non-finite value.
-        with np.errstate(over="ignore"):
-            beta_mult = config.beta * mult
-        return PairWeights(config, m_w, m_l, mult, beta_mult, np.stack([-m_w, m_l], axis=1))
-
-    def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, weights: PairWeights) -> list[Batch]:
-        """The batches of one epoch: the pairs at the positions ``order``
-        (repeats allowed), cut every ``batch_size`` pairs, the last batch
-        holding the rest.
+    def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, config: LossConfig) -> list[Batch]:
+        """The batches of one epoch under ``config``: the pairs at the
+        positions ``order`` (repeats allowed), cut every ``batch_size``
+        pairs, the last batch holding the rest.
 
         One gather takes every transition of the epoch in batch order, and
         one ``np.unique`` over the key batch * V + row gives every batch's
         sorted visited rows and each transition's index into them; the
-        reference scores and the ``weights`` are gathered once and sliced.
+        reference scores and the gathered pairs' loss weights are computed
+        once and sliced.
         """
         order = np.asarray(order, dtype=np.intp)
         n = len(order)
@@ -353,15 +328,20 @@ class EncodedPairs:
         local = inverse - key_bounds[batch_of]
         rows, cols = keys % vocab_size, self.cols[picked]
         step_bounds, key_bounds = np.searchsorted(batch_of, batch_ids).tolist(), key_bounds.tolist()
-        reference, weights = self.reference[order], weights.take(order)
+        s_w, s_l, v = self.factors[order].T
+        m_w, m_l, mult = (np.broadcast_to(w, n) for w in _weights(s_w, s_l, v, config))
+        # An overflowing beta * mult shows in the step as a non-finite value.
+        with np.errstate(over="ignore"):
+            beta_mult = config.beta * mult
+        reference, sides = self.reference[order], np.stack([-m_w, m_l], axis=1)
         batches = []
         for b, start in enumerate(range(0, n, batch_size)):
             visited, steps = slice(*key_bounds[b : b + 2]), slice(*step_bounds[b : b + 2])
             pairs = slice(start, start + batch_size)
             batches.append(
                 Batch(
-                    self.vocab, rows[visited], local[steps], cols[steps], owner[steps], reference[pairs],
-                    weights.take(pairs),
+                    self.vocab, rows[visited], local[steps], cols[steps], owner[steps], reference[pairs], config,
+                    m_w[pairs], m_l[pairs], mult[pairs], beta_mult[pairs], sides[pairs],
                 )
             )
         return batches
@@ -413,26 +393,25 @@ def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: Los
     gradient flows through it.
     """
     if isinstance(batch, EncodedPairs):
-        batch = batch.plan(np.arange(len(batch)), len(batch), batch.weights(config))[0]
+        batch = batch.plan(np.arange(len(batch)), len(batch), config)[0]
     if batch.vocab != policy.vocab:
         raise ValueError("batch was encoded for another vocabulary")
-    weights = batch.weights
-    if weights.config is not config and weights.config != config:
+    if batch.config is not config and batch.config != config:
         raise ValueError("batch was planned for another loss config")
     m = len(batch.reference)
     log_probs, probs = normalise(policy.logits[batch.rows])
     sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * m)
     r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
-    score = _weighted_score(r_w, r_l, weights.m_w, weights.m_l, weights.mult)
+    score = _weighted_score(r_w, r_l, batch.m_w, batch.m_l, batch.mult)
     diff = r_w - r_l
     # An overflow shows as a non-finite value, which the trainer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         u = config.beta * score
-        coeff = weights.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+        coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
         loss = float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m)
         margin = float(np.add.reduce(config.beta * diff) / m)
         weighted_margin = float(np.add.reduce(u) / m)
-        side = (coeff[:, None] * weights.sides).ravel()
+        side = (coeff[:, None] * batch.sides).ravel()
         gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
     return LossStep(
         rows=batch.rows,

@@ -2,10 +2,10 @@
 
 Stages run in dataset order. At the start of each stage the finesse
 variance is computed once per unique prompt (finesse modes only, from one
-temperature table), the stage's pairs are encoded into transition indices
-and scored under the frozen reference, and each pair's mode weights are
-computed. Each epoch draws a permutation of the stage's pairs and plans
-all its batches in one call; each step then takes one plain
+temperature table), and the stage's pairs are encoded into transition
+indices and scored under the frozen reference. Each epoch draws a
+permutation of the stage's pairs and plans all its batches, with the
+pairs' mode weights, in one call; each step then takes one plain
 gradient-descent step on its batch, on the policy rows the batch visits.
 At the end of a stage the frozen reference is optionally refreshed to the
 current policy. Everything is driven by one seeded generator, so
@@ -116,8 +116,11 @@ def attach_finesse(
     config: LossConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Fill effective_variance, one estimate per unique prompt (all it depends on).
+    """Fill effective_variance, one estimate per unique prompt.
 
+    An estimate depends only on the prompt's start row, its last token
+    (BOS for an empty prompt): the responses are drawn and scored from that
+    row on. Prompts that share a start row still draw their own samples.
     All estimates come from one ``compute_finesse`` call, in
     first-appearance order, so the generator is consumed deterministically.
     """
@@ -159,9 +162,8 @@ def train(
         if config.loss.uses_finesse():
             attach_finesse(examples, policy, config.loss, rng)
         encoded = encode_examples(examples, policy, reference)
-        weights = encoded.weights(config.loss)
         for epoch in range(1, config.epochs_per_stage + 1):
-            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, weights):
+            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, config.loss):
                 result = loss_gradient(batch, policy, config.loss)
                 step += 1
                 where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
@@ -215,7 +217,7 @@ def gradcheck(
         reference = policy.snapshot()
     policy = policy.copy()
     encoded = encode_examples(examples, policy, reference)
-    [batch] = encoded.plan(np.arange(len(encoded)), len(encoded), encoded.weights(config))
+    [batch] = encoded.plan(np.arange(len(encoded)), len(encoded), config)
     step = loss_gradient(batch, policy, config)
     analytic = np.zeros_like(policy.logits)
     analytic[step.rows] = step.gradient

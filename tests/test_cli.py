@@ -13,7 +13,7 @@ import pytest
 import hindpo
 from hindpo import cli
 from hindpo.cli import RunConfig, main
-from hindpo.dataforge import read_manifest
+from hindpo.dataforge import SchemaError, read_manifest
 from hindpo.losses import LossConfig
 from hindpo.trainer import TrainConfig
 
@@ -28,6 +28,17 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def edit_manifest(change):
+    """A manifest text edit: ``change`` applied to the parsed manifest."""
+
+    def edit(text):
+        manifest = json.loads(text)
+        change(manifest)
+        return json.dumps(manifest)
+
+    return edit
 
 
 def tree_bytes(root):
@@ -220,6 +231,42 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: %s: [^\n]+\n" % re.escape(str(base)), err), err
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda text: text[:12], "invalid JSON: Expecting value: line 2 column 11 (char 12)"),
+            (lambda text: "[]", "the manifest must be an object, got []"),
+            (edit_manifest(lambda m: m.pop("test")), "the manifest has no key 'test'"),
+            (edit_manifest(lambda m: m.update(order=1)), "the manifest key 'order' must be a string, got 1"),
+            (edit_manifest(lambda m: m.update(stages={})), "the manifest key 'stages' must be an array, got {}"),
+            (edit_manifest(lambda m: m.update(val=[m["val"]])), "the manifest key 'val' must be an object, got [{"),
+            (edit_manifest(lambda m: m["stages"][0].pop("sha256")), "stage entry 0 has no key 'sha256'"),
+            (edit_manifest(lambda m: m["stages"][1].update(bucket=None)), "stage entry 1 key 'bucket' must be a string"),
+            (edit_manifest(lambda m: m["stages"][2].update(file=["x"])), "stage entry 2 key 'file' must be a string"),
+            (edit_manifest(lambda m: m["test"].update(pairs=True)), "the test entry key 'pairs' must be an integer"),
+        ],
+        ids=[
+            "truncated", "not-an-object", "no-test", "order-int", "stages-object", "val-array", "no-sha256",
+            "bucket-null", "file-array", "test-pairs-bool",
+        ],
+    )
+    def test_manifest_error_names_the_file(self, tmp_path, capsys, edit, error):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+        before = tree_bytes(out)
+        capsys.readouterr()
+        with pytest.raises(SchemaError):
+            read_manifest(out)
+        for command in (["train", "--mode", "dpo"], ["eval"]):
+            assert main([*command, "--out", str(out), "--seed", "7"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: %s: %s" % (manifest, error))
+            assert captured.err.count("\n") == 1
+        assert tree_bytes(out) == before
+
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         config = write_config(tmp_path, order="section4")
         assert main(["forge", "--config", str(config), "--order", "algorithm1"]) == 0
@@ -294,13 +341,18 @@ class TestTrainEval:
             ({"noise_std": -1}, "noise_std must be >= 0"),
             ({"eval": {"max_len": 0}}, "eval max_len must be >= 1"),
             ({"eval": {"temperature": -0.5}}, "eval temperature must be >= 0"),
+            ({"loss": {"finesse_samples": 1}}, "finesse_samples must be >= 2, got 1"),
+            ({"order": "bogus"}, "order must be one of ['algorithm1', 'section4']"),
         ],
-        ids=["split-negative", "noise-negative", "max-len-zero", "temperature-negative"],
+        ids=[
+            "split-negative", "noise-negative", "max-len-zero", "temperature-negative", "finesse-samples-one",
+            "order-bogus",
+        ],
     )
     def test_bad_value_rejected_when_the_config_loads(self, tmp_path, capsys, overrides, error):
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: %s\n" % error
+        assert capsys.readouterr().err == "error: config %s: %s\n" % (config, error)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -329,15 +381,24 @@ class TestTrainEval:
     def test_negative_seed_rejected_before_anything_is_written(self, tmp_path, capsys, overrides, flags):
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config), *flags]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        where = "" if flags else "config %s: " % config
+        assert capsys.readouterr().err == "error: %sseed must be >= 0\n" % where
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
     def test_bad_train_value_rejected_when_the_config_loads(self, tmp_path, capsys, command):
         config = write_config(tmp_path, train={"epochs_per_stage": 0})
         assert main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: epochs_per_stage must be >= 1\n"
+        assert capsys.readouterr().err == "error: config %s: epochs_per_stage must be >= 1\n" % config
         assert not (tmp_path / "out").exists()
+
+    def test_invalid_json_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1,\n', encoding="utf-8")
+        assert main(["forge", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        error = "invalid JSON: Expecting property name enclosed in double quotes: line 2 column 1 (char 12)"
+        assert capsys.readouterr() == ("", "error: config %s: %s\n" % (config, error))
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     def test_docstring_config_block_is_the_default_config(self, tmp_path):
         doc = cli.__doc__
@@ -384,6 +445,14 @@ class TestGradcheck:
             ["gradcheck", "--out", str(out), "--mode", "dpo", "--tolerance", "1e-15"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--out", str(out), "--mode", "dpo", "--tolerance", tolerance]) == 1
+        message = "--tolerance must be a finite number > 0, got %r" % float(tolerance)
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert not out.exists()
 
 
 SEED_7_TRAINING_SHA256 = {

@@ -373,9 +373,9 @@ class TestLossGradient:
             step_of([], policy, policy.snapshot(), LossConfig())
         encoded = encode_examples(random_examples(np.random.default_rng(107), n=1), policy, policy.snapshot())
         with pytest.raises(ValueError, match="non-empty"):
-            encoded.plan([], 2, encoded.weights(LossConfig()))
+            encoded.plan([], 2, LossConfig())
         with pytest.raises(ValueError, match="batch_size >= 1"):
-            encoded.plan([0], 0, encoded.weights(LossConfig()))
+            encoded.plan([0], 0, LossConfig())
 
     def test_reference_vocabulary_must_match(self):
         policy = make_policy(108)
@@ -387,7 +387,7 @@ class TestLossGradient:
     def test_batch_steps_only_under_the_config_it_was_planned_for(self):
         policy = make_policy(109)
         encoded = encode_examples(random_examples(np.random.default_rng(109)), policy, make_policy(110).snapshot())
-        [batch] = encoded.plan([2, 0, 1], 3, encoded.weights(LossConfig(mode="dpo")))
+        [batch] = encoded.plan([2, 0, 1], 3, LossConfig(mode="dpo"))
         with pytest.raises(ValueError, match="another loss config"):
             loss_gradient(batch, policy, LossConfig(mode="hin_dpo"))
         assert loss_gradient(batch, policy, LossConfig(mode="dpo")).loss > 0.0
@@ -540,11 +540,10 @@ class TestLossGradientMatchesOracle:
         policy, reference, batches = oracle_setup()
         examples = [example for batch in batches for example in batch]
         encoded = encode_examples(examples, policy, reference)
-        weights = encoded.weights(config)
         last = len(examples) - 1
         for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
             batch = [examples[i] for i in picks]
-            [planned] = encoded.plan(picks, len(picks), weights)
+            [planned] = encoded.plan(picks, len(picks), config)
             step = loss_gradient(planned, policy, config)
             assert len(planned) == len(picks)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)

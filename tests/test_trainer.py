@@ -194,9 +194,8 @@ def dense_train(curriculum, policy, config):
         if config.loss.uses_finesse():
             attach_finesse(examples, policy, config.loss, rng)
         encoded = encode_examples(examples, policy, reference)
-        weights = encoded.weights(config.loss)
         for _ in range(config.epochs_per_stage):
-            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, weights):
+            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, config.loss):
                 step = loss_gradient(batch, policy, config.loss)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
