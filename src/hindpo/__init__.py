@@ -12,12 +12,14 @@ Library tour:
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
-  estimate, ``encode_examples`` (pairs as transition indices, scored
-  under the frozen reference once), ``EncodedPairs.plan`` (an epoch's
-  batches with their loss weights, planned at once) and
-  ``loss_gradient``: one pass per batch giving the loss, its gradient,
-  the raw and weighted margins and the accuracy
-- :mod:`hindpo.trainer` staged training loop, gradient checking
+  estimate, ``encode_runs`` (pairs as transition indices, scored under
+  each run's frozen reference once), ``plan_runs`` (an epoch's batches
+  of K runs with their loss weights, planned at once) and ``loss_steps``:
+  one pass per batch giving every run's loss, its gradient, the raw and
+  weighted margins and the accuracy; ``encode_examples``,
+  ``EncodedPairs.plan`` and ``loss_gradient`` are their one-run forms
+- :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
+  several loss modes in lockstep, ``train`` one), gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
 """
@@ -48,10 +50,14 @@ from .losses import (
     LossConfig,
     LossExample,
     LossStep,
+    LossSteps,
     compute_finesse,
     encode_examples,
+    encode_runs,
     hin_dpo_loss,
     loss_gradient,
+    loss_steps,
+    plan_runs,
     preference_score,
 )
 from .policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
@@ -72,6 +78,7 @@ from .trainer import (
     encode_pairs,
     gradcheck,
     train,
+    train_modes,
     vocab_from_pairs,
 )
 from .welford import Welford

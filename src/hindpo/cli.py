@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -132,17 +133,24 @@ class RunConfig(TrainConfig):
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values (or the defaults) with the given flags on top."""
+    """The config file's values (or the defaults) with the given flags on
+    top; a flag value out of range raises ValueError naming the flag."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     mode = getattr(args, "mode", None)
-    flags = {
-        "out_dir": args.out,
-        "seed": args.seed,
-        "order": getattr(args, "order", None),
-        "corpus": getattr(args, "corpus", None),
-        "loss": None if mode is None else replace(config.loss, mode=mode),
-    }
-    return replace(config, **{key: value for key, value in flags.items() if value is not None})
+    flags = (
+        ("--out", "out_dir", args.out),
+        ("--seed", "seed", args.seed),
+        ("--order", "order", getattr(args, "order", None)),
+        ("--corpus", "corpus", getattr(args, "corpus", None)),
+        ("--mode", "loss", None if mode is None else replace(config.loss, mode=mode)),
+    )
+    for flag, key, value in flags:
+        if value is not None:
+            try:
+                config = replace(config, **{key: value})
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (flag, exc)) from exc
+    return config
 
 
 def _load_corpus(config: RunConfig, out_dir: Path) -> list[dataforge.ArticleRecord]:
@@ -192,14 +200,17 @@ def _base_policy(config: RunConfig, out_dir: Path) -> BigramPolicy:
     return base
 
 
-def _run_train(config: RunConfig, mode: str) -> tuple[Path, Path]:
+def _run_train(config: RunConfig, modes: Sequence[str]) -> list[tuple[Path, Path]]:
+    """Train ``modes`` in lockstep, then write each mode's checkpoint and
+    log: a failure in any mode leaves none of them written."""
     out_dir = Path(config.out_dir)
     curriculum = dataforge.load_curriculum(out_dir)
     base = _base_policy(config, out_dir)
-    trained, log = trainer.train(curriculum, base.copy(), replace(config, loss=replace(config.loss, mode=mode)))
-    policy_path = trained.save(out_dir / ("policy_%s.json" % mode))
-    log_path = log.save(out_dir / ("trainlog_%s.jsonl" % mode))
-    return policy_path, log_path
+    runs = trainer.train_modes(curriculum, base, config, modes)
+    return [
+        (trained.save(out_dir / ("policy_%s.json" % mode)), log.save(out_dir / ("trainlog_%s.jsonl" % mode)))
+        for mode, (trained, log) in zip(modes, runs)
+    ]
 
 
 def _run_eval(config: RunConfig) -> str:
@@ -279,7 +290,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     mode = config.loss.mode
-    policy_path, log_path = _run_train(config, mode)
+    [(policy_path, log_path)] = _run_train(config, [mode])
     print("trained %s -> %s (log: %s)" % (mode, policy_path, log_path))
     return 0
 
@@ -303,12 +314,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Full pipeline: forge the bundled toy corpus (or the config file's
-    ``corpus``), train all modes, eval."""
+    ``corpus``), train all modes in lockstep (one ``train_modes`` call; a
+    one-mode ``train`` is the same loop with K = 1), eval. A mode that
+    fails to train fails the demo before any mode's checkpoint or log is
+    written."""
     config = _resolve_config(args)
     manifest_path = _run_forge(config)
     print("forged %s" % manifest_path)
-    for mode in MODES:
-        policy_path, _ = _run_train(config, mode)
+    for mode, (policy_path, _) in zip(MODES, _run_train(config, MODES)):
         print("trained %s -> %s" % (mode, policy_path))
     print(_run_eval(config), end="")
     return 0

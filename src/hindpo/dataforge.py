@@ -520,19 +520,26 @@ def _check_keys(section: object, keys: dict, path: Path, where: str) -> None:
 
 
 def read_manifest(out_dir: str | Path) -> dict:
-    """The manifest ``emit_forge`` wrote in ``out_dir``. Invalid JSON, or a
-    key that train and eval read back missing or of the wrong type, raises
-    :class:`SchemaError` naming the file."""
+    """The manifest ``emit_forge`` wrote in ``out_dir``. Invalid JSON, a
+    key that train and eval read back missing or of the wrong type, or an
+    entry whose ``file`` is not a bare file name (so would be read from
+    outside ``out_dir``) raises :class:`SchemaError` naming the file."""
     path = Path(out_dir) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
     _check_keys(manifest, _MANIFEST_KEYS, path, "the manifest")
-    for position, entry in enumerate(manifest["stages"]):
-        _check_keys(entry, {"bucket": str, **_ENTRY_KEYS}, path, "stage entry %d" % position)
-    for name in ("val", "test"):
-        _check_keys(manifest[name], _ENTRY_KEYS, path, "the %s entry" % name)
+    stage_keys = {"bucket": str, **_ENTRY_KEYS}
+    entries = [("stage entry %d" % i, entry, stage_keys) for i, entry in enumerate(manifest["stages"])]
+    entries += [("the %s entry" % name, manifest[name], _ENTRY_KEYS) for name in ("val", "test")]
+    for where, entry, keys in entries:
+        _check_keys(entry, keys, path, where)
+        name = entry["file"]
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise SchemaError(
+                "%s: %s key 'file' must be a file name in the manifest's directory, got %r" % (path, where, name)
+            )
     return manifest
 
 

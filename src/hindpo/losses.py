@@ -19,20 +19,27 @@ bit.
 
 The weighting and loss functions are elementwise (scalars in, scalars out;
 per-pair arrays in, per-pair arrays out), so one formula serves a single
-pair and a whole batch. ``loss_gradient`` works in count form: a bigram
-sequence's log-probability and its gradient are linear in the sequence's
-transition counts, so a batch needs one pass over all its transitions and
-no per-pair loop. Only what depends on the policy is computed per step;
-the rest is planned ahead, at three levels:
+pair and a whole batch. The step works in count form: a bigram sequence's
+log-probability and its gradient are linear in the sequence's transition
+counts, so a batch needs one pass over all its transitions and no
+per-pair loop. It also serves K training runs at once, one per loss mode,
+in lockstep: their logit tables are stacked as one (K·V, V) table, run
+k's row r being row k·V + r, and every kernel works row by row, or
+sequence by sequence in transition order, so each run's values are bit
+for bit those of the run alone. Only what depends on the policies is
+computed per step; the rest is planned ahead, at three levels:
 
-- per stage, ``encode_examples`` turns the pairs into transition indices
-  and scores them under the frozen reference;
-- per epoch, ``EncodedPairs.plan`` computes the permuted pairs' mode
-  weights and cuts the pairs into ``Batch``es: one gather of their
-  transitions, and one ``np.unique`` over the key batch * V + row for
-  every batch's visited rows;
-- per step, ``loss_gradient`` normalises the visited rows and computes
-  the loss, its gradient on those rows and the batch statistics.
+- per stage, ``encode_runs`` turns the pairs into transition indices once
+  and scores them under each run's frozen reference (``encode_examples``
+  for one run);
+- per epoch, ``plan_runs`` computes the permuted pairs' mode weights of
+  every run and cuts the pairs into ``Batch``es, each holding the same
+  cut of every run's permutation: one gather of their transitions, and
+  one ``np.unique`` over the key batch * K·V + stacked row for every
+  batch's visited rows (``EncodedPairs.plan`` for one run);
+- per step, ``loss_steps`` normalises the visited rows and computes every
+  run's loss, its gradient on those rows and the batch statistics
+  (``loss_gradient`` for a batch of one run).
 
 ``compute_finesse`` draws all its samples from one temperature table.
 """
@@ -246,35 +253,45 @@ def compute_finesse(
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """One train step's pairs, planned before the step: everything the step
-    needs that does not depend on the policy.
+    """One train step's pairs for K runs that share their pairs'
+    transitions, planned before the step: everything the step needs that
+    does not depend on the policies.
 
-    ``rows`` holds the sorted policy rows the batch visits. Per transition,
-    ``local`` is its row as an index into ``rows``, ``cols`` its next token
-    and ``owner`` its sequence: 2i for pair i's preferred response, 2i + 1
-    for its rejected one. ``reference`` is the pairs' (m, 2) reference
-    log-probabilities. The pairs' loss weights under ``config`` follow:
-    ``m_w`` / ``m_l`` are the mode's preferred / rejected weights, ``mult``
-    the finesse multiplier and ``beta_mult`` beta * mult; ``sides`` is the
-    (m, 2) table (-m_w, +m_l), each response's signed weight in the
-    gradient before the pair's coefficient.
+    The runs' logit tables are stacked as one (K·V, V) table, run k's row r
+    being row k·V + r. A batch holds the same number m of pairs from each
+    run, run 0's first, then run 1's, and so on; ``configs`` holds each
+    run's loss config. ``rows`` holds the sorted stacked rows the batch
+    visits, so run-major, and run k's visited rows are
+    ``rows[blocks[k]]``. Per transition, ``local`` is its row
+    as an index into ``rows``, ``cols`` its next token and ``owner`` its
+    sequence: 2i for pair i's preferred response, 2i + 1 for its rejected
+    one. ``reference`` is the pairs' (K·m, 2) reference log-probabilities.
+    The pairs' loss weights under their run's config follow: ``m_w`` /
+    ``m_l`` are the mode's preferred / rejected weights, ``mult`` the
+    finesse multiplier, ``beta`` the run's beta and ``beta_mult``
+    beta * mult; ``sides`` is the (K·m, 2) table (-m_w, +m_l), each
+    response's signed weight in the gradient before the pair's
+    coefficient.
     """
 
     vocab: Vocabulary
+    configs: tuple[LossConfig, ...]
     rows: np.ndarray
+    blocks: tuple[slice, ...]
     local: np.ndarray
     cols: np.ndarray
     owner: np.ndarray
     reference: np.ndarray
-    config: LossConfig
     m_w: np.ndarray
     m_l: np.ndarray
     mult: np.ndarray
+    beta: np.ndarray
     beta_mult: np.ndarray
     sides: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.reference)
+        """Pairs per run."""
+        return len(self.reference) // len(self.configs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,122 +319,201 @@ class EncodedPairs:
     def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, config: LossConfig) -> list[Batch]:
         """The batches of one epoch under ``config``: the pairs at the
         positions ``order`` (repeats allowed), cut every ``batch_size``
-        pairs, the last batch holding the rest.
+        pairs, the last batch holding the rest. ``plan_runs`` with one run."""
+        return plan_runs([self], [order], batch_size, [config])
 
-        One gather takes every transition of the epoch in batch order, and
-        one ``np.unique`` over the key batch * V + row gives every batch's
-        sorted visited rows and each transition's index into them; the
-        reference scores and the gathered pairs' loss weights are computed
-        once and sliced.
-        """
-        order = np.asarray(order, dtype=np.intp)
-        n = len(order)
-        if not n or batch_size < 1:
-            raise ValueError("an epoch must be non-empty and batch_size >= 1, got %d pairs and %d" % (n, batch_size))
-        seqs = (2 * order[:, None] + np.arange(2)).ravel()
-        lengths = self.lengths[seqs]
-        starts = (np.cumsum(self.lengths) - self.lengths)[seqs]  # where each sequence begins here
-        ends = np.cumsum(lengths)  # where it ends in the epoch
-        # Epoch transition t of sequence k is transition starts[k] + t - (ends[k] - lengths[k]) here.
-        picked = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-        batch_of, owner = np.divmod(np.repeat(np.arange(2 * n), lengths), 2 * batch_size)
-        vocab_size = len(self.vocab)
-        keys, inverse = np.unique(batch_of * vocab_size + self.rows[picked], return_inverse=True)
-        batch_ids = np.arange(-(-n // batch_size) + 1)
-        key_bounds = np.searchsorted(keys, batch_ids * vocab_size)  # batch b's keys lie in [b * V, (b + 1) * V)
-        local = inverse - key_bounds[batch_of]
-        rows, cols = keys % vocab_size, self.cols[picked]
-        step_bounds, key_bounds = np.searchsorted(batch_of, batch_ids).tolist(), key_bounds.tolist()
-        s_w, s_l, v = self.factors[order].T
-        m_w, m_l, mult = (np.broadcast_to(w, n) for w in _weights(s_w, s_l, v, config))
-        # An overflowing beta * mult shows in the step as a non-finite value.
-        with np.errstate(over="ignore"):
-            beta_mult = config.beta * mult
-        reference, sides = self.reference[order], np.stack([-m_w, m_l], axis=1)
-        batches = []
-        for b, start in enumerate(range(0, n, batch_size)):
-            visited, steps = slice(*key_bounds[b : b + 2]), slice(*step_bounds[b : b + 2])
-            pairs = slice(start, start + batch_size)
-            batches.append(
-                Batch(
-                    self.vocab, rows[visited], local[steps], cols[steps], owner[steps], reference[pairs], config,
-                    m_w[pairs], m_l[pairs], mult[pairs], beta_mult[pairs], sides[pairs],
-                )
+
+def plan_runs(
+    runs: Sequence[EncodedPairs],
+    orders: Sequence[Sequence[int] | np.ndarray],
+    batch_size: int,
+    configs: Sequence[LossConfig],
+) -> list[Batch]:
+    """The batches of one epoch of K runs: run k takes its pairs at the
+    positions ``orders[k]`` (repeats allowed) under ``configs[k]``, cut
+    every ``batch_size`` pairs, the last batch holding the rest; batch j
+    holds run 0's j-th cut, then run 1's, and so on.
+
+    The runs must share their transition arrays, as ``encode_runs`` makes
+    them. One gather takes every transition of the epoch in batch order,
+    and one ``np.unique`` over the key batch * K·V + stacked row gives
+    every batch's sorted visited rows, each run's block of them and
+    each transition's index into them; the reference scores and the
+    gathered pairs' loss weights are computed once per run and sliced.
+    """
+    first = runs[0]
+    orders = np.asarray(orders, dtype=np.intp)
+    count = len(runs)
+    shared = all(run.lengths is first.lengths for run in runs)
+    if not shared or orders.shape[0] != count or len(configs) != count:
+        raise ValueError("runs must share their transitions and take one order and one config each")
+    n = orders.shape[1]
+    if not n or batch_size < 1:
+        raise ValueError("an epoch must be non-empty and batch_size >= 1, got %d pairs and %d" % (n, batch_size))
+    # Position p of run k's order goes to batch p // batch_size, runs in order within a batch.
+    placed = np.argsort(np.tile(np.arange(n) // batch_size, count), kind="stable")
+    run_of, chosen = placed // n, orders.ravel()[placed]
+    seqs = (2 * chosen[:, None] + np.arange(2)).ravel()
+    lengths = first.lengths[seqs]
+    starts = (np.cumsum(first.lengths) - first.lengths)[seqs]  # where each sequence begins in the encoding
+    ends = np.cumsum(lengths)  # where it ends in the epoch
+    # Epoch transition t of sequence s is transition starts[s] + t - (ends[s] - lengths[s]) of the encoding.
+    picked = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    sequence_of = np.repeat(np.arange(2 * count * n), lengths)
+    batch_of, owner = np.divmod(sequence_of, 2 * count * batch_size)
+    vocab_size = len(first.vocab)
+    stacked = first.rows[picked] + (vocab_size * run_of)[sequence_of // 2]
+    keys, inverse = np.unique(batch_of * (count * vocab_size) + stacked, return_inverse=True)
+    batches = -(-n // batch_size)
+    # Run k of batch b owns the keys in [(b·K + k)·V, (b·K + k + 1)·V).
+    key_bounds = np.searchsorted(keys, np.arange(batches * count + 1) * vocab_size)
+    batch_keys = key_bounds[::count]
+    local = inverse - batch_keys[batch_of]
+    rows, cols = keys % (count * vocab_size), first.cols[picked]
+    # Run k of batch b owns the slice blocks[b·K + k] of the batch's visited rows.
+    offsets = np.repeat(batch_keys[:-1], count)
+    blocks = list(map(slice, (key_bounds[:-1] - offsets).tolist(), (key_bounds[1:] - offsets).tolist()))
+    step_bounds, batch_keys = np.searchsorted(batch_of, np.arange(batches + 1)).tolist(), batch_keys.tolist()
+    table = np.empty((count, 6, n))  # per run: m_w, m_l, mult, beta and the reference scores
+    for weights, run, order, config in zip(table, runs, orders, configs):
+        s_w, s_l, v = run.factors[order].T
+        weights[0], weights[1], weights[2] = _weights(s_w, s_l, v, config)
+        weights[3] = config.beta
+        weights[4:] = run.reference[order].T
+    m_w, m_l, mult, beta, *reference = table.transpose(1, 0, 2).reshape(6, -1)[:, placed]
+    # An overflowing beta * mult shows in the step as a non-finite value.
+    with np.errstate(over="ignore"):
+        beta_mult = beta * mult
+    reference, sides, configs = np.stack(reference, axis=1), np.stack([-m_w, m_l], axis=1), tuple(configs)
+    out = []
+    for b in range(batches):
+        visited, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
+        pairs = slice(b * count * batch_size, min(n, (b + 1) * batch_size) * count)
+        out.append(
+            Batch(
+                first.vocab, configs, rows[visited], tuple(blocks[b * count : (b + 1) * count]),
+                local[steps], cols[steps], owner[steps],
+                reference[pairs], m_w[pairs], m_l[pairs], mult[pairs], beta[pairs], beta_mult[pairs], sides[pairs],
             )
-        return batches
+        )
+    return out
+
+
+def encode_runs(
+    examples: Sequence[LossExample],
+    policy: BigramPolicy,
+    references: np.ndarray,
+    variances: Sequence[Sequence[float]],
+) -> list[EncodedPairs]:
+    """Encode pairs into transition indices once and score them for K runs.
+
+    ``references`` stacks the runs' reference logit tables as one (K·V, V)
+    table, run k's in rows k·V to (k + 1)·V - 1, and ``variances[k]``
+    holds run k's per-pair effective variances. The runs share the
+    transition arrays. Every run's sequence reference log-probabilities
+    come from one ``np.bincount`` over all runs' transitions, which adds
+    each sequence's terms in order.
+    """
+    if not examples:
+        raise ValueError("no pairs to encode")
+    paths = [policy.transitions(e.prompt, seq) for e in examples for seq in (e.preferred, e.rejected)]
+    rows = np.concatenate([r for r, _ in paths])
+    cols = np.concatenate([c for _, c in paths])
+    lengths = np.array([len(r) for r, _ in paths], dtype=np.intp)
+    count, sequences = len(variances), len(paths)
+    stacked = (rows + len(policy.vocab) * np.arange(count)[:, None]).ravel()
+    terms = normalise(references)[0][stacked, np.tile(cols, count)]
+    owner = np.repeat(np.arange(count * sequences), np.tile(lengths, count))
+    sequence_log_probs = np.bincount(owner, terms, minlength=count * sequences).reshape(count, -1, 2)
+    actuality = [(e.preferred_actuality, e.rejected_actuality) for e in examples]
+    return [
+        EncodedPairs(policy.vocab, rows, cols, lengths, scores, np.column_stack([actuality, v]))
+        for scores, v in zip(sequence_log_probs, variances)
+    ]
 
 
 def encode_examples(
     examples: Sequence[LossExample], policy: BigramPolicy, reference: BigramPolicy
 ) -> EncodedPairs:
-    """Encode pairs into transition indices and score them under ``reference``.
-
-    Each sequence's reference log-probability comes from one
-    ``np.bincount`` over all transitions, which adds every sequence's
-    terms in order. The reference must share the policy's vocabulary.
-    """
-    if not examples:
-        raise ValueError("no pairs to encode")
+    """Encode pairs into transition indices and score them under
+    ``reference``, with the examples' effective variances: ``encode_runs``
+    with one run. The reference must share the policy's vocabulary."""
     if reference.vocab != policy.vocab:
         raise ValueError("policy and reference vocabularies differ")
-    paths = [policy.transitions(e.prompt, seq) for e in examples for seq in (e.preferred, e.rejected)]
-    rows = np.concatenate([r for r, _ in paths])
-    cols = np.concatenate([c for _, c in paths])
-    lengths = np.array([len(r) for r, _ in paths], dtype=np.intp)
-    terms = normalise(reference.logits)[0][rows, cols]
-    sequence_log_probs = np.bincount(np.repeat(np.arange(len(paths)), lengths), terms, minlength=len(paths))
-    factors = np.array(
-        [(e.preferred_actuality, e.rejected_actuality, e.effective_variance) for e in examples],
-        dtype=np.float64,
-    )
-    return EncodedPairs(policy.vocab, rows, cols, lengths, sequence_log_probs.reshape(-1, 2), factors)
+    return encode_runs(examples, policy, reference.logits, [[e.effective_variance for e in examples]])[0]
 
 
-def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
-    """Mean batch loss, its analytic gradient w.r.t. the policy logits on
-    the rows the batch visits, and the batch's preference statistics, in
-    count form.
+@dataclass(frozen=True, eq=False)
+class LossSteps:
+    """One planned batch's per-run losses, gradient and statistics.
 
-    ``batch`` is a planned ``Batch``, or a whole ``EncodedPairs``, which
-    is planned here as one batch in encoding order. Only the policy rows
-    the batch visits are normalised. One ``np.bincount`` over the batch's
-    transitions gives every sequence's policy log-probability, hence all
-    r_w / r_l against the encoded reference scores; u = beta * S, the
-    losses and the statistics are per-pair arrays, each mean taken as
-    ``np.add.reduce(x) / m``, which is how ``np.mean`` sums. With
+    ``rows`` are the batch's visited stacked rows and ``gradient`` the
+    (len(rows), V) block of every run's loss gradient on them. ``loss``,
+    ``margin``, ``weighted_margin`` and ``accuracy`` hold one value per
+    run, in run order, each as ``LossStep`` defines it.
+    """
+
+    rows: np.ndarray
+    gradient: np.ndarray
+    loss: list[float]
+    margin: list[float]
+    weighted_margin: list[float]
+    accuracy: list[float]
+
+
+def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
+    """Every run's mean batch loss, its analytic gradient w.r.t. the
+    stacked (K·V, V) ``logits`` on the rows the batch visits, and the
+    batch's preference statistics, in count form.
+
+    Only the visited rows are normalised. One ``np.bincount`` over the
+    batch's transitions gives every sequence's policy log-probability,
+    hence all r_w / r_l against the planned reference scores; u = beta * S,
+    the losses and the statistics are per-pair arrays, and each run's mean
+    is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
+    ``np.mean`` sums), all in one reduction over a (4, K, m) table. With
     coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
     -coeff * m_w and each rejected one +coeff * m_l in one
     ``transition_grad`` call over the visited rows, which gives the
-    gradient block on those rows; every other row's gradient is zero. The
-    finesse variance is a constant computed outside this function; no
+    gradient block on those rows; every other row's gradient is zero. Every
+    kernel works row by row, or sequence by sequence in transition order,
+    so each run's values are bit for bit those of the run planned alone.
+    The finesse variance is a constant computed outside this function; no
     gradient flows through it.
     """
-    if isinstance(batch, EncodedPairs):
-        batch = batch.plan(np.arange(len(batch)), len(batch), config)[0]
-    if batch.vocab != policy.vocab:
-        raise ValueError("batch was encoded for another vocabulary")
-    if batch.config is not config and batch.config != config:
-        raise ValueError("batch was planned for another loss config")
-    m = len(batch.reference)
-    log_probs, probs = normalise(policy.logits[batch.rows])
-    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * m)
+    runs, pairs = len(batch.configs), len(batch.reference)
+    m = pairs // runs
+    log_probs, probs = normalise(logits[batch.rows])
+    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * pairs)
     r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
     score = _weighted_score(r_w, r_l, batch.m_w, batch.m_l, batch.mult)
     diff = r_w - r_l
     # An overflow shows as a non-finite value, which the trainer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = config.beta * score
+        u = batch.beta * score
         coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-        loss = float(np.add.reduce(hin_dpo_loss(score, config.beta)) / m)
-        margin = float(np.add.reduce(config.beta * diff) / m)
-        weighted_margin = float(np.add.reduce(u) / m)
+        per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
+        loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair.reshape(4, runs, m), axis=2) / m).tolist()
         side = (coeff[:, None] * batch.sides).ravel()
         gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
-    return LossStep(
-        rows=batch.rows,
-        gradient=gradient,
-        loss=loss,
-        margin=margin,
-        weighted_margin=weighted_margin,
-        accuracy=np.count_nonzero(diff > TIE_TOLERANCE) / m,
-    )
+    return LossSteps(batch.rows, gradient, loss, margin, weighted_margin, accuracy)
+
+
+def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
+    """Mean batch loss, its analytic gradient w.r.t. the policy logits on
+    the rows the batch visits, and the batch's preference statistics:
+    ``loss_steps`` for a batch of one run.
+
+    ``batch`` is a planned one-run ``Batch``, or a whole ``EncodedPairs``,
+    which is planned here as one batch in encoding order.
+    """
+    if isinstance(batch, EncodedPairs):
+        batch = batch.plan(np.arange(len(batch)), len(batch), config)[0]
+    if batch.vocab != policy.vocab:
+        raise ValueError("batch was encoded for another vocabulary")
+    if len(batch.configs) != 1:
+        raise ValueError("batch was planned for %d runs, not one" % len(batch.configs))
+    if batch.configs[0] is not config and batch.configs[0] != config:
+        raise ValueError("batch was planned for another loss config")
+    step = loss_steps(batch, policy.logits)
+    return LossStep(step.rows, step.gradient, step.loss[0], step.margin[0], step.weighted_margin[0], step.accuracy[0])

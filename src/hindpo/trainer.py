@@ -1,30 +1,45 @@
 """Curriculum training loop and gradient checking.
 
-Stages run in dataset order. At the start of each stage the finesse
-variance is computed once per unique prompt (finesse modes only, from one
+``train_modes`` trains one run per loss mode from the same policy, all
+runs in lockstep; ``train`` is the same loop with one mode (K = 1). Stages
+run in dataset order. At the start of each stage each finesse run
+computes its finesse variance once per unique prompt (from one
 temperature table), and the stage's pairs are encoded into transition
-indices and scored under the frozen reference. Each epoch draws a
-permutation of the stage's pairs and plans all its batches, with the
-pairs' mode weights, in one call; each step then takes one plain
-gradient-descent step on its batch, on the policy rows the batch visits.
-At the end of a stage the frozen reference is optionally refreshed to the
-current policy. Everything is driven by one seeded generator, so
-identical inputs give identical logs and parameters.
+indices once and scored under each run's frozen reference. Each epoch
+draws a permutation of the stage's pairs per run and plans every run's
+batches, with the pairs' mode weights, in one call; each step then takes
+one plain gradient-descent step on its batch for every run, on the rows
+the batch visits. At the end of a stage each run's frozen reference is
+optionally refreshed to its current policy. Each run is driven by its own
+generator seeded with the config's seed, so identical inputs give
+identical logs and parameters, and a run's are the same whichever modes
+train beside it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair
 from .fileio import write_atomic
-from .losses import LossConfig, LossExample, compute_finesse, encode_examples, loss_gradient
+from .losses import (
+    LossConfig,
+    LossExample,
+    LossSteps,
+    compute_finesse,
+    encode_examples,
+    encode_runs,
+    loss_gradient,
+    loss_steps,
+    plan_runs,
+)
 from .policy import EOS, BigramPolicy, Vocabulary
 from .textmetrics import tokenize
 
@@ -131,67 +146,109 @@ def attach_finesse(
         example.effective_variance = effective[tuple(example.prompt)]
 
 
-def train(
+def _non_finite(
+    result: LossSteps, updated: np.ndarray, norms: list[float], blocks: Sequence[slice]
+) -> Iterator[tuple[int, str]]:
+    """(run, value name) of each non-finite value of a step: runs in order
+    and, within a run, its loss, gradient, updated logits, gradient norm,
+    margin and weighted margin in that order."""
+    for k, block in enumerate(blocks):
+        for name, values in (
+            ("loss", result.loss[k]), ("gradient", result.gradient[block]),
+            ("logits after the update", updated[block]), ("gradient norm", norms[k]),
+            ("margin", result.margin[k]), ("weighted margin", result.weighted_margin[k]),
+        ):
+            if not np.isfinite(values).all():
+                yield k, name
+
+
+def train_modes(
     curriculum: CurriculumDataset,
     policy: BigramPolicy,
     config: TrainConfig,
-) -> tuple[BigramPolicy, TrainLog]:
-    """Run the staged training loop; mutates and returns the policy.
+    modes: Sequence[str],
+) -> list[tuple[BigramPolicy, TrainLog]]:
+    """Run the staged training loop once per loss mode, all K runs in
+    lockstep; returns each run's (policy, log), in ``modes`` order.
 
-    The policy gets its own copy of the logit table at entry, so the
-    caller's array is never written and a frozen snapshot trains too; each
-    step then updates only the rows its batch visits. Per-step records
-    carry the batch loss, the mean raw margin beta * (r_w - r_l), the batch
-    preference accuracy, the mean weighted margin beta * S and the
-    gradient's Frobenius norm, all measured against the in-stage reference
-    before the update is applied. A step whose loss, gradient, updated
-    logits, gradient norm or margins are not finite raises before the
-    policy changes or is logged.
+    Run k trains ``config`` with its loss mode set to ``modes[k]``, from
+    ``policy``'s logits. Run 0 trains ``policy`` itself: it gets its own
+    copy of the table at entry, so the caller's array is never written and
+    a frozen snapshot trains too. The runs' tables are stacked as one
+    (K·V, V) table, run k's row r being row k·V + r, and each run's policy
+    holds its block of it. Each run keeps its own generator, consumed as a
+    run alone consumes it (finesse at stage start, then one permutation per
+    epoch), and its own reference, refreshed per stage. A stage's pairs are
+    tokenized and encoded once; each epoch plans every run's batches in one
+    call, and each step takes one ``loss_steps`` call and one update of the
+    rows the batch visits, for every run at once.
+
+    Per-step records carry the batch loss, the mean raw margin
+    beta * (r_w - r_l), the batch preference accuracy, the mean weighted
+    margin beta * S and the gradient's Frobenius norm, all measured against
+    the in-stage reference before the update is applied. A step whose loss,
+    gradient, updated logits, gradient norm or margins are not finite in
+    any run raises, naming the first such run's mode when K > 1, before any
+    run changes or is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
-    policy.logits = np.array(policy.logits)
-    rng = np.random.default_rng(config.seed)
-    reference = policy.snapshot()
-    log = TrainLog()
+    if not modes:
+        raise ValueError("train_modes needs at least one mode")
+    configs = [replace(config.loss, mode=mode) for mode in modes]
+    size = len(policy.vocab)
+    logits = np.tile(policy.logits, (len(configs), 1))
+    policies = [policy, *(BigramPolicy(policy.vocab) for _ in configs[1:])]
+    for k, run in enumerate(policies):
+        run.logits = logits[k * size : (k + 1) * size]
+    rngs = [np.random.default_rng(config.seed) for _ in configs]
+    reference = logits.copy()
+    logs = [TrainLog() for _ in configs]
     step = 0
     for stage_name, pairs in curriculum.stages:
         if not pairs:
             raise TrainingError("stage %r is empty" % stage_name)
         examples = encode_pairs(pairs)
-        if config.loss.uses_finesse():
-            attach_finesse(examples, policy, config.loss, rng)
-        encoded = encode_examples(examples, policy, reference)
+        variances = []
+        for run, loss, rng in zip(policies, configs, rngs):
+            if loss.uses_finesse():
+                attach_finesse(examples, run, loss, rng)
+            variances.append([example.effective_variance for example in examples])
+        encoded = encode_runs(examples, policy, reference, variances)
         for epoch in range(1, config.epochs_per_stage + 1):
-            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, config.loss):
-                result = loss_gradient(batch, policy, config.loss)
+            orders = [rng.permutation(len(examples)) for rng in rngs]
+            for batch in plan_runs(encoded, orders, config.batch_size, configs):
+                result = loss_steps(batch, logits)
                 step += 1
-                where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
-                if not math.isfinite(result.loss):
-                    raise TrainingError("non-finite loss " + where)
-                gradient = result.gradient.ravel()
-                if not np.isfinite(gradient).all():
-                    raise TrainingError("non-finite gradient " + where)
-                with np.errstate(over="ignore"):
-                    updated = policy.logits[result.rows] - config.learning_rate * result.gradient
-                    grad_norm = math.sqrt(gradient.dot(gradient))
-                if not np.isfinite(updated).all():
-                    raise TrainingError("non-finite logits after the update " + where)
-                for name, value in (
-                    ("gradient norm", grad_norm), ("margin", result.margin), ("weighted margin", result.weighted_margin)
-                ):
-                    if not math.isfinite(value):
-                        raise TrainingError("non-finite %s %s" % (name, where))
-                policy.logits[result.rows] = updated
-                log.records.append(
-                    TrainStepRecord(
-                        stage_name, epoch, step, result.loss, result.margin, result.accuracy,
-                        result.weighted_margin, grad_norm,
-                    )
-                )
+                gradient = result.gradient
+                with np.errstate(over="ignore", invalid="ignore"):
+                    updated = logits[result.rows] - config.learning_rate * gradient
+                    norms = [math.sqrt(np.vdot(gradient[block], gradient[block])) for block in batch.blocks]
+                finite = chain(result.loss, norms, result.margin, result.weighted_margin)
+                if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
+                    k, name = next(_non_finite(result, updated, norms, batch.blocks))
+                    run = " in mode %r" % modes[k] if len(modes) > 1 else ""
+                    where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
+                    raise TrainingError("non-finite %s%s %s" % (name, run, where))
+                logits[result.rows] = updated
+                stats = zip(logs, result.loss, result.margin, result.accuracy, result.weighted_margin, norms)
+                for log, *values in stats:
+                    log.records.append(TrainStepRecord(stage_name, epoch, step, *values))
         if config.refresh_reference_per_stage:
-            reference = policy.snapshot()
-    return policy, log
+            reference = logits.copy()
+    return list(zip(policies, logs))
+
+
+def train(
+    curriculum: CurriculumDataset,
+    policy: BigramPolicy,
+    config: TrainConfig,
+) -> tuple[BigramPolicy, TrainLog]:
+    """Run the staged training loop for ``config.loss.mode``: ``train_modes``
+    with that one mode (K = 1). Mutates and returns the policy, which gets
+    its own copy of the logit table at entry; each step then updates only
+    the rows its batch visits."""
+    return train_modes(curriculum, policy, config, [config.loss.mode])[0]
 
 
 def gradcheck(

@@ -6,15 +6,15 @@ import subprocess
 import sys
 import types
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 import hindpo
-from hindpo import cli
+from hindpo import cli, trainer
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import SchemaError, read_manifest
-from hindpo.losses import LossConfig
+from hindpo.losses import MODES, LossConfig
 from hindpo.trainer import TrainConfig
 
 
@@ -39,6 +39,12 @@ def edit_manifest(change):
         return json.dumps(manifest)
 
     return edit
+
+
+def mode_files(out):
+    """The trained checkpoints and train logs in ``out``."""
+    names = [name % mode for mode in MODES for name in ("policy_%s.json", "trainlog_%s.jsonl")]
+    return [name for name in names if (out / name).exists()]
 
 
 def tree_bytes(root):
@@ -201,6 +207,65 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite gradient at stage '\w+' epoch 1 step 1\n", err), err
         assert not (tmp_path / "out" / "policy_hin_dpo.json").exists()
+
+    def test_demo_overflow_is_one_clean_error_and_writes_no_mode(self, tmp_path, capsys):
+        # The modes train in lockstep: the failing one is named, and no
+        # mode's checkpoint or log is written, not even an earlier mode's.
+        config = write_config(tmp_path, loss={"beta": 1e300})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["demo", "--config", str(config)]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        pattern = r"error: non-finite [a-z ]+ in mode '(%s)' at stage '\w+' epoch \d+ step \d+\n" % "|".join(MODES)
+        assert re.fullmatch(pattern, err), err
+        assert not mode_files(tmp_path / "out")
+        assert (tmp_path / "out" / "policy_base.json").exists()
+
+    def test_demo_mode_failing_late_writes_no_earlier_mode(self, tmp_path, capsys, monkeypatch):
+        # dpo_fin's loss turns non-finite at step 100, after dpo and dpo_act
+        # have trained through step 99: neither of them is written either.
+        real = trainer.loss_steps
+        steps = []
+
+        def corrupt_hundredth(batch, logits):
+            result = real(batch, logits)
+            steps.append(result)
+            if len(steps) < 100:
+                return result
+            loss = [float("nan") if mode == "dpo_fin" else value for mode, value in zip(MODES, result.loss)]
+            return replace(result, loss=loss)
+
+        monkeypatch.setattr(trainer, "loss_steps", corrupt_hundredth)
+        config = write_config(tmp_path)
+        assert main(["demo", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite loss in mode 'dpo_fin' at stage '\w+' epoch \d+ step 100\n", err), err
+        assert not mode_files(tmp_path / "out")
+
+    @pytest.mark.parametrize("where", ["parent", "absolute", "subdir"])
+    def test_manifest_file_outside_the_out_dir_rejected(self, tmp_path, capsys, where):
+        # A copy of the first stage file that train would read and accept
+        # (same pairs, same sha256) if the manifest could point outside.
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        stage = out / "stage_0_B_L.jsonl"
+        copy = out / "sub" / "x.jsonl" if where == "subdir" else tmp_path / "x.jsonl"
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_bytes(stage.read_bytes())
+        name = {"parent": "../x.jsonl", "absolute": str(copy), "subdir": "sub/x.jsonl"}[where]
+        manifest = out / "manifest.json"
+        edit = edit_manifest(lambda m: m["stages"][0].update(file=name))
+        manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+        before = tree_bytes(out)
+        capsys.readouterr()
+        error = "stage entry 0 key 'file' must be a file name in the manifest's directory, got %r" % name
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            read_manifest(out)
+        for command in (["train", "--mode", "dpo"], ["eval"]):
+            assert main([*command, "--out", str(out), "--seed", "7"]) == 1
+            assert capsys.readouterr() == ("", "error: %s: %s\n" % (manifest, error))
+        assert tree_bytes(out) == before
 
     def test_train_rejects_a_truncated_stage_file(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -381,7 +446,7 @@ class TestTrainEval:
     def test_negative_seed_rejected_before_anything_is_written(self, tmp_path, capsys, overrides, flags):
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config), *flags]) == 1
-        where = "" if flags else "config %s: " % config
+        where = "--seed: " if flags else "config %s: " % config
         assert capsys.readouterr().err == "error: %sseed must be >= 0\n" % where
         assert not (tmp_path / "out").exists()
 

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import oracles
 from hindpo import trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, forge
-from hindpo.losses import EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient
+from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -16,6 +17,7 @@ from hindpo.trainer import (
     encode_pairs,
     gradcheck,
     train,
+    train_modes,
     vocab_from_pairs,
 )
 
@@ -263,24 +265,99 @@ class TestPlannedStepMatchesPerStepOracle:
 
 
 def test_one_plan_per_epoch_and_one_step_call_per_step(monkeypatch):
-    calls = {"plan": 0, "loss_gradient": 0}
-    plan, step = EncodedPairs.plan, trainer.loss_gradient
+    calls = {"plan": 0, "loss_steps": 0}
+    plan, step = trainer.plan_runs, trainer.loss_steps
 
     def counting_plan(*args, **kwargs):
         calls["plan"] += 1
         return plan(*args, **kwargs)
 
     def counting_step(*args, **kwargs):
-        calls["loss_gradient"] += 1
+        calls["loss_steps"] += 1
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(EncodedPairs, "plan", counting_plan)
-    monkeypatch.setattr(trainer, "loss_gradient", counting_step)
+    monkeypatch.setattr(trainer, "plan_runs", counting_plan)
+    monkeypatch.setattr(trainer, "loss_steps", counting_step)
     curriculum = two_stage_curriculum()
     config = toy_train_config("hin_dpo", batch_size=3, epochs_per_stage=4)
     _, log = train(curriculum, BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs())), config)
-    assert calls == {"plan": 2 * 4, "loss_gradient": len(log.records)}
+    assert calls == {"plan": 2 * 4, "loss_steps": len(log.records)}
     assert len(log.records) == 2 * 4 * 4  # ten pairs a stage: batches of 3, 3, 3 and 1
+
+
+@functools.lru_cache(maxsize=None)
+def demo_inputs(seed, order):
+    """The curriculum and base policy ``hindpo demo --seed <seed>`` trains on."""
+    result = forge(toy_corpus(), order=order, seed=seed)
+    pairs = result.curriculum.all_pairs() + result.val_pairs + result.test_pairs
+    return result.curriculum, BigramPolicy.new(vocab_from_pairs(pairs), seed=seed, noise_std=0.01)
+
+
+class TestLockstepMatchesOneModeTraining:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "order, overrides",
+        [
+            ("algorithm1", {"batch_size": 3}),
+            ("algorithm1", {"batch_size": 9}),
+            ("algorithm1", {"refresh_reference_per_stage": False}),
+            ("section4", {}),
+        ],
+        ids=["batch3", "batch9", "no-refresh", "section4"],
+    )
+    def test_every_mode_bit_equal(self, seed, order, overrides):
+        # A batch of 3 leaves a short last batch in every stage; 9 pairs a
+        # run sum past numpy's 8-element unrolled block.
+        curriculum, base = demo_inputs(seed, order)
+        config = TrainConfig(seed=seed, **overrides)
+        runs = train_modes(curriculum, base.copy(), config, MODES)
+        for mode, (trained, log) in zip(MODES, runs):
+            mode_config = replace(config, loss=LossConfig(mode=mode))
+            for expected, expected_log in (
+                train(curriculum, base.copy(), mode_config),
+                oracles.per_step_train(curriculum, base.copy(), mode_config),
+            ):
+                assert trained.logits.tobytes() == expected.logits.tobytes(), mode
+                assert list(map(record_bits, log.records)) == list(map(record_bits, expected_log.records)), mode
+
+    def test_run_zero_trains_the_given_policy_and_the_callers_array_stays(self):
+        curriculum = two_stage_curriculum()
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+        original = policy.logits
+        before = original.copy()
+        runs = train_modes(curriculum, policy, toy_train_config(epochs_per_stage=2), ["dpo_fin", "dpo", "dpo_fin"])
+        assert runs[0][0] is policy
+        assert np.array_equal(original, before)
+        assert runs[0][0].logits.tobytes() == runs[2][0].logits.tobytes()
+        assert not np.array_equal(runs[0][0].logits, runs[1][0].logits)
+        assert [asdict(r) for r in runs[0][1].records] == [asdict(r) for r in runs[2][1].records]
+
+    def test_no_mode_rejected_before_the_policy_changes(self):
+        curriculum, policy = separable_setup()
+        original = policy.logits
+        with pytest.raises(ValueError, match="at least one mode"):
+            train_modes(curriculum, policy, toy_train_config(), [])
+        assert policy.logits is original
+
+    def test_one_plan_per_epoch_and_one_step_call_per_step_for_every_run(self, monkeypatch):
+        calls = {"plan": 0, "loss_steps": 0}
+        plan, step = trainer.plan_runs, trainer.loss_steps
+
+        def counting_plan(*args, **kwargs):
+            calls["plan"] += 1
+            return plan(*args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            calls["loss_steps"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "plan_runs", counting_plan)
+        monkeypatch.setattr(trainer, "loss_steps", counting_step)
+        curriculum = two_stage_curriculum()
+        config = toy_train_config(batch_size=3, epochs_per_stage=4)
+        runs = train_modes(curriculum, BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs())), config, MODES)
+        assert calls == {"plan": 2 * 4, "loss_steps": 2 * 4 * 4}
+        assert [len(log.records) for _, log in runs] == [2 * 4 * 4] * len(MODES)
 
 
 class TestRaiseBeforeUpdate:
@@ -290,11 +367,11 @@ class TestRaiseBeforeUpdate:
     @pytest.mark.parametrize(
         "field, value, learning_rate, message",
         [
-            ("loss", lambda step: float("nan"), 0.5, "non-finite loss"),
+            ("loss", lambda step: [float("nan")], 0.5, "non-finite loss"),
             ("gradient", lambda step: np.full_like(step.gradient, np.nan), 0.5, "non-finite gradient"),
             ("gradient", lambda step: np.full_like(step.gradient, 1e308), 4.0, "non-finite logits after the update"),
             ("gradient", lambda step: np.full_like(step.gradient, 1e200), 1e-200, "non-finite gradient norm"),
-            ("margin", lambda step: float("inf"), 0.5, "non-finite margin"),
+            ("margin", lambda step: [float("inf")], 0.5, "non-finite margin"),
         ],
         ids=["loss", "gradient", "logits", "norm", "margin"],
     )
@@ -302,23 +379,48 @@ class TestRaiseBeforeUpdate:
         curriculum, policy = separable_setup()
         seen = []
         logged = []
-        real, real_record = trainer.loss_gradient, trainer.TrainStepRecord
+        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
-        def corrupt_third(batch, pol, cfg):
-            seen.append(pol.logits.copy())
-            result = real(batch, pol, cfg)
+        def corrupt_third(batch, logits):
+            seen.append(logits.copy())
+            result = real(batch, logits)
             return replace(result, **{field: value(result)}) if len(seen) == 3 else result
 
         def record(*args):
             logged.append(args)
             return real_record(*args)
 
-        monkeypatch.setattr(trainer, "loss_gradient", corrupt_third)
+        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
         monkeypatch.setattr(trainer, "TrainStepRecord", record)
         with pytest.raises(TrainingError, match="^%s at stage 'B_H' epoch 1 step 3$" % message):
             train(curriculum, policy, toy_train_config(learning_rate=learning_rate))
         assert len(seen) == 3 and len(logged) == 2
         assert np.array_equal(policy.logits, seen[2])
+        assert not np.array_equal(seen[2], seen[1])
+
+
+    def test_a_later_run_raises_naming_its_mode_and_no_run_steps(self, monkeypatch):
+        curriculum, policy = separable_setup()
+        seen = []
+        logged = []
+        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
+
+        def corrupt_third(batch, logits):
+            seen.append(logits.copy())
+            result = real(batch, logits)
+            return replace(result, margin=[0.0, float("nan"), 0.0]) if len(seen) == 3 else result
+
+        def record(*args):
+            logged.append(args)
+            return real_record(*args)
+
+        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
+        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        with pytest.raises(TrainingError, match="^non-finite margin in mode 'hin_dpo' at stage 'B_H' epoch 1 step 3$"):
+            train_modes(curriculum, policy, toy_train_config(), ["dpo", "hin_dpo", "dpo_act"])
+        assert len(seen) == 3 and len(logged) == 2 * 3
+        size = len(policy.vocab)
+        assert np.array_equal(policy.logits, seen[2][:size])
         assert not np.array_equal(seen[2], seen[1])
 
 
