@@ -186,12 +186,19 @@ def _run_forge(config: RunConfig) -> Path:
     return manifest_path
 
 
-def _base_policy(config: RunConfig, out_dir: Path) -> BigramPolicy:
+def _base_policy(
+    config: RunConfig, out_dir: Path, curriculum: dataforge.CurriculumDataset | None = None
+) -> BigramPolicy:
+    """The checkpointed base policy, or a new one over the vocabulary of
+    every forged split, saved. ``curriculum``, when given, is the one
+    already loaded from ``out_dir``; it is not read again."""
     base_path = out_dir / "policy_base.json"
     if base_path.exists():
         return BigramPolicy.load(base_path)
     manifest = dataforge.read_manifest(out_dir)
-    pairs = dataforge.load_curriculum(out_dir).all_pairs()
+    if curriculum is None:
+        curriculum = dataforge.load_curriculum(out_dir)
+    pairs = curriculum.all_pairs()
     for entry in (manifest["val"], manifest["test"]):
         pairs.extend(dataforge.load_checked_pairs(out_dir, entry))
     vocab = trainer.vocab_from_pairs(pairs)
@@ -205,7 +212,7 @@ def _run_train(config: RunConfig, modes: Sequence[str]) -> list[tuple[Path, Path
     log: a failure in any mode leaves none of them written."""
     out_dir = Path(config.out_dir)
     curriculum = dataforge.load_curriculum(out_dir)
-    base = _base_policy(config, out_dir)
+    base = _base_policy(config, out_dir, curriculum)
     runs = trainer.train_modes(curriculum, base, config, modes)
     return [
         (trained.save(out_dir / ("policy_%s.json" % mode)), log.save(out_dir / ("trainlog_%s.jsonl" % mode)))

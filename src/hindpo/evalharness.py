@@ -50,18 +50,16 @@ def generate(
 
     temperature 0 means greedy argmax decoding; anything above 0 samples
     with a generator seeded once for the whole batch, so the same seed
-    reproduces the same outputs.
+    reproduces the same outputs, from one temperature table for all
+    prompts (``BigramPolicy.sample_responses``).
     """
     rng = np.random.default_rng(seed)
-    texts = []
-    for prompt in prompts:
-        prompt_tokens = tokenize(prompt)
-        if temperature <= 0:
-            tokens = policy.greedy_response(prompt_tokens, max_len)
-        else:
-            tokens = policy.sample_response(prompt_tokens, temperature, max_len, rng)
-        texts.append(" ".join(t for t in tokens if t not in (BOS, EOS)))
-    return texts
+    token_prompts = [tokenize(prompt) for prompt in prompts]
+    if temperature <= 0:
+        responses = [policy.greedy_response(tokens, max_len) for tokens in token_prompts]
+    else:
+        responses = policy.sample_responses(token_prompts, temperature, max_len, rng)
+    return [" ".join(t for t in tokens if t not in (BOS, EOS)) for tokens in responses]
 
 
 def evaluate(

@@ -41,7 +41,10 @@ computed per step; the rest is planned ahead, at three levels:
   run's loss, its gradient on those rows and the batch statistics
   (``loss_gradient`` for a batch of one run).
 
-``compute_finesse`` draws all its samples from one temperature table.
+``compute_finesse`` draws all its samples from one temperature table: per
+prompt, one ``draw`` of all its samples, which takes the uniforms from the
+generator in one block and leaves it where one ``rng.random()`` per drawn
+token would.
 """
 
 from __future__ import annotations
@@ -231,20 +234,26 @@ def compute_finesse(
     well defined even when the samples differ in length). The running
     sample variance of those scalars is the raw estimate; the effective
     value divides it by 0.25 (the maximum variance of [0, 1] values) and
-    clamps to [0, 1]. The temperature table is built once per call and the
-    drawn indices are scored as drawn. A prompt with an out-of-vocabulary
-    token raises.
+    clamps to [0, 1]. The temperature table is built once per call. A
+    prompt's samples come from one ``draw``, which consumes the generator
+    as one ``rng.random()`` per drawn token; each sample is scored as
+    drawn, its log-probabilities added in path order. A prompt with an
+    out-of-vocabulary token raises.
     """
     log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
+    size = len(log_probs)
+    flat = memoryview(log_probs.reshape(-1))
     eos = policy.vocab.index(EOS)
     estimates = []
     for prompt in prompts:
         start = policy.vocab.start(prompt)
         stats = Welford()
-        for _ in range(config.finesse_samples):
-            path = [start, *draw(cdf, start, eos, config.finesse_max_len, rng)]
-            log_prob = float(sum(log_probs[path[:-1], path[1:]]))
-            stats.update(float(np.exp(log_prob / (len(path) - 1))))
+        for path in draw(cdf, start, eos, config.finesse_max_len, config.finesse_samples, rng):
+            log_prob, prev = 0, start
+            for token in path:
+                log_prob += flat[prev * size + token]
+                prev = token
+            stats.update(float(np.exp(log_prob / len(path))))
         variance = stats.variance
         effective = min(variance / VARIANCE_NORMALIZER, 1.0)
         estimates.append(FinesseEstimate(variance=variance, effective=effective))

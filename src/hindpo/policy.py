@@ -8,18 +8,22 @@ policy provides both exactly and cheaply. Sequences terminate with a
 reserved EOS token, which makes the per-prompt response distribution
 proper and enumerable in tests. Sampling draws from a table of row CDFs
 (``sampling_tables``, ``draw``), so a caller drawing many responses at one
-temperature builds the table once; each draw consumes the generator
-exactly as one ``rng.choice`` per token would. A checkpoint is a JSON
-object whose ``logits`` is the base64 of the table as row-major
-little-endian float64, so it reads back exactly and fast.
+temperature builds the table once. ``draw`` takes its uniforms from the
+generator in blocks and locates each in its row by ``bisect`` on a flat
+memoryview of the table; it leaves the generator exactly where one
+``rng.choice`` per drawn token would, whatever its bit generator. A
+checkpoint is a JSON object whose ``logits`` is the base64 of the table
+as row-major little-endian float64, so it reads back exactly and fast.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from bisect import bisect_right
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,20 +64,56 @@ def sampling_tables(logits: np.ndarray, temperature: float) -> tuple[np.ndarray,
     return log_probs, cdf
 
 
-def draw(cdf: np.ndarray, start: int, eos: int, max_len: int, rng: np.random.Generator) -> list[int]:
-    """Token indices drawn row by row from ``cdf``, starting after ``start``.
+# Most uniforms a draw takes from the generator at once: a draw's memory
+# stays bounded whatever its max_len.
+_BLOCK = 1024
 
-    Each draw is one ``rng.random()`` located in the previous token's CDF
-    row. Stops after drawing ``eos`` or after ``max_len`` tokens.
+
+def _blocks(rng: np.random.Generator, total: int, marks: list[dict]) -> Iterator[list[float]]:
+    """``total`` uniforms from ``rng``, in blocks of at most ``_BLOCK``;
+    the generator's state before each block goes to ``marks``."""
+    while total > 0:
+        size = min(total, _BLOCK)
+        marks.append(rng.bit_generator.state)
+        yield rng.random(size).tolist()
+        total -= size
+
+
+def draw(
+    cdf: np.ndarray, start: int, eos: int, max_len: int, count: int, rng: np.random.Generator
+) -> list[list[int]]:
+    """``count`` responses drawn one after another from the CDF rows
+    ``cdf``, each starting after ``start``: their token indices, each
+    ending with ``eos`` or cut after ``max_len`` tokens.
+
+    Each token is one uniform located by ``bisect_right`` in the previous
+    token's CDF row, read through a flat memoryview of the table, so no
+    row is copied; on a sorted row that is ``searchsorted(side="right")``.
+    The uniforms come from ``rng.random(n)``, in one block when
+    ``count * max_len`` is at most ``_BLOCK``; at the end the generator is
+    set back to the start of the last block it used and advanced over the
+    uniforms used from it. So the generator ends exactly where one
+    ``rng.random()`` per drawn token leaves it, for any bit generator.
     """
-    out: list[int] = []
-    prev = start
-    for _ in range(max_len):
-        prev = int(cdf[prev].searchsorted(rng.random(), side="right"))
-        out.append(prev)
-        if prev == eos:
-            break
-    return out
+    size = len(cdf)
+    flat = memoryview(cdf.reshape(-1))
+    marks: list[dict] = []
+    uniforms = chain.from_iterable(_blocks(rng, count * max_len, marks))
+    responses = []
+    for _ in range(count):
+        path: list[int] = []
+        prev = start
+        for _ in range(max_len):
+            row = prev * size
+            prev = bisect_right(flat, next(uniforms), row, row + size) - row
+            path.append(prev)
+            if prev == eos:
+                break
+        responses.append(path)
+    if marks:
+        rng.bit_generator.state = marks[-1]
+        rng.random(sum(map(len, responses)) - _BLOCK * (len(marks) - 1))
+    return responses
 
 
 def transition_grad(
@@ -197,6 +237,32 @@ class BigramPolicy:
         rows, cols = self.transitions(prompt, response)
         return transition_grad(normalise(self.logits)[1], rows, cols, np.ones(len(rows)))
 
+    def sample_responses(
+        self,
+        prompts: Iterable[Sequence[str]],
+        temperature: float,
+        max_len: int,
+        rng: np.random.Generator,
+    ) -> list[list[str]]:
+        """One response per prompt, in order, each drawn from
+        softmax(logits[prev] / temperature) until EOS.
+
+        The temperature table is built once for all prompts; the responses
+        and the generator's end state are those of ``sample_response``
+        called once per prompt.
+        """
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0, got %r" % temperature)
+        if max_len < 1:
+            raise ValueError("max_len must be >= 1, got %d" % max_len)
+        _, cdf = sampling_tables(self.logits, temperature)
+        eos = self.vocab.index(EOS)
+        tokens = self.vocab.tokens
+        return [
+            [tokens[i] for i in draw(cdf, self.vocab.start(prompt), eos, max_len, 1, rng)[0]]
+            for prompt in prompts
+        ]
+
     def sample_response(
         self,
         prompt: Sequence[str],
@@ -209,13 +275,7 @@ class BigramPolicy:
         Returns the drawn tokens including the terminal EOS; if max_len
         tokens are drawn without EOS the sequence is returned truncated.
         """
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0, got %r" % temperature)
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1, got %d" % max_len)
-        _, cdf = sampling_tables(self.logits, temperature)
-        drawn = draw(cdf, self.vocab.start(prompt), self.vocab.index(EOS), max_len, rng)
-        return [self.vocab.tokens[i] for i in drawn]
+        return self.sample_responses([prompt], temperature, max_len, rng)[0]
 
     def greedy_response(self, prompt: Sequence[str], max_len: int) -> list[str]:
         """Argmax decoding; the zero-temperature limit of sample_response."""

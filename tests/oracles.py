@@ -10,6 +10,7 @@ rewrite can be shown to agree with it.
 
 from __future__ import annotations
 
+import json
 import math
 import unicodedata
 from collections import Counter
@@ -383,3 +384,12 @@ def per_step_train(curriculum, policy, config):
         if config.refresh_reference_per_stage:
             reference = policy.snapshot()
     return policy, log
+
+
+# The train-log line as written before records went through one template:
+# one json.dumps per record.
+
+
+def trainlog_line(record) -> str:
+    """A train-log record's JSONL line."""
+    return json.dumps(vars(record), ensure_ascii=False) + "\n"

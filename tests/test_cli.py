@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 import warnings
 from dataclasses import fields, replace
 
@@ -574,6 +573,27 @@ class TestDemo:
         }
         assert digests == SEED_7_TRAINING_SHA256
 
+    def test_each_forged_file_is_read_once_per_use(self, tmp_path, monkeypatch):
+        # Training reads each stage file once and builds the base vocabulary
+        # from the curriculum it loaded, plus val and test; eval reads test
+        # again for its prompts.
+        from hindpo import dataforge
+
+        reads = []
+        original = dataforge.load_checked_pairs
+
+        def counting(out_dir, entry):
+            reads.append(entry["file"])
+            return original(out_dir, entry)
+
+        monkeypatch.setattr(dataforge, "load_checked_pairs", counting)
+        out = tmp_path / "out"
+        assert main(["demo", "--out", str(out), "--seed", "7"]) == 0
+        manifest = read_manifest(out)
+        expected = {entry["file"]: 1 for entry in manifest["stages"]}
+        expected.update({manifest["val"]["file"]: 1, manifest["test"]["file"]: 2})
+        assert {name: reads.count(name) for name in reads} == expected
+
     def test_demo_idempotent(self, tmp_path):
         config = write_config(tmp_path)
         main(["demo", "--config", str(config), "--seed", "7"])
@@ -584,9 +604,10 @@ class TestDemo:
 
 class TestAtomicArtefacts:
     def test_failed_write_leaves_the_out_dir_as_it_was(self, tmp_path, monkeypatch):
-        # The train log's serialisation fails after 20 of its lines have
-        # gone to the temp file: the earlier log stays whole and no temp
-        # file is left behind.
+        # The train log's 21st record holds a value neither the line
+        # template nor json.dumps can write, so the write fails after 20 of
+        # its lines have gone to the temp file: the earlier log stays whole
+        # and no temp file is left behind.
         from hindpo import trainer
 
         config = write_config(tmp_path)
@@ -596,17 +617,29 @@ class TestAtomicArtefacts:
         before = tree_bytes(out)
         lines = []
         temp_files = []
+        save = trainer.TrainLog.save
+        write_atomic = trainer.write_atomic
 
-        def failing_dumps(obj, **kwargs):
-            lines.append(obj)
-            if len(lines) > 20:
-                temp_files.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
-                raise RuntimeError("disk full")
-            return json.dumps(obj, **kwargs)
+        def save_with_an_unwritable_record(log, path):
+            log.records[20].loss = object()
+            return save(log, path)
 
-        monkeypatch.setattr(trainer, "json", types.SimpleNamespace(dumps=failing_dumps))
+        def watched_write(path, chunks):
+            def watched():
+                try:
+                    for chunk in chunks:
+                        lines.append(chunk)
+                        yield chunk
+                except TypeError:
+                    temp_files.extend(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
+                    raise
+
+            return write_atomic(path, watched())
+
+        monkeypatch.setattr(trainer.TrainLog, "save", save_with_an_unwritable_record)
+        monkeypatch.setattr(trainer, "write_atomic", watched_write)
         assert main(["train", "--config", str(config), "--mode", "dpo"]) == 1
-        assert len(lines) == 21
+        assert len(lines) == 20
         assert temp_files == [".trainlog_dpo.jsonl.%d.tmp" % os.getpid()]  # failed mid-write
         assert tree_bytes(out) == before
 

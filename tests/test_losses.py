@@ -283,6 +283,59 @@ class TestComputeFinesse:
         assert got == [oracles.compute_finesse(policy, p, config, rng) for p in prompts]
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+
+def finesse_policy(seed):
+    """A 17-token policy whose draws at the temperatures below sometimes
+    end with EOS and sometimes run into max_len."""
+    policy = make_policy(seed, std=1.5, tokens=["t%03d" % i for i in range(15)])
+    policy.logits[:, policy.vocab.index(EOS)] += 1.0
+    return policy
+
+
+class TestFinesseSamplerMatchesOracle:
+    # The block sampler against the per-token rng.choice loop, on every
+    # bit generator numpy ships: the same estimates, and the generator
+    # left where the per-token draws leave it.
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("max_len", [1, 3, 16])
+    @pytest.mark.parametrize("temperature", [0.3, 1.5])
+    def test_estimates_and_next_draw(self, bit_generator, max_len, temperature):
+        policy = finesse_policy(max_len)
+        prompts = [[], ["t000"], ["t003", "t010"], ["t000"], ["t014"]]
+        config = LossConfig(finesse_samples=4, finesse_temperature=temperature, finesse_max_len=max_len)
+        ours, theirs = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+        for _ in range(3):
+            got = compute_finesse(policy, prompts, config, ours)
+            assert got == [oracles.compute_finesse(policy, p, config, theirs) for p in prompts]
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("max_len", [3, 16])
+    @pytest.mark.parametrize("temperature", [0.3, 1.5])
+    def test_draws_above_both_end_and_truncate(self, max_len, temperature):
+        policy = finesse_policy(max_len)
+        rng = np.random.default_rng(11)
+        drawn = [oracles.sample_response(policy, ["t000"], temperature, max_len, rng) for _ in range(200)]
+        assert any(r[-1] == EOS for r in drawn)
+        assert any(len(r) == max_len and r[-1] != EOS for r in drawn)
+
+    def test_max_len_one_scores_the_single_token(self):
+        # With max_len 1 every sample is one token, so each scalar is the
+        # tempered probability of that token from the start row.
+        policy = make_policy(3, std=1.0)
+        config = LossConfig(finesse_samples=6, finesse_temperature=0.7, finesse_max_len=1)
+        [estimate] = compute_finesse(policy, [["a"]], config, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        scaled = BigramPolicy(policy.vocab, policy.logits / config.finesse_temperature)
+        scalars = []
+        for _ in range(config.finesse_samples):
+            response = policy.sample_response(["a"], config.finesse_temperature, 1, rng)
+            assert len(response) == 1
+            scalars.append(math.exp(scaled.sequence_log_prob(["a"], response)))
+        assert abs(estimate.variance - two_pass_variance(scalars)) < 1e-12
+
+
 _WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)
 _NEUTRAL_PAIRS = st.lists(
     st.tuples(_WORDS, _WORDS.map(lambda w: w + [EOS]), _WORDS.map(lambda w: w + [EOS])),

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
+from hindpo import policy as policy_module
+from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary, draw
 
 import oracles
 from oracles import (
@@ -181,6 +182,9 @@ def random_policy(size, seed, std=1.5):
     return BigramPolicy(vocab, np.random.default_rng(seed).normal(0, std, (size, size)))
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+
 class TestSamplerMatchesOracle:
     # The table sampler against the per-token softmax and rng.choice loop:
     # the same tokens, and the generator left in the same state.
@@ -200,6 +204,65 @@ class TestSamplerMatchesOracle:
         assert ours.random() == theirs.random()
         assert any(r[-1] == EOS for r in drawn)
         assert any(len(r) == max_len and r[-1] != EOS for r in drawn)
+
+    def test_a_uniform_on_a_cdf_step_takes_the_token_after_it(self):
+        # Tokens 1-3 have zero probability, so the row's CDF repeats the
+        # generator's first uniform u; searchsorted(side="right") and so
+        # rng.choice take token 4, the first whose CDF value exceeds u.
+        u = np.random.default_rng(21).random()
+        cdf = np.array([[u, u, u, u, 1.0]] * 5)
+        assert cdf[0].searchsorted(u, side="right") == 4
+        assert draw(cdf, 0, 4, 3, 1, np.random.default_rng(21)) == [[4]]
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator(self, bit_generator):
+        policy = random_policy(20, seed=9)
+        policy.logits[:, policy.vocab.index(EOS)] += 1.0
+        ours, theirs = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+        drawn = []
+        for _ in range(40):
+            for prompt in ([], ["t000"], ["t004", "t017"]):
+                got = policy.sample_response(prompt, 0.9, 6, ours)
+                assert got == oracles.sample_response(policy, prompt, 0.9, 6, theirs)
+                drawn.append(got)
+        assert ours.random() == theirs.random()
+        assert any(r[-1] == EOS for r in drawn)
+        assert any(len(r) == 6 and r[-1] != EOS for r in drawn)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_draws_longer_than_one_block(self, bit_generator):
+        # EOS is all but unreachable, so each draw runs to max_len and takes
+        # its uniforms from several blocks.
+        policy = random_policy(6, seed=3)
+        policy.logits[:, policy.vocab.index(EOS)] -= 40.0
+        max_len = 2 * policy_module._BLOCK + 100
+        ours, theirs = np.random.Generator(bit_generator(8)), np.random.Generator(bit_generator(8))
+        for prompt in ([], ["t001"]):
+            got = policy.sample_response(prompt, 1.0, max_len, ours)
+            assert len(got) == max_len and EOS not in got
+            assert got == oracles.sample_response(policy, prompt, 1.0, max_len, theirs)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("temperature", [0.5, 1.5])
+    def test_one_table_for_many_prompts(self, seed, temperature):
+        # sample_responses equals sample_response called once per prompt,
+        # draws cut off by max_len included.
+        policy = random_policy(20, seed=seed)
+        policy.logits[:, policy.vocab.index(EOS)] += 2.0
+        prompts = [[], ["t000"], ["t004", "t017"], ["t000"]] * 10
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = policy.sample_responses(prompts, temperature, 5, ours)
+        assert got == [policy.sample_response(prompt, temperature, 5, theirs) for prompt in prompts]
+        assert ours.random() == theirs.random()
+        assert any(r[-1] == EOS for r in got)
+        assert any(len(r) == 5 and r[-1] != EOS for r in got)
+
+    def test_no_prompts_draw_nothing(self):
+        policy = random_policy(5, seed=0)
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        assert policy.sample_responses([], 1.0, 5, ours) == []
+        assert ours.random() == theirs.random()
 
 
 def enumerate_mass(policy, prompt, max_len):

@@ -1,8 +1,13 @@
 import functools
+import json
+import re
+import types
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hindpo import trainer
@@ -13,6 +18,8 @@ from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
     TrainingError,
+    TrainLog,
+    TrainStepRecord,
     attach_finesse,
     encode_pairs,
     gradcheck,
@@ -518,8 +525,6 @@ class TestTrainLog:
         path = log.save(tmp_path / "log.jsonl")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(log.records)
-        import json
-
         first = json.loads(lines[0])
         assert list(first) == [
             "stage", "epoch", "step", "loss", "margin", "accuracy", "weighted_margin", "grad_norm"
@@ -558,6 +563,76 @@ class TestTrainLog:
         log.records[3].loss = 0.25
         assert log.save(path).read_bytes() != before
         assert list(tmp_path.iterdir()) == [path]
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 0.1, float("nan"), float("inf"), float("-inf")]
+_FLOAT_FIELD = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+    st.integers(),
+)
+_RECORDS = st.builds(
+    TrainStepRecord,
+    stage=st.one_of(st.text(), st.sampled_from(["B_L", "बकेट", 'q"uote', "back\\slash", "tab\tnew\nline", "é\u2028"])),
+    epoch=st.one_of(st.integers(), st.booleans()),
+    step=st.integers(min_value=0),
+    loss=_FLOAT_FIELD,
+    margin=_FLOAT_FIELD,
+    accuracy=_FLOAT_FIELD,
+    weighted_margin=_FLOAT_FIELD,
+    grad_norm=_FLOAT_FIELD,
+)
+
+
+class TestTrainLogBytes:
+    # TrainLog.save against one json.dumps per record (tests/oracles.py).
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(_RECORDS, max_size=8))
+    @example(records=[TrainStepRecord("B_L", 1, 1, *_SPECIAL_FLOATS[:5]), TrainStepRecord("B_L", 1, 2, *_SPECIAL_FLOATS[2:])])
+    @example(records=[TrainStepRecord("ऊ\"\\", 2, 3, *map(np.float64, _SPECIAL_FLOATS[:5])), TrainStepRecord("B_M", 2, 4, 1, -0.0, 0, 2, 10**30)])
+    def test_bytes_match_one_json_dumps_per_record(self, tmp_path, records):
+        path = TrainLog(records).save(tmp_path / "log.jsonl")
+        assert path.read_bytes() == "".join(map(oracles.trainlog_line, records)).encode("utf-8")
+
+    def test_an_extra_or_moved_attribute_is_written_as_json_dumps_writes_it(self, tmp_path):
+        extra, moved = (TrainStepRecord("B_L", 1, step, 0.5, 0.25, 1.0, 0.125, 2.0) for step in (1, 2))
+        extra.note = "x"
+        del moved.loss
+        moved.loss = 0.5
+        path = TrainLog([extra, moved]).save(tmp_path / "log.jsonl")
+        assert path.read_bytes() == (oracles.trainlog_line(extra) + oracles.trainlog_line(moved)).encode("utf-8")
+        assert [list(json.loads(line))[-1] for line in path.read_text(encoding="utf-8").splitlines()] == ["note", "loss"]
+
+    def test_plain_records_encode_each_stage_once(self, monkeypatch):
+        # Records of the field types go through the line template: json.dumps
+        # encodes only each stage's name, once.
+        encoded = []
+
+        def dumps(obj, **kwargs):
+            encoded.append(obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(trainer, "json", types.SimpleNamespace(dumps=dumps))
+        stages = ["B_L"] * 3 + ["B_M"] * 2
+        records = [TrainStepRecord(stage, 1, step, 0.5, 0.25, 1.0, 0.125, 2.0) for step, stage in enumerate(stages)]
+        assert list(trainer._json_lines(records)) == [oracles.trainlog_line(r) for r in records]
+        assert encoded == ["B_L", "B_M"]
+
+    @pytest.mark.parametrize("value", [object(), np.float32(0.5), np.int64(3), "0.5"])
+    def test_a_non_float_value_writes_or_fails_as_json_dumps_does(self, tmp_path, value):
+        records = [TrainStepRecord("B_L", 1, step, 0.5, 0.25, 1.0, 0.125, 2.0) for step in range(1, 4)]
+        records[2].margin = value
+        try:
+            expected = oracles.trainlog_line(records[2])
+        except TypeError as error:
+            with pytest.raises(TypeError, match=re.escape(str(error))):
+                TrainLog(records).save(tmp_path / "log.jsonl")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            path = TrainLog(records).save(tmp_path / "log.jsonl")
+            assert path.read_bytes().decode("utf-8").splitlines(keepends=True)[2] == expected
 
 
 class TestGradcheck:
