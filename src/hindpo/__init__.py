@@ -4,8 +4,8 @@ Library tour:
 
 - :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR, the character
   trigram cosine (the default semantic scorer; ``forge``, ``score_and_rank``
-  and ``evaluate`` take any ``(cand, ref) -> float`` function instead),
-  the weighted final score used for candidate ranking
+  and ``evaluate`` take any ``(candidates, reference) -> scores`` function
+  instead), the weighted final score used for candidate ranking
 - :mod:`hindpo.dataforge` corpus loading (actuality scores are record
   fields; ``embed_actuality`` fills them from a lookup file), ranking,
   bucketization, emission, and manifest-checked read-back

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .fileio import write_atomic
-from .textmetrics import CharTrigramCosine, final_score, meteor, rouge_l, tokenize
+from .textmetrics import CharTrigramCosine, SemanticScorer, final_score, meteor, rouge_l, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
 CANDIDATES_PER_ARTICLE = 3
@@ -294,28 +294,31 @@ def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
 # Scoring and ranking
 
 
-def score_and_rank(
-    record: ArticleRecord, semantic: Callable[[str, str], float] | None = None
-) -> list[PreferencePair]:
+def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None) -> list[PreferencePair]:
     """Score the three candidates and assign ranks by descending score.
 
-    Each candidate's score is :func:`final_score` of its semantic score
-    (``semantic``, by default ``CharTrigramCosine().score``), ROUGE-L F1 and
-    METEOR against the ground truth, which is tokenized once. Rank 0 is
-    the candidate most aligned with the ground truth; ties break by
-    ascending model_id so the output is a deterministic function of the
-    record. s_w and s_l are the record's actuality scores, None where it
-    carries none. Returned pairs are ordered by candidate index.
+    Each candidate's score is :func:`final_score` of its semantic score,
+    ROUGE-L F1 and METEOR against the ground truth, which is tokenized
+    once. ``semantic`` (by default ``CharTrigramCosine().scores``) is
+    called once per article, with the candidate texts and the ground
+    truth; a result that is not one real number per candidate raises
+    ValueError naming the article. Rank 0 is the candidate most aligned
+    with the ground truth; ties break by ascending model_id so the output
+    is a deterministic function of the record. s_w and s_l are the
+    record's actuality scores, None where it carries none. Returned pairs
+    are ordered by candidate index.
     """
     record.validate()
-    semantic = semantic or CharTrigramCosine().score
+    semantic = semantic or CharTrigramCosine().scores
     truth = record.ground_truth_explanation
+    texts = [cand.text for cand in record.candidates]
+    similarities = semantic_scores(semantic, texts, truth, "article %r" % record.id)
     ref = tokenize(truth)
     s_l = record.actuality_candidates or [None] * CANDIDATES_PER_ARTICLE
     scored = []
-    for idx, cand in enumerate(record.candidates):
+    for idx, (cand, similarity) in enumerate(zip(record.candidates, similarities)):
         tokens = tokenize(cand.text)
-        fs = final_score(semantic(cand.text, truth), rouge_l(tokens, ref).f1, meteor(tokens, ref))
+        fs = final_score(similarity, rouge_l(tokens, ref).f1, meteor(tokens, ref))
         scored.append((fs, cand, idx))
     by_quality = sorted(scored, key=lambda item: (-item[0], item[1].model_id))
     rank_by_index = {idx: rank for rank, (_, _, idx) in enumerate(by_quality)}
@@ -422,7 +425,7 @@ class ForgeResult:
 
 def forge(
     articles: Sequence[ArticleRecord],
-    semantic: Callable[[str, str], float] | None = None,
+    semantic: SemanticScorer | None = None,
     *,
     order: str = "algorithm1",
     split: Sequence[float] = DEFAULT_SPLIT,
@@ -430,9 +433,11 @@ def forge(
 ) -> ForgeResult:
     """Full pipeline: split, score, rank, weight, bucketize.
 
-    ``semantic`` is handed to :func:`score_and_rank`, which weights each
-    pair with its record's actuality scores. If any record lacks them,
-    every pair of the corpus gets ``DEFAULT_ACTUALITY`` instead.
+    ``semantic``, a ``(candidates, reference) -> scores`` function, is
+    handed to :func:`score_and_rank`, which calls it once per article and
+    weights each pair with its record's actuality scores. If any record
+    lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY``
+    instead.
     """
     corpus_sha256 = articles_sha256(articles)
     if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):

@@ -12,14 +12,14 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fileio import write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy
-from .textmetrics import CharTrigramCosine, meteor, rouge_l, rouge_n, tokenize
+from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
 
 CONFIG_ORDER = ("base", *MODES)
 
@@ -66,9 +66,15 @@ def evaluate(
     generated: Sequence[str],
     references: Sequence[str],
     config_name: str,
-    semantic: Callable[[str, str], float] | None = None,
+    semantic: SemanticScorer | None = None,
 ) -> MetricReport:
-    """Corpus scores as the arithmetic mean of per-pair scores."""
+    """Corpus scores as the arithmetic mean of per-pair scores.
+
+    ``semantic`` (by default ``CharTrigramCosine().scores``) scores each
+    generated text against its reference as a one-candidate batch,
+    ``[s] = semantic([generated], reference)``; a result that is not one
+    real number raises ValueError naming the pair's index.
+    """
     if len(generated) != len(references):
         raise ValueError(
             "generated and references must have equal length: %d vs %d"
@@ -76,9 +82,9 @@ def evaluate(
         )
     if not generated:
         raise ValueError("evaluate needs at least one generated/reference pair, got none")
-    semantic = semantic or CharTrigramCosine().score
+    semantic = semantic or CharTrigramCosine().scores
     rows = []
-    for cand_text, ref_text in zip(generated, references):
+    for i, (cand_text, ref_text) in enumerate(zip(generated, references)):
         cand = tokenize(cand_text)
         ref = tokenize(ref_text)
         rows.append(
@@ -87,7 +93,7 @@ def evaluate(
                 rouge_n(cand, ref, 2).f1,
                 rouge_l(cand, ref).f1,
                 meteor(cand, ref),
-                semantic(cand_text, ref_text),
+                *semantic_scores(semantic, [cand_text], ref_text, "pair %d" % i),
             )
         )
     means = [float(np.mean(col)) for col in zip(*rows)]

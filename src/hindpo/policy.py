@@ -34,6 +34,7 @@ EOS = "<eos>"
 
 CHECKPOINT_FORMAT_VERSION = 2
 _CHECKPOINT_KEYS = {"format_version", "vocab", "logits"}
+_CHECKPOINT_LINE = '{"format_version": %d, "vocab": %s, "logits": "%s"}\n'
 
 
 def normalise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,13 +302,15 @@ class BigramPolicy:
 
     def save(self, path: str | Path) -> Path:
         """Write a checkpoint: format version, vocabulary, and the logit
-        table as base64 of its row-major little-endian float64 bytes."""
-        payload = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "vocab": list(self.vocab.tokens),
-            "logits": base64.b64encode(self.logits.astype("<f8").tobytes()).decode("ascii"),
-        }
-        return write_atomic(path, json.dumps(payload, ensure_ascii=False, indent=None) + "\n")
+        table as base64 of its row-major little-endian float64 bytes.
+
+        The line is ``json.dumps(payload, ensure_ascii=False)`` byte for
+        byte, written through one template: only the vocabulary goes
+        through ``json.dumps``, and the base64 text, which needs no
+        escaping, goes in as it is."""
+        logits = base64.b64encode(self.logits.astype("<f8").tobytes()).decode("ascii")
+        vocab = json.dumps(list(self.vocab.tokens), ensure_ascii=False)
+        return write_atomic(path, _CHECKPOINT_LINE % (CHECKPOINT_FORMAT_VERSION, vocab, logits))
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramPolicy":

@@ -6,19 +6,28 @@ Latin letters are case-folded. It folds a whole string with one
 ``str.translate`` through a table that learns each code point's folding
 on first sight and holds at most 4096 of them; the per-character loop it
 replaced is kept as ``tests/oracles.py:tokenize_loop``. Lexical metrics
-(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L's longest
-common subsequence is the bit-parallel algorithm of Allison & Dix (1986)
-and Hyyrö (2004), which the tests check against the row-rolling dynamic
-program (``tests/oracles.py:lcs_dp``) and against brute-force
-enumeration.
-A semantic scorer is any function ``(cand, ref) -> float`` giving the
-similarity of two raw strings in [0, 1]; an exception it raises
-propagates, so a failing provider never reads as a score of 0. The
-built-in one, ``CharTrigramCosine().score``, is a character trigram
-cosine, so the whole pipeline runs without external services. It codes
-each trigram as one int64 and counts a string's trigrams with
-``np.unique``; its scores equal the ``Counter`` version kept as
-``tests/oracles.py:trigram_cosine`` bit for bit.
+(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L and METEOR read
+one table per reference, each token mapped to an int bitmask of its
+positions; a one-entry cache keeps the table of the last reference, checked
+by equality, so the candidates of one reference share it. ROUGE-L's
+longest common subsequence is the bit-parallel algorithm of Allison & Dix
+(1986) and Hyyrö (2004), which the tests check against the row-rolling
+dynamic program (``tests/oracles.py:lcs_dp``) and against brute-force
+enumeration. METEOR's alignment takes each token's lowest free position
+bit; the per-token position stacks it replaced are kept as
+``tests/oracles.py:stack_alignment``.
+
+A semantic scorer is any function ``(candidates, reference) -> scores``
+giving one similarity in [0, 1] per candidate raw string against the
+reference raw string, so a scorer can batch an article's candidates.
+:func:`semantic_scores` calls one and checks that it gave one real number
+per candidate; an exception the scorer raises propagates, so a failing
+provider never reads as a score of 0. The built-in one,
+``CharTrigramCosine().scores``, is a character trigram cosine, so the
+whole pipeline runs without external services. It counts the trigrams of
+the reference and its candidates in one integer-coded table; its scores
+equal the ``Counter`` version kept as ``tests/oracles.py:trigram_cosine``
+bit for bit.
 
 The weighted blend used to rank candidate explanations is
 ``(semantic + 3 * (rouge_l + meteor)) / 4``; see :func:`final_score`.
@@ -29,11 +38,14 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
 TokenSequence = list[str]
+# (candidate raw strings, reference raw string) -> one similarity per candidate.
+SemanticScorer = Callable[[Sequence[str], str], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -114,18 +126,43 @@ def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
     return PrfScore(precision, recall, _f1(precision, recall))
 
 
+# The last reference's table: (a copy of its tokens, its position masks).
+# One tuple, read and replaced whole, so a racing thread at worst builds a
+# table twice.
+_REFERENCE: tuple[TokenSequence, dict[str, int]] | None = None
+
+
+def _position_masks(ref: TokenSequence) -> dict[str, int]:
+    # Each token of ref mapped to the int whose bit j is set where ref[j]
+    # is that token.
+    masks: dict[str, int] = {}
+    for j, token in enumerate(ref):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    return masks
+
+
+def _reference_masks(ref: TokenSequence) -> dict[str, int]:
+    # The position masks of ref, built once for a run of calls with an
+    # equal reference; a copy of the tokens is kept, so a list changed in
+    # place after the call is never served a stale table.
+    global _REFERENCE
+    cached = _REFERENCE
+    if cached is None or cached[0] != ref:
+        cached = (list(ref), _position_masks(ref))
+        _REFERENCE = cached
+    return cached[1]
+
+
 def _lcs_length(a: TokenSequence, b: TokenSequence) -> int:
     # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004), one big-int step
     # per token of a: bit j of v is 0 where the LCS of the prefix of a and
     # b[: j + 1] grows at j, so the LCS is the count of zero bits. Equal to
     # the O(len(a) * len(b)) dynamic program kept as tests/oracles.py lcs_dp.
-    masks: dict[str, int] = {}
-    for j, token in enumerate(b):
-        masks[token] = masks.get(token, 0) | (1 << j)
+    masks = _reference_masks(b).get
     full = (1 << len(b)) - 1
     v = full
     for token in a:
-        u = v & masks.get(token, 0)
+        u = v & masks(token, 0)
         v = ((v + u) | (v - u)) & full
     return len(b) - v.bit_count()
 
@@ -140,12 +177,17 @@ def rouge_l(cand: TokenSequence, ref: TokenSequence) -> PrfScore:
 
 def _greedy_alignment(cand: TokenSequence, ref: TokenSequence) -> list[tuple[int, int]]:
     # Each token matches at most once; candidate positions scan left to
-    # right and claim the first unused identical reference token, i.e. the
-    # top of that token's stack of free positions (smallest on top).
-    free: dict[str, list[int]] = {}
-    for rj in range(len(ref) - 1, -1, -1):
-        free.setdefault(ref[rj], []).append(rj)
-    return [(ci, free[token].pop()) for ci, token in enumerate(cand) if free.get(token)]
+    # right and claim the first unused identical reference token, the
+    # lowest set bit of that token's free positions.
+    free = dict(_reference_masks(ref))
+    pairs = []
+    for ci, token in enumerate(cand):
+        bits = free.get(token)
+        if bits:
+            low = bits & -bits
+            free[token] = bits ^ low
+            pairs.append((ci, low.bit_length() - 1))
+    return pairs
 
 
 def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
@@ -174,14 +216,26 @@ def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
     return fmean * (1 - penalty)
 
 
-def _trigram_profile(nfc: str) -> tuple[np.ndarray, np.ndarray, float]:
-    # (sorted distinct trigram keys, their counts, root of the squared
-    # counts' sum). A code point fits in 21 bits, so a trigram packs into
-    # one int64 key c0 << 42 | c1 << 21 | c2; a lone surrogate is a code
-    # point like any other. Every sum is an exact integer.
-    codes = np.frombuffer(nfc.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
-    keys, counts = np.unique(codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:], return_counts=True)
-    return keys, counts, sqrt(int(counts @ counts))
+def _is_real(value: object) -> bool:
+    """A finite int or float, numpy's included; a bool is not one here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) and isfinite(value)
+
+
+def semantic_scores(semantic: SemanticScorer, cands: Sequence[str], ref: str, where: str) -> list[float]:
+    """``semantic(cands, ref)`` as floats, one per candidate. A result that
+    is not one finite real number per candidate raises ValueError naming
+    ``where``; an exception the scorer raises propagates unchanged."""
+    result = semantic(cands, ref)
+    try:
+        scores = list(result)
+    except TypeError:
+        scores = None
+    if scores is None or len(scores) != len(cands) or not all(map(_is_real, scores)):
+        raise ValueError(
+            "semantic scorer gave %r for the %d candidate(s) of %s; expected one real number per candidate"
+            % (result, len(cands), where)
+        )
+    return [float(score) for score in scores]
 
 
 class CharTrigramCosine:
@@ -190,41 +244,43 @@ class CharTrigramCosine:
     Deterministic stand-in for embedding-based semantic scorers. Identical
     non-empty strings score exactly 1.0; strings sharing no trigram score
     0.0. Only ordering and identity properties should be relied upon, not
-    absolute values. A string's profile is integer-coded: the sorted
-    distinct trigrams of its NFC form, each packed from three 21-bit code
-    points into one int64 key, with their counts. The dot product gathers
-    the reference's counts at the candidate's keys by binary search; every
-    sum is an exact integer, so a score equals the ``Counter``-of-strings
-    cosine kept as ``tests/oracles.py:trigram_cosine`` bit for bit. An
-    instance keeps the profile of the last reference it saw, so the
-    candidates of one article share one reference profile.
+    absolute values. :meth:`scores` profiles a reference and its
+    candidates together: one UTF-32 encoding of their joined NFC forms,
+    each trigram packed from three 21-bit code points into one int64 key
+    (a lone surrogate is a code point like any other), the keys that lie
+    inside one string numbered by one ``np.unique``, and one (1 + n, d)
+    table of counts, the reference's row first. Every dot product and
+    squared norm is an exact integer, so a score equals the
+    ``Counter``-of-strings cosine kept as
+    ``tests/oracles.py:trigram_cosine`` bit for bit.
     """
 
-    def __init__(self) -> None:
-        # (raw reference, its NFC form, its trigram profile)
-        self._ref: tuple[str, str, tuple[np.ndarray, np.ndarray, float]] | None = None
-
-    def _reference(self, ref: str) -> tuple[str, str, tuple[np.ndarray, np.ndarray, float]]:
-        cached = self._ref
-        if cached is None or cached[0] != ref:
-            nfc = unicodedata.normalize("NFC", ref)
-            cached = (ref, nfc, _trigram_profile(nfc))
-            self._ref = cached
-        return cached
+    def scores(self, cands: Sequence[str], ref: str) -> list[float]:
+        """The similarity of each candidate to ``ref``, in order."""
+        texts = [unicodedata.normalize("NFC", text) for text in (ref, *cands)]
+        codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+        owner = np.repeat(np.arange(len(texts)), list(map(len, texts)))
+        inside = owner[:-2] == owner[2:]
+        keys, column = np.unique((codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:])[inside], return_inverse=True)
+        width = len(keys)
+        counts = np.bincount(owner[:-2][inside] * width + column, minlength=len(texts) * width)
+        table = counts.reshape(len(texts), width)
+        dots = (table[1:] @ table[0]).tolist()
+        ref_square, *squares = (table * table).sum(axis=1).tolist()
+        ref_norm = sqrt(ref_square)
+        out = []
+        for cand, dot, square in zip(texts[1:], dots, squares):
+            if cand and cand == texts[0]:
+                out.append(1.0)
+            elif not square or not ref_square:
+                out.append(0.0)
+            else:
+                out.append(min(dot / (sqrt(square) * ref_norm), 1.0))
+        return out
 
     def score(self, cand: str, ref: str) -> float:
-        cand = unicodedata.normalize("NFC", cand)
-        _, ref, (ref_keys, ref_counts, ref_norm) = self._reference(ref)
-        if cand and cand == ref:
-            return 1.0
-        keys, counts, norm = _trigram_profile(cand)
-        if not len(keys) or not len(ref_keys):
-            return 0.0
-        at = np.searchsorted(ref_keys, keys)
-        at[at == len(ref_keys)] = 0
-        shared = ref_keys[at] == keys
-        dot = int(counts[shared] @ ref_counts[at[shared]])
-        return min(dot / (norm * ref_norm), 1.0)
+        """The similarity of one candidate to ``ref``: ``scores([cand], ref)``."""
+        return self.scores([cand], ref)[0]
 
 
 def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> float:

@@ -227,11 +227,12 @@ def train_modes(
 
     Per-step records carry the batch loss, the mean raw margin
     beta * (r_w - r_l), the batch preference accuracy, the mean weighted
-    margin beta * S and the gradient's Frobenius norm, all measured against
-    the in-stage reference before the update is applied. A step whose loss,
-    gradient, updated logits, gradient norm or margins are not finite in
-    any run raises, naming the first such run's mode when K > 1, before any
-    run changes or is logged.
+    margin beta * S and the gradient's Frobenius norm (its squares summed
+    per row, then over the run's rows, in that fixed order), all measured
+    against the in-stage reference before the update is applied. A step
+    whose loss, gradient, updated logits, gradient norm or margins are not
+    finite in any run raises, naming the first such run's mode when K > 1,
+    before any run changes or is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -263,9 +264,13 @@ def train_modes(
                 result = loss_steps(batch, logits)
                 step += 1
                 gradient = result.gradient
+                starts = [block.start for block in batch.blocks]
+                assert all(block.start < block.stop for block in batch.blocks), "a run visits no row"
                 with np.errstate(over="ignore", invalid="ignore"):
                     updated = logits[result.rows] - config.learning_rate * gradient
-                    norms = [math.sqrt(np.vdot(gradient[block], gradient[block])) for block in batch.blocks]
+                    # Squares, row sums, then each run's block of rows summed:
+                    # one fixed order, whatever the BLAS thread count.
+                    norms = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), starts).tolist()))
                 finite = chain(result.loss, norms, result.margin, result.weighted_margin)
                 if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
                     k, name = next(_non_finite(result, updated, norms, batch.blocks))

@@ -93,6 +93,36 @@ def trigram_cosine(cand: str, ref: str) -> float:
     return min(dot / norm, 1.0)
 
 
+def trigram_profile_cosine(cand: str, ref: str) -> float:
+    """The earlier integer-coded trigram cosine: each string's sorted
+    distinct trigram keys and counts from its own ``np.unique``, the dot
+    product gathered by binary search."""
+
+    def profile(nfc):
+        codes = np.frombuffer(nfc.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+        keys, counts = np.unique(codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:], return_counts=True)
+        return keys, counts, math.sqrt(int(counts @ counts))
+
+    cand = unicodedata.normalize("NFC", cand)
+    ref = unicodedata.normalize("NFC", ref)
+    if cand and cand == ref:
+        return 1.0
+    (keys, counts, norm), (ref_keys, ref_counts, ref_norm) = profile(cand), profile(ref)
+    if not len(keys) or not len(ref_keys):
+        return 0.0
+    at = np.searchsorted(ref_keys, keys)
+    at[at == len(ref_keys)] = 0
+    shared = ref_keys[at] == keys
+    dot = int(counts[shared] @ ref_counts[at[shared]])
+    return min(dot / (norm * ref_norm), 1.0)
+
+
+def batched(score):
+    """A ``(cand, ref) -> float`` scorer as a ``(candidates, ref) -> list``
+    one, scoring the candidates one call each."""
+    return lambda cands, ref: [score(cand, ref) for cand in cands]
+
+
 def ngram_overlap_brute(cand, ref, n) -> int:
     """Multiset n-gram intersection by copy-and-remove."""
     remaining = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
@@ -103,6 +133,16 @@ def ngram_overlap_brute(cand, ref, n) -> int:
             remaining.remove(gram)
             overlap += 1
     return overlap
+
+
+def stack_alignment(cand, ref) -> list[tuple[int, int]]:
+    """The earlier greedy METEOR alignment: per-token stacks of free
+    reference positions (smallest on top), rebuilt per call, each match
+    popping the top of its token's stack."""
+    free = {}
+    for rj in range(len(ref) - 1, -1, -1):
+        free.setdefault(ref[rj], []).append(rj)
+    return [(ci, free[token].pop()) for ci, token in enumerate(cand) if free.get(token)]
 
 
 def meteor_reference(cand, ref) -> float:
@@ -299,7 +339,7 @@ def compute_finesse(policy, prompt, config, rng):
 # The per-step train path before batches were planned once per epoch: each
 # step gathers its pairs from the stage encoding, finds its visited rows
 # with its own np.unique, recomputes the mode weights and takes its
-# statistics with np.mean and its gradient norm with np.linalg.norm.
+# statistics with np.mean and its gradient norm with ``grad_norm``.
 
 
 def take(encoded, pairs):
@@ -353,6 +393,13 @@ def per_step_loss_gradient(batch, policy, config):
     )
 
 
+def grad_norm(gradient) -> float:
+    """The logged Frobenius norm of one run's gradient rows: the squares
+    summed per row, the row sums summed by ``np.add.reduceat``, then the
+    square root."""
+    return math.sqrt(np.add.reduceat((gradient * gradient).sum(axis=1), [0])[0])
+
+
 def per_step_train(curriculum, policy, config):
     """``trainer.train`` with every batch taken and stepped on its own:
     (policy, TrainLog)."""
@@ -378,7 +425,7 @@ def per_step_train(curriculum, policy, config):
                 log.records.append(
                     TrainStepRecord(
                         stage_name, epoch, step, result.loss, result.margin, result.accuracy,
-                        result.weighted_margin, float(np.linalg.norm(result.gradient)),
+                        result.weighted_margin, grad_norm(result.gradient),
                     )
                 )
         if config.refresh_reference_per_stage:
@@ -393,3 +440,21 @@ def per_step_train(curriculum, policy, config):
 def trainlog_line(record) -> str:
     """A train-log record's JSONL line."""
     return json.dumps(vars(record), ensure_ascii=False) + "\n"
+
+
+# The checkpoint line as written before it went through one template: one
+# json.dumps of the whole payload, base64 string included.
+
+
+def checkpoint_line(policy) -> str:
+    """A policy's checkpoint file text."""
+    import base64
+
+    from hindpo.policy import CHECKPOINT_FORMAT_VERSION
+
+    payload = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "vocab": list(policy.vocab.tokens),
+        "logits": base64.b64encode(policy.logits.astype("<f8").tobytes()).decode("ascii"),
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=None) + "\n"

@@ -527,10 +527,10 @@ SEED_7_TRAINING_SHA256 = {
     "policy_hin_dpo.json": "b9254ea89b7139ba9d3231333694487bc566e381af3f0230a178e1c394ecddc8",
     "report.json": "bf922d4a9ff44a66ff7a7a6fad35193fa85db0ba55e949341d1f58cd7f59e4f3",
     "report.txt": "434e260313b06dc1ff231761474e739a68aa18102dab805612732ff03ed31e13",
-    "trainlog_dpo.jsonl": "5514856061adb624e64a7fb8e738bf03fc6f846745d4a3ab72465e7f4cd7b462",
-    "trainlog_dpo_act.jsonl": "75655bdd511373fa562ba13db64f978285461abe49bdd506972e90d3c96e6163",
-    "trainlog_dpo_fin.jsonl": "2018897c38ad1ef988b92a11e73ac00233ce669f66eb7d08f58d6a5a5e352066",
-    "trainlog_hin_dpo.jsonl": "0f819ef794eff25dc31224ca0a2eebb5db1996882434442c503f88fecd3dc361",
+    "trainlog_dpo.jsonl": "32b79ad9f183d18e53cf5e90def0077141fb8204777e1585f74670483a8b7c01",
+    "trainlog_dpo_act.jsonl": "de4b081aa1fbf441284dfb99ccef373772cfa262544418b2773e35fee86ddaa2",
+    "trainlog_dpo_fin.jsonl": "ae9f3578012fdabd28eda0246ebe3475235bb4d1f4e283f59d8cf20dba8cdb8e",
+    "trainlog_hin_dpo.jsonl": "822ad6f97a61684e5012fe4190243da1433e14dd54b6269ecc049d69f66f436a",
 }
 
 

@@ -3,9 +3,12 @@ import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hindpo import policy as policy_module
 from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary, draw
@@ -370,6 +373,27 @@ class TestCheckpoint:
         loaded = BigramPolicy.load(path)
         assert loaded.vocab == policy.vocab
         assert np.array_equal(loaded.logits, policy.logits)
+
+
+# Tokens holding JSON's escaped characters (quotes, backslashes, control
+# characters), characters JSON may write raw (U+007F, U+2028, non-ASCII up
+# to U+10FFFF) and anything else but a lone surrogate, which no UTF-8 file
+# holds.
+_TOKEN_CHARS = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "/", "\u2028", "é", "क", "\u094d", "\U0010ffff"]) | st.characters()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tokens=st.lists(st.text(_TOKEN_CHARS, min_size=1, max_size=6), min_size=1, max_size=12), seed=st.integers(0, 3))
+def test_save_writes_the_line_json_dumps_writes(tokens, seed):
+    import tempfile
+
+    policy = BigramPolicy.new(Vocabulary.from_tokens(tokens), seed=seed, noise_std=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = policy.save(Path(tmp) / "ckpt.json")
+        assert path.read_bytes() == oracles.checkpoint_line(policy).encode("utf-8")
+        loaded = BigramPolicy.load(path)
+    assert loaded.vocab == policy.vocab
+    assert loaded.logits.tobytes() == policy.logits.tobytes()
 
 
 def _b64(table):

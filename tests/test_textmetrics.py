@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hindpo import textmetrics
 from hindpo.textmetrics import (
     CharTrigramCosine,
+    _greedy_alignment,
     _lcs_length,
+    _position_masks,
+    _reference_masks,
     final_score,
     meteor,
     rouge_l,
@@ -17,15 +21,18 @@ from hindpo.textmetrics import (
 )
 
 from hindpo.corpora import toy_corpus
-from hindpo.dataforge import forge
+from hindpo.dataforge import forge, score_and_rank
 from hindpo.evalharness import evaluate
 from oracles import (
+    batched,
     lcs_dp,
     meteor_reference,
     ngram_overlap_brute,
     rouge_l_f1_brute,
+    stack_alignment,
     tokenize_loop,
     trigram_cosine,
+    trigram_profile_cosine,
 )
 
 # Hand-tokenized fixture sentences: Latin, Devanagari, and mixed content.
@@ -365,8 +372,8 @@ class TestSemanticScore:
 
     def test_matches_oracle_at_the_edges(self):
         # Lengths 0-3, repeated trigrams, lone surrogates, astral code points
-        # and NFD references, with one scorer whose reference cache turns
-        # over and with a fresh scorer per pair.
+        # and NFD references, with one scorer for every pair and with a
+        # fresh scorer per pair.
         scorer = CharTrigramCosine()
         for cand, ref in _kernel_pairs():
             expected = trigram_cosine(cand, ref)
@@ -413,7 +420,7 @@ class TestSemanticScore:
                     candidates=[Candidate("m%d" % i, candidates[i]) for i in order],
                 )
             )
-        default, oracle = forge(records), forge(records, semantic=trigram_cosine)
+        default, oracle = forge(records), forge(records, semantic=batched(trigram_cosine))
         assert default.curriculum.stages == oracle.curriculum.stages
         assert (default.val_pairs, default.test_pairs) == (oracle.val_pairs, oracle.test_pairs)
         assert len({pair.fs for pair in default.curriculum.all_pairs()}) > 100
@@ -427,9 +434,79 @@ class TestSemanticScore:
             raise ProviderDown("provider unreachable")
 
         with pytest.raises(ProviderDown, match="provider unreachable"):
-            forge(toy_corpus()[:4], semantic=failing)
+            forge(toy_corpus()[:4], semantic=batched(failing))
         with pytest.raises(ProviderDown, match="provider unreachable"):
-            evaluate(["a b"], ["a c"], "base", semantic=failing)
+            evaluate(["a b"], ["a c"], "base", semantic=batched(failing))
+
+    @pytest.mark.parametrize(
+        "result",
+        [[0.5, 0.5], [0.5] * 4, [], [0.5, float("nan"), 0.5], [0.5, float("inf"), 0.5],
+         [0.5, "0.5", 0.5], [0.5, None, 0.5], [True, 0.5, 0.5], 0.5, None],
+        ids=["two", "four", "none", "nan", "inf", "str", "None", "bool", "a-float", "no-list"],
+    )
+    def test_a_scorer_breaking_the_contract_fails_naming_the_article(self, result):
+        # One real number per candidate, or a ValueError naming the article,
+        # never a candidate silently dropped by zip.
+        record = toy_corpus()[5]
+        with pytest.raises(ValueError, match="of article %r" % record.id):
+            score_and_rank(record, lambda cands, ref: result)
+        with pytest.raises(ValueError, match="of article '"):
+            forge(toy_corpus()[:4], semantic=lambda cands, ref: result)
+
+    @pytest.mark.parametrize(
+        "result", [[], [0.5, 0.5], [float("nan")], ["0.5"], [None], [False], 0.5],
+        ids=["none", "two", "nan", "str", "None", "bool", "a-float"],
+    )
+    def test_a_scorer_breaking_the_contract_fails_naming_the_pair(self, result):
+        calls = []
+
+        def scorer(cands, ref):
+            calls.append(cands)
+            return [0.5] if len(calls) < 3 else result
+
+        with pytest.raises(ValueError, match="of pair 2;"):
+            evaluate(["a b", "c d", "e f", "g h"], ["a c", "c d", "e g", "g h"], "base", semantic=scorer)
+        assert calls == [["a b"], ["c d"], ["e f"]]
+
+    def test_numpy_scores_are_real_numbers(self):
+        record = toy_corpus()[5]
+        scorer = CharTrigramCosine()
+        expected = score_and_rank(record)
+        assert score_and_rank(record, lambda cands, ref: np.array(scorer.scores(cands, ref))) == expected
+        assert score_and_rank(record, lambda cands, ref: tuple(scorer.scores(cands, ref))) == expected
+
+    def test_forge_calls_the_scorer_and_builds_a_reference_table_once_per_article(self, monkeypatch):
+        # Each toy article with its id appended to its ground truth, so no
+        # two articles share a reference.
+        from dataclasses import replace
+
+        records = [replace(r, ground_truth_explanation="%s %s" % (r.ground_truth_explanation, r.id)) for r in toy_corpus()]
+        scorer = CharTrigramCosine()
+        calls, builds = [], []
+
+        def counting(cands, ref):
+            calls.append((list(cands), ref))
+            return scorer.scores(cands, ref)
+
+        build = textmetrics._position_masks
+
+        def counting_build(ref):
+            builds.append(tuple(ref))
+            return build(ref)
+
+        monkeypatch.setattr(textmetrics, "_position_masks", counting_build)
+        monkeypatch.setattr(textmetrics, "_REFERENCE", None)
+        result = forge(records, semantic=counting)
+        truths = sorted(r.ground_truth_explanation for r in records)
+        assert len(set(truths)) == len(records)
+        assert sorted(ref for _, ref in calls) == truths
+        assert all(len(cands) == 3 for cands, _ in calls)
+        assert sorted(builds) == sorted(tuple(tokenize(truth)) for truth in truths)
+        monkeypatch.undo()
+        default = forge(records)
+        assert (result.curriculum.stages, result.val_pairs, result.test_pairs) == (
+            default.curriculum.stages, default.val_pairs, default.test_pairs
+        )
 
 
 class TestFinalScore:
@@ -482,6 +559,7 @@ class TestSelfSimilarityIsMaximal:
 _TEXTS = st.text() | st.text(alphabet="aAbB .,!?।\t\nकखगा्ि")
 _TOKENS = st.lists(st.sampled_from("abcdef"), max_size=40)
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=500)
+_TABLES = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 class TestProperties:
@@ -516,3 +594,124 @@ class TestProperties:
         assert 0.0 <= scorer.score(cand, ref) <= 1.0
         if ref:
             assert scorer.score(ref, ref) == 1.0
+
+
+# Any code point, lone surrogates and U+10FFFF included, or one of the
+# kernel pool's combining marks, surrogates and astral characters.
+_ANY_CHAR = st.integers(0, 0x10FFFF).map(chr) | st.sampled_from(_KERNEL_POOL)
+_SHORT = st.lists(_ANY_CHAR, max_size=3).map("".join)
+_WIDE = st.lists(_ANY_CHAR, max_size=12).map("".join)
+_ANY_TEXT = _TEXTS | _SHORT | _WIDE
+
+
+def _nfd(text: str) -> str:
+    return unicodedata.normalize("NFD", text)
+
+
+@st.composite
+def _article_texts(draw):
+    # A reference, maybe NFD, and 0-5 candidates: free texts, the
+    # reference itself in any normal form, a piece of it between two short
+    # texts (so trigrams are shared but the strings differ), and repeats
+    # of an earlier candidate.
+    ref = draw(_ANY_TEXT | _ANY_TEXT.map(_nfd))
+    cands = []
+    for kind in draw(st.lists(st.integers(0, 3), max_size=5)):
+        if kind == 0:
+            cands.append(draw(_ANY_TEXT | _ANY_TEXT.map(_nfd)))
+        elif kind == 1:
+            cands.append(draw(st.sampled_from([ref, _nfd(ref), unicodedata.normalize("NFC", ref)])))
+        elif kind == 2:
+            start, stop = sorted(draw(st.lists(st.integers(0, len(ref)), min_size=2, max_size=2)))
+            cands.append(draw(_SHORT) + ref[start:stop] + draw(_SHORT))
+        elif cands:
+            cands.append(draw(st.sampled_from(cands)))
+    return cands, ref
+
+
+def _bits(values) -> list[str]:
+    return [float.hex(value) for value in values]
+
+
+class TestSharedTables:
+    @_TABLES
+    @given(article=_article_texts())
+    def test_trigram_scores_equal_the_oracle_bit_for_bit(self, article):
+        cands, ref = article
+        scores = CharTrigramCosine().scores(cands, ref)
+        assert _bits(scores) == _bits(trigram_cosine(cand, ref) for cand in cands)
+        assert _bits(scores) == _bits(trigram_profile_cosine(cand, ref) for cand in cands)
+        assert _bits(CharTrigramCosine().score(cand, ref) for cand in cands) == _bits(scores)
+
+    def test_trigram_scores_of_the_long_explanations(self):
+        texts = _long_explanations()
+        scorer = CharTrigramCosine()
+        for i in range(0, len(texts), 4):
+            ref, *cands = texts[i : i + 4]
+            cands += [ref, _nfd(ref), ref[: len(ref) // 2]]
+            assert _bits(scorer.scores(cands, ref)) == _bits(trigram_cosine(cand, ref) for cand in cands)
+
+    @_TABLES
+    @given(refs=st.lists(_TOKENS, min_size=1, max_size=3), cands=st.lists(_TOKENS, max_size=6))
+    def test_lcs_from_the_shared_table_is_the_dynamic_program(self, refs, cands):
+        # Each candidate against the references in turn, so the cached
+        # table turns over on every call.
+        for cand in cands:
+            for ref in refs:
+                assert _lcs_length(cand, ref) == lcs_dp(cand, ref)
+                masks = {token: sum(1 << j for j, t in enumerate(ref) if t == token) for token in ref}
+                assert _reference_masks(ref) == _position_masks(ref) == masks
+
+    @_TABLES
+    @given(refs=st.lists(_TOKENS, min_size=1, max_size=3), cands=st.lists(_TOKENS, max_size=6))
+    def test_alignment_from_the_shared_table_is_the_stack_alignment(self, refs, cands):
+        for cand in cands:
+            for ref in refs:
+                assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref)
+                assert meteor(cand, ref) == pytest.approx(meteor_reference(cand, ref), abs=1e-14)
+
+    def test_alignment_matches_across_word_boundaries(self):
+        rng = np.random.default_rng(47)
+        for size in (2, 8, 40, 400):
+            for _ in range(15):
+                a = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
+                b = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
+                assert _greedy_alignment(a, b) == stack_alignment(a, b)
+
+    @_TABLES
+    @given(
+        first=_TOKENS,
+        second=_TOKENS,
+        edits=st.lists(st.tuples(st.sampled_from(["swap", "set", "append", "pop"]), st.integers(0, 39), st.sampled_from("abcdefg"))),
+        cand=_TOKENS,
+    )
+    def test_no_stale_table_when_references_alternate_or_change_in_place(self, first, second, edits, cand):
+        # Two reference lists: the one in use switches, or is changed in
+        # place between calls; every call reads the table of the list as
+        # it is at that call.
+        refs, current = [first, second], 0
+        for op, at, token in edits:
+            ref = refs[current]
+            if op == "swap":
+                current = 1 - current
+            elif op == "set" and ref:
+                ref[at % len(ref)] = token
+            elif op == "append":
+                ref.append(token)
+            elif op == "pop" and ref:
+                ref.pop(at % len(ref))
+            ref = refs[current]
+            assert rouge_l(cand, ref) == rouge_l(cand, list(ref))
+            assert _lcs_length(cand, ref) == lcs_dp(cand, ref)
+            assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref)
+            assert _reference_masks(ref) == _position_masks(ref)
+
+    def test_a_reference_changed_in_place_is_read_again(self):
+        cand, ref = list("abcab"), list("abcab")
+        assert _lcs_length(cand, ref) == 5
+        ref[0], ref[4] = "x", "y"
+        assert _lcs_length(cand, ref) == lcs_dp(cand, ref) == 3
+        assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref) == [(0, 3), (1, 1), (2, 2)]
+        ref.clear()
+        assert _lcs_length(cand, ref) == 0
+        assert meteor(cand, ref) == 0.0

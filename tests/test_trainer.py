@@ -700,3 +700,64 @@ class TestToyCorpusEndToEnd:
         margin, accuracy = step.margin, step.accuracy
         assert margin > 0.0
         assert accuracy > 0.8
+
+
+# Forge 48 generated articles over 300 words (V = 302, as the benchmark's
+# wide_vocab workload), train dpo and hin_dpo in lockstep for two epochs a
+# stage and write both trainlogs into the directory given as argv[1].
+_WIDE_VOCAB_RUN = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from hindpo.dataforge import ArticleRecord, Candidate, forge
+from hindpo.policy import BigramPolicy
+from hindpo.trainer import TrainConfig, train_modes, vocab_from_pairs
+
+rng = np.random.default_rng(3)
+words = ["w%03d" % i for i in range(300)]
+tiling = [words[i] for i in rng.permutation(300)]
+records = []
+for k in range(48):
+    truth = [words[i] for i in rng.integers(0, 300, 8 + k % 9)]
+    near = [w if rng.random() > 0.1 else words[rng.integers(0, 300)] for w in truth]
+    partial = truth[: len(truth) // 2] + [words[i] for i in rng.integers(0, 300, len(truth) - len(truth) // 2)]
+    unrelated = [words[i] for i in rng.integers(0, 300, len(truth))]
+    records.append(ArticleRecord(
+        id="a%02d" % k, label="fake" if k % 2 else "real",
+        news_text=" ".join(tiling[(12 * k + j) % 300] for j in range(12)),
+        ground_truth_explanation=" ".join(truth),
+        candidates=[Candidate("m%d" % i, " ".join(text)) for i, text in enumerate((near, partial, unrelated))],
+    ))
+result = forge(records, seed=0)
+pairs = result.curriculum.all_pairs() + result.val_pairs + result.test_pairs
+policy = BigramPolicy.new(vocab_from_pairs(pairs), seed=0, noise_std=0.01)
+assert len(policy.vocab) == 302
+config = TrainConfig(epochs_per_stage=2, learning_rate=0.5)
+for mode, (_, log) in zip(("dpo", "hin_dpo"), train_modes(result.curriculum, policy, config, ["dpo", "hin_dpo"])):
+    log.save(Path(sys.argv[1]) / ("trainlog_%s.jsonl" % mode))
+"""
+
+
+def test_trainlogs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product longer than 10,000 elements over its
+    # threads, and wide_vocab's gradient blocks are longer. A process
+    # allowed only one CPU runs one BLAS thread either way, so there this
+    # test cannot tell the two apart.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    logs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", _WIDE_VOCAB_RUN, str(out)], env=env, check=True, timeout=300)
+        logs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert list(logs[0]) == ["trainlog_dpo.jsonl", "trainlog_hin_dpo.jsonl"]
+    assert logs[0] == logs[1]
