@@ -14,12 +14,14 @@ Library tour:
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_runs`` (pairs as transition indices, scored under
   each run's frozen reference once), ``plan_runs`` (an epoch's batches
-  of K runs with their loss weights, planned at once) and ``loss_steps``:
+  of K runs in one shared batch order, planned once, with every run's
+  loss weights) and ``loss_steps``:
   one pass per batch giving every run's loss, its gradient, the raw and
   weighted margins and the accuracy; ``encode_examples``,
   ``EncodedPairs.plan`` and ``loss_gradient`` are their one-run forms
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
-  several loss modes in lockstep, ``train`` one), gradient checking
+  several loss modes in lockstep, in one batch order, each finesse run
+  drawing from its own generator; ``train`` one mode), gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
 """

@@ -23,20 +23,22 @@ pair and a whole batch. The step works in count form: a bigram sequence's
 log-probability and its gradient are linear in the sequence's transition
 counts, so a batch needs one pass over all its transitions and no
 per-pair loop. It also serves K training runs at once, one per loss mode,
-in lockstep: their logit tables are stacked as one (K·V, V) table, run
-k's row r being row k·V + r, and every kernel works row by row, or
-sequence by sequence in transition order, so each run's values are bit
-for bit those of the run alone. Only what depends on the policies is
-computed per step; the rest is planned ahead, at three levels:
+in lockstep: the runs share one batch order, and their logit tables are
+stacked as one (K·V, V) table, run k's row r being row k·V + r. Every
+kernel works row by row, or sequence by sequence in transition order, so
+each run's values are bit for bit those of the run alone. Only what
+depends on the policies is computed per step; the rest is planned ahead,
+at three levels:
 
 - per stage, ``encode_runs`` turns the pairs into transition indices once
-  and scores them under each run's frozen reference (``encode_examples``
-  for one run);
-- per epoch, ``plan_runs`` computes the permuted pairs' mode weights of
-  every run and cuts the pairs into ``Batch``es, each holding the same
-  cut of every run's permutation: one gather of their transitions, and
-  one ``np.unique`` over the key batch * K·V + stacked row for every
-  batch's visited rows (``EncodedPairs.plan`` for one run);
+  and scores them under each run's frozen reference, as one
+  ``EncodedPairs`` (``encode_examples`` for one run);
+- per epoch, ``plan_runs`` plans the permuted pairs once, as one run: one
+  gather of their transitions and one ``np.unique`` over the key
+  batch * V + row for every batch's visited rows. Run k's copy of the
+  plan is that plan offset to run k's rows and sequences; with every run's
+  mode weights it is cut into ``Batch``es (``EncodedPairs.plan`` for one
+  run);
 - per step, ``loss_steps`` normalises the visited rows and computes every
   run's loss, its gradient on those rows and the batch statistics
   (``loss_gradient`` for a batch of one run).
@@ -262,31 +264,30 @@ def compute_finesse(
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """One train step's pairs for K runs that share their pairs'
-    transitions, planned before the step: everything the step needs that
-    does not depend on the policies.
+    """One train step's pairs for K runs that share one batch order,
+    planned before the step: everything the step needs that does not
+    depend on the policies.
 
     The runs' logit tables are stacked as one (K·V, V) table, run k's row r
-    being row k·V + r. A batch holds the same number m of pairs from each
-    run, run 0's first, then run 1's, and so on; ``configs`` holds each
-    run's loss config. ``rows`` holds the sorted stacked rows the batch
-    visits, so run-major, and run k's visited rows are
-    ``rows[blocks[k]]``. Per transition, ``local`` is its row
-    as an index into ``rows``, ``cols`` its next token and ``owner`` its
-    sequence: 2i for pair i's preferred response, 2i + 1 for its rejected
-    one. ``reference`` is the pairs' (K·m, 2) reference log-probabilities.
-    The pairs' loss weights under their run's config follow: ``m_w`` /
-    ``m_l`` are the mode's preferred / rejected weights, ``mult`` the
-    finesse multiplier, ``beta`` the run's beta and ``beta_mult``
-    beta * mult; ``sides`` is the (K·m, 2) table (-m_w, +m_l), each
-    response's signed weight in the gradient before the pair's
-    coefficient.
+    being row k·V + r. Every run takes the same m pairs, so run k's part of
+    the batch is run 0's offset: its visited rows by k·V, its transitions'
+    row indices by k times the rows a run visits and their sequences by
+    k·2m. ``configs`` holds each run's loss config. ``rows`` holds the
+    sorted stacked rows the batch visits, run-major. Per transition,
+    ``local`` is its row as an index into ``rows``, ``cols`` its next token
+    and ``owner`` its sequence: k·2m + 2i for pair i's preferred response
+    in run k, one more for its rejected one. ``reference`` is the pairs'
+    (K, m, 2) reference log-probabilities. The pairs' loss weights under
+    their run's config follow as (K, m) tables: ``m_w`` / ``m_l`` are the
+    mode's preferred / rejected weights, ``mult`` the finesse multiplier,
+    ``beta`` the run's beta and ``beta_mult`` beta * mult; ``sides`` is the
+    (K, m, 2) table (-m_w, +m_l), each response's signed weight in the
+    gradient before the pair's coefficient.
     """
 
     vocab: Vocabulary
     configs: tuple[LossConfig, ...]
     rows: np.ndarray
-    blocks: tuple[slice, ...]
     local: np.ndarray
     cols: np.ndarray
     owner: np.ndarray
@@ -300,19 +301,21 @@ class Batch:
 
     def __len__(self) -> int:
         """Pairs per run."""
-        return len(self.reference) // len(self.configs)
+        return self.reference.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class EncodedPairs:
-    """Preference pairs as transition index arrays, scored against a
-    frozen reference once; ``plan`` cuts them into the batches of an epoch.
+    """Preference pairs as transition index arrays, scored against the
+    frozen references of K runs once; ``plan`` cuts them into the batches
+    of an epoch.
 
     Sequence 2i is pair i's preferred response and 2i + 1 its rejected
     one. ``rows``/``cols`` hold every transition of every sequence, in
     sequence order, and ``lengths`` the transition count of each sequence.
-    ``reference`` holds the sequences' reference log-probabilities as an
-    (n, 2) table; ``factors`` holds each pair's (s_w, s_l, v_effective).
+    ``reference`` holds the sequences' reference log-probabilities under
+    each run's reference as a (K, n, 2) table; ``factors`` holds each
+    pair's (s_w, s_l, v_effective) per run as a (K, n, 3) table.
     """
 
     vocab: Vocabulary
@@ -323,86 +326,82 @@ class EncodedPairs:
     factors: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.reference)
+        return self.reference.shape[1]
 
     def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, config: LossConfig) -> list[Batch]:
         """The batches of one epoch under ``config``: the pairs at the
         positions ``order`` (repeats allowed), cut every ``batch_size``
         pairs, the last batch holding the rest. ``plan_runs`` with one run."""
-        return plan_runs([self], [order], batch_size, [config])
+        return plan_runs(self, order, batch_size, [config])
 
 
 def plan_runs(
-    runs: Sequence[EncodedPairs],
-    orders: Sequence[Sequence[int] | np.ndarray],
+    encoded: EncodedPairs,
+    order: Sequence[int] | np.ndarray,
     batch_size: int,
     configs: Sequence[LossConfig],
 ) -> list[Batch]:
-    """The batches of one epoch of K runs: run k takes its pairs at the
-    positions ``orders[k]`` (repeats allowed) under ``configs[k]``, cut
-    every ``batch_size`` pairs, the last batch holding the rest; batch j
-    holds run 0's j-th cut, then run 1's, and so on.
+    """The batches of one epoch of K runs in one batch order: every run
+    takes the pairs at the positions ``order`` (repeats allowed), cut every
+    ``batch_size`` pairs, the last batch holding the rest; run k weighs
+    them under ``configs[k]`` and its reference scores in ``encoded``.
 
-    The runs must share their transition arrays, as ``encode_runs`` makes
-    them. One gather takes every transition of the epoch in batch order,
-    and one ``np.unique`` over the key batch * K·V + stacked row gives
-    every batch's sorted visited rows, each run's block of them and
-    each transition's index into them; the reference scores and the
-    gathered pairs' loss weights are computed once per run and sliced.
+    The epoch is planned once, as one run: one gather takes its
+    transitions in batch order, and one ``np.unique`` over the key
+    batch * V + row gives every batch's sorted visited rows and each
+    transition's index into them. Run k's copy of that plan is offset on a
+    leading K axis, and each batch takes its slice of every run's copy.
+    The loss weights are computed once per run as (K, n) tables, and each
+    batch takes (K, m) views of them.
     """
-    first = runs[0]
-    orders = np.asarray(orders, dtype=np.intp)
-    count = len(runs)
-    shared = all(run.lengths is first.lengths for run in runs)
-    if not shared or orders.shape[0] != count or len(configs) != count:
-        raise ValueError("runs must share their transitions and take one order and one config each")
-    n = orders.shape[1]
-    if not n or batch_size < 1:
-        raise ValueError("an epoch must be non-empty and batch_size >= 1, got %d pairs and %d" % (n, batch_size))
-    # Position p of run k's order goes to batch p // batch_size, runs in order within a batch.
-    placed = np.argsort(np.tile(np.arange(n) // batch_size, count), kind="stable")
-    run_of, chosen = placed // n, orders.ravel()[placed]
-    seqs = (2 * chosen[:, None] + np.arange(2)).ravel()
-    lengths = first.lengths[seqs]
-    starts = (np.cumsum(first.lengths) - first.lengths)[seqs]  # where each sequence begins in the encoding
+    order = np.asarray(order, dtype=np.intp)
+    count, n = len(configs), len(encoded)
+    if encoded.reference.shape[0] != count:
+        raise ValueError("the encoding holds %d runs, got %d configs" % (encoded.reference.shape[0], count))
+    if order.ndim != 1 or not len(order) or batch_size < 1:
+        raise ValueError("an epoch takes one non-empty order and batch_size >= 1, got shape %s and %d" % (order.shape, batch_size))
+    outside = (order < 0) | (order >= n)
+    if outside.any():
+        raise ValueError("position %d is outside the %d encoded pairs" % (order[outside.argmax()], n))
+    seqs = (2 * order[:, None] + np.arange(2)).ravel()
+    lengths = encoded.lengths[seqs]
+    starts = (np.cumsum(encoded.lengths) - encoded.lengths)[seqs]  # where each sequence begins in the encoding
     ends = np.cumsum(lengths)  # where it ends in the epoch
     # Epoch transition t of sequence s is transition starts[s] + t - (ends[s] - lengths[s]) of the encoding.
     picked = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-    sequence_of = np.repeat(np.arange(2 * count * n), lengths)
-    batch_of, owner = np.divmod(sequence_of, 2 * count * batch_size)
-    vocab_size = len(first.vocab)
-    stacked = first.rows[picked] + (vocab_size * run_of)[sequence_of // 2]
-    keys, inverse = np.unique(batch_of * (count * vocab_size) + stacked, return_inverse=True)
-    batches = -(-n // batch_size)
-    # Run k of batch b owns the keys in [(b·K + k)·V, (b·K + k + 1)·V).
-    key_bounds = np.searchsorted(keys, np.arange(batches * count + 1) * vocab_size)
-    batch_keys = key_bounds[::count]
-    local = inverse - batch_keys[batch_of]
-    rows, cols = keys % (count * vocab_size), first.cols[picked]
-    # Run k of batch b owns the slice blocks[b·K + k] of the batch's visited rows.
-    offsets = np.repeat(batch_keys[:-1], count)
-    blocks = list(map(slice, (key_bounds[:-1] - offsets).tolist(), (key_bounds[1:] - offsets).tolist()))
-    step_bounds, batch_keys = np.searchsorted(batch_of, np.arange(batches + 1)).tolist(), batch_keys.tolist()
-    table = np.empty((count, 6, n))  # per run: m_w, m_l, mult, beta and the reference scores
-    for weights, run, order, config in zip(table, runs, orders, configs):
-        s_w, s_l, v = run.factors[order].T
-        weights[0], weights[1], weights[2] = _weights(s_w, s_l, v, config)
-        weights[3] = config.beta
-        weights[4:] = run.reference[order].T
-    m_w, m_l, mult, beta, *reference = table.transpose(1, 0, 2).reshape(6, -1)[:, placed]
+    batch_of, owner = np.divmod(np.repeat(np.arange(2 * len(order)), lengths), 2 * batch_size)
+    vocab_size, batches = len(encoded.vocab), -(-len(order) // batch_size)
+    keys, inverse = np.unique(batch_of * vocab_size + encoded.rows[picked], return_inverse=True)
+    batch_keys = np.searchsorted(keys, np.arange(batches + 1) * vocab_size)
+    visited = np.diff(batch_keys)
+    pairs = np.minimum(batch_size, len(order) - batch_size * np.arange(batches))
+    # Run k's copy of the plan, on a leading axis of K.
+    run = np.arange(count)[:, None]
+    rows = keys % vocab_size + run * vocab_size
+    local = inverse - batch_keys[batch_of] + run * visited[batch_of]
+    owner = owner + run * (2 * pairs)[batch_of]
+    cols = np.broadcast_to(encoded.cols[picked], local.shape)
+    table = np.empty((4, count, len(order)))  # m_w, m_l, mult and beta per run
+    for k, config in enumerate(configs):
+        s_w, s_l, v = encoded.factors[k, order].T
+        table[0, k], table[1, k], table[2, k] = _weights(s_w, s_l, v, config)
+        table[3, k] = config.beta
+    m_w, m_l, mult, beta = table
     # An overflowing beta * mult shows in the step as a non-finite value.
     with np.errstate(over="ignore"):
         beta_mult = beta * mult
-    reference, sides, configs = np.stack(reference, axis=1), np.stack([-m_w, m_l], axis=1), tuple(configs)
+    reference, sides = encoded.reference[:, order], np.stack([-m_w, m_l], axis=2)
+    step_bounds = np.searchsorted(batch_of, np.arange(batches + 1)).tolist()
+    batch_keys, configs = batch_keys.tolist(), tuple(configs)
     out = []
     for b in range(batches):
-        visited, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
-        pairs = slice(b * count * batch_size, min(n, (b + 1) * batch_size) * count)
+        keyed, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
+        cut = slice(b * batch_size, (b + 1) * batch_size)
         out.append(
             Batch(
-                first.vocab, configs, rows[visited], tuple(blocks[b * count : (b + 1) * count]),
-                local[steps], cols[steps], owner[steps],
-                reference[pairs], m_w[pairs], m_l[pairs], mult[pairs], beta[pairs], beta_mult[pairs], sides[pairs],
+                encoded.vocab, configs, rows[:, keyed].ravel(),
+                local[:, steps].ravel(), cols[:, steps].ravel(), owner[:, steps].ravel(),
+                reference[:, cut], m_w[:, cut], m_l[:, cut], mult[:, cut], beta[:, cut], beta_mult[:, cut], sides[:, cut],
             )
         )
     return out
@@ -413,15 +412,15 @@ def encode_runs(
     policy: BigramPolicy,
     references: np.ndarray,
     variances: Sequence[Sequence[float]],
-) -> list[EncodedPairs]:
-    """Encode pairs into transition indices once and score them for K runs.
+) -> EncodedPairs:
+    """Encode pairs into transition indices once and score them for K runs,
+    as one ``EncodedPairs``.
 
     ``references`` stacks the runs' reference logit tables as one (K·V, V)
     table, run k's in rows k·V to (k + 1)·V - 1, and ``variances[k]``
-    holds run k's per-pair effective variances. The runs share the
-    transition arrays. Every run's sequence reference log-probabilities
-    come from one ``np.bincount`` over all runs' transitions, which adds
-    each sequence's terms in order.
+    holds run k's per-pair effective variances. Every run's sequence
+    reference log-probabilities come from one ``np.bincount`` over all
+    runs' transitions, which adds each sequence's terms in order.
     """
     if not examples:
         raise ValueError("no pairs to encode")
@@ -435,10 +434,8 @@ def encode_runs(
     owner = np.repeat(np.arange(count * sequences), np.tile(lengths, count))
     sequence_log_probs = np.bincount(owner, terms, minlength=count * sequences).reshape(count, -1, 2)
     actuality = [(e.preferred_actuality, e.rejected_actuality) for e in examples]
-    return [
-        EncodedPairs(policy.vocab, rows, cols, lengths, scores, np.column_stack([actuality, v]))
-        for scores, v in zip(sequence_log_probs, variances)
-    ]
+    factors = np.array([np.column_stack([actuality, v]) for v in variances])
+    return EncodedPairs(policy.vocab, rows, cols, lengths, sequence_log_probs, factors)
 
 
 def encode_examples(
@@ -449,7 +446,7 @@ def encode_examples(
     with one run. The reference must share the policy's vocabulary."""
     if reference.vocab != policy.vocab:
         raise ValueError("policy and reference vocabularies differ")
-    return encode_runs(examples, policy, reference.logits, [[e.effective_variance for e in examples]])[0]
+    return encode_runs(examples, policy, reference.logits, [[e.effective_variance for e in examples]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +475,7 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     Only the visited rows are normalised. One ``np.bincount`` over the
     batch's transitions gives every sequence's policy log-probability,
     hence all r_w / r_l against the planned reference scores; u = beta * S,
-    the losses and the statistics are per-pair arrays, and each run's mean
+    the losses and the statistics are (K, m) per-pair tables, and each run's mean
     is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
     ``np.mean`` sums), all in one reduction over a (4, K, m) table. With
     coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
@@ -490,11 +487,11 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     The finesse variance is a constant computed outside this function; no
     gradient flows through it.
     """
-    runs, pairs = len(batch.configs), len(batch.reference)
-    m = pairs // runs
+    runs, m = batch.reference.shape[:2]
     log_probs, probs = normalise(logits[batch.rows])
-    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * pairs)
-    r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
+    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * runs * m)
+    ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
+    r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
     score = _weighted_score(r_w, r_l, batch.m_w, batch.m_l, batch.mult)
     diff = r_w - r_l
     # An overflow shows as a non-finite value, which the trainer rejects.
@@ -502,8 +499,8 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
         u = batch.beta * score
         coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
         per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
-        loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair.reshape(4, runs, m), axis=2) / m).tolist()
-        side = (coeff[:, None] * batch.sides).ravel()
+        loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair, axis=2) / m).tolist()
+        side = (coeff[:, :, None] * batch.sides).ravel()
         gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
     return LossSteps(batch.rows, gradient, loss, margin, weighted_margin, accuracy)
 

@@ -6,14 +6,14 @@ run in dataset order. At the start of each stage each finesse run
 computes its finesse variance once per unique prompt (from one
 temperature table), and the stage's pairs are encoded into transition
 indices once and scored under each run's frozen reference. Each epoch
-draws a permutation of the stage's pairs per run and plans every run's
-batches, with the pairs' mode weights, in one call; each step then takes
-one plain gradient-descent step on its batch for every run, on the rows
-the batch visits. At the end of a stage each run's frozen reference is
-optionally refreshed to its current policy. Each run is driven by its own
-generator seeded with the config's seed, so identical inputs give
-identical logs and parameters, and a run's are the same whichever modes
-train beside it.
+draws one permutation of the stage's pairs for every run and plans every
+run's batches, with the pairs' mode weights, in one call; each step then
+takes one plain gradient-descent step on its batch for every run, on the
+rows the batch visits. At the end of a stage each run's frozen reference
+is optionally refreshed to its current policy. The permutations come from
+one generator seeded with the config's seed, each finesse run's samples
+from its own, seeded with [seed, 1]: identical inputs give identical logs
+and parameters, and a run's are the same whichever modes train beside it.
 """
 
 from __future__ import annotations
@@ -188,17 +188,16 @@ def attach_finesse(
         example.effective_variance = effective[tuple(example.prompt)]
 
 
-def _non_finite(
-    result: LossSteps, updated: np.ndarray, norms: list[float], blocks: Sequence[slice]
-) -> Iterator[tuple[int, str]]:
+def _non_finite(result: LossSteps, updated: np.ndarray, norms: list[float]) -> Iterator[tuple[int, str]]:
     """(run, value name) of each non-finite value of a step: runs in order
     and, within a run, its loss, gradient, updated logits, gradient norm,
-    margin and weighted margin in that order."""
-    for k, block in enumerate(blocks):
+    margin and weighted margin in that order. Every run visits the same
+    number of rows, so run k's rows are the k-th of K equal blocks."""
+    runs = len(norms)
+    for k, (gradient, logits) in enumerate(zip(np.split(result.gradient, runs), np.split(updated, runs))):
         for name, values in (
-            ("loss", result.loss[k]), ("gradient", result.gradient[block]),
-            ("logits after the update", updated[block]), ("gradient norm", norms[k]),
-            ("margin", result.margin[k]), ("weighted margin", result.weighted_margin[k]),
+            ("loss", result.loss[k]), ("gradient", gradient), ("logits after the update", logits),
+            ("gradient norm", norms[k]), ("margin", result.margin[k]), ("weighted margin", result.weighted_margin[k]),
         ):
             if not np.isfinite(values).all():
                 yield k, name
@@ -218,12 +217,12 @@ def train_modes(
     copy of the table at entry, so the caller's array is never written and
     a frozen snapshot trains too. The runs' tables are stacked as one
     (K·V, V) table, run k's row r being row k·V + r, and each run's policy
-    holds its block of it. Each run keeps its own generator, consumed as a
-    run alone consumes it (finesse at stage start, then one permutation per
-    epoch), and its own reference, refreshed per stage. A stage's pairs are
-    tokenized and encoded once; each epoch plans every run's batches in one
-    call, and each step takes one ``loss_steps`` call and one update of the
-    rows the batch visits, for every run at once.
+    holds its block of it. Every run takes each epoch's one permutation; a
+    finesse run draws its samples from its own generator, as the run alone
+    does, and each run keeps its own reference, refreshed per stage. A
+    stage's pairs are tokenized and encoded once; each epoch plans every
+    run's batches in one call, and each step takes one ``loss_steps`` call
+    and one update of the rows the batch visits, for every run at once.
 
     Per-step records carry the batch loss, the mean raw margin
     beta * (r_w - r_l), the batch preference accuracy, the mean weighted
@@ -244,7 +243,8 @@ def train_modes(
     policies = [policy, *(BigramPolicy(policy.vocab) for _ in configs[1:])]
     for k, run in enumerate(policies):
         run.logits = logits[k * size : (k + 1) * size]
-    rngs = [np.random.default_rng(config.seed) for _ in configs]
+    order_rng = np.random.default_rng(config.seed)
+    finesse_rngs = {k: np.random.default_rng([config.seed, 1]) for k, loss in enumerate(configs) if loss.uses_finesse()}
     reference = logits.copy()
     logs = [TrainLog() for _ in configs]
     step = 0
@@ -253,27 +253,26 @@ def train_modes(
             raise TrainingError("stage %r is empty" % stage_name)
         examples = encode_pairs(pairs)
         variances = []
-        for run, loss, rng in zip(policies, configs, rngs):
-            if loss.uses_finesse():
-                attach_finesse(examples, run, loss, rng)
+        for k, (run, loss) in enumerate(zip(policies, configs)):
+            if k in finesse_rngs:
+                attach_finesse(examples, run, loss, finesse_rngs[k])
             variances.append([example.effective_variance for example in examples])
         encoded = encode_runs(examples, policy, reference, variances)
         for epoch in range(1, config.epochs_per_stage + 1):
-            orders = [rng.permutation(len(examples)) for rng in rngs]
-            for batch in plan_runs(encoded, orders, config.batch_size, configs):
+            order = order_rng.permutation(len(examples))
+            for batch in plan_runs(encoded, order, config.batch_size, configs):
                 result = loss_steps(batch, logits)
                 step += 1
                 gradient = result.gradient
-                starts = [block.start for block in batch.blocks]
-                assert all(block.start < block.stop for block in batch.blocks), "a run visits no row"
                 with np.errstate(over="ignore", invalid="ignore"):
                     updated = logits[result.rows] - config.learning_rate * gradient
                     # Squares, row sums, then each run's block of rows summed:
                     # one fixed order, whatever the BLAS thread count.
+                    starts = range(0, len(gradient), len(gradient) // len(configs))
                     norms = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), starts).tolist()))
                 finite = chain(result.loss, norms, result.margin, result.weighted_margin)
                 if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
-                    k, name = next(_non_finite(result, updated, norms, batch.blocks))
+                    k, name = next(_non_finite(result, updated, norms))
                     run = " in mode %r" % modes[k] if len(modes) > 1 else ""
                     where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
                     raise TrainingError("non-finite %s%s %s" % (name, run, where))

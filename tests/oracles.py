@@ -355,7 +355,7 @@ def take(encoded, pairs):
     picked = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
     return EncodedPairs(
         encoded.vocab, encoded.rows[picked], encoded.cols[picked], lengths,
-        encoded.reference[pairs], encoded.factors[pairs],
+        encoded.reference[:, pairs], encoded.factors[:, pairs],
     )
 
 
@@ -370,8 +370,8 @@ def per_step_loss_gradient(batch, policy, config):
     visited, local = np.unique(batch.rows, return_inverse=True)
     log_probs, probs = normalise(policy.logits[visited])
     sequence_log_probs = np.bincount(owner, log_probs[local, batch.cols], minlength=2 * n)
-    r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference).T
-    s_w, s_l, v = batch.factors.T
+    r_w, r_l = (sequence_log_probs.reshape(-1, 2) - batch.reference[0]).T
+    s_w, s_l, v = batch.factors[0].T
     if config.mode in ("dpo_act", "hin_dpo"):
         m_w = 1.0 + s_w
         m_l = np.maximum(0.01, s_l)
@@ -400,6 +400,13 @@ def grad_norm(gradient) -> float:
     return math.sqrt(np.add.reduceat((gradient * gradient).sum(axis=1), [0])[0])
 
 
+def train_generators(seed):
+    """(order, finesse) generators of a run trained with ``seed``: every
+    epoch's permutation comes from the first, a finesse run's samples from
+    the second, both kept across stages."""
+    return np.random.default_rng(seed), np.random.default_rng([seed, 1])
+
+
 def per_step_train(curriculum, policy, config):
     """``trainer.train`` with every batch taken and stepped on its own:
     (policy, TrainLog)."""
@@ -407,17 +414,17 @@ def per_step_train(curriculum, policy, config):
     from hindpo.trainer import TrainLog, TrainStepRecord, attach_finesse, encode_pairs
 
     policy.logits = np.array(policy.logits)
-    rng = np.random.default_rng(config.seed)
+    order_rng, finesse_rng = train_generators(config.seed)
     reference = policy.snapshot()
     log = TrainLog()
     step = 0
     for stage_name, pairs in curriculum.stages:
         examples = encode_pairs(pairs)
         if config.loss.uses_finesse():
-            attach_finesse(examples, policy, config.loss, rng)
+            attach_finesse(examples, policy, config.loss, finesse_rng)
         encoded = encode_examples(examples, policy, reference)
         for epoch in range(1, config.epochs_per_stage + 1):
-            order = rng.permutation(len(encoded))
+            order = order_rng.permutation(len(encoded))
             for start in range(0, len(order), config.batch_size):
                 result = per_step_loss_gradient(take(encoded, order[start : start + config.batch_size]), policy, config.loss)
                 policy.logits[result.rows] = policy.logits[result.rows] - config.learning_rate * result.gradient

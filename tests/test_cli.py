@@ -523,14 +523,14 @@ SEED_7_TRAINING_SHA256 = {
     "policy_base.json": "372e16713e055080540ebaa5b233dc16d4657d67a0aca40eb2d2c1424f25d41c",
     "policy_dpo.json": "a370ebede26d3f49c46caefd17f0b9846cbbfb6531ce5bce97d38fdb61e44861",
     "policy_dpo_act.json": "f03fff9a776e45647ddf88c6e0d9d922452764c12078f1f235e28b487d3535e7",
-    "policy_dpo_fin.json": "df15e06ffd09bed487a85dd042f54e2df77c2795cf46bd3a6e260acf731f3188",
-    "policy_hin_dpo.json": "b9254ea89b7139ba9d3231333694487bc566e381af3f0230a178e1c394ecddc8",
-    "report.json": "bf922d4a9ff44a66ff7a7a6fad35193fa85db0ba55e949341d1f58cd7f59e4f3",
-    "report.txt": "434e260313b06dc1ff231761474e739a68aa18102dab805612732ff03ed31e13",
+    "policy_dpo_fin.json": "d2e8fbdec9d1405da8aafbcb358fd34c29cd811ccc758ea205aa3531063d7950",
+    "policy_hin_dpo.json": "e980a0c4503371a295427c3ad9e66bebf40017adeb412c5d41c6059f50ffdcc5",
+    "report.json": "abec34b8ad33fdaec89a27cafbb28acc2aa6a7558f0bcc162d0285f70e286de4",
+    "report.txt": "3f232e44fb7d1ea5ceef5a7b8ec122ef6639ae8433b098da9f6940b769c4ff2f",
     "trainlog_dpo.jsonl": "32b79ad9f183d18e53cf5e90def0077141fb8204777e1585f74670483a8b7c01",
     "trainlog_dpo_act.jsonl": "de4b081aa1fbf441284dfb99ccef373772cfa262544418b2773e35fee86ddaa2",
-    "trainlog_dpo_fin.jsonl": "ae9f3578012fdabd28eda0246ebe3475235bb4d1f4e283f59d8cf20dba8cdb8e",
-    "trainlog_hin_dpo.jsonl": "822ad6f97a61684e5012fe4190243da1433e14dd54b6269ecc049d69f66f436a",
+    "trainlog_dpo_fin.jsonl": "6a3ea825c8da59a92dc20a11190a6570203ab3ccdb6acc25cd70f0669e04cc9b",
+    "trainlog_hin_dpo.jsonl": "7db1fa79340d784e7c34c13b4535bd5151120bffbfefbaf9e8272c736c1c5878",
 }
 
 

@@ -465,8 +465,9 @@ class TestLossGradient:
 
 
 class TestStackedRuns:
-    """K runs planned and stepped as one stacked problem: each run's part of
-    a batch is bit for bit the batch that run plans and steps alone."""
+    """K runs planned in one batch order and stepped as one stacked
+    problem: each run's part of a batch is bit for bit the batch that run
+    plans and steps alone."""
 
     @pytest.mark.parametrize("batch_size", [1, 3, 4, 9])
     def test_each_run_is_its_batch_planned_alone(self, batch_size):
@@ -475,42 +476,48 @@ class TestStackedRuns:
         policies = [make_policy(121 + k) for k in range(3)]
         references = [make_policy(131 + k).snapshot() for k in range(3)]
         variances = [rng.uniform(0, 1, len(examples)).tolist() for _ in range(3)]
-        orders = [rng.permutation(len(examples)) for _ in range(3)]
+        order = rng.permutation(len(examples))
         configs = [LossConfig(mode="hin_dpo"), LossConfig(mode="dpo", beta=0.3), LossConfig(mode="dpo_fin", epsilon=0.2)]
         logits = np.vstack([p.logits for p in policies])
-        runs = encode_runs(examples, policies[0], np.vstack([r.logits for r in references]), variances)
-        stacked = plan_runs(runs, orders, batch_size, configs)
+        encoded = encode_runs(examples, policies[0], np.vstack([r.logits for r in references]), variances)
+        stacked = plan_runs(encoded, order, batch_size, configs)
         size = len(policies[0].vocab)
         alone = []
-        for policy, reference, v, order, config in zip(policies, references, variances, orders, configs):
+        for policy, reference, v, config in zip(policies, references, variances, configs):
             for example, value in zip(examples, v):
                 example.effective_variance = value
             alone.append(encode_examples(examples, policy, reference).plan(order, batch_size, config))
         assert len(stacked) == len(alone[0]) == -(-len(examples) // batch_size)
         for j, batch in enumerate(stacked):
             step = loss_steps(batch, logits)
+            rows, gradients = np.split(step.rows, 3), np.split(step.gradient, 3)
             for k, (policy, config) in enumerate(zip(policies, configs)):
                 own = loss_gradient(alone[k][j], policy, config)
                 assert len(batch) == len(alone[k][j])
-                assert np.array_equal(step.rows[batch.blocks[k]], own.rows + k * size)
-                assert step.gradient[batch.blocks[k]].tobytes() == own.gradient.tobytes()
+                assert np.array_equal(rows[k], own.rows + k * size)
+                assert gradients[k].tobytes() == own.gradient.tobytes()
                 values = (step.loss[k], step.margin[k], step.weighted_margin[k], step.accuracy[k])
                 assert list(map(float.hex, values)) == list(
                     map(float.hex, (own.loss, own.margin, own.weighted_margin, own.accuracy))
                 )
 
-    def test_mismatched_runs_rejected(self):
+    def test_one_config_per_run_of_the_encoding(self):
         policy = make_policy(140)
         examples = random_examples(np.random.default_rng(140))
-        runs = encode_runs(examples, policy, np.vstack([policy.logits] * 2), [[0.0] * 3] * 2)
-        apart = encode_examples(examples, policy, policy.snapshot())
-        with pytest.raises(ValueError, match="share their transitions"):
-            plan_runs([runs[0], apart], [[0, 1, 2]] * 2, 2, [LossConfig()] * 2)
-        with pytest.raises(ValueError, match="one order and one config each"):
-            plan_runs(runs, [[0, 1, 2]] * 2, 2, [LossConfig()])
-        [batch] = plan_runs(runs, [[0, 1, 2]] * 2, 3, [LossConfig()] * 2)
+        encoded = encode_runs(examples, policy, np.vstack([policy.logits] * 2), [[0.0] * 3] * 2)
+        with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
+            plan_runs(encoded, [0, 1, 2], 2, [LossConfig()])
+        [batch] = plan_runs(encoded, [0, 1, 2], 3, [LossConfig()] * 2)
         with pytest.raises(ValueError, match="planned for 2 runs"):
             loss_gradient(batch, policy, LossConfig())
+
+    @pytest.mark.parametrize("position", [-1, 2, -3, 5])
+    def test_position_outside_the_encoding_rejected(self, position):
+        # Negative positions would index from the end, and the others past it.
+        policy = make_policy(141)
+        encoded = encode_examples(random_examples(np.random.default_rng(141), n=2), policy, policy.snapshot())
+        with pytest.raises(ValueError, match="^position %d is outside the 2 encoded pairs$" % position):
+            encoded.plan([0, position], 1, LossConfig())
 
 
 class TestLogRatios:

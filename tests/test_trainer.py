@@ -130,7 +130,7 @@ class TestTrainOnSeparableCorpus:
 def oracle_train(curriculum, policy, config):
     """``train`` with the per-prompt oracle finesse and the per-pair oracle
     step; returns the policy and the per-step losses."""
-    rng = np.random.default_rng(config.seed)
+    order_rng, finesse_rng = oracles.train_generators(config.seed)
     reference = policy.snapshot()
     losses = []
     for _, pairs in curriculum.stages:
@@ -140,10 +140,10 @@ def oracle_train(curriculum, policy, config):
             for example in examples:
                 key = tuple(example.prompt)
                 if key not in estimates:
-                    estimates[key] = oracles.compute_finesse(policy, example.prompt, config.loss, rng).effective
+                    estimates[key] = oracles.compute_finesse(policy, example.prompt, config.loss, finesse_rng).effective
                 example.effective_variance = estimates[key]
         for _ in range(config.epochs_per_stage):
-            order = rng.permutation(len(examples))
+            order = order_rng.permutation(len(examples))
             for start in range(0, len(order), config.batch_size):
                 batch = [examples[i] for i in order[start : start + config.batch_size]]
                 grad, loss = oracles.loss_gradient(batch, policy, reference, config.loss)
@@ -196,15 +196,15 @@ def dense_train(curriculum, policy, config):
     """``train``'s steps, each applied to the whole table as
     logits - lr * dense with the step's gradient block scattered into a
     dense zero gradient."""
-    rng = np.random.default_rng(config.seed)
+    order_rng, finesse_rng = oracles.train_generators(config.seed)
     reference = policy.snapshot()
     for _, pairs in curriculum.stages:
         examples = encode_pairs(pairs)
         if config.loss.uses_finesse():
-            attach_finesse(examples, policy, config.loss, rng)
+            attach_finesse(examples, policy, config.loss, finesse_rng)
         encoded = encode_examples(examples, policy, reference)
         for _ in range(config.epochs_per_stage):
-            for batch in encoded.plan(rng.permutation(len(encoded)), config.batch_size, config.loss):
+            for batch in encoded.plan(order_rng.permutation(len(encoded)), config.batch_size, config.loss):
                 step = loss_gradient(batch, policy, config.loss)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
@@ -290,6 +290,26 @@ def test_one_plan_per_epoch_and_one_step_call_per_step(monkeypatch):
     _, log = train(curriculum, BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs())), config)
     assert calls == {"plan": 2 * 4, "loss_steps": len(log.records)}
     assert len(log.records) == 2 * 4 * 4  # ten pairs a stage: batches of 3, 3, 3 and 1
+
+
+def test_every_mode_trains_in_the_order_of_plain_dpo(monkeypatch):
+    # Finesse draws from its own generator, so a finesse run alone permutes
+    # its pairs as plain dpo does, epoch by epoch, across stages.
+    plan = trainer.plan_runs
+    orders = {}
+
+    def recording_plan(encoded, order, *args):
+        orders[mode].append(np.array(order))
+        return plan(encoded, order, *args)
+
+    monkeypatch.setattr(trainer, "plan_runs", recording_plan)
+    curriculum = two_stage_curriculum()
+    for mode in ("dpo", "hin_dpo"):
+        orders[mode] = []
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+        train(curriculum, policy, toy_train_config(mode, batch_size=3, epochs_per_stage=3, seed=5))
+    assert len(orders["dpo"]) == 2 * 3
+    assert list(map(np.ndarray.tolist, orders["hin_dpo"])) == list(map(np.ndarray.tolist, orders["dpo"]))
 
 
 @functools.lru_cache(maxsize=None)
