@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -69,9 +70,22 @@ class Candidate:
     text: str
 
 
+def _is_number(value: object) -> bool:
+    """An int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_score(value: object) -> bool:
-    """A number in [0, 1]; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+    """A number in [0, 1]."""
+    return _is_number(value) and 0.0 <= value <= 1.0
+
+
+def _check_strings(part: object, prefix: str = "") -> None:
+    """SchemaError unless each field of the dataclass ``part`` annotated
+    ``str`` (annotations are strings here) holds a str."""
+    for f in fields(part):
+        if f.type == "str" and not isinstance(getattr(part, f.name), str):
+            raise SchemaError("%s%s must be a string, got %r" % (prefix, f.name, getattr(part, f.name)))
 
 
 @dataclass
@@ -87,12 +101,8 @@ class ArticleRecord:
     actuality_candidates: list[float] | None = None
 
     def validate(self) -> None:
-        # Each field annotated ``str`` (annotations are strings here), of the
-        # record and of each candidate, holds a str.
         for prefix, part in [("", self)] + [("candidates[%d]." % i, c) for i, c in enumerate(self.candidates)]:
-            for f in fields(part):
-                if f.type == "str" and not isinstance(getattr(part, f.name), str):
-                    raise SchemaError("%s%s must be a string, got %r" % (prefix, f.name, getattr(part, f.name)))
+            _check_strings(part, prefix)
         if not self.id:
             raise SchemaError("record id must be non-empty")
         if self.label not in LABELS:
@@ -160,12 +170,27 @@ class PreferencePair:
     def to_json_dict(self) -> dict:
         return dict(vars(self))
 
+    def validate(self) -> None:
+        _check_strings(self)
+        for name in ("candidate_index", "rank"):
+            if not isinstance(getattr(self, name), int) or isinstance(getattr(self, name), bool):
+                raise SchemaError("%s must be an integer, got %r" % (name, getattr(self, name)))
+        if not (_is_number(self.fs) and math.isfinite(self.fs)):
+            raise SchemaError("fs must be a finite number, got %r" % (self.fs,))
+        for name in ("s_w", "s_l"):
+            if getattr(self, name) is not None and not _is_score(getattr(self, name)):
+                raise SchemaError("%s must be null or a number in [0, 1], got %r" % (name, getattr(self, name)))
+        if self.bucket is not None and not isinstance(self.bucket, str):
+            raise SchemaError("bucket must be null or a string, got %r" % (self.bucket,))
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "PreferencePair":
         try:
-            return cls(**data)
+            pair = cls(**data)
         except TypeError as exc:
             raise SchemaError("malformed pair: %s" % exc) from exc
+        pair.validate()
+        return pair
 
 
 @dataclass

@@ -40,8 +40,8 @@ at three levels:
   mode weights it is cut into ``Batch``es (``EncodedPairs.plan`` for one
   run);
 - per step, ``loss_steps`` normalises the visited rows and computes every
-  run's loss, its gradient on those rows and the batch statistics
-  (``loss_gradient`` for a batch of one run).
+  run's loss, its gradient on those rows and its norm, and the batch
+  statistics (``loss_gradient`` for a batch of one run).
 
 ``compute_finesse`` draws all its samples from one temperature table: per
 prompt, one ``draw`` of all its samples, which takes the uniforms from the
@@ -278,11 +278,10 @@ class Batch:
     and ``owner`` its sequence: k·2m + 2i for pair i's preferred response
     in run k, one more for its rejected one. ``reference`` is the pairs'
     (K, m, 2) reference log-probabilities. The pairs' loss weights under
-    their run's config follow as (K, m) tables: ``m_w`` / ``m_l`` are the
-    mode's preferred / rejected weights, ``mult`` the finesse multiplier,
-    ``beta`` the run's beta and ``beta_mult`` beta * mult; ``sides`` is the
-    (K, m, 2) table (-m_w, +m_l), each response's signed weight in the
-    gradient before the pair's coefficient.
+    their run's config follow: ``weights`` is the (K, m, 2) table of the
+    mode's preferred / rejected weights (m_w, m_l), ``mult`` the (K, m)
+    finesse multipliers and ``beta`` the (K, 1) column of the runs' betas,
+    one per run.
     """
 
     vocab: Vocabulary
@@ -292,12 +291,9 @@ class Batch:
     cols: np.ndarray
     owner: np.ndarray
     reference: np.ndarray
-    m_w: np.ndarray
-    m_l: np.ndarray
+    weights: np.ndarray
     mult: np.ndarray
     beta: np.ndarray
-    beta_mult: np.ndarray
-    sides: np.ndarray
 
     def __len__(self) -> int:
         """Pairs per run."""
@@ -351,8 +347,9 @@ def plan_runs(
     batch * V + row gives every batch's sorted visited rows and each
     transition's index into them. Run k's copy of that plan is offset on a
     leading K axis, and each batch takes its slice of every run's copy.
-    The loss weights are computed once per run as (K, n) tables, and each
-    batch takes (K, m) views of them.
+    The loss weights are computed once per run into one (K, n, 3) table of
+    m_w, m_l and mult, and each batch takes views of it; every batch shares
+    the one (K, 1) column of the runs' betas.
     """
     order = np.asarray(order, dtype=np.intp)
     count, n = len(configs), len(encoded)
@@ -381,16 +378,11 @@ def plan_runs(
     local = inverse - batch_keys[batch_of] + run * visited[batch_of]
     owner = owner + run * (2 * pairs)[batch_of]
     cols = np.broadcast_to(encoded.cols[picked], local.shape)
-    table = np.empty((4, count, len(order)))  # m_w, m_l, mult and beta per run
+    table = np.empty((count, len(order), 3))  # m_w, m_l and mult per run and pair
     for k, config in enumerate(configs):
         s_w, s_l, v = encoded.factors[k, order].T
-        table[0, k], table[1, k], table[2, k] = _weights(s_w, s_l, v, config)
-        table[3, k] = config.beta
-    m_w, m_l, mult, beta = table
-    # An overflowing beta * mult shows in the step as a non-finite value.
-    with np.errstate(over="ignore"):
-        beta_mult = beta * mult
-    reference, sides = encoded.reference[:, order], np.stack([-m_w, m_l], axis=2)
+        table[k, :, 0], table[k, :, 1], table[k, :, 2] = _weights(s_w, s_l, v, config)
+    reference, beta = encoded.reference[:, order], np.array([[config.beta] for config in configs])
     step_bounds = np.searchsorted(batch_of, np.arange(batches + 1)).tolist()
     batch_keys, configs = batch_keys.tolist(), tuple(configs)
     out = []
@@ -401,7 +393,7 @@ def plan_runs(
             Batch(
                 encoded.vocab, configs, rows[:, keyed].ravel(),
                 local[:, steps].ravel(), cols[:, steps].ravel(), owner[:, steps].ravel(),
-                reference[:, cut], m_w[:, cut], m_l[:, cut], mult[:, cut], beta[:, cut], beta_mult[:, cut], sides[:, cut],
+                reference[:, cut], table[:, cut, :2], table[:, cut, 2], beta,
             )
         )
     return out
@@ -456,7 +448,8 @@ class LossSteps:
     ``rows`` are the batch's visited stacked rows and ``gradient`` the
     (len(rows), V) block of every run's loss gradient on them. ``loss``,
     ``margin``, ``weighted_margin`` and ``accuracy`` hold one value per
-    run, in run order, each as ``LossStep`` defines it.
+    run, in run order, each as ``LossStep`` defines it; ``grad_norm``
+    holds each run's gradient Frobenius norm, taken over its rows.
     """
 
     rows: np.ndarray
@@ -465,6 +458,7 @@ class LossSteps:
     margin: list[float]
     weighted_margin: list[float]
     accuracy: list[float]
+    grad_norm: list[float]
 
 
 def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
@@ -481,28 +475,33 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
     -coeff * m_w and each rejected one +coeff * m_l in one
     ``transition_grad`` call over the visited rows, which gives the
-    gradient block on those rows; every other row's gradient is zero. Every
-    kernel works row by row, or sequence by sequence in transition order,
-    so each run's values are bit for bit those of the run planned alone.
-    The finesse variance is a constant computed outside this function; no
-    gradient flows through it.
+    gradient block on those rows; every other row's gradient is zero. Each
+    run's gradient norm takes the squares, sums them per row, then sums
+    the row sums over the run's block of rows with ``np.add.reduceat``: one
+    fixed order, whatever the BLAS thread count. Every kernel works row by
+    row, or sequence by sequence in transition order, so each run's values
+    are bit for bit those of the run planned alone. The finesse variance is
+    a constant computed outside this function; no gradient flows through
+    it.
     """
     runs, m = batch.reference.shape[:2]
     log_probs, probs = normalise(logits[batch.rows])
     sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * runs * m)
     ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
     r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
-    score = _weighted_score(r_w, r_l, batch.m_w, batch.m_l, batch.mult)
+    score = _weighted_score(r_w, r_l, batch.weights[:, :, 0], batch.weights[:, :, 1], batch.mult)
     diff = r_w - r_l
     # An overflow shows as a non-finite value, which the trainer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         u = batch.beta * score
-        coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+        coeff = batch.beta * batch.mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
         per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
         loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair, axis=2) / m).tolist()
-        side = (coeff[:, :, None] * batch.sides).ravel()
+        side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()  # -m_w, +m_l
         gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
-    return LossSteps(batch.rows, gradient, loss, margin, weighted_margin, accuracy)
+        blocks = range(0, len(gradient), len(gradient) // runs)  # every run visits as many rows
+        grad_norm = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), blocks).tolist()))
+    return LossSteps(batch.rows, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
 
 
 def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:

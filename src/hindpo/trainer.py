@@ -188,16 +188,17 @@ def attach_finesse(
         example.effective_variance = effective[tuple(example.prompt)]
 
 
-def _non_finite(result: LossSteps, updated: np.ndarray, norms: list[float]) -> Iterator[tuple[int, str]]:
+def _non_finite(result: LossSteps, updated: np.ndarray) -> Iterator[tuple[int, str]]:
     """(run, value name) of each non-finite value of a step: runs in order
     and, within a run, its loss, gradient, updated logits, gradient norm,
     margin and weighted margin in that order. Every run visits the same
     number of rows, so run k's rows are the k-th of K equal blocks."""
-    runs = len(norms)
+    runs = len(result.loss)
     for k, (gradient, logits) in enumerate(zip(np.split(result.gradient, runs), np.split(updated, runs))):
         for name, values in (
             ("loss", result.loss[k]), ("gradient", gradient), ("logits after the update", logits),
-            ("gradient norm", norms[k]), ("margin", result.margin[k]), ("weighted margin", result.weighted_margin[k]),
+            ("gradient norm", result.grad_norm[k]), ("margin", result.margin[k]),
+            ("weighted margin", result.weighted_margin[k]),
         ):
             if not np.isfinite(values).all():
                 yield k, name
@@ -224,11 +225,11 @@ def train_modes(
     run's batches in one call, and each step takes one ``loss_steps`` call
     and one update of the rows the batch visits, for every run at once.
 
-    Per-step records carry the batch loss, the mean raw margin
-    beta * (r_w - r_l), the batch preference accuracy, the mean weighted
-    margin beta * S and the gradient's Frobenius norm (its squares summed
-    per row, then over the run's rows, in that fixed order), all measured
-    against the in-stage reference before the update is applied. A step
+    Per-step records carry what ``loss_steps`` returns for the run: the
+    batch loss, the mean raw margin beta * (r_w - r_l), the batch
+    preference accuracy, the mean weighted margin beta * S and the
+    gradient's Frobenius norm, all measured against the in-stage reference
+    before the update is applied. A step
     whose loss, gradient, updated logits, gradient norm or margins are not
     finite in any run raises, naming the first such run's mode when K > 1,
     before any run changes or is logged.
@@ -263,21 +264,16 @@ def train_modes(
             for batch in plan_runs(encoded, order, config.batch_size, configs):
                 result = loss_steps(batch, logits)
                 step += 1
-                gradient = result.gradient
                 with np.errstate(over="ignore", invalid="ignore"):
-                    updated = logits[result.rows] - config.learning_rate * gradient
-                    # Squares, row sums, then each run's block of rows summed:
-                    # one fixed order, whatever the BLAS thread count.
-                    starts = range(0, len(gradient), len(gradient) // len(configs))
-                    norms = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), starts).tolist()))
-                finite = chain(result.loss, norms, result.margin, result.weighted_margin)
+                    updated = logits[result.rows] - config.learning_rate * result.gradient
+                finite = chain(result.loss, result.grad_norm, result.margin, result.weighted_margin)
                 if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
-                    k, name = next(_non_finite(result, updated, norms))
+                    k, name = next(_non_finite(result, updated))
                     run = " in mode %r" % modes[k] if len(modes) > 1 else ""
                     where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
                     raise TrainingError("non-finite %s%s %s" % (name, run, where))
                 logits[result.rows] = updated
-                stats = zip(logs, result.loss, result.margin, result.accuracy, result.weighted_margin, norms)
+                stats = zip(logs, result.loss, result.margin, result.accuracy, result.weighted_margin, result.grad_norm)
                 for log, *values in stats:
                     log.records.append(TrainStepRecord(stage_name, epoch, step, *values))
         if config.refresh_reference_per_stage:

@@ -275,6 +275,29 @@ class TestTrainEval:
         assert "stage_0_B_L.jsonl: holds 10 pairs, the manifest lists 45" in capsys.readouterr().err
         assert not (out / "policy_dpo.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
+            ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
+            ("prompt", 5, "prompt must be a string, got 5"),
+        ],
+    )
+    def test_train_rejects_a_pair_of_the_wrong_type_naming_file_and_line(self, tmp_path, capsys, key, value, message):
+        # The edited file keeps the manifest's sha256, so only the schema check can stop it.
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        stage = out / "stage_0_B_L.jsonl"
+        first, *rest = stage.read_text(encoding="utf-8").splitlines(keepends=True)
+        stage.write_text("".join([json.dumps({**json.loads(first), key: value}) + "\n", *rest]), encoding="utf-8")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["stages"][0]["sha256"] = hashlib.sha256(stage.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--out", str(out), "--seed", "7", "--mode", "hin_dpo"]) == 1
+        assert capsys.readouterr() == ("", "error: %s:1: %s\n" % (stage, message))
+        assert not (out / "policy_hin_dpo.json").exists()
+
     def test_eval_rejects_an_edited_test_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["forge", "--out", str(out), "--seed", "7"]) == 0

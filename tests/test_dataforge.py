@@ -491,6 +491,35 @@ def test_load_pairs_bad_line_names_file_and_line(tmp_path, bad_line, message):
         load_pairs(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
+        ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
+        ("s_l", -3.0, "s_l must be null or a number in [0, 1], got -3.0"),
+        ("s_w", True, "s_w must be null or a number in [0, 1], got True"),
+        ("s_l", float("nan"), "s_l must be null or a number in [0, 1], got nan"),
+        ("prompt", 5, "prompt must be a string, got 5"),
+        ("rejected", None, "rejected must be a string, got None"),
+        ("id", ["p"], "id must be a string, got ['p']"),
+        ("candidate_index", True, "candidate_index must be an integer, got True"),
+        ("candidate_index", 1.0, "candidate_index must be an integer, got 1.0"),
+        ("rank", "2", "rank must be an integer, got '2'"),
+        ("fs", float("inf"), "fs must be a finite number, got inf"),
+        ("fs", float("nan"), "fs must be a finite number, got nan"),
+        ("fs", False, "fs must be a finite number, got False"),
+        ("fs", "0.5", "fs must be a finite number, got '0.5'"),
+        ("bucket", 3, "bucket must be null or a string, got 3"),
+    ],
+)
+def test_load_pairs_rejects_a_value_of_the_wrong_type_naming_file_and_line(tmp_path, key, value, message):
+    good = score_and_rank(make_record())[0].to_json_dict()
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="^%s$" % re.escape("%s:2: %s" % (path, message))):
+        load_pairs(path)
+
+
 _SCORES = st.none() | st.integers(0, 1) | st.floats(0.0, 1.0)
 _ARTICLES = st.builds(
     ArticleRecord,
@@ -502,7 +531,6 @@ _ARTICLES = st.builds(
     actuality_preferred=_SCORES,
     actuality_candidates=st.none() | st.lists(_SCORES.filter(lambda s: s is not None), min_size=3, max_size=3),
 )
-_FLOATS = st.floats(allow_nan=False)
 _PAIRS = st.builds(
     PreferencePair,
     id=st.text(),
@@ -512,9 +540,9 @@ _PAIRS = st.builds(
     prompt=st.text(),
     preferred=st.text(),
     rejected=st.text(),
-    s_w=st.none() | _FLOATS,
-    s_l=st.none() | _FLOATS,
-    fs=_FLOATS,
+    s_w=_SCORES,
+    s_l=_SCORES,
+    fs=st.integers() | st.floats(allow_nan=False, allow_infinity=False),
     rank=st.integers(0, 2),
     bucket=st.none() | st.sampled_from(sorted(BUCKET_BY_RANK.values())),
 )

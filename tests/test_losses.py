@@ -496,10 +496,9 @@ class TestStackedRuns:
                 assert len(batch) == len(alone[k][j])
                 assert np.array_equal(rows[k], own.rows + k * size)
                 assert gradients[k].tobytes() == own.gradient.tobytes()
-                values = (step.loss[k], step.margin[k], step.weighted_margin[k], step.accuracy[k])
-                assert list(map(float.hex, values)) == list(
-                    map(float.hex, (own.loss, own.margin, own.weighted_margin, own.accuracy))
-                )
+                values = (step.loss[k], step.margin[k], step.weighted_margin[k], step.accuracy[k], step.grad_norm[k])
+                expected = (own.loss, own.margin, own.weighted_margin, own.accuracy, oracles.grad_norm(own.gradient))
+                assert list(map(float.hex, values)) == list(map(float.hex, expected))
 
     def test_one_config_per_run_of_the_encoding(self):
         policy = make_policy(140)

@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import types
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -397,7 +398,7 @@ class TestRaiseBeforeUpdate:
             ("loss", lambda step: [float("nan")], 0.5, "non-finite loss"),
             ("gradient", lambda step: np.full_like(step.gradient, np.nan), 0.5, "non-finite gradient"),
             ("gradient", lambda step: np.full_like(step.gradient, 1e308), 4.0, "non-finite logits after the update"),
-            ("gradient", lambda step: np.full_like(step.gradient, 1e200), 1e-200, "non-finite gradient norm"),
+            ("grad_norm", lambda step: [float("inf")], 0.5, "non-finite gradient norm"),
             ("margin", lambda step: [float("inf")], 0.5, "non-finite margin"),
         ],
         ids=["loss", "gradient", "logits", "norm", "margin"],
@@ -536,6 +537,18 @@ class TestStages:
         with pytest.raises(TrainingError, match="non-finite logits after the update .* step 1$"):
             train(curriculum, policy, TrainConfig(learning_rate=1e308))
         assert np.array_equal(policy.logits, before)
+
+    @pytest.mark.parametrize("mode", ["dpo", "hin_dpo"])
+    def test_overflowing_gradient_norm_raises_without_a_warning(self, mode):
+        # beta * mult / 2 ~ 1e200 keeps the loss, gradient and updated logits
+        # finite, but the gradient's squares overflow.
+        curriculum = separable_curriculum(n_pairs=20, seed=1)
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()))
+        config = TrainConfig(loss=LossConfig(mode=mode, beta=1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="^non-finite gradient norm at stage 'B_H' epoch 1 step 1$"):
+                train(curriculum, policy, config)
 
 
 class TestTrainLog:
