@@ -36,7 +36,7 @@ import numpy as np
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
 from .fileio import write_atomic
-from .losses import MODES, LossConfig, LossExample
+from .losses import MODES, LossConfig, LossExample, kind_problem
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TrainConfig
 
@@ -45,14 +45,6 @@ GRADCHECK_TOLERANCE = 1e-5
 _SPLIT_KEYS = ("train", "val", "test")
 _TRAIN_KEYS = ("epochs_per_stage", "learning_rate", "batch_size", "refresh_reference_per_stage")
 _EVAL_KEYS = ("max_len", "temperature")
-# The type of a key's default -> (what a value must be, the value types accepted).
-_KINDS = {
-    bool: ("true or false", (bool,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    type(None): ("a string or null", (str, type(None))),
-}
 
 
 def _check_section(section: object, defaults: dict, where: str) -> None:
@@ -70,11 +62,9 @@ def _check_section(section: object, defaults: dict, where: str) -> None:
         if isinstance(default, dict):
             _check_section(value, default, "%s section %r" % (where, key))
             continue
-        kind, accepted = _KINDS[type(default)]
-        if type(value) not in accepted:
-            raise ValueError("config %s key %r must be %s, got %r" % (where, key, kind, value))
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError("config %s key %r must be finite, got %r" % (where, key, value))
+        problem = kind_problem(default, value)
+        if problem:
+            raise ValueError("config %s key %r %s" % (where, key, problem))
 
 
 @dataclass

@@ -48,10 +48,11 @@ def generate(
 ) -> list[str]:
     """Decode one response text per prompt.
 
-    temperature 0 means greedy argmax decoding; anything above 0 samples
-    with a generator seeded once for the whole batch, so the same seed
-    reproduces the same outputs, from one temperature table for all
-    prompts (``BigramPolicy.sample_responses``).
+    temperature 0 means greedy argmax decoding; a finite temperature above
+    0 samples with a generator seeded once for the whole batch, so the
+    same seed reproduces the same outputs, from one temperature table for
+    all prompts (``BigramPolicy.sample_responses``). Either way ``max_len``
+    must be at least 1; a NaN or infinite temperature raises ValueError.
     """
     rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]

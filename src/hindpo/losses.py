@@ -52,7 +52,7 @@ token would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +78,37 @@ TIE_TOLERANCE = 1e-12
 _ACTUALITY_MODES = frozenset({"dpo_act", "hin_dpo"})
 _FINESSE_MODES = frozenset({"dpo_fin", "hin_dpo"})
 
+# The type of a config value's default -> (what a value must be, the value
+# types accepted). A bool is accepted only where the default is one.
+KINDS = {
+    bool: ("true or false", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a string or null", (str, type(None))),
+}
+
+
+def kind_problem(default: object, value: object) -> str | None:
+    """Why ``value`` cannot stand where ``default`` does: it is not of the
+    default's kind, or it is a non-finite number. None when it can."""
+    kind, accepted = KINDS[type(default)]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        return "must be %s, got %r" % (kind, value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite, got %r" % (value,)
+    return None
+
+
+def check_kinds(config: object, cls: type) -> None:
+    """ValueError naming the field for the first field of the dataclass
+    ``cls`` with a plain default whose value in ``config`` has a
+    ``kind_problem``."""
+    for f in fields(cls):
+        problem = None if f.default is MISSING else kind_problem(f.default, getattr(config, f.name))
+        if problem:
+            raise ValueError("%s %s" % (f.name, problem))
+
 
 @dataclass
 class LossConfig:
@@ -92,9 +123,7 @@ class LossConfig:
     scale_cap: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("beta", "epsilon", "scale_cap", "finesse_temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        check_kinds(self, LossConfig)
         if self.beta <= 0:
             raise ValueError("beta must be > 0, got %r" % self.beta)
         if self.epsilon <= 0:

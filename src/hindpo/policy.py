@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from bisect import bisect_right
 from itertools import chain
 from pathlib import Path
@@ -252,8 +253,8 @@ class BigramPolicy:
         and the generator's end state are those of ``sample_response``
         called once per prompt.
         """
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0, got %r" % temperature)
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ValueError("temperature must be a finite number > 0, got %r" % temperature)
         if max_len < 1:
             raise ValueError("max_len must be >= 1, got %d" % max_len)
         _, cdf = sampling_tables(self.logits, temperature)
@@ -280,6 +281,8 @@ class BigramPolicy:
 
     def greedy_response(self, prompt: Sequence[str], max_len: int) -> list[str]:
         """Argmax decoding; the zero-temperature limit of sample_response."""
+        if max_len < 1:
+            raise ValueError("max_len must be >= 1, got %d" % max_len)
         prev = self.vocab.start(prompt)
         eos = self.vocab.index(EOS)
         out: list[str] = []

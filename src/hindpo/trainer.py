@@ -33,6 +33,7 @@ from .losses import (
     LossConfig,
     LossExample,
     LossSteps,
+    check_kinds,
     compute_finesse,
     encode_examples,
     encode_runs,
@@ -58,10 +59,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self) -> None:
+        check_kinds(self, TrainConfig)
+        if not isinstance(self.loss, LossConfig):
+            raise ValueError("loss must be a LossConfig, got %r" % (self.loss,))
         if self.epochs_per_stage < 1:
             raise ValueError("epochs_per_stage must be >= 1")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite, got %r" % self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -236,8 +238,8 @@ def train_modes(
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
-    if not modes:
-        raise ValueError("train_modes needs at least one mode")
+    if isinstance(modes, str) or not modes:
+        raise ValueError("train_modes needs a sequence of at least one mode, got %r" % (modes,))
     configs = [replace(config.loss, mode=mode) for mode in modes]
     size = len(policy.vocab)
     logits = np.tile(policy.logits, (len(configs), 1))

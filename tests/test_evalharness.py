@@ -45,6 +45,15 @@ class TestGenerate:
         with pytest.raises(OutOfVocabularyError):
             generate(preferring_policy(), ["missing"])
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got nan$"):
+            generate(preferring_policy(), ["p0"], temperature=float("nan"))
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    def test_max_len_below_one_rejected_greedy_or_sampled(self, temperature):
+        with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
+            generate(preferring_policy(), ["p0"], max_len=0, temperature=temperature)
+
     def test_reserved_tokens_stripped(self):
         policy = BigramPolicy.new(Vocabulary.from_tokens(["a", "b"]))
         for text in generate(policy, ["a"] * 3, temperature=1.0, seed=0, max_len=6):

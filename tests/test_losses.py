@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -99,6 +100,25 @@ class TestLossConfig:
         # NaN passes every `x <= 0` range check, so it needs its own.
         with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (name, value)):
             LossConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [
+            ("beta", "0.6", "a number"),
+            ("epsilon", True, "a number"),
+            ("scale_cap", None, "a number"),
+            ("mode", 5, "a string"),
+            ("finesse_samples", 5.0, "an integer"),
+            ("finesse_samples", False, "an integer"),
+            ("finesse_max_len", 4.0, "an integer"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected_naming_the_field(self, name, value, kind):
+        with pytest.raises(ValueError, match="^%s must be %s, got %s$" % (name, kind, re.escape(repr(value)))):
+            LossConfig(**{name: value})
+
+    def test_numpy_numbers_accepted_where_they_are_python_numbers(self):
+        assert LossConfig(beta=np.float64(0.5)).beta == 0.5
 
 
 class TestPreferenceScore:

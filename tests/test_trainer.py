@@ -81,6 +81,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="^learning_rate must be finite, got %r$" % value):
             TrainConfig(learning_rate=value)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("batch_size", 2.0, "batch_size must be an integer, got 2.0"),
+            ("epochs_per_stage", 2.0, "epochs_per_stage must be an integer, got 2.0"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("learning_rate", "0.5", "learning_rate must be a number, got '0.5'"),
+            ("refresh_reference_per_stage", 1, "refresh_reference_per_stage must be true or false, got 1"),
+            ("loss", {"beta": 0.6}, "loss must be a LossConfig, got {'beta': 0.6}"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected_naming_the_field(self, name, value, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            TrainConfig(**{name: value})
+
 
 class TestTrainOnSeparableCorpus:
     @pytest.mark.parametrize("mode", ["dpo", "dpo_act", "dpo_fin", "hin_dpo"])
@@ -366,6 +382,11 @@ class TestLockstepMatchesOneModeTraining:
         with pytest.raises(ValueError, match="at least one mode"):
             train_modes(curriculum, policy, toy_train_config(), [])
         assert policy.logits is original
+
+    def test_a_mode_string_in_place_of_a_sequence_rejected(self):
+        curriculum, policy = separable_setup()
+        with pytest.raises(ValueError, match="^train_modes needs a sequence of at least one mode, got 'dpo'$"):
+            train_modes(curriculum, policy, toy_train_config(), "dpo")
 
     def test_one_plan_per_epoch_and_one_step_call_per_step_for_every_run(self, monkeypatch):
         calls = {"plan": 0, "loss_steps": 0}
