@@ -231,10 +231,10 @@ def train_modes(
     batch loss, the mean raw margin beta * (r_w - r_l), the batch
     preference accuracy, the mean weighted margin beta * S and the
     gradient's Frobenius norm, all measured against the in-stage reference
-    before the update is applied. A step
-    whose loss, gradient, updated logits, gradient norm or margins are not
-    finite in any run raises, naming the first such run's mode when K > 1,
-    before any run changes or is logged.
+    before the update is applied. A step whose loss, gradient, updated
+    logits, gradient norm or margins are not finite in any run raises,
+    naming the first such run's mode when K > 1, before any run changes or
+    is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")

@@ -474,49 +474,46 @@ def _with_extra_key(pair: dict) -> str:
     return json.dumps(pair)
 
 
+def _with(key: str, value: object):
+    return lambda pair: json.dumps({**pair, key: value})
+
+
+# (key, value, message) of a pair line whose value has the wrong type or range.
+_WRONG_VALUES = [
+    ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
+    ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
+    ("s_l", -3.0, "s_l must be null or a number in [0, 1], got -3.0"),
+    ("s_w", True, "s_w must be null or a number in [0, 1], got True"),
+    ("s_l", float("nan"), "s_l must be null or a number in [0, 1], got nan"),
+    ("prompt", 5, "prompt must be a string, got 5"),
+    ("rejected", None, "rejected must be a string, got None"),
+    ("id", ["p"], "id must be a string, got ['p']"),
+    ("candidate_index", True, "candidate_index must be an integer, got True"),
+    ("candidate_index", 1.0, "candidate_index must be an integer, got 1.0"),
+    ("rank", "2", "rank must be an integer, got '2'"),
+    ("fs", float("inf"), "fs must be a finite number, got inf"),
+    ("fs", float("nan"), "fs must be a finite number, got nan"),
+    ("fs", False, "fs must be a finite number, got False"),
+    ("fs", "0.5", "fs must be a finite number, got '0.5'"),
+    ("bucket", 3, "bucket must be null or a string, got 3"),
+]
+
+
 @pytest.mark.parametrize(
     "bad_line, message",
     [
         (_without_prompt, r"pairs\.jsonl:2: malformed pair: .*prompt"),
         (_with_extra_key, r"pairs\.jsonl:2: malformed pair: .*winner"),
         (lambda pair: "{not json", r"pairs\.jsonl:2: invalid JSON"),
+        *((_with(key, value), r"pairs\.jsonl:2: %s$" % re.escape(message)) for key, value, message in _WRONG_VALUES),
     ],
-    ids=["missing-key", "extra-key", "invalid-json"],
+    ids=["missing-key", "extra-key", "invalid-json", *("%s=%r" % (key, value) for key, value, _ in _WRONG_VALUES)],
 )
 def test_load_pairs_bad_line_names_file_and_line(tmp_path, bad_line, message):
     good = score_and_rank(make_record())[0].to_json_dict()
     path = tmp_path / "pairs.jsonl"
     path.write_text(json.dumps(good) + "\n" + bad_line(dict(good)) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=message):
-        load_pairs(path)
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
-        ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
-        ("s_l", -3.0, "s_l must be null or a number in [0, 1], got -3.0"),
-        ("s_w", True, "s_w must be null or a number in [0, 1], got True"),
-        ("s_l", float("nan"), "s_l must be null or a number in [0, 1], got nan"),
-        ("prompt", 5, "prompt must be a string, got 5"),
-        ("rejected", None, "rejected must be a string, got None"),
-        ("id", ["p"], "id must be a string, got ['p']"),
-        ("candidate_index", True, "candidate_index must be an integer, got True"),
-        ("candidate_index", 1.0, "candidate_index must be an integer, got 1.0"),
-        ("rank", "2", "rank must be an integer, got '2'"),
-        ("fs", float("inf"), "fs must be a finite number, got inf"),
-        ("fs", float("nan"), "fs must be a finite number, got nan"),
-        ("fs", False, "fs must be a finite number, got False"),
-        ("fs", "0.5", "fs must be a finite number, got '0.5'"),
-        ("bucket", 3, "bucket must be null or a string, got 3"),
-    ],
-)
-def test_load_pairs_rejects_a_value_of_the_wrong_type_naming_file_and_line(tmp_path, key, value, message):
-    good = score_and_rank(make_record())[0].to_json_dict()
-    path = tmp_path / "pairs.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="^%s$" % re.escape("%s:2: %s" % (path, message))):
         load_pairs(path)
 
 
