@@ -173,7 +173,7 @@ class PreferencePair:
     def validate(self) -> None:
         _check_strings(self)
         for name in ("candidate_index", "rank"):
-            if not isinstance(getattr(self, name), int) or isinstance(getattr(self, name), bool):
+            if type(getattr(self, name)) is not int:  # a bool is not an integer here
                 raise SchemaError("%s must be an integer, got %r" % (name, getattr(self, name)))
         if not (_is_number(self.fs) and math.isfinite(self.fs)):
             raise SchemaError("fs must be a finite number, got %r" % (self.fs,))
