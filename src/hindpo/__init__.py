@@ -21,9 +21,11 @@ Library tour:
   ``EncodedPairs.plan`` and ``loss_gradient`` are their one-run forms
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
   several loss modes in lockstep, in one batch order, each finesse run
-  drawing from its own generator; ``train`` one mode), gradient checking
+  drawing from its own generator; ``train`` one mode; both validate the
+  pairs first), gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
+- :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads; atomic writes
 """
 
 from .corpora import separable_curriculum, toy_corpus

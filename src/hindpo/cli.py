@@ -35,8 +35,8 @@ import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
-from .fileio import write_atomic
-from .losses import MODES, LossConfig, LossExample, kind_problem
+from .fileio import kind_problem, write_atomic
+from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TrainConfig
 
@@ -47,22 +47,23 @@ _TRAIN_KEYS = ("epochs_per_stage", "learning_rate", "batch_size", "refresh_refer
 _EVAL_KEYS = ("max_len", "temperature")
 
 
-def _check_section(section: object, defaults: dict, where: str) -> None:
+def _check_section(section: object, kinds: dict, where: str) -> None:
     """ValueError naming ``where`` and the key for any key not in
-    ``defaults``, any value whose type is not its default's kind and any
-    non-finite number (``json`` reads NaN and Infinity); a dict default is
-    a nested section, checked in turn."""
-    if not isinstance(section, dict):
-        raise ValueError("config %s must be an object, got %r" % (where, section))
-    unknown = set(section) - set(defaults)
+    ``kinds`` and any value with a ``kind_problem`` (``json`` reads NaN and
+    Infinity, which are not finite); a dict in ``kinds`` is a nested
+    section, checked in turn."""
+    problem = kind_problem("dict", section)
+    if problem:
+        raise ValueError("config %s %s" % (where, problem))
+    unknown = set(section) - set(kinds)
     if unknown:
         raise ValueError("unknown config keys in %s: %s" % (where, sorted(unknown)))
     for key, value in section.items():
-        default = defaults[key]
-        if isinstance(default, dict):
-            _check_section(value, default, "%s section %r" % (where, key))
+        kind = kinds[key]
+        if isinstance(kind, dict):
+            _check_section(value, kind, "%s section %r" % (where, key))
             continue
-        problem = kind_problem(default, value)
+        problem = kind_problem(kind, value)
         if problem:
             raise ValueError("config %s key %r %s" % (where, key, problem))
 
@@ -100,20 +101,21 @@ class RunConfig(TrainConfig):
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # a JSON or UTF-8 decoding error
             raise ValueError("config %s: invalid JSON: %s" % (path, exc)) from exc
-        defaults = {
-            **{key: getattr(cls, key) for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
-            "split": dict(zip(_SPLIT_KEYS, DEFAULT_SPLIT)),
-            "loss": {f.name: f.default for f in fields(LossConfig)},
-            "train": {key: getattr(cls, key) for key in _TRAIN_KEYS},
-            "eval": {key: getattr(cls, "eval_" + key) for key in _EVAL_KEYS},
+        own = {f.name: f.type for f in fields(cls)}
+        kinds = {
+            **{key: own[key] for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
+            "split": dict.fromkeys(_SPLIT_KEYS, "float"),
+            "loss": {f.name: f.type for f in fields(LossConfig)},
+            "train": {key: own[key] for key in _TRAIN_KEYS},
+            "eval": {key: own["eval_" + key] for key in _EVAL_KEYS},
         }
         split = data.get("split") if isinstance(data, dict) else None
         if isinstance(split, list) and len(split) == len(_SPLIT_KEYS):
             data["split"] = dict(zip(_SPLIT_KEYS, split))
-        _check_section(data, defaults, str(path))
-        kwargs = {key: value for key, value in data.items() if not isinstance(defaults[key], dict)}
+        _check_section(data, kinds, str(path))
+        kwargs = {key: value for key, value in data.items() if not isinstance(kinds[key], dict)}
         if "split" in data:
-            kwargs["split"] = tuple(data["split"].get(key, d) for key, d in defaults["split"].items())
+            kwargs["split"] = tuple(data["split"].get(key, d) for key, d in zip(_SPLIT_KEYS, DEFAULT_SPLIT))
         kwargs.update(data.get("train", {}))
         kwargs.update(("eval_" + key, value) for key, value in data.get("eval", {}).items())
         try:

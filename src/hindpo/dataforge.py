@@ -30,14 +30,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import check_kinds, kind_problem, write_atomic
 from .textmetrics import CharTrigramCosine, SemanticScorer, final_score, meteor, rouge_l, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
@@ -70,22 +69,9 @@ class Candidate:
     text: str
 
 
-def _is_number(value: object) -> bool:
-    """An int or float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_score(value: object) -> bool:
     """A number in [0, 1]."""
-    return _is_number(value) and 0.0 <= value <= 1.0
-
-
-def _check_strings(part: object, prefix: str = "") -> None:
-    """SchemaError unless each field of the dataclass ``part`` annotated
-    ``str`` (annotations are strings here) holds a str."""
-    for f in fields(part):
-        if f.type == "str" and not isinstance(getattr(part, f.name), str):
-            raise SchemaError("%s%s must be a string, got %r" % (prefix, f.name, getattr(part, f.name)))
+    return kind_problem("float", value) is None and 0.0 <= value <= 1.0
 
 
 @dataclass
@@ -102,7 +88,7 @@ class ArticleRecord:
 
     def validate(self) -> None:
         for prefix, part in [("", self)] + [("candidates[%d]." % i, c) for i, c in enumerate(self.candidates)]:
-            _check_strings(part, prefix)
+            check_kinds(part, SchemaError, prefix)
         if not self.id:
             raise SchemaError("record id must be non-empty")
         if self.label not in LABELS:
@@ -171,17 +157,15 @@ class PreferencePair:
         return dict(vars(self))
 
     def validate(self) -> None:
-        _check_strings(self)
-        for name in ("candidate_index", "rank"):
-            if type(getattr(self, name)) is not int:  # a bool is not an integer here
-                raise SchemaError("%s must be an integer, got %r" % (name, getattr(self, name)))
-        if not (_is_number(self.fs) and math.isfinite(self.fs)):
+        # These run before the kind walk, which would word them otherwise.
+        if kind_problem("float", self.fs):
             raise SchemaError("fs must be a finite number, got %r" % (self.fs,))
         for name in ("s_w", "s_l"):
             if getattr(self, name) is not None and not _is_score(getattr(self, name)):
                 raise SchemaError("%s must be null or a number in [0, 1], got %r" % (name, getattr(self, name)))
         if self.bucket is not None and not isinstance(self.bucket, str):
             raise SchemaError("bucket must be null or a string, got %r" % (self.bucket,))
+        check_kinds(self, SchemaError)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PreferencePair":
@@ -404,8 +388,8 @@ def bucketize(pairs: Sequence[PreferencePair], order: str = "algorithm1") -> Cur
 
 
 def _check_split(fractions: Sequence[float]) -> None:
-    """ValueError unless ``fractions`` are three non-negative values summing to 1."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    """ValueError unless ``fractions`` are three finite non-negative numbers summing to 1."""
+    if len(fractions) != 3 or any(kind_problem("float", f) or f < 0 for f in fractions):
         raise ValueError("split fractions must be three non-negative values, got %r" % (tuple(fractions),))
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1, got %r" % (tuple(fractions),))
@@ -531,22 +515,23 @@ def emit_forge(result: ForgeResult, out_dir: str | Path) -> Path:
     return write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
 
 
-# The manifest keys read back, and the keys of each file entry, with their types.
-_MANIFEST_KEYS = {"order": str, "stages": list, "val": dict, "test": dict}
-_ENTRY_KEYS = {"file": str, "pairs": int, "sha256": str}
-_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+# The manifest keys read back, and the keys of each file entry, with their kinds.
+_MANIFEST_KEYS = {"order": "str", "stages": "list", "val": "dict", "test": "dict"}
+_ENTRY_KEYS = {"file": "str", "pairs": "int", "sha256": "str"}
 
 
-def _check_keys(section: object, keys: dict, path: Path, where: str) -> None:
+def _check_keys(section: object, keys: dict[str, str], path: Path, where: str) -> None:
     """SchemaError naming ``path`` unless ``section`` is an object holding
-    every key of ``keys`` with a value of exactly its type."""
-    if not isinstance(section, dict):
-        raise SchemaError("%s: %s must be an object, got %r" % (path, where, section))
+    every key of ``keys`` with a value of its kind."""
+    problem = kind_problem("dict", section)
+    if problem:
+        raise SchemaError("%s: %s %s" % (path, where, problem))
     for key, kind in keys.items():
         if key not in section:
             raise SchemaError("%s: %s has no key %r" % (path, where, key))
-        if type(section[key]) is not kind:
-            raise SchemaError("%s: %s key %r must be %s, got %r" % (path, where, key, _JSON_TYPES[kind], section[key]))
+        problem = kind_problem(kind, section[key])
+        if problem:
+            raise SchemaError("%s: %s key %r %s" % (path, where, key, problem))
 
 
 def read_manifest(out_dir: str | Path) -> dict:
@@ -560,7 +545,7 @@ def read_manifest(out_dir: str | Path) -> dict:
     except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
     _check_keys(manifest, _MANIFEST_KEYS, path, "the manifest")
-    stage_keys = {"bucket": str, **_ENTRY_KEYS}
+    stage_keys = {"bucket": "str", **_ENTRY_KEYS}
     entries = [("stage entry %d" % i, entry, stage_keys) for i, entry in enumerate(manifest["stages"])]
     entries += [("the %s entry" % name, manifest[name], _ENTRY_KEYS) for name in ("val", "test")]
     for where, entry, keys in entries:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import kind_problem, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy
 from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
@@ -51,12 +51,20 @@ def generate(
     temperature 0 means greedy argmax decoding; a finite temperature above
     0 samples with a generator seeded once for the whole batch, so the
     same seed reproduces the same outputs, from one temperature table for
-    all prompts (``BigramPolicy.sample_responses``). Either way ``max_len``
-    must be at least 1; a NaN or infinite temperature raises ValueError.
+    all prompts (``BigramPolicy.sample_responses``). A ``max_len`` that is
+    not an integer >= 1 or a negative temperature raises ValueError before
+    any prompt is read; so, when sampling starts, does a NaN or infinite one.
     """
+    problem = kind_problem("int", max_len)
+    if problem:
+        raise ValueError("max_len %s" % problem)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1, got %d" % max_len)
+    if temperature < 0:
+        raise ValueError("temperature must be a finite number >= 0, got %r" % temperature)
     rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]
-    if temperature <= 0:
+    if temperature == 0:
         responses = [policy.greedy_response(tokens, max_len) for tokens in token_prompts]
     else:
         responses = policy.sample_responses(token_prompts, temperature, max_len, rng)

@@ -1,11 +1,54 @@
-"""Atomic artefact writes: a reader finds the old file or the whole new
-one at a path, never a half-written one."""
+"""The one kind table, ``KINDS``, that every config, config file, record
+and manifest check reads, and atomic artefact writes: a reader finds the
+old file or the whole new one at a path, never a half-written one."""
 
 from __future__ import annotations
 
+import functools
+import math
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
+
+# A kind, which is a dataclass field's annotation string, -> (what a value
+# must be, the value types accepted). A bool is accepted only as a "bool".
+KINDS = {
+    "bool": ("true or false", (bool,)),
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "str": ("a string", (str,)),
+    "str | None": ("a string or null", (str, type(None))),
+    "list": ("an array", (list,)),
+    "dict": ("an object", (dict,)),
+}
+
+
+def kind_problem(kind: str, value: object) -> str | None:
+    """Why ``value`` is not of ``kind`` (another type, or not finite); None when it is."""
+    what, accepted = KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
+        return "must be %s, got %r" % (what, value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite, got %r" % (value,)
+    return None
+
+
+@functools.cache
+def _kinded_fields(cls: type) -> tuple[tuple[str, str, frozenset], ...]:
+    """(name, kind, types all of whose values are of the kind) per kinded field of ``cls``."""
+    return tuple((f.name, f.type, frozenset(KINDS[f.type][1]) - {float}) for f in fields(cls) if f.type in KINDS)
+
+
+def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str = "") -> None:
+    """``error`` naming ``prefix`` and the field for the first field of the
+    dataclass ``part``'s own class whose value has a ``kind_problem``."""
+    for name, kind, plain in _kinded_fields(type(part)):
+        value = getattr(part, name)
+        if type(value) not in plain:
+            problem = kind_problem(kind, value)
+            if problem:
+                raise error("%s%s %s" % (prefix, name, problem))
 
 
 def write_atomic(path: str | Path, chunks: str | Iterable[str]) -> Path:

@@ -27,13 +27,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataforge import CurriculumDataset, PreferencePair
-from .fileio import write_atomic
+from .dataforge import CurriculumDataset, PreferencePair, SchemaError
+from .fileio import check_kinds, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
     LossSteps,
-    check_kinds,
     compute_finesse,
     encode_examples,
     encode_runs,
@@ -59,7 +58,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self) -> None:
-        check_kinds(self, TrainConfig)
+        check_kinds(self)
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig, got %r" % (self.loss,))
         if self.epochs_per_stage < 1:
@@ -231,7 +230,10 @@ def train_modes(
     batch loss, the mean raw margin beta * (r_w - r_l), the batch
     preference accuracy, the mean weighted margin beta * S and the
     gradient's Frobenius norm, all measured against the in-stage reference
-    before the update is applied. A step whose loss, gradient, updated
+    before the update is applied. Every pair of the curriculum is
+    validated first: a pair that breaks the pair schema raises
+    ``SchemaError`` naming its id before any run is set up, so the
+    caller's policy is left untouched. A step whose loss, gradient, updated
     logits, gradient norm or margins are not finite in any run raises,
     naming the first such run's mode when K > 1, before any run changes or
     is logged.
@@ -240,6 +242,11 @@ def train_modes(
         raise TrainingError("curriculum has no stages")
     if isinstance(modes, str) or not modes:
         raise ValueError("train_modes needs a sequence of at least one mode, got %r" % (modes,))
+    for pair in curriculum.all_pairs():
+        try:
+            pair.validate()
+        except SchemaError as exc:
+            raise SchemaError("pair %r: %s" % (pair.id, exc)) from exc
     configs = [replace(config.loss, mode=mode) for mode in modes]
     size = len(policy.vocab)
     logits = np.tile(policy.logits, (len(configs), 1))

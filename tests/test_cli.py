@@ -13,6 +13,7 @@ import hindpo
 from hindpo import cli, trainer
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import SchemaError, read_manifest
+from hindpo.fileio import KINDS
 from hindpo.losses import MODES, LossConfig
 from hindpo.trainer import TrainConfig
 
@@ -509,6 +510,45 @@ class TestTrainEval:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(block), encoding="utf-8")
         assert RunConfig.from_file(path) == RunConfig()
+
+
+class TestConfigsBuiltInCode:
+    """A config built in the library is checked by the kind table the
+    config file is checked by, field by field of its own class."""
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("eval_max_len", 2.5, "eval_max_len must be an integer, got 2.5"),
+            ("eval_temperature", float("nan"), "eval_temperature must be finite, got nan"),
+            ("noise_std", "x", "noise_std must be a number, got 'x'"),
+            ("corpus", 5, "corpus must be a string or null, got 5"),
+            ("out_dir", 5, "out_dir must be a string, got 5"),
+        ],
+    )
+    def test_run_config_field_of_the_wrong_kind_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("split", [(float("nan"), 0, 0), ("a", 0, 0), (True, 0, 0)], ids=["nan", "str", "bool"])
+    def test_split_fraction_of_the_wrong_kind_rejected(self, split):
+        message = "split fractions must be three non-negative values, got %r" % (split,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            RunConfig(split=split)
+
+    def test_every_kinded_field_is_checked(self):
+        # A value of another kind for each field whose annotation is a
+        # kind. Annotations are kinds only as strings, so a module without
+        # ``from __future__ import annotations`` would leave its fields
+        # out of the walk; the set of unkinded fields pins that.
+        other = {"bool": 1, "int": 2.5, "float": "x", "str": 5, "str | None": 5}
+        unkinded = {LossConfig: set(), TrainConfig: {"loss"}, RunConfig: {"loss", "split"}}
+        for cls, expected in unkinded.items():
+            assert {f.name for f in fields(cls) if f.type not in KINDS} == expected, cls
+            for f in fields(cls):
+                if f.type in KINDS:
+                    with pytest.raises(ValueError, match="^%s must be " % f.name):
+                        cls(**{f.name: other[f.type]})
 
 
 class TestGradcheck:

@@ -342,6 +342,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_articles(toy_corpus(), (0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("split", [(float("nan"), 0, 0), ("a", 0, 0), (True, 0, 0)], ids=["nan", "str", "bool"])
+    @pytest.mark.parametrize("call", [split_articles, lambda records, split: forge(records, split=split)], ids=["split_articles", "forge"])
+    def test_fraction_of_the_wrong_kind_rejected(self, call, split):
+        message = "split fractions must be three non-negative values, got %r" % (split,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call(toy_corpus(), split)
+
 
 class TestEmit:
     def test_stage_files_and_manifest(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,28 @@ class TestGenerate:
     def test_max_len_below_one_rejected_greedy_or_sampled(self, temperature):
         with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
             generate(preferring_policy(), ["p0"], max_len=0, temperature=temperature)
+
+    @pytest.mark.parametrize("prompts", [["p0"], [], ["missing"]], ids=["prompt", "none", "oov"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    @pytest.mark.parametrize(
+        "max_len, message",
+        [(0, "max_len must be >= 1, got 0"), (2.5, "max_len must be an integer, got 2.5"), (True, "max_len must be an integer, got True")],
+        ids=["zero", "float", "bool"],
+    )
+    def test_bad_max_len_rejected_before_any_prompt(self, max_len, message, temperature, prompts):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate(preferring_policy(), prompts, max_len=max_len, temperature=temperature)
+
+    @pytest.mark.parametrize("prompts", [["p0"], [], ["missing"]], ids=["prompt", "none", "oov"])
+    @pytest.mark.parametrize("temperature", [-1.0, -float("inf")], ids=["-1", "-inf"])
+    def test_negative_temperature_rejected_before_any_prompt(self, temperature, prompts):
+        message = "temperature must be a finite number >= 0, got %r" % temperature
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate(preferring_policy(), prompts, temperature=temperature)
+
+    def test_infinite_temperature_rejected(self):
+        with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got inf$"):
+            generate(preferring_policy(), ["p0"], temperature=float("inf"))
 
     def test_reserved_tokens_stripped(self):
         policy = BigramPolicy.new(Vocabulary.from_tokens(["a", "b"]))

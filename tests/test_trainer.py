@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from hindpo import trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
-from hindpo.dataforge import CurriculumDataset, forge
+from hindpo.dataforge import CurriculumDataset, SchemaError, forge
 from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
@@ -471,6 +471,26 @@ class TestRaiseBeforeUpdate:
         size = len(policy.vocab)
         assert np.array_equal(policy.logits, seen[2][:size])
         assert not np.array_equal(seen[2], seen[1])
+
+
+class TestPairsCheckedBeforeTraining:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
+            ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
+            ("prompt", 5, "prompt must be a string, got 5"),
+        ],
+        ids=["s_w-out-of-range", "s_w-str", "prompt-int"],
+    )
+    def test_bad_pair_raises_naming_it_and_leaves_the_policy(self, name, value, message):
+        curriculum, policy = separable_setup()
+        setattr(curriculum.stages[0][1][0], name, value)
+        logits = policy.logits
+        before = logits.copy()
+        with pytest.raises(SchemaError, match="^%s$" % re.escape("pair 'sep-000': " + message)):
+            train(curriculum, policy, toy_train_config("hin_dpo"))
+        assert policy.logits is logits and np.array_equal(logits, before)
 
 
 class TestDeterminism:
