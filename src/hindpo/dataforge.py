@@ -389,10 +389,11 @@ def bucketize(pairs: Sequence[PreferencePair], order: str = "algorithm1") -> Cur
 
 def _check_split(fractions: Sequence[float]) -> None:
     """ValueError unless ``fractions`` are three finite non-negative numbers summing to 1."""
-    if len(fractions) != 3 or any(kind_problem("float", f) or f < 0 for f in fractions):
-        raise ValueError("split fractions must be three non-negative values, got %r" % (tuple(fractions),))
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1, got %r" % (tuple(fractions),))
+    shown = tuple(fractions) if isinstance(fractions, Iterable) else fractions
+    if not isinstance(shown, tuple) or len(shown) != 3 or any(kind_problem("float", f) or f < 0 for f in shown):
+        raise ValueError("split fractions must be three non-negative values, got %r" % (shown,))
+    if abs(sum(shown) - 1.0) > 1e-9:
+        raise ValueError("split fractions must sum to 1, got %r" % (shown,))
 
 
 def split_articles(

@@ -52,16 +52,18 @@ def generate(
     0 samples with a generator seeded once for the whole batch, so the
     same seed reproduces the same outputs, from one temperature table for
     all prompts (``BigramPolicy.sample_responses``). A ``max_len`` that is
-    not an integer >= 1 or a negative temperature raises ValueError before
-    any prompt is read; so, when sampling starts, does a NaN or infinite one.
+    not an integer >= 1, or a temperature that is negative or not a number
+    (a bool is not), raises ValueError before any prompt is read; so, when
+    sampling starts, does a NaN or infinite one.
     """
     problem = kind_problem("int", max_len)
     if problem:
         raise ValueError("max_len %s" % problem)
     if max_len < 1:
         raise ValueError("max_len must be >= 1, got %d" % max_len)
-    if temperature < 0:
-        raise ValueError("temperature must be a finite number >= 0, got %r" % temperature)
+    # Any float passes the kind check, so a NaN or infinite one reaches the sampler's own message.
+    if (not isinstance(temperature, float) and kind_problem("float", temperature)) or temperature < 0:
+        raise ValueError("temperature must be a finite number >= 0, got %r" % (temperature,))
     rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]
     if temperature == 0:

@@ -39,9 +39,12 @@ at three levels:
   plan is that plan offset to run k's rows and sequences; with every run's
   mode weights it is cut into ``Batch``es (``EncodedPairs.plan`` for one
   run);
-- per step, ``loss_steps`` normalises the visited rows and computes every
-  run's loss, its gradient on those rows and its norm, and the batch
-  statistics (``loss_gradient`` for a batch of one run).
+- per step, ``loss_steps`` gathers the visited rows once, takes their
+  log-softmax only at the batch's transitions and computes every run's
+  loss, its gradient on those rows (built in place of their softmax) and
+  its norm, and the batch statistics; it returns the gathered rows too,
+  for the caller to update in place (``loss_gradient`` for a batch of
+  one run).
 
 ``compute_finesse`` draws all its samples from one temperature table: per
 prompt, one ``draw`` of all its samples, which takes the uniforms from the
@@ -443,14 +446,17 @@ def encode_examples(
 class LossSteps:
     """One planned batch's per-run losses, gradient and statistics.
 
-    ``rows`` are the batch's visited stacked rows and ``gradient`` the
-    (len(rows), V) block of every run's loss gradient on them. ``loss``,
+    ``rows`` are the batch's visited stacked rows, ``visited`` a fresh
+    copy of those rows of the logits the step read, for the caller to
+    update in place and write back, and ``gradient`` the (len(rows), V)
+    block of every run's loss gradient on them. ``loss``,
     ``margin``, ``weighted_margin`` and ``accuracy`` hold one value per
     run, in run order, each as ``LossStep`` defines it; ``grad_norm``
     holds each run's gradient Frobenius norm, taken over its rows.
     """
 
     rows: np.ndarray
+    visited: np.ndarray
     gradient: np.ndarray
     loss: list[float]
     margin: list[float]
@@ -464,27 +470,40 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     stacked (K·V, V) ``logits`` on the rows the batch visits, and the
     batch's preference statistics, in count form.
 
-    Only the visited rows are normalised. One ``np.bincount`` over the
-    batch's transitions gives every sequence's policy log-probability,
-    hence all r_w / r_l against the planned reference scores; u = beta * S,
-    the losses and the statistics are (K, m) per-pair tables, and each run's mean
-    is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
+    The visited rows are gathered once, into the returned ``visited``;
+    ``logits`` is never written. Each row is shifted by its maximum into
+    one buffer, which is then exponentiated in place, and a transition's
+    log-probability is its shifted entry, read before the exponential,
+    minus the log of its row's total: ``normalise``'s value, bit for bit,
+    with no full log-softmax table. One ``np.bincount`` over the batch's
+    transitions gives every sequence's policy log-probability, hence all
+    r_w / r_l against the planned reference scores; u = beta * S, the
+    losses and the statistics are (K, m) per-pair tables, and each run's
+    mean is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
     ``np.mean`` sums), all in one reduction over a (4, K, m) table. With
     coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
     -coeff * m_w and each rejected one +coeff * m_l in one
-    ``transition_grad`` call over the visited rows, which gives the
-    gradient block on those rows; every other row's gradient is zero. Each
-    run's gradient norm takes the squares, sums them per row, then sums
-    the row sums over the run's block of rows with ``np.add.reduceat``: one
-    fixed order, whatever the BLAS thread count. Every kernel works row by
-    row, or sequence by sequence in transition order, so each run's values
-    are bit for bit those of the run planned alone. The finesse variance is
-    a constant computed outside this function; no gradient flows through
+    ``transition_grad`` call over the visited rows, which writes the
+    gradient block on those rows over the softmax buffer, then divided by
+    m in place; every other row's gradient is zero. Each run's gradient
+    norm takes the squares, sums them per row, then sums the row sums over
+    the run's block of rows with ``np.add.reduceat``: one fixed order,
+    whatever the BLAS thread count. Every kernel works row by row, or
+    sequence by sequence in transition order, so each run's values are bit
+    for bit those of the run planned alone. The finesse variance is a
+    constant computed outside this function; no gradient flows through
     it.
     """
     runs, m = batch.reference.shape[:2]
-    log_probs, probs = normalise(logits[batch.rows])
-    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * runs * m)
+    visited = logits[batch.rows]
+    probs = visited - np.maximum.reduce(visited, axis=1, keepdims=True)
+    shifted = probs[batch.local, batch.cols]
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    # normalise's log-softmax entry (x - max) - log(total), at the transitions only.
+    terms = shifted - np.log(total)[batch.local, 0]
+    probs /= total
+    sequence_log_probs = np.bincount(batch.owner, terms, minlength=2 * runs * m)
     ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
     r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
     score = _weighted_score(r_w, r_l, batch.weights[:, :, 0], batch.weights[:, :, 1], batch.mult)
@@ -496,10 +515,11 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
         per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
         loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair, axis=2) / m).tolist()
         side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()  # -m_w, +m_l
-        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
+        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner])
+        gradient /= m
         blocks = range(0, len(gradient), len(gradient) // runs)  # every run visits as many rows
         grad_norm = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), blocks).tolist()))
-    return LossSteps(batch.rows, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
+    return LossSteps(batch.rows, visited, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
 
 
 def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:

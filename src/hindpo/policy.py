@@ -121,16 +121,17 @@ def draw(
 def transition_grad(
     probs: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Gradient of sum_k weights[k] * log softmax(L)[rows[k], cols[k]] w.r.t. L.
+    """Gradient of sum_k weights[k] * log softmax(L)[rows[k], cols[k]] w.r.t. L,
+    written over ``probs``, the softmax table, which it returns.
 
     Transition k (p -> t) adds ``weights[k] * (onehot(t) - probs[p])`` to
     row p, so a row's gradient is its weighted transition counts minus its
     total weight times its softmax row; rows no transition visits stay zero.
     Unit weights give the gradient of one sequence's log-probability.
     """
-    grad = -np.bincount(rows, weights, minlength=len(probs))[:, None] * probs
-    np.add.at(grad, (rows, cols), weights)
-    return grad
+    probs *= -np.bincount(rows, weights, minlength=len(probs))[:, None]
+    np.add.at(probs, (rows, cols), weights)
+    return probs
 
 
 class OutOfVocabularyError(ValueError):

@@ -224,7 +224,9 @@ def train_modes(
     does, and each run keeps its own reference, refreshed per stage. A
     stage's pairs are tokenized and encoded once; each epoch plans every
     run's batches in one call, and each step takes one ``loss_steps`` call
-    and one update of the rows the batch visits, for every run at once.
+    and one update of the rows the batch visits, for every run at once:
+    the step's copy of those rows is updated in place, checked, then
+    written back.
 
     Per-step records carry what ``loss_steps`` returns for the run: the
     batch loss, the mean raw margin beta * (r_w - r_l), the batch
@@ -273,8 +275,9 @@ def train_modes(
             for batch in plan_runs(encoded, order, config.batch_size, configs):
                 result = loss_steps(batch, logits)
                 step += 1
+                updated = result.visited
                 with np.errstate(over="ignore", invalid="ignore"):
-                    updated = logits[result.rows] - config.learning_rate * result.gradient
+                    updated -= config.learning_rate * result.gradient
                 finite = chain(result.loss, result.grad_norm, result.margin, result.weighted_margin)
                 if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
                     k, name = next(_non_finite(result, updated))

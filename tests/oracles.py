@@ -400,6 +400,39 @@ def grad_norm(gradient) -> float:
     return math.sqrt(np.add.reduceat((gradient * gradient).sum(axis=1), [0])[0])
 
 
+# The train step before it was fused: the visited rows normalised into a
+# full log-softmax table and a softmax table, the transition terms gathered
+# from the former, the gradient taken by ``transition_grad`` on a fresh
+# softmax table and divided by m into another array, and the update applied
+# to a second gather of the visited rows.
+
+
+def unfused_step(batch, logits, learning_rate):
+    """(gradient, updated visited rows, [loss, margin, weighted margin,
+    accuracy, gradient norm] each as one value per run) of a planned
+    ``Batch`` stepped on the stacked ``logits``."""
+    from hindpo.losses import hin_dpo_loss
+    from hindpo.policy import normalise, transition_grad
+
+    runs, m = batch.reference.shape[:2]
+    log_probs, probs = normalise(logits[batch.rows])
+    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * runs * m)
+    ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
+    r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
+    score = (batch.weights[:, :, 0] * r_w - batch.weights[:, :, 1] * r_l) * batch.mult
+    diff = r_w - r_l
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = batch.beta * score
+        coeff = batch.beta * batch.mult / (1.0 + np.exp(u))
+        per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
+        stats = (np.add.reduce(per_pair, axis=2) / m).tolist()
+        side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()
+        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
+        updated = logits[batch.rows] - learning_rate * gradient
+    stats.append([grad_norm(block) for block in np.split(gradient, runs)])
+    return gradient, updated, stats
+
+
 def train_generators(seed):
     """(order, finesse) generators of a run trained with ``seed``: every
     epoch's permutation comes from the first, a finesse run's samples from

@@ -530,7 +530,9 @@ class TestConfigsBuiltInCode:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             RunConfig(**{name: value})
 
-    @pytest.mark.parametrize("split", [(float("nan"), 0, 0), ("a", 0, 0), (True, 0, 0)], ids=["nan", "str", "bool"])
+    @pytest.mark.parametrize(
+        "split", [(float("nan"), 0, 0), ("a", 0, 0), (True, 0, 0), 5, None], ids=["nan", "str", "bool", "int", "none"]
+    )
     def test_split_fraction_of_the_wrong_kind_rejected(self, split):
         message = "split fractions must be three non-negative values, got %r" % (split,)
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -67,7 +67,7 @@ class TestGenerate:
             generate(preferring_policy(), prompts, max_len=max_len, temperature=temperature)
 
     @pytest.mark.parametrize("prompts", [["p0"], [], ["missing"]], ids=["prompt", "none", "oov"])
-    @pytest.mark.parametrize("temperature", [-1.0, -float("inf")], ids=["-1", "-inf"])
+    @pytest.mark.parametrize("temperature", [-1.0, -float("inf"), "x", True, None], ids=["-1", "-inf", "str", "bool", "none"])
     def test_negative_temperature_rejected_before_any_prompt(self, temperature, prompts):
         message = "temperature must be a finite number >= 0, got %r" % temperature
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -484,6 +484,20 @@ class TestLossGradient:
             assert relative_gradient_error(analytic, numeric) < 1e-5
 
 
+def assert_matches_unfused_step(batch, logits, learning_rate=0.3):
+    """The step's gradient, its visited rows updated in place as the
+    trainer updates them, and its five per-run statistics are bit for bit
+    those of the unfused step."""
+    step = loss_steps(batch, logits)
+    gradient, updated, stats = oracles.unfused_step(batch, logits, learning_rate)
+    visited = step.visited
+    visited -= learning_rate * step.gradient
+    assert step.gradient.tobytes() == gradient.tobytes()
+    assert visited.tobytes() == updated.tobytes()
+    values = (step.loss, step.margin, step.weighted_margin, step.accuracy, step.grad_norm)
+    assert [list(map(float.hex, v)) for v in values] == [list(map(float.hex, v)) for v in stats]
+
+
 class TestStackedRuns:
     """K runs planned in one batch order and stepped as one stacked
     problem: each run's part of a batch is bit for bit the batch that run
@@ -507,8 +521,15 @@ class TestStackedRuns:
             for example, value in zip(examples, v):
                 example.effective_variance = value
             alone.append(encode_examples(examples, policy, reference).plan(order, batch_size, config))
+        # dpo_act, the one mode the three runs leave out, planned alone on run 0.
+        acting = encode_examples(examples, policies[0], references[0]).plan(order, batch_size, LossConfig(mode="dpo_act"))
+        tables = [logits.copy(), *(p.logits.copy() for p in policies)]
         assert len(stacked) == len(alone[0]) == -(-len(examples) // batch_size)
         for j, batch in enumerate(stacked):
+            assert_matches_unfused_step(batch, logits)
+            assert_matches_unfused_step(acting[j], policies[0].logits)
+            for plans, policy in zip(alone, policies):
+                assert_matches_unfused_step(plans[j], policy.logits)
             step = loss_steps(batch, logits)
             rows, gradients = np.split(step.rows, 3), np.split(step.gradient, 3)
             for k, (policy, config) in enumerate(zip(policies, configs)):
@@ -519,6 +540,9 @@ class TestStackedRuns:
                 values = (step.loss[k], step.margin[k], step.weighted_margin[k], step.accuracy[k], step.grad_norm[k])
                 expected = (own.loss, own.margin, own.weighted_margin, own.accuracy, oracles.grad_norm(own.gradient))
                 assert list(map(float.hex, values)) == list(map(float.hex, expected))
+        # The steps never write the tables they read.
+        for table, after in zip(tables, [logits, *(p.logits for p in policies)]):
+            assert table.tobytes() == after.tobytes()
 
     def test_one_config_per_run_of_the_encoding(self):
         policy = make_policy(140)
