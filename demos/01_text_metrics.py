@@ -18,12 +18,12 @@ for name, cand in [("close", close), ("loose", loose), ("unrelated", unrelated)]
     r1 = rouge_n(cand_tokens, ref_tokens, 1).f1
     rl = rouge_l(cand_tokens, ref_tokens).f1
     mt = meteor(cand_tokens, ref_tokens)
-    sem = scorer.score(cand, truth)
+    sem = scorer.scores([cand], truth)[0]
     fs = final_score(sem, rl, mt)
     print("%-9s  R-1 %.3f  R-L %.3f  METEOR %.3f  semantic %.3f  ->  fs %.3f"
           % (name, r1, rl, mt, sem, fs))
 
 print()
-print("identical strings:", scorer.score(truth, truth))
+print("identical strings:", scorer.scores([truth], truth)[0])
 print("the final score ranges up to", final_score(1.0, 1.0, 1.0),
       "because the lexical pair carries weight 3")

@@ -4,6 +4,7 @@
 import numpy as np
 
 from hindpo import EOS, BigramPolicy, Vocabulary
+from hindpo.policy import normalise, transition_grad
 
 vocab = Vocabulary.from_tokens(["खबर", "सच", "झूठ"])
 print("vocabulary:", vocab.tokens)
@@ -13,17 +14,16 @@ response = ["सच", EOS]
 print("uniform log prob of 2 tokens:", policy.sequence_log_prob(["खबर"], response))
 print("  (= 2 * ln(1/%d) = %.4f)" % (len(vocab), 2 * np.log(1 / len(vocab))))
 
-grad = policy.grad_sequence_log_prob(["खबर"], response)
+# d(log prob)/d(logits): each transition's one-hot minus its row's softmax
+rows, cols = policy.transitions(["खबर"], response)
+grad = transition_grad(normalise(policy.logits)[1], rows, cols, np.ones(len(rows)))
 print("gradient touches rows:", [vocab.tokens[i] for i in np.flatnonzero(np.abs(grad).sum(axis=1))])
 
 # sharpen one transition and watch sampling follow it
 policy.logits[vocab.index("खबर"), vocab.index("सच")] = 3.0
 rng = np.random.default_rng(0)
 for temperature in (0.5, 1.0, 2.0):
-    samples = [
-        " ".join(policy.sample_response(["खबर"], temperature, 4, rng))
-        for _ in range(5)
-    ]
+    samples = [" ".join(r) for r in policy.sample_responses([["खबर"]] * 5, temperature, 4, rng)]
     print("T=%.1f samples:" % temperature, samples)
 print("greedy:", policy.greedy_response(["खबर"], 4))
 

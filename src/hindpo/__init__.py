@@ -17,8 +17,8 @@ Library tour:
   of K runs in one shared batch order, planned once, with every run's
   loss weights) and ``loss_steps``:
   one pass per batch giving every run's loss, its gradient, the raw and
-  weighted margins and the accuracy; ``encode_examples``,
-  ``EncodedPairs.plan`` and ``loss_gradient`` are their one-run forms
+  weighted margins and the accuracy; ``encode_examples`` and
+  ``loss_gradient`` are their one-run forms
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
   several loss modes in lockstep, in one batch order, each finesse run
   drawing from its own generator; ``train`` one mode; both validate the

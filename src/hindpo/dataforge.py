@@ -404,9 +404,12 @@ def split_articles(
     """Shuffle articles with the seed and split train/val/test by fraction.
 
     The split happens at article level so no article's pairs leak across
-    splits.
+    splits. A seed that is not an integer >= 0 raises ValueError.
     """
     _check_split(fractions)
+    problem = kind_problem("int", seed) or (seed < 0 and "must be >= 0, got %d" % seed)
+    if problem:
+        raise ValueError("seed %s" % problem)
     rng = np.random.default_rng(seed)
     shuffled = [articles[i] for i in rng.permutation(len(articles))]
     n_train = int(round(fractions[0] * len(articles)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fileio import kind_problem, write_atomic
 from .losses import MODES
-from .policy import BOS, EOS, BigramPolicy
+from .policy import BOS, EOS, BigramPolicy, check_decoding
 from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
 
 CONFIG_ORDER = ("base", *MODES)
@@ -56,11 +56,7 @@ def generate(
     (a bool is not), raises ValueError before any prompt is read; so, when
     sampling starts, does a NaN or infinite one.
     """
-    problem = kind_problem("int", max_len)
-    if problem:
-        raise ValueError("max_len %s" % problem)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1, got %d" % max_len)
+    check_decoding(max_len)
     # Any float passes the kind check, so a NaN or infinite one reaches the sampler's own message.
     if (not isinstance(temperature, float) and kind_problem("float", temperature)) or temperature < 0:
         raise ValueError("temperature must be a finite number >= 0, got %r" % (temperature,))

@@ -37,8 +37,7 @@ at three levels:
   gather of their transitions and one ``np.unique`` over the key
   batch * V + row for every batch's visited rows. Run k's copy of the
   plan is that plan offset to run k's rows and sequences; with every run's
-  mode weights it is cut into ``Batch``es (``EncodedPairs.plan`` for one
-  run);
+  mode weights it is cut into ``Batch``es;
 - per step, ``loss_steps`` gathers the visited rows once, takes their
   log-softmax only at the batch's transitions and computes every run's
   loss, its gradient on those rows (built in place of their softmax) and
@@ -304,8 +303,8 @@ class Batch:
 @dataclass(frozen=True, eq=False)
 class EncodedPairs:
     """Preference pairs as transition index arrays, scored against the
-    frozen references of K runs once; ``plan`` cuts them into the batches
-    of an epoch.
+    frozen references of K runs once; ``plan_runs`` cuts them into the
+    batches of an epoch.
 
     Sequence 2i is pair i's preferred response and 2i + 1 its rejected
     one. ``rows``/``cols`` hold every transition of every sequence, in
@@ -324,12 +323,6 @@ class EncodedPairs:
 
     def __len__(self) -> int:
         return self.reference.shape[1]
-
-    def plan(self, order: Sequence[int] | np.ndarray, batch_size: int, config: LossConfig) -> list[Batch]:
-        """The batches of one epoch under ``config``: the pairs at the
-        positions ``order`` (repeats allowed), cut every ``batch_size``
-        pairs, the last batch holding the rest. ``plan_runs`` with one run."""
-        return plan_runs(self, order, batch_size, [config])
 
 
 def plan_runs(
@@ -531,7 +524,7 @@ def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: Los
     which is planned here as one batch in encoding order.
     """
     if isinstance(batch, EncodedPairs):
-        batch = batch.plan(np.arange(len(batch)), len(batch), config)[0]
+        [batch] = plan_runs(batch, np.arange(len(batch)), len(batch), [config])
     if batch.vocab != policy.vocab:
         raise ValueError("batch was encoded for another vocabulary")
     if len(batch.configs) != 1:

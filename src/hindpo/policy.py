@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from bisect import bisect_right
 from itertools import chain
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import kind_problem, write_atomic
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -134,6 +133,18 @@ def transition_grad(
     return probs
 
 
+def check_decoding(max_len: int, temperature: float = 1.0) -> None:
+    """ValueError naming the argument unless ``max_len`` is an integer >= 1
+    and ``temperature`` a finite number > 0; a bool is neither."""
+    problem = kind_problem("int", max_len)
+    if problem:
+        raise ValueError("max_len %s" % problem)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1, got %d" % max_len)
+    if kind_problem("float", temperature) or temperature <= 0:
+        raise ValueError("temperature must be a finite number > 0, got %r" % (temperature,))
+
+
 class OutOfVocabularyError(ValueError):
     """A token was not found in the policy vocabulary."""
 
@@ -177,9 +188,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens
@@ -235,11 +243,6 @@ class BigramPolicy:
         """
         return float(sum(normalise(self.logits)[0][self.transitions(prompt, response)]))
 
-    def grad_sequence_log_prob(self, prompt: Sequence[str], response: Sequence[str]) -> np.ndarray:
-        """d(sequence_log_prob)/d(logits), same shape as the logit table."""
-        rows, cols = self.transitions(prompt, response)
-        return transition_grad(normalise(self.logits)[1], rows, cols, np.ones(len(rows)))
-
     def sample_responses(
         self,
         prompts: Iterable[Sequence[str]],
@@ -248,16 +251,14 @@ class BigramPolicy:
         rng: np.random.Generator,
     ) -> list[list[str]]:
         """One response per prompt, in order, each drawn from
-        softmax(logits[prev] / temperature) until EOS.
+        softmax(logits[prev] / temperature) until EOS, which it ends with,
+        or cut after ``max_len`` tokens.
 
         The temperature table is built once for all prompts; the responses
-        and the generator's end state are those of ``sample_response``
-        called once per prompt.
+        and the generator's end state are those of one ``draw`` per prompt,
+        in order, from the same generator.
         """
-        if not (math.isfinite(temperature) and temperature > 0):
-            raise ValueError("temperature must be a finite number > 0, got %r" % temperature)
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1, got %d" % max_len)
+        check_decoding(max_len, temperature)
         _, cdf = sampling_tables(self.logits, temperature)
         eos = self.vocab.index(EOS)
         tokens = self.vocab.tokens
@@ -266,24 +267,9 @@ class BigramPolicy:
             for prompt in prompts
         ]
 
-    def sample_response(
-        self,
-        prompt: Sequence[str],
-        temperature: float,
-        max_len: int,
-        rng: np.random.Generator,
-    ) -> list[str]:
-        """Draw tokens from softmax(logits[prev] / temperature) until EOS.
-
-        Returns the drawn tokens including the terminal EOS; if max_len
-        tokens are drawn without EOS the sequence is returned truncated.
-        """
-        return self.sample_responses([prompt], temperature, max_len, rng)[0]
-
     def greedy_response(self, prompt: Sequence[str], max_len: int) -> list[str]:
-        """Argmax decoding; the zero-temperature limit of sample_response."""
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1, got %d" % max_len)
+        """Argmax decoding; the zero-temperature limit of sample_responses."""
+        check_decoding(max_len)
         prev = self.vocab.start(prompt)
         eos = self.vocab.index(EOS)
         out: list[str] = []

@@ -278,10 +278,6 @@ class CharTrigramCosine:
                 out.append(min(dot / (sqrt(square) * ref_norm), 1.0))
         return out
 
-    def score(self, cand: str, ref: str) -> float:
-        """The similarity of one candidate to ``ref``: ``scores([cand], ref)``."""
-        return self.scores([cand], ref)[0]
-
 
 def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> float:
     """Weighted blend ``(semantic + 3 * (rouge_l_f1 + meteor_score)) / 4``.

@@ -87,13 +87,6 @@ class TrainStepRecord:
 class TrainLog:
     records: list[TrainStepRecord] = field(default_factory=list)
 
-    def stages(self) -> list[str]:
-        out: list[str] = []
-        for record in self.records:
-            if not out or out[-1] != record.stage:
-                out.append(record.stage)
-        return out
-
     def save(self, path: str | Path) -> Path:
         """One JSON object per record, keys in field order: the line
         ``json.dumps(vars(record), ensure_ascii=False)``, byte for byte.
@@ -328,7 +321,7 @@ def gradcheck(
         reference = policy.snapshot()
     policy = policy.copy()
     encoded = encode_examples(examples, policy, reference)
-    [batch] = encoded.plan(np.arange(len(encoded)), len(encoded), config)
+    [batch] = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
     step = loss_gradient(batch, policy, config)
     analytic = np.zeros_like(policy.logits)
     analytic[step.rows] = step.gradient

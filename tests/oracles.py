@@ -258,6 +258,14 @@ def batch_loss(examples, policy, reference, config) -> float:
     return total / len(examples)
 
 
+def grad_sequence_log_prob(policy, prompt, response) -> np.ndarray:
+    """d(policy.sequence_log_prob(prompt, response))/d(logits), same shape as the logit table."""
+    from hindpo.policy import normalise, transition_grad
+
+    rows, cols = policy.transitions(prompt, response)
+    return transition_grad(normalise(policy.logits)[1], rows, cols, np.ones(len(rows)))
+
+
 def loss_gradient(examples, policy, reference, config) -> tuple[np.ndarray, float]:
     """(gradient of the mean loss w.r.t. the policy logits, mean loss)."""
     grad = np.zeros_like(policy.logits)
@@ -266,8 +274,8 @@ def loss_gradient(examples, policy, reference, config) -> tuple[np.ndarray, floa
         m_w, m_l, mult = pair_weights(example, config)
         u = sigmoid_argument(policy, reference, example, config)
         coeff = config.beta * mult * math.exp(-float(np.logaddexp(0.0, u)))
-        grad -= coeff * m_w * policy.grad_sequence_log_prob(example.prompt, example.preferred)
-        grad += coeff * m_l * policy.grad_sequence_log_prob(example.prompt, example.rejected)
+        grad -= coeff * m_w * grad_sequence_log_prob(policy, example.prompt, example.preferred)
+        grad += coeff * m_l * grad_sequence_log_prob(policy, example.prompt, example.rejected)
         total += float(np.logaddexp(0.0, -u))
     return grad / len(examples), total / len(examples)
 

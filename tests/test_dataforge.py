@@ -349,6 +349,16 @@ class TestSplit:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             call(toy_corpus(), split)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("x", "must be an integer, got 'x'"), (-1, "must be >= 0, got -1"), (True, "must be an integer, got True"), (2.0, "must be an integer, got 2.0")],
+        ids=["str", "negative", "bool", "float"],
+    )
+    @pytest.mark.parametrize("call", [split_articles, lambda records, seed: forge(records, seed=seed)], ids=["split_articles", "forge"])
+    def test_bad_seed_rejected_by_name(self, call, seed, message):
+        with pytest.raises(ValueError, match="^seed %s$" % re.escape(message)):
+            call(toy_corpus(), seed=seed)
+
 
 class TestEmit:
     def test_stage_files_and_manifest(self, tmp_path):

@@ -86,15 +86,15 @@ class TestGenerate:
     @pytest.mark.parametrize("temperature", [0.4, 1.0, 2.0])
     def test_sampling_matches_the_per_prompt_loop(self, seed, temperature):
         # One temperature table for the whole call draws what
-        # sample_response draws prompt by prompt from the same generator,
-        # draws cut off at max_len included.
+        # sample_responses draws when called prompt by prompt on the same
+        # generator, draws cut off at max_len included.
         vocab = Vocabulary.from_tokens(["a", "b", "c", "p0", "p1"])
         policy = BigramPolicy(vocab, np.random.default_rng(seed).normal(0, 1.5, (len(vocab), len(vocab))))
         policy.logits[:, vocab.index(EOS)] += 1.0
         prompts = ["p0", "p1 a", "", "p0", "c b"] * 8
         texts = generate(policy, prompts, max_len=4, temperature=temperature, seed=seed)
         rng = np.random.default_rng(seed)
-        responses = [policy.sample_response(tokenize(p), temperature, 4, rng) for p in prompts]
+        responses = [policy.sample_responses([tokenize(p)], temperature, 4, rng)[0] for p in prompts]
         assert texts == [" ".join(t for t in r if t not in (BOS, EOS)) for r in responses]
         assert any(r[-1] == EOS for r in responses)
         assert any(len(r) == 4 and r[-1] != EOS for r in responses)

@@ -269,10 +269,8 @@ class TestComputeFinesse:
         rng = np.random.default_rng(71)
         scaled = BigramPolicy(policy.vocab, policy.logits / config.finesse_temperature)
         scalars = []
-        for _ in range(config.finesse_samples):
-            response = policy.sample_response(
-                ["a"], config.finesse_temperature, config.finesse_max_len, rng
-            )
+        prompts = [["a"]] * config.finesse_samples
+        for response in policy.sample_responses(prompts, config.finesse_temperature, config.finesse_max_len, rng):
             scalars.append(math.exp(scaled.sequence_log_prob(["a"], response) / len(response)))
         assert abs(estimate.variance - two_pass_variance(scalars)) < 1e-12
 
@@ -349,8 +347,7 @@ class TestFinesseSamplerMatchesOracle:
         rng = np.random.default_rng(2)
         scaled = BigramPolicy(policy.vocab, policy.logits / config.finesse_temperature)
         scalars = []
-        for _ in range(config.finesse_samples):
-            response = policy.sample_response(["a"], config.finesse_temperature, 1, rng)
+        for response in policy.sample_responses([["a"]] * config.finesse_samples, config.finesse_temperature, 1, rng):
             assert len(response) == 1
             scalars.append(math.exp(scaled.sequence_log_prob(["a"], response)))
         assert abs(estimate.variance - two_pass_variance(scalars)) < 1e-12
@@ -405,8 +402,8 @@ class TestLossGradient:
         step = step_of([example], policy, reference, config)
         grad, loss = dense_gradient(step, policy), step.loss
         expected = -(0.6 / 2) * (
-            policy.grad_sequence_log_prob(example.prompt, example.preferred)
-            - policy.grad_sequence_log_prob(example.prompt, example.rejected)
+            oracles.grad_sequence_log_prob(policy, example.prompt, example.preferred)
+            - oracles.grad_sequence_log_prob(policy, example.prompt, example.rejected)
         )
         assert loss == pytest.approx(math.log(2), abs=1e-15)
         assert np.allclose(grad, expected, atol=1e-15)
@@ -449,9 +446,9 @@ class TestLossGradient:
             step_of([], policy, policy.snapshot(), LossConfig())
         encoded = encode_examples(random_examples(np.random.default_rng(107), n=1), policy, policy.snapshot())
         with pytest.raises(ValueError, match="non-empty"):
-            encoded.plan([], 2, LossConfig())
+            plan_runs(encoded, [], 2, [LossConfig()])
         with pytest.raises(ValueError, match="batch_size >= 1"):
-            encoded.plan([0], 0, LossConfig())
+            plan_runs(encoded, [0], 0, [LossConfig()])
 
     def test_reference_vocabulary_must_match(self):
         policy = make_policy(108)
@@ -463,7 +460,7 @@ class TestLossGradient:
     def test_batch_steps_only_under_the_config_it_was_planned_for(self):
         policy = make_policy(109)
         encoded = encode_examples(random_examples(np.random.default_rng(109)), policy, make_policy(110).snapshot())
-        [batch] = encoded.plan([2, 0, 1], 3, LossConfig(mode="dpo"))
+        [batch] = plan_runs(encoded, [2, 0, 1], 3, [LossConfig(mode="dpo")])
         with pytest.raises(ValueError, match="another loss config"):
             loss_gradient(batch, policy, LossConfig(mode="hin_dpo"))
         assert loss_gradient(batch, policy, LossConfig(mode="dpo")).loss > 0.0
@@ -520,9 +517,9 @@ class TestStackedRuns:
         for policy, reference, v, config in zip(policies, references, variances, configs):
             for example, value in zip(examples, v):
                 example.effective_variance = value
-            alone.append(encode_examples(examples, policy, reference).plan(order, batch_size, config))
+            alone.append(plan_runs(encode_examples(examples, policy, reference), order, batch_size, [config]))
         # dpo_act, the one mode the three runs leave out, planned alone on run 0.
-        acting = encode_examples(examples, policies[0], references[0]).plan(order, batch_size, LossConfig(mode="dpo_act"))
+        acting = plan_runs(encode_examples(examples, policies[0], references[0]), order, batch_size, [LossConfig(mode="dpo_act")])
         tables = [logits.copy(), *(p.logits.copy() for p in policies)]
         assert len(stacked) == len(alone[0]) == -(-len(examples) // batch_size)
         for j, batch in enumerate(stacked):
@@ -560,7 +557,7 @@ class TestStackedRuns:
         policy = make_policy(141)
         encoded = encode_examples(random_examples(np.random.default_rng(141), n=2), policy, policy.snapshot())
         with pytest.raises(ValueError, match="^position %d is outside the 2 encoded pairs$" % position):
-            encoded.plan([0, position], 1, LossConfig())
+            plan_runs(encoded, [0, position], 1, [LossConfig()])
 
 
 class TestLogRatios:
@@ -698,7 +695,7 @@ class TestLossGradientMatchesOracle:
         last = len(examples) - 1
         for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
             batch = [examples[i] for i in picks]
-            [planned] = encoded.plan(picks, len(picks), config)
+            [planned] = plan_runs(encoded, picks, len(picks), [config])
             step = loss_gradient(planned, policy, config)
             assert len(planned) == len(picks)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)

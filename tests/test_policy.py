@@ -121,7 +121,7 @@ class TestGradSequenceLogProb:
     def test_uniform_single_transition(self):
         vocab = small_vocab()
         policy = BigramPolicy.new(vocab)
-        grad = policy.grad_sequence_log_prob(["a"], ["a"])
+        grad = oracles.grad_sequence_log_prob(policy, ["a"], ["a"])
         expected_row = np.array([-0.25, -0.25, 0.75, -0.25])
         assert np.allclose(grad[vocab.index("a")], expected_row)
         untouched = [i for i in range(4) if i != vocab.index("a")]
@@ -129,7 +129,7 @@ class TestGradSequenceLogProb:
 
     def test_eos_only_response_touches_one_row(self):
         policy = BigramPolicy.new(small_vocab())
-        grad = policy.grad_sequence_log_prob([], [EOS])
+        grad = oracles.grad_sequence_log_prob(policy, [], [EOS])
         nonzero_rows = np.flatnonzero(np.abs(grad).sum(axis=1))
         assert list(nonzero_rows) == [policy.vocab.index(BOS)]
 
@@ -139,7 +139,7 @@ class TestGradSequenceLogProb:
         policy = BigramPolicy(vocab, rng.normal(0, 1, (4, 4)))
         prompt = ["b"]
         response = ["a", "a", "b", EOS]
-        analytic = policy.grad_sequence_log_prob(prompt, response)
+        analytic = oracles.grad_sequence_log_prob(policy, prompt, response)
         numeric = finite_difference_gradient(
             lambda: policy.sequence_log_prob(prompt, response), policy.logits
         )
@@ -151,13 +151,13 @@ class TestSampling:
         rng = np.random.default_rng(31)
         vocab = small_vocab()
         policy = BigramPolicy(vocab, rng.normal(0, 1, (4, 4)))
-        sampled = policy.sample_response(["a"], 1e-6, 6, np.random.default_rng(0))
+        [sampled] = policy.sample_responses([["a"]], 1e-6, 6, np.random.default_rng(0))
         assert sampled == policy.greedy_response(["a"], 6)
 
     def test_same_seed_same_sequence(self):
         policy = BigramPolicy.new(small_vocab(), seed=1, noise_std=0.5)
-        a = policy.sample_response(["a"], 0.9, 10, np.random.default_rng(99))
-        b = policy.sample_response(["a"], 0.9, 10, np.random.default_rng(99))
+        a = policy.sample_responses([["a"]], 0.9, 10, np.random.default_rng(99))
+        b = policy.sample_responses([["a"]], 0.9, 10, np.random.default_rng(99))
         assert a == b
 
     def test_uniform_frequencies(self):
@@ -166,22 +166,29 @@ class TestSampling:
         rng = np.random.default_rng(7)
         counts = {t: 0 for t in policy.vocab.tokens}
         n = 10_000
-        for _ in range(n):
-            counts[policy.sample_response([], 0.9, 1, rng)[0]] += 1
+        for [token] in policy.sample_responses([[]] * n, 0.9, 1, rng):
+            counts[token] += 1
         for token, count in counts.items():
             assert abs(count / n - 0.25) < 0.02
 
     def test_invalid_arguments(self):
         policy = BigramPolicy.new(small_vocab())
         with pytest.raises(ValueError):
-            policy.sample_response([], 0.0, 5, np.random.default_rng(0))
+            policy.sample_responses([[]], 0.0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            policy.sample_response([], 1.0, 0, np.random.default_rng(0))
-        for temperature in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got %r$" % temperature):
-                policy.sample_responses([[]], temperature, 5, np.random.default_rng(0))
+            policy.sample_responses([[]], 1.0, 0, np.random.default_rng(0))
+        for temperature in (float("nan"), float("inf"), "x", True, None):
+            with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got %s$" % re.escape(repr(temperature))):
+                policy.sample_responses([["a"]], temperature, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
             policy.greedy_response([], 0)
+        # Of the wrong kind, max_len is refused by name by both decoders.
+        for max_len in ("3", 2.5, True, None):
+            message = "^max_len must be an integer, got %s$" % re.escape(repr(max_len))
+            with pytest.raises(ValueError, match=message):
+                policy.greedy_response(["a"], max_len)
+            with pytest.raises(ValueError, match=message):
+                policy.sample_responses([["a"]], 1.0, max_len, np.random.default_rng(0))
 
 
 def random_policy(size, seed, std=1.5):
@@ -206,7 +213,7 @@ class TestSamplerMatchesOracle:
         drawn = []
         for _ in range(20):
             for prompt in ([], ["t000"], ["t004", "t017"]):
-                got = policy.sample_response(prompt, temperature, max_len, ours)
+                [got] = policy.sample_responses([prompt], temperature, max_len, ours)
                 assert got == oracles.sample_response(policy, prompt, temperature, max_len, theirs)
                 drawn.append(got)
         assert ours.random() == theirs.random()
@@ -230,7 +237,7 @@ class TestSamplerMatchesOracle:
         drawn = []
         for _ in range(40):
             for prompt in ([], ["t000"], ["t004", "t017"]):
-                got = policy.sample_response(prompt, 0.9, 6, ours)
+                [got] = policy.sample_responses([prompt], 0.9, 6, ours)
                 assert got == oracles.sample_response(policy, prompt, 0.9, 6, theirs)
                 drawn.append(got)
         assert ours.random() == theirs.random()
@@ -246,7 +253,7 @@ class TestSamplerMatchesOracle:
         max_len = 2 * policy_module._BLOCK + 100
         ours, theirs = np.random.Generator(bit_generator(8)), np.random.Generator(bit_generator(8))
         for prompt in ([], ["t001"]):
-            got = policy.sample_response(prompt, 1.0, max_len, ours)
+            [got] = policy.sample_responses([prompt], 1.0, max_len, ours)
             assert len(got) == max_len and EOS not in got
             assert got == oracles.sample_response(policy, prompt, 1.0, max_len, theirs)
         assert ours.random() == theirs.random()
@@ -254,14 +261,14 @@ class TestSamplerMatchesOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("temperature", [0.5, 1.5])
     def test_one_table_for_many_prompts(self, seed, temperature):
-        # sample_responses equals sample_response called once per prompt,
-        # draws cut off by max_len included.
+        # sample_responses equals the per-token oracle called once per
+        # prompt on one generator, draws cut off by max_len included.
         policy = random_policy(20, seed=seed)
         policy.logits[:, policy.vocab.index(EOS)] += 2.0
         prompts = [[], ["t000"], ["t004", "t017"], ["t000"]] * 10
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         got = policy.sample_responses(prompts, temperature, 5, ours)
-        assert got == [policy.sample_response(prompt, temperature, 5, theirs) for prompt in prompts]
+        assert got == [oracles.sample_response(policy, prompt, temperature, 5, theirs) for prompt in prompts]
         assert ours.random() == theirs.random()
         assert any(r[-1] == EOS for r in got)
         assert any(len(r) == 5 and r[-1] != EOS for r in got)
@@ -313,8 +320,8 @@ class TestResponseDistribution:
         n = 30_000
         sample_rng = np.random.default_rng(43)
         counts = dict.fromkeys(outcomes, 0)
-        for _ in range(n):
-            counts[tuple(policy.sample_response(["a"], 1.0, 2, sample_rng))] += 1
+        for response in policy.sample_responses([["a"]] * n, 1.0, 2, sample_rng):
+            counts[tuple(response)] += 1
         observed = np.array([counts[seq] for seq in outcomes], dtype=float)
         expected = np.array([probs[seq] * n for seq in outcomes])
         assert chi_square_pvalue(observed, expected) > 0.01

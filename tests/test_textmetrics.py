@@ -344,22 +344,22 @@ SEMANTIC_FIXTURE = [
 class TestSemanticScore:
     def test_identity_exact_one(self):
         scorer = CharTrigramCosine()
-        assert scorer.score("क ख ग", "क ख ग") == 1.0
-        assert scorer.score("abc", "abc") == 1.0
+        assert scorer.scores(["क ख ग"], "क ख ग")[0] == 1.0
+        assert scorer.scores(["abc"], "abc")[0] == 1.0
 
     def test_disjoint_trigrams_zero(self):
-        assert CharTrigramCosine().score("क ख", "य र") == 0.0
+        assert CharTrigramCosine().scores(["क ख"], "य र")[0] == 0.0
 
     def test_paraphrase_above_unrelated(self):
         scorer = CharTrigramCosine()
         for anchor, paraphrase, unrelated in SEMANTIC_FIXTURE:
-            assert scorer.score(paraphrase, anchor) > scorer.score(unrelated, anchor)
+            assert scorer.scores([paraphrase], anchor)[0] > scorer.scores([unrelated], anchor)[0]
 
     def test_range(self):
         scorer = CharTrigramCosine()
         for anchor, paraphrase, unrelated in SEMANTIC_FIXTURE:
             for text in (paraphrase, unrelated):
-                assert 0.0 <= scorer.score(text, anchor) <= 1.0
+                assert 0.0 <= scorer.scores([text], anchor)[0] <= 1.0
 
     def test_matches_uncached_oracle_with_alternating_references(self):
         texts = [text for triple in SEMANTIC_FIXTURE for text in triple] + _toy_texts()[:60]
@@ -367,8 +367,8 @@ class TestSemanticScore:
         for i, cand in enumerate(texts):
             for ref in (texts[(i + 1) % len(texts)], texts[(i + 7) % len(texts)], cand):
                 expected = trigram_cosine(cand, ref)
-                assert scorer.score(cand, ref) == expected
-                assert CharTrigramCosine().score(cand, ref) == expected
+                assert scorer.scores([cand], ref)[0] == expected
+                assert CharTrigramCosine().scores([cand], ref)[0] == expected
 
     def test_matches_oracle_at_the_edges(self):
         # Lengths 0-3, repeated trigrams, lone surrogates, astral code points
@@ -377,17 +377,17 @@ class TestSemanticScore:
         scorer = CharTrigramCosine()
         for cand, ref in _kernel_pairs():
             expected = trigram_cosine(cand, ref)
-            assert scorer.score(cand, ref) == expected, (cand, ref)
-            assert CharTrigramCosine().score(cand, ref) == expected, (cand, ref)
+            assert scorer.scores([cand], ref)[0] == expected, (cand, ref)
+            assert CharTrigramCosine().scores([cand], ref)[0] == expected, (cand, ref)
 
     def test_nfd_reference_scores_one_against_its_nfc_candidate(self):
         composed = "café की जांच, résumé"
         decomposed = unicodedata.normalize("NFD", composed)
         assert decomposed != composed
         scorer = CharTrigramCosine()
-        assert scorer.score(composed, decomposed) == 1.0
-        assert scorer.score(decomposed, composed) == 1.0
-        assert scorer.score(composed, decomposed) == 1.0
+        assert scorer.scores([composed], decomposed)[0] == 1.0
+        assert scorer.scores([decomposed], composed)[0] == 1.0
+        assert scorer.scores([composed], decomposed)[0] == 1.0
 
     def test_forge_ranks_as_with_the_oracle(self):
         # 60 generated articles with 40-80-token explanations in Devanagari
@@ -544,13 +544,13 @@ class TestSelfSimilarityIsMaximal:
             self_rl = rouge_l(tokens, tokens).f1
             self_mt = meteor(tokens, tokens)
             self_r1 = rouge_n(tokens, tokens, 1).f1
-            self_sem = scorer.score(text, text)
+            self_sem = scorer.scores([text], text)[0]
             for other in corpus:
                 other_tokens = tokenize(other)
                 assert rouge_l(tokens, other_tokens).f1 <= self_rl
                 assert meteor(tokens, other_tokens) <= self_mt
                 assert rouge_n(tokens, other_tokens, 1).f1 <= self_r1
-                assert scorer.score(text, other) <= self_sem
+                assert scorer.scores([text], other)[0] <= self_sem
 
 
 # Text drawn from all of Unicode, or from a mix of Latin, Devanagari
@@ -591,9 +591,9 @@ class TestProperties:
     @given(cand=_TEXTS, ref=_TEXTS)
     def test_trigram_cosine_in_unit_interval_and_one_on_identity(self, cand, ref):
         scorer = CharTrigramCosine()
-        assert 0.0 <= scorer.score(cand, ref) <= 1.0
+        assert 0.0 <= scorer.scores([cand], ref)[0] <= 1.0
         if ref:
-            assert scorer.score(ref, ref) == 1.0
+            assert scorer.scores([ref], ref)[0] == 1.0
 
 
 # Any code point, lone surrogates and U+10FFFF included, or one of the
@@ -641,7 +641,7 @@ class TestSharedTables:
         scores = CharTrigramCosine().scores(cands, ref)
         assert _bits(scores) == _bits(trigram_cosine(cand, ref) for cand in cands)
         assert _bits(scores) == _bits(trigram_profile_cosine(cand, ref) for cand in cands)
-        assert _bits(CharTrigramCosine().score(cand, ref) for cand in cands) == _bits(scores)
+        assert _bits(CharTrigramCosine().scores([cand], ref)[0] for cand in cands) == _bits(scores)
 
     def test_trigram_scores_of_the_long_explanations(self):
         texts = _long_explanations()

@@ -4,6 +4,7 @@ import re
 import types
 import warnings
 from dataclasses import asdict, replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import oracles
 from hindpo import trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, SchemaError, forge
-from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient
+from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -221,7 +222,7 @@ def dense_train(curriculum, policy, config):
             attach_finesse(examples, policy, config.loss, finesse_rng)
         encoded = encode_examples(examples, policy, reference)
         for _ in range(config.epochs_per_stage):
-            for batch in encoded.plan(order_rng.permutation(len(encoded)), config.batch_size, config.loss):
+            for batch in plan_runs(encoded, order_rng.permutation(len(encoded)), config.batch_size, [config.loss]):
                 step = loss_gradient(batch, policy, config.loss)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
@@ -517,7 +518,7 @@ class TestStages:
         curriculum = two_stage_curriculum()
         vocab = vocab_from_pairs(curriculum.all_pairs())
         _, log = train(curriculum, BigramPolicy.new(vocab), toy_train_config(epochs_per_stage=2))
-        assert log.stages() == ["B_L", "B_H"]
+        assert [stage for stage, _ in groupby(r.stage for r in log.records)] == ["B_L", "B_H"]
         steps = [r.step for r in log.records]
         assert steps == list(range(1, len(steps) + 1))
 
@@ -768,7 +769,7 @@ class TestToyCorpusEndToEnd:
         initial = policy.snapshot()
         config = toy_train_config("hin_dpo", epochs_per_stage=3, seed=7)
         trained, log = train(result.curriculum, policy, config)
-        assert log.stages() == ["B_L", "B_M", "B_H"]
+        assert [stage for stage, _ in groupby(r.stage for r in log.records)] == ["B_L", "B_M", "B_H"]
         examples = encode_pairs(result.curriculum.all_pairs())
         step = loss_gradient(encode_examples(examples, trained, initial), trained, LossConfig(beta=0.6))
         margin, accuracy = step.margin, step.accuracy
