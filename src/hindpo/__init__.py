@@ -2,10 +2,11 @@
 
 Library tour:
 
-- :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR, the character
-  trigram cosine (the default semantic scorer; ``forge``, ``score_and_rank``
-  and ``evaluate`` take any ``(candidates, reference) -> scores`` function
-  instead), the weighted final score used for candidate ranking
+- :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR,
+  ``char_trigram_cosine`` (the default semantic scorer; ``forge``,
+  ``score_and_rank`` and ``evaluate`` take any
+  ``(candidates, reference) -> scores`` function instead), the weighted
+  final score used for candidate ranking
 - :mod:`hindpo.dataforge` corpus loading (actuality scores are record
   fields; ``embed_actuality`` fills them from a lookup file), ranking,
   bucketization, emission, and manifest-checked read-back
@@ -17,8 +18,9 @@ Library tour:
   of K runs in one shared batch order, planned once, with every run's
   loss weights) and ``loss_steps``:
   one pass per batch giving every run's loss, its gradient, the raw and
-  weighted margins and the accuracy; ``encode_examples`` and
-  ``loss_gradient`` are their one-run forms
+  weighted margins and the accuracy; ``encode_examples`` is the one-run
+  form of ``encode_runs``, and ``loss_gradient`` takes one run's whole
+  encoding, plans it as one batch and steps it
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
   several loss modes in lockstep, in one batch order, each finesse run
   drawing from its own generator; ``train`` one mode; both validate the
@@ -66,8 +68,8 @@ from .losses import (
 )
 from .policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
 from .textmetrics import (
-    CharTrigramCosine,
     PrfScore,
+    char_trigram_cosine,
     final_score,
     meteor,
     rouge_l,

@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import check_kinds, kind_problem, write_atomic
-from .textmetrics import CharTrigramCosine, SemanticScorer, final_score, meteor, rouge_l, semantic_scores, tokenize
+from .fileio import check_kinds, check_seed, kind_problem, write_atomic
+from .textmetrics import SemanticScorer, final_score, meteor, rouge_l, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
 CANDIDATES_PER_ARTICLE = 3
@@ -308,7 +308,7 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
 
     Each candidate's score is :func:`final_score` of its semantic score,
     ROUGE-L F1 and METEOR against the ground truth, which is tokenized
-    once. ``semantic`` (by default ``CharTrigramCosine().scores``) is
+    once. ``semantic`` (by default ``char_trigram_cosine``) is
     called once per article, with the candidate texts and the ground
     truth; a result that is not one real number per candidate raises
     ValueError naming the article. Rank 0 is the candidate most aligned
@@ -318,7 +318,6 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
     are ordered by candidate index.
     """
     record.validate()
-    semantic = semantic or CharTrigramCosine().scores
     truth = record.ground_truth_explanation
     texts = [cand.text for cand in record.candidates]
     similarities = semantic_scores(semantic, texts, truth, "article %r" % record.id)
@@ -407,9 +406,7 @@ def split_articles(
     splits. A seed that is not an integer >= 0 raises ValueError.
     """
     _check_split(fractions)
-    problem = kind_problem("int", seed) or (seed < 0 and "must be >= 0, got %d" % seed)
-    if problem:
-        raise ValueError("seed %s" % problem)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     shuffled = [articles[i] for i in rng.permutation(len(articles))]
     n_train = int(round(fractions[0] * len(articles)))

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import kind_problem, write_atomic
+from .fileio import check_seed, kind_problem, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
-from .textmetrics import CharTrigramCosine, SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
+from .textmetrics import SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
 
 CONFIG_ORDER = ("base", *MODES)
 
@@ -54,9 +54,11 @@ def generate(
     all prompts (``BigramPolicy.sample_responses``). A ``max_len`` that is
     not an integer >= 1, or a temperature that is negative or not a number
     (a bool is not), raises ValueError before any prompt is read; so, when
-    sampling starts, does a NaN or infinite one.
+    sampling starts, does a NaN or infinite one. So does a seed that is not
+    an integer >= 0, even for greedy decoding.
     """
     check_decoding(max_len)
+    check_seed(seed)
     # Any float passes the kind check, so a NaN or infinite one reaches the sampler's own message.
     if (not isinstance(temperature, float) and kind_problem("float", temperature)) or temperature < 0:
         raise ValueError("temperature must be a finite number >= 0, got %r" % (temperature,))
@@ -77,7 +79,7 @@ def evaluate(
 ) -> MetricReport:
     """Corpus scores as the arithmetic mean of per-pair scores.
 
-    ``semantic`` (by default ``CharTrigramCosine().scores``) scores each
+    ``semantic`` (by default ``char_trigram_cosine``) scores each
     generated text against its reference as a one-candidate batch,
     ``[s] = semantic([generated], reference)``; a result that is not one
     real number raises ValueError naming the pair's index.
@@ -89,7 +91,6 @@ def evaluate(
         )
     if not generated:
         raise ValueError("evaluate needs at least one generated/reference pair, got none")
-    semantic = semantic or CharTrigramCosine().scores
     rows = []
     for i, (cand_text, ref_text) in enumerate(zip(generated, references)):
         cand = tokenize(cand_text)

@@ -1,6 +1,7 @@
-"""The one kind table, ``KINDS``, that every config, config file, record
-and manifest check reads, and atomic artefact writes: a reader finds the
-old file or the whole new one at a path, never a half-written one."""
+"""The one kind table, ``KINDS``, that every config, config file, record,
+manifest and semantic-score check reads, and atomic artefact writes: a
+reader finds the old file or the whole new one at a path, never a
+half-written one."""
 
 from __future__ import annotations
 
@@ -11,12 +12,16 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
-# A kind, which is a dataclass field's annotation string, -> (what a value
-# must be, the value types accepted). A bool is accepted only as a "bool".
+import numpy as np
+
+# A kind, which is a dataclass field's annotation string or "real" (what a
+# semantic scorer returns), -> (what a value must be, the value types
+# accepted). A bool is accepted only as a "bool".
 KINDS = {
     "bool": ("true or false", (bool,)),
     "int": ("an integer", (int,)),
     "float": ("a number", (int, float)),
+    "real": ("a real number", (int, float, np.integer, np.floating)),
     "str": ("a string", (str,)),
     "str | None": ("a string or null", (str, type(None))),
     "list": ("an array", (list,)),
@@ -29,9 +34,16 @@ def kind_problem(kind: str, value: object) -> str | None:
     what, accepted = KINDS[kind]
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
         return "must be %s, got %r" % (what, value)
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         return "must be finite, got %r" % (value,)
     return None
+
+
+def check_seed(seed: object) -> None:
+    """ValueError naming the seed unless it is an integer >= 0; a bool is not one."""
+    problem = kind_problem("int", seed) or (seed < 0 and "must be >= 0, got %d" % seed)
+    if problem:
+        raise ValueError("seed %s" % problem)
 
 
 @functools.cache

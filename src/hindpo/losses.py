@@ -42,8 +42,10 @@ at three levels:
   log-softmax only at the batch's transitions and computes every run's
   loss, its gradient on those rows (built in place of their softmax) and
   its norm, and the batch statistics; it returns the gathered rows too,
-  for the caller to update in place (``loss_gradient`` for a batch of
-  one run).
+  for the caller to update in place.
+
+``loss_gradient`` is the one-run view: it takes a whole ``EncodedPairs``,
+plans it as one batch under one config and returns the run's step.
 
 ``compute_finesse`` draws all its samples from one temperature table: per
 prompt, one ``draw`` of all its samples, which takes the uniforms from the
@@ -272,20 +274,17 @@ class Batch:
     being row k·V + r. Every run takes the same m pairs, so run k's part of
     the batch is run 0's offset: its visited rows by k·V, its transitions'
     row indices by k times the rows a run visits and their sequences by
-    k·2m. ``configs`` holds each run's loss config. ``rows`` holds the
-    sorted stacked rows the batch visits, run-major. Per transition,
-    ``local`` is its row as an index into ``rows``, ``cols`` its next token
-    and ``owner`` its sequence: k·2m + 2i for pair i's preferred response
-    in run k, one more for its rejected one. ``reference`` is the pairs'
-    (K, m, 2) reference log-probabilities. The pairs' loss weights under
-    their run's config follow: ``weights`` is the (K, m, 2) table of the
-    mode's preferred / rejected weights (m_w, m_l), ``mult`` the (K, m)
-    finesse multipliers and ``beta`` the (K, 1) column of the runs' betas,
-    one per run.
+    k·2m. ``rows`` holds the sorted stacked rows the batch visits,
+    run-major. Per transition, ``local`` is its row as an index into
+    ``rows``, ``cols`` its next token and ``owner`` its sequence: k·2m + 2i
+    for pair i's preferred response in run k, one more for its rejected
+    one. ``reference`` is the pairs' (K, m, 2) reference log-probabilities.
+    The pairs' loss weights under their run's config follow: ``weights`` is
+    the (K, m, 2) table of the mode's preferred / rejected weights
+    (m_w, m_l), ``mult`` the (K, m) finesse multipliers and ``beta`` the
+    (K, 1) column of the runs' betas, one per run.
     """
 
-    vocab: Vocabulary
-    configs: tuple[LossConfig, ...]
     rows: np.ndarray
     local: np.ndarray
     cols: np.ndarray
@@ -378,15 +377,14 @@ def plan_runs(
         table[k, :, 0], table[k, :, 1], table[k, :, 2] = _weights(s_w, s_l, v, config)
     reference, beta = encoded.reference[:, order], np.array([[config.beta] for config in configs])
     step_bounds = np.searchsorted(batch_of, np.arange(batches + 1)).tolist()
-    batch_keys, configs = batch_keys.tolist(), tuple(configs)
+    batch_keys = batch_keys.tolist()
     out = []
     for b in range(batches):
         keyed, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
         cut = slice(b * batch_size, (b + 1) * batch_size)
         out.append(
             Batch(
-                encoded.vocab, configs, rows[:, keyed].ravel(),
-                local[:, steps].ravel(), cols[:, steps].ravel(), owner[:, steps].ravel(),
+                rows[:, keyed].ravel(), local[:, steps].ravel(), cols[:, steps].ravel(), owner[:, steps].ravel(),
                 reference[:, cut], table[:, cut, :2], table[:, cut, 2], beta,
             )
         )
@@ -515,21 +513,16 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     return LossSteps(batch.rows, visited, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
 
 
-def loss_gradient(batch: Batch | EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
-    """Mean batch loss, its analytic gradient w.r.t. the policy logits on
-    the rows the batch visits, and the batch's preference statistics:
-    ``loss_steps`` for a batch of one run.
-
-    ``batch`` is a planned one-run ``Batch``, or a whole ``EncodedPairs``,
-    which is planned here as one batch in encoding order.
-    """
-    if isinstance(batch, EncodedPairs):
-        [batch] = plan_runs(batch, np.arange(len(batch)), len(batch), [config])
-    if batch.vocab != policy.vocab:
-        raise ValueError("batch was encoded for another vocabulary")
-    if len(batch.configs) != 1:
-        raise ValueError("batch was planned for %d runs, not one" % len(batch.configs))
-    if batch.configs[0] is not config and batch.configs[0] != config:
-        raise ValueError("batch was planned for another loss config")
+def loss_gradient(encoded: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
+    """Mean loss of the encoded pairs under ``config``, its analytic
+    gradient w.r.t. the policy logits on the rows the pairs visit, and
+    their preference statistics: the pairs planned as one batch in encoding
+    order, stepped by ``loss_steps`` as one run. A planned ``Batch`` is
+    stepped by ``loss_steps`` itself."""
+    if not isinstance(encoded, EncodedPairs):
+        raise ValueError("loss_gradient takes EncodedPairs, got %s; step a planned Batch with loss_steps" % type(encoded).__name__)
+    if encoded.vocab != policy.vocab:
+        raise ValueError("pairs were encoded for another vocabulary")
+    [batch] = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
     step = loss_steps(batch, policy.logits)
     return LossStep(step.rows, step.gradient, step.loss[0], step.margin[0], step.weighted_margin[0], step.accuracy[0])

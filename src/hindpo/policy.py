@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fileio import kind_problem, write_atomic
+from .fileio import check_seed, kind_problem, write_atomic
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -167,9 +167,12 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
-        """Build a vocabulary from corpus tokens, sorted for determinism."""
-        extra = sorted(set(tokens) - {BOS, EOS})
-        return cls((BOS, EOS, *extra))
+        """Build a vocabulary from corpus tokens, sorted for determinism.
+        A token that is not a string raises ValueError."""
+        extra = set(tokens) - {BOS, EOS}
+        if not all(isinstance(t, str) for t in extra):
+            raise ValueError("vocabulary tokens must be non-empty strings")
+        return cls((BOS, EOS, *sorted(extra)))
 
     def index(self, token: str) -> int:
         try:
@@ -219,7 +222,12 @@ class BigramPolicy:
 
     @classmethod
     def new(cls, vocab: Vocabulary, seed: int = 0, noise_std: float = 0.0) -> "BigramPolicy":
-        """Fresh policy: zero logits (uniform rows), or seeded Gaussian noise."""
+        """Fresh policy: zero logits (uniform rows), or seeded Gaussian noise.
+        A seed that is not an integer >= 0, or a ``noise_std`` that is not a
+        finite number >= 0 (a bool is neither), raises ValueError."""
+        check_seed(seed)
+        if kind_problem("float", noise_std) or noise_std < 0:
+            raise ValueError("noise_std must be a finite number >= 0, got %r" % (noise_std,))
         logits = np.zeros((len(vocab), len(vocab)))
         if noise_std > 0.0:
             rng = np.random.default_rng(seed)

@@ -22,12 +22,12 @@ giving one similarity in [0, 1] per candidate raw string against the
 reference raw string, so a scorer can batch an article's candidates.
 :func:`semantic_scores` calls one and checks that it gave one real number
 per candidate; an exception the scorer raises propagates, so a failing
-provider never reads as a score of 0. The built-in one,
-``CharTrigramCosine().scores``, is a character trigram cosine, so the
-whole pipeline runs without external services. It counts the trigrams of
-the reference and its candidates in one integer-coded table; its scores
-equal the ``Counter`` version kept as ``tests/oracles.py:trigram_cosine``
-bit for bit.
+provider never reads as a score of 0. It is the one place where no scorer
+(None) means the built-in one, :func:`char_trigram_cosine`, a character
+trigram cosine, so the whole pipeline runs without external services. It
+counts the trigrams of the reference and its candidates in one
+integer-coded table; its scores equal the ``Counter`` version kept as
+``tests/oracles.py:trigram_cosine`` bit for bit.
 
 The weighted blend used to rank candidate explanations is
 ``(semantic + 3 * (rouge_l + meteor)) / 4``; see :func:`final_score`.
@@ -38,10 +38,12 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .fileio import kind_problem
 
 TokenSequence = list[str]
 # (candidate raw strings, reference raw string) -> one similarity per candidate.
@@ -216,21 +218,18 @@ def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
     return fmean * (1 - penalty)
 
 
-def _is_real(value: object) -> bool:
-    """A finite int or float, numpy's included; a bool is not one here."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) and isfinite(value)
-
-
-def semantic_scores(semantic: SemanticScorer, cands: Sequence[str], ref: str, where: str) -> list[float]:
-    """``semantic(cands, ref)`` as floats, one per candidate. A result that
-    is not one finite real number per candidate raises ValueError naming
-    ``where``; an exception the scorer raises propagates unchanged."""
-    result = semantic(cands, ref)
+def semantic_scores(semantic: SemanticScorer | None, cands: Sequence[str], ref: str, where: str) -> list[float]:
+    """``semantic(cands, ref)`` as floats, one per candidate, with
+    :func:`char_trigram_cosine` when ``semantic`` is None. A result that is
+    not one finite real number per candidate (Python's or numpy's ints and
+    floats, not a bool) raises ValueError naming ``where``; an exception
+    the scorer raises propagates unchanged."""
+    result = (char_trigram_cosine if semantic is None else semantic)(cands, ref)
     try:
         scores = list(result)
     except TypeError:
         scores = None
-    if scores is None or len(scores) != len(cands) or not all(map(_is_real, scores)):
+    if scores is None or len(scores) != len(cands) or any(kind_problem("real", score) for score in scores):
         raise ValueError(
             "semantic scorer gave %r for the %d candidate(s) of %s; expected one real number per candidate"
             % (result, len(cands), where)
@@ -238,45 +237,42 @@ def semantic_scores(semantic: SemanticScorer, cands: Sequence[str], ref: str, wh
     return [float(score) for score in scores]
 
 
-class CharTrigramCosine:
-    """Cosine similarity over character 3-gram frequency vectors.
+def char_trigram_cosine(cands: Sequence[str], ref: str) -> list[float]:
+    """Cosine similarity of each candidate to ``ref``, in order, over
+    character 3-gram frequency vectors.
 
     Deterministic stand-in for embedding-based semantic scorers. Identical
     non-empty strings score exactly 1.0; strings sharing no trigram score
     0.0. Only ordering and identity properties should be relied upon, not
-    absolute values. :meth:`scores` profiles a reference and its
-    candidates together: one UTF-32 encoding of their joined NFC forms,
-    each trigram packed from three 21-bit code points into one int64 key
-    (a lone surrogate is a code point like any other), the keys that lie
-    inside one string numbered by one ``np.unique``, and one (1 + n, d)
-    table of counts, the reference's row first. Every dot product and
-    squared norm is an exact integer, so a score equals the
-    ``Counter``-of-strings cosine kept as
+    absolute values. A reference and its candidates are profiled together:
+    one UTF-32 encoding of their joined NFC forms, each trigram packed from
+    three 21-bit code points into one int64 key (a lone surrogate is a code
+    point like any other), the keys that lie inside one string numbered by
+    one ``np.unique``, and one (1 + n, d) table of counts, the reference's
+    row first. Every dot product and squared norm is an exact integer, so a
+    score equals the ``Counter``-of-strings cosine kept as
     ``tests/oracles.py:trigram_cosine`` bit for bit.
     """
-
-    def scores(self, cands: Sequence[str], ref: str) -> list[float]:
-        """The similarity of each candidate to ``ref``, in order."""
-        texts = [unicodedata.normalize("NFC", text) for text in (ref, *cands)]
-        codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
-        owner = np.repeat(np.arange(len(texts)), list(map(len, texts)))
-        inside = owner[:-2] == owner[2:]
-        keys, column = np.unique((codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:])[inside], return_inverse=True)
-        width = len(keys)
-        counts = np.bincount(owner[:-2][inside] * width + column, minlength=len(texts) * width)
-        table = counts.reshape(len(texts), width)
-        dots = (table[1:] @ table[0]).tolist()
-        ref_square, *squares = (table * table).sum(axis=1).tolist()
-        ref_norm = sqrt(ref_square)
-        out = []
-        for cand, dot, square in zip(texts[1:], dots, squares):
-            if cand and cand == texts[0]:
-                out.append(1.0)
-            elif not square or not ref_square:
-                out.append(0.0)
-            else:
-                out.append(min(dot / (sqrt(square) * ref_norm), 1.0))
-        return out
+    texts = [unicodedata.normalize("NFC", text) for text in (ref, *cands)]
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+    owner = np.repeat(np.arange(len(texts)), list(map(len, texts)))
+    inside = owner[:-2] == owner[2:]
+    keys, column = np.unique((codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:])[inside], return_inverse=True)
+    width = len(keys)
+    counts = np.bincount(owner[:-2][inside] * width + column, minlength=len(texts) * width)
+    table = counts.reshape(len(texts), width)
+    dots = (table[1:] @ table[0]).tolist()
+    ref_square, *squares = (table * table).sum(axis=1).tolist()
+    ref_norm = sqrt(ref_square)
+    out = []
+    for cand, dot, square in zip(texts[1:], dots, squares):
+        if cand and cand == texts[0]:
+            out.append(1.0)
+        elif not square or not ref_square:
+            out.append(0.0)
+        else:
+            out.append(min(dot / (sqrt(square) * ref_norm), 1.0))
+    return out
 
 
 def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> float:

@@ -401,6 +401,16 @@ def per_step_loss_gradient(batch, policy, config):
     )
 
 
+def one_run_step(batch, logits):
+    """The ``LossStep`` of a planned one-run ``Batch`` stepped on ``logits``:
+    ``loss_steps``' values for its one run."""
+    from hindpo.losses import LossStep, loss_steps
+
+    step = loss_steps(batch, logits)
+    [loss], [margin], [weighted_margin], [accuracy] = step.loss, step.margin, step.weighted_margin, step.accuracy
+    return LossStep(step.rows, step.gradient, loss, margin, weighted_margin, accuracy)
+
+
 def grad_norm(gradient) -> float:
     """The logged Frobenius norm of one run's gradient rows: the squares
     summed per row, the row sums summed by ``np.add.reduceat``, then the

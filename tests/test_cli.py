@@ -720,6 +720,23 @@ class TestParsing:
             main([])
         assert excinfo.value.code == 2
 
+    def test_import_loads_no_third_party_module_but_numpy(self):
+        # A fresh interpreter's `import hindpo.cli`: every top-level module
+        # it loads is in the standard library, hindpo itself or numpy, the
+        # one runtime dependency.
+        src = os.path.dirname(os.path.dirname(hindpo.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import hindpo.cli\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["hindpo", "numpy"]
+
     def test_module_entry_point(self, tmp_path):
         # The child imports the same hindpo as this process, installed or not.
         src = os.path.dirname(os.path.dirname(hindpo.__file__))

@@ -80,6 +80,15 @@ class TestLoadArticles:
         with pytest.raises(SchemaError, match=":1:"):
             load_articles(path)
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        good = json.dumps(make_record("a").to_json_dict(), ensure_ascii=False)
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n" + good + "\n \t\n", encoding="utf-8")
+        assert [r.id for r in load_articles(path)] == ["a"]
+        path.write_text("\n" + good + "\n \t\n{not json}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=":4: invalid JSON"):
+            load_articles(path)
+
     def test_duplicate_id(self, tmp_path):
         path = dump_articles([make_record("a"), make_record("a")], tmp_path / "c.jsonl")
         with pytest.raises(SchemaError, match="duplicate"):
@@ -118,7 +127,9 @@ _BAD_KEYS = [
 ]
 _BAD_VALUES = [
     pytest.param(_set("id", 5), r"id must be a string, got 5", id="int-id"),
+    pytest.param(_set("id", ""), r"record id must be non-empty", id="empty-id"),
     pytest.param(_set("news_text", 5), r"news_text must be a string, got 5", id="int-news-text"),
+    pytest.param(_set("news_text", ""), r"news_text must be non-empty", id="empty-news-text"),
     pytest.param(_set_candidate(2, "text", 5), r"candidates\[2\]\.text must be a string, got 5", id="int-candidate-text"),
     pytest.param(_set_candidate(0, "model_id", 5), r"candidates\[0\]\.model_id must be a string, got 5", id="int-model-id"),
     pytest.param(_set("actuality_preferred", True), r"actuality_preferred must be a number in \[0, 1\], got True", id="bool-score"),
@@ -479,6 +490,16 @@ def test_dump_load_pairs_round_trip(tmp_path):
     path = dump_pairs(pairs, tmp_path / "pairs.jsonl")
     loaded = load_pairs(path)
     assert [p.to_json_dict() for p in loaded] == [p.to_json_dict() for p in pairs]
+
+
+def test_load_pairs_skips_blank_lines_but_counts_them(tmp_path):
+    good = score_and_rank(make_record())[0].to_json_dict()
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n" + json.dumps(good) + "\n  \n", encoding="utf-8")
+    assert [p.to_json_dict() for p in load_pairs(path)] == [good]
+    path.write_text("\n" + json.dumps(good) + "\n  \n{not json\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"pairs\.jsonl:4: invalid JSON"):
+        load_pairs(path)
 
 
 def _without_prompt(pair: dict) -> str:

@@ -73,6 +73,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             generate(preferring_policy(), prompts, temperature=temperature)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, "must be an integer, got 1.5"), ("x", "must be an integer, got 'x'"), (True, "must be an integer, got True"), (-1, "must be >= 0, got -1")],
+        ids=["float", "str", "bool", "negative"],
+    )
+    def test_bad_seed_rejected_by_name_greedy_or_sampled(self, seed, message, temperature):
+        with pytest.raises(ValueError, match="^seed %s$" % re.escape(message)):
+            generate(preferring_policy(), ["p0"], temperature=temperature, seed=seed)
+
     def test_infinite_temperature_rejected(self):
         with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got inf$"):
             generate(preferring_policy(), ["p0"], temperature=float("inf"))

@@ -88,6 +88,7 @@ class TestLossConfig:
             {"mode": "ppo"},
             {"finesse_samples": 1},
             {"finesse_temperature": 0.0},
+            {"finesse_max_len": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -457,13 +458,23 @@ class TestLossGradient:
         with pytest.raises(ValueError, match="vocabularies differ"):
             encode_examples([example], policy, other.snapshot())
 
-    def test_batch_steps_only_under_the_config_it_was_planned_for(self):
+    def test_a_planned_batch_is_rejected(self):
+        # loss_gradient plans the whole encoding itself; a planned Batch is
+        # stepped by loss_steps.
         policy = make_policy(109)
         encoded = encode_examples(random_examples(np.random.default_rng(109)), policy, make_policy(110).snapshot())
         [batch] = plan_runs(encoded, [2, 0, 1], 3, [LossConfig(mode="dpo")])
-        with pytest.raises(ValueError, match="another loss config"):
-            loss_gradient(batch, policy, LossConfig(mode="hin_dpo"))
-        assert loss_gradient(batch, policy, LossConfig(mode="dpo")).loss > 0.0
+        with pytest.raises(ValueError, match="^loss_gradient takes EncodedPairs, got Batch; step a planned Batch with loss_steps$"):
+            loss_gradient(batch, policy, LossConfig(mode="dpo"))
+        assert oracles.one_run_step(batch, policy.logits).loss > 0.0
+        assert loss_gradient(encoded, policy, LossConfig(mode="dpo")).loss > 0.0
+
+    def test_policy_vocabulary_must_match_the_encoding(self):
+        policy = make_policy(108)
+        other = make_policy(108, tokens=("a", "b", "d"))
+        encoded = encode_examples(random_examples(np.random.default_rng(108)), policy, policy.snapshot())
+        with pytest.raises(ValueError, match="^pairs were encoded for another vocabulary$"):
+            loss_gradient(encoded, other, LossConfig())
 
     def test_finesse_constant_no_gradient_through_v(self):
         # Two different variances change the loss but both gradients still
@@ -530,7 +541,7 @@ class TestStackedRuns:
             step = loss_steps(batch, logits)
             rows, gradients = np.split(step.rows, 3), np.split(step.gradient, 3)
             for k, (policy, config) in enumerate(zip(policies, configs)):
-                own = loss_gradient(alone[k][j], policy, config)
+                own = oracles.one_run_step(alone[k][j], policy.logits)
                 assert len(batch) == len(alone[k][j])
                 assert np.array_equal(rows[k], own.rows + k * size)
                 assert gradients[k].tobytes() == own.gradient.tobytes()
@@ -548,8 +559,9 @@ class TestStackedRuns:
         with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
             plan_runs(encoded, [0, 1, 2], 2, [LossConfig()])
         [batch] = plan_runs(encoded, [0, 1, 2], 3, [LossConfig()] * 2)
-        with pytest.raises(ValueError, match="planned for 2 runs"):
-            loss_gradient(batch, policy, LossConfig())
+        assert len(loss_steps(batch, np.vstack([policy.logits] * 2)).loss) == 2
+        with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
+            loss_gradient(encoded, policy, LossConfig())
 
     @pytest.mark.parametrize("position", [-1, 2, -3, 5])
     def test_position_outside_the_encoding_rejected(self, position):
@@ -696,7 +708,7 @@ class TestLossGradientMatchesOracle:
         for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
             batch = [examples[i] for i in picks]
             [planned] = plan_runs(encoded, picks, len(picks), [config])
-            step = loss_gradient(planned, policy, config)
+            step = oracles.one_run_step(planned, policy.logits)
             assert len(planned) == len(picks)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)

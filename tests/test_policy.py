@@ -43,6 +43,10 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.from_tokens([])
 
+    def test_from_tokens_rejects_a_token_that_is_not_a_string(self):
+        with pytest.raises(ValueError, match="^vocabulary tokens must be non-empty strings$"):
+            Vocabulary.from_tokens(["a", 1])
+
     def test_index_bijection(self):
         vocab = small_vocab()
         for i, token in enumerate(vocab.tokens):
@@ -52,6 +56,22 @@ class TestVocabulary:
 
 
 class TestNewPolicy:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"noise_std": -0.5}, "noise_std must be a finite number >= 0, got -0.5"),
+            ({"noise_std": float("nan")}, "noise_std must be a finite number >= 0, got nan"),
+            ({"noise_std": "x"}, "noise_std must be a finite number >= 0, got 'x'"),
+            ({"seed": 1.5, "noise_std": 0.1}, "seed must be an integer, got 1.5"),
+            ({"seed": True, "noise_std": 0.1}, "seed must be an integer, got True"),
+            ({"seed": -1, "noise_std": 0.1}, "seed must be >= 0, got -1"),
+        ],
+        ids=["negative-std", "nan-std", "str-std", "float-seed", "bool-seed", "negative-seed"],
+    )
+    def test_bad_argument_rejected_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            BigramPolicy.new(small_vocab(), **kwargs)
+
     def test_zero_init_uniform_rows(self):
         policy = BigramPolicy.new(small_vocab())
         probs = np.exp(policy.logits) / np.exp(policy.logits).sum(axis=1, keepdims=True)
@@ -445,6 +465,11 @@ _NAN_TABLE[1, 2] = np.nan
         pytest.param(_edit("logits", [[0.0] * 4] * 4), "logits are not a base64 string", id="list-under-version-2"),
         pytest.param(_edit("logits", _b64(np.zeros(15))), "logits hold 120 bytes, expected 128", id="wrong-byte-count"),
         pytest.param(_edit("logits", _b64(_NAN_TABLE)), "logits must be finite", id="non-finite"),
+        pytest.param(
+            lambda text: _edit("logits", [[0.0] * 4] * 3)(_edit("format_version", 1)(text)),
+            r"logits must be 4x4, got \(3, 4\)",
+            id="version-1-wrong-shape",
+        ),
         pytest.param(_edit("vocab", ["<bos>", "a", "b"]), "reserved", id="vocab-without-eos"),
         pytest.param(_edit("vocab", ["<bos>", "<eos>", "a", 5]), "non-empty strings", id="vocab-non-string"),
         pytest.param(_edit("vocab", ["<bos>", "<eos>", "a", "a"]), "unique", id="vocab-duplicate"),

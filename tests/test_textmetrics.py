@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from hindpo import textmetrics
 from hindpo.textmetrics import (
-    CharTrigramCosine,
     _greedy_alignment,
     _lcs_length,
     _position_masks,
     _reference_masks,
+    char_trigram_cosine,
     final_score,
     meteor,
     rouge_l,
@@ -343,51 +343,41 @@ SEMANTIC_FIXTURE = [
 
 class TestSemanticScore:
     def test_identity_exact_one(self):
-        scorer = CharTrigramCosine()
-        assert scorer.scores(["क ख ग"], "क ख ग")[0] == 1.0
-        assert scorer.scores(["abc"], "abc")[0] == 1.0
+        assert char_trigram_cosine(["क ख ग"], "क ख ग")[0] == 1.0
+        assert char_trigram_cosine(["abc"], "abc")[0] == 1.0
 
     def test_disjoint_trigrams_zero(self):
-        assert CharTrigramCosine().scores(["क ख"], "य र")[0] == 0.0
+        assert char_trigram_cosine(["क ख"], "य र")[0] == 0.0
 
     def test_paraphrase_above_unrelated(self):
-        scorer = CharTrigramCosine()
         for anchor, paraphrase, unrelated in SEMANTIC_FIXTURE:
-            assert scorer.scores([paraphrase], anchor)[0] > scorer.scores([unrelated], anchor)[0]
+            assert char_trigram_cosine([paraphrase], anchor)[0] > char_trigram_cosine([unrelated], anchor)[0]
 
     def test_range(self):
-        scorer = CharTrigramCosine()
         for anchor, paraphrase, unrelated in SEMANTIC_FIXTURE:
             for text in (paraphrase, unrelated):
-                assert 0.0 <= scorer.scores([text], anchor)[0] <= 1.0
+                assert 0.0 <= char_trigram_cosine([text], anchor)[0] <= 1.0
 
     def test_matches_uncached_oracle_with_alternating_references(self):
         texts = [text for triple in SEMANTIC_FIXTURE for text in triple] + _toy_texts()[:60]
-        scorer = CharTrigramCosine()
         for i, cand in enumerate(texts):
             for ref in (texts[(i + 1) % len(texts)], texts[(i + 7) % len(texts)], cand):
                 expected = trigram_cosine(cand, ref)
-                assert scorer.scores([cand], ref)[0] == expected
-                assert CharTrigramCosine().scores([cand], ref)[0] == expected
+                assert char_trigram_cosine([cand], ref)[0] == expected
 
     def test_matches_oracle_at_the_edges(self):
         # Lengths 0-3, repeated trigrams, lone surrogates, astral code points
-        # and NFD references, with one scorer for every pair and with a
-        # fresh scorer per pair.
-        scorer = CharTrigramCosine()
+        # and NFD references.
         for cand, ref in _kernel_pairs():
             expected = trigram_cosine(cand, ref)
-            assert scorer.scores([cand], ref)[0] == expected, (cand, ref)
-            assert CharTrigramCosine().scores([cand], ref)[0] == expected, (cand, ref)
+            assert char_trigram_cosine([cand], ref)[0] == expected, (cand, ref)
 
     def test_nfd_reference_scores_one_against_its_nfc_candidate(self):
         composed = "café की जांच, résumé"
         decomposed = unicodedata.normalize("NFD", composed)
         assert decomposed != composed
-        scorer = CharTrigramCosine()
-        assert scorer.scores([composed], decomposed)[0] == 1.0
-        assert scorer.scores([decomposed], composed)[0] == 1.0
-        assert scorer.scores([composed], decomposed)[0] == 1.0
+        assert char_trigram_cosine([composed], decomposed)[0] == 1.0
+        assert char_trigram_cosine([decomposed], composed)[0] == 1.0
 
     def test_forge_ranks_as_with_the_oracle(self):
         # 60 generated articles with 40-80-token explanations in Devanagari
@@ -454,8 +444,8 @@ class TestSemanticScore:
             forge(toy_corpus()[:4], semantic=lambda cands, ref: result)
 
     @pytest.mark.parametrize(
-        "result", [[], [0.5, 0.5], [float("nan")], ["0.5"], [None], [False], 0.5],
-        ids=["none", "two", "nan", "str", "None", "bool", "a-float"],
+        "result", [[], [0.5, 0.5], [float("nan")], ["0.5"], [None], [False], 0.5, [np.float32("nan")], [np.bool_(True)]],
+        ids=["none", "two", "nan", "str", "None", "bool", "a-float", "numpy-nan", "numpy-bool"],
     )
     def test_a_scorer_breaking_the_contract_fails_naming_the_pair(self, result):
         calls = []
@@ -470,10 +460,11 @@ class TestSemanticScore:
 
     def test_numpy_scores_are_real_numbers(self):
         record = toy_corpus()[5]
-        scorer = CharTrigramCosine()
         expected = score_and_rank(record)
-        assert score_and_rank(record, lambda cands, ref: np.array(scorer.scores(cands, ref))) == expected
-        assert score_and_rank(record, lambda cands, ref: tuple(scorer.scores(cands, ref))) == expected
+        assert score_and_rank(record, lambda cands, ref: np.array(char_trigram_cosine(cands, ref))) == expected
+        assert score_and_rank(record, lambda cands, ref: tuple(char_trigram_cosine(cands, ref))) == expected
+        for score in (np.int64(1), np.float32(0.5), 1, 0.5):
+            assert evaluate(["a b"], ["a c"], "base", semantic=lambda cands, ref: [score]).semantic == score
 
     def test_forge_calls_the_scorer_and_builds_a_reference_table_once_per_article(self, monkeypatch):
         # Each toy article with its id appended to its ground truth, so no
@@ -481,12 +472,11 @@ class TestSemanticScore:
         from dataclasses import replace
 
         records = [replace(r, ground_truth_explanation="%s %s" % (r.ground_truth_explanation, r.id)) for r in toy_corpus()]
-        scorer = CharTrigramCosine()
         calls, builds = [], []
 
         def counting(cands, ref):
             calls.append((list(cands), ref))
-            return scorer.scores(cands, ref)
+            return char_trigram_cosine(cands, ref)
 
         build = textmetrics._position_masks
 
@@ -538,19 +528,18 @@ class TestFinalScore:
 class TestSelfSimilarityIsMaximal:
     def test_each_metric(self):
         corpus = [anchor for anchor, _, _ in SEMANTIC_FIXTURE]
-        scorer = CharTrigramCosine()
         for text in corpus:
             tokens = tokenize(text)
             self_rl = rouge_l(tokens, tokens).f1
             self_mt = meteor(tokens, tokens)
             self_r1 = rouge_n(tokens, tokens, 1).f1
-            self_sem = scorer.scores([text], text)[0]
+            self_sem = char_trigram_cosine([text], text)[0]
             for other in corpus:
                 other_tokens = tokenize(other)
                 assert rouge_l(tokens, other_tokens).f1 <= self_rl
                 assert meteor(tokens, other_tokens) <= self_mt
                 assert rouge_n(tokens, other_tokens, 1).f1 <= self_r1
-                assert scorer.scores([text], other)[0] <= self_sem
+                assert char_trigram_cosine([text], other)[0] <= self_sem
 
 
 # Text drawn from all of Unicode, or from a mix of Latin, Devanagari
@@ -590,10 +579,9 @@ class TestProperties:
     @_PROPERTY
     @given(cand=_TEXTS, ref=_TEXTS)
     def test_trigram_cosine_in_unit_interval_and_one_on_identity(self, cand, ref):
-        scorer = CharTrigramCosine()
-        assert 0.0 <= scorer.scores([cand], ref)[0] <= 1.0
+        assert 0.0 <= char_trigram_cosine([cand], ref)[0] <= 1.0
         if ref:
-            assert scorer.scores([ref], ref)[0] == 1.0
+            assert char_trigram_cosine([ref], ref)[0] == 1.0
 
 
 # Any code point, lone surrogates and U+10FFFF included, or one of the
@@ -638,18 +626,17 @@ class TestSharedTables:
     @given(article=_article_texts())
     def test_trigram_scores_equal_the_oracle_bit_for_bit(self, article):
         cands, ref = article
-        scores = CharTrigramCosine().scores(cands, ref)
+        scores = char_trigram_cosine(cands, ref)
         assert _bits(scores) == _bits(trigram_cosine(cand, ref) for cand in cands)
         assert _bits(scores) == _bits(trigram_profile_cosine(cand, ref) for cand in cands)
-        assert _bits(CharTrigramCosine().scores([cand], ref)[0] for cand in cands) == _bits(scores)
+        assert _bits(char_trigram_cosine([cand], ref)[0] for cand in cands) == _bits(scores)
 
     def test_trigram_scores_of_the_long_explanations(self):
         texts = _long_explanations()
-        scorer = CharTrigramCosine()
         for i in range(0, len(texts), 4):
             ref, *cands = texts[i : i + 4]
             cands += [ref, _nfd(ref), ref[: len(ref) // 2]]
-            assert _bits(scorer.scores(cands, ref)) == _bits(trigram_cosine(cand, ref) for cand in cands)
+            assert _bits(char_trigram_cosine(cands, ref)) == _bits(trigram_cosine(cand, ref) for cand in cands)
 
     @_TABLES
     @given(refs=st.lists(_TOKENS, min_size=1, max_size=3), cands=st.lists(_TOKENS, max_size=6))

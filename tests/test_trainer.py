@@ -223,7 +223,7 @@ def dense_train(curriculum, policy, config):
         encoded = encode_examples(examples, policy, reference)
         for _ in range(config.epochs_per_stage):
             for batch in plan_runs(encoded, order_rng.permutation(len(encoded)), config.batch_size, [config.loss]):
-                step = loss_gradient(batch, policy, config.loss)
+                step = oracles.one_run_step(batch, policy.logits)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
                 policy.logits = policy.logits - config.learning_rate * dense
@@ -750,6 +750,12 @@ class TestGradcheck:
         curriculum, policy = separable_setup()
         with pytest.raises(ValueError):
             gradcheck(policy, [], LossConfig())
+
+    @pytest.mark.parametrize("h", [0, 0.0, -1e-5, float("nan"), float("inf"), "x", True], ids=["0", "0.0", "negative", "nan", "inf", "str", "bool"])
+    def test_step_that_is_not_a_finite_positive_number_rejected(self, h):
+        policy, reference, examples = self.make_fixture(151)
+        with pytest.raises(ValueError, match="^h must be a finite number > 0, got %s$" % re.escape(repr(h))):
+            gradcheck(policy, examples, LossConfig(mode="dpo"), reference, h=h)
 
     def test_frozen_policy_checked_and_unwritten(self):
         policy, reference, examples = self.make_fixture(151)
