@@ -2,7 +2,8 @@
 
 Library tour:
 
-- :mod:`hindpo.textmetrics` tokenization, ROUGE/METEOR,
+- :mod:`hindpo.textmetrics` tokenization, ROUGE-N, ROUGE-L and METEOR
+  (``rouge_l_and_meteor`` gives both from one walk of a candidate),
   ``char_trigram_cosine`` (the default semantic scorer; ``forge``,
   ``score_and_rank`` and ``evaluate`` take any
   ``(candidates, reference) -> scores`` function instead), the weighted
@@ -27,7 +28,9 @@ Library tour:
   pairs first), gradient checking
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
-- :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads; atomic writes
+- :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads;
+  ``json_line``, the one line template of the pair files and the train
+  log; atomic writes
 """
 
 from .corpora import separable_curriculum, toy_corpus

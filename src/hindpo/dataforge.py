@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import check_kinds, check_seed, kind_problem, write_atomic
-from .textmetrics import SemanticScorer, final_score, meteor, rouge_l, semantic_scores, tokenize
+from .fileio import check_kinds, check_seed, json_line, kind_problem, write_atomic
+from .textmetrics import SemanticScorer, final_score, rouge_l_and_meteor, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
 CANDIDATES_PER_ARTICLE = 3
@@ -296,7 +296,15 @@ def load_pairs(path: str | Path) -> list[PreferencePair]:
 
 
 def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
-    return write_atomic(path, (json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n" for p in pairs))
+    """Write one JSON line per pair, the file as one string: each line is
+    ``json.dumps(pair.to_json_dict(), ensure_ascii=False) + "\n"`` byte
+    for byte, written through one line template by ``fileio.json_line``
+    (strings escaped as json.dumps escapes them, ints and floats by their
+    ``__repr__``, None as null). A pair the template cannot write exactly,
+    such as one with a NaN or infinite ``fs``, a bool, a numpy value or an
+    int subclass, goes through ``json.dumps`` itself, the oracle the tests
+    compare every line with."""
+    return write_atomic(path, "".join(map(json_line, pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +333,8 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
     s_l = record.actuality_candidates or [None] * CANDIDATES_PER_ARTICLE
     scored = []
     for idx, (cand, similarity) in enumerate(zip(record.candidates, similarities)):
-        tokens = tokenize(cand.text)
-        fs = final_score(similarity, rouge_l(tokens, ref).f1, meteor(tokens, ref))
+        rl, mt = rouge_l_and_meteor(tokenize(cand.text), ref)
+        fs = final_score(similarity, rl.f1, mt)
         scored.append((fs, cand, idx))
     by_quality = sorted(scored, key=lambda item: (-item[0], item[1].model_id))
     rank_by_index = {idx: rank for rank, (_, _, idx) in enumerate(by_quality)}

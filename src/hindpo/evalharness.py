@@ -19,7 +19,7 @@ import numpy as np
 from .fileio import check_seed, kind_problem, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
-from .textmetrics import SemanticScorer, meteor, rouge_l, rouge_n, semantic_scores, tokenize
+from .textmetrics import SemanticScorer, rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
 
 CONFIG_ORDER = ("base", *MODES)
 
@@ -95,12 +95,13 @@ def evaluate(
     for i, (cand_text, ref_text) in enumerate(zip(generated, references)):
         cand = tokenize(cand_text)
         ref = tokenize(ref_text)
+        rl, mt = rouge_l_and_meteor(cand, ref)
         rows.append(
             (
                 rouge_n(cand, ref, 1).f1,
                 rouge_n(cand, ref, 2).f1,
-                rouge_l(cand, ref).f1,
-                meteor(cand, ref),
+                rl.f1,
+                mt,
                 *semantic_scores(semantic, [cand_text], ref_text, "pair %d" % i),
             )
         )

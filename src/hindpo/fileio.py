@@ -1,14 +1,17 @@
 """The one kind table, ``KINDS``, that every config, config file, record,
-manifest and semantic-score check reads, and atomic artefact writes: a
-reader finds the old file or the whole new one at a path, never a
-half-written one."""
+manifest and semantic-score check reads; the JSON line of a dataclass
+record, written through one template per record class; and atomic
+artefact writes: a reader finds the old file or the whole new one at a
+path, never a half-written one."""
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 from dataclasses import fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable
 
@@ -61,6 +64,44 @@ def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str =
             problem = kind_problem(kind, value)
             if problem:
                 raise error("%s%s %s" % (prefix, name, problem))
+
+
+# The JSON text json.dumps(..., ensure_ascii=False) writes for a value of
+# exactly each of these types; a float's text is checked to be finite.
+_JSON_TEXT = {str: encode_basestring, int: int.__repr__, float: float.__repr__, type(None): lambda _: "null"}
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+@functools.cache
+def _line_template(cls: type) -> tuple[tuple[str, ...], str]:
+    """The field names of the dataclass ``cls`` and its JSON line template, one ``%s`` per field."""
+    names = tuple(f.name for f in fields(cls))
+    return names, "{%s}\n" % ", ".join('"%s": %%s' % name for name in names)
+
+
+def json_line(record: object) -> str:
+    """``json.dumps(vars(record), ensure_ascii=False) + "\n"`` of a
+    dataclass instance, byte for byte.
+
+    When the record's attributes are its class's fields, in order, and
+    each value is a ``str``, ``int``, finite ``float`` or None of exactly
+    that type, the line goes through the class's one template: strings
+    escaped by ``json.encoder.encode_basestring``, the escaper json.dumps
+    uses without ensure_ascii, numbers written by ``int.__repr__`` and
+    ``float.__repr__``. Any other record (a bool, NaN or infinity, a numpy
+    or subclass value, an added or moved attribute) goes through
+    ``json.dumps`` itself, so it writes, or fails, as json.dumps does.
+    """
+    values = vars(record)
+    names, template = _line_template(type(record))
+    if tuple(values) == names:
+        try:
+            texts = tuple([_JSON_TEXT[type(value)](value) for value in values.values()])
+        except KeyError:  # a value of another type
+            texts = None
+        if texts is not None and _NON_FINITE.isdisjoint(texts):
+            return template % texts
+    return json.dumps(values, ensure_ascii=False) + "\n"
 
 
 def write_atomic(path: str | Path, chunks: str | Iterable[str]) -> Path:

@@ -6,15 +6,18 @@ Latin letters are case-folded. It folds a whole string with one
 ``str.translate`` through a table that learns each code point's folding
 on first sight and holds at most 4096 of them; the per-character loop it
 replaced is kept as ``tests/oracles.py:tokenize_loop``. Lexical metrics
-(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L and METEOR read
-one table per reference, each token mapped to an int bitmask of its
-positions; a one-entry cache keeps the table of the last reference, checked
-by equality, so the candidates of one reference share it. ROUGE-L's
-longest common subsequence is the bit-parallel algorithm of Allison & Dix
+(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L and METEOR come
+from one walk of the candidate (:func:`rouge_l_and_meteor`; :func:`rouge_l`
+and :func:`meteor` are its two halves) over one table per reference, each
+token mapped to an int bitmask of its positions; a one-entry cache keeps
+the table of the last reference, checked by equality, so the candidates of
+one reference share it. Each candidate token reads its mask once for both:
+one step of the bit-parallel longest common subsequence of Allison & Dix
 (1986) and Hyyrö (2004), which the tests check against the row-rolling
 dynamic program (``tests/oracles.py:lcs_dp``) and against brute-force
-enumeration. METEOR's alignment takes each token's lowest free position
-bit; the per-token position stacks it replaced are kept as
+enumeration, and METEOR's alignment, which takes the token's lowest free
+position bit and counts matches and chunks as it goes; the tests check
+those counts against the per-token position stacks it replaced, kept as
 ``tests/oracles.py:stack_alignment``.
 
 A semantic scorer is any function ``(candidates, reference) -> scores``
@@ -26,7 +29,8 @@ provider never reads as a score of 0. It is the one place where no scorer
 (None) means the built-in one, :func:`char_trigram_cosine`, a character
 trigram cosine, so the whole pipeline runs without external services. It
 counts the trigrams of the reference and its candidates in one
-integer-coded table; its scores equal the ``Counter`` version kept as
+integer-coded table, its columns numbered by one sort of the trigram keys;
+its scores equal the ``Counter`` version kept as
 ``tests/oracles.py:trigram_cosine`` bit for bit.
 
 The weighted blend used to rank candidate explanations is
@@ -38,6 +42,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import sqrt
 from typing import Callable, Sequence
 
@@ -155,41 +160,53 @@ def _reference_masks(ref: TokenSequence) -> dict[str, int]:
     return cached[1]
 
 
-def _lcs_length(a: TokenSequence, b: TokenSequence) -> int:
-    # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004), one big-int step
-    # per token of a: bit j of v is 0 where the LCS of the prefix of a and
-    # b[: j + 1] grows at j, so the LCS is the count of zero bits. Equal to
-    # the O(len(a) * len(b)) dynamic program kept as tests/oracles.py lcs_dp.
-    masks = _reference_masks(b).get
-    full = (1 << len(b)) - 1
+def _walk(cand: TokenSequence, ref: TokenSequence) -> tuple[int, int, int]:
+    # (LCS length, METEOR matches, METEOR chunks) of cand against ref from
+    # one pass over cand, each token reading its position mask in ref once.
+    # LCS: bit-parallel (Allison & Dix 1986; Hyyrö 2004), one big-int step
+    # per token: bit j of v is 0 where the LCS of the prefix of cand and
+    # ref[: j + 1] grows at j, so the LCS is the count of zero bits; equal
+    # to the dynamic program kept as tests/oracles.py lcs_dp. Alignment:
+    # each token claims the lowest of its positions still in free, as the
+    # position stacks kept as tests/oracles.py stack_alignment do; a match
+    # one position after the previous token's match continues its chunk.
+    free = full = (1 << len(ref)) - 1
     v = full
-    for token in a:
-        u = v & masks(token, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    matches = chunks = previous = 0
+    for mask in map(_reference_masks(ref).get, cand, repeat(0)):
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+            mask &= free
+        if mask:
+            low = mask & -mask
+            free ^= low
+            matches += 1
+            chunks += low != previous << 1
+            previous = low
+        else:
+            previous = 0
+    return len(ref) - v.bit_count(), matches, chunks
+
+
+def rouge_l_and_meteor(cand: TokenSequence, ref: TokenSequence) -> tuple[PrfScore, float]:
+    """``(rouge_l(cand, ref), meteor(cand, ref))`` from one walk of ``cand``."""
+    lcs, m, chunks = _walk(cand, ref)
+    precision = lcs / len(cand) if cand else 0.0
+    recall = lcs / len(ref) if ref else 0.0
+    score = 0.0
+    if m:
+        m_precision = m / len(cand)
+        m_recall = m / len(ref)
+        fmean = 10 * m_precision * m_recall / (m_recall + 9 * m_precision)
+        penalty = 0.5 * (chunks / m) ** 3
+        score = fmean * (1 - penalty)
+    return PrfScore(precision, recall, _f1(precision, recall)), score
 
 
 def rouge_l(cand: TokenSequence, ref: TokenSequence) -> PrfScore:
     """Longest-common-subsequence score with F1 weighting."""
-    lcs = _lcs_length(cand, ref)
-    precision = lcs / len(cand) if cand else 0.0
-    recall = lcs / len(ref) if ref else 0.0
-    return PrfScore(precision, recall, _f1(precision, recall))
-
-
-def _greedy_alignment(cand: TokenSequence, ref: TokenSequence) -> list[tuple[int, int]]:
-    # Each token matches at most once; candidate positions scan left to
-    # right and claim the first unused identical reference token, the
-    # lowest set bit of that token's free positions.
-    free = dict(_reference_masks(ref))
-    pairs = []
-    for ci, token in enumerate(cand):
-        bits = free.get(token)
-        if bits:
-            low = bits & -bits
-            free[token] = bits ^ low
-            pairs.append((ci, low.bit_length() - 1))
-    return pairs
+    return rouge_l_and_meteor(cand, ref)[0]
 
 
 def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
@@ -201,37 +218,28 @@ def meteor(cand: TokenSequence, ref: TokenSequence) -> float:
     maximal run of matches contiguous in both sequences. No stemming or
     synonym matching is applied.
     """
-    if not cand or not ref:
-        return 0.0
-    pairs = _greedy_alignment(cand, ref)
-    m = len(pairs)
-    if m == 0:
-        return 0.0
-    precision = m / len(cand)
-    recall = m / len(ref)
-    fmean = 10 * precision * recall / (recall + 9 * precision)
-    chunks = 1
-    for (prev_c, prev_r), (cur_c, cur_r) in zip(pairs, pairs[1:]):
-        if cur_c != prev_c + 1 or cur_r != prev_r + 1:
-            chunks += 1
-    penalty = 0.5 * (chunks / m) ** 3
-    return fmean * (1 - penalty)
+    return rouge_l_and_meteor(cand, ref)[1]
 
 
 def semantic_scores(semantic: SemanticScorer | None, cands: Sequence[str], ref: str, where: str) -> list[float]:
     """``semantic(cands, ref)`` as floats, one per candidate, with
     :func:`char_trigram_cosine` when ``semantic`` is None. A result that is
-    not one finite real number per candidate (Python's or numpy's ints and
-    floats, not a bool) raises ValueError naming ``where``; an exception
-    the scorer raises propagates unchanged."""
+    not one real number in [0, 1] per candidate (Python's or numpy's ints
+    and floats, not a bool) raises ValueError naming ``where``; an
+    exception the scorer raises propagates unchanged."""
     result = (char_trigram_cosine if semantic is None else semantic)(cands, ref)
     try:
         scores = list(result)
     except TypeError:
         scores = None
-    if scores is None or len(scores) != len(cands) or any(kind_problem("real", score) for score in scores):
+    # The range is checked before float(), so an int too large for a float is refused by name.
+    if (
+        scores is None
+        or len(scores) != len(cands)
+        or any(kind_problem("real", score) or not 0 <= score <= 1 for score in scores)
+    ):
         raise ValueError(
-            "semantic scorer gave %r for the %d candidate(s) of %s; expected one real number per candidate"
+            "semantic scorer gave %r for the %d candidate(s) of %s; expected one real number in [0, 1] per candidate"
             % (result, len(cands), where)
         )
     return [float(score) for score in scores]
@@ -247,19 +255,26 @@ def char_trigram_cosine(cands: Sequence[str], ref: str) -> list[float]:
     absolute values. A reference and its candidates are profiled together:
     one UTF-32 encoding of their joined NFC forms, each trigram packed from
     three 21-bit code points into one int64 key (a lone surrogate is a code
-    point like any other), the keys that lie inside one string numbered by
-    one ``np.unique``, and one (1 + n, d) table of counts, the reference's
-    row first. Every dot product and squared norm is an exact integer, so a
-    score equals the ``Counter``-of-strings cosine kept as
-    ``tests/oracles.py:trigram_cosine`` bit for bit.
+    point like any other), the keys that lie inside one string numbered in
+    ascending order by one ``np.argsort`` (a column starts where the sorted
+    key changes, and a ``cumsum`` of those starts numbers it), and one
+    (1 + n, d) table of counts, the reference's row first. Every dot
+    product and squared norm is an exact integer, so a score equals the
+    ``Counter``-of-strings cosine kept as ``tests/oracles.py:trigram_cosine``
+    bit for bit.
     """
     texts = [unicodedata.normalize("NFC", text) for text in (ref, *cands)]
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
     owner = np.repeat(np.arange(len(texts)), list(map(len, texts)))
     inside = owner[:-2] == owner[2:]
-    keys, column = np.unique((codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:])[inside], return_inverse=True)
-    width = len(keys)
-    counts = np.bincount(owner[:-2][inside] * width + column, minlength=len(texts) * width)
+    keys = (codes[:-2] << 42 | codes[1:-1] << 21 | codes[2:])[inside]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    column = starts.cumsum() - 1
+    width = int(column[-1]) + 1 if len(column) else 0
+    counts = np.bincount(owner[:-2][inside][order] * width + column, minlength=len(texts) * width)
     table = counts.reshape(len(texts), width)
     dots = (table[1:] @ table[0]).tolist()
     ref_square, *squares = (table * table).sum(axis=1).tolist()

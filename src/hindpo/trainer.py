@@ -18,9 +18,8 @@ and parameters, and a run's are the same whichever modes train beside it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -28,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair, SchemaError
-from .fileio import check_kinds, kind_problem, write_atomic
+from .fileio import check_kinds, json_line, kind_problem, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
@@ -88,49 +87,10 @@ class TrainLog:
 
     def save(self, path: str | Path) -> Path:
         """One JSON object per record, keys in field order: the line
-        ``json.dumps(vars(record), ensure_ascii=False)``, byte for byte.
-
-        A record of a string stage, int epoch and step and finite floats is
-        written through one line template, its stage encoded by
-        ``json.dumps`` once per stage and its floats by ``float.__repr__``,
-        as ``json`` writes them. Any other record goes through
-        ``json.dumps`` itself, so it writes, or fails, as ``json.dumps``
-        does.
+        ``json.dumps(vars(record), ensure_ascii=False)``, byte for byte,
+        written through one line template by ``fileio.json_line``.
         """
-        return write_atomic(path, _json_lines(self.records))
-
-
-_FIELDS = tuple(f.name for f in fields(TrainStepRecord))
-_LINE = "{%s}\n" % ", ".join('"%s": %%s' % name for name in _FIELDS)
-_NON_FINITE = frozenset({"nan", "inf", "-inf"})
-
-
-def _template_line(values: dict, stages: dict[str, str]) -> str | None:
-    """A record's line through ``_LINE``, or None when the template cannot
-    write its ``values`` as ``json.dumps`` does. ``stages`` caches each
-    stage's JSON string."""
-    if tuple(values) != _FIELDS:
-        return None
-    stage, epoch, step, *floats = values.values()
-    if type(stage) is not str or type(epoch) is not int or type(step) is not int:
-        return None
-    try:
-        reprs = tuple(map(float.__repr__, floats))
-    except TypeError:  # not a float
-        return None
-    if not _NON_FINITE.isdisjoint(reprs):  # json writes NaN, Infinity, -Infinity
-        return None
-    if stage not in stages:
-        stages[stage] = json.dumps(stage, ensure_ascii=False)
-    return _LINE % (stages[stage], epoch, step, *reprs)
-
-
-def _json_lines(records: Sequence[TrainStepRecord]) -> Iterator[str]:
-    """Each record's line, as ``TrainLog.save`` writes it."""
-    stages: dict[str, str] = {}
-    for record in records:
-        values = vars(record)
-        yield _template_line(values, stages) or json.dumps(values, ensure_ascii=False) + "\n"
+        return write_atomic(path, map(json_line, self.records))
 
 
 def encode_pairs(pairs: Sequence[PreferencePair]) -> list[LossExample]:

@@ -145,6 +145,14 @@ def stack_alignment(cand, ref) -> list[tuple[int, int]]:
     return [(ci, free[token].pop()) for ci, token in enumerate(cand) if free.get(token)]
 
 
+def alignment_counts(cand, ref) -> tuple[int, int]:
+    """(matches, chunks) of the stack alignment, a chunk being a maximal
+    run of matches contiguous in both sequences."""
+    pairs = stack_alignment(cand, ref)
+    chunks = sum(1 for i, (ci, rj) in enumerate(pairs) if i == 0 or pairs[i - 1] != (ci - 1, rj - 1))
+    return len(pairs), chunks
+
+
 def meteor_reference(cand, ref) -> float:
     """Straight-line reimplementation of the exact-match METEOR formula."""
     matches = []

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import re
+import types
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hindpo import fileio
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import (
     BUCKET_BY_RANK,
@@ -599,3 +603,70 @@ def test_pair_dump_load_round_trip(tmp_path, pairs):
     loaded = load_pairs(first)
     assert loaded == pairs
     assert dump_pairs(loaded, tmp_path / "two.jsonl").read_bytes() == first.read_bytes()
+
+
+class _Rank(int):
+    """An int subclass; the pair template leaves it to json.dumps."""
+
+
+# Text with non-ASCII characters, quotes, backslashes, control characters
+# and the line separators JSON leaves unescaped.
+_ESCAPES = st.text() | st.text(alphabet='aé"\\/\x00\x01\x1f\x7f\t\n\r\u2028\u2029बक\U0001f600')
+# Values the template cannot write exactly, so json.dumps writes them.
+_FALLBACK_VALUES = [float("nan"), float("inf"), float("-inf"), True, False, np.float64(0.25), _Rank(1)]
+_PAIR_FIELDS = [f.name for f in dataclasses.fields(PreferencePair)]
+
+
+@st.composite
+def _any_pairs(draw):
+    # A pair built without validate, its texts drawn to need escaping,
+    # and maybe one field set to a value the template leaves to json.dumps.
+    pair = PreferencePair(
+        **{name: draw(_ESCAPES) for name in ("id", "article_id", "model_id", "prompt", "preferred", "rejected")},
+        candidate_index=draw(st.integers()),
+        s_w=draw(_SCORES),
+        s_l=draw(_SCORES),
+        fs=draw(st.integers() | st.floats()),
+        rank=draw(st.integers()),
+        bucket=draw(st.none() | _ESCAPES),
+    )
+    if draw(st.booleans()):
+        setattr(pair, draw(st.sampled_from(_PAIR_FIELDS)), draw(st.sampled_from(_FALLBACK_VALUES)))
+    return pair
+
+
+def _oracle_lines(pairs) -> bytes:
+    return "".join(json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n" for p in pairs).encode("utf-8")
+
+
+_PLAIN_PAIR = dict(
+    id='é"\\\x01\u2028', article_id="a", candidate_index=0, model_id="m", prompt="p", preferred="w", rejected="l",
+    fs=0.5, rank=0,
+)
+
+
+@settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(_any_pairs(), max_size=4))
+@example(pairs=[PreferencePair(**_PLAIN_PAIR), PreferencePair(**{**_PLAIN_PAIR, "s_w": 0.25, "s_l": 1.0, "bucket": "B_H"})])
+@example(pairs=[PreferencePair(**{**_PLAIN_PAIR, "fs": value}) for value in _FALLBACK_VALUES])
+@example(pairs=[PreferencePair(**{**_PLAIN_PAIR, "s_w": np.float64(0.5), "rank": _Rank(2), "candidate_index": True})])
+def test_each_pair_line_is_one_json_dumps(tmp_path, pairs):
+    assert dump_pairs(pairs, tmp_path / "pairs.jsonl").read_bytes() == _oracle_lines(pairs)
+
+
+def test_plain_pairs_never_call_json_dumps(tmp_path, monkeypatch):
+    # Pairs of the field types go through the line template alone; a NaN fs
+    # goes through json.dumps, once.
+    pairs = forge(toy_corpus()).curriculum.all_pairs()
+    odd = PreferencePair(**{**_PLAIN_PAIR, "fs": float("nan")})
+    dumped = []
+
+    def dumps(obj, **kwargs):
+        dumped.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(fileio, "json", types.SimpleNamespace(dumps=dumps))
+    path = dump_pairs(pairs + [odd], tmp_path / "pairs.jsonl")
+    monkeypatch.undo()
+    assert path.read_bytes() == _oracle_lines(pairs + [odd])
+    assert dumped == [odd.to_json_dict()]

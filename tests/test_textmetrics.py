@@ -3,15 +3,14 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hindpo import textmetrics
 from hindpo.textmetrics import (
-    _greedy_alignment,
-    _lcs_length,
     _position_masks,
     _reference_masks,
+    _walk,
     char_trigram_cosine,
     final_score,
     meteor,
@@ -24,6 +23,7 @@ from hindpo.corpora import toy_corpus
 from hindpo.dataforge import forge, score_and_rank
 from hindpo.evalharness import evaluate
 from oracles import (
+    alignment_counts,
     batched,
     lcs_dp,
     meteor_reference,
@@ -278,7 +278,7 @@ class TestRougeL:
             size = int(rng.integers(1, 9))
             a = ["t%d" % i for i in rng.integers(0, size, rng.integers(0, 81))]
             b = ["t%d" % i for i in rng.integers(0, size, rng.integers(0, 81))]
-            assert _lcs_length(a, b) == lcs_dp(a, b)
+            assert _walk(a, b) == (lcs_dp(a, b), *alignment_counts(a, b))
 
     def test_matches_dp_oracle_across_word_boundaries(self):
         # Reference lengths 60-300 put the position masks across the 64- and
@@ -288,18 +288,18 @@ class TestRougeL:
             for _ in range(15):
                 a = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
                 b = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
-                assert _lcs_length(a, b) == lcs_dp(a, b)
+                assert _walk(a, b) == (lcs_dp(a, b), *alignment_counts(a, b))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
     def test_distinct_and_identical_pairs(self, n):
         rng = np.random.default_rng(n)
         tokens = ["t%d" % i for i in range(n)]
         shuffled = [tokens[i] for i in rng.permutation(n)]
-        assert _lcs_length(tokens, tokens) == n
-        assert _lcs_length(shuffled, shuffled) == n
-        assert _lcs_length(tokens, ["u%d" % i for i in range(n)]) == 0
-        assert _lcs_length(tokens, shuffled) == lcs_dp(tokens, shuffled)
-        assert _lcs_length(shuffled, tokens) == lcs_dp(shuffled, tokens)
+        assert _walk(tokens, tokens) == (n, n, 1)
+        assert _walk(shuffled, shuffled) == (n, n, 1)
+        assert _walk(tokens, ["u%d" % i for i in range(n)]) == (0, 0, 0)
+        assert _walk(tokens, shuffled) == (lcs_dp(tokens, shuffled), *alignment_counts(tokens, shuffled))
+        assert _walk(shuffled, tokens) == (lcs_dp(shuffled, tokens), *alignment_counts(shuffled, tokens))
 
 
 class TestMeteor:
@@ -431,8 +431,10 @@ class TestSemanticScore:
     @pytest.mark.parametrize(
         "result",
         [[0.5, 0.5], [0.5] * 4, [], [0.5, float("nan"), 0.5], [0.5, float("inf"), 0.5],
-         [0.5, "0.5", 0.5], [0.5, None, 0.5], [True, 0.5, 0.5], 0.5, None],
-        ids=["two", "four", "none", "nan", "inf", "str", "None", "bool", "a-float", "no-list"],
+         [0.5, "0.5", 0.5], [0.5, None, 0.5], [True, 0.5, 0.5], 0.5, None,
+         [0.5, 5.0, 0.5], [0.5, -0.25, 0.5], [0.5, 10**400, 0.5]],
+        ids=["two", "four", "none", "nan", "inf", "str", "None", "bool", "a-float", "no-list",
+             "above-one", "below-zero", "int-too-large-for-a-float"],
     )
     def test_a_scorer_breaking_the_contract_fails_naming_the_article(self, result):
         # One real number per candidate, or a ValueError naming the article,
@@ -444,8 +446,11 @@ class TestSemanticScore:
             forge(toy_corpus()[:4], semantic=lambda cands, ref: result)
 
     @pytest.mark.parametrize(
-        "result", [[], [0.5, 0.5], [float("nan")], ["0.5"], [None], [False], 0.5, [np.float32("nan")], [np.bool_(True)]],
-        ids=["none", "two", "nan", "str", "None", "bool", "a-float", "numpy-nan", "numpy-bool"],
+        "result",
+        [[], [0.5, 0.5], [float("nan")], ["0.5"], [None], [False], 0.5, [np.float32("nan")], [np.bool_(True)],
+         [5.0], [np.float64(-0.25)], [2], [10**400]],
+        ids=["none", "two", "nan", "str", "None", "bool", "a-float", "numpy-nan", "numpy-bool",
+             "above-one", "numpy-below-zero", "int-above-one", "int-too-large-for-a-float"],
     )
     def test_a_scorer_breaking_the_contract_fails_naming_the_pair(self, result):
         calls = []
@@ -547,6 +552,10 @@ class TestSelfSimilarityIsMaximal:
 # exercises the separator and case rules far more often.
 _TEXTS = st.text() | st.text(alphabet="aAbB .,!?।\t\nकखगा्ि")
 _TOKENS = st.lists(st.sampled_from("abcdef"), max_size=40)
+# Two token lists over one alphabet of 1, 2, 3 or 6 tokens, so repeats abound.
+_TOKEN_PAIRS = st.sampled_from(["a", "ab", "abc", "abcdef"]).flatmap(
+    lambda alphabet: st.tuples(*[st.lists(st.sampled_from(alphabet), max_size=40)] * 2)
+)
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=500)
 _TABLES = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -560,9 +569,15 @@ class TestProperties:
         assert tokenize(" ".join(tokens)) == tokens
 
     @_PROPERTY
-    @given(a=_TOKENS, b=_TOKENS)
-    def test_lcs_length_is_the_dynamic_program(self, a, b):
-        assert _lcs_length(a, b) == lcs_dp(a, b)
+    @given(sides=_TOKEN_PAIRS)
+    @example(sides=([], []))
+    @example(sides=([], list("aab")))
+    @example(sides=(list("aab"), []))
+    @example(sides=(list("aaaa"), list("aa")))
+    def test_walk_is_the_dynamic_program_and_the_stack_alignment(self, sides):
+        a, b = sides
+        assert _walk(a, b) == (lcs_dp(a, b), *alignment_counts(a, b))
+        assert _bits([meteor(a, b)]) == _bits([meteor_reference(a, b)])
 
     @_PROPERTY
     @given(a=_TOKENS, b=_TOKENS)
@@ -631,6 +646,28 @@ class TestSharedTables:
         assert _bits(scores) == _bits(trigram_profile_cosine(cand, ref) for cand in cands)
         assert _bits(char_trigram_cosine([cand], ref)[0] for cand in cands) == _bits(scores)
 
+    @pytest.mark.parametrize(
+        "cands, ref",
+        [
+            (["", "a", "ab", "\ud800b", "ab"], "xy"),
+            (["ab", "aa"], "aa"),
+            (["abcd", "x"], "xy"),
+            ([], "abcd"),
+            ([], ""),
+            (["abcabc", "abcabc", "abcabc"], "abcabc"),
+            (["aaaaaa", "aaa"], "aaaa"),
+            (["\ud800\udfff\ud800", "\ud800\ud800\ud800\ud800", "a\udc00b\ud800", "\udfff"], "\ud800\ud800\ud800\udfff\ud800"),
+        ],
+        ids=[
+            "no-trigram", "no-trigram-identical", "candidate-only", "no-candidate", "nothing",
+            "identical", "one-key", "lone-surrogates",
+        ],
+    )
+    def test_trigram_run_boundaries_equal_the_oracle_bit_for_bit(self, cands, ref):
+        # Texts without a trigram, no candidate, identical texts and lone
+        # surrogates: the cases the sorted run starts of one table must handle.
+        assert _bits(char_trigram_cosine(cands, ref)) == _bits(trigram_cosine(cand, ref) for cand in cands)
+
     def test_trigram_scores_of_the_long_explanations(self):
         texts = _long_explanations()
         for i in range(0, len(texts), 4):
@@ -645,7 +682,7 @@ class TestSharedTables:
         # table turns over on every call.
         for cand in cands:
             for ref in refs:
-                assert _lcs_length(cand, ref) == lcs_dp(cand, ref)
+                assert _walk(cand, ref) == (lcs_dp(cand, ref), *alignment_counts(cand, ref))
                 masks = {token: sum(1 << j for j, t in enumerate(ref) if t == token) for token in ref}
                 assert _reference_masks(ref) == _position_masks(ref) == masks
 
@@ -654,8 +691,8 @@ class TestSharedTables:
     def test_alignment_from_the_shared_table_is_the_stack_alignment(self, refs, cands):
         for cand in cands:
             for ref in refs:
-                assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref)
-                assert meteor(cand, ref) == pytest.approx(meteor_reference(cand, ref), abs=1e-14)
+                assert _walk(cand, ref)[1:] == alignment_counts(cand, ref)
+                assert _bits([meteor(cand, ref)]) == _bits([meteor_reference(cand, ref)])
 
     def test_alignment_matches_across_word_boundaries(self):
         rng = np.random.default_rng(47)
@@ -663,7 +700,7 @@ class TestSharedTables:
             for _ in range(15):
                 a = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
                 b = ["t%d" % i for i in rng.integers(0, size, rng.integers(60, 301))]
-                assert _greedy_alignment(a, b) == stack_alignment(a, b)
+                assert _walk(a, b)[1:] == alignment_counts(a, b)
 
     @_TABLES
     @given(
@@ -689,16 +726,15 @@ class TestSharedTables:
                 ref.pop(at % len(ref))
             ref = refs[current]
             assert rouge_l(cand, ref) == rouge_l(cand, list(ref))
-            assert _lcs_length(cand, ref) == lcs_dp(cand, ref)
-            assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref)
+            assert _walk(cand, ref) == (lcs_dp(cand, ref), *alignment_counts(cand, ref))
             assert _reference_masks(ref) == _position_masks(ref)
 
     def test_a_reference_changed_in_place_is_read_again(self):
         cand, ref = list("abcab"), list("abcab")
-        assert _lcs_length(cand, ref) == 5
+        assert _walk(cand, ref) == (5, 5, 1)
         ref[0], ref[4] = "x", "y"
-        assert _lcs_length(cand, ref) == lcs_dp(cand, ref) == 3
-        assert _greedy_alignment(cand, ref) == stack_alignment(cand, ref) == [(0, 3), (1, 1), (2, 2)]
+        assert _walk(cand, ref) == (lcs_dp(cand, ref), *alignment_counts(cand, ref)) == (3, 3, 2)
+        assert stack_alignment(cand, ref) == [(0, 3), (1, 1), (2, 2)]
         ref.clear()
-        assert _lcs_length(cand, ref) == 0
+        assert _walk(cand, ref) == (0, 0, 0)
         assert meteor(cand, ref) == 0.0

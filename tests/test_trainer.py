@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hindpo import trainer
+from hindpo import fileio, trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, SchemaError, forge
 from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
@@ -680,20 +680,21 @@ class TestTrainLogBytes:
         assert path.read_bytes() == (oracles.trainlog_line(extra) + oracles.trainlog_line(moved)).encode("utf-8")
         assert [list(json.loads(line))[-1] for line in path.read_text(encoding="utf-8").splitlines()] == ["note", "loss"]
 
-    def test_plain_records_encode_each_stage_once(self, monkeypatch):
-        # Records of the field types go through the line template: json.dumps
-        # encodes only each stage's name, once.
+    def test_plain_records_never_call_json_dumps(self, tmp_path, monkeypatch):
+        # Records of the field types go through the line template alone.
         encoded = []
 
         def dumps(obj, **kwargs):
             encoded.append(obj)
             return json.dumps(obj, **kwargs)
 
-        monkeypatch.setattr(trainer, "json", types.SimpleNamespace(dumps=dumps))
         stages = ["B_L"] * 3 + ["B_M"] * 2
         records = [TrainStepRecord(stage, 1, step, 0.5, 0.25, 1.0, 0.125, 2.0) for step, stage in enumerate(stages)]
-        assert list(trainer._json_lines(records)) == [oracles.trainlog_line(r) for r in records]
-        assert encoded == ["B_L", "B_M"]
+        monkeypatch.setattr(fileio, "json", types.SimpleNamespace(dumps=dumps))
+        path = TrainLog(records).save(tmp_path / "log.jsonl")
+        monkeypatch.undo()
+        assert path.read_bytes() == "".join(map(oracles.trainlog_line, records)).encode("utf-8")
+        assert encoded == []
 
     @pytest.mark.parametrize("value", [object(), np.float32(0.5), np.int64(3), "0.5"])
     def test_a_non_float_value_writes_or_fails_as_json_dumps_does(self, tmp_path, value):
