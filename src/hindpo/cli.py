@@ -35,7 +35,7 @@ import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
-from .fileio import kind_problem, write_atomic
+from .fileio import check_object, write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TrainConfig
@@ -45,27 +45,6 @@ GRADCHECK_TOLERANCE = 1e-5
 _SPLIT_KEYS = ("train", "val", "test")
 _TRAIN_KEYS = ("epochs_per_stage", "learning_rate", "batch_size", "refresh_reference_per_stage")
 _EVAL_KEYS = ("max_len", "temperature")
-
-
-def _check_section(section: object, kinds: dict, where: str) -> None:
-    """ValueError naming ``where`` and the key for any key not in
-    ``kinds`` and any value with a ``kind_problem`` (``json`` reads NaN and
-    Infinity, which are not finite); a dict in ``kinds`` is a nested
-    section, checked in turn."""
-    problem = kind_problem("dict", section)
-    if problem:
-        raise ValueError("config %s %s" % (where, problem))
-    unknown = set(section) - set(kinds)
-    if unknown:
-        raise ValueError("unknown config keys in %s: %s" % (where, sorted(unknown)))
-    for key, value in section.items():
-        kind = kinds[key]
-        if isinstance(kind, dict):
-            _check_section(value, kind, "%s section %r" % (where, key))
-            continue
-        problem = kind_problem(kind, value)
-        if problem:
-            raise ValueError("config %s key %r %s" % (where, key, problem))
 
 
 @dataclass
@@ -112,7 +91,7 @@ class RunConfig(TrainConfig):
         split = data.get("split") if isinstance(data, dict) else None
         if isinstance(split, list) and len(split) == len(_SPLIT_KEYS):
             data["split"] = dict(zip(_SPLIT_KEYS, split))
-        _check_section(data, kinds, str(path))
+        check_object(data, kinds, "config %s" % path, ValueError)
         kwargs = {key: value for key, value in data.items() if not isinstance(kinds[key], dict)}
         if "split" in data:
             kwargs["split"] = tuple(data["split"].get(key, d) for key, d in zip(_SPLIT_KEYS, DEFAULT_SPLIT))

@@ -30,13 +30,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import check_kinds, check_seed, json_line, kind_problem, write_atomic
+from .fileio import check_kinds, check_object, check_seed, json_line, kind_problem, write_atomic
 from .textmetrics import SemanticScorer, final_score, rouge_l_and_meteor, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
@@ -192,14 +193,16 @@ class CurriculumDataset:
 # Corpus I/O
 
 
-def _parse_jsonl(path: Path, lines: Iterable[str], parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """(line number, parsed record) of each non-blank line of the JSONL
-    file ``path`` read as ``lines``; errors name the file and line."""
+def _parse_jsonl(path: Path, lines: Iterable[bytes], parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """(line number, record) of each non-blank line of the JSONL file ``path``,
+    decoded from the byte ``lines`` one at a time; errors name the file and line."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            yield lineno, parse(json.loads(line))
+            text = line.decode("utf-8")
+            if text.strip():
+                yield lineno, parse(json.loads(text))
+        except UnicodeDecodeError as exc:
+            raise SchemaError("%s:%d: not UTF-8: %s" % (path, lineno, exc)) from exc
         except json.JSONDecodeError as exc:
             raise SchemaError("%s:%d: invalid JSON: %s" % (path, lineno, exc)) from exc
         except SchemaError as exc:
@@ -211,7 +214,7 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
     path = Path(path)
     records: list[ArticleRecord] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, record in _parse_jsonl(path, handle, ArticleRecord.from_json_dict):
             if record.id in seen_ids:
                 raise SchemaError("%s:%d: duplicate article id %r" % (path, lineno, record.id))
@@ -231,9 +234,12 @@ def embed_actuality(records: Iterable[ArticleRecord], path: str | Path) -> list[
     """
     path = Path(path)
     scores: dict[tuple[str, str], tuple[float, int]] = {}
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise ActualityError("%s:%d: not UTF-8: %s" % (path, lineno, exc)) from exc
             if not parts:
                 continue
             if len(parts) != 3 or parts[1] not in ACTUALITY_ROLES:
@@ -285,8 +291,7 @@ def articles_sha256(records: Iterable[ArticleRecord]) -> str:
 
 
 def _parse_pairs(path: Path, data: bytes) -> list[PreferencePair]:
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as lines:
-        return [pair for _, pair in _parse_jsonl(path, lines, PreferencePair.from_json_dict)]
+    return [pair for _, pair in _parse_jsonl(path, io.BytesIO(data), PreferencePair.from_json_dict)]
 
 
 def load_pairs(path: str | Path) -> list[PreferencePair]:
@@ -411,10 +416,14 @@ def split_articles(
     """Shuffle articles with the seed and split train/val/test by fraction.
 
     The split happens at article level so no article's pairs leak across
-    splits. A seed that is not an integer >= 0 raises ValueError.
+    splits; an article id given twice, or a seed that is not an integer
+    >= 0, raises ValueError.
     """
     _check_split(fractions)
     check_seed(seed)
+    repeated = [i for i, n in Counter(article.id for article in articles).items() if n > 1]
+    if repeated:
+        raise ValueError("duplicate article id %r" % repeated[0])
     rng = np.random.default_rng(seed)
     shuffled = [articles[i] for i in rng.permutation(len(articles))]
     n_train = int(round(fractions[0] * len(articles)))
@@ -529,20 +538,6 @@ _MANIFEST_KEYS = {"order": "str", "stages": "list", "val": "dict", "test": "dict
 _ENTRY_KEYS = {"file": "str", "pairs": "int", "sha256": "str"}
 
 
-def _check_keys(section: object, keys: dict[str, str], path: Path, where: str) -> None:
-    """SchemaError naming ``path`` unless ``section`` is an object holding
-    every key of ``keys`` with a value of its kind."""
-    problem = kind_problem("dict", section)
-    if problem:
-        raise SchemaError("%s: %s %s" % (path, where, problem))
-    for key, kind in keys.items():
-        if key not in section:
-            raise SchemaError("%s: %s has no key %r" % (path, where, key))
-        problem = kind_problem(kind, section[key])
-        if problem:
-            raise SchemaError("%s: %s key %r %s" % (path, where, key, problem))
-
-
 def read_manifest(out_dir: str | Path) -> dict:
     """The manifest ``emit_forge`` wrote in ``out_dir``. Invalid JSON, a
     key that train and eval read back missing or of the wrong type, or an
@@ -553,12 +548,12 @@ def read_manifest(out_dir: str | Path) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
-    _check_keys(manifest, _MANIFEST_KEYS, path, "the manifest")
+    check_object(manifest, _MANIFEST_KEYS, "%s: the manifest" % path, SchemaError, required=True)
     stage_keys = {"bucket": "str", **_ENTRY_KEYS}
     entries = [("stage entry %d" % i, entry, stage_keys) for i, entry in enumerate(manifest["stages"])]
     entries += [("the %s entry" % name, manifest[name], _ENTRY_KEYS) for name in ("val", "test")]
     for where, entry, keys in entries:
-        _check_keys(entry, keys, path, where)
+        check_object(entry, keys, "%s: %s" % (path, where), SchemaError, required=True)
         name = entry["file"]
         if name in ("", ".", "..") or Path(name).name != name:
             raise SchemaError(

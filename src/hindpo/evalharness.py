@@ -125,32 +125,13 @@ def report_table(reports: Sequence[MetricReport], json_path: str | Path | None =
     if not reports:
         raise ValueError("need at least one report")
     ordered = _ordered(reports)
-    best = {
-        column: max(getattr(r, column) for r in ordered) for column in _COLUMNS
-    }
-    rows = []
-    for report in ordered:
-        cells = []
-        for column in _COLUMNS:
-            value = getattr(report, column)
-            mark = "*" if value == best[column] else ""
-            cells.append("%.2f%s" % (value * 100, mark))
-        rows.append((report.config_name, cells))
-    name_width = max(len("Config"), max(len(name) for name, _ in rows))
-    widths = [
-        max(len(header), max(len(cells[i]) for _, cells in rows))
-        for i, header in enumerate(_HEADERS)
-    ]
-    lines = [
-        "  ".join(
-            ["Config".ljust(name_width)]
-            + [header.rjust(widths[i]) for i, header in enumerate(_HEADERS)]
-        )
-    ]
-    for name, cells in rows:
-        lines.append(
-            "  ".join([name.ljust(name_width)] + [cells[i].rjust(widths[i]) for i in range(len(cells))])
-        )
+    columns = [("Config", *(r.config_name for r in ordered))]
+    for column, header in zip(_COLUMNS, _HEADERS):
+        values = [getattr(r, column) for r in ordered]
+        best = max(values)
+        columns.append((header, *("%.2f%s" % (v * 100, "*" if v == best else "") for v in values)))
+    widths = [max(map(len, cells)) for cells in columns]
+    lines = ["  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]) for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if json_path is not None:
         payload = [{"config": r.config_name, **{c: getattr(r, c) for c in _COLUMNS}} for r in ordered]

@@ -1,5 +1,6 @@
 """The one kind table, ``KINDS``, that every config, config file, record,
-manifest and semantic-score check reads; the JSON line of a dataclass
+manifest and semantic-score check reads, and the one walker of a config
+file or manifest object against it; the JSON line of a dataclass
 record, written through one template per record class; and atomic
 artefact writes: a reader finds the old file or the whole new one at a
 path, never a half-written one."""
@@ -64,6 +65,31 @@ def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str =
             problem = kind_problem(kind, value)
             if problem:
                 raise error("%s%s %s" % (prefix, name, problem))
+
+
+def check_object(value: object, kinds: dict, where: str, error: type[Exception], required: bool = False) -> None:
+    """``error`` naming ``where`` unless ``value`` is an object whose keys
+    have values of their ``kinds`` (finite, though ``json`` reads NaN and
+    Infinity); a dict in ``kinds`` is a nested object, checked in turn as
+    ``<where> section <key>``. A file a person writes may omit keys but
+    hold no other; with ``required``, as for a file hindpo wrote, it must
+    hold every key of ``kinds`` and may hold others."""
+    problem = kind_problem("dict", value)
+    if problem:
+        raise error("%s %s" % (where, problem))
+    unknown = not required and sorted(set(value) - set(kinds))
+    if unknown:
+        raise error("unknown keys in %s: %s" % (where, unknown))
+    for key, kind in kinds.items():
+        if key not in value:
+            if required:
+                raise error("%s has no key %r" % (where, key))
+        elif isinstance(kind, dict):
+            check_object(value[key], kind, "%s section %r" % (where, key), error, required)
+        else:
+            problem = kind_problem(kind, value[key])
+            if problem:
+                raise error("%s key %r %s" % (where, key, problem))
 
 
 # The JSON text json.dumps(..., ensure_ascii=False) writes for a value of

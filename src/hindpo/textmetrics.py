@@ -3,21 +3,22 @@
 All scorers operate on token sequences produced by :func:`tokenize`, which
 is Unicode-aware: Devanagari grapheme clusters survive intact and only
 Latin letters are case-folded. It folds a whole string with one
-``str.translate`` through a table that learns each code point's folding
-on first sight and holds at most 4096 of them; the per-character loop it
+``str.translate`` through a table that learns each code point's folding on
+first sight and holds at most 4096 of them; the per-character loop it
 replaced is kept as ``tests/oracles.py:tokenize_loop``. Lexical metrics
 (ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L and METEOR come
-from one walk of the candidate (:func:`rouge_l_and_meteor`; :func:`rouge_l`
-and :func:`meteor` are its two halves) over one table per reference, each
-token mapped to an int bitmask of its positions; a one-entry cache keeps
-the table of the last reference, checked by equality, so the candidates of
-one reference share it. Each candidate token reads its mask once for both:
-one step of the bit-parallel longest common subsequence of Allison & Dix
-(1986) and Hyyrö (2004), which the tests check against the row-rolling
-dynamic program (``tests/oracles.py:lcs_dp``) and against brute-force
-enumeration, and METEOR's alignment, which takes the token's lowest free
-position bit and counts matches and chunks as it goes; the tests check
-those counts against the per-token position stacks it replaced, kept as
+from one walk of the candidate (:func:`rouge_l_and_meteor`;
+:func:`rouge_l` and :func:`meteor` are its two halves) over one table per
+reference, each token mapped to an int bitmask of its positions; a
+one-entry ``functools.lru_cache``, keyed by the token tuple, keeps the
+last reference's table, so the candidates of one reference share it. Each
+candidate token reads its mask once for both: one step of the bit-parallel
+longest common subsequence of Allison & Dix (1986) and Hyyrö (2004), which
+the tests check against the row-rolling dynamic program
+(``tests/oracles.py:lcs_dp``) and against brute-force enumeration, and
+METEOR's alignment, which takes the token's lowest free position bit and
+counts matches and chunks as it goes; the tests check those counts against
+the per-token position stacks it replaced, kept as
 ``tests/oracles.py:stack_alignment``.
 
 A semantic scorer is any function ``(candidates, reference) -> scores``
@@ -39,6 +40,7 @@ The weighted blend used to rank candidate explanations is
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -133,31 +135,15 @@ def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
     return PrfScore(precision, recall, _f1(precision, recall))
 
 
-# The last reference's table: (a copy of its tokens, its position masks).
-# One tuple, read and replaced whole, so a racing thread at worst builds a
-# table twice.
-_REFERENCE: tuple[TokenSequence, dict[str, int]] | None = None
-
-
-def _position_masks(ref: TokenSequence) -> dict[str, int]:
+@functools.lru_cache(maxsize=1)
+def _position_masks(ref: tuple[str, ...]) -> dict[str, int]:
     # Each token of ref mapped to the int whose bit j is set where ref[j]
-    # is that token.
+    # is that token. Keyed by a tuple, so a list changed in place after a
+    # call is never served a stale table.
     masks: dict[str, int] = {}
     for j, token in enumerate(ref):
         masks[token] = masks.get(token, 0) | (1 << j)
     return masks
-
-
-def _reference_masks(ref: TokenSequence) -> dict[str, int]:
-    # The position masks of ref, built once for a run of calls with an
-    # equal reference; a copy of the tokens is kept, so a list changed in
-    # place after the call is never served a stale table.
-    global _REFERENCE
-    cached = _REFERENCE
-    if cached is None or cached[0] != ref:
-        cached = (list(ref), _position_masks(ref))
-        _REFERENCE = cached
-    return cached[1]
 
 
 def _walk(cand: TokenSequence, ref: TokenSequence) -> tuple[int, int, int]:
@@ -173,7 +159,7 @@ def _walk(cand: TokenSequence, ref: TokenSequence) -> tuple[int, int, int]:
     free = full = (1 << len(ref)) - 1
     v = full
     matches = chunks = previous = 0
-    for mask in map(_reference_masks(ref).get, cand, repeat(0)):
+    for mask in map(_position_masks(tuple(ref)).get, cand, repeat(0)):
         if mask:
             u = v & mask
             v = ((v + u) | (v - u)) & full

@@ -276,6 +276,28 @@ class TestTrainEval:
         assert "stage_0_B_L.jsonl: holds 10 pairs, the manifest lists 45" in capsys.readouterr().err
         assert not (out / "policy_dpo.json").exists()
 
+    def test_non_utf8_corpus_and_stage_file_named_with_their_line(self, tmp_path, capsys):
+        # A 0xff byte opens line 3 of a corpus and line 2 of a stage file;
+        # the stage file keeps the manifest's sha256, so only decoding can stop it.
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        decode = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        first, second, *rest = (out / "toy_articles.jsonl").read_bytes().splitlines(keepends=True)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join([first, second, b"\xff" + rest[0], *rest[1:]]))
+        capsys.readouterr()
+        assert main(["forge", "--out", str(tmp_path / "other"), "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr() == ("", "error: %s:3: %s\n" % (corpus, decode))
+        stage = out / "stage_0_B_L.jsonl"
+        first, *rest = stage.read_bytes().splitlines(keepends=True)
+        stage.write_bytes(b"".join([first, b"\xff" + rest[0], *rest[1:]]))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["stages"][0]["sha256"] = hashlib.sha256(stage.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["train", "--out", str(out), "--seed", "7", "--mode", "dpo"]) == 1
+        assert capsys.readouterr() == ("", "error: %s:2: %s\n" % (stage, decode))
+        assert not (out / "policy_dpo.json").exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -93,6 +93,16 @@ class TestLoadArticles:
         with pytest.raises(SchemaError, match=":4: invalid JSON"):
             load_articles(path)
 
+    def test_non_utf8_line_names_file_and_line(self, tmp_path):
+        good = json.dumps(make_record("a").to_json_dict(), ensure_ascii=False).encode("utf-8")
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(good + b"\r\n" + good.replace(b'"a"', b'"\xff"', 1) + b"\n")
+        with pytest.raises(SchemaError, match=r"c\.jsonl:2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 8"):
+            load_articles(path)
+        # Lines end at "\n", so a CRLF line ending is whitespace after the JSON.
+        path.write_bytes(good + b"\r\n" + good.replace(b'"a"', b'"b"', 1) + b"\r\n")
+        assert [r.id for r in load_articles(path)] == ["a", "b"]
+
     def test_duplicate_id(self, tmp_path):
         path = dump_articles([make_record("a"), make_record("a")], tmp_path / "c.jsonl")
         with pytest.raises(SchemaError, match="duplicate"):
@@ -305,6 +315,12 @@ class TestActuality:
         with pytest.raises(ActualityError, match=r"act\.txt:1: bad score 'x'"):
             embed_actuality([make_record()], path)
 
+    def test_file_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "act.txt"
+        path.write_bytes(b"art-1 pref 0.5\nart-1 cand0 0.\xff\n")
+        with pytest.raises(ActualityError, match=r"act\.txt:2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 14"):
+            embed_actuality([make_record()], path)
+
     def test_file_duplicate_line_rejected(self, tmp_path):
         path = write_actuality(tmp_path, "r1 pref 0.2\nr1 cand0 0.5\nr1 pref 0.9\n")
         with pytest.raises(ActualityError, match=r"act\.txt:3: duplicate pref .*'r1'.*line 1"):
@@ -352,6 +368,13 @@ class TestSplit:
         assert [[r.id for r in part] for part in first] == [
             [r.id for r in part] for part in second
         ]
+
+    @pytest.mark.parametrize("call", [split_articles, forge], ids=["split_articles", "forge"])
+    def test_repeated_article_id_rejected(self, call):
+        # Split by record, the two art-001 records could land in two splits.
+        articles = toy_corpus() + [dataclasses.replace(toy_corpus()[0], news_text="x y")]
+        with pytest.raises(ValueError, match=r"^duplicate article id 'art-001'$"):
+            call(articles, seed=0)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
@@ -503,6 +526,14 @@ def test_load_pairs_skips_blank_lines_but_counts_them(tmp_path):
     assert [p.to_json_dict() for p in load_pairs(path)] == [good]
     path.write_text("\n" + json.dumps(good) + "\n  \n{not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"pairs\.jsonl:4: invalid JSON"):
+        load_pairs(path)
+
+
+def test_load_pairs_names_a_non_utf8_line(tmp_path):
+    good = json.dumps(score_and_rank(make_record())[0].to_json_dict()).encode("utf-8")
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(good + b"\n\n" + good[:-1] + b'\xff}\n')
+    with pytest.raises(SchemaError, match=r"pairs\.jsonl:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position %d" % (len(good) - 1)):
         load_pairs(path)
 
 

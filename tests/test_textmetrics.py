@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hindpo import textmetrics
 from hindpo.textmetrics import (
     _position_masks,
-    _reference_masks,
     _walk,
     char_trigram_cosine,
     final_score,
@@ -477,26 +476,31 @@ class TestSemanticScore:
         from dataclasses import replace
 
         records = [replace(r, ground_truth_explanation="%s %s" % (r.ground_truth_explanation, r.id)) for r in toy_corpus()]
-        calls, builds = [], []
+        calls, keys = [], []
 
         def counting(cands, ref):
             calls.append((list(cands), ref))
             return char_trigram_cosine(cands, ref)
 
-        build = textmetrics._position_masks
+        cached = textmetrics._position_masks
 
-        def counting_build(ref):
-            builds.append(tuple(ref))
-            return build(ref)
+        def recording(ref):
+            keys.append(ref)
+            return cached(ref)
 
-        monkeypatch.setattr(textmetrics, "_position_masks", counting_build)
-        monkeypatch.setattr(textmetrics, "_REFERENCE", None)
+        # Every table the walk reads comes through the one-entry cache; a
+        # miss builds one. As many misses as distinct references, each of
+        # them a ground truth, is one build per article.
+        monkeypatch.setattr(textmetrics, "_position_masks", recording)
+        cached.cache_clear()
         result = forge(records, semantic=counting)
+        info = cached.cache_info()
         truths = sorted(r.ground_truth_explanation for r in records)
-        assert len(set(truths)) == len(records)
+        assert len(set(truths)) == len(records) == 60
         assert sorted(ref for _, ref in calls) == truths
         assert all(len(cands) == 3 for cands, _ in calls)
-        assert sorted(builds) == sorted(tuple(tokenize(truth)) for truth in truths)
+        assert sorted(set(keys)) == sorted(tuple(tokenize(truth)) for truth in truths)
+        assert (info.misses, info.hits, info.maxsize) == (len(records), 2 * len(records), 1) == (60, 120, 1)
         monkeypatch.undo()
         default = forge(records)
         assert (result.curriculum.stages, result.val_pairs, result.test_pairs) == (
@@ -684,7 +688,7 @@ class TestSharedTables:
             for ref in refs:
                 assert _walk(cand, ref) == (lcs_dp(cand, ref), *alignment_counts(cand, ref))
                 masks = {token: sum(1 << j for j, t in enumerate(ref) if t == token) for token in ref}
-                assert _reference_masks(ref) == _position_masks(ref) == masks
+                assert _position_masks(tuple(ref)) == _position_masks.__wrapped__(tuple(ref)) == masks
 
     @_TABLES
     @given(refs=st.lists(_TOKENS, min_size=1, max_size=3), cands=st.lists(_TOKENS, max_size=6))
@@ -727,7 +731,7 @@ class TestSharedTables:
             ref = refs[current]
             assert rouge_l(cand, ref) == rouge_l(cand, list(ref))
             assert _walk(cand, ref) == (lcs_dp(cand, ref), *alignment_counts(cand, ref))
-            assert _reference_masks(ref) == _position_masks(ref)
+            assert _position_masks(tuple(ref)) == _position_masks.__wrapped__(tuple(ref))
 
     def test_a_reference_changed_in_place_is_read_again(self):
         cand, ref = list("abcab"), list("abcab")
