@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
-from .fileio import check_object, write_atomic
+from .fileio import check_object, check_value, ranged, read_json, write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TrainConfig
@@ -55,31 +54,22 @@ class RunConfig(TrainConfig):
     out_dir: str = "out"
     order: str = "algorithm1"
     split: tuple[float, float, float] = DEFAULT_SPLIT
-    noise_std: float = 0.01
-    eval_max_len: int = 24
-    eval_temperature: float = 0.0
+    noise_std: float = ranged(0.01, ">=", 0)
+    eval_max_len: int = ranged(24, ">=", 1)
+    eval_temperature: float = ranged(0.0, ">=", 0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_split(self.split)
         if self.order not in STAGE_ORDERS:
             raise ValueError("order must be one of %s" % sorted(STAGE_ORDERS))
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.eval_max_len < 1:
-            raise ValueError("eval max_len must be >= 1")
-        if self.eval_temperature < 0:
-            raise ValueError("eval temperature must be >= 0")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Read a JSON config; absent keys keep the defaults. Invalid JSON,
-        unknown keys, values of the wrong type and values out of range raise
-        ValueError naming the file."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # a JSON or UTF-8 decoding error
-            raise ValueError("config %s: invalid JSON: %s" % (path, exc)) from exc
+        """Read a JSON config; absent keys keep the defaults. Bytes that are
+        not UTF-8 JSON, unknown keys, values of the wrong type and values out
+        of range raise ValueError naming the file."""
+        data = read_json(path, ValueError, "config %s" % path)
         own = {f.name: f.type for f in fields(cls)}
         kinds = {
             **{key: own[key] for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
@@ -280,8 +270,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValueError("--tolerance must be a finite number > 0, got %r" % args.tolerance)
+    check_value("--tolerance", "float", (">", 0), args.tolerance)
     config = _resolve_config(args)
     mode = config.loss.mode
     error, report_path = _run_gradcheck(config, mode, args.tolerance)

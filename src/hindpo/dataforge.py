@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import check_kinds, check_object, check_seed, json_line, kind_problem, write_atomic
+from .fileio import check_kinds, check_object, check_seed, json_line, kind_problem, read_json, write_atomic
 from .textmetrics import SemanticScorer, final_score, rouge_l_and_meteor, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
@@ -539,15 +539,13 @@ _ENTRY_KEYS = {"file": "str", "pairs": "int", "sha256": "str"}
 
 
 def read_manifest(out_dir: str | Path) -> dict:
-    """The manifest ``emit_forge`` wrote in ``out_dir``. Invalid JSON, a
-    key that train and eval read back missing or of the wrong type, or an
+    """The manifest ``emit_forge`` wrote in ``out_dir``. Bytes that are not
+    UTF-8 JSON, a key that train and eval read back missing or of the
+    wrong type, or an
     entry whose ``file`` is not a bare file name (so would be read from
     outside ``out_dir``) raises :class:`SchemaError` naming the file."""
     path = Path(out_dir) / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSON or UTF-8 decoding error
-        raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
+    manifest = read_json(path, SchemaError, str(path))
     check_object(manifest, _MANIFEST_KEYS, "%s: the manifest" % path, SchemaError, required=True)
     stage_keys = {"bucket": "str", **_ENTRY_KEYS}
     entries = [("stage entry %d" % i, entry, stage_keys) for i, entry in enumerate(manifest["stages"])]

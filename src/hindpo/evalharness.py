@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import check_seed, kind_problem, write_atomic
+from .fileio import check_seed, check_value, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
 from .textmetrics import SemanticScorer, rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
@@ -52,16 +52,13 @@ def generate(
     0 samples with a generator seeded once for the whole batch, so the
     same seed reproduces the same outputs, from one temperature table for
     all prompts (``BigramPolicy.sample_responses``). A ``max_len`` that is
-    not an integer >= 1, or a temperature that is negative or not a number
-    (a bool is not), raises ValueError before any prompt is read; so, when
-    sampling starts, does a NaN or infinite one. So does a seed that is not
-    an integer >= 0, even for greedy decoding.
+    not an integer >= 1, a temperature that is not a finite number >= 0 or
+    a seed that is not an integer >= 0 (a bool is none of them) raises
+    ValueError before any prompt is read, even for greedy decoding.
     """
     check_decoding(max_len)
     check_seed(seed)
-    # Any float passes the kind check, so a NaN or infinite one reaches the sampler's own message.
-    if (not isinstance(temperature, float) and kind_problem("float", temperature)) or temperature < 0:
-        raise ValueError("temperature must be a finite number >= 0, got %r" % (temperature,))
+    check_value("temperature", "float", (">=", 0), temperature)
     rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]
     if temperature == 0:

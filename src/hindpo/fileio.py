@@ -1,6 +1,7 @@
 """The one kind table, ``KINDS``, that every config, config file, record,
-manifest and semantic-score check reads, and the one walker of a config
-file or manifest object against it; the JSON line of a dataclass
+manifest and semantic-score check reads, and the ranges declared beside
+kinds; the one walker of a config file or manifest object against it, and
+the one JSON file reader; the JSON line of a dataclass
 record, written through one template per record class; and atomic
 artefact writes: a reader finds the old file or the whole new one at a
 path, never a half-written one."""
@@ -10,11 +11,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
-from dataclasses import fields
+from dataclasses import field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -43,28 +45,57 @@ def kind_problem(kind: str, value: object) -> str | None:
     return None
 
 
+# A range, (op, bound), holds a number of its kind to ``value <op> bound``.
+_RANGE_OPS = {">": operator.gt, ">=": operator.ge}
+
+
+def _range_problem(limit: tuple[str, int], value: Any) -> str | None:
+    """Why the number ``value`` is outside the range ``limit``; None when it is inside."""
+    op, bound = limit
+    return None if _RANGE_OPS[op](value, bound) else "must be %s %s, got %r" % (op, bound, value)
+
+
+def ranged(default: object, op: str, bound: int) -> Any:
+    """A dataclass field with ``default`` whose value ``check_kinds`` holds to ``<op> <bound>``."""
+    return field(default=default, metadata={"range": (op, bound)})
+
+
+def check_value(name: str, kind: str, limit: tuple[str, int], value: object) -> None:
+    """ValueError naming the argument ``name`` unless ``value`` is of ``kind``
+    and inside the range ``limit``, in ``check_kinds``' words for a field."""
+    problem = kind_problem(kind, value) or _range_problem(limit, value)
+    if problem:
+        raise ValueError("%s %s" % (name, problem))
+
+
 def check_seed(seed: object) -> None:
     """ValueError naming the seed unless it is an integer >= 0; a bool is not one."""
-    problem = kind_problem("int", seed) or (seed < 0 and "must be >= 0, got %d" % seed)
-    if problem:
-        raise ValueError("seed %s" % problem)
+    check_value("seed", "int", (">=", 0), seed)
 
 
 @functools.cache
-def _kinded_fields(cls: type) -> tuple[tuple[str, str, frozenset], ...]:
-    """(name, kind, types all of whose values are of the kind) per kinded field of ``cls``."""
-    return tuple((f.name, f.type, frozenset(KINDS[f.type][1]) - {float}) for f in fields(cls) if f.type in KINDS)
+def _kinded_fields(cls: type) -> tuple[tuple[tuple[str, str, frozenset], ...], tuple[tuple[str, tuple], ...]]:
+    """(name, kind, types all of whose values are of the kind) per kinded
+    field of ``cls``, and (name, range) per field that declares a range."""
+    kinded = tuple((f.name, f.type, frozenset(KINDS[f.type][1]) - {float}) for f in fields(cls) if f.type in KINDS)
+    return kinded, tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
 
 
 def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str = "") -> None:
     """``error`` naming ``prefix`` and the field for the first field of the
-    dataclass ``part``'s own class whose value has a ``kind_problem``."""
-    for name, kind, plain in _kinded_fields(type(part)):
+    dataclass ``part``'s own class whose value has a ``kind_problem``, then
+    for the first outside its declared range; an unranged field costs no more."""
+    kinded, ranged_fields = _kinded_fields(type(part))
+    for name, kind, plain in kinded:
         value = getattr(part, name)
         if type(value) not in plain:
             problem = kind_problem(kind, value)
             if problem:
                 raise error("%s%s %s" % (prefix, name, problem))
+    for name, limit in ranged_fields:
+        problem = _range_problem(limit, getattr(part, name))
+        if problem:
+            raise error("%s%s %s" % (prefix, name, problem))
 
 
 def check_object(value: object, kinds: dict, where: str, error: type[Exception], required: bool = False) -> None:
@@ -90,6 +121,17 @@ def check_object(value: object, kinds: dict, where: str, error: type[Exception],
             problem = kind_problem(kind, value[key])
             if problem:
                 raise error("%s key %r %s" % (where, key, problem))
+
+
+def read_json(path: str | Path, error: type[Exception], where: str) -> Any:
+    """The JSON value in the file at ``path``, its bytes decoded as UTF-8
+    before they are parsed; ``error`` naming ``where`` if they are not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error("%s: not UTF-8: %s" % (where, exc)) from exc
+    except ValueError as exc:  # json.JSONDecodeError, or a number too long to read
+        raise error("%s: invalid JSON: %s" % (where, exc)) from exc
 
 
 # The JSON text json.dumps(..., ensure_ascii=False) writes for a value of

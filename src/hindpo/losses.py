@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import check_kinds
+from .fileio import check_kinds, ranged
 from .policy import EOS, BigramPolicy, Vocabulary, draw, normalise, sampling_tables, transition_grad
 from .welford import Welford
 
@@ -85,32 +85,20 @@ _FINESSE_MODES = frozenset({"dpo_fin", "hin_dpo"})
 
 @dataclass
 class LossConfig:
-    """Knobs for the preference loss and its finesse sampling, each checked by kind when built."""
+    """Knobs for the preference loss and its finesse sampling, each checked by kind and range when built."""
 
-    beta: float = 0.6
-    epsilon: float = 0.05
+    beta: float = ranged(0.6, ">", 0)
+    epsilon: float = ranged(0.05, ">", 0)
     mode: str = "hin_dpo"
-    finesse_samples: int = 5
-    finesse_temperature: float = 0.9
-    finesse_max_len: int = 16
-    scale_cap: float = 20.0
+    finesse_samples: int = ranged(5, ">=", 2)
+    finesse_temperature: float = ranged(0.9, ">", 0)
+    finesse_max_len: int = ranged(16, ">=", 1)
+    scale_cap: float = ranged(20.0, ">", 0)
 
     def __post_init__(self) -> None:
         check_kinds(self)
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0, got %r" % self.beta)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0, got %r" % self.epsilon)
-        if self.scale_cap <= 0:
-            raise ValueError("scale_cap must be > 0, got %r" % self.scale_cap)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), self.mode))
-        if self.finesse_samples < 2:
-            raise ValueError("finesse_samples must be >= 2, got %d" % self.finesse_samples)
-        if self.finesse_temperature <= 0:
-            raise ValueError("finesse_temperature must be > 0")
-        if self.finesse_max_len < 1:
-            raise ValueError("finesse_max_len must be >= 1")
 
     def uses_actuality(self) -> bool:
         return self.mode in _ACTUALITY_MODES

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fileio import check_seed, kind_problem, write_atomic
+from .fileio import check_seed, check_value, read_json, write_atomic
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -136,13 +136,8 @@ def transition_grad(
 def check_decoding(max_len: int, temperature: float = 1.0) -> None:
     """ValueError naming the argument unless ``max_len`` is an integer >= 1
     and ``temperature`` a finite number > 0; a bool is neither."""
-    problem = kind_problem("int", max_len)
-    if problem:
-        raise ValueError("max_len %s" % problem)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1, got %d" % max_len)
-    if kind_problem("float", temperature) or temperature <= 0:
-        raise ValueError("temperature must be a finite number > 0, got %r" % (temperature,))
+    check_value("max_len", "int", (">=", 1), max_len)
+    check_value("temperature", "float", (">", 0), temperature)
 
 
 class OutOfVocabularyError(ValueError):
@@ -226,8 +221,7 @@ class BigramPolicy:
         A seed that is not an integer >= 0, or a ``noise_std`` that is not a
         finite number >= 0 (a bool is neither), raises ValueError."""
         check_seed(seed)
-        if kind_problem("float", noise_std) or noise_std < 0:
-            raise ValueError("noise_std must be a finite number >= 0, got %r" % (noise_std,))
+        check_value("noise_std", "float", (">=", 0), noise_std)
         logits = np.zeros((len(vocab), len(vocab)))
         if noise_std > 0.0:
             rng = np.random.default_rng(seed)
@@ -313,9 +307,9 @@ class BigramPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "BigramPolicy":
         """Read a checkpoint of this format, or of version 1 (the table as a
-        list of rows). A malformed one raises ``ValueError("<path>: ...")``."""
+        list of rows). A malformed one, not UTF-8 JSON included, raises ``ValueError("<path>: ...")``."""
+        payload = read_json(path, ValueError, str(path))
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
                 found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
                 raise ValueError("checkpoint keys must be %s, got %s" % (sorted(_CHECKPOINT_KEYS), found))

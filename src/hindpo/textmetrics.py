@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fileio import kind_problem
+from .fileio import check_value, kind_problem
 
 TokenSequence = list[str]
 # (candidate raw strings, reference raw string) -> one similarity per candidate.
@@ -121,8 +121,7 @@ def _ngrams(tokens: TokenSequence, n: int) -> Counter:
 
 def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
     """N-gram overlap score over multisets of n-grams."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    check_value("n", "int", (">=", 1), n)
     cand_grams = _ngrams(cand, n)
     ref_grams = _ngrams(ref, n)
     total_cand = sum(cand_grams.values())

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair, SchemaError
-from .fileio import check_kinds, json_line, kind_problem, write_atomic
+from .fileio import check_kinds, check_value, json_line, ranged, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
@@ -48,10 +48,10 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    epochs_per_stage: int = 10
-    learning_rate: float = 0.5
-    batch_size: int = 2
-    seed: int = 0
+    epochs_per_stage: int = ranged(10, ">=", 1)
+    learning_rate: float = ranged(0.5, ">", 0)
+    batch_size: int = ranged(2, ">=", 1)
+    seed: int = ranged(0, ">=", 0)
     refresh_reference_per_stage: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -59,14 +59,6 @@ class TrainConfig:
         check_kinds(self)
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig, got %r" % (self.loss,))
-        if self.epochs_per_stage < 1:
-            raise ValueError("epochs_per_stage must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -278,8 +270,7 @@ def gradcheck(
     the ratio). A step ``h`` that is not a finite number > 0 raises
     ValueError.
     """
-    if kind_problem("float", h) or h <= 0:
-        raise ValueError("h must be a finite number > 0, got %r" % (h,))
+    check_value("h", "float", (">", 0), h)
     examples = list(examples)
     if not examples:
         raise ValueError("gradcheck needs a non-empty batch")

@@ -377,6 +377,21 @@ class TestTrainEval:
             assert captured.err.count("\n") == 1
         assert tree_bytes(out) == before
 
+    def test_non_utf8_manifest_named_as_such(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        before = tree_bytes(out)
+        capsys.readouterr()
+        error = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        with pytest.raises(SchemaError, match="^%s$" % re.escape("%s: %s" % (manifest, error))):
+            read_manifest(out)
+        for command in (["train", "--mode", "dpo"], ["eval"]):
+            assert main([*command, "--out", str(out), "--seed", "7"]) == 1
+            assert capsys.readouterr() == ("", "error: %s: %s\n" % (manifest, error))
+        assert tree_bytes(out) == before
+
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         config = write_config(tmp_path, order="section4")
         assert main(["forge", "--config", str(config), "--order", "algorithm1"]) == 0
@@ -448,9 +463,9 @@ class TestTrainEval:
         "overrides, error",
         [
             ({"split": [1.5, -0.5, 0]}, "split fractions must be three non-negative values, got (1.5, -0.5, 0)"),
-            ({"noise_std": -1}, "noise_std must be >= 0"),
-            ({"eval": {"max_len": 0}}, "eval max_len must be >= 1"),
-            ({"eval": {"temperature": -0.5}}, "eval temperature must be >= 0"),
+            ({"noise_std": -1}, "noise_std must be >= 0, got -1"),
+            ({"eval": {"max_len": 0}}, "eval_max_len must be >= 1, got 0"),
+            ({"eval": {"temperature": -0.5}}, "eval_temperature must be >= 0, got -0.5"),
             ({"loss": {"finesse_samples": 1}}, "finesse_samples must be >= 2, got 1"),
             ({"order": "bogus"}, "order must be one of ['algorithm1', 'section4']"),
         ],
@@ -492,15 +507,23 @@ class TestTrainEval:
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config), *flags]) == 1
         where = "--seed: " if flags else "config %s: " % config
-        assert capsys.readouterr().err == "error: %sseed must be >= 0\n" % where
+        assert capsys.readouterr().err == "error: %sseed must be >= 0, got -1\n" % where
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
     def test_bad_train_value_rejected_when_the_config_loads(self, tmp_path, capsys, command):
         config = write_config(tmp_path, train={"epochs_per_stage": 0})
         assert main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: config %s: epochs_per_stage must be >= 1\n" % config
+        assert capsys.readouterr().err == "error: config %s: epochs_per_stage must be >= 1, got 0\n" % config
         assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_named_as_such(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'\xff{"seed": 1}')
+        assert main(["forge", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        error = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr() == ("", "error: config %s: %s\n" % (config, error))
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     def test_invalid_json_config_names_the_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -597,11 +620,15 @@ class TestGradcheck:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
-    def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, tolerance):
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [("nan", "must be finite, got nan"), ("-1", "must be > 0, got -1.0"), ("0", "must be > 0, got 0.0"), ("inf", "must be finite, got inf")],
+        ids=["nan", "-1", "0", "inf"],
+    )
+    def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, tolerance, message):
         out = tmp_path / "out"
         assert main(["gradcheck", "--out", str(out), "--mode", "dpo", "--tolerance", tolerance]) == 1
-        message = "--tolerance must be a finite number > 0, got %r" % float(tolerance)
+        message = "--tolerance %s" % message
         assert capsys.readouterr() == ("", "error: %s\n" % message)
         assert not out.exists()
 

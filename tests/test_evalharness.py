@@ -47,7 +47,7 @@ class TestGenerate:
             generate(preferring_policy(), ["missing"])
 
     def test_nan_temperature_rejected(self):
-        with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got nan$"):
+        with pytest.raises(ValueError, match="^temperature must be finite, got nan$"):
             generate(preferring_policy(), ["p0"], temperature=float("nan"))
 
     @pytest.mark.parametrize("temperature", [0.0, 0.9])
@@ -67,9 +67,13 @@ class TestGenerate:
             generate(preferring_policy(), prompts, max_len=max_len, temperature=temperature)
 
     @pytest.mark.parametrize("prompts", [["p0"], [], ["missing"]], ids=["prompt", "none", "oov"])
-    @pytest.mark.parametrize("temperature", [-1.0, -float("inf"), "x", True, None], ids=["-1", "-inf", "str", "bool", "none"])
-    def test_negative_temperature_rejected_before_any_prompt(self, temperature, prompts):
-        message = "temperature must be a finite number >= 0, got %r" % temperature
+    @pytest.mark.parametrize(
+        "temperature, problem",
+        [(-1.0, ">= 0"), (-float("inf"), "finite"), ("x", "a number"), (True, "a number"), (None, "a number")],
+        ids=["-1", "-inf", "str", "bool", "none"],
+    )
+    def test_negative_temperature_rejected_before_any_prompt(self, temperature, problem, prompts):
+        message = "temperature must be %s, got %r" % (problem, temperature)
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             generate(preferring_policy(), prompts, temperature=temperature)
 
@@ -84,7 +88,7 @@ class TestGenerate:
             generate(preferring_policy(), ["p0"], temperature=temperature, seed=seed)
 
     def test_infinite_temperature_rejected(self):
-        with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got inf$"):
+        with pytest.raises(ValueError, match="^temperature must be finite, got inf$"):
             generate(preferring_policy(), ["p0"], temperature=float("inf"))
 
     def test_reserved_tokens_stripped(self):

@@ -246,6 +246,29 @@ class TestFinesseScaling:
         ]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("variance", [0.0, 0.01, 0.3, 0.95])
+    @pytest.mark.parametrize("mode, plain", [("dpo_fin", "dpo"), ("hin_dpo", "dpo_act")])
+    def test_a_shared_variance_is_a_rescaled_beta(self, mode, plain, variance):
+        # One variance v for the whole batch makes the finesse multiplier
+        # min(1 / (v + epsilon), scale_cap) one constant, so the finesse step
+        # is the plain step at beta times it. The cap binds at v = 0, and
+        # at v = 0.95 the multiplier is exactly 1, so the steps are bit-equal.
+        examples = random_examples(np.random.default_rng(250), n=6)
+        for example in examples:
+            example.effective_variance = variance
+        policy, reference = make_policy(251), make_policy(252).snapshot()
+        config = LossConfig(mode=mode)
+        scale = min(1.0 / (variance + config.epsilon), config.scale_cap)
+        assert (scale == config.scale_cap, scale == 1.0) == (variance == 0.0, variance == 0.95)
+        finesse = step_of(examples, policy, reference, config)
+        rescaled = step_of(examples, policy, reference, LossConfig(mode=plain, beta=config.beta * scale))
+        assert np.array_equal(finesse.rows, rescaled.rows)
+        assert finesse.loss == pytest.approx(rescaled.loss, rel=1e-12, abs=0)
+        assert np.abs(finesse.gradient - rescaled.gradient).max() <= 1e-12 * np.abs(rescaled.gradient).max()
+        if scale == 1.0:
+            assert finesse.loss.hex() == rescaled.loss.hex()
+            assert finesse.gradient.tobytes() == rescaled.gradient.tobytes()
+
 
 class TestComputeFinesse:
     def test_near_deterministic_policy_zero_variance(self):

@@ -59,9 +59,9 @@ class TestNewPolicy:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"noise_std": -0.5}, "noise_std must be a finite number >= 0, got -0.5"),
-            ({"noise_std": float("nan")}, "noise_std must be a finite number >= 0, got nan"),
-            ({"noise_std": "x"}, "noise_std must be a finite number >= 0, got 'x'"),
+            ({"noise_std": -0.5}, "noise_std must be >= 0, got -0.5"),
+            ({"noise_std": float("nan")}, "noise_std must be finite, got nan"),
+            ({"noise_std": "x"}, "noise_std must be a number, got 'x'"),
             ({"seed": 1.5, "noise_std": 0.1}, "seed must be an integer, got 1.5"),
             ({"seed": True, "noise_std": 0.1}, "seed must be an integer, got True"),
             ({"seed": -1, "noise_std": 0.1}, "seed must be >= 0, got -1"),
@@ -197,8 +197,10 @@ class TestSampling:
             policy.sample_responses([[]], 0.0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             policy.sample_responses([[]], 1.0, 0, np.random.default_rng(0))
-        for temperature in (float("nan"), float("inf"), "x", True, None):
-            with pytest.raises(ValueError, match="^temperature must be a finite number > 0, got %s$" % re.escape(repr(temperature))):
+        for temperature, problem in [
+            (float("nan"), "finite"), (float("inf"), "finite"), ("x", "a number"), (True, "a number"), (None, "a number"), (-1.0, "> 0")
+        ]:
+            with pytest.raises(ValueError, match="^temperature must be %s, got %s$" % (problem, re.escape(repr(temperature)))):
                 policy.sample_responses([["a"]], temperature, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
             policy.greedy_response([], 0)
@@ -479,4 +481,12 @@ def test_load_rejects_a_bad_checkpoint_naming_the_file(tmp_path, edit, message):
     path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(ValueError, match="^%s: .*(%s)" % (re.escape(str(path)), message)):
+        BigramPolicy.load(path)
+
+
+def test_load_names_a_non_utf8_checkpoint_as_such(tmp_path):
+    path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    error = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(ValueError, match="^%s$" % re.escape("%s: %s" % (path, error))):
         BigramPolicy.load(path)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import unicodedata
 
 import numpy as np
@@ -216,9 +217,14 @@ class TestRougeN:
         score = rouge_n(["a"], ["b"], 2)
         assert (score.precision, score.recall, score.f1) == (0.0, 0.0, 0.0)
 
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            rouge_n(["a"], ["a"], 0)
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, "n must be >= 1, got 0"), ("x", "n must be an integer, got 'x'"), (1.5, "n must be an integer, got 1.5"), (True, "n must be an integer, got True")],
+        ids=["zero", "str", "float", "bool"],
+    )
+    def test_invalid_n(self, n, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            rouge_n(["a"], ["a"], n)
 
     def test_matches_multiset_oracle(self):
         rng = np.random.default_rng(7)

@@ -752,10 +752,14 @@ class TestGradcheck:
         with pytest.raises(ValueError):
             gradcheck(policy, [], LossConfig())
 
-    @pytest.mark.parametrize("h", [0, 0.0, -1e-5, float("nan"), float("inf"), "x", True], ids=["0", "0.0", "negative", "nan", "inf", "str", "bool"])
-    def test_step_that_is_not_a_finite_positive_number_rejected(self, h):
+    @pytest.mark.parametrize(
+        "h, problem",
+        [(0, "> 0"), (0.0, "> 0"), (-1e-5, "> 0"), (float("nan"), "finite"), (float("inf"), "finite"), ("x", "a number"), (True, "a number")],
+        ids=["0", "0.0", "negative", "nan", "inf", "str", "bool"],
+    )
+    def test_step_that_is_not_a_finite_positive_number_rejected(self, h, problem):
         policy, reference, examples = self.make_fixture(151)
-        with pytest.raises(ValueError, match="^h must be a finite number > 0, got %s$" % re.escape(repr(h))):
+        with pytest.raises(ValueError, match="^h must be %s, got %s$" % (problem, re.escape(repr(h)))):
             gradcheck(policy, examples, LossConfig(mode="dpo"), reference, h=h)
 
     def test_frozen_policy_checked_and_unwritten(self):
