@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
-from .fileio import check_object, check_value, ranged, read_json, write_atomic
+from .fileio import check_object, check_value, limited, read_json, write_atomic
 from .losses import MODES, LossConfig, LossExample
 from .policy import EOS, BigramPolicy, Vocabulary
 from .trainer import TrainConfig
@@ -52,29 +53,28 @@ class RunConfig(TrainConfig):
 
     corpus: str | None = None
     out_dir: str = "out"
-    order: str = "algorithm1"
+    order: str = limited(("one of", tuple(STAGE_ORDERS)), default="algorithm1")
     split: tuple[float, float, float] = DEFAULT_SPLIT
-    noise_std: float = ranged(0.01, ">=", 0)
-    eval_max_len: int = ranged(24, ">=", 1)
-    eval_temperature: float = ranged(0.0, ">=", 0)
+    noise_std: float = limited((">=", 0), default=0.01)
+    eval_max_len: int = limited((">=", 1), default=24)
+    eval_temperature: float = limited((">=", 0), default=0.0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_split(self.split)
-        if self.order not in STAGE_ORDERS:
-            raise ValueError("order must be one of %s" % sorted(STAGE_ORDERS))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Read a JSON config; absent keys keep the defaults. Bytes that are
-        not UTF-8 JSON, unknown keys, values of the wrong type and values out
-        of range raise ValueError naming the file."""
+        not UTF-8 JSON, unknown keys, and values of the wrong type, out of
+        range or not among their choices raise ValueError naming the file
+        (and the section and key)."""
         data = read_json(path, ValueError, "config %s" % path)
-        own = {f.name: f.type for f in fields(cls)}
+        own = {f.name: f for f in fields(cls)}
         kinds = {
             **{key: own[key] for key in ("corpus", "out_dir", "seed", "order", "noise_std")},
             "split": dict.fromkeys(_SPLIT_KEYS, "float"),
-            "loss": {f.name: f.type for f in fields(LossConfig)},
+            "loss": {f.name: f for f in fields(LossConfig)},
             "train": {key: own[key] for key in _TRAIN_KEYS},
             "eval": {key: own["eval_" + key] for key in _EVAL_KEYS},
         }
@@ -270,7 +270,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    check_value("--tolerance", "float", (">", 0), args.tolerance)
+    check_value("--tolerance", "float", args.tolerance, (">", 0))
     config = _resolve_config(args)
     mode = config.loss.mode
     error, report_path = _run_gradcheck(config, mode, args.tolerance)
@@ -326,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", parents=[common], help="full pipeline: forge, train all modes, eval")
     demo.add_argument("--order", choices=sorted(STAGE_ORDERS), help="stage order")
     demo.set_defaults(handler=cmd_demo)
+    # argparse takes -1 and -0.5 as a flag's value but -1e-5 as an option; this takes it as a value too.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

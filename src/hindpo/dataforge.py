@@ -9,8 +9,10 @@ Input corpus format (UTF-8 JSONL, one article per line):
      "actuality_candidates": [0.1, 0.5, 0.8]}  # optional, 3 values in [0, 1]
 
 These are the fields of :class:`ArticleRecord` and :class:`Candidate`; a
-line with a key they do not name, a missing key or a value of the wrong
-type raises :class:`SchemaError` naming the file and line.
+line with a key they do not name, a missing key, or a value of the wrong
+type or outside its limits (a label other than "fake" or "real", an
+actuality score outside [0, 1]) raises :class:`SchemaError` naming the
+file and line.
 
 Every article carries exactly three candidate (rejected) explanations.
 Each candidate is scored against the ground-truth explanation with the
@@ -37,7 +39,9 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .fileio import check_kinds, check_object, check_seed, json_line, kind_problem, read_json, write_atomic
+from .fileio import (
+    SCORE, check_kinds, check_object, check_seed, check_value, json_line, kind_problem, limited, read_json, write_atomic
+)
 from .textmetrics import SemanticScorer, final_score, rouge_l_and_meteor, semantic_scores, tokenize
 
 LABELS = ("fake", "real")
@@ -70,21 +74,16 @@ class Candidate:
     text: str
 
 
-def _is_score(value: object) -> bool:
-    """A number in [0, 1]."""
-    return kind_problem("float", value) is None and 0.0 <= value <= 1.0
-
-
 @dataclass
 class ArticleRecord:
     """One fact-checked news item and its candidate explanations; the fields are its corpus keys."""
 
     id: str
-    label: str
+    label: str = limited(("one of", LABELS))
     news_text: str
     ground_truth_explanation: str
     candidates: list[Candidate]
-    actuality_preferred: float | None = None
+    actuality_preferred: float | None = limited(*SCORE, default=None)
     actuality_candidates: list[float] | None = None
 
     def validate(self) -> None:
@@ -92,8 +91,6 @@ class ArticleRecord:
             check_kinds(part, SchemaError, prefix)
         if not self.id:
             raise SchemaError("record id must be non-empty")
-        if self.label not in LABELS:
-            raise SchemaError("label must be one of %s, got %r" % (LABELS, self.label))
         if not self.news_text:
             raise SchemaError("news_text must be non-empty")
         if len(self.candidates) != CANDIDATES_PER_ARTICLE:
@@ -101,17 +98,14 @@ class ArticleRecord:
                 "expected exactly %d candidates, got %d"
                 % (CANDIDATES_PER_ARTICLE, len(self.candidates))
             )
-        if self.actuality_preferred is not None and not _is_score(self.actuality_preferred):
-            raise SchemaError("actuality_preferred must be a number in [0, 1], got %r" % (self.actuality_preferred,))
-        if self.actuality_candidates is not None and not (
-            isinstance(self.actuality_candidates, list)
-            and len(self.actuality_candidates) == CANDIDATES_PER_ARTICLE
-            and all(_is_score(s) for s in self.actuality_candidates)
-        ):
-            raise SchemaError(
-                "actuality_candidates must be a list of %d numbers in [0, 1], got %r"
-                % (CANDIDATES_PER_ARTICLE, self.actuality_candidates)
-            )
+        scores = self.actuality_candidates
+        if scores is not None:
+            if not (isinstance(scores, list) and len(scores) == CANDIDATES_PER_ARTICLE):
+                raise SchemaError(
+                    "actuality_candidates must be a list of %d numbers, got %r" % (CANDIDATES_PER_ARTICLE, scores)
+                )
+            for i, score in enumerate(scores):
+                check_value("actuality_candidates[%d]" % i, "float", score, *SCORE, error=SchemaError)
 
     def to_json_dict(self) -> dict:
         out = {key: value for key, value in vars(self).items() if value is not None}
@@ -148,8 +142,8 @@ class PreferencePair:
     prompt: str
     preferred: str
     rejected: str
-    s_w: float | None = None
-    s_l: float | None = None
+    s_w: float | None = limited(*SCORE, default=None)
+    s_l: float | None = limited(*SCORE, default=None)
     fs: float
     rank: int
     bucket: str | None = None
@@ -158,14 +152,6 @@ class PreferencePair:
         return dict(vars(self))
 
     def validate(self) -> None:
-        # These run before the kind walk, which would word them otherwise.
-        if kind_problem("float", self.fs):
-            raise SchemaError("fs must be a finite number, got %r" % (self.fs,))
-        for name in ("s_w", "s_l"):
-            if getattr(self, name) is not None and not _is_score(getattr(self, name)):
-                raise SchemaError("%s must be null or a number in [0, 1], got %r" % (name, getattr(self, name)))
-        if self.bucket is not None and not isinstance(self.bucket, str):
-            raise SchemaError("bucket must be null or a string, got %r" % (self.bucket,))
         check_kinds(self, SchemaError)
 
     @classmethod
@@ -251,8 +237,7 @@ def embed_actuality(records: Iterable[ArticleRecord], path: str | Path) -> list[
                 score = float(raw)
             except ValueError:
                 raise ActualityError("%s:%d: bad score %r" % (path, lineno, raw)) from None
-            if not 0.0 <= score <= 1.0:
-                raise ActualityError("%s:%d: score %r out of [0, 1]" % (path, lineno, score))
+            check_value("score", "float", score, *SCORE, error=ActualityError, prefix="%s:%d: " % (path, lineno))
             if (record_id, role) in scores:
                 raise ActualityError(
                     "%s:%d: duplicate %s score for record %r (first given on line %d)"
@@ -377,8 +362,7 @@ def bucketize(pairs: Sequence[PreferencePair], order: str = "algorithm1") -> Cur
     Within a stage, pairs are sorted by article id so output never depends
     on processing order.
     """
-    if order not in STAGE_ORDERS:
-        raise ValueError("order must be one of %s, got %r" % (sorted(STAGE_ORDERS), order))
+    check_value("order", "str", order, ("one of", tuple(STAGE_ORDERS)))
     by_article: dict[str, list[PreferencePair]] = {}
     for pair in pairs:
         by_article.setdefault(pair.article_id, []).append(pair)

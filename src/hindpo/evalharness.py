@@ -58,7 +58,7 @@ def generate(
     """
     check_decoding(max_len)
     check_seed(seed)
-    check_value("temperature", "float", (">=", 0), temperature)
+    check_value("temperature", "float", temperature, (">=", 0))
     rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]
     if temperature == 0:

@@ -1,10 +1,10 @@
 """The one kind table, ``KINDS``, that every config, config file, record,
-manifest and semantic-score check reads, and the ranges declared beside
-kinds; the one walker of a config file or manifest object against it, and
-the one JSON file reader; the JSON line of a dataclass
-record, written through one template per record class; and atomic
-artefact writes: a reader finds the old file or the whole new one at a
-path, never a half-written one."""
+manifest and semantic-score check reads, and the limits (ranges, [0, 1]
+``SCORE`` bounds, choices) declared beside kinds and refused in one form;
+the one walker of a config file or manifest object against them, and the
+one JSON file reader; the JSON line of a dataclass record, written through
+one template per record class; and atomic artefact writes: a reader finds
+the old file or the whole new one at a path, never a half-written one."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import field, fields
+from dataclasses import MISSING, Field, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable
@@ -29,6 +29,7 @@ KINDS = {
     "float": ("a number", (int, float)),
     "real": ("a real number", (int, float, np.integer, np.floating)),
     "str": ("a string", (str,)),
+    "float | None": ("a number or null", (int, float, type(None))),
     "str | None": ("a string or null", (str, type(None))),
     "list": ("an array", (list,)),
     "dict": ("an object", (dict,)),
@@ -45,55 +46,65 @@ def kind_problem(kind: str, value: object) -> str | None:
     return None
 
 
-# A range, (op, bound), holds a number of its kind to ``value <op> bound``.
-_RANGE_OPS = {">": operator.gt, ">=": operator.ge}
+# A limit, (op, bound), holds a value of its kind to ``value <op> bound``:
+# a number to a range, a string to one of a tuple of choices. None, which
+# only a nullable kind accepts, passes every limit.
+_LIMIT_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le, "one of": lambda value, choices: value in choices}
+
+# The limits of an Actuality score, and of every other score in [0, 1].
+SCORE = ((">=", 0), ("<=", 1))
 
 
-def _range_problem(limit: tuple[str, int], value: Any) -> str | None:
-    """Why the number ``value`` is outside the range ``limit``; None when it is inside."""
-    op, bound = limit
-    return None if _RANGE_OPS[op](value, bound) else "must be %s %s, got %r" % (op, bound, value)
+def _limits_problem(limits: Iterable[tuple[str, Any]], value: Any) -> str | None:
+    """Why ``value``, of its kind already, breaks the first of ``limits`` it breaks; None when it keeps them all."""
+    if value is not None:
+        for op, bound in limits:
+            if not _LIMIT_OPS[op](value, bound):
+                return "must be %s %s, got %r" % (op, bound, value)
+    return None
 
 
-def ranged(default: object, op: str, bound: int) -> Any:
-    """A dataclass field with ``default`` whose value ``check_kinds`` holds to ``<op> <bound>``."""
-    return field(default=default, metadata={"range": (op, bound)})
+def limited(*limits: tuple[str, Any], default: object = MISSING) -> Any:
+    """A dataclass field, with ``default`` if one is given, whose value ``check_kinds`` holds to ``limits``."""
+    return field(default=default, metadata={"limits": limits})
 
 
-def check_value(name: str, kind: str, limit: tuple[str, int], value: object) -> None:
-    """ValueError naming the argument ``name`` unless ``value`` is of ``kind``
-    and inside the range ``limit``, in ``check_kinds``' words for a field."""
-    problem = kind_problem(kind, value) or _range_problem(limit, value)
+def check_value(
+    name: str, kind: str, value: object, *limits: tuple[str, Any], error: type[Exception] = ValueError, prefix: str = ""
+) -> None:
+    """``error`` naming ``prefix`` and the argument ``name`` unless ``value``
+    is of ``kind`` and keeps ``limits``, in ``check_kinds``' words for a field."""
+    problem = kind_problem(kind, value) or _limits_problem(limits, value)
     if problem:
-        raise ValueError("%s %s" % (name, problem))
+        raise error("%s%s %s" % (prefix, name, problem))
 
 
 def check_seed(seed: object) -> None:
     """ValueError naming the seed unless it is an integer >= 0; a bool is not one."""
-    check_value("seed", "int", (">=", 0), seed)
+    check_value("seed", "int", seed, (">=", 0))
 
 
 @functools.cache
 def _kinded_fields(cls: type) -> tuple[tuple[tuple[str, str, frozenset], ...], tuple[tuple[str, tuple], ...]]:
     """(name, kind, types all of whose values are of the kind) per kinded
-    field of ``cls``, and (name, range) per field that declares a range."""
+    field of ``cls``, and (name, limits) per field that declares limits."""
     kinded = tuple((f.name, f.type, frozenset(KINDS[f.type][1]) - {float}) for f in fields(cls) if f.type in KINDS)
-    return kinded, tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
+    return kinded, tuple((f.name, f.metadata["limits"]) for f in fields(cls) if "limits" in f.metadata)
 
 
 def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str = "") -> None:
     """``error`` naming ``prefix`` and the field for the first field of the
     dataclass ``part``'s own class whose value has a ``kind_problem``, then
-    for the first outside its declared range; an unranged field costs no more."""
-    kinded, ranged_fields = _kinded_fields(type(part))
+    for the first that breaks its declared limits; a field without limits costs no more."""
+    kinded, limited_fields = _kinded_fields(type(part))
     for name, kind, plain in kinded:
         value = getattr(part, name)
         if type(value) not in plain:
             problem = kind_problem(kind, value)
             if problem:
                 raise error("%s%s %s" % (prefix, name, problem))
-    for name, limit in ranged_fields:
-        problem = _range_problem(limit, getattr(part, name))
+    for name, limits in limited_fields:
+        problem = _limits_problem(limits, getattr(part, name))
         if problem:
             raise error("%s%s %s" % (prefix, name, problem))
 
@@ -101,7 +112,8 @@ def check_kinds(part: object, error: type[Exception] = ValueError, prefix: str =
 def check_object(value: object, kinds: dict, where: str, error: type[Exception], required: bool = False) -> None:
     """``error`` naming ``where`` unless ``value`` is an object whose keys
     have values of their ``kinds`` (finite, though ``json`` reads NaN and
-    Infinity); a dict in ``kinds`` is a nested object, checked in turn as
+    Infinity); a dataclass field in ``kinds`` gives its kind and limits, and
+    a dict is a nested object, checked in turn as
     ``<where> section <key>``. A file a person writes may omit keys but
     hold no other; with ``required``, as for a file hindpo wrote, it must
     hold every key of ``kinds`` and may hold others."""
@@ -118,7 +130,8 @@ def check_object(value: object, kinds: dict, where: str, error: type[Exception],
         elif isinstance(kind, dict):
             check_object(value[key], kind, "%s section %r" % (where, key), error, required)
         else:
-            problem = kind_problem(kind, value[key])
+            kind, limits = (kind.type, kind.metadata.get("limits", ())) if isinstance(kind, Field) else (kind, ())
+            problem = kind_problem(kind, value[key]) or _limits_problem(limits, value[key])
             if problem:
                 raise error("%s key %r %s" % (where, key, problem))
 

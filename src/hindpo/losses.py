@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import check_kinds, ranged
+from .fileio import check_kinds, limited
 from .policy import EOS, BigramPolicy, Vocabulary, draw, normalise, sampling_tables, transition_grad
 from .welford import Welford
 
@@ -85,20 +85,18 @@ _FINESSE_MODES = frozenset({"dpo_fin", "hin_dpo"})
 
 @dataclass
 class LossConfig:
-    """Knobs for the preference loss and its finesse sampling, each checked by kind and range when built."""
+    """Knobs for the preference loss and its finesse sampling, each checked by kind and limits when built."""
 
-    beta: float = ranged(0.6, ">", 0)
-    epsilon: float = ranged(0.05, ">", 0)
-    mode: str = "hin_dpo"
-    finesse_samples: int = ranged(5, ">=", 2)
-    finesse_temperature: float = ranged(0.9, ">", 0)
-    finesse_max_len: int = ranged(16, ">=", 1)
-    scale_cap: float = ranged(20.0, ">", 0)
+    beta: float = limited((">", 0), default=0.6)
+    epsilon: float = limited((">", 0), default=0.05)
+    mode: str = limited(("one of", MODES), default="hin_dpo")
+    finesse_samples: int = limited((">=", 2), default=5)
+    finesse_temperature: float = limited((">", 0), default=0.9)
+    finesse_max_len: int = limited((">=", 1), default=16)
+    scale_cap: float = limited((">", 0), default=20.0)
 
     def __post_init__(self) -> None:
         check_kinds(self)
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), self.mode))
 
     def uses_actuality(self) -> bool:
         return self.mode in _ACTUALITY_MODES

@@ -136,8 +136,8 @@ def transition_grad(
 def check_decoding(max_len: int, temperature: float = 1.0) -> None:
     """ValueError naming the argument unless ``max_len`` is an integer >= 1
     and ``temperature`` a finite number > 0; a bool is neither."""
-    check_value("max_len", "int", (">=", 1), max_len)
-    check_value("temperature", "float", (">", 0), temperature)
+    check_value("max_len", "int", max_len, (">=", 1))
+    check_value("temperature", "float", temperature, (">", 0))
 
 
 class OutOfVocabularyError(ValueError):
@@ -221,7 +221,7 @@ class BigramPolicy:
         A seed that is not an integer >= 0, or a ``noise_std`` that is not a
         finite number >= 0 (a bool is neither), raises ValueError."""
         check_seed(seed)
-        check_value("noise_std", "float", (">=", 0), noise_std)
+        check_value("noise_std", "float", noise_std, (">=", 0))
         logits = np.zeros((len(vocab), len(vocab)))
         if noise_std > 0.0:
             rng = np.random.default_rng(seed)

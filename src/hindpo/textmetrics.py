@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fileio import check_value, kind_problem
+from .fileio import SCORE, check_value, kind_problem
 
 TokenSequence = list[str]
 # (candidate raw strings, reference raw string) -> one similarity per candidate.
@@ -121,7 +121,7 @@ def _ngrams(tokens: TokenSequence, n: int) -> Counter:
 
 def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
     """N-gram overlap score over multisets of n-grams."""
-    check_value("n", "int", (">=", 1), n)
+    check_value("n", "int", n, (">=", 1))
     cand_grams = _ngrams(cand, n)
     ref_grams = _ngrams(ref, n)
     total_cand = sum(cand_grams.values())
@@ -280,15 +280,14 @@ def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> floa
 
     The lexical metrics carry weight 3 because their typical range is much
     narrower than semantic similarity's; the result lives in [0, 1.75].
-    Inputs outside [0, 1] raise ValueError.
+    An input outside [0, 1], NaN included, raises ValueError naming it.
     """
-    for name, value in (
-        ("semantic", semantic),
-        ("rouge_l_f1", rouge_l_f1),
-        ("meteor_score", meteor_score),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("%s must be in [0, 1], got %r" % (name, value))
+    if not 0.0 <= semantic <= 1.0:
+        check_value("semantic", "float", semantic, *SCORE)
+    if not 0.0 <= rouge_l_f1 <= 1.0:
+        check_value("rouge_l_f1", "float", rouge_l_f1, *SCORE)
+    if not 0.0 <= meteor_score <= 1.0:
+        check_value("meteor_score", "float", meteor_score, *SCORE)
     lexical = rouge_l_f1 + meteor_score
     # Summed rather than multiplied by 3: keeps (0.9, 0.3, 0.3) -> 0.675 exact.
     return (semantic + lexical + lexical + lexical) / 4.0

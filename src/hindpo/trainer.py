@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair, SchemaError
-from .fileio import check_kinds, check_value, json_line, ranged, write_atomic
+from .fileio import check_kinds, check_value, json_line, limited, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
@@ -48,10 +48,10 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    epochs_per_stage: int = ranged(10, ">=", 1)
-    learning_rate: float = ranged(0.5, ">", 0)
-    batch_size: int = ranged(2, ">=", 1)
-    seed: int = ranged(0, ">=", 0)
+    epochs_per_stage: int = limited((">=", 1), default=10)
+    learning_rate: float = limited((">", 0), default=0.5)
+    batch_size: int = limited((">=", 1), default=2)
+    seed: int = limited((">=", 0), default=0)
     refresh_reference_per_stage: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -270,7 +270,7 @@ def gradcheck(
     the ratio). A step ``h`` that is not a finite number > 0 raises
     ValueError.
     """
-    check_value("h", "float", (">", 0), h)
+    check_value("h", "float", h, (">", 0))
     examples = list(examples)
     if not examples:
         raise ValueError("gradcheck needs a non-empty batch")

@@ -301,8 +301,8 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
-            ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
+            ("s_w", "x", "s_w must be a number or null, got 'x'"),
+            ("s_w", 7.0, "s_w must be <= 1, got 7.0"),
             ("prompt", 5, "prompt must be a string, got 5"),
         ],
     )
@@ -462,12 +462,12 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "overrides, error",
         [
-            ({"split": [1.5, -0.5, 0]}, "split fractions must be three non-negative values, got (1.5, -0.5, 0)"),
-            ({"noise_std": -1}, "noise_std must be >= 0, got -1"),
-            ({"eval": {"max_len": 0}}, "eval_max_len must be >= 1, got 0"),
-            ({"eval": {"temperature": -0.5}}, "eval_temperature must be >= 0, got -0.5"),
-            ({"loss": {"finesse_samples": 1}}, "finesse_samples must be >= 2, got 1"),
-            ({"order": "bogus"}, "order must be one of ['algorithm1', 'section4']"),
+            ({"split": [1.5, -0.5, 0]}, ": split fractions must be three non-negative values, got (1.5, -0.5, 0)"),
+            ({"noise_std": -1}, " key 'noise_std' must be >= 0, got -1"),
+            ({"eval": {"max_len": 0}}, " section 'eval' key 'max_len' must be >= 1, got 0"),
+            ({"eval": {"temperature": -0.5}}, " section 'eval' key 'temperature' must be >= 0, got -0.5"),
+            ({"loss": {"finesse_samples": 1}}, " section 'loss' key 'finesse_samples' must be >= 2, got 1"),
+            ({"order": "bogus"}, " key 'order' must be one of ('algorithm1', 'section4'), got 'bogus'"),
         ],
         ids=[
             "split-negative", "noise-negative", "max-len-zero", "temperature-negative", "finesse-samples-one",
@@ -477,7 +477,7 @@ class TestTrainEval:
     def test_bad_value_rejected_when_the_config_loads(self, tmp_path, capsys, overrides, error):
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: config %s: %s\n" % (config, error)
+        assert capsys.readouterr().err == "error: config %s%s\n" % (config, error)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -506,15 +506,15 @@ class TestTrainEval:
     def test_negative_seed_rejected_before_anything_is_written(self, tmp_path, capsys, overrides, flags):
         config = write_config(tmp_path, **overrides)
         assert main(["forge", "--config", str(config), *flags]) == 1
-        where = "--seed: " if flags else "config %s: " % config
-        assert capsys.readouterr().err == "error: %sseed must be >= 0, got -1\n" % where
+        where = "--seed: seed" if flags else "config %s key 'seed'" % config
+        assert capsys.readouterr().err == "error: %s must be >= 0, got -1\n" % where
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forge", "train", "eval", "gradcheck", "demo"])
     def test_bad_train_value_rejected_when_the_config_loads(self, tmp_path, capsys, command):
         config = write_config(tmp_path, train={"epochs_per_stage": 0})
         assert main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == "error: config %s: epochs_per_stage must be >= 1, got 0\n" % config
+        assert capsys.readouterr().err == "error: config %s section 'train' key 'epochs_per_stage' must be >= 1, got 0\n" % config
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_named_as_such(self, tmp_path, capsys):
@@ -622,8 +622,14 @@ class TestGradcheck:
 
     @pytest.mark.parametrize(
         "tolerance, message",
-        [("nan", "must be finite, got nan"), ("-1", "must be > 0, got -1.0"), ("0", "must be > 0, got 0.0"), ("inf", "must be finite, got inf")],
-        ids=["nan", "-1", "0", "inf"],
+        [
+            ("nan", "must be finite, got nan"),
+            ("-1", "must be > 0, got -1.0"),
+            ("0", "must be > 0, got 0.0"),
+            ("inf", "must be finite, got inf"),
+            ("-1e-5", "must be > 0, got -1e-05"),
+        ],
+        ids=["nan", "-1", "0", "inf", "-1e-5"],
     )
     def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, tolerance, message):
         out = tmp_path / "out"
@@ -768,6 +774,15 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["1e3", "-1e3"])
+    def test_seed_in_exponent_form_is_not_an_integer(self, tmp_path, capsys, seed):
+        # A negative one reaches int() too, not argparse's "expected one argument".
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forge", "--out", str(tmp_path / "out"), "--seed", seed])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: %r\n" % seed)
+        assert not (tmp_path / "out").exists()
 
     def test_import_loads_no_third_party_module_but_numpy(self):
         # A fresh interpreter's `import hindpo.cli`: every top-level module

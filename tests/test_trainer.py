@@ -478,8 +478,8 @@ class TestPairsCheckedBeforeTraining:
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("s_w", 7.0, "s_w must be null or a number in [0, 1], got 7.0"),
-            ("s_w", "x", "s_w must be null or a number in [0, 1], got 'x'"),
+            ("s_w", 7.0, "s_w must be <= 1, got 7.0"),
+            ("s_w", "x", "s_w must be a number or null, got 'x'"),
             ("prompt", 5, "prompt must be a string, got 5"),
         ],
         ids=["s_w-out-of-range", "s_w-str", "prompt-int"],
