@@ -25,7 +25,8 @@ rng = np.random.default_rng(0)
 for temperature in (0.5, 1.0, 2.0):
     samples = [" ".join(r) for r in policy.sample_responses([["खबर"]] * 5, temperature, 4, rng)]
     print("T=%.1f samples:" % temperature, samples)
-print("greedy:", policy.greedy_response(["खबर"], 4))
+# temperature 0 is greedy decoding: every draw takes its row's argmax
+print("greedy:", policy.sample_responses([["खबर"]], 0, 4, rng)[0])
 
 # a snapshot is immutable and unaffected by further training steps
 frozen = policy.snapshot()

@@ -326,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", parents=[common], help="full pipeline: forge, train all modes, eval")
     demo.add_argument("--order", choices=sorted(STAGE_ORDERS), help="stage order")
     demo.set_defaults(handler=cmd_demo)
-    # argparse takes -1 and -0.5 as a flag's value but -1e-5 as an option; this takes it as a value too.
+    # argparse takes -1 and -0.5 as a flag's value but -1e-5 and -inf as
+    # options; this takes them, and every non-finite word float() reads, as values too.
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+        each._negative_number_matcher = re.compile(r"^-((\d+|\d*\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
     return parser
 
 

@@ -1,9 +1,12 @@
 """Generation and metric reporting for trained policies.
 
-Produces one row per configuration (base, dpo, dpo_act, dpo_fin, hin_dpo)
-with corpus-level ROUGE-1/2/L, METEOR and semantic scores, rendered as an
-aligned text table (values x100, two decimals, best column value starred)
-plus a machine-readable JSON file with full precision.
+``generate`` decodes every prompt through the policy's one table sampler;
+greedy decoding is its zero-temperature table, not a separate loop.
+Reporting produces one row per configuration (base, dpo, dpo_act,
+dpo_fin, hin_dpo) with corpus-level ROUGE-1/2/L, METEOR and semantic
+scores, rendered as an aligned text table (values x100, two decimals, best
+column value starred) plus a machine-readable JSON file with full
+precision.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import check_seed, check_value, write_atomic
+from .fileio import check_seed, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
 from .textmetrics import SemanticScorer, rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
@@ -48,23 +51,19 @@ def generate(
 ) -> list[str]:
     """Decode one response text per prompt.
 
-    temperature 0 means greedy argmax decoding; a finite temperature above
-    0 samples with a generator seeded once for the whole batch, so the
-    same seed reproduces the same outputs, from one temperature table for
-    all prompts (``BigramPolicy.sample_responses``). A ``max_len`` that is
-    not an integer >= 1, a temperature that is not a finite number >= 0 or
-    a seed that is not an integer >= 0 (a bool is none of them) raises
-    ValueError before any prompt is read, even for greedy decoding.
+    Every temperature decodes through one ``BigramPolicy.sample_responses``
+    call, from one temperature table for all prompts and a generator
+    seeded once for the whole batch, so the same seed reproduces the same
+    outputs. Temperature 0 is greedy decoding: its table takes each row's
+    argmax, whatever the generator draws. A ``max_len`` that is not an
+    integer >= 1, a temperature that is not a finite number >= 0 or a seed
+    that is not an integer >= 0 (a bool is none of them) raises ValueError
+    before any prompt is read.
     """
-    check_decoding(max_len)
+    check_decoding(max_len, temperature)
     check_seed(seed)
-    check_value("temperature", "float", temperature, (">=", 0))
-    rng = np.random.default_rng(seed)
     token_prompts = [tokenize(prompt) for prompt in prompts]
-    if temperature == 0:
-        responses = [policy.greedy_response(tokens, max_len) for tokens in token_prompts]
-    else:
-        responses = policy.sample_responses(token_prompts, temperature, max_len, rng)
+    responses = policy.sample_responses(token_prompts, temperature, max_len, np.random.default_rng(seed))
     return [" ".join(t for t in tokens if t not in (BOS, EOS)) for tokens in responses]
 
 

@@ -8,7 +8,9 @@ policy provides both exactly and cheaply. Sequences terminate with a
 reserved EOS token, which makes the per-prompt response distribution
 proper and enumerable in tests. Sampling draws from a table of row CDFs
 (``sampling_tables``, ``draw``), so a caller drawing many responses at one
-temperature builds the table once. ``draw`` takes its uniforms from the
+temperature builds the table once. Greedy decoding is temperature 0,
+whose table steps from 0 to 1 at each row's first maximum, so greedy and
+sampled decoding share one path. ``draw`` takes its uniforms from the
 generator in blocks and locates each in its row by ``bisect`` on a flat
 memoryview of the table; it leaves the generator exactly where one
 ``rng.choice`` per drawn token would, whatever its bit generator. A
@@ -133,11 +135,11 @@ def transition_grad(
     return probs
 
 
-def check_decoding(max_len: int, temperature: float = 1.0) -> None:
+def check_decoding(max_len: int, temperature: float) -> None:
     """ValueError naming the argument unless ``max_len`` is an integer >= 1
-    and ``temperature`` a finite number > 0; a bool is neither."""
+    and ``temperature`` a finite number >= 0; a bool is neither."""
     check_value("max_len", "int", max_len, (">=", 1))
-    check_value("temperature", "float", temperature, (">", 0))
+    check_value("temperature", "float", temperature, (">=", 0))
 
 
 class OutOfVocabularyError(ValueError):
@@ -258,30 +260,22 @@ class BigramPolicy:
 
         The temperature table is built once for all prompts; the responses
         and the generator's end state are those of one ``draw`` per prompt,
-        in order, from the same generator.
+        in order, from the same generator. Temperature 0 is greedy
+        decoding: its table, the limit of the CDF rows, steps from 0 to 1
+        at each row's first maximum, so every uniform in [0, 1) draws the
+        row's ``np.argmax``, ties included.
         """
         check_decoding(max_len, temperature)
-        _, cdf = sampling_tables(self.logits, temperature)
+        if temperature > 0:
+            _, cdf = sampling_tables(self.logits, temperature)
+        else:
+            cdf = (np.arange(len(self.logits)) >= self.logits.argmax(axis=1)[:, None]).astype(np.float64)
         eos = self.vocab.index(EOS)
         tokens = self.vocab.tokens
         return [
             [tokens[i] for i in draw(cdf, self.vocab.start(prompt), eos, max_len, 1, rng)[0]]
             for prompt in prompts
         ]
-
-    def greedy_response(self, prompt: Sequence[str], max_len: int) -> list[str]:
-        """Argmax decoding; the zero-temperature limit of sample_responses."""
-        check_decoding(max_len)
-        prev = self.vocab.start(prompt)
-        eos = self.vocab.index(EOS)
-        out: list[str] = []
-        for _ in range(max_len):
-            nxt = int(np.argmax(self.logits[prev]))
-            out.append(self.vocab.tokens[nxt])
-            if nxt == eos:
-                break
-            prev = nxt
-        return out
 
     def snapshot(self) -> "BigramPolicy":
         """Deep, immutable copy; later edits to this policy do not leak in."""

@@ -280,13 +280,16 @@ def final_score(semantic: float, rouge_l_f1: float, meteor_score: float) -> floa
 
     The lexical metrics carry weight 3 because their typical range is much
     narrower than semantic similarity's; the result lives in [0, 1.75].
-    An input outside [0, 1], NaN included, raises ValueError naming it.
+    An input that is not a number, or is outside [0, 1], NaN included,
+    raises ValueError naming it.
     """
-    if not 0.0 <= semantic <= 1.0:
+    try:  # an in-range number takes one comparison
+        in_range = 0.0 <= semantic <= 1.0 and 0.0 <= rouge_l_f1 <= 1.0 and 0.0 <= meteor_score <= 1.0
+    except TypeError:  # a value that does not compare with a float
+        in_range = False
+    if not in_range:
         check_value("semantic", "float", semantic, *SCORE)
-    if not 0.0 <= rouge_l_f1 <= 1.0:
         check_value("rouge_l_f1", "float", rouge_l_f1, *SCORE)
-    if not 0.0 <= meteor_score <= 1.0:
         check_value("meteor_score", "float", meteor_score, *SCORE)
     lexical = rouge_l_f1 + meteor_score
     # Summed rather than multiplied by 3: keeps (0.9, 0.3, 0.3) -> 0.675 exact.

@@ -219,13 +219,24 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def chi_square_pvalue(observed, expected) -> float:
-    """Pearson goodness-of-fit p-value with len(observed) - 1 degrees of
-    freedom: the regularized upper incomplete gamma Q(k / 2, x / 2)."""
-    import mpmath
-
+    """Pearson goodness-of-fit p-value with k = len(observed) - 1 degrees of
+    freedom: the regularized upper incomplete gamma Q(k / 2, y), y = x / 2,
+    in closed form. For even k it is e^-y * sum_{i < k/2} y^i / i!; for odd
+    k, erfc(sqrt(y)) + e^-y * sum_{1 <= i <= (k-1)/2} y^(i-1/2) / Gamma(i+1/2)."""
     statistic = float(np.sum((np.asarray(observed) - expected) ** 2 / expected))
     dof = len(observed) - 1
-    return float(mpmath.gammainc(dof / 2, statistic / 2, mpmath.inf, regularized=True))
+    y = statistic / 2
+    if dof % 2 == 0:
+        term, terms = 1.0, [1.0]
+        for i in range(1, dof // 2):
+            term *= y / i
+            terms.append(term)
+        return math.exp(-y) * math.fsum(terms)
+    term, terms = 2 * math.sqrt(y / math.pi), []  # y^(1/2) / Gamma(3/2)
+    for i in range(1, (dof + 1) // 2):
+        terms.append(term)
+        term *= y / (i + 0.5)
+    return math.erfc(math.sqrt(y)) + math.exp(-y) * math.fsum(terms)
 
 
 # Per-pair preference loss: every sequence scored by its own call into the
@@ -305,7 +316,8 @@ def weighted_margin_stats(policy, reference, examples, config) -> tuple[float, f
 
 # Per-token sampling and per-prompt finesse: the temperature table divided
 # out on every call, one softmax row and one rng.choice per drawn token, and
-# the drawn tokens encoded again to be scored.
+# the drawn tokens encoded again to be scored; greedy decoding as one argmax
+# per token.
 
 
 def softmax(x):
@@ -328,6 +340,21 @@ def sample_response(policy, prompt, temperature, max_len, rng) -> list[str]:
     for _ in range(max_len):
         row = softmax(scaled[prev])
         nxt = int(rng.choice(len(row), p=row))
+        out.append(policy.vocab.tokens[nxt])
+        if nxt == eos:
+            break
+        prev = nxt
+    return out
+
+
+def greedy_response(policy, prompt, max_len) -> list[str]:
+    """Argmax decoding, one ``np.argmax`` per token, until EOS or max_len."""
+    prompt_idx = policy.vocab.encode(prompt)
+    prev = prompt_idx[-1] if prompt_idx else policy.vocab.index("<bos>")
+    eos = policy.vocab.index("<eos>")
+    out = []
+    for _ in range(max_len):
+        nxt = int(np.argmax(policy.logits[prev]))
         out.append(policy.vocab.tokens[nxt])
         if nxt == eos:
             break

@@ -628,8 +628,11 @@ class TestGradcheck:
             ("0", "must be > 0, got 0.0"),
             ("inf", "must be finite, got inf"),
             ("-1e-5", "must be > 0, got -1e-05"),
+            ("-inf", "must be finite, got -inf"),
+            ("-nan", "must be finite, got nan"),
+            ("-Infinity", "must be finite, got -inf"),
         ],
-        ids=["nan", "-1", "0", "inf", "-1e-5"],
+        ids=["nan", "-1", "0", "inf", "-1e-5", "-inf", "-nan", "-Infinity"],
     )
     def test_tolerance_must_be_a_finite_positive_number(self, tmp_path, capsys, tolerance, message):
         out = tmp_path / "out"
@@ -777,6 +780,15 @@ class TestParsing:
 
     @pytest.mark.parametrize("seed", ["1e3", "-1e3"])
     def test_seed_in_exponent_form_is_not_an_integer(self, tmp_path, capsys, seed):
+        # A negative one reaches int() too, not argparse's "expected one argument".
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forge", "--out", str(tmp_path / "out"), "--seed", seed])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: %r\n" % seed)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["inf", "-inf", "-NaN"])
+    def test_seed_as_a_non_finite_word_is_not_an_integer(self, tmp_path, capsys, seed):
         # A negative one reaches int() too, not argparse's "expected one argument".
         with pytest.raises(SystemExit) as excinfo:
             main(["forge", "--out", str(tmp_path / "out"), "--seed", seed])

@@ -1,7 +1,7 @@
+import decimal
 import math
 import re
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,9 +29,11 @@ from oracles import finite_difference_gradient, relative_gradient_error, two_pas
 
 
 def softplus_oracle(x: float) -> float:
-    """High-precision log(1 + exp(x))."""
-    with mpmath.workdps(50):
-        return float(mpmath.log(1 + mpmath.exp(x)))
+    """log(1 + exp(x)) in 50-digit decimal arithmetic, to a double's
+    precision for x >= -70. Below that 1 + e^x keeps fewer of e^x's digits,
+    and below about -115 it rounds to 1, so the oracle returns 0."""
+    context = decimal.Context(prec=50)
+    return float(context.ln(context.add(1, context.exp(decimal.Decimal(x)))))
 
 
 def step_of(examples, policy, reference, config):

@@ -172,7 +172,7 @@ class TestSampling:
         vocab = small_vocab()
         policy = BigramPolicy(vocab, rng.normal(0, 1, (4, 4)))
         [sampled] = policy.sample_responses([["a"]], 1e-6, 6, np.random.default_rng(0))
-        assert sampled == policy.greedy_response(["a"], 6)
+        assert [sampled] == policy.sample_responses([["a"]], 0, 6, np.random.default_rng(0))
 
     def test_same_seed_same_sequence(self):
         policy = BigramPolicy.new(small_vocab(), seed=1, noise_std=0.5)
@@ -193,24 +193,19 @@ class TestSampling:
 
     def test_invalid_arguments(self):
         policy = BigramPolicy.new(small_vocab())
-        with pytest.raises(ValueError):
-            policy.sample_responses([[]], 0.0, 5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            policy.sample_responses([[]], 1.0, 0, np.random.default_rng(0))
         for temperature, problem in [
-            (float("nan"), "finite"), (float("inf"), "finite"), ("x", "a number"), (True, "a number"), (None, "a number"), (-1.0, "> 0")
+            (float("nan"), "finite"), (float("inf"), "finite"), ("x", "a number"), (True, "a number"), (None, "a number"), (-1.0, ">= 0")
         ]:
             with pytest.raises(ValueError, match="^temperature must be %s, got %s$" % (problem, re.escape(repr(temperature)))):
                 policy.sample_responses([["a"]], temperature, 5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
-            policy.greedy_response([], 0)
-        # Of the wrong kind, max_len is refused by name by both decoders.
-        for max_len in ("3", 2.5, True, None):
-            message = "^max_len must be an integer, got %s$" % re.escape(repr(max_len))
-            with pytest.raises(ValueError, match=message):
-                policy.greedy_response(["a"], max_len)
-            with pytest.raises(ValueError, match=message):
-                policy.sample_responses([["a"]], 1.0, max_len, np.random.default_rng(0))
+        # max_len is refused by name, greedy (temperature 0) or sampled.
+        for temperature in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^max_len must be >= 1, got 0$"):
+                policy.sample_responses([[]], temperature, 0, np.random.default_rng(0))
+            for max_len in ("3", 2.5, True, None):
+                message = "^max_len must be an integer, got %s$" % re.escape(repr(max_len))
+                with pytest.raises(ValueError, match=message):
+                    policy.sample_responses([["a"]], temperature, max_len, np.random.default_rng(0))
 
 
 def random_policy(size, seed, std=1.5):
@@ -220,6 +215,33 @@ def random_policy(size, seed, std=1.5):
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+
+class TestGreedyMatchesOracle:
+    # Temperature 0 against the per-token argmax loop. Integer logits in a
+    # narrow range make tied row maxima common, and argmax takes the first.
+    @pytest.mark.parametrize("max_len", [1, 3, 7])
+    def test_zero_temperature_is_the_argmax_loop(self, max_len):
+        rng = np.random.default_rng(max_len)
+        seen = {"tie": 0, "eos": 0, "cut": 0}
+        for seed in range(100):
+            policy = random_policy(int(rng.integers(3, 12)), seed)
+            policy.logits[:] = rng.integers(-2, 3, policy.logits.shape)
+            prompts = [[]] + [[token] for token in policy.vocab.tokens[2:]]
+            got = policy.sample_responses(prompts, 0, max_len, np.random.default_rng(seed))
+            assert got == [oracles.greedy_response(policy, prompt, max_len) for prompt in prompts]
+            top = policy.logits.max(axis=1, keepdims=True)
+            seen["tie"] += int(np.any((policy.logits == top).sum(axis=1) > 1))
+            seen["eos"] += sum(r[-1] == EOS for r in got)
+            seen["cut"] += sum(len(r) == max_len and r[-1] != EOS for r in got)
+        assert all(seen.values()), seen
+
+    def test_the_generator_does_not_change_the_response(self):
+        policy = random_policy(20, seed=4)
+        prompts = [[], ["t000"], ["t004", "t017"]]
+        want = [oracles.greedy_response(policy, prompt, 6) for prompt in prompts]
+        for seed in range(5):
+            assert policy.sample_responses(prompts, 0.0, 6, np.random.default_rng(seed)) == want
 
 
 class TestSamplerMatchesOracle:

@@ -28,7 +28,6 @@ import hindpo
 from hindpo.cli import _EVAL_KEYS, _TRAIN_KEYS, RunConfig, main
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import ACTUALITY_ROLES, ArticleRecord, PreferencePair, bucketize, embed_actuality, score_and_rank
-from hindpo.evalharness import generate
 from hindpo.fileio import KINDS, check_seed
 from hindpo.losses import LossConfig, LossExample
 from hindpo.policy import EOS, BigramPolicy, Vocabulary, check_decoding
@@ -143,7 +142,6 @@ CALLERS = {
     ("trainer", "gradcheck"): lambda name, value, tmp_path: gradcheck(
         _policy(), [LossExample(["a"], ["a", EOS], ["b", EOS])], LossConfig(mode="dpo"), **{name: value}
     ),
-    ("evalharness", "generate"): lambda name, value, tmp_path: generate(_policy(), ["a"], **{name: value}),
     ("textmetrics", "rouge_n"): lambda name, value, tmp_path: rouge_n(["a"], ["a"], **{name: value}),
     ("textmetrics", "final_score"): lambda name, value, tmp_path: final_score(
         **{"semantic": 0.5, "rouge_l_f1": 0.5, "meteor_score": 0.5, name: value}

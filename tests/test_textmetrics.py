@@ -529,6 +529,13 @@ class TestFinalScore:
         with pytest.raises(ValueError):
             final_score(0.5, -0.1, 0.5)
 
+    @pytest.mark.parametrize("name", ["semantic", "rouge_l_f1", "meteor_score"])
+    @pytest.mark.parametrize("value", ["x", None, [0.5]], ids=["str", "None", "list"])
+    def test_not_a_number_is_refused_by_name(self, name, value):
+        arguments = {"semantic": 0.5, "rouge_l_f1": 0.5, "meteor_score": 0.5, name: value}
+        with pytest.raises(ValueError, match="^%s must be a number, got %s$" % (name, re.escape(repr(value)))):
+            final_score(**arguments)
+
     def test_strictly_increasing_each_argument(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
