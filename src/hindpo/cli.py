@@ -37,7 +37,7 @@ from . import corpora, dataforge, evalharness, trainer
 from .dataforge import DEFAULT_SPLIT, STAGE_ORDERS, _check_split
 from .fileio import check_object, check_value, limited, read_json, write_atomic
 from .losses import MODES, LossConfig, LossExample
-from .policy import EOS, BigramPolicy, Vocabulary
+from .policy import EOS, BigramPolicy, Vocabulary, table_path
 from .trainer import TrainConfig
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -136,7 +136,8 @@ def _run_forge(config: RunConfig) -> Path:
     # written, so a failed forge leaves the earlier run whole.
     current = {entry["file"] for entry in dataforge.read_manifest(out_dir)["stages"]}
     stale = [path for path in out_dir.glob("stage_*.jsonl") if path.name not in current]
-    stale += [out_dir / ("policy_%s.json" % name) for name in evalharness.CONFIG_ORDER]
+    checkpoints = [out_dir / ("policy_%s.json" % name) for name in evalharness.CONFIG_ORDER]
+    stale += checkpoints + [table_path(path) for path in checkpoints]
     stale += [out_dir / ("trainlog_%s.jsonl" % mode) for mode in MODES]
     stale += [out_dir / "report.txt", out_dir / "report.json"]
     toy_copy = out_dir / "toy_articles.jsonl"

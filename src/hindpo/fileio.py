@@ -3,8 +3,9 @@ manifest and semantic-score check reads, and the limits (ranges, [0, 1]
 ``SCORE`` bounds, choices) declared beside kinds and refused in one form;
 the one walker of a config file or manifest object against them, and the
 one JSON file reader; the JSON line of a dataclass record, written through
-one template per record class; and atomic artefact writes: a reader finds
-the old file or the whole new one at a path, never a half-written one."""
+one template per record class; and atomic artefact writes, of text or
+bytes: a reader finds the old file or the whole new one at a path, never
+a half-written one."""
 
 from __future__ import annotations
 
@@ -185,8 +186,9 @@ def json_line(record: object) -> str:
     return json.dumps(values, ensure_ascii=False) + "\n"
 
 
-def write_atomic(path: str | Path, chunks: str | Iterable[str]) -> Path:
-    """Write UTF-8 text to ``path`` through a temp file in its directory.
+def write_atomic(path: str | Path, chunks: str | bytes | Iterable[str]) -> Path:
+    """Write UTF-8 text, or ``bytes`` as they are, to ``path`` through a
+    temp file in its directory.
 
     The chunks go to ``.<name>.<pid>.tmp`` next to the target, which
     ``os.replace`` then moves over ``path`` in one step. If producing or
@@ -194,11 +196,12 @@ def write_atomic(path: str | Path, chunks: str | Iterable[str]) -> Path:
     at ``path`` is left as it was.
     """
     path = Path(path)
-    if isinstance(chunks, str):
+    binary = isinstance(chunks, bytes)
+    if binary or isinstance(chunks, str):
         chunks = (chunks,)
     tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as handle:
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)

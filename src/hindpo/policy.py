@@ -14,13 +14,17 @@ sampled decoding share one path. ``draw`` takes its uniforms from the
 generator in blocks and locates each in its row by ``bisect`` on a flat
 memoryview of the table; it leaves the generator exactly where one
 ``rng.choice`` per drawn token would, whatever its bit generator. A
-checkpoint is a JSON object whose ``logits`` is the base64 of the table
-as row-major little-endian float64, so it reads back exactly and fast.
+checkpoint is two files: the table's row-major little-endian float64
+bytes, raw, at ``table_path(path)``, and at ``path`` a small JSON header
+holding the format version, the vocabulary and the table's sha256, so
+the table reads back exactly, in one ``np.frombuffer``, and a stale or
+foreign table never loads.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 from bisect import bisect_right
 from itertools import chain
@@ -34,9 +38,21 @@ from .fileio import check_seed, check_value, read_json, write_atomic
 BOS = "<bos>"
 EOS = "<eos>"
 
-CHECKPOINT_FORMAT_VERSION = 2
-_CHECKPOINT_KEYS = {"format_version", "vocab", "logits"}
-_CHECKPOINT_LINE = '{"format_version": %d, "vocab": %s, "logits": "%s"}\n'
+CHECKPOINT_FORMAT_VERSION = 3
+# The keys of a checkpoint's JSON object, by format version: versions 1
+# (the table as a list of rows) and 2 (its base64) hold the table inline.
+_CHECKPOINT_KEYS = {
+    1: {"format_version", "vocab", "logits"},
+    2: {"format_version", "vocab", "logits"},
+    CHECKPOINT_FORMAT_VERSION: {"format_version", "vocab", "sha256"},
+}
+
+
+def table_path(path: str | Path) -> Path:
+    """The file that holds the logit table of the checkpoint at ``path``:
+    its name with ``.logits`` appended, in its directory."""
+    path = Path(path)
+    return path.with_name(path.name + ".logits")
 
 
 def normalise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,39 +303,59 @@ class BigramPolicy:
         return BigramPolicy(self.vocab, self.logits)
 
     def save(self, path: str | Path) -> Path:
-        """Write a checkpoint: format version, vocabulary, and the logit
-        table as base64 of its row-major little-endian float64 bytes.
-
-        The line is ``json.dumps(payload, ensure_ascii=False)`` byte for
-        byte, written through one template: only the vocabulary goes
-        through ``json.dumps``, and the base64 text, which needs no
-        escaping, goes in as it is."""
-        logits = base64.b64encode(self.logits.astype("<f8").tobytes()).decode("ascii")
-        vocab = json.dumps(list(self.vocab.tokens), ensure_ascii=False)
-        return write_atomic(path, _CHECKPOINT_LINE % (CHECKPOINT_FORMAT_VERSION, vocab, logits))
+        """Write a checkpoint: the logit table's row-major little-endian
+        float64 bytes to ``table_path(path)``, then at ``path`` the header
+        line ``json.dumps({"format_version": 3, "vocab": [...], "sha256":
+        <the table's>}, ensure_ascii=False)``. Each file is replaced
+        atomically, the table first, so a header never names a table that
+        is not yet whole. The header's bytes do not depend on ``path``."""
+        data = self.logits.astype("<f8").tobytes()
+        write_atomic(table_path(path), data)
+        header = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "vocab": list(self.vocab.tokens),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+        return write_atomic(path, json.dumps(header, ensure_ascii=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramPolicy":
-        """Read a checkpoint of this format, or of version 1 (the table as a
-        list of rows). A malformed one, not UTF-8 JSON included, raises ``ValueError("<path>: ...")``."""
+        """Read a checkpoint of this format, whose table is read from
+        ``table_path(path)``, beside the header whatever the working
+        directory; or of version 2 (the table's base64 inline) or 1 (the
+        table as a list of rows). A malformed one raises
+        ``ValueError("<path>: ...")``: a header that is not UTF-8 JSON, a
+        missing or extra key, another version, a bad vocabulary, a table
+        that cannot be read, holds other than 8·V² bytes or whose sha256 is
+        not the header's, invalid base64 in version 2, and a non-finite
+        logit."""
         payload = read_json(path, ValueError, str(path))
         try:
-            if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
-                found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-                raise ValueError("checkpoint keys must be %s, got %s" % (sorted(_CHECKPOINT_KEYS), found))
-            version = payload["format_version"]
-            if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
+            version = payload.get("format_version") if isinstance(payload, dict) else CHECKPOINT_FORMAT_VERSION
+            if type(version) is not int or version not in _CHECKPOINT_KEYS:
                 raise ValueError("unsupported checkpoint format version: %r" % version)
+            keys = _CHECKPOINT_KEYS[version]
+            if not isinstance(payload, dict) or payload.keys() != keys:
+                found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+                raise ValueError("checkpoint keys must be %s, got %s" % (sorted(keys), found))
             vocab = Vocabulary(payload["vocab"])
             if version == 1:
                 return cls(vocab, np.array(payload["logits"], dtype=np.float64))
-            try:
-                data = base64.b64decode(payload["logits"], validate=True)
-            except (TypeError, ValueError) as exc:
-                raise ValueError("logits are not a base64 string: %s" % exc) from None
+            if version == 2:
+                try:
+                    data = base64.b64decode(payload["logits"], validate=True)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError("logits are not a base64 string: %s" % exc) from None
+            else:
+                try:
+                    data = table_path(path).read_bytes()
+                except OSError as exc:
+                    raise ValueError("cannot read the logit table: %s" % exc) from None
             size = len(vocab)
             if len(data) != 8 * size * size:
                 raise ValueError("logits hold %d bytes, expected %d" % (len(data), 8 * size * size))
+            if version == CHECKPOINT_FORMAT_VERSION and hashlib.sha256(data).hexdigest() != payload["sha256"]:
+                raise ValueError("logit table %s does not match the header's sha256" % table_path(path))
             return cls(vocab, np.frombuffer(data, dtype="<f8").reshape(size, size))
         except (TypeError, ValueError) as exc:
             raise ValueError("%s: %s" % (path, exc)) from None

@@ -535,18 +535,17 @@ def trainlog_line(record) -> str:
     return json.dumps(vars(record), ensure_ascii=False) + "\n"
 
 
-# The checkpoint line as written before it went through one template: one
-# json.dumps of the whole payload, base64 string included.
+# The version-2 checkpoint line, the format written before the table
+# moved to a file of its own: one json.dumps of the whole payload, the
+# table's base64 string included.
 
 
 def checkpoint_line(policy) -> str:
-    """A policy's checkpoint file text."""
+    """A policy's version-2 checkpoint file text."""
     import base64
 
-    from hindpo.policy import CHECKPOINT_FORMAT_VERSION
-
     payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "format_version": 2,
         "vocab": list(policy.vocab.tokens),
         "logits": base64.b64encode(policy.logits.astype("<f8").tobytes()).decode("ascii"),
     }

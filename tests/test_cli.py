@@ -113,6 +113,39 @@ class TestForge:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [row["config"] for row in report] == ["base", "hin_dpo"]
 
+    def test_reforge_drops_the_tables_of_the_earlier_forge(self, tmp_path):
+        from hindpo.corpora import toy_corpus
+        from hindpo.dataforge import dump_articles
+
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["forge", "--config", str(config)]) == 0
+        assert main(["demo", "--config", str(config)]) == 0
+        records = toy_corpus()[:8]
+        for record in records:
+            record.ground_truth_explanation += " नवीनतम"
+        corpus = dump_articles(records, tmp_path / "corpus.jsonl")
+        assert main(["forge", "--config", str(config), "--corpus", str(corpus)]) == 0
+        assert not list(out.glob("policy_*"))
+        assert main(["train", "--config", str(config), "--mode", "dpo"]) == 0
+        assert sorted(p.name for p in out.glob("policy_*")) == [
+            "policy_base.json", "policy_base.json.logits", "policy_dpo.json", "policy_dpo.json.logits",
+        ]
+
+    def test_a_base_header_without_its_table_is_refused_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 0
+        base = out / "policy_base.json"
+        (out / "policy_base.json.logits").unlink()
+        config = RunConfig(out_dir=str(out), seed=7)
+        with pytest.raises(ValueError, match="^%s: cannot read the logit table: " % re.escape(str(base))):
+            cli._base_policy(config, out)
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: cannot read the logit table: [Errno 2] No such file or directory" % base), err
+
     def test_reforge_leaves_only_what_a_fresh_forge_writes(self, tmp_path):
         from hindpo.corpora import toy_corpus
         from hindpo.dataforge import dump_articles
@@ -335,11 +368,14 @@ class TestTrainEval:
         assert main(["forge", "--out", str(out), "--seed", "7"]) == 0
         assert main(["eval", "--out", str(out), "--seed", "7"]) == 0
         base = out / "policy_base.json"
-        base.write_bytes(base.read_bytes()[:1000])
-        capsys.readouterr()
-        assert main(["eval", "--out", str(out), "--seed", "7"]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"error: %s: [^\n]+\n" % re.escape(str(base)), err), err
+        for path in (base, out / "policy_base.json.logits"):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+            capsys.readouterr()
+            assert main(["eval", "--out", str(out), "--seed", "7"]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"error: %s: [^\n]+\n" % re.escape(str(base)), err), err
+            path.write_bytes(data)
 
     @pytest.mark.parametrize(
         "edit, error",
@@ -643,11 +679,16 @@ class TestGradcheck:
 
 
 SEED_7_TRAINING_SHA256 = {
-    "policy_base.json": "372e16713e055080540ebaa5b233dc16d4657d67a0aca40eb2d2c1424f25d41c",
-    "policy_dpo.json": "a370ebede26d3f49c46caefd17f0b9846cbbfb6531ce5bce97d38fdb61e44861",
-    "policy_dpo_act.json": "f03fff9a776e45647ddf88c6e0d9d922452764c12078f1f235e28b487d3535e7",
-    "policy_dpo_fin.json": "d2e8fbdec9d1405da8aafbcb358fd34c29cd811ccc758ea205aa3531063d7950",
-    "policy_hin_dpo.json": "e980a0c4503371a295427c3ad9e66bebf40017adeb412c5d41c6059f50ffdcc5",
+    "policy_base.json": "7aa4dff8fe40265b1c1b919dc3cc4bcc1b6286bbfca152434b99f79f56b91ca7",
+    "policy_base.json.logits": "2690b97e584be957ce315aae47a9d5fee767d7b2f3cc90b6b5a9ac5b81eaf1eb",
+    "policy_dpo.json": "6413338e4bbd625fe57cf5664f8af03708f3b8d45f24429faace2509e427f8ed",
+    "policy_dpo.json.logits": "5784bab2a725a5118a1a5080c38bda712ca92e35ee1df45b47e034551dfd6dff",
+    "policy_dpo_act.json": "9f100532877de0354c4345b64896ebe66c62e9cebfb6b318c8b0ec418a4dda96",
+    "policy_dpo_act.json.logits": "f4b3695ff9244df48475790baf53ece3e862b68f1b1674ce92c79dcfa616f34b",
+    "policy_dpo_fin.json": "0fbecfca2d4b6608cc12f0f38089b5057e809a92bba83e687e73600f7d24079d",
+    "policy_dpo_fin.json.logits": "57e45d8151e7d9e4849a96d8712f2ffbf4653a67983467caed2ad982bc7a54de",
+    "policy_hin_dpo.json": "dbd15b9f27f22b5417663d282b3bd4ca2a5908d3b13caa023bd717ac07842e03",
+    "policy_hin_dpo.json.logits": "0efe145cdcf5ee215c5d3440e2f7bc6c7ef55fd84177a0680e58f085c6c4dffe",
     "report.json": "abec34b8ad33fdaec89a27cafbb28acc2aa6a7558f0bcc162d0285f70e286de4",
     "report.txt": "3f232e44fb7d1ea5ceef5a7b8ec122ef6639ae8433b098da9f6940b769c4ff2f",
     "trainlog_dpo.jsonl": "32b79ad9f183d18e53cf5e90def0077141fb8204777e1585f74670483a8b7c01",
@@ -685,8 +726,8 @@ class TestDemo:
         assert (tmp_path / "default" / policy).read_bytes() != (tmp_path / "slow" / policy).read_bytes()
 
     def test_seed_7_training_bytes_are_pinned(self, tmp_path):
-        # Every checkpoint, every trainlog and both eval reports of the
-        # default demo: a change to the train step that moves one bit of
+        # Every checkpoint header and table, every trainlog and both eval
+        # reports of the default demo: a change to the train step that moves one bit of
         # one logit or logged value fails here.
         out = tmp_path / "out"
         assert main(["demo", "--out", str(out), "--seed", "7"]) == 0

@@ -1,7 +1,9 @@
 import base64
+import hashlib
 import itertools
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hindpo import fileio
 from hindpo import policy as policy_module
-from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary, draw
+from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary, draw, table_path
 
 import oracles
 from oracles import (
@@ -406,17 +409,33 @@ class TestCheckpoint:
     def test_rejects_unknown_version(self, tmp_path):
         policy = BigramPolicy.new(small_vocab())
         path = policy.save(tmp_path / "ckpt.json")
-        payload = path.read_text().replace('"format_version": 2', '"format_version": 99')
+        payload = path.read_text().replace('"format_version": 3', '"format_version": 99')
         path.write_text(payload)
         with pytest.raises(ValueError):
             BigramPolicy.load(path)
 
-    def test_logits_are_base64_little_endian_float64(self, tmp_path):
+    def test_table_is_raw_little_endian_float64_beside_the_header(self, tmp_path):
         policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
-        payload = json.loads(policy.save(tmp_path / "ckpt.json").read_text(encoding="utf-8"))
-        assert list(payload) == ["format_version", "vocab", "logits"]
-        assert payload["format_version"] == 2
-        assert base64.b64decode(payload["logits"]) == policy.logits.astype("<f8").tobytes()
+        header = json.loads(policy.save(tmp_path / "ckpt.json").read_text(encoding="utf-8"))
+        table = (tmp_path / "ckpt.json.logits").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ckpt.json.logits"]
+        assert list(header) == ["format_version", "vocab", "sha256"]
+        assert header["format_version"] == 3
+        assert table == policy.logits.astype("<f8").tobytes()
+        assert header["sha256"] == hashlib.sha256(table).hexdigest()
+
+    @pytest.mark.parametrize("name", ["ckpt.json", "ckpt.json.logits", "ckpt", ".logits"])
+    def test_table_path_is_a_sibling_with_another_name(self, tmp_path, name):
+        assert table_path(tmp_path / name) == tmp_path / (name + ".logits")
+        assert table_path(tmp_path / name) != tmp_path / name
+
+    def test_reads_a_version_2_checkpoint(self, tmp_path):
+        policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        path = tmp_path / "v2.json"
+        path.write_bytes(oracles.checkpoint_line(policy).encode("utf-8"))
+        loaded = BigramPolicy.load(path)
+        assert loaded.vocab == policy.vocab
+        assert loaded.logits.tobytes() == policy.logits.tobytes()
 
     def test_reads_a_version_1_checkpoint(self, tmp_path):
         policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
@@ -428,7 +447,67 @@ class TestCheckpoint:
         }), encoding="utf-8")
         loaded = BigramPolicy.load(path)
         assert loaded.vocab == policy.vocab
-        assert np.array_equal(loaded.logits, policy.logits)
+        assert loaded.logits.tobytes() == policy.logits.tobytes()
+
+    def test_loads_through_a_relative_path_from_another_directory(self, tmp_path, monkeypatch):
+        policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        (tmp_path / "run").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        policy.save(tmp_path / "run" / "ckpt.json")
+        # A table of the same name in the working directory must not be read.
+        BigramPolicy.new(small_vocab(), seed=6, noise_std=0.7).save(tmp_path / "elsewhere" / "ckpt.json")
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        for path in ("../run/ckpt.json", Path("..") / "run" / "ckpt.json"):
+            assert BigramPolicy.load(path).logits.tobytes() == policy.logits.tobytes()
+        monkeypatch.chdir(tmp_path)
+        assert BigramPolicy.load("run/ckpt.json").logits.tobytes() == policy.logits.tobytes()
+
+    def test_a_write_failing_inside_the_table_leaves_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        earlier = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        path = earlier.save(tmp_path / "ckpt.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class HalfWritten:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+
+        def failing_open(file, mode="r", **kwargs):
+            handle = open(file, mode, **kwargs)
+            return HalfWritten(handle) if mode == "wb" else handle
+
+        monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            BigramPolicy.new(small_vocab(), seed=6, noise_std=0.7).save(path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert BigramPolicy.load(path).logits.tobytes() == earlier.logits.tobytes()
+
+    def test_a_header_write_failing_after_the_table_makes_load_refuse(self, tmp_path, monkeypatch):
+        path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == path:
+                raise OSError("No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="No space left on device"):
+            BigramPolicy.new(small_vocab(), seed=6, noise_std=0.7).save(path)
+        monkeypatch.undo()
+        message = "%s: logit table %s does not match the header's sha256" % (path, table_path(path))
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            BigramPolicy.load(path)
 
 
 # Tokens holding JSON's escaped characters (quotes, backslashes, control
@@ -444,12 +523,19 @@ def test_save_writes_the_line_json_dumps_writes(tokens, seed):
     import tempfile
 
     policy = BigramPolicy.new(Vocabulary.from_tokens(tokens), seed=seed, noise_std=0.5)
+    table = policy.logits.astype("<f8").tobytes()
+    header = {"format_version": 3, "vocab": list(policy.vocab.tokens), "sha256": hashlib.sha256(table).hexdigest()}
     with tempfile.TemporaryDirectory() as tmp:
         path = policy.save(Path(tmp) / "ckpt.json")
-        assert path.read_bytes() == oracles.checkpoint_line(policy).encode("utf-8")
+        assert path.read_bytes() == (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8")
+        assert table_path(path).read_bytes() == table
         loaded = BigramPolicy.load(path)
-    assert loaded.vocab == policy.vocab
-    assert loaded.logits.tobytes() == policy.logits.tobytes()
+        v2 = Path(tmp) / "v2.json"
+        v2.write_bytes(oracles.checkpoint_line(policy).encode("utf-8"))
+        loaded_v2 = BigramPolicy.load(v2)
+    for each in (loaded, loaded_v2):
+        assert each.vocab == policy.vocab
+        assert each.logits.tobytes() == policy.logits.tobytes()
 
 
 def _b64(table):
@@ -483,7 +569,7 @@ _NAN_TABLE[1, 2] = np.nan
         pytest.param(lambda text: "[]", "checkpoint keys must be", id="not-an-object"),
         pytest.param(_drop("logits"), r"checkpoint keys must be .*got \['format_version', 'vocab'\]", id="missing-key"),
         pytest.param(_edit("step", 3), r"checkpoint keys must be .*'step'", id="extra-key"),
-        pytest.param(_edit("format_version", 3), "unsupported checkpoint format version: 3", id="unsupported-version"),
+        pytest.param(_edit("format_version", 4), "unsupported checkpoint format version: 4", id="unsupported-version"),
         pytest.param(_edit("format_version", True), "unsupported checkpoint format version: True", id="bool-version"),
         pytest.param(_edit("logits", "not base64!"), "logits are not a base64 string", id="invalid-base64"),
         pytest.param(_edit("logits", [[0.0] * 4] * 4), "logits are not a base64 string", id="list-under-version-2"),
@@ -500,9 +586,69 @@ _NAN_TABLE[1, 2] = np.nan
     ],
 )
 def test_load_rejects_a_bad_checkpoint_naming_the_file(tmp_path, edit, message):
-    path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    # Version-2 files, written by the version-2 writer.
+    path = tmp_path / "ckpt.json"
+    path.write_text(edit(oracles.checkpoint_line(BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7))), encoding="utf-8")
     with pytest.raises(ValueError, match="^%s: .*(%s)" % (re.escape(str(path)), message)):
+        BigramPolicy.load(path)
+
+
+def _edit_header(change):
+    def edit(header, table):
+        payload = json.loads(header.read_text(encoding="utf-8"))
+        change(payload)
+        header.write_text(json.dumps(payload), encoding="utf-8")
+    return edit
+
+
+def _non_finite_table(header, table):
+    data = _NAN_TABLE.astype("<f8").tobytes()
+    table.write_bytes(data)
+    _edit_header(lambda payload: payload.update(sha256=hashlib.sha256(data).hexdigest()))(header, table)
+
+
+def _flip_last_byte(header, table):
+    data = bytearray(table.read_bytes())
+    data[-1] ^= 1
+    table.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda header, table: table.unlink(),
+            r"cannot read the logit table: \[Errno 2\] No such file or directory: '.*ckpt\.json\.logits'",
+            id="missing-table",
+        ),
+        pytest.param(
+            lambda header, table: table.write_bytes(table.read_bytes()[:-8]),
+            "logits hold 120 bytes, expected 128",
+            id="truncated-table",
+        ),
+        pytest.param(_flip_last_byte, r"logit table .*ckpt\.json\.logits does not match the header's sha256", id="sha-mismatch"),
+        pytest.param(
+            _edit_header(lambda payload: payload.update(sha256="0" * 64)),
+            r"logit table .*ckpt\.json\.logits does not match the header's sha256",
+            id="other-sha-in-header",
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.update(step=3)),
+            r"checkpoint keys must be \['format_version', 'sha256', 'vocab'\], got \['format_version', 'sha256', 'step', 'vocab'\]",
+            id="extra-header-key",
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.pop("sha256")),
+            r"checkpoint keys must be \['format_version', 'sha256', 'vocab'\], got \['format_version', 'vocab'\]",
+            id="missing-header-key",
+        ),
+        pytest.param(_non_finite_table, "logits must be finite", id="non-finite-table"),
+    ],
+)
+def test_load_rejects_a_bad_version_3_checkpoint_naming_it(tmp_path, edit, message):
+    path = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7).save(tmp_path / "ckpt.json")
+    edit(path, table_path(path))
+    with pytest.raises(ValueError, match="^%s: %s" % (re.escape(str(path)), message)):
         BigramPolicy.load(path)
 
 
