@@ -16,7 +16,7 @@ print("  (= 2 * ln(1/%d) = %.4f)" % (len(vocab), 2 * np.log(1 / len(vocab))))
 
 # d(log prob)/d(logits): each transition's one-hot minus its row's softmax
 rows, cols = policy.transitions(["खबर"], response)
-grad = transition_grad(normalise(policy.logits)[1], rows, cols, np.ones(len(rows)))
+grad = transition_grad(normalise(policy.logits)[1], rows, rows * len(vocab) + cols, np.ones(len(rows)))
 print("gradient touches rows:", [vocab.tokens[i] for i in np.flatnonzero(np.abs(grad).sum(axis=1))])
 
 # sharpen one transition and watch sampling follow it

@@ -12,7 +12,9 @@ Library tour:
   fields; ``embed_actuality`` fills them from a lookup file), ranking,
   bucketization, emission, and manifest-checked read-back
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
-- :mod:`hindpo.policy` trainable bigram softmax policy with exact gradients
+- :mod:`hindpo.policy` trainable bigram softmax policy with exact
+  gradients; ``draw`` samples the responses of many start rows in one
+  call
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_runs`` (pairs as transition indices, scored under
   each run's frozen reference once), ``plan_runs`` (an epoch's batches
@@ -29,8 +31,9 @@ Library tour:
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
 - :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads;
-  ``json_line``, the one line template of the pair files and the train
-  log; atomic writes
+  ``json_lines``, which formats the pair files and the train log column
+  by column through one line template per record class and yields them
+  line by line; atomic writes
 """
 
 from .corpora import separable_curriculum, toy_corpus

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .fileio import (
-    SCORE, check_kinds, check_object, check_seed, check_value, json_line, kind_problem, limited, read_json, write_atomic
+    SCORE, check_kinds, check_object, check_seed, check_value, json_lines, kind_problem, limited, read_json, write_atomic
 )
 from .textmetrics import SemanticScorer, final_score, rouge_l_and_meteor, semantic_scores, tokenize
 
@@ -285,16 +285,26 @@ def load_pairs(path: str | Path) -> list[PreferencePair]:
     return _parse_pairs(path, path.read_bytes())
 
 
-def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
-    """Write one JSON line per pair, the file as one string: each line is
+def _pair_bytes(pairs: Iterable[PreferencePair]) -> bytes:
+    """The UTF-8 bytes of a pair file: one JSON line per pair, each
     ``json.dumps(pair.to_json_dict(), ensure_ascii=False) + "\n"`` byte
-    for byte, written through one line template by ``fileio.json_line``
+    for byte, formatted column by column by ``fileio.json_lines``
     (strings escaped as json.dumps escapes them, ints and floats by their
-    ``__repr__``, None as null). A pair the template cannot write exactly,
-    such as one with a NaN or infinite ``fs``, a bool, a numpy value or an
-    int subclass, goes through ``json.dumps`` itself, the oracle the tests
-    compare every line with."""
-    return write_atomic(path, "".join(map(json_line, pairs)))
+    ``__repr__``, None as null). A pair the line template cannot write
+    exactly, such as one with a NaN or infinite ``fs``, a bool, a numpy
+    value or an int subclass, goes through ``json.dumps`` itself, the
+    oracle the tests compare every line with. Each line is encoded as it
+    comes, so the file's text is never held beside its bytes."""
+    buffer = io.BytesIO()
+    for line in json_lines(pairs):
+        buffer.write(line.encode("utf-8"))
+    return buffer.getvalue()
+
+
+def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
+    """Write one JSON line per pair, the file's bytes at once (see
+    ``_pair_bytes``)."""
+    return write_atomic(path, _pair_bytes(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +491,11 @@ def forge(
 
 
 def _file_entry(pairs: Sequence[PreferencePair], path: Path) -> dict:
-    dump_pairs(pairs, path)
-    return {
-        "file": path.name,
-        "pairs": len(pairs),
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-    }
+    """Write the pair file at ``path`` and return its manifest entry, whose
+    sha256 is taken over the bytes just written, not read back."""
+    data = _pair_bytes(pairs)
+    write_atomic(path, data)
+    return {"file": path.name, "pairs": len(pairs), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 MANIFEST_NAME = "manifest.json"

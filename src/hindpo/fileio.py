@@ -2,10 +2,11 @@
 manifest and semantic-score check reads, and the limits (ranges, [0, 1]
 ``SCORE`` bounds, choices) declared beside kinds and refused in one form;
 the one walker of a config file or manifest object against them, and the
-one JSON file reader; the JSON line of a dataclass record, written through
-one template per record class; and atomic artefact writes, of text or
-bytes: a reader finds the old file or the whole new one at a path, never
-a half-written one."""
+one JSON file reader; ``json_lines``, the JSON lines of dataclass records,
+formatted column by column through one template per record class and
+yielded line by line; and atomic artefact writes, of text or bytes: a
+reader finds the old file or the whole new one at a path, never a
+half-written one."""
 
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import math
 import operator
 import os
 from dataclasses import MISSING, Field, field, fields
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -152,6 +154,9 @@ def read_json(path: str | Path, error: type[Exception], where: str) -> Any:
 # exactly each of these types; a float's text is checked to be finite.
 _JSON_TEXT = {str: encode_basestring, int: int.__repr__, float: float.__repr__, type(None): lambda _: "null"}
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
+# Rows json_lines formats at once: the texts it holds stay bounded however
+# many records it writes.
+_ROWS = 64
 
 
 @functools.cache
@@ -161,29 +166,69 @@ def _line_template(cls: type) -> tuple[tuple[str, ...], str]:
     return names, "{%s}\n" % ", ".join('"%s": %%s' % name for name in names)
 
 
-def json_line(record: object) -> str:
-    """``json.dumps(vars(record), ensure_ascii=False) + "\n"`` of a
-    dataclass instance, byte for byte.
+def _text(value: object) -> str | None:
+    """The JSON text of one value, or None when the template cannot write
+    it: a value of another type, or an int too long for ``int.__repr__``."""
+    write = _JSON_TEXT.get(type(value))
+    try:
+        return None if write is None else write(value)
+    except ValueError:
+        return None
 
-    When the record's attributes are its class's fields, in order, and
-    each value is a ``str``, ``int``, finite ``float`` or None of exactly
-    that type, the line goes through the class's one template: strings
+
+def _column_texts(values: list) -> tuple[list, set[int]]:
+    """The JSON texts of one column's values, and the positions of the
+    values the template cannot write, whose texts are None or not finite.
+    A column of one type in ``_JSON_TEXT`` takes that type's one
+    formatter; only a mixed column, or one with an int too long to write,
+    writes each value on its own."""
+    kinds = set(map(type, values))
+    write = _JSON_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    try:
+        texts = list(map(write or _text, values))
+    except ValueError:  # an int too long for int.__repr__
+        write, texts = None, list(map(_text, values))
+    if write is None or write is float.__repr__:
+        if None in texts or not _NON_FINITE.isdisjoint(texts):
+            return texts, {i for i, text in enumerate(texts) if text is None or text in _NON_FINITE}
+    return texts, set()
+
+
+def json_lines(records: Iterable[object]) -> Iterator[str]:
+    """``json.dumps(vars(record), ensure_ascii=False) + "\n"`` of each
+    record, in order, byte for byte, yielded one line at a time.
+
+    The records are read as instances of the first one's dataclass and
+    formatted column by column, ``_ROWS`` records at a time, each column's
+    values at once: strings
     escaped by ``json.encoder.encode_basestring``, the escaper json.dumps
     uses without ensure_ascii, numbers written by ``int.__repr__`` and
-    ``float.__repr__``. Any other record (a bool, NaN or infinity, a numpy
-    or subclass value, an added or moved attribute) goes through
-    ``json.dumps`` itself, so it writes, or fails, as json.dumps does.
+    ``float.__repr__``, None as null. A row whose attributes are its
+    class's fields, in order, and whose values are each a ``str``,
+    ``int``, finite ``float`` or None of exactly that type goes through the
+    class's one line template. Any other row (a bool, NaN or infinity, a
+    numpy or subclass value, an added or moved attribute, another class)
+    goes through ``json.dumps`` itself at its turn, so it writes, or fails,
+    as json.dumps does, after every line before it has been yielded.
     """
-    values = vars(record)
-    names, template = _line_template(type(record))
-    if tuple(values) == names:
-        try:
-            texts = tuple([_JSON_TEXT[type(value)](value) for value in values.values()])
-        except KeyError:  # a value of another type
-            texts = None
-        if texts is not None and _NON_FINITE.isdisjoint(texts):
-            return template % texts
-    return json.dumps(values, ensure_ascii=False) + "\n"
+    records = list(records)
+    if not records:
+        return
+    cls = type(records[0])
+    names, template = _line_template(cls)
+    for start in range(0, len(records), _ROWS):
+        chunk = records[start : start + _ROWS]
+        rows = list(map(vars, chunk))
+        unwritable = set()
+        if set(map(type, chunk)) != {cls} or set(map(tuple, rows)) != {names}:
+            unwritable = {i for i, (record, row) in enumerate(zip(chunk, rows)) if type(record) is not cls or tuple(row) != names}
+        columns = []
+        for name in names:
+            texts, bad = _column_texts(list(map(dict.get, rows, repeat(name))))
+            columns.append(texts)
+            unwritable |= bad
+        for i, (row, texts) in enumerate(zip(rows, zip(*columns))):
+            yield json.dumps(row, ensure_ascii=False) + "\n" if i in unwritable else template % texts
 
 
 def write_atomic(path: str | Path, chunks: str | bytes | Iterable[str]) -> Path:

@@ -37,20 +37,24 @@ at three levels:
   gather of their transitions and one ``np.unique`` over the key
   batch * V + row for every batch's visited rows. Run k's copy of the
   plan is that plan offset to run k's rows and sequences; with every run's
-  mode weights it is cut into ``Batch``es;
-- per step, ``loss_steps`` gathers the visited rows once, takes their
-  log-softmax only at the batch's transitions and computes every run's
-  loss, its gradient on those rows (built in place of their softmax) and
-  its norm, and the batch statistics; it returns the gathered rows too,
-  for the caller to update in place.
+  mode weights it is cut into ``Batch``es, which also hold the constants
+  a step would otherwise rebuild: each transition's flat entry
+  local·V + col in the gathered rows, the signed side weights
+  (-m_w, +m_l), beta * mult and where each run's rows start;
+- per step, ``loss_steps`` gathers the visited rows once, reads their
+  log-softmax only at the batch's transitions, through their flat
+  entries, and computes every run's loss, its gradient on those rows
+  (built in place of their softmax) and its norm, and the batch
+  statistics, written in place into one per-pair table; it returns the
+  gathered rows too, for the caller to update in place.
 
 ``loss_gradient`` is the one-run view: it takes a whole ``EncodedPairs``,
 plans it as one batch under one config and returns the run's step.
 
-``compute_finesse`` draws all its samples from one temperature table: per
-prompt, one ``draw`` of all its samples, which takes the uniforms from the
-generator in one block and leaves it where one ``rng.random()`` per drawn
-token would.
+``compute_finesse`` draws all its samples from one temperature table, in
+one ``draw`` call for all its prompts, which takes the uniforms from the
+generator in blocks and leaves it where one ``draw`` per prompt, and one
+``rng.random()`` per drawn token, would.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .fileio import check_kinds, limited
-from .policy import EOS, BigramPolicy, Vocabulary, draw, normalise, sampling_tables, transition_grad
+from .policy import EOS, BigramPolicy, Vocabulary, draw, sampling_tables, transition_grad
 from .welford import Welford
 
 MODES = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
@@ -179,11 +183,6 @@ def _weights(preferred_actuality, rejected_actuality, effective_variance, config
     return m_w, m_l, mult
 
 
-def _weighted_score(r_w, r_l, m_w, m_l, mult):
-    """(m_w * r_w - m_l * r_l) * mult: the score formula of every mode."""
-    return (m_w * r_w - m_l * r_l) * mult
-
-
 def preference_score(
     ratios: LogRatios,
     preferred_actuality: float | np.ndarray,
@@ -197,8 +196,8 @@ def preference_score(
     dpo_fin: (r_w - r_l) scaled by the capped variance multiplier.
     hin_dpo: actuality weighting and variance scaling combined.
     """
-    weights = _weights(preferred_actuality, rejected_actuality, effective_variance, config)
-    return _weighted_score(ratios.preferred, ratios.rejected, *weights)
+    m_w, m_l, mult = _weights(preferred_actuality, rejected_actuality, effective_variance, config)
+    return (m_w * ratios.preferred - m_l * ratios.rejected) * mult
 
 
 def hin_dpo_loss(score: float | np.ndarray, beta: float) -> float | np.ndarray:
@@ -224,21 +223,23 @@ def compute_finesse(
     well defined even when the samples differ in length). The running
     sample variance of those scalars is the raw estimate; the effective
     value divides it by 0.25 (the maximum variance of [0, 1] values) and
-    clamps to [0, 1]. The temperature table is built once per call. A
-    prompt's samples come from one ``draw``, which consumes the generator
-    as one ``rng.random()`` per drawn token; each sample is scored as
-    drawn, its log-probabilities added in path order. A prompt with an
-    out-of-vocabulary token raises.
+    clamps to [0, 1]. The temperature table is built once per call, and
+    every prompt's samples come from one ``draw`` of all the prompts' start
+    rows, which consumes the generator as one ``draw`` per prompt would:
+    one ``rng.random()`` per drawn token. Each sample is scored as drawn,
+    its log-probabilities added in path order. A prompt with an
+    out-of-vocabulary token raises before any sample is drawn.
     """
     log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
     size = len(log_probs)
     flat = memoryview(log_probs.reshape(-1))
-    eos = policy.vocab.index(EOS)
+    starts = [policy.vocab.start(prompt) for prompt in prompts]
+    samples = config.finesse_samples
+    paths = draw(cdf, starts, policy.vocab.index(EOS), config.finesse_max_len, samples, rng)
     estimates = []
-    for prompt in prompts:
-        start = policy.vocab.start(prompt)
+    for i, start in enumerate(starts):
         stats = Welford()
-        for path in draw(cdf, start, eos, config.finesse_max_len, config.finesse_samples, rng):
+        for path in paths[i * samples : (i + 1) * samples]:
             log_prob, prev = 0, start
             for token in path:
                 log_prob += flat[prev * size + token]
@@ -261,24 +262,30 @@ class Batch:
     the batch is run 0's offset: its visited rows by k·V, its transitions'
     row indices by k times the rows a run visits and their sequences by
     k·2m. ``rows`` holds the sorted stacked rows the batch visits,
-    run-major. Per transition, ``local`` is its row as an index into
-    ``rows``, ``cols`` its next token and ``owner`` its sequence: k·2m + 2i
-    for pair i's preferred response in run k, one more for its rejected
-    one. ``reference`` is the pairs' (K, m, 2) reference log-probabilities.
-    The pairs' loss weights under their run's config follow: ``weights`` is
-    the (K, m, 2) table of the mode's preferred / rejected weights
-    (m_w, m_l), ``mult`` the (K, m) finesse multipliers and ``beta`` the
-    (K, 1) column of the runs' betas, one per run.
+    run-major, and ``blocks`` where each run's block of them starts. Per
+    transition, ``local`` is its row as an index into ``rows``, ``flat``
+    its entry local·V + col in the gathered (len(rows), V) block, read
+    row-major, and ``owner`` its sequence: k·2m + 2i for pair i's preferred
+    response in run k, one more for its rejected one. ``reference`` is the
+    pairs' (K, m, 2) reference log-probabilities. The pairs' loss weights
+    under their run's config follow: ``weights`` is the (K, m, 2) table of
+    the mode's preferred / rejected weights (m_w, m_l) and ``signed`` the
+    same with the preferred side negated (-m_w, +m_l), ``mult`` the (K, m)
+    finesse multipliers, ``beta`` the (K, 1) column of the runs' betas and
+    ``beta_mult`` the (K, m) products beta * mult.
     """
 
     rows: np.ndarray
+    blocks: np.ndarray
     local: np.ndarray
-    cols: np.ndarray
+    flat: np.ndarray
     owner: np.ndarray
     reference: np.ndarray
     weights: np.ndarray
+    signed: np.ndarray
     mult: np.ndarray
     beta: np.ndarray
+    beta_mult: np.ndarray
 
     def __len__(self) -> int:
         """Pairs per run."""
@@ -327,8 +334,11 @@ def plan_runs(
     transition's index into them. Run k's copy of that plan is offset on a
     leading K axis, and each batch takes its slice of every run's copy.
     The loss weights are computed once per run into one (K, n, 3) table of
-    m_w, m_l and mult, and each batch takes views of it; every batch shares
-    the one (K, 1) column of the runs' betas.
+    m_w, m_l and mult, with its signed weights and beta * mult beside it,
+    and each batch takes views of them; every batch shares the one (K, 1)
+    column of the runs' betas. beta * mult is taken under the step's
+    ``np.errstate``: a product that overflows is infinite, so the step's
+    gradient is non-finite, which the trainer rejects.
     """
     order = np.asarray(order, dtype=np.intp)
     count, n = len(configs), len(encoded)
@@ -355,13 +365,17 @@ def plan_runs(
     run = np.arange(count)[:, None]
     rows = keys % vocab_size + run * vocab_size
     local = inverse - batch_keys[batch_of] + run * visited[batch_of]
+    flat = local * vocab_size + encoded.cols[picked]
     owner = owner + run * (2 * pairs)[batch_of]
-    cols = np.broadcast_to(encoded.cols[picked], local.shape)
+    blocks = run.T * visited[:, None]  # per batch, where each run's rows start
     table = np.empty((count, len(order), 3))  # m_w, m_l and mult per run and pair
     for k, config in enumerate(configs):
         s_w, s_l, v = encoded.factors[k, order].T
         table[k, :, 0], table[k, :, 1], table[k, :, 2] = _weights(s_w, s_l, v, config)
     reference, beta = encoded.reference[:, order], np.array([[config.beta] for config in configs])
+    signed = table[:, :, :2] * (-1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_mult = beta * table[:, :, 2]
     step_bounds = np.searchsorted(batch_of, np.arange(batches + 1)).tolist()
     batch_keys = batch_keys.tolist()
     out = []
@@ -370,8 +384,9 @@ def plan_runs(
         cut = slice(b * batch_size, (b + 1) * batch_size)
         out.append(
             Batch(
-                rows[:, keyed].ravel(), local[:, steps].ravel(), cols[:, steps].ravel(), owner[:, steps].ravel(),
-                reference[:, cut], table[:, cut, :2], table[:, cut, 2], beta,
+                rows[:, keyed].ravel(), blocks[b], local[:, steps].ravel(), flat[:, steps].ravel(),
+                owner[:, steps].ravel(), reference[:, cut], table[:, cut, :2], signed[:, cut], table[:, cut, 2],
+                beta, beta_mult[:, cut],
             )
         )
     return out
@@ -388,7 +403,12 @@ def encode_runs(
 
     ``references`` stacks the runs' reference logit tables as one (K·V, V)
     table, run k's in rows k·V to (k + 1)·V - 1, and ``variances[k]``
-    holds run k's per-pair effective variances. Every run's sequence
+    holds run k's per-pair effective variances. The rows the stage's
+    transitions visit are gathered once, as ``loss_steps`` gathers a
+    batch's, and a transition's reference log-probability is
+    ``normalise``'s log-softmax entry, bit for bit, read at the transition
+    only: its row's entry shifted by the row's maximum, minus the log of
+    the row's total. Every run's sequence
     reference log-probabilities come from one ``np.bincount`` over all
     runs' transitions, which adds each sequence's terms in order.
     """
@@ -400,7 +420,13 @@ def encode_runs(
     lengths = np.array([len(r) for r, _ in paths], dtype=np.intp)
     count, sequences = len(variances), len(paths)
     stacked = (rows + len(policy.vocab) * np.arange(count)[:, None]).ravel()
-    terms = normalise(references)[0][stacked, np.tile(cols, count)]
+    seen = np.zeros(len(references), dtype=bool)
+    seen[stacked] = True
+    gathered = references[seen]  # the visited rows, in order
+    local = (np.cumsum(seen) - 1)[stacked]  # each transition's row among them
+    shifted = gathered - np.maximum.reduce(gathered, axis=1, keepdims=True)
+    log_totals = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    terms = shifted[local, np.tile(cols, count)] - log_totals[local]
     owner = np.repeat(np.arange(count * sequences), np.tile(lengths, count))
     sequence_log_probs = np.bincount(owner, terms, minlength=count * sequences).reshape(count, -1, 2)
     actuality = [(e.preferred_actuality, e.rejected_actuality) for e in examples]
@@ -447,55 +473,63 @@ def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
     stacked (K·V, V) ``logits`` on the rows the batch visits, and the
     batch's preference statistics, in count form.
 
-    The visited rows are gathered once, into the returned ``visited``;
-    ``logits`` is never written. Each row is shifted by its maximum into
-    one buffer, which is then exponentiated in place, and a transition's
-    log-probability is its shifted entry, read before the exponential,
-    minus the log of its row's total: ``normalise``'s value, bit for bit,
-    with no full log-softmax table. One ``np.bincount`` over the batch's
-    transitions gives every sequence's policy log-probability, hence all
-    r_w / r_l against the planned reference scores; u = beta * S, the
-    losses and the statistics are (K, m) per-pair tables, and each run's
-    mean is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
-    ``np.mean`` sums), all in one reduction over a (4, K, m) table. With
-    coeff = beta * mult * (1 - sigma(u)) each preferred transition weighs
-    -coeff * m_w and each rejected one +coeff * m_l in one
-    ``transition_grad`` call over the visited rows, which writes the
-    gradient block on those rows over the softmax buffer, then divided by
-    m in place; every other row's gradient is zero. Each run's gradient
-    norm takes the squares, sums them per row, then sums the row sums over
-    the run's block of rows with ``np.add.reduceat``: one fixed order,
-    whatever the BLAS thread count. Every kernel works row by row, or
+    The visited rows are gathered once, by ``take``, into the returned
+    ``visited``; ``logits`` is never written. Each row is shifted by its
+    maximum into one buffer, which is then exponentiated in place, and a
+    transition's log-probability is its shifted entry, read through the
+    planned flat entries before the exponential, minus the log of its
+    row's total: ``normalise``'s value, bit for bit, with no full
+    log-softmax table. One ``np.bincount`` over the batch's transitions
+    gives every sequence's policy log-probability, hence all r_w / r_l
+    against the planned reference scores; the losses, the margins
+    beta * (r_w - r_l), u = beta * S and the accuracies are written in
+    place into one (4, K, m) per-pair table, and each run's mean is taken
+    over its own m pairs as ``np.add.reduce(x) / m`` (how ``np.mean``
+    sums), in one reduction over that table. With coeff =
+    (beta * mult) * (1 - sigma(u)), beta * mult planned, each preferred
+    transition weighs -coeff * m_w and each rejected one +coeff * m_l (the
+    planned signed weights) in one ``transition_grad`` call over the
+    visited rows, which writes the gradient block on those rows over the
+    softmax buffer, scattering the counts through the flat entries, then
+    divided by m in place; every other row's gradient is zero. Each run's
+    gradient norm takes the squares, sums them per row, then sums the row
+    sums over the run's block of rows, from its planned start, with
+    ``np.add.reduceat``: one fixed order, whatever the BLAS thread count.
+    Every kernel works row by row, or
     sequence by sequence in transition order, so each run's values are bit
     for bit those of the run planned alone. The finesse variance is a
     constant computed outside this function; no gradient flows through
     it.
     """
     runs, m = batch.reference.shape[:2]
-    visited = logits[batch.rows]
+    visited = logits.take(batch.rows, axis=0)
     probs = visited - np.maximum.reduce(visited, axis=1, keepdims=True)
-    shifted = probs[batch.local, batch.cols]
+    entries = probs.reshape(-1)  # a view: the block's entries, row-major
+    shifted = entries.take(batch.flat)
     np.exp(probs, out=probs)
     total = np.add.reduce(probs, axis=1, keepdims=True)
     # normalise's log-softmax entry (x - max) - log(total), at the transitions only.
-    terms = shifted - np.log(total)[batch.local, 0]
+    terms = shifted - np.log(total).take(batch.local)
     probs /= total
     sequence_log_probs = np.bincount(batch.owner, terms, minlength=2 * runs * m)
     ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
-    r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
-    score = _weighted_score(r_w, r_l, batch.weights[:, :, 0], batch.weights[:, :, 1], batch.mult)
-    diff = r_w - r_l
+    weighted = batch.weights * ratios  # m_w * r_w, m_l * r_l
+    score = (weighted[:, :, 0] - weighted[:, :, 1]) * batch.mult
+    diff = ratios[:, :, 0] - ratios[:, :, 1]
+    per_pair = np.empty((4, runs, m))  # loss, margin, u = beta * S and accuracy per run and pair
     # An overflow shows as a non-finite value, which the trainer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = batch.beta * score
-        coeff = batch.beta * batch.mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-        per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
+        u = np.multiply(batch.beta, score, out=per_pair[2])
+        np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
+        np.multiply(batch.beta, diff, out=per_pair[1])
+        np.greater(diff, TIE_TOLERANCE, out=per_pair[3])
         loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair, axis=2) / m).tolist()
-        side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()  # -m_w, +m_l
-        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner])
+        coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+        side = (coeff[:, :, None] * batch.signed).ravel()  # -m_w, +m_l
+        gradient = transition_grad(probs, batch.local, batch.flat, side.take(batch.owner))
         gradient /= m
-        blocks = range(0, len(gradient), len(gradient) // runs)  # every run visits as many rows
-        grad_norm = list(map(math.sqrt, np.add.reduceat((gradient * gradient).sum(axis=1), blocks).tolist()))
+        row_norms = np.add.reduce(gradient * gradient, axis=1)
+        grad_norm = list(map(math.sqrt, np.add.reduceat(row_norms, batch.blocks).tolist()))
     return LossSteps(batch.rows, visited, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
 
 

@@ -10,10 +10,13 @@ proper and enumerable in tests. Sampling draws from a table of row CDFs
 (``sampling_tables``, ``draw``), so a caller drawing many responses at one
 temperature builds the table once. Greedy decoding is temperature 0,
 whose table steps from 0 to 1 at each row's first maximum, so greedy and
-sampled decoding share one path. ``draw`` takes its uniforms from the
+sampled decoding share one path. ``draw`` samples the responses of a
+sequence of start rows in one call: it takes its uniforms from the
 generator in blocks and locates each in its row by ``bisect`` on a flat
-memoryview of the table; it leaves the generator exactly where one
-``rng.choice`` per drawn token would, whatever its bit generator. A
+memoryview of the table, and it leaves the generator exactly where one
+``draw`` per start row, and one ``rng.choice`` per drawn token, would,
+whatever its bit generator. ``transition_grad`` scatters each
+transition's count through its flat entry row·V + col. A
 checkpoint is two files: the table's row-major little-endian float64
 bytes, raw, at ``table_path(path)``, and at ``path`` a small JSON header
 holding the format version, the vocabulary and the table's sha256, so
@@ -99,36 +102,40 @@ def _blocks(rng: np.random.Generator, total: int, marks: list[dict]) -> Iterator
 
 
 def draw(
-    cdf: np.ndarray, start: int, eos: int, max_len: int, count: int, rng: np.random.Generator
+    cdf: np.ndarray, starts: Sequence[int], eos: int, max_len: int, count: int, rng: np.random.Generator
 ) -> list[list[int]]:
-    """``count`` responses drawn one after another from the CDF rows
-    ``cdf``, each starting after ``start``: their token indices, each
-    ending with ``eos`` or cut after ``max_len`` tokens.
+    """``count`` responses per start row in ``starts``, drawn one after
+    another from the CDF rows ``cdf``: the first start's ``count``
+    responses, then the next start's, and so on. Each is a list of token
+    indices, ending with ``eos`` or cut after ``max_len`` tokens.
 
     Each token is one uniform located by ``bisect_right`` in the previous
     token's CDF row, read through a flat memoryview of the table, so no
     row is copied; on a sorted row that is ``searchsorted(side="right")``.
     The uniforms come from ``rng.random(n)``, in one block when
-    ``count * max_len`` is at most ``_BLOCK``; at the end the generator is
-    set back to the start of the last block it used and advanced over the
-    uniforms used from it. So the generator ends exactly where one
-    ``rng.random()`` per drawn token leaves it, for any bit generator.
+    ``len(starts) * count * max_len`` is at most ``_BLOCK``; at the end the
+    generator is set back to the start of the last block it used and
+    advanced over the uniforms used from it. So the generator ends exactly
+    where one ``rng.random()`` per drawn token leaves it, for any bit
+    generator, and one call draws what one call per start would, in turn,
+    from the same generator.
     """
     size = len(cdf)
     flat = memoryview(cdf.reshape(-1))
     marks: list[dict] = []
-    uniforms = chain.from_iterable(_blocks(rng, count * max_len, marks))
+    uniforms = chain.from_iterable(_blocks(rng, len(starts) * count * max_len, marks))
     responses = []
-    for _ in range(count):
-        path: list[int] = []
-        prev = start
-        for _ in range(max_len):
-            row = prev * size
-            prev = bisect_right(flat, next(uniforms), row, row + size) - row
-            path.append(prev)
-            if prev == eos:
-                break
-        responses.append(path)
+    for start in starts:
+        for _ in range(count):
+            path: list[int] = []
+            prev = start
+            for _ in range(max_len):
+                row = prev * size
+                prev = bisect_right(flat, next(uniforms), row, row + size) - row
+                path.append(prev)
+                if prev == eos:
+                    break
+            responses.append(path)
     if marks:
         rng.bit_generator.state = marks[-1]
         rng.random(sum(map(len, responses)) - _BLOCK * (len(marks) - 1))
@@ -136,18 +143,24 @@ def draw(
 
 
 def transition_grad(
-    probs: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+    probs: np.ndarray, rows: np.ndarray, entries: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Gradient of sum_k weights[k] * log softmax(L)[rows[k], cols[k]] w.r.t. L,
-    written over ``probs``, the softmax table, which it returns.
+    written over ``probs``, the C-contiguous softmax table, which it returns;
+    ``entries[k]`` is transition k's entry rows[k]·V + cols[k] in the table
+    read row-major.
 
     Transition k (p -> t) adds ``weights[k] * (onehot(t) - probs[p])`` to
     row p, so a row's gradient is its weighted transition counts minus its
     total weight times its softmax row; rows no transition visits stay zero.
-    Unit weights give the gradient of one sequence's log-probability.
+    The counts are added one transition at a time, in order, by
+    ``np.add.at``. Unit weights give the gradient of one sequence's
+    log-probability.
     """
+    if not probs.flags.c_contiguous:
+        raise ValueError("transition_grad writes over a C-contiguous table")
     probs *= -np.bincount(rows, weights, minlength=len(probs))[:, None]
-    np.add.at(probs, (rows, cols), weights)
+    np.add.at(probs.reshape(-1), entries, weights)
     return probs
 
 
@@ -274,9 +287,11 @@ class BigramPolicy:
         softmax(logits[prev] / temperature) until EOS, which it ends with,
         or cut after ``max_len`` tokens.
 
-        The temperature table is built once for all prompts; the responses
-        and the generator's end state are those of one ``draw`` per prompt,
-        in order, from the same generator. Temperature 0 is greedy
+        The temperature table is built once for all prompts, and the
+        responses come from one ``draw`` of every prompt's start row: the
+        responses and the generator's end state are those of one ``draw``
+        per prompt, in order, from the same generator. Every prompt token
+        must be known before any is drawn. Temperature 0 is greedy
         decoding: its table, the limit of the CDF rows, steps from 0 to 1
         at each row's first maximum, so every uniform in [0, 1) draws the
         row's ``np.argmax``, ties included.
@@ -286,12 +301,9 @@ class BigramPolicy:
             _, cdf = sampling_tables(self.logits, temperature)
         else:
             cdf = (np.arange(len(self.logits)) >= self.logits.argmax(axis=1)[:, None]).astype(np.float64)
-        eos = self.vocab.index(EOS)
+        starts = [self.vocab.start(prompt) for prompt in prompts]
         tokens = self.vocab.tokens
-        return [
-            [tokens[i] for i in draw(cdf, self.vocab.start(prompt), eos, max_len, 1, rng)[0]]
-            for prompt in prompts
-        ]
+        return [[tokens[i] for i in path] for path in draw(cdf, starts, self.vocab.index(EOS), max_len, 1, rng)]
 
     def snapshot(self) -> "BigramPolicy":
         """Deep, immutable copy; later edits to this policy do not leak in."""

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataforge import CurriculumDataset, PreferencePair, SchemaError
-from .fileio import check_kinds, check_value, json_line, limited, write_atomic
+from .fileio import check_kinds, check_value, json_lines, limited, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
@@ -80,9 +80,10 @@ class TrainLog:
     def save(self, path: str | Path) -> Path:
         """One JSON object per record, keys in field order: the line
         ``json.dumps(vars(record), ensure_ascii=False)``, byte for byte,
-        written through one line template by ``fileio.json_line``.
+        formatted column by column and written line by line by
+        ``fileio.json_lines``.
         """
-        return write_atomic(path, map(json_line, self.records))
+        return write_atomic(path, json_lines(self.records))
 
 
 def encode_pairs(pairs: Sequence[PreferencePair]) -> list[LossExample]:
@@ -174,7 +175,9 @@ def train_modes(
     run's batches in one call, and each step takes one ``loss_steps`` call
     and one update of the rows the batch visits, for every run at once:
     the step's copy of those rows is updated in place, checked, then
-    written back.
+    written back. The updated rows are checked by one sum, and entry by
+    entry only when the sum is not finite: finite rows whose sum
+    overflows still train.
 
     Per-step records carry what ``loss_steps`` returns for the run: the
     batch loss, the mean raw margin beta * (r_w - r_l), the batch
@@ -226,8 +229,11 @@ def train_modes(
                 updated = result.visited
                 with np.errstate(over="ignore", invalid="ignore"):
                     updated -= config.learning_rate * result.gradient
+                    total = np.add.reduce(updated, axis=None)
+                # A finite sum means every updated logit is finite; only an
+                # infinite or NaN one is looked for entry by entry.
                 finite = chain(result.loss, result.grad_norm, result.margin, result.weighted_margin)
-                if not (all(map(math.isfinite, finite)) and np.isfinite(updated).all()):
+                if not (all(map(math.isfinite, finite)) and (math.isfinite(total) or np.isfinite(updated).all())):
                     k, name = next(_non_finite(result, updated))
                     run = " in mode %r" % modes[k] if len(modes) > 1 else ""
                     where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)

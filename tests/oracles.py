@@ -277,9 +277,17 @@ def batch_loss(examples, policy, reference, config) -> float:
     return total / len(examples)
 
 
+def transition_grad(probs, rows, cols, weights):
+    """``policy.transition_grad`` as it was before it took each transition's
+    flat entry: the counts added at the (row, col) pairs by ``np.add.at``."""
+    probs *= -np.bincount(rows, weights, minlength=len(probs))[:, None]
+    np.add.at(probs, (rows, cols), weights)
+    return probs
+
+
 def grad_sequence_log_prob(policy, prompt, response) -> np.ndarray:
     """d(policy.sequence_log_prob(prompt, response))/d(logits), same shape as the logit table."""
-    from hindpo.policy import normalise, transition_grad
+    from hindpo.policy import normalise
 
     rows, cols = policy.transitions(prompt, response)
     return transition_grad(normalise(policy.logits)[1], rows, cols, np.ones(len(rows)))
@@ -347,6 +355,14 @@ def sample_response(policy, prompt, temperature, max_len, rng) -> list[str]:
     return out
 
 
+def draw_per_start(cdf, starts, eos, max_len, count, rng) -> list[list[int]]:
+    """``policy.draw`` called once per start row, in order, on one
+    generator: the calls one multi-start ``draw`` replaced."""
+    from hindpo.policy import draw
+
+    return [path for start in starts for path in draw(cdf, [start], eos, max_len, count, rng)]
+
+
 def greedy_response(policy, prompt, max_len) -> list[str]:
     """Argmax decoding, one ``np.argmax`` per token, until EOS or max_len."""
     prompt_idx = policy.vocab.encode(prompt)
@@ -406,7 +422,7 @@ def per_step_loss_gradient(batch, policy, config):
     """The ``LossStep`` of an ``EncodedPairs`` batch, everything computed in
     the step."""
     from hindpo.losses import LossStep, hin_dpo_loss
-    from hindpo.policy import normalise, transition_grad
+    from hindpo.policy import normalise
 
     n = len(batch)
     owner = np.repeat(np.arange(2 * n), batch.lengths)
@@ -465,11 +481,12 @@ def unfused_step(batch, logits, learning_rate):
     accuracy, gradient norm] each as one value per run) of a planned
     ``Batch`` stepped on the stacked ``logits``."""
     from hindpo.losses import hin_dpo_loss
-    from hindpo.policy import normalise, transition_grad
+    from hindpo.policy import normalise
 
     runs, m = batch.reference.shape[:2]
+    cols = batch.flat - batch.local * logits.shape[1]
     log_probs, probs = normalise(logits[batch.rows])
-    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, batch.cols], minlength=2 * runs * m)
+    sequence_log_probs = np.bincount(batch.owner, log_probs[batch.local, cols], minlength=2 * runs * m)
     ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
     r_w, r_l = ratios[:, :, 0], ratios[:, :, 1]
     score = (batch.weights[:, :, 0] * r_w - batch.weights[:, :, 1] * r_l) * batch.mult
@@ -480,7 +497,7 @@ def unfused_step(batch, logits, learning_rate):
         per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
         stats = (np.add.reduce(per_pair, axis=2) / m).tolist()
         side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()
-        gradient = transition_grad(probs, batch.local, batch.cols, side[batch.owner]) / m
+        gradient = transition_grad(probs, batch.local, cols, side[batch.owner]) / m
         updated = logits[batch.rows] - learning_rate * gradient
     stats.append([grad_norm(block) for block in np.split(gradient, runs)])
     return gradient, updated, stats

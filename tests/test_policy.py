@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hindpo import fileio
@@ -274,7 +274,7 @@ class TestSamplerMatchesOracle:
         u = np.random.default_rng(21).random()
         cdf = np.array([[u, u, u, u, 1.0]] * 5)
         assert cdf[0].searchsorted(u, side="right") == 4
-        assert draw(cdf, 0, 4, 3, 1, np.random.default_rng(21)) == [[4]]
+        assert draw(cdf, [0], 4, 3, 1, np.random.default_rng(21)) == [[4]]
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
     def test_every_bit_generator(self, bit_generator):
@@ -325,6 +325,37 @@ class TestSamplerMatchesOracle:
         ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
         assert policy.sample_responses([], 1.0, 5, ours) == []
         assert ours.random() == theirs.random()
+
+
+_BLOCK = policy_module._BLOCK
+
+
+class TestMultiStartDraw:
+    # One draw of many start rows against one draw per start on another
+    # generator of the same seed: the same paths and the same end state,
+    # whether the starts' uniforms fit in one block or not.
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        bit_generator=st.sampled_from(BIT_GENERATORS),
+        seed=st.integers(0, 2**32 - 1),
+        starts=st.lists(st.integers(0, 5), max_size=12),
+        count=st.integers(1, 4),
+        max_len=st.integers(1, 48),
+        eos_shift=st.sampled_from([-6.0, 0.0, 2.0]),
+    )
+    @example(bit_generator=np.random.PCG64, seed=1, starts=[0] * 8, count=4, max_len=_BLOCK // 32, eos_shift=-6.0)
+    @example(bit_generator=np.random.MT19937, seed=2, starts=[0] * 8, count=4, max_len=_BLOCK // 32 + 1, eos_shift=-6.0)
+    @example(bit_generator=np.random.Philox, seed=3, starts=[1, 2], count=1, max_len=3 * _BLOCK, eos_shift=-40.0)
+    def test_the_paths_and_end_state_of_one_draw_per_start(self, bit_generator, seed, starts, count, max_len, eos_shift):
+        policy = random_policy(6, seed=seed % 97)
+        eos = policy.vocab.index(EOS)
+        policy.logits[:, eos] += eos_shift  # draws that end early, late or never
+        _, cdf = policy_module.sampling_tables(policy.logits, 1.0)
+        ours, theirs = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        got = draw(cdf, starts, eos, max_len, count, ours)
+        assert got == oracles.draw_per_start(cdf, starts, eos, max_len, count, theirs)
+        assert len(got) == len(starts) * count
+        assert ours.random(3).tolist() == theirs.random(3).tolist()
 
 
 def enumerate_mass(policy, prompt, max_len):

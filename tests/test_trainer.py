@@ -474,6 +474,61 @@ class TestRaiseBeforeUpdate:
         assert not np.array_equal(seen[2], seen[1])
 
 
+class TestUpdatedLogitsCheckedByOneSum:
+    """A step's updated rows are checked by one sum, and entry by entry
+    only when that sum is not finite."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_rows_whose_sum_overflows_still_train(self, sign):
+        # Every entry of the table is ±1e308, so every row is uniform and a
+        # step's updated rows are finite while their sum overflows.
+        curriculum, policy = separable_setup()
+        policy.logits[:] = sign * 1e308
+        config = toy_train_config(epochs_per_stage=2)
+        want, want_log = oracles.per_step_train(curriculum, policy.copy(), config)
+        trained, log = train(curriculum, policy, config)
+        assert np.isfinite(trained.logits).all()
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(trained.logits[:2], axis=None) == sign * np.inf
+        assert trained.logits.tobytes() == want.logits.tobytes()
+        assert [asdict(r) for r in log.records] == [asdict(r) for r in want_log.records]
+
+    @pytest.mark.parametrize(
+        "modes, run, value, message",
+        [
+            (["dpo"], 0, float("nan"), "non-finite logits after the update at"),
+            (["dpo"], 0, float("inf"), "non-finite logits after the update at"),
+            (["dpo", "hin_dpo", "dpo_act"], 1, float("-inf"), "non-finite logits after the update in mode 'hin_dpo' at"),
+        ],
+        ids=["nan", "inf", "later-run"],
+    )
+    def test_one_non_finite_updated_logit_raises_before_any_run_changes(self, monkeypatch, modes, run, value, message):
+        curriculum, policy = separable_setup()
+        seen, tables, logged = [], [], []
+        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
+
+        def corrupt_third(batch, logits):
+            seen.append(logits.copy())
+            tables.append(logits)
+            result = real(batch, logits)
+            if len(seen) == 3:
+                # One entry of the run's first visited row; the gradient stays finite.
+                result.visited[run * len(result.rows) // len(modes), 1] = value
+            return result
+
+        def record(*args):
+            logged.append(args)
+            return real_record(*args)
+
+        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
+        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        with pytest.raises(TrainingError, match="^%s stage 'B_H' epoch 1 step 3$" % re.escape(message)):
+            train_modes(curriculum, policy, toy_train_config(), modes)
+        assert len(seen) == 3 and len(logged) == 2 * len(modes)
+        assert tables[2].tobytes() == seen[2].tobytes()
+        assert not np.array_equal(seen[2], seen[1])
+
+
 class TestPairsCheckedBeforeTraining:
     @pytest.mark.parametrize(
         "name, value, message",
