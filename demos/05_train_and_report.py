@@ -1,5 +1,6 @@
 # End to end in one script: forge the toy corpus, train every loss mode
-# through the curriculum, and print the comparison table.
+# through the curriculum in one lockstep `train_modes` call, as
+# `hindpo demo` does, and print the comparison table.
 
 from hindpo import (
     BigramPolicy,
@@ -11,7 +12,7 @@ from hindpo import (
     loss_gradient,
     report_table,
     toy_corpus,
-    train,
+    train_modes,
     vocab_from_pairs,
 )
 from hindpo.dataforge import forge
@@ -33,16 +34,12 @@ prompts = [held_out[a][0] for a in sorted(held_out)]
 references = [held_out[a][1] for a in sorted(held_out)]
 
 reports = [evaluate(generate(base, prompts, seed=SEED), references, "base")]
-for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):
-    config = TrainConfig(
-        epochs_per_stage=10,
-        batch_size=2,
-        seed=SEED,
-        loss=LossConfig(mode=mode),
-    )
-    trained, log = train(result.curriculum, base.copy(), config)
-    examples = encode_pairs(result.curriculum.all_pairs())
-    step = loss_gradient(encode_examples(examples, trained, base.snapshot()), trained, config.loss)
+modes = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
+config = TrainConfig(epochs_per_stage=10, batch_size=2, seed=SEED)
+runs = train_modes(result.curriculum, base.copy(), config, modes)
+examples = encode_pairs(result.curriculum.all_pairs())
+for mode, (trained, log) in zip(modes, runs):
+    step = loss_gradient(encode_examples(examples, trained, base.snapshot()), trained, LossConfig(mode=mode))
     print("%-8s  %d steps  final margin %6.2f  preference accuracy %.2f"
           % (mode, len(log.records), step.margin, step.accuracy))
     reports.append(evaluate(generate(trained, prompts, seed=SEED), references, mode))
@@ -50,9 +47,4 @@ for mode in ("dpo", "dpo_act", "dpo_fin", "hin_dpo"):
 print()
 print(report_table(reports))
 print("sample generation (hin_dpo):")
-trained_hin, _ = train(
-    result.curriculum,
-    base.copy(),
-    TrainConfig(epochs_per_stage=10, batch_size=2, seed=SEED, loss=LossConfig(mode="hin_dpo")),
-)
-print(" ", generate(trained_hin, prompts[:1], seed=SEED)[0])
+print(" ", generate(runs[-1][0], prompts[:1], seed=SEED)[0])

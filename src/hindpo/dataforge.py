@@ -70,6 +70,8 @@ class ActualityError(ValueError):
 
 @dataclass
 class Candidate:
+    """One candidate explanation of an article: its ``text``, and the ``model_id`` of the model that wrote it."""
+
     model_id: str
     text: str
 

@@ -26,7 +26,6 @@ foreign table never loads.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from bisect import bisect_right
@@ -42,13 +41,7 @@ BOS = "<bos>"
 EOS = "<eos>"
 
 CHECKPOINT_FORMAT_VERSION = 3
-# The keys of a checkpoint's JSON object, by format version: versions 1
-# (the table as a list of rows) and 2 (its base64) hold the table inline.
-_CHECKPOINT_KEYS = {
-    1: {"format_version", "vocab", "logits"},
-    2: {"format_version", "vocab", "logits"},
-    CHECKPOINT_FORMAT_VERSION: {"format_version", "vocab", "sha256"},
-}
+_CHECKPOINT_KEYS = {"format_version", "vocab", "sha256"}
 
 
 def table_path(path: str | Path) -> Path:
@@ -334,39 +327,28 @@ class BigramPolicy:
     def load(cls, path: str | Path) -> "BigramPolicy":
         """Read a checkpoint of this format, whose table is read from
         ``table_path(path)``, beside the header whatever the working
-        directory; or of version 2 (the table's base64 inline) or 1 (the
-        table as a list of rows). A malformed one raises
-        ``ValueError("<path>: ...")``: a header that is not UTF-8 JSON, a
-        missing or extra key, another version, a bad vocabulary, a table
-        that cannot be read, holds other than 8·V² bytes or whose sha256 is
-        not the header's, invalid base64 in version 2, and a non-finite
-        logit."""
+        directory. A malformed one raises ``ValueError("<path>: ...")``: a
+        header that is not UTF-8 JSON, another version (an older one
+        included), a missing or extra key, a bad vocabulary, a table that
+        cannot be read, holds other than 8·V² bytes or whose sha256 is not
+        the header's, and a non-finite logit."""
         payload = read_json(path, ValueError, str(path))
         try:
             version = payload.get("format_version") if isinstance(payload, dict) else CHECKPOINT_FORMAT_VERSION
-            if type(version) is not int or version not in _CHECKPOINT_KEYS:
+            if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
                 raise ValueError("unsupported checkpoint format version: %r" % version)
-            keys = _CHECKPOINT_KEYS[version]
-            if not isinstance(payload, dict) or payload.keys() != keys:
+            if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
                 found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-                raise ValueError("checkpoint keys must be %s, got %s" % (sorted(keys), found))
+                raise ValueError("checkpoint keys must be %s, got %s" % (sorted(_CHECKPOINT_KEYS), found))
             vocab = Vocabulary(payload["vocab"])
-            if version == 1:
-                return cls(vocab, np.array(payload["logits"], dtype=np.float64))
-            if version == 2:
-                try:
-                    data = base64.b64decode(payload["logits"], validate=True)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError("logits are not a base64 string: %s" % exc) from None
-            else:
-                try:
-                    data = table_path(path).read_bytes()
-                except OSError as exc:
-                    raise ValueError("cannot read the logit table: %s" % exc) from None
+            try:
+                data = table_path(path).read_bytes()
+            except OSError as exc:
+                raise ValueError("cannot read the logit table: %s" % exc) from None
             size = len(vocab)
             if len(data) != 8 * size * size:
                 raise ValueError("logits hold %d bytes, expected %d" % (len(data), 8 * size * size))
-            if version == CHECKPOINT_FORMAT_VERSION and hashlib.sha256(data).hexdigest() != payload["sha256"]:
+            if hashlib.sha256(data).hexdigest() != payload["sha256"]:
                 raise ValueError("logit table %s does not match the header's sha256" % table_path(path))
             return cls(vocab, np.frombuffer(data, dtype="<f8").reshape(size, size))
         except (TypeError, ValueError) as exc:

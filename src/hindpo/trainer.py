@@ -48,6 +48,13 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """One training run's settings: ``epochs_per_stage`` passes over each
+    stage, gradient descent at ``learning_rate`` on batches of
+    ``batch_size`` pairs, ``seed`` for the permutations and finesse
+    samples, and the ``loss``. The frozen reference starts as the initial
+    policy; ``refresh_reference_per_stage`` resets it to the current
+    policy at the end of each stage."""
+
     epochs_per_stage: int = limited((">=", 1), default=10)
     learning_rate: float = limited((">", 0), default=0.5)
     batch_size: int = limited((">=", 1), default=2)
@@ -63,6 +70,13 @@ class TrainConfig:
 
 @dataclass
 class TrainStepRecord:
+    """One step of one run, a train-log line's keys in order: the stage
+    name, the epoch in the stage and the step in the run (both from 1),
+    then, against the in-stage reference before the update, the batch's
+    mean loss, mean raw margin beta * (r_w - r_l), accuracy (the share of
+    pairs with r_w - r_l > ``losses.TIE_TOLERANCE``), mean weighted margin
+    beta * S and gradient Frobenius norm."""
+
     stage: str
     epoch: int
     step: int
@@ -75,6 +89,8 @@ class TrainStepRecord:
 
 @dataclass
 class TrainLog:
+    """A run's train log: one ``TrainStepRecord`` per step, in step order."""
+
     records: list[TrainStepRecord] = field(default_factory=list)
 
     def save(self, path: str | Path) -> Path:
@@ -179,11 +195,8 @@ def train_modes(
     entry only when the sum is not finite: finite rows whose sum
     overflows still train.
 
-    Per-step records carry what ``loss_steps`` returns for the run: the
-    batch loss, the mean raw margin beta * (r_w - r_l), the batch
-    preference accuracy, the mean weighted margin beta * S and the
-    gradient's Frobenius norm, all measured against the in-stage reference
-    before the update is applied. Every pair of the curriculum is
+    Each step's ``TrainStepRecord`` carries what ``loss_steps`` returns
+    for the run. Every pair of the curriculum is
     validated first: a pair that breaks the pair schema raises
     ``SchemaError`` naming its id before any run is set up, so the
     caller's policy is left untouched. A step whose loss, gradient, updated

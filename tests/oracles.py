@@ -550,20 +550,3 @@ def per_step_train(curriculum, policy, config):
 def trainlog_line(record) -> str:
     """A train-log record's JSONL line."""
     return json.dumps(vars(record), ensure_ascii=False) + "\n"
-
-
-# The version-2 checkpoint line, the format written before the table
-# moved to a file of its own: one json.dumps of the whole payload, the
-# table's base64 string included.
-
-
-def checkpoint_line(policy) -> str:
-    """A policy's version-2 checkpoint file text."""
-    import base64
-
-    payload = {
-        "format_version": 2,
-        "vocab": list(policy.vocab.tokens),
-        "logits": base64.b64encode(policy.logits.astype("<f8").tobytes()).decode("ascii"),
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=None) + "\n"

@@ -1,7 +1,9 @@
 """Every fenced ``python`` block of README.md runs to completion against the
 current API, each on its own in an empty directory, and the record keys
-README lists under "File formats" are the record dataclasses' fields."""
+README lists under "File formats" are the record dataclasses' fields and
+the checkpoint header's keys."""
 
+import json
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from hindpo.dataforge import ArticleRecord, Candidate, PreferencePair
+from hindpo.policy import BigramPolicy, Vocabulary
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
@@ -55,3 +58,9 @@ def test_file_formats_list_the_article_fields_in_order():
 def test_file_formats_list_the_pair_fields_in_order():
     keys = re.search(r"\{([^}]*)\}", _format_entry("Stage / val / test files")).group(1)
     assert [key.strip() for key in keys.split(",")] == [f.name for f in fields(PreferencePair)]
+
+
+def test_file_formats_list_the_checkpoint_header_keys_in_order(tmp_path):
+    header = re.search(r"\{(.*?)\}", _format_entry("Policy checkpoint"), re.S).group(1)
+    path = BigramPolicy.new(Vocabulary.from_tokens(["a"])).save(tmp_path / "ckpt.json")
+    assert _quoted_keys(header) == list(json.loads(path.read_text(encoding="utf-8")))
