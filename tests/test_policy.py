@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import itertools
 import json
@@ -459,6 +460,27 @@ class TestCheckpoint:
         assert table_path(tmp_path / name) == tmp_path / (name + ".logits")
         assert table_path(tmp_path / name) != tmp_path / name
 
+    @pytest.mark.parametrize(
+        "version, logits",
+        [
+            pytest.param(1, lambda table: table.tolist(), id="version-1"),
+            pytest.param(2, lambda table: base64.b64encode(table.astype("<f8").tobytes()).decode("ascii"), id="version-2"),
+        ],
+    )
+    def test_load_refuses_an_older_checkpoint_by_its_version(self, tmp_path, version, logits):
+        # The file an older writer made: the table inline under "logits",
+        # no sha256 and no table file beside it.
+        policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
+        path = tmp_path / ("v%d.json" % version)
+        path.write_text(json.dumps({
+            "format_version": version,
+            "vocab": list(policy.vocab.tokens),
+            "logits": logits(policy.logits),
+        }), encoding="utf-8")
+        error = "%s: unsupported checkpoint format version: %d" % (path, version)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(error)):
+            BigramPolicy.load(path)
+
     def test_loads_through_a_relative_path_from_another_directory(self, tmp_path, monkeypatch):
         policy = BigramPolicy.new(small_vocab(), seed=5, noise_std=0.7)
         (tmp_path / "run").mkdir()
@@ -615,7 +637,12 @@ def _flip_last_byte(header, table):
                 "unsupported checkpoint format version: %r" % version,
                 id="version-%r" % version,
             )
-            for version in (1, 2, 4, True)
+            for version in (1, 2, 4, True, 3.0)
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.pop("format_version")),
+            "unsupported checkpoint format version: None",
+            id="missing-version",
         ),
         pytest.param(
             _edit_header(lambda payload: payload.update(vocab=["<bos>", "a", "b"])),
@@ -631,6 +658,21 @@ def _flip_last_byte(header, table):
             _edit_header(lambda payload: payload.update(vocab=["<bos>", "<eos>", "a", "a"])),
             "vocabulary tokens must be unique",
             id="vocab-duplicate",
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.update(vocab=["<bos>", "<eos>"])),
+            "vocabulary needs at least 3 tokens, got 2",
+            id="vocab-too-small",
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.update(vocab=None)),
+            "'NoneType' object is not iterable",
+            id="vocab-not-a-list",
+        ),
+        pytest.param(
+            _edit_header(lambda payload: payload.update(vocab=payload["vocab"] + ["c"])),
+            "logits hold 128 bytes, expected 200",
+            id="header-vocab-larger-than-table",
         ),
     ],
 )
