@@ -18,10 +18,11 @@ Library tour:
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_runs`` (pairs as transition indices, scored under
   each run's frozen reference once), ``plan_runs`` (an epoch's batches
-  of K runs in one shared batch order, planned once, with every run's
-  loss weights) and ``loss_steps``:
+  of K runs in one shared batch order, planned once, batch-major, with
+  every run's loss weights and one statistics table) and ``loss_steps``:
   one pass per batch giving every run's loss, its gradient, the raw and
-  weighted margins and the accuracy; ``encode_examples`` is the one-run
+  weighted margins, the accuracy and the gradient norm, written into the
+  batch's row of that table; ``encode_examples`` is the one-run
   form of ``encode_runs``, and ``loss_gradient`` takes one run's whole
   encoding, plans it as one batch and steps it
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
@@ -55,14 +56,13 @@ from .dataforge import (
 )
 from .evalharness import MetricReport, evaluate, generate, parse_table, report_table
 from .losses import (
-    Batch,
     EncodedPairs,
+    EpochPlan,
     FinesseEstimate,
     LogRatios,
     LossConfig,
     LossExample,
     LossStep,
-    LossSteps,
     compute_finesse,
     encode_examples,
     encode_runs,

@@ -35,18 +35,22 @@ at three levels:
   ``EncodedPairs`` (``encode_examples`` for one run);
 - per epoch, ``plan_runs`` plans the permuted pairs once, as one run: one
   gather of their transitions and one ``np.unique`` over the key
-  batch * V + row for every batch's visited rows. Run k's copy of the
-  plan is that plan offset to run k's rows and sequences; with every run's
-  mode weights it is cut into ``Batch``es, which also hold the constants
-  a step would otherwise rebuild: each transition's flat entry
-  local·V + col in the gathered rows, the signed side weights
-  (-m_w, +m_l), beta * mult and where each run's rows start;
-- per step, ``loss_steps`` gathers the visited rows once, reads their
-  log-softmax only at the batch's transitions, through their flat
-  entries, and computes every run's loss, its gradient on those rows
-  (built in place of their softmax) and its norm, and the batch
-  statistics, written in place into one per-pair table; it returns the
-  gathered rows too, for the caller to update in place.
+  batch * V + row for every batch's visited rows. Each per-transition
+  array of the ``EpochPlan`` (each transition's row among its batch's
+  visited rows, its flat entry local·V + col in the gathered rows and its
+  sequence) and the visited rows themselves are laid out batch-major,
+  run 0's part of a batch, then run 1's and so on, by one scatter per
+  array, so a batch is one contiguous slice of each. Beside them the plan
+  holds every run's mode weights, the signed side weights (-m_w, +m_l),
+  beta * mult and where each run's rows start in each batch, and one
+  (batches, 5, K) table for the steps' statistics;
+- per step, ``loss_steps`` takes the plan and a batch index, gathers the
+  visited rows once, reads their log-softmax only at the batch's
+  transitions, through their flat entries, and computes every run's
+  loss, its gradient on those rows (built in place of their softmax) and
+  its norm, and the batch statistics, written into the batch's row of the
+  plan's statistics table; it returns the gathered rows too, for the
+  caller to update in place.
 
 ``loss_gradient`` is the one-run view: it takes a whole ``EncodedPairs``,
 plans it as one batch under one config and returns the run's step.
@@ -54,13 +58,14 @@ plans it as one batch under one config and returns the run's step.
 ``compute_finesse`` draws all its samples from one temperature table, in
 one ``draw`` call for all its prompts, which takes the uniforms from the
 generator in blocks and leaves it where one ``draw`` per prompt, and one
-``rng.random()`` per drawn token, would.
+``rng.random()`` per drawn token, would, and scores them all by one
+gather of their transitions' log-probabilities and one ``np.bincount``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -226,70 +231,34 @@ def compute_finesse(
     clamps to [0, 1]. The temperature table is built once per call, and
     every prompt's samples come from one ``draw`` of all the prompts' start
     rows, which consumes the generator as one ``draw`` per prompt would:
-    one ``rng.random()`` per drawn token. Each sample is scored as drawn,
-    its log-probabilities added in path order. A prompt with an
+    one ``rng.random()`` per drawn token. Every sample is scored by one
+    gather of its transitions' log-probabilities and one ``np.bincount``,
+    which adds each path's terms in drawn order. A prompt with an
     out-of-vocabulary token raises before any sample is drawn.
     """
     log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
-    size = len(log_probs)
-    flat = memoryview(log_probs.reshape(-1))
     starts = [policy.vocab.start(prompt) for prompt in prompts]
     samples = config.finesse_samples
     paths = draw(cdf, starts, policy.vocab.index(EOS), config.finesse_max_len, samples, rng)
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    tokens = np.fromiter(chain.from_iterable(paths), dtype=np.intp, count=lengths.sum())
+    # Each token's previous one: its path's start row for the first.
+    previous = np.empty_like(tokens)
+    previous[1:] = tokens[:-1]
+    previous[np.cumsum(lengths) - lengths] = np.repeat(np.array(starts, dtype=np.intp), samples)
+    owner = np.repeat(np.arange(len(paths)), lengths)
+    terms = log_probs.reshape(-1).take(previous * len(log_probs) + tokens)
+    path_log_probs = np.bincount(owner, terms, minlength=len(paths))
+    scores = np.exp(path_log_probs / lengths).tolist()
     estimates = []
-    for i, start in enumerate(starts):
+    for i in range(len(starts)):
         stats = Welford()
-        for path in paths[i * samples : (i + 1) * samples]:
-            log_prob, prev = 0, start
-            for token in path:
-                log_prob += flat[prev * size + token]
-                prev = token
-            stats.update(float(np.exp(log_prob / len(path))))
+        for score in scores[i * samples : (i + 1) * samples]:
+            stats.update(score)
         variance = stats.variance
         effective = min(variance / VARIANCE_NORMALIZER, 1.0)
         estimates.append(FinesseEstimate(variance=variance, effective=effective))
     return estimates
-
-
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """One train step's pairs for K runs that share one batch order,
-    planned before the step: everything the step needs that does not
-    depend on the policies.
-
-    The runs' logit tables are stacked as one (K·V, V) table, run k's row r
-    being row k·V + r. Every run takes the same m pairs, so run k's part of
-    the batch is run 0's offset: its visited rows by k·V, its transitions'
-    row indices by k times the rows a run visits and their sequences by
-    k·2m. ``rows`` holds the sorted stacked rows the batch visits,
-    run-major, and ``blocks`` where each run's block of them starts. Per
-    transition, ``local`` is its row as an index into ``rows``, ``flat``
-    its entry local·V + col in the gathered (len(rows), V) block, read
-    row-major, and ``owner`` its sequence: k·2m + 2i for pair i's preferred
-    response in run k, one more for its rejected one. ``reference`` is the
-    pairs' (K, m, 2) reference log-probabilities. The pairs' loss weights
-    under their run's config follow: ``weights`` is the (K, m, 2) table of
-    the mode's preferred / rejected weights (m_w, m_l) and ``signed`` the
-    same with the preferred side negated (-m_w, +m_l), ``mult`` the (K, m)
-    finesse multipliers, ``beta`` the (K, 1) column of the runs' betas and
-    ``beta_mult`` the (K, m) products beta * mult.
-    """
-
-    rows: np.ndarray
-    blocks: np.ndarray
-    local: np.ndarray
-    flat: np.ndarray
-    owner: np.ndarray
-    reference: np.ndarray
-    weights: np.ndarray
-    signed: np.ndarray
-    mult: np.ndarray
-    beta: np.ndarray
-    beta_mult: np.ndarray
-
-    def __len__(self) -> int:
-        """Pairs per run."""
-        return self.reference.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,27 +286,85 @@ class EncodedPairs:
         return self.reference.shape[1]
 
 
+# The rows of an ``EpochPlan``'s statistics table: a train-log line's values, in its order.
+STATS = ("loss", "margin", "accuracy", "weighted_margin", "grad_norm")
+
+
+@dataclass(frozen=True, eq=False)
+class EpochPlan:
+    """One epoch's train steps for K runs that share one batch order,
+    planned before the steps: everything a step needs that does not
+    depend on the policies, and the table the steps write their
+    statistics to.
+
+    The runs' logit tables are stacked as one (K·V, V) table, run k's row r
+    being row k·V + r. Every run takes the same m pairs per batch, so run
+    k's part of a batch is run 0's offset: its visited rows by k·V, its
+    transitions' row indices by k times the rows a run visits and their
+    sequences by k·2m. Batch b visits the sorted stacked rows
+    ``rows[row_bounds[b]:row_bounds[b + 1]]``, run-major, run k's block of
+    them starting at ``blocks[b, k]``, and its transitions are
+    ``step_bounds[b]`` to ``step_bounds[b + 1]`` of the per-transition
+    arrays, also run-major: ``local``, each transition's row as an index
+    into its batch's rows, ``flat``, its entry local·V + col in the
+    gathered (rows, V) block, read row-major, and ``owner``, its sequence:
+    k·2m + 2i for pair i's preferred response in run k, one more for its
+    rejected one. The per-pair tables hold the epoch's pairs in order,
+    batch b taking ``batch_size`` of them from b·batch_size: ``reference``
+    their (K, n, 2) reference log-probabilities, ``weights`` the mode's
+    preferred / rejected weights (m_w, m_l) under each run's config,
+    ``signed`` the same with the preferred side negated (-m_w, +m_l),
+    ``mult`` the (K, n) finesse multipliers and ``beta_mult`` the products
+    beta * mult; ``beta`` is the (K, 1) column of the runs' betas.
+    ``loss_steps`` writes batch b's per-run statistics, named by
+    ``STATS``, into ``stats[b]``.
+    """
+
+    rows: np.ndarray
+    row_bounds: list[int]
+    blocks: np.ndarray
+    local: np.ndarray
+    flat: np.ndarray
+    owner: np.ndarray
+    step_bounds: list[int]
+    batch_size: int
+    reference: np.ndarray
+    weights: np.ndarray
+    signed: np.ndarray
+    mult: np.ndarray
+    beta: np.ndarray
+    beta_mult: np.ndarray
+    stats: np.ndarray
+
+    def __len__(self) -> int:
+        """Batches in the epoch."""
+        return len(self.stats)
+
+    def rows_of(self, b: int) -> np.ndarray:
+        """The sorted stacked rows batch b visits, run-major."""
+        return self.rows[self.row_bounds[b] : self.row_bounds[b + 1]]
+
+
 def plan_runs(
     encoded: EncodedPairs,
     order: Sequence[int] | np.ndarray,
     batch_size: int,
     configs: Sequence[LossConfig],
-) -> list[Batch]:
-    """The batches of one epoch of K runs in one batch order: every run
-    takes the pairs at the positions ``order`` (repeats allowed), cut every
-    ``batch_size`` pairs, the last batch holding the rest; run k weighs
-    them under ``configs[k]`` and its reference scores in ``encoded``.
+) -> EpochPlan:
+    """One epoch of K runs in one batch order: every run takes the pairs
+    at the positions ``order`` (repeats allowed), cut every ``batch_size``
+    pairs, the last batch holding the rest; run k weighs them under
+    ``configs[k]`` and its reference scores in ``encoded``.
 
     The epoch is planned once, as one run: one gather takes its
     transitions in batch order, and one ``np.unique`` over the key
     batch * V + row gives every batch's sorted visited rows and each
     transition's index into them. Run k's copy of that plan is offset on a
-    leading K axis, and each batch takes its slice of every run's copy.
-    The loss weights are computed once per run into one (K, n, 3) table of
-    m_w, m_l and mult, with its signed weights and beta * mult beside it,
-    and each batch takes views of them; every batch shares the one (K, 1)
-    column of the runs' betas. beta * mult is taken under the step's
-    ``np.errstate``: a product that overflows is infinite, so the step's
+    leading K axis, and one scatter per array lays the copies out
+    batch-major, run by run within a batch. The loss weights are computed
+    once per run into one (K, n, 3) table of m_w, m_l and mult, with its
+    signed weights and beta * mult beside it. beta * mult is taken with
+    overflow ignored: a product that overflows is infinite, so the step's
     gradient is non-finite, which the trainer rejects.
     """
     order = np.asarray(order, dtype=np.intp)
@@ -358,37 +385,39 @@ def plan_runs(
     batch_of, owner = np.divmod(np.repeat(np.arange(2 * len(order)), lengths), 2 * batch_size)
     vocab_size, batches = len(encoded.vocab), -(-len(order) // batch_size)
     keys, inverse = np.unique(batch_of * vocab_size + encoded.rows[picked], return_inverse=True)
-    batch_keys = np.searchsorted(keys, np.arange(batches + 1) * vocab_size)
-    visited = np.diff(batch_keys)
+    key_bounds = np.searchsorted(keys, np.arange(batches + 1) * vocab_size)
+    step_bounds = np.searchsorted(batch_of, np.arange(batches + 1))
+    visited, steps = np.diff(key_bounds), np.diff(step_bounds)
     pairs = np.minimum(batch_size, len(order) - batch_size * np.arange(batches))
-    # Run k's copy of the plan, on a leading axis of K.
+    # Run k's copy of the plan, on a leading axis of K, laid out batch-major:
+    # an entry of it moves past the other K - 1 copies of the earlier
+    # batches and the k earlier copies of its own batch.
     run = np.arange(count)[:, None]
-    rows = keys % vocab_size + run * vocab_size
-    local = inverse - batch_keys[batch_of] + run * visited[batch_of]
-    flat = local * vocab_size + encoded.cols[picked]
-    owner = owner + run * (2 * pairs)[batch_of]
-    blocks = run.T * visited[:, None]  # per batch, where each run's rows start
+    key_batch = keys // vocab_size
+    at = np.arange(len(keys)) + (count - 1) * key_bounds[key_batch] + run * visited[key_batch]
+    rows = _scatter(keys % vocab_size + run * vocab_size, at)
+    local = inverse - key_bounds[batch_of] + run * visited[batch_of]
+    at = np.arange(len(picked)) + (count - 1) * step_bounds[batch_of] + run * steps[batch_of]
+    flat = _scatter(local * vocab_size + encoded.cols[picked], at)
+    local, owner = _scatter(local, at), _scatter(owner + run * (2 * pairs)[batch_of], at)
     table = np.empty((count, len(order), 3))  # m_w, m_l and mult per run and pair
     for k, config in enumerate(configs):
         s_w, s_l, v = encoded.factors[k, order].T
         table[k, :, 0], table[k, :, 1], table[k, :, 2] = _weights(s_w, s_l, v, config)
-    reference, beta = encoded.reference[:, order], np.array([[config.beta] for config in configs])
-    signed = table[:, :, :2] * (-1.0, 1.0)
+    beta = np.array([[config.beta] for config in configs])
     with np.errstate(over="ignore", invalid="ignore"):
         beta_mult = beta * table[:, :, 2]
-    step_bounds = np.searchsorted(batch_of, np.arange(batches + 1)).tolist()
-    batch_keys = batch_keys.tolist()
-    out = []
-    for b in range(batches):
-        keyed, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
-        cut = slice(b * batch_size, (b + 1) * batch_size)
-        out.append(
-            Batch(
-                rows[:, keyed].ravel(), blocks[b], local[:, steps].ravel(), flat[:, steps].ravel(),
-                owner[:, steps].ravel(), reference[:, cut], table[:, cut, :2], signed[:, cut], table[:, cut, 2],
-                beta, beta_mult[:, cut],
-            )
-        )
+    return EpochPlan(
+        rows, (count * key_bounds).tolist(), run.T * visited[:, None], local, flat, owner,
+        (count * step_bounds).tolist(), batch_size, encoded.reference[:, order], table[:, :, :2],
+        table[:, :, :2] * (-1.0, 1.0), table[:, :, 2], beta, beta_mult, np.empty((batches, len(STATS), count)),
+    )
+
+
+def _scatter(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """One array holding each of ``values`` at its index in ``at``."""
+    out = np.empty(values.size, dtype=values.dtype)
+    out[at] = values
     return out
 
 
@@ -410,15 +439,24 @@ def encode_runs(
     only: its row's entry shifted by the row's maximum, minus the log of
     the row's total. Every run's sequence
     reference log-probabilities come from one ``np.bincount`` over all
-    runs' transitions, which adds each sequence's terms in order.
+    runs' transitions, which adds each sequence's terms in order. The
+    sequences' token indices are read by one ``np.fromiter``, each
+    prompt's start row encoded once per pair.
     """
     if not examples:
         raise ValueError("no pairs to encode")
-    paths = [policy.transitions(e.prompt, seq) for e in examples for seq in (e.preferred, e.rejected)]
-    rows = np.concatenate([r for r, _ in paths])
-    cols = np.concatenate([c for _, c in paths])
-    lengths = np.array([len(r) for r, _ in paths], dtype=np.intp)
-    count, sequences = len(variances), len(paths)
+    vocab = policy.vocab
+    paths = []  # per sequence: its prompt's start row, then its tokens
+    for e in examples:
+        start = vocab.start(e.prompt)
+        paths.append([start, *vocab.encode(e.preferred)])
+        paths.append([start, *vocab.encode(e.rejected)])
+    sizes = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    path = np.fromiter(chain.from_iterable(paths), dtype=np.intp, count=sizes.sum())
+    ends = np.cumsum(sizes)
+    rows, cols = np.delete(path, ends - 1), np.delete(path, ends - sizes)
+    lengths = sizes - 1
+    count, sequences = len(variances), len(lengths)
     stacked = (rows + len(policy.vocab) * np.arange(count)[:, None]).ravel()
     seen = np.zeros(len(references), dtype=bool)
     seen[stacked] = True
@@ -445,104 +483,96 @@ def encode_examples(
     return encode_runs(examples, policy, reference.logits, [[e.effective_variance for e in examples]])
 
 
-@dataclass(frozen=True, eq=False)
-class LossSteps:
-    """One planned batch's per-run losses, gradient and statistics.
+def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch b of ``plan``: every run's mean batch loss, its analytic
+    gradient w.r.t. the stacked (K·V, V) ``logits`` on the rows the batch
+    visits, and the batch's preference statistics, in count form. Returns
+    (visited, gradient): a fresh copy of the visited rows of ``logits``,
+    for the caller to update in place and write back to
+    ``plan.rows_of(b)``, and the (len(rows), V) block of every run's loss
+    gradient on them; every other row's gradient is zero. Each run's
+    loss, raw margin, accuracy, weighted margin and gradient norm go into
+    column k of ``plan.stats[b]``, row by row in ``STATS`` order, each as
+    ``LossStep`` defines it, the gradient norm being the Frobenius norm
+    over the run's rows.
 
-    ``rows`` are the batch's visited stacked rows, ``visited`` a fresh
-    copy of those rows of the logits the step read, for the caller to
-    update in place and write back, and ``gradient`` the (len(rows), V)
-    block of every run's loss gradient on them. ``loss``,
-    ``margin``, ``weighted_margin`` and ``accuracy`` hold one value per
-    run, in run order, each as ``LossStep`` defines it; ``grad_norm``
-    holds each run's gradient Frobenius norm, taken over its rows.
-    """
-
-    rows: np.ndarray
-    visited: np.ndarray
-    gradient: np.ndarray
-    loss: list[float]
-    margin: list[float]
-    weighted_margin: list[float]
-    accuracy: list[float]
-    grad_norm: list[float]
-
-
-def loss_steps(batch: Batch, logits: np.ndarray) -> LossSteps:
-    """Every run's mean batch loss, its analytic gradient w.r.t. the
-    stacked (K·V, V) ``logits`` on the rows the batch visits, and the
-    batch's preference statistics, in count form.
-
-    The visited rows are gathered once, by ``take``, into the returned
-    ``visited``; ``logits`` is never written. Each row is shifted by its
-    maximum into one buffer, which is then exponentiated in place, and a
-    transition's log-probability is its shifted entry, read through the
-    planned flat entries before the exponential, minus the log of its
-    row's total: ``normalise``'s value, bit for bit, with no full
-    log-softmax table. One ``np.bincount`` over the batch's transitions
-    gives every sequence's policy log-probability, hence all r_w / r_l
-    against the planned reference scores; the losses, the margins
-    beta * (r_w - r_l), u = beta * S and the accuracies are written in
-    place into one (4, K, m) per-pair table, and each run's mean is taken
-    over its own m pairs as ``np.add.reduce(x) / m`` (how ``np.mean``
-    sums), in one reduction over that table. With coeff =
+    The visited rows are gathered once, by ``take``; ``logits`` is never
+    written. Each row is shifted by its maximum into one buffer, which is
+    then exponentiated in place, and a transition's log-probability is its
+    shifted entry, read through the planned flat entries before the
+    exponential, minus the log of its row's total: ``normalise``'s value,
+    bit for bit, with no full log-softmax table. One ``np.bincount`` over
+    the batch's transitions gives every sequence's policy log-probability,
+    hence all r_w / r_l against the planned reference scores; the losses,
+    the margins beta * (r_w - r_l), the accuracies and u = beta * S are
+    written in place into one (4, K, m) per-pair table, and each run's
+    mean is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
+    ``np.mean`` sums), in one reduction over that table. With coeff =
     (beta * mult) * (1 - sigma(u)), beta * mult planned, each preferred
     transition weighs -coeff * m_w and each rejected one +coeff * m_l (the
     planned signed weights) in one ``transition_grad`` call over the
     visited rows, which writes the gradient block on those rows over the
     softmax buffer, scattering the counts through the flat entries, then
-    divided by m in place; every other row's gradient is zero. Each run's
-    gradient norm takes the squares, sums them per row, then sums the row
-    sums over the run's block of rows, from its planned start, with
-    ``np.add.reduceat``: one fixed order, whatever the BLAS thread count.
-    Every kernel works row by row, or
-    sequence by sequence in transition order, so each run's values are bit
-    for bit those of the run planned alone. The finesse variance is a
+    divided by m in place. Each run's gradient norm takes the squares,
+    sums them per row, then sums the row sums over the run's block of
+    rows, from its planned start, with ``np.add.reduceat``: one fixed
+    order, whatever the BLAS thread count. Every kernel works row by row,
+    or sequence by sequence in transition order, so each run's values are
+    bit for bit those of the run planned alone. The finesse variance is a
     constant computed outside this function; no gradient flows through
     it.
+
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``: an
+    overflow then shows as a non-finite statistic or gradient, which the
+    trainer rejects.
     """
-    runs, m = batch.reference.shape[:2]
-    visited = logits.take(batch.rows, axis=0)
+    steps = slice(*plan.step_bounds[b : b + 2])
+    local, flat, owner = plan.local[steps], plan.flat[steps], plan.owner[steps]
+    pairs = slice(b * plan.batch_size, (b + 1) * plan.batch_size)
+    reference = plan.reference[:, pairs]
+    runs, m = reference.shape[:2]
+    visited = logits.take(plan.rows_of(b), axis=0)
     probs = visited - np.maximum.reduce(visited, axis=1, keepdims=True)
     entries = probs.reshape(-1)  # a view: the block's entries, row-major
-    shifted = entries.take(batch.flat)
+    shifted = entries.take(flat)
     np.exp(probs, out=probs)
     total = np.add.reduce(probs, axis=1, keepdims=True)
     # normalise's log-softmax entry (x - max) - log(total), at the transitions only.
-    terms = shifted - np.log(total).take(batch.local)
+    terms = shifted - np.log(total).take(local)
     probs /= total
-    sequence_log_probs = np.bincount(batch.owner, terms, minlength=2 * runs * m)
-    ratios = sequence_log_probs.reshape(runs, m, 2) - batch.reference
-    weighted = batch.weights * ratios  # m_w * r_w, m_l * r_l
-    score = (weighted[:, :, 0] - weighted[:, :, 1]) * batch.mult
+    sequence_log_probs = np.bincount(owner, terms, minlength=2 * runs * m)
+    ratios = sequence_log_probs.reshape(runs, m, 2) - reference
+    weighted = plan.weights[:, pairs] * ratios  # m_w * r_w, m_l * r_l
+    score = (weighted[:, :, 0] - weighted[:, :, 1]) * plan.mult[:, pairs]
     diff = ratios[:, :, 0] - ratios[:, :, 1]
-    per_pair = np.empty((4, runs, m))  # loss, margin, u = beta * S and accuracy per run and pair
-    # An overflow shows as a non-finite value, which the trainer rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.multiply(batch.beta, score, out=per_pair[2])
-        np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
-        np.multiply(batch.beta, diff, out=per_pair[1])
-        np.greater(diff, TIE_TOLERANCE, out=per_pair[3])
-        loss, margin, weighted_margin, accuracy = (np.add.reduce(per_pair, axis=2) / m).tolist()
-        coeff = batch.beta_mult / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-        side = (coeff[:, :, None] * batch.signed).ravel()  # -m_w, +m_l
-        gradient = transition_grad(probs, batch.local, batch.flat, side.take(batch.owner))
-        gradient /= m
-        row_norms = np.add.reduce(gradient * gradient, axis=1)
-        grad_norm = list(map(math.sqrt, np.add.reduceat(row_norms, batch.blocks).tolist()))
-    return LossSteps(batch.rows, visited, gradient, loss, margin, weighted_margin, accuracy, grad_norm)
+    stats = plan.stats[b]
+    per_pair = np.empty((4, runs, m))  # loss, margin, accuracy and u = beta * S per run and pair
+    u = np.multiply(plan.beta, score, out=per_pair[3])
+    np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
+    np.multiply(plan.beta, diff, out=per_pair[1])
+    np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
+    np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+    coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+    side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()  # -m_w, +m_l
+    gradient = transition_grad(probs, local, flat, side.take(owner))
+    gradient /= m
+    row_norms = np.add.reduce(gradient * gradient, axis=1)
+    np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+    return visited, gradient
 
 
 def loss_gradient(encoded: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
     """Mean loss of the encoded pairs under ``config``, its analytic
     gradient w.r.t. the policy logits on the rows the pairs visit, and
     their preference statistics: the pairs planned as one batch in encoding
-    order, stepped by ``loss_steps`` as one run. A planned ``Batch`` is
+    order, stepped by ``loss_steps`` as one run. A planned ``EpochPlan`` is
     stepped by ``loss_steps`` itself."""
     if not isinstance(encoded, EncodedPairs):
-        raise ValueError("loss_gradient takes EncodedPairs, got %s; step a planned Batch with loss_steps" % type(encoded).__name__)
+        raise ValueError("loss_gradient takes EncodedPairs, got %s; step a planned EpochPlan with loss_steps" % type(encoded).__name__)
     if encoded.vocab != policy.vocab:
         raise ValueError("pairs were encoded for another vocabulary")
-    [batch] = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
-    step = loss_steps(batch, policy.logits)
-    return LossStep(step.rows, step.gradient, step.loss[0], step.margin[0], step.weighted_margin[0], step.accuracy[0])
+    plan = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, gradient = loss_steps(plan, 0, policy.logits)
+    loss, margin, accuracy, weighted_margin, _ = plan.stats[0, :, 0].tolist()
+    return LossStep(plan.rows, gradient, loss, margin, weighted_margin, accuracy)

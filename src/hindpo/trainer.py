@@ -9,18 +9,19 @@ indices once and scored under each run's frozen reference. Each epoch
 draws one permutation of the stage's pairs for every run and plans every
 run's batches, with the pairs' mode weights, in one call; each step then
 takes one plain gradient-descent step on its batch for every run, on the
-rows the batch visits. At the end of a stage each run's frozen reference
-is optionally refreshed to its current policy. The permutations come from
-one generator seeded with the config's seed, each finesse run's samples
-from its own, seeded with [seed, 1]: identical inputs give identical logs
-and parameters, and a run's are the same whichever modes train beside it.
+rows the batch visits, and writes its statistics into the plan's one
+table, from which the epoch's log records are built when it ends. At the
+end of a stage each run's frozen reference is optionally refreshed to
+its current policy. The permutations come from one generator seeded with
+the config's seed, each finesse run's samples from its own, seeded with
+[seed, 1]: identical inputs give identical logs and parameters, and a
+run's are the same whichever modes train beside it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -31,7 +32,6 @@ from .fileio import check_kinds, check_value, json_lines, limited, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
-    LossSteps,
     compute_finesse,
     encode_examples,
     encode_runs,
@@ -154,17 +154,18 @@ def attach_finesse(
         example.effective_variance = effective[tuple(example.prompt)]
 
 
-def _non_finite(result: LossSteps, updated: np.ndarray) -> Iterator[tuple[int, str]]:
-    """(run, value name) of each non-finite value of a step: runs in order
+def _non_finite(stats: np.ndarray, gradient: np.ndarray, updated: np.ndarray) -> Iterator[tuple[int, str]]:
+    """(run, value name) of each non-finite value of a step, from its
+    (5, K) statistics row and its gradient and updated rows: runs in order
     and, within a run, its loss, gradient, updated logits, gradient norm,
     margin and weighted margin in that order. Every run visits the same
     number of rows, so run k's rows are the k-th of K equal blocks."""
-    runs = len(result.loss)
-    for k, (gradient, logits) in enumerate(zip(np.split(result.gradient, runs), np.split(updated, runs))):
+    loss, margin, _, weighted_margin, grad_norm = stats
+    runs = len(loss)
+    for k, (run_gradient, run_logits) in enumerate(zip(np.split(gradient, runs), np.split(updated, runs))):
         for name, values in (
-            ("loss", result.loss[k]), ("gradient", gradient), ("logits after the update", logits),
-            ("gradient norm", result.grad_norm[k]), ("margin", result.margin[k]),
-            ("weighted margin", result.weighted_margin[k]),
+            ("loss", loss[k]), ("gradient", run_gradient), ("logits after the update", run_logits),
+            ("gradient norm", grad_norm[k]), ("margin", margin[k]), ("weighted margin", weighted_margin[k]),
         ):
             if not np.isfinite(values).all():
                 yield k, name
@@ -188,21 +189,22 @@ def train_modes(
     finesse run draws its samples from its own generator, as the run alone
     does, and each run keeps its own reference, refreshed per stage. A
     stage's pairs are tokenized and encoded once; each epoch plans every
-    run's batches in one call, and each step takes one ``loss_steps`` call
-    and one update of the rows the batch visits, for every run at once:
-    the step's copy of those rows is updated in place, checked, then
-    written back. The updated rows are checked by one sum, and entry by
-    entry only when the sum is not finite: finite rows whose sum
-    overflows still train.
+    run's batches in one ``plan_runs`` call and runs its steps under one
+    ``np.errstate``. Each step takes one ``loss_steps`` call and one update
+    of the rows the batch visits, for every run at once: the step's copy
+    of those rows is updated in place, checked, then written back. The
+    step is checked by one sum of its updated rows and its row of the
+    plan's statistics table, and entry by entry only when that sum is not
+    finite: finite rows whose sum overflows still train.
 
-    Each step's ``TrainStepRecord`` carries what ``loss_steps`` returns
-    for the run. Every pair of the curriculum is
-    validated first: a pair that breaks the pair schema raises
+    At the end of each epoch every run's ``TrainStepRecord``s for it are
+    built from the plan's statistics table. Every pair of the curriculum
+    is validated first: a pair that breaks the pair schema raises
     ``SchemaError`` naming its id before any run is set up, so the
     caller's policy is left untouched. A step whose loss, gradient, updated
     logits, gradient norm or margins are not finite in any run raises,
-    naming the first such run's mode when K > 1, before any run changes or
-    is logged.
+    naming the first such run's mode when K > 1, before any run changes;
+    no step of its epoch is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -235,26 +237,24 @@ def train_modes(
             variances.append([example.effective_variance for example in examples])
         encoded = encode_runs(examples, policy, reference, variances)
         for epoch in range(1, config.epochs_per_stage + 1):
-            order = order_rng.permutation(len(examples))
-            for batch in plan_runs(encoded, order, config.batch_size, configs):
-                result = loss_steps(batch, logits)
-                step += 1
-                updated = result.visited
-                with np.errstate(over="ignore", invalid="ignore"):
-                    updated -= config.learning_rate * result.gradient
-                    total = np.add.reduce(updated, axis=None)
-                # A finite sum means every updated logit is finite; only an
-                # infinite or NaN one is looked for entry by entry.
-                finite = chain(result.loss, result.grad_norm, result.margin, result.weighted_margin)
-                if not (all(map(math.isfinite, finite)) and (math.isfinite(total) or np.isfinite(updated).all())):
-                    k, name = next(_non_finite(result, updated))
-                    run = " in mode %r" % modes[k] if len(modes) > 1 else ""
-                    where = "at stage %r epoch %d step %d" % (stage_name, epoch, step)
-                    raise TrainingError("non-finite %s%s %s" % (name, run, where))
-                logits[result.rows] = updated
-                stats = zip(logs, result.loss, result.margin, result.accuracy, result.weighted_margin, result.grad_norm)
-                for log, *values in stats:
-                    log.records.append(TrainStepRecord(stage_name, epoch, step, *values))
+            plan = plan_runs(encoded, order_rng.permutation(len(examples)), config.batch_size, configs)
+            # An overflow shows as a non-finite value, which is rejected.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(len(plan)):
+                    updated, gradient = loss_steps(plan, b, logits)
+                    updated -= config.learning_rate * gradient
+                    # A finite sum means every updated logit and statistic is
+                    # finite; only an infinite or NaN one is looked for entry by entry.
+                    total = np.add.reduce(updated, axis=None) + np.add.reduce(plan.stats[b], axis=None)
+                    if not math.isfinite(total):
+                        for k, name in _non_finite(plan.stats[b], gradient, updated):
+                            run = " in mode %r" % modes[k] if len(modes) > 1 else ""
+                            where = "at stage %r epoch %d step %d" % (stage_name, epoch, step + b + 1)
+                            raise TrainingError("non-finite %s%s %s" % (name, run, where))
+                    logits[plan.rows_of(b)] = updated
+            for log, stats in zip(logs, plan.stats.transpose(2, 0, 1).tolist()):
+                log.records.extend(TrainStepRecord(stage_name, epoch, step + b, *values) for b, values in enumerate(stats, 1))
+            step += len(plan)
         if config.refresh_reference_per_stage:
             reference = logits.copy()
     return list(zip(policies, logs))
@@ -281,13 +281,13 @@ def gradcheck(
 ) -> float:
     """Compare the analytic gradient with central finite differences.
 
-    The batch is encoded and planned once, and every logit of a copy of
-    the policy's table is perturbed by +/- h, so the caller's policy is
-    never written and a frozen snapshot is checked too. The returned error
-    is the largest entrywise deviation, scaled by the largest gradient
-    magnitude (which keeps untouched, exactly-zero entries from dominating
-    the ratio). A step ``h`` that is not a finite number > 0 raises
-    ValueError.
+    The batch is encoded and planned once, as one run, and every logit of
+    a copy of the policy's table is perturbed by +/- h, so the caller's
+    policy is never written and a frozen snapshot is checked too. The
+    returned error is the largest entrywise deviation, scaled by the
+    largest gradient magnitude (which keeps untouched, exactly-zero
+    entries from dominating the ratio). A step ``h`` that is not a finite
+    number > 0 raises ValueError.
     """
     check_value("h", "float", h, (">", 0))
     examples = list(examples)
@@ -296,20 +296,23 @@ def gradcheck(
     if reference is None:
         reference = policy.snapshot()
     encoded = encode_examples(examples, policy, reference)
-    [batch] = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
+    plan = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
+    loss = plan.stats[0, 0]  # the step's loss, written by each loss_steps call
     logits = policy.logits.copy()
-    step = loss_steps(batch, logits)
     analytic = np.zeros_like(logits)
-    analytic[step.rows] = step.gradient
     numeric = np.zeros_like(analytic)
-    for i in range(logits.shape[0]):
-        for j in range(logits.shape[1]):
-            original = logits[i, j]
-            logits[i, j] = original + h
-            plus = loss_steps(batch, logits).loss[0]
-            logits[i, j] = original - h
-            minus = loss_steps(batch, logits).loss[0]
-            logits[i, j] = original
-            numeric[i, j] = (plus - minus) / (2 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        analytic[plan.rows] = loss_steps(plan, 0, logits)[1]
+        for i in range(logits.shape[0]):
+            for j in range(logits.shape[1]):
+                original = logits[i, j]
+                logits[i, j] = original + h
+                loss_steps(plan, 0, logits)
+                plus = float(loss[0])
+                logits[i, j] = original - h
+                loss_steps(plan, 0, logits)
+                minus = float(loss[0])
+                logits[i, j] = original
+                numeric[i, j] = (plus - minus) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)

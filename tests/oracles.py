@@ -452,14 +452,15 @@ def per_step_loss_gradient(batch, policy, config):
     )
 
 
-def one_run_step(batch, logits):
-    """The ``LossStep`` of a planned one-run ``Batch`` stepped on ``logits``:
-    ``loss_steps``' values for its one run."""
+def one_run_step(plan, b, logits):
+    """The ``LossStep`` of batch b of a one-run ``EpochPlan`` stepped on
+    ``logits``: ``loss_steps``' values for its one run."""
     from hindpo.losses import LossStep, loss_steps
 
-    step = loss_steps(batch, logits)
-    [loss], [margin], [weighted_margin], [accuracy] = step.loss, step.margin, step.weighted_margin, step.accuracy
-    return LossStep(step.rows, step.gradient, loss, margin, weighted_margin, accuracy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, gradient = loss_steps(plan, b, logits)
+    loss, margin, accuracy, weighted_margin, _ = plan.stats[b, :, 0].tolist()
+    return LossStep(plan.rows_of(b), gradient, loss, margin, weighted_margin, accuracy)
 
 
 def grad_norm(gradient) -> float:
@@ -469,6 +470,75 @@ def grad_norm(gradient) -> float:
     return math.sqrt(np.add.reduceat((gradient * gradient).sum(axis=1), [0])[0])
 
 
+# The epoch planner before its plan was laid out batch-major: run-major
+# arrays, one object per batch holding its own copies of the transition
+# arrays. ``batch_arrays`` cuts the same arrays from an ``EpochPlan``.
+
+
+def run_major_plan(encoded, order, batch_size, configs):
+    """The batches of one epoch of K runs in one batch order, each a
+    namespace of the arrays ``batch_arrays`` gives."""
+    from types import SimpleNamespace
+
+    order = np.asarray(order, dtype=np.intp)
+    count = len(configs)
+    seqs = (2 * order[:, None] + np.arange(2)).ravel()
+    lengths = encoded.lengths[seqs]
+    starts = (np.cumsum(encoded.lengths) - encoded.lengths)[seqs]
+    ends = np.cumsum(lengths)
+    picked = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    batch_of, owner = np.divmod(np.repeat(np.arange(2 * len(order)), lengths), 2 * batch_size)
+    vocab_size, batches = len(encoded.vocab), -(-len(order) // batch_size)
+    keys, inverse = np.unique(batch_of * vocab_size + encoded.rows[picked], return_inverse=True)
+    batch_keys = np.searchsorted(keys, np.arange(batches + 1) * vocab_size)
+    visited = np.diff(batch_keys)
+    pairs = np.minimum(batch_size, len(order) - batch_size * np.arange(batches))
+    run = np.arange(count)[:, None]
+    rows = keys % vocab_size + run * vocab_size
+    local = inverse - batch_keys[batch_of] + run * visited[batch_of]
+    flat = local * vocab_size + encoded.cols[picked]
+    owner = owner + run * (2 * pairs)[batch_of]
+    blocks = run.T * visited[:, None]
+    table = np.empty((count, len(order), 3))
+    for k, config in enumerate(configs):
+        s_w, s_l, v = encoded.factors[k, order].T
+        acting, finesse = config.mode in ("dpo_act", "hin_dpo"), config.mode in ("dpo_fin", "hin_dpo")
+        table[k, :, 0] = 1.0 + s_w if acting else 1.0
+        table[k, :, 1] = np.maximum(0.01, s_l) if acting else 1.0
+        table[k, :, 2] = np.minimum(1.0 / (v + config.epsilon), config.scale_cap) if finesse else 1.0
+    reference, beta = encoded.reference[:, order], np.array([[config.beta] for config in configs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_mult = beta * table[:, :, 2]
+    step_bounds = np.searchsorted(batch_of, np.arange(batches + 1))
+    out = []
+    for b in range(batches):
+        keyed, steps = slice(*batch_keys[b : b + 2]), slice(*step_bounds[b : b + 2])
+        cut = slice(b * batch_size, (b + 1) * batch_size)
+        out.append(
+            SimpleNamespace(
+                rows=rows[:, keyed].ravel(), blocks=blocks[b], local=local[:, steps].ravel(),
+                flat=flat[:, steps].ravel(), owner=owner[:, steps].ravel(), reference=reference[:, cut],
+                weights=table[:, cut, :2], signed=table[:, cut, :2] * (-1.0, 1.0), mult=table[:, cut, 2],
+                beta=beta, beta_mult=beta_mult[:, cut],
+            )
+        )
+    return out
+
+
+def batch_arrays(plan, b):
+    """Batch b of an ``EpochPlan`` as the namespace of arrays one batch of
+    ``run_major_plan`` holds: its slice of every plan array."""
+    from types import SimpleNamespace
+
+    steps = slice(*plan.step_bounds[b : b + 2])
+    cut = slice(b * plan.batch_size, (b + 1) * plan.batch_size)
+    return SimpleNamespace(
+        rows=plan.rows_of(b), blocks=plan.blocks[b], local=plan.local[steps], flat=plan.flat[steps],
+        owner=plan.owner[steps], reference=plan.reference[:, cut], weights=plan.weights[:, cut],
+        signed=plan.signed[:, cut], mult=plan.mult[:, cut], beta=plan.beta, beta_mult=plan.beta_mult[:, cut],
+    )
+
+
 # The train step before it was fused: the visited rows normalised into a
 # full log-softmax table and a softmax table, the transition terms gathered
 # from the former, the gradient taken by ``transition_grad`` on a fresh
@@ -476,13 +546,14 @@ def grad_norm(gradient) -> float:
 # to a second gather of the visited rows.
 
 
-def unfused_step(batch, logits, learning_rate):
-    """(gradient, updated visited rows, [loss, margin, weighted margin,
-    accuracy, gradient norm] each as one value per run) of a planned
-    ``Batch`` stepped on the stacked ``logits``."""
+def unfused_step(plan, b, logits, learning_rate):
+    """(gradient, updated visited rows, [loss, margin, accuracy, weighted
+    margin, gradient norm] each as one value per run) of batch b of an
+    ``EpochPlan`` stepped on the stacked ``logits``."""
     from hindpo.losses import hin_dpo_loss
     from hindpo.policy import normalise
 
+    batch = batch_arrays(plan, b)
     runs, m = batch.reference.shape[:2]
     cols = batch.flat - batch.local * logits.shape[1]
     log_probs, probs = normalise(logits[batch.rows])
@@ -494,7 +565,7 @@ def unfused_step(batch, logits, learning_rate):
     with np.errstate(over="ignore", invalid="ignore"):
         u = batch.beta * score
         coeff = batch.beta * batch.mult / (1.0 + np.exp(u))
-        per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, u, diff > TIE_TOLERANCE])
+        per_pair = np.array([hin_dpo_loss(score, batch.beta), batch.beta * diff, diff > TIE_TOLERANCE, u])
         stats = (np.add.reduce(per_pair, axis=2) / m).tolist()
         side = (coeff[:, :, None] * (batch.weights * (-1.0, 1.0))).ravel()
         gradient = transition_grad(probs, batch.local, cols, side[batch.owner]) / m

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -14,7 +14,7 @@ from hindpo import cli, trainer
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import SchemaError, read_manifest
 from hindpo.fileio import KINDS
-from hindpo.losses import MODES, LossConfig
+from hindpo.losses import MODES, STATS, LossConfig
 from hindpo.trainer import TrainConfig
 
 
@@ -261,13 +261,12 @@ class TestTrainEval:
         real = trainer.loss_steps
         steps = []
 
-        def corrupt_hundredth(batch, logits):
-            result = real(batch, logits)
-            steps.append(result)
-            if len(steps) < 100:
-                return result
-            loss = [float("nan") if mode == "dpo_fin" else value for mode, value in zip(MODES, result.loss)]
-            return replace(result, loss=loss)
+        def corrupt_hundredth(plan, b, logits):
+            result = real(plan, b, logits)
+            steps.append(b)
+            if len(steps) >= 100:
+                plan.stats[b, STATS.index("loss"), MODES.index("dpo_fin")] = float("nan")
+            return result
 
         monkeypatch.setattr(trainer, "loss_steps", corrupt_hundredth)
         config = write_config(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hindpo import fileio
+from hindpo.cli import main
 from hindpo.corpora import toy_corpus
 from hindpo.dataforge import (
     BUCKET_BY_RANK,
@@ -164,6 +165,10 @@ def _record_dicts(edit):
     return lines
 
 
+def _hand_built(data):
+    return ArticleRecord(**{**data, "candidates": [Candidate(**c) for c in data["candidates"]]})
+
+
 @pytest.mark.parametrize("edit, message", _BAD_KEYS + _BAD_VALUES + _BAD_CANDIDATES)
 def test_load_articles_rejects_a_bad_key_naming_file_line_and_key(tmp_path, edit, message):
     path = tmp_path / "c.jsonl"
@@ -174,10 +179,37 @@ def test_load_articles_rejects_a_bad_key_naming_file_line_and_key(tmp_path, edit
 
 @pytest.mark.parametrize("edit, message", _BAD_VALUES)
 def test_score_and_rank_checks_a_hand_built_record(edit, message):
-    data = _record_dicts(edit)[1]
-    record = ArticleRecord(**{**data, "candidates": [Candidate(**c) for c in data["candidates"]]})
+    record = _hand_built(_record_dicts(edit)[1])
     with pytest.raises(SchemaError, match=message):
         score_and_rank(record)
+
+
+@pytest.mark.parametrize("edit, message", _BAD_VALUES)
+def test_forge_refuses_a_bad_record_built_in_code(edit, message):
+    records = [_hand_built(data) for data in _record_dicts(edit)]
+    with pytest.raises(SchemaError, match="^%s$" % message):
+        forge(records, split=(0.5, 0.5, 0.0))
+
+
+def test_each_forged_record_is_validated_once(tmp_path, monkeypatch):
+    # Once where it enters: at load for a record read from a file, at forge
+    # for one built in code; score_and_rank does not validate it again.
+    calls = []
+    validate = ArticleRecord.validate
+    monkeypatch.setattr(ArticleRecord, "validate", lambda record: calls.append(record.id) or validate(record))
+    records = [make_record(r, actuality_preferred=0.9, actuality_candidates=[0.1, 0.5, 0.8]) for r in "abcd"]
+    forge(records, split=(0.5, 0.25, 0.25))
+    assert calls == list("abcd")
+    calls.clear()
+    corpus = dump_articles(records, tmp_path / "c.jsonl")
+    forge(load_articles(corpus), split=(0.5, 0.25, 0.25), checked=True)
+    assert calls == list("abcd")
+    calls.clear()
+    assert main(["forge", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+    assert calls == list("abcd")
+    calls.clear()
+    score_and_rank(records[0])
+    assert calls == ["a"]
 
 
 class TestToyCorpus:

@@ -483,15 +483,15 @@ class TestLossGradient:
         with pytest.raises(ValueError, match="vocabularies differ"):
             encode_examples([example], policy, other.snapshot())
 
-    def test_a_planned_batch_is_rejected(self):
-        # loss_gradient plans the whole encoding itself; a planned Batch is
+    def test_a_planned_epoch_is_rejected(self):
+        # loss_gradient plans the whole encoding itself; a planned epoch is
         # stepped by loss_steps.
         policy = make_policy(109)
         encoded = encode_examples(random_examples(np.random.default_rng(109)), policy, make_policy(110).snapshot())
-        [batch] = plan_runs(encoded, [2, 0, 1], 3, [LossConfig(mode="dpo")])
-        with pytest.raises(ValueError, match="^loss_gradient takes EncodedPairs, got Batch; step a planned Batch with loss_steps$"):
-            loss_gradient(batch, policy, LossConfig(mode="dpo"))
-        assert oracles.one_run_step(batch, policy.logits).loss > 0.0
+        plan = plan_runs(encoded, [2, 0, 1], 3, [LossConfig(mode="dpo")])
+        with pytest.raises(ValueError, match="^loss_gradient takes EncodedPairs, got EpochPlan; step a planned EpochPlan with loss_steps$"):
+            loss_gradient(plan, policy, LossConfig(mode="dpo"))
+        assert oracles.one_run_step(plan, 0, policy.logits).loss > 0.0
         assert loss_gradient(encoded, policy, LossConfig(mode="dpo")).loss > 0.0
 
     def test_policy_vocabulary_must_match_the_encoding(self):
@@ -517,18 +517,17 @@ class TestLossGradient:
             assert relative_gradient_error(analytic, numeric) < 1e-5
 
 
-def assert_matches_unfused_step(batch, logits, learning_rate=0.3):
+def assert_matches_unfused_step(plan, b, logits, learning_rate=0.3):
     """The step's gradient, its visited rows updated in place as the
     trainer updates them, and its five per-run statistics are bit for bit
     those of the unfused step."""
-    step = loss_steps(batch, logits)
-    gradient, updated, stats = oracles.unfused_step(batch, logits, learning_rate)
-    visited = step.visited
-    visited -= learning_rate * step.gradient
-    assert step.gradient.tobytes() == gradient.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        visited, gradient = loss_steps(plan, b, logits)
+    want_gradient, updated, stats = oracles.unfused_step(plan, b, logits, learning_rate)
+    visited -= learning_rate * gradient
+    assert gradient.tobytes() == want_gradient.tobytes()
     assert visited.tobytes() == updated.tobytes()
-    values = (step.loss, step.margin, step.weighted_margin, step.accuracy, step.grad_norm)
-    assert [list(map(float.hex, v)) for v in values] == [list(map(float.hex, v)) for v in stats]
+    assert [list(map(float.hex, v)) for v in plan.stats[b].tolist()] == [list(map(float.hex, v)) for v in stats]
 
 
 class TestStackedRuns:
@@ -558,24 +557,53 @@ class TestStackedRuns:
         acting = plan_runs(encode_examples(examples, policies[0], references[0]), order, batch_size, [LossConfig(mode="dpo_act")])
         tables = [logits.copy(), *(p.logits.copy() for p in policies)]
         assert len(stacked) == len(alone[0]) == -(-len(examples) // batch_size)
-        for j, batch in enumerate(stacked):
-            assert_matches_unfused_step(batch, logits)
-            assert_matches_unfused_step(acting[j], policies[0].logits)
-            for plans, policy in zip(alone, policies):
-                assert_matches_unfused_step(plans[j], policy.logits)
-            step = loss_steps(batch, logits)
-            rows, gradients = np.split(step.rows, 3), np.split(step.gradient, 3)
+        for j in range(len(stacked)):
+            assert_matches_unfused_step(stacked, j, logits)
+            assert_matches_unfused_step(acting, j, policies[0].logits)
+            for plan, policy in zip(alone, policies):
+                assert_matches_unfused_step(plan, j, policy.logits)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, gradient = loss_steps(stacked, j, logits)
+            rows, gradients = np.split(stacked.rows_of(j), 3), np.split(gradient, 3)
             for k, (policy, config) in enumerate(zip(policies, configs)):
-                own = oracles.one_run_step(alone[k][j], policy.logits)
-                assert len(batch) == len(alone[k][j])
+                own = oracles.one_run_step(alone[k], j, policy.logits)
+                pairs = slice(j * batch_size, (j + 1) * batch_size)
+                assert stacked.reference[:, pairs].shape[1] == alone[k].reference[:, pairs].shape[1]
                 assert np.array_equal(rows[k], own.rows + k * size)
                 assert gradients[k].tobytes() == own.gradient.tobytes()
-                values = (step.loss[k], step.margin[k], step.weighted_margin[k], step.accuracy[k], step.grad_norm[k])
+                loss, margin, accuracy, weighted_margin, norm = stacked.stats[j, :, k].tolist()
+                values = (loss, margin, weighted_margin, accuracy, norm)
                 expected = (own.loss, own.margin, own.weighted_margin, own.accuracy, oracles.grad_norm(own.gradient))
                 assert list(map(float.hex, values)) == list(map(float.hex, expected))
         # The steps never write the tables they read.
         for table, after in zip(tables, [logits, *(p.logits for p in policies)]):
             assert table.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_each_batch_is_its_run_major_plan(self, batch_size):
+        # Four runs, an odd stage size (so every epoch ends in a short
+        # batch at batch sizes 2 and 3) and an order with repeats: each
+        # batch's slices of the batch-major plan are the arrays the
+        # run-major planner gives that batch.
+        rng = np.random.default_rng(142)
+        examples = random_examples(rng, n=7)
+        policy = make_policy(143)
+        references = np.vstack([make_policy(144 + k).logits for k in range(4)])
+        variances = [rng.uniform(0, 1, len(examples)).tolist() for _ in range(4)]
+        configs = [LossConfig(mode=mode, beta=0.2 + 0.1 * k) for k, mode in enumerate(MODES)]
+        encoded = encode_runs(examples, policy, references, variances)
+        order = [3, 0, 6, 3, 1, 5, 5, 2, 4]
+        plan = plan_runs(encoded, order, batch_size, configs)
+        want = oracles.run_major_plan(encoded, order, batch_size, configs)
+        assert len(plan) == len(want) == -(-len(order) // batch_size)
+        assert plan.stats.shape == (len(want), 5, 4)
+        for b, batch in enumerate(want):
+            got = vars(oracles.batch_arrays(plan, b))
+            assert got.keys() == vars(batch).keys()
+            for name, value in vars(batch).items():
+                assert got[name].dtype == value.dtype, name
+                assert got[name].tobytes() == value.tobytes(), name
+                assert got[name].shape == value.shape, name
 
     def test_one_config_per_run_of_the_encoding(self):
         policy = make_policy(140)
@@ -583,8 +611,9 @@ class TestStackedRuns:
         encoded = encode_runs(examples, policy, np.vstack([policy.logits] * 2), [[0.0] * 3] * 2)
         with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
             plan_runs(encoded, [0, 1, 2], 2, [LossConfig()])
-        [batch] = plan_runs(encoded, [0, 1, 2], 3, [LossConfig()] * 2)
-        assert len(loss_steps(batch, np.vstack([policy.logits] * 2)).loss) == 2
+        plan = plan_runs(encoded, [0, 1, 2], 3, [LossConfig()] * 2)
+        loss_steps(plan, 0, np.vstack([policy.logits] * 2))
+        assert plan.stats.shape == (1, 5, 2)
         with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
             loss_gradient(encoded, policy, LossConfig())
 
@@ -732,9 +761,9 @@ class TestLossGradientMatchesOracle:
         last = len(examples) - 1
         for picks in ([0, 0], [5, 1, 5], [last, 7, 7, 0], [9, 9, 9], list(range(last, -1, -1))):
             batch = [examples[i] for i in picks]
-            [planned] = plan_runs(encoded, picks, len(picks), [config])
-            step = oracles.one_run_step(planned, policy.logits)
-            assert len(planned) == len(picks)
+            planned = plan_runs(encoded, picks, len(picks), [config])
+            step = oracles.one_run_step(planned, 0, policy.logits)
+            assert len(planned) == 1 and planned.reference.shape[1] == len(picks)
             grad, loss = oracles.loss_gradient(batch, policy, reference, config)
             margin, accuracy = oracles.preference_stats(policy, reference, batch, config.beta)
             weighted, _ = oracles.weighted_margin_stats(policy, reference, batch, config)

@@ -15,7 +15,7 @@ import oracles
 from hindpo import fileio, trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, SchemaError, forge
-from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
+from hindpo.losses import MODES, STATS, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -222,8 +222,9 @@ def dense_train(curriculum, policy, config):
             attach_finesse(examples, policy, config.loss, finesse_rng)
         encoded = encode_examples(examples, policy, reference)
         for _ in range(config.epochs_per_stage):
-            for batch in plan_runs(encoded, order_rng.permutation(len(encoded)), config.batch_size, [config.loss]):
-                step = oracles.one_run_step(batch, policy.logits)
+            plan = plan_runs(encoded, order_rng.permutation(len(encoded)), config.batch_size, [config.loss])
+            for b in range(len(plan)):
+                step = oracles.one_run_step(plan, b, policy.logits)
                 dense = np.zeros_like(policy.logits)
                 dense[step.rows] = step.gradient
                 policy.logits = policy.logits - config.learning_rate * dense
@@ -410,18 +411,30 @@ class TestLockstepMatchesOneModeTraining:
         assert [len(log.records) for _, log in runs] == [2 * 4 * 4] * len(MODES)
 
 
+def corrupt(plan, b, result, field, value):
+    """A step's (visited, gradient) with its gradient, or its row of the
+    plan's statistics table for every run, set to ``value``."""
+    visited, gradient = result
+    if field == "gradient":
+        return visited, np.full_like(gradient, value)
+    plan.stats[b, STATS.index(field)] = value
+    return result
+
+
 class TestRaiseBeforeUpdate:
     """A real planned step whose third result is made non-finite: train
-    raises naming the step, before the policy takes it or it is logged."""
+    raises naming the step, before the policy takes it. Records are built
+    from an epoch's statistics table when the epoch ends, so no step of
+    the failing epoch is logged."""
 
     @pytest.mark.parametrize(
         "field, value, learning_rate, message",
         [
-            ("loss", lambda step: [float("nan")], 0.5, "non-finite loss"),
-            ("gradient", lambda step: np.full_like(step.gradient, np.nan), 0.5, "non-finite gradient"),
-            ("gradient", lambda step: np.full_like(step.gradient, 1e308), 4.0, "non-finite logits after the update"),
-            ("grad_norm", lambda step: [float("inf")], 0.5, "non-finite gradient norm"),
-            ("margin", lambda step: [float("inf")], 0.5, "non-finite margin"),
+            ("loss", float("nan"), 0.5, "non-finite loss"),
+            ("gradient", np.nan, 0.5, "non-finite gradient"),
+            ("gradient", 1e308, 4.0, "non-finite logits after the update"),
+            ("grad_norm", float("inf"), 0.5, "non-finite gradient norm"),
+            ("margin", float("inf"), 0.5, "non-finite margin"),
         ],
         ids=["loss", "gradient", "logits", "norm", "margin"],
     )
@@ -431,10 +444,10 @@ class TestRaiseBeforeUpdate:
         logged = []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
-        def corrupt_third(batch, logits):
+        def corrupt_third(plan, b, logits):
             seen.append(logits.copy())
-            result = real(batch, logits)
-            return replace(result, **{field: value(result)}) if len(seen) == 3 else result
+            result = real(plan, b, logits)
+            return corrupt(plan, b, result, field, value) if len(seen) == 3 else result
 
         def record(*args):
             logged.append(args)
@@ -444,9 +457,34 @@ class TestRaiseBeforeUpdate:
         monkeypatch.setattr(trainer, "TrainStepRecord", record)
         with pytest.raises(TrainingError, match="^%s at stage 'B_H' epoch 1 step 3$" % message):
             train(curriculum, policy, toy_train_config(learning_rate=learning_rate))
-        assert len(seen) == 3 and len(logged) == 2
+        assert len(seen) == 3 and logged == []
         assert np.array_equal(policy.logits, seen[2])
         assert not np.array_equal(seen[2], seen[1])
+
+    def test_a_later_epoch_logs_the_epochs_before_it(self, monkeypatch):
+        curriculum, policy = separable_setup()
+        config = toy_train_config(epochs_per_stage=3)
+        _, full_log = train(curriculum, policy.copy(), config)
+        per_epoch = sum(r.epoch == 1 and r.stage == full_log.records[0].stage for r in full_log.records)
+        seen, logged = [], []
+        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
+
+        def corrupt_first_of_epoch_two(plan, b, logits):
+            seen.append(logits.copy())
+            result = real(plan, b, logits)
+            return corrupt(plan, b, result, "loss", float("nan")) if len(seen) == per_epoch + 1 else result
+
+        def record(*args):
+            logged.append(args)
+            return real_record(*args)
+
+        monkeypatch.setattr(trainer, "loss_steps", corrupt_first_of_epoch_two)
+        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        stage = full_log.records[0].stage
+        with pytest.raises(TrainingError, match="^non-finite loss at stage %r epoch 2 step %d$" % (stage, per_epoch + 1)):
+            train(curriculum, policy, config)
+        assert [args[:3] for args in logged] == [(stage, 1, step) for step in range(1, per_epoch + 1)]
+        assert np.array_equal(policy.logits, seen[-1])
 
 
     def test_a_later_run_raises_naming_its_mode_and_no_run_steps(self, monkeypatch):
@@ -455,10 +493,10 @@ class TestRaiseBeforeUpdate:
         logged = []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
-        def corrupt_third(batch, logits):
+        def corrupt_third(plan, b, logits):
             seen.append(logits.copy())
-            result = real(batch, logits)
-            return replace(result, margin=[0.0, float("nan"), 0.0]) if len(seen) == 3 else result
+            result = real(plan, b, logits)
+            return corrupt(plan, b, result, "margin", [0.0, float("nan"), 0.0]) if len(seen) == 3 else result
 
         def record(*args):
             logged.append(args)
@@ -468,7 +506,7 @@ class TestRaiseBeforeUpdate:
         monkeypatch.setattr(trainer, "TrainStepRecord", record)
         with pytest.raises(TrainingError, match="^non-finite margin in mode 'hin_dpo' at stage 'B_H' epoch 1 step 3$"):
             train_modes(curriculum, policy, toy_train_config(), ["dpo", "hin_dpo", "dpo_act"])
-        assert len(seen) == 3 and len(logged) == 2 * 3
+        assert len(seen) == 3 and logged == []
         size = len(policy.vocab)
         assert np.array_equal(policy.logits, seen[2][:size])
         assert not np.array_equal(seen[2], seen[1])
@@ -507,14 +545,14 @@ class TestUpdatedLogitsCheckedByOneSum:
         seen, tables, logged = [], [], []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
-        def corrupt_third(batch, logits):
+        def corrupt_third(plan, b, logits):
             seen.append(logits.copy())
             tables.append(logits)
-            result = real(batch, logits)
+            visited, gradient = real(plan, b, logits)
             if len(seen) == 3:
                 # One entry of the run's first visited row; the gradient stays finite.
-                result.visited[run * len(result.rows) // len(modes), 1] = value
-            return result
+                visited[run * len(visited) // len(modes), 1] = value
+            return visited, gradient
 
         def record(*args):
             logged.append(args)
@@ -524,7 +562,7 @@ class TestUpdatedLogitsCheckedByOneSum:
         monkeypatch.setattr(trainer, "TrainStepRecord", record)
         with pytest.raises(TrainingError, match="^%s stage 'B_H' epoch 1 step 3$" % re.escape(message)):
             train_modes(curriculum, policy, toy_train_config(), modes)
-        assert len(seen) == 3 and len(logged) == 2 * len(modes)
+        assert len(seen) == 3 and logged == []
         assert tables[2].tobytes() == seen[2].tobytes()
         assert not np.array_equal(seen[2], seen[1])
 
