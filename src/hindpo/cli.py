@@ -114,23 +114,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_corpus(config: RunConfig, out_dir: Path) -> tuple[list[dataforge.ArticleRecord], bool]:
-    """The corpus records, and whether they are validated already: the
-    records ``load_articles`` reads are, the toy corpus built in code is
-    not."""
+def _load_corpus(config: RunConfig, out_dir: Path) -> list[dataforge.ArticleRecord]:
     if config.corpus:
-        return dataforge.load_articles(config.corpus), True
+        return dataforge.load_articles(config.corpus)
     articles = corpora.toy_corpus()
     out_dir.mkdir(parents=True, exist_ok=True)
     dataforge.dump_articles(articles, out_dir / "toy_articles.jsonl")
-    return articles, False
+    return articles
 
 
 def _run_forge(config: RunConfig) -> Path:
     out_dir = Path(config.out_dir)
-    articles, checked = _load_corpus(config, out_dir)
+    articles = _load_corpus(config, out_dir)
     result = dataforge.forge(
-        articles, order=config.order, split=config.split, seed=config.seed, checked=checked
+        articles, order=config.order, split=config.split, seed=config.seed
     )
     manifest_path = dataforge.emit_forge(result, out_dir)
     # What an earlier forge, train or eval left here belongs to another

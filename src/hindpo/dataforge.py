@@ -313,9 +313,7 @@ def dump_pairs(pairs: Iterable[PreferencePair], path: str | Path) -> Path:
 # Scoring and ranking
 
 
-def score_and_rank(
-    record: ArticleRecord, semantic: SemanticScorer | None = None, *, checked: bool = False
-) -> list[PreferencePair]:
+def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None) -> list[PreferencePair]:
     """Score the three candidates and assign ranks by descending score.
 
     Each candidate's score is :func:`final_score` of its semantic score,
@@ -327,12 +325,9 @@ def score_and_rank(
     with the ground truth; ties break by ascending model_id so the output
     is a deterministic function of the record. s_w and s_l are the
     record's actuality scores, None where it carries none. Returned pairs
-    are ordered by candidate index. The record is validated first, unless
-    ``checked`` says it was validated already, as ``load_articles``
-    validates every record it reads.
+    are ordered by candidate index.
     """
-    if not checked:
-        record.validate()
+    record.validate()
     truth = record.ground_truth_explanation
     texts = [cand.text for cand in record.candidates]
     similarities = semantic_scores(semantic, texts, truth, "article %r" % record.id)
@@ -458,7 +453,6 @@ def forge(
     order: str = "algorithm1",
     split: Sequence[float] = DEFAULT_SPLIT,
     seed: int = 0,
-    checked: bool = False,
 ) -> ForgeResult:
     """Full pipeline: split, score, rank, weight, bucketize.
 
@@ -466,14 +460,8 @@ def forge(
     handed to :func:`score_and_rank`, which calls it once per article and
     weights each pair with its record's actuality scores. If any record
     lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY``
-    instead. Every record is validated once, before any is used, so a
-    record built in code that breaks the schema raises ``SchemaError``,
-    unless ``checked`` says every record was validated already, as
-    ``load_articles`` validates what it reads.
+    instead.
     """
-    if not checked:
-        for record in articles:
-            record.validate()
     corpus_sha256 = articles_sha256(articles)
     if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):
         articles = [
@@ -489,7 +477,7 @@ def forge(
     def build(records: Sequence[ArticleRecord]) -> list[PreferencePair]:
         pairs: list[PreferencePair] = []
         for record in sorted(records, key=lambda r: r.id):
-            pairs.extend(score_and_rank(record, semantic, checked=True))
+            pairs.extend(score_and_rank(record, semantic))
         return pairs
 
     curriculum = bucketize(build(train), order=order)

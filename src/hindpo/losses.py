@@ -521,10 +521,6 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     bit for bit those of the run planned alone. The finesse variance is a
     constant computed outside this function; no gradient flows through
     it.
-
-    Call it under ``np.errstate(over="ignore", invalid="ignore")``: an
-    overflow then shows as a non-finite statistic or gradient, which the
-    trainer rejects.
     """
     steps = slice(*plan.step_bounds[b : b + 2])
     local, flat, owner = plan.local[steps], plan.flat[steps], plan.owner[steps]
@@ -547,17 +543,19 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     diff = ratios[:, :, 0] - ratios[:, :, 1]
     stats = plan.stats[b]
     per_pair = np.empty((4, runs, m))  # loss, margin, accuracy and u = beta * S per run and pair
-    u = np.multiply(plan.beta, score, out=per_pair[3])
-    np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
-    np.multiply(plan.beta, diff, out=per_pair[1])
-    np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
-    np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
-    coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
-    side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()  # -m_w, +m_l
-    gradient = transition_grad(probs, local, flat, side.take(owner))
-    gradient /= m
-    row_norms = np.add.reduce(gradient * gradient, axis=1)
-    np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+    # An overflow shows as a non-finite value, which the trainer rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.multiply(plan.beta, score, out=per_pair[3])
+        np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
+        np.multiply(plan.beta, diff, out=per_pair[1])
+        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
+        np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+        coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
+        side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()  # -m_w, +m_l
+        gradient = transition_grad(probs, local, flat, side.take(owner))
+        gradient /= m
+        row_norms = np.add.reduce(gradient * gradient, axis=1)
+        np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
     return visited, gradient
 
 
@@ -572,7 +570,6 @@ def loss_gradient(encoded: EncodedPairs, policy: BigramPolicy, config: LossConfi
     if encoded.vocab != policy.vocab:
         raise ValueError("pairs were encoded for another vocabulary")
     plan = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, gradient = loss_steps(plan, 0, policy.logits)
+    _, gradient = loss_steps(plan, 0, policy.logits)
     loss, margin, accuracy, weighted_margin, _ = plan.stats[0, :, 0].tolist()
     return LossStep(plan.rows, gradient, loss, margin, weighted_margin, accuracy)

@@ -189,8 +189,8 @@ def train_modes(
     finesse run draws its samples from its own generator, as the run alone
     does, and each run keeps its own reference, refreshed per stage. A
     stage's pairs are tokenized and encoded once; each epoch plans every
-    run's batches in one ``plan_runs`` call and runs its steps under one
-    ``np.errstate``. Each step takes one ``loss_steps`` call and one update
+    run's batches in one ``plan_runs`` call and updates and checks its
+    steps under one ``np.errstate``. Each step takes one ``loss_steps`` call and one update
     of the rows the batch visits, for every run at once: the step's copy
     of those rows is updated in place, checked, then written back. The
     step is checked by one sum of its updated rows and its row of the
@@ -301,18 +301,17 @@ def gradcheck(
     logits = policy.logits.copy()
     analytic = np.zeros_like(logits)
     numeric = np.zeros_like(analytic)
-    with np.errstate(over="ignore", invalid="ignore"):
-        analytic[plan.rows] = loss_steps(plan, 0, logits)[1]
-        for i in range(logits.shape[0]):
-            for j in range(logits.shape[1]):
-                original = logits[i, j]
-                logits[i, j] = original + h
-                loss_steps(plan, 0, logits)
-                plus = float(loss[0])
-                logits[i, j] = original - h
-                loss_steps(plan, 0, logits)
-                minus = float(loss[0])
-                logits[i, j] = original
-                numeric[i, j] = (plus - minus) / (2 * h)
+    analytic[plan.rows] = loss_steps(plan, 0, logits)[1]
+    for i in range(logits.shape[0]):
+        for j in range(logits.shape[1]):
+            original = logits[i, j]
+            logits[i, j] = original + h
+            loss_steps(plan, 0, logits)
+            plus = float(loss[0])
+            logits[i, j] = original - h
+            loss_steps(plan, 0, logits)
+            minus = float(loss[0])
+            logits[i, j] = original
+            numeric[i, j] = (plus - minus) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)

@@ -457,8 +457,7 @@ def one_run_step(plan, b, logits):
     ``logits``: ``loss_steps``' values for its one run."""
     from hindpo.losses import LossStep, loss_steps
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, gradient = loss_steps(plan, b, logits)
+    _, gradient = loss_steps(plan, b, logits)
     loss, margin, accuracy, weighted_margin, _ = plan.stats[b, :, 0].tolist()
     return LossStep(plan.rows_of(b), gradient, loss, margin, weighted_margin, accuracy)
 

@@ -521,8 +521,7 @@ def assert_matches_unfused_step(plan, b, logits, learning_rate=0.3):
     """The step's gradient, its visited rows updated in place as the
     trainer updates them, and its five per-run statistics are bit for bit
     those of the unfused step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        visited, gradient = loss_steps(plan, b, logits)
+    visited, gradient = loss_steps(plan, b, logits)
     want_gradient, updated, stats = oracles.unfused_step(plan, b, logits, learning_rate)
     visited -= learning_rate * gradient
     assert gradient.tobytes() == want_gradient.tobytes()
@@ -562,8 +561,7 @@ class TestStackedRuns:
             assert_matches_unfused_step(acting, j, policies[0].logits)
             for plan, policy in zip(alone, policies):
                 assert_matches_unfused_step(plan, j, policy.logits)
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, gradient = loss_steps(stacked, j, logits)
+            _, gradient = loss_steps(stacked, j, logits)
             rows, gradients = np.split(stacked.rows_of(j), 3), np.split(gradient, 3)
             for k, (policy, config) in enumerate(zip(policies, configs)):
                 own = oracles.one_run_step(alone[k], j, policy.logits)
