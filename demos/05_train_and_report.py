@@ -36,7 +36,7 @@ references = [held_out[a][1] for a in sorted(held_out)]
 reports = [evaluate(generate(base, prompts, seed=SEED), references, "base")]
 modes = ("dpo", "dpo_act", "dpo_fin", "hin_dpo")
 config = TrainConfig(epochs_per_stage=10, batch_size=2, seed=SEED)
-runs = train_modes(result.curriculum, base.copy(), config, modes)
+runs = train_modes(result.curriculum, base, config, modes)
 examples = encode_pairs(result.curriculum.all_pairs())
 for mode, (trained, log) in zip(modes, runs):
     step = loss_gradient(encode_examples(examples, trained, base.snapshot()), trained, LossConfig(mode=mode))

@@ -13,8 +13,8 @@ Library tour:
   bucketization, emission, and manifest-checked read-back
 - :mod:`hindpo.corpora` bundled deterministic toy corpora
 - :mod:`hindpo.policy` trainable bigram softmax policy with exact
-  gradients; ``draw`` samples the responses of many start rows in one
-  call
+  gradients; ``draw`` samples one response per start row, for many
+  start rows in one call
 - :mod:`hindpo.losses` the four preference-loss modes, the finesse
   estimate, ``encode_runs`` (pairs as transition indices, scored under
   each run's frozen reference once), ``plan_runs`` (an epoch's batches
@@ -27,8 +27,9 @@ Library tour:
   encoding, plans it as one batch and steps it
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
   several loss modes in lockstep, in one batch order, each finesse run
-  drawing from its own generator; ``train`` one mode; both validate the
-  pairs first), gradient checking
+  drawing from its own generator, each run into a new policy; ``train``
+  one mode; both validate the pairs first and only read the policy they
+  are given), gradient checking through ``loss_gradient``
 - :mod:`hindpo.evalharness` generation and metric tables
 - :mod:`hindpo.cli` the ``hindpo`` command
 - :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads;

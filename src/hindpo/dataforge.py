@@ -460,7 +460,9 @@ def forge(
     handed to :func:`score_and_rank`, which calls it once per article and
     weights each pair with its record's actuality scores. If any record
     lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY``
-    instead.
+    instead. Each split's records are scored, which validates them, before
+    their pairs are ordered by article id, so a record whose id is not a
+    string is refused by name.
     """
     corpus_sha256 = articles_sha256(articles)
     if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):
@@ -475,10 +477,8 @@ def forge(
     train, val, test = split_articles(articles, split, seed)
 
     def build(records: Sequence[ArticleRecord]) -> list[PreferencePair]:
-        pairs: list[PreferencePair] = []
-        for record in sorted(records, key=lambda r: r.id):
-            pairs.extend(score_and_rank(record, semantic))
-        return pairs
+        scored = {record.id: score_and_rank(record, semantic) for record in records}
+        return [pair for article in sorted(scored) for pair in scored[article]]
 
     curriculum = bucketize(build(train), order=order)
     return ForgeResult(

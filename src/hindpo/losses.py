@@ -230,34 +230,31 @@ def compute_finesse(
     value divides it by 0.25 (the maximum variance of [0, 1] values) and
     clamps to [0, 1]. The temperature table is built once per call, and
     every prompt's samples come from one ``draw`` of all the prompts' start
-    rows, which consumes the generator as one ``draw`` per prompt would:
-    one ``rng.random()`` per drawn token. Every sample is scored by one
-    gather of its transitions' log-probabilities and one ``np.bincount``,
-    which adds each path's terms in drawn order. A prompt with an
-    out-of-vocabulary token raises before any sample is drawn.
+    rows, each repeated ``finesse_samples`` times, which consumes the
+    generator as one ``draw`` per prompt would: one ``rng.random()`` per
+    drawn token. Every sample is scored by one gather of its transitions'
+    log-probabilities and one ``np.bincount``, which adds each path's terms
+    in drawn order. A prompt with an out-of-vocabulary token raises before
+    any sample is drawn.
     """
     log_probs, cdf = sampling_tables(policy.logits, config.finesse_temperature)
-    starts = [policy.vocab.start(prompt) for prompt in prompts]
     samples = config.finesse_samples
-    paths = draw(cdf, starts, policy.vocab.index(EOS), config.finesse_max_len, samples, rng)
+    starts = np.repeat(np.array([policy.vocab.start(prompt) for prompt in prompts], dtype=np.intp), samples)
+    paths = draw(cdf, starts.tolist(), policy.vocab.index(EOS), config.finesse_max_len, rng)
     lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
     tokens = np.fromiter(chain.from_iterable(paths), dtype=np.intp, count=lengths.sum())
     # Each token's previous one: its path's start row for the first.
     previous = np.empty_like(tokens)
     previous[1:] = tokens[:-1]
-    previous[np.cumsum(lengths) - lengths] = np.repeat(np.array(starts, dtype=np.intp), samples)
+    previous[np.cumsum(lengths) - lengths] = starts
     owner = np.repeat(np.arange(len(paths)), lengths)
     terms = log_probs.reshape(-1).take(previous * len(log_probs) + tokens)
     path_log_probs = np.bincount(owner, terms, minlength=len(paths))
     scores = np.exp(path_log_probs / lengths).tolist()
     estimates = []
-    for i in range(len(starts)):
-        stats = Welford()
-        for score in scores[i * samples : (i + 1) * samples]:
-            stats.update(score)
-        variance = stats.variance
-        effective = min(variance / VARIANCE_NORMALIZER, 1.0)
-        estimates.append(FinesseEstimate(variance=variance, effective=effective))
+    for i in range(len(prompts)):
+        variance = Welford().extend(scores[i * samples : (i + 1) * samples]).variance
+        estimates.append(FinesseEstimate(variance=variance, effective=min(variance / VARIANCE_NORMALIZER, 1.0)))
     return estimates
 
 

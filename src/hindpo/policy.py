@@ -10,8 +10,8 @@ proper and enumerable in tests. Sampling draws from a table of row CDFs
 (``sampling_tables``, ``draw``), so a caller drawing many responses at one
 temperature builds the table once. Greedy decoding is temperature 0,
 whose table steps from 0 to 1 at each row's first maximum, so greedy and
-sampled decoding share one path. ``draw`` samples the responses of a
-sequence of start rows in one call: it takes its uniforms from the
+sampled decoding share one path. ``draw`` samples one response per
+start row of a sequence in one call: it takes its uniforms from the
 generator in blocks and locates each in its row by ``bisect`` on a flat
 memoryview of the table, and it leaves the generator exactly where one
 ``draw`` per start row, and one ``rng.choice`` per drawn token, would,
@@ -95,18 +95,18 @@ def _blocks(rng: np.random.Generator, total: int, marks: list[dict]) -> Iterator
 
 
 def draw(
-    cdf: np.ndarray, starts: Sequence[int], eos: int, max_len: int, count: int, rng: np.random.Generator
+    cdf: np.ndarray, starts: Sequence[int], eos: int, max_len: int, rng: np.random.Generator
 ) -> list[list[int]]:
-    """``count`` responses per start row in ``starts``, drawn one after
-    another from the CDF rows ``cdf``: the first start's ``count``
-    responses, then the next start's, and so on. Each is a list of token
-    indices, ending with ``eos`` or cut after ``max_len`` tokens.
+    """One response per start row in ``starts``, drawn one after another
+    from the CDF rows ``cdf``; a start given n times draws n responses.
+    Each is a list of token indices, ending with ``eos`` or cut after
+    ``max_len`` tokens.
 
     Each token is one uniform located by ``bisect_right`` in the previous
     token's CDF row, read through a flat memoryview of the table, so no
     row is copied; on a sorted row that is ``searchsorted(side="right")``.
     The uniforms come from ``rng.random(n)``, in one block when
-    ``len(starts) * count * max_len`` is at most ``_BLOCK``; at the end the
+    ``len(starts) * max_len`` is at most ``_BLOCK``; at the end the
     generator is set back to the start of the last block it used and
     advanced over the uniforms used from it. So the generator ends exactly
     where one ``rng.random()`` per drawn token leaves it, for any bit
@@ -116,19 +116,18 @@ def draw(
     size = len(cdf)
     flat = memoryview(cdf.reshape(-1))
     marks: list[dict] = []
-    uniforms = chain.from_iterable(_blocks(rng, len(starts) * count * max_len, marks))
+    uniforms = chain.from_iterable(_blocks(rng, len(starts) * max_len, marks))
     responses = []
     for start in starts:
-        for _ in range(count):
-            path: list[int] = []
-            prev = start
-            for _ in range(max_len):
-                row = prev * size
-                prev = bisect_right(flat, next(uniforms), row, row + size) - row
-                path.append(prev)
-                if prev == eos:
-                    break
-            responses.append(path)
+        path: list[int] = []
+        prev = start
+        for _ in range(max_len):
+            row = prev * size
+            prev = bisect_right(flat, next(uniforms), row, row + size) - row
+            path.append(prev)
+            if prev == eos:
+                break
+        responses.append(path)
     if marks:
         rng.bit_generator.state = marks[-1]
         rng.random(sum(map(len, responses)) - _BLOCK * (len(marks) - 1))
@@ -296,7 +295,7 @@ class BigramPolicy:
             cdf = (np.arange(len(self.logits)) >= self.logits.argmax(axis=1)[:, None]).astype(np.float64)
         starts = [self.vocab.start(prompt) for prompt in prompts]
         tokens = self.vocab.tokens
-        return [[tokens[i] for i in path] for path in draw(cdf, starts, self.vocab.index(EOS), max_len, 1, rng)]
+        return [[tokens[i] for i in path] for path in draw(cdf, starts, self.vocab.index(EOS), max_len, rng)]
 
     def snapshot(self) -> "BigramPolicy":
         """Deep, immutable copy; later edits to this policy do not leak in."""

@@ -1,25 +1,27 @@
 """Curriculum training loop and gradient checking.
 
 ``train_modes`` trains one run per loss mode from the same policy, all
-runs in lockstep; ``train`` is the same loop with one mode (K = 1). Stages
-run in dataset order. At the start of each stage each finesse run
-computes its finesse variance once per unique prompt (from one
-temperature table), and the stage's pairs are encoded into transition
-indices once and scored under each run's frozen reference. Each epoch
+runs in lockstep, each into a new policy; ``train`` is the same loop with
+one mode (K = 1). The caller's policy is only read. Stages run in
+dataset order. At the start of each stage each finesse run computes its
+finesse variance once per unique prompt (from one temperature table),
+and the stage's pairs are encoded into transition indices once and
+scored under each run's frozen reference: with reference refresh, the
+runs' tables as the stage starts, else the initial policy's. Each epoch
 draws one permutation of the stage's pairs for every run and plans every
 run's batches, with the pairs' mode weights, in one call; each step then
 takes one plain gradient-descent step on its batch for every run, on the
 rows the batch visits, and writes its statistics into the plan's one
-table, from which the epoch's log records are built when it ends. At the
-end of a stage each run's frozen reference is optionally refreshed to
-its current policy. The permutations come from one generator seeded with
-the config's seed, each finesse run's samples from its own, seeded with
-[seed, 1]: identical inputs give identical logs and parameters, and a
-run's are the same whichever modes train beside it.
+table, from which the epoch's log records are built when it ends. The
+permutations come from one generator seeded with the config's seed, each
+finesse run's samples from its own, seeded with [seed, 1]: identical
+inputs give identical logs and parameters, and a run's are the same
+whichever modes train beside it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -35,6 +37,7 @@ from .losses import (
     compute_finesse,
     encode_examples,
     encode_runs,
+    loss_gradient,
     loss_steps,
     plan_runs,
 )
@@ -51,9 +54,9 @@ class TrainConfig:
     """One training run's settings: ``epochs_per_stage`` passes over each
     stage, gradient descent at ``learning_rate`` on batches of
     ``batch_size`` pairs, ``seed`` for the permutations and finesse
-    samples, and the ``loss``. The frozen reference starts as the initial
-    policy; ``refresh_reference_per_stage`` resets it to the current
-    policy at the end of each stage."""
+    samples, and the ``loss``. The frozen reference is the initial policy;
+    with ``refresh_reference_per_stage`` it is instead the policy as each
+    stage starts."""
 
     epochs_per_stage: int = limited((">=", 1), default=10)
     learning_rate: float = limited((">", 0), default=0.5)
@@ -181,16 +184,18 @@ def train_modes(
     lockstep; returns each run's (policy, log), in ``modes`` order.
 
     Run k trains ``config`` with its loss mode set to ``modes[k]``, from
-    ``policy``'s logits. Run 0 trains ``policy`` itself: it gets its own
-    copy of the table at entry, so the caller's array is never written and
-    a frozen snapshot trains too. The runs' tables are stacked as one
-    (K·V, V) table, run k's row r being row k·V + r, and each run's policy
-    holds its block of it. Every run takes each epoch's one permutation; a
-    finesse run draws its samples from its own generator, as the run alone
-    does, and each run keeps its own reference, refreshed per stage. A
-    stage's pairs are tokenized and encoded once; each epoch plans every
-    run's batches in one ``plan_runs`` call and updates and checks its
-    steps under one ``np.errstate``. Each step takes one ``loss_steps`` call and one update
+    ``policy``'s logits, into a new policy: ``policy`` and its table are
+    only read, so a frozen snapshot trains too. The runs' tables are
+    stacked as one (K·V, V) table, run k's row r being row k·V + r, and
+    run k's policy holds its block of it. Every run takes each epoch's one
+    permutation; a finesse run draws its samples from its own generator,
+    as the run alone does. ``encode_runs`` scores a stage's pairs once, as
+    the stage starts, before any step of it, so with reference refresh it
+    reads each run's reference straight from the live table; without, it
+    reads one copy of the table made at entry. A stage's pairs are
+    tokenized and encoded once; each epoch plans every run's batches in
+    one ``plan_runs`` call and updates and checks its steps under one
+    ``np.errstate``. Each step takes one ``loss_steps`` call and one update
     of the rows the batch visits, for every run at once: the step's copy
     of those rows is updated in place, checked, then written back. The
     step is checked by one sum of its updated rows and its row of the
@@ -200,11 +205,10 @@ def train_modes(
     At the end of each epoch every run's ``TrainStepRecord``s for it are
     built from the plan's statistics table. Every pair of the curriculum
     is validated first: a pair that breaks the pair schema raises
-    ``SchemaError`` naming its id before any run is set up, so the
-    caller's policy is left untouched. A step whose loss, gradient, updated
-    logits, gradient norm or margins are not finite in any run raises,
-    naming the first such run's mode when K > 1, before any run changes;
-    no step of its epoch is logged.
+    ``SchemaError`` naming its id before any run is set up. A step whose
+    loss, gradient, updated logits, gradient norm or margins are not
+    finite in any run raises, naming the first such run's mode when K > 1,
+    before any run changes; no step of its epoch is logged.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -216,14 +220,13 @@ def train_modes(
         except SchemaError as exc:
             raise SchemaError("pair %r: %s" % (pair.id, exc)) from exc
     configs = [replace(config.loss, mode=mode) for mode in modes]
-    size = len(policy.vocab)
     logits = np.tile(policy.logits, (len(configs), 1))
-    policies = [policy, *(BigramPolicy(policy.vocab) for _ in configs[1:])]
-    for k, run in enumerate(policies):
-        run.logits = logits[k * size : (k + 1) * size]
+    policies = [copy.copy(policy) for _ in configs]
+    for run, table in zip(policies, np.split(logits, len(configs))):
+        run.logits = table
     order_rng = np.random.default_rng(config.seed)
     finesse_rngs = {k: np.random.default_rng([config.seed, 1]) for k, loss in enumerate(configs) if loss.uses_finesse()}
-    reference = logits.copy()
+    reference = logits if config.refresh_reference_per_stage else logits.copy()
     logs = [TrainLog() for _ in configs]
     step = 0
     for stage_name, pairs in curriculum.stages:
@@ -255,8 +258,6 @@ def train_modes(
             for log, stats in zip(logs, plan.stats.transpose(2, 0, 1).tolist()):
                 log.records.extend(TrainStepRecord(stage_name, epoch, step + b, *values) for b, values in enumerate(stats, 1))
             step += len(plan)
-        if config.refresh_reference_per_stage:
-            reference = logits.copy()
     return list(zip(policies, logs))
 
 
@@ -266,9 +267,8 @@ def train(
     config: TrainConfig,
 ) -> tuple[BigramPolicy, TrainLog]:
     """Run the staged training loop for ``config.loss.mode``: ``train_modes``
-    with that one mode (K = 1). Mutates and returns the policy, which gets
-    its own copy of the logit table at entry; each step then updates only
-    the rows its batch visits."""
+    with that one mode (K = 1). Returns a new policy and its log;
+    ``policy`` is only read."""
     return train_modes(curriculum, policy, config, [config.loss.mode])[0]
 
 
@@ -281,13 +281,14 @@ def gradcheck(
 ) -> float:
     """Compare the analytic gradient with central finite differences.
 
-    The batch is encoded and planned once, as one run, and every logit of
-    a copy of the policy's table is perturbed by +/- h, so the caller's
-    policy is never written and a frozen snapshot is checked too. The
-    returned error is the largest entrywise deviation, scaled by the
-    largest gradient magnitude (which keeps untouched, exactly-zero
-    entries from dominating the ratio). A step ``h`` that is not a finite
-    number > 0 raises ValueError.
+    The batch is encoded once, and every logit of a copy of the policy is
+    perturbed by +/- h, so the caller's policy is never written and a
+    frozen snapshot is checked too; each probe's loss, and the analytic
+    gradient, come from ``loss_gradient`` on that copy. The returned error
+    is the largest entrywise deviation, scaled by the largest gradient
+    magnitude (which keeps untouched, exactly-zero entries from dominating
+    the ratio). A step ``h`` that is not a finite number > 0 raises
+    ValueError.
     """
     check_value("h", "float", h, (">", 0))
     examples = list(examples)
@@ -296,21 +297,19 @@ def gradcheck(
     if reference is None:
         reference = policy.snapshot()
     encoded = encode_examples(examples, policy, reference)
-    plan = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
-    loss = plan.stats[0, 0]  # the step's loss, written by each loss_steps call
-    logits = policy.logits.copy()
+    probe = policy.copy()
+    logits = probe.logits
+    step = loss_gradient(encoded, probe, config)
     analytic = np.zeros_like(logits)
     numeric = np.zeros_like(analytic)
-    analytic[plan.rows] = loss_steps(plan, 0, logits)[1]
+    analytic[step.rows] = step.gradient
     for i in range(logits.shape[0]):
         for j in range(logits.shape[1]):
             original = logits[i, j]
             logits[i, j] = original + h
-            loss_steps(plan, 0, logits)
-            plus = float(loss[0])
+            plus = loss_gradient(encoded, probe, config).loss
             logits[i, j] = original - h
-            loss_steps(plan, 0, logits)
-            minus = float(loss[0])
+            minus = loss_gradient(encoded, probe, config).loss
             logits[i, j] = original
             numeric[i, j] = (plus - minus) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)

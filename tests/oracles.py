@@ -355,12 +355,12 @@ def sample_response(policy, prompt, temperature, max_len, rng) -> list[str]:
     return out
 
 
-def draw_per_start(cdf, starts, eos, max_len, count, rng) -> list[list[int]]:
+def draw_per_start(cdf, starts, eos, max_len, rng) -> list[list[int]]:
     """``policy.draw`` called once per start row, in order, on one
     generator: the calls one multi-start ``draw`` replaced."""
     from hindpo.policy import draw
 
-    return [path for start in starts for path in draw(cdf, [start], eos, max_len, count, rng)]
+    return [path for start in starts for path in draw(cdf, [start], eos, max_len, rng)]
 
 
 def greedy_response(policy, prompt, max_len) -> list[str]:

@@ -185,9 +185,8 @@ def test_score_and_rank_checks_a_hand_built_record(edit, message):
 
 
 # Both records land in the train split, so each bad record is scored
-# beside a good one. An int id is left out: forge sorts a split's records
-# by id before score_and_rank validates them, so it raises TypeError there.
-@pytest.mark.parametrize("edit, message", [p for p in _BAD_VALUES if p.id != "int-id"])
+# beside a good one.
+@pytest.mark.parametrize("edit, message", _BAD_VALUES)
 def test_forge_refuses_a_bad_record_built_in_code(edit, message):
     records = [_hand_built(data) for data in _record_dicts(edit)]
     with pytest.raises(SchemaError, match="^%s$" % message):

@@ -274,7 +274,7 @@ class TestSamplerMatchesOracle:
         u = np.random.default_rng(21).random()
         cdf = np.array([[u, u, u, u, 1.0]] * 5)
         assert cdf[0].searchsorted(u, side="right") == 4
-        assert draw(cdf, [0], 4, 3, 1, np.random.default_rng(21)) == [[4]]
+        assert draw(cdf, [0], 4, 3, np.random.default_rng(21)) == [[4]]
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
     def test_every_bit_generator(self, bit_generator):
@@ -331,9 +331,10 @@ _BLOCK = policy_module._BLOCK
 
 
 class TestMultiStartDraw:
-    # One draw of many start rows against one draw per start on another
-    # generator of the same seed: the same paths and the same end state,
-    # whether the starts' uniforms fit in one block or not.
+    # One draw of many start rows, each given ``count`` times, against one
+    # draw per start on another generator of the same seed: the same paths
+    # and the same end state, whether the starts' uniforms fit in one block
+    # or not.
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         bit_generator=st.sampled_from(BIT_GENERATORS),
@@ -352,8 +353,9 @@ class TestMultiStartDraw:
         policy.logits[:, eos] += eos_shift  # draws that end early, late or never
         _, cdf = policy_module.sampling_tables(policy.logits, 1.0)
         ours, theirs = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
-        got = draw(cdf, starts, eos, max_len, count, ours)
-        assert got == oracles.draw_per_start(cdf, starts, eos, max_len, count, theirs)
+        repeated = [start for start in starts for _ in range(count)]
+        got = draw(cdf, repeated, eos, max_len, ours)
+        assert got == oracles.draw_per_start(cdf, repeated, eos, max_len, theirs)
         assert len(got) == len(starts) * count
         assert ours.random(3).tolist() == theirs.random(3).tolist()
 

@@ -249,9 +249,11 @@ class TestVisitedRowUpdate:
         before = original.copy()
         frozen = policy.snapshot()
         trained, _ = train(curriculum, policy, toy_train_config())
-        assert trained is policy
+        assert trained is not policy and policy.logits is original
         assert np.array_equal(original, before)
         trained_frozen, _ = train(curriculum, frozen, toy_train_config())
+        assert trained_frozen is not frozen and not frozen.logits.flags.writeable
+        assert np.array_equal(frozen.logits, before)
         assert not np.array_equal(trained_frozen.logits, before)
         assert np.array_equal(trained_frozen.logits, trained.logits)
 
@@ -366,13 +368,13 @@ class TestLockstepMatchesOneModeTraining:
                 assert trained.logits.tobytes() == expected.logits.tobytes(), mode
                 assert list(map(record_bits, log.records)) == list(map(record_bits, expected_log.records)), mode
 
-    def test_run_zero_trains_the_given_policy_and_the_callers_array_stays(self):
+    def test_run_zero_trains_a_new_policy_and_the_callers_array_stays(self):
         curriculum = two_stage_curriculum()
         policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
         original = policy.logits
         before = original.copy()
         runs = train_modes(curriculum, policy, toy_train_config(epochs_per_stage=2), ["dpo_fin", "dpo", "dpo_fin"])
-        assert runs[0][0] is policy
+        assert runs[0][0] is not policy and policy.logits is original
         assert np.array_equal(original, before)
         assert runs[0][0].logits.tobytes() == runs[2][0].logits.tobytes()
         assert not np.array_equal(runs[0][0].logits, runs[1][0].logits)
@@ -411,6 +413,66 @@ class TestLockstepMatchesOneModeTraining:
         assert [len(log.records) for _, log in runs] == [2 * 4 * 4] * len(MODES)
 
 
+class TestCallersPolicyOnlyRead:
+    @pytest.mark.parametrize("frozen", [False, True], ids=["policy", "snapshot"])
+    @pytest.mark.parametrize("modes", [None, MODES], ids=["train", "train_modes"])
+    def test_the_caller_keeps_its_table_and_every_run_is_new(self, modes, frozen):
+        curriculum = two_stage_curriculum()
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+        if frozen:
+            policy = policy.snapshot()
+        original = policy.logits
+        before = original.tobytes()
+        config = toy_train_config(epochs_per_stage=2)
+        runs = [train(curriculum, policy, config)] if modes is None else train_modes(curriculum, policy, config, modes)
+        assert policy.logits is original and original.tobytes() == before
+        assert original.flags.writeable is not frozen
+        trained = [run for run, _ in runs]
+        assert len(trained) == (1 if modes is None else len(modes))
+        assert len({id(run) for run in [policy, *trained]}) == len(trained) + 1
+        for run in trained:
+            assert run.vocab == policy.vocab and run.logits.flags.writeable
+            assert not np.shares_memory(run.logits, original)
+            assert run.logits.tobytes() != before
+
+    @pytest.mark.parametrize("refresh", [True, False])
+    def test_a_stage_reads_its_reference_from_the_live_table_or_one_copy(self, monkeypatch, refresh):
+        # With refresh, each stage scores its pairs against the live stacked
+        # table as the stage starts, before its first step; without, every
+        # stage reads the one copy of the initial table made at entry.
+        events = []
+        real_encode, real_step = trainer.encode_runs, trainer.loss_steps
+
+        def recording_encode(examples, policy, reference, variances):
+            events.append(("encode", reference, reference.copy()))
+            return real_encode(examples, policy, reference, variances)
+
+        def recording_step(plan, b, logits):
+            events.append(("step", logits, logits.copy()))
+            return real_step(plan, b, logits)
+
+        monkeypatch.setattr(trainer, "encode_runs", recording_encode)
+        monkeypatch.setattr(trainer, "loss_steps", recording_step)
+        curriculum = two_stage_curriculum()
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+        config = toy_train_config(epochs_per_stage=2, refresh_reference_per_stage=refresh)
+        initial = np.tile(policy.logits, (len(MODES), 1))
+        train_modes(curriculum, policy, config, MODES)
+        live = events[1][1]
+        assert all(table is live for kind, table, _ in events if kind == "step")
+        encodes = [i for i, (kind, _, _) in enumerate(events) if kind == "encode"]
+        assert len(encodes) == 2
+        for i in encodes:
+            _, reference, values = events[i]
+            if refresh:
+                assert reference is live and values.tobytes() == events[i + 1][2].tobytes()
+            else:
+                assert reference is events[0][1] and reference is not live and reference.base is None
+                assert values.tobytes() == initial.tobytes()
+        if refresh:
+            assert events[encodes[1]][2].tobytes() != initial.tobytes()  # the first stage moved the table
+
+
 def corrupt(plan, b, result, field, value):
     """A step's (visited, gradient) with its gradient, or its row of the
     plan's statistics table for every run, set to ``value``."""
@@ -423,7 +485,8 @@ def corrupt(plan, b, result, field, value):
 
 class TestRaiseBeforeUpdate:
     """A real planned step whose third result is made non-finite: train
-    raises naming the step, before the policy takes it. Records are built
+    raises naming the step, before the live table, seen through the
+    ``logits`` argument of ``loss_steps``, takes it. Records are built
     from an epoch's statistics table when the epoch ends, so no step of
     the failing epoch is logged."""
 
@@ -440,12 +503,12 @@ class TestRaiseBeforeUpdate:
     )
     def test_third_step_raises_unapplied_and_unlogged(self, monkeypatch, field, value, learning_rate, message):
         curriculum, policy = separable_setup()
-        seen = []
-        logged = []
+        seen, tables, logged = [], [], []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
         def corrupt_third(plan, b, logits):
             seen.append(logits.copy())
+            tables.append(logits)
             result = real(plan, b, logits)
             return corrupt(plan, b, result, field, value) if len(seen) == 3 else result
 
@@ -458,19 +521,20 @@ class TestRaiseBeforeUpdate:
         with pytest.raises(TrainingError, match="^%s at stage 'B_H' epoch 1 step 3$" % message):
             train(curriculum, policy, toy_train_config(learning_rate=learning_rate))
         assert len(seen) == 3 and logged == []
-        assert np.array_equal(policy.logits, seen[2])
+        assert tables[2] is tables[0] and tables[2].tobytes() == seen[2].tobytes()
         assert not np.array_equal(seen[2], seen[1])
 
     def test_a_later_epoch_logs_the_epochs_before_it(self, monkeypatch):
         curriculum, policy = separable_setup()
         config = toy_train_config(epochs_per_stage=3)
-        _, full_log = train(curriculum, policy.copy(), config)
+        _, full_log = train(curriculum, policy, config)
         per_epoch = sum(r.epoch == 1 and r.stage == full_log.records[0].stage for r in full_log.records)
-        seen, logged = [], []
+        seen, tables, logged = [], [], []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
         def corrupt_first_of_epoch_two(plan, b, logits):
             seen.append(logits.copy())
+            tables.append(logits)
             result = real(plan, b, logits)
             return corrupt(plan, b, result, "loss", float("nan")) if len(seen) == per_epoch + 1 else result
 
@@ -484,17 +548,17 @@ class TestRaiseBeforeUpdate:
         with pytest.raises(TrainingError, match="^non-finite loss at stage %r epoch 2 step %d$" % (stage, per_epoch + 1)):
             train(curriculum, policy, config)
         assert [args[:3] for args in logged] == [(stage, 1, step) for step in range(1, per_epoch + 1)]
-        assert np.array_equal(policy.logits, seen[-1])
+        assert tables[-1] is tables[0] and tables[-1].tobytes() == seen[-1].tobytes()
 
 
     def test_a_later_run_raises_naming_its_mode_and_no_run_steps(self, monkeypatch):
         curriculum, policy = separable_setup()
-        seen = []
-        logged = []
+        seen, tables, logged = [], [], []
         real, real_record = trainer.loss_steps, trainer.TrainStepRecord
 
         def corrupt_third(plan, b, logits):
             seen.append(logits.copy())
+            tables.append(logits)
             result = real(plan, b, logits)
             return corrupt(plan, b, result, "margin", [0.0, float("nan"), 0.0]) if len(seen) == 3 else result
 
@@ -507,8 +571,7 @@ class TestRaiseBeforeUpdate:
         with pytest.raises(TrainingError, match="^non-finite margin in mode 'hin_dpo' at stage 'B_H' epoch 1 step 3$"):
             train_modes(curriculum, policy, toy_train_config(), ["dpo", "hin_dpo", "dpo_act"])
         assert len(seen) == 3 and logged == []
-        size = len(policy.vocab)
-        assert np.array_equal(policy.logits, seen[2][:size])
+        assert tables[2] is tables[0] and tables[2].tobytes() == seen[2].tobytes()
         assert not np.array_equal(seen[2], seen[1])
 
 
@@ -709,7 +772,7 @@ class TestTrainLog:
         reference = policy.snapshot()
         examples = encode_pairs(pairs)
         attach_finesse(examples, policy, config.loss, np.random.default_rng(config.seed))
-        after_first, _ = train(curriculum, policy.copy(), replace(config, epochs_per_stage=1))
+        after_first, _ = train(curriculum, policy, replace(config, epochs_per_stage=1))
         _, log = train(curriculum, policy, config)
         step = loss_gradient(encode_examples(examples, after_first, reference), after_first, config.loss)
         second = log.records[1]
