@@ -8,11 +8,11 @@ Input corpus format (UTF-8 JSONL, one article per line):
      "actuality_preferred": 0.9,            # optional, [0, 1]
      "actuality_candidates": [0.1, 0.5, 0.8]}  # optional, 3 values in [0, 1]
 
-These are the fields of :class:`ArticleRecord` and :class:`Candidate`; a
-line with a key they do not name, a missing key, or a value of the wrong
-type or outside its limits (a label other than "fake" or "real", an
-actuality score outside [0, 1]) raises :class:`SchemaError` naming the
-file and line.
+These are the fields of :class:`ArticleRecord` and :class:`Candidate`. A
+record is checked when it is built, and ``replace`` re-checks one edited in
+place: a key they do not name, a missing key, or a value of the wrong type
+or outside its limits (a label other than "fake" or "real", an actuality
+score outside [0, 1]) raises :class:`SchemaError`, naming a corpus line.
 
 Every article carries exactly three candidate (rejected) explanations.
 Each candidate is scored against the ground-truth explanation with the
@@ -78,7 +78,7 @@ class Candidate:
 
 @dataclass
 class ArticleRecord:
-    """One fact-checked news item and its candidate explanations; the fields are its corpus keys."""
+    """One fact-checked news item and its candidate explanations; the fields are its corpus keys, checked when built."""
 
     id: str
     label: str = limited(("one of", LABELS))
@@ -88,7 +88,9 @@ class ArticleRecord:
     actuality_preferred: float | None = limited(*SCORE, default=None)
     actuality_candidates: list[float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if not (isinstance(self.candidates, list) and all(isinstance(c, Candidate) for c in self.candidates)):
+            raise SchemaError("malformed record: candidates must be a list of objects, got %r" % (self.candidates,))
         for prefix, part in [("", self)] + [("candidates[%d]." % i, c) for i, c in enumerate(self.candidates)]:
             check_kinds(part, SchemaError, prefix)
         if not self.id:
@@ -116,15 +118,14 @@ class ArticleRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArticleRecord":
+        """The record of a corpus line's object; building it checks every value."""
+        candidates = data.get("candidates") if isinstance(data, dict) else None
         try:
-            record = cls(**data)
-            if not (isinstance(record.candidates, list) and all(isinstance(c, dict) for c in record.candidates)):
-                raise SchemaError("malformed record: candidates must be a list of objects, got %r" % (record.candidates,))
-            record.candidates = [Candidate(**c) for c in record.candidates]
+            if isinstance(candidates, list) and all(isinstance(c, dict) for c in candidates):
+                data = {**data, "candidates": [Candidate(**c) for c in candidates]}
+            return cls(**data)
         except TypeError as exc:
             raise SchemaError("malformed record: %s" % exc) from exc
-        record.validate()
-        return record
 
 
 @dataclass(kw_only=True)
@@ -198,7 +199,7 @@ def _parse_jsonl(path: Path, lines: Iterable[bytes], parse: Callable[[dict], T])
 
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
-    """Read and validate a JSONL corpus; errors carry the offending line."""
+    """Read a JSONL corpus, each line's record checked as it is built; errors carry the offending line."""
     path = Path(path)
     records: list[ArticleRecord] = []
     seen_ids: set[str] = set()
@@ -325,9 +326,8 @@ def score_and_rank(record: ArticleRecord, semantic: SemanticScorer | None = None
     with the ground truth; ties break by ascending model_id so the output
     is a deterministic function of the record. s_w and s_l are the
     record's actuality scores, None where it carries none. Returned pairs
-    are ordered by candidate index.
+    are ordered by candidate index. The record was checked when built.
     """
-    record.validate()
     truth = record.ground_truth_explanation
     texts = [cand.text for cand in record.candidates]
     similarities = semantic_scores(semantic, texts, truth, "article %r" % record.id)
@@ -460,9 +460,7 @@ def forge(
     handed to :func:`score_and_rank`, which calls it once per article and
     weights each pair with its record's actuality scores. If any record
     lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY``
-    instead. Each split's records are scored, which validates them, before
-    their pairs are ordered by article id, so a record whose id is not a
-    string is refused by name.
+    instead, through ``replace``, which checks each new record once.
     """
     corpus_sha256 = articles_sha256(articles)
     if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):

@@ -15,11 +15,11 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import check_seed, write_atomic
+from .fileio import check_seed, kind_problem, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
 from .textmetrics import SemanticScorer, rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
@@ -42,6 +42,18 @@ class MetricReport:
     semantic: float
 
 
+def _texts(name: str, texts: Iterable[str]) -> list[str]:
+    """``texts`` as a list; ValueError naming ``name`` if it is one string,
+    or naming ``name`` and the index of its first entry that is not a string."""
+    if isinstance(texts, str):
+        raise ValueError("%s must be a sequence of strings, got %r" % (name, texts))
+    texts = list(texts)
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise ValueError("%s[%d] %s" % (name, i, kind_problem("str", text)))
+    return texts
+
+
 def generate(
     policy: BigramPolicy,
     prompts: Sequence[str],
@@ -58,11 +70,12 @@ def generate(
     argmax, whatever the generator draws. A ``max_len`` that is not an
     integer >= 1, a temperature that is not a finite number >= 0 or a seed
     that is not an integer >= 0 (a bool is none of them) raises ValueError
-    before any prompt is read.
+    before any prompt is read, as does a string passed as ``prompts`` or a
+    prompt that is not a string, named by its index.
     """
     check_decoding(max_len, temperature)
     check_seed(seed)
-    token_prompts = [tokenize(prompt) for prompt in prompts]
+    token_prompts = [tokenize(prompt) for prompt in _texts("prompts", prompts)]
     responses = policy.sample_responses(token_prompts, temperature, max_len, np.random.default_rng(seed))
     return [" ".join(t for t in tokens if t not in (BOS, EOS)) for tokens in responses]
 
@@ -78,8 +91,11 @@ def evaluate(
     ``semantic`` (by default ``char_trigram_cosine``) scores each
     generated text against its reference as a one-candidate batch,
     ``[s] = semantic([generated], reference)``; a result that is not one
-    real number raises ValueError naming the pair's index.
+    real number raises ValueError naming the pair's index, as does a
+    generated text or reference that is not a string; a string passed as
+    either sequence raises ValueError too.
     """
+    generated, references = _texts("generated", generated), _texts("references", references)
     if len(generated) != len(references):
         raise ValueError(
             "generated and references must have equal length: %d vs %d"

@@ -111,11 +111,17 @@ class TestLoadArticles:
 
     def test_bad_label(self):
         with pytest.raises(SchemaError):
-            make_record(label="maybe").validate()
+            make_record(label="maybe")
 
     def test_actuality_range_checked(self):
         with pytest.raises(SchemaError):
-            make_record(actuality_preferred=1.5).validate()
+            make_record(actuality_preferred=1.5)
+
+    def test_a_line_that_is_not_an_object_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r":1: malformed record: .*must be a mapping, not list$"):
+            load_articles(path)
 
 
 
@@ -165,8 +171,28 @@ def _record_dicts(edit):
     return lines
 
 
+def _candidates(data):
+    """A corpus line's candidates as code builds them: a list of objects as
+    Candidates, any other value as it is."""
+    candidates = data["candidates"]
+    if isinstance(candidates, list) and all(isinstance(c, dict) for c in candidates):
+        return [Candidate(**c) for c in candidates]
+    return candidates
+
+
 def _hand_built(data):
-    return ArticleRecord(**{**data, "candidates": [Candidate(**c) for c in data["candidates"]]})
+    return ArticleRecord(**{**data, "candidates": _candidates(data)})
+
+
+# A dict among Candidates, which only code can build.
+_MIXED = [Candidate("m-a", "x"), {"model_id": "m-b", "text": "y"}, Candidate("m-c", "z")]
+_BUILT_CANDIDATES = _BAD_CANDIDATES + [
+    pytest.param(
+        _set("candidates", _MIXED),
+        re.escape("malformed record: candidates must be a list of objects, got %r" % (_MIXED,)),
+        id="dict-among-candidates",
+    )
+]
 
 
 @pytest.mark.parametrize("edit, message", _BAD_KEYS + _BAD_VALUES + _BAD_CANDIDATES)
@@ -177,20 +203,43 @@ def test_load_articles_rejects_a_bad_key_naming_file_line_and_key(tmp_path, edit
         load_articles(path)
 
 
-@pytest.mark.parametrize("edit, message", _BAD_VALUES)
-def test_score_and_rank_checks_a_hand_built_record(edit, message):
-    record = _hand_built(_record_dicts(edit)[1])
-    with pytest.raises(SchemaError, match=message):
-        score_and_rank(record)
-
-
-# Both records land in the train split, so each bad record is scored
-# beside a good one.
-@pytest.mark.parametrize("edit, message", _BAD_VALUES)
-def test_forge_refuses_a_bad_record_built_in_code(edit, message):
-    records = [_hand_built(data) for data in _record_dicts(edit)]
+# A record built in code is refused as its file line is, minus the file and line.
+@pytest.mark.parametrize("edit, message", _BAD_VALUES + _BUILT_CANDIDATES)
+def test_a_record_built_in_code_is_refused_when_built(edit, message):
+    data = _record_dicts(edit)[1]
     with pytest.raises(SchemaError, match="^%s$" % message):
-        forge(records, split=(1.0, 0.0, 0.0))
+        _hand_built(data)
+
+
+# replace builds a record, as forge's DEFAULT_ACTUALITY fill and
+# embed_actuality do, so it checks one with changed fields, and checks
+# again one edited in place.
+@pytest.mark.parametrize("edit, message", _BAD_VALUES + _BUILT_CANDIDATES)
+def test_replace_refuses_a_bad_record_and_one_edited_in_place(edit, message):
+    good, bad = _record_dicts(lambda record: None)[1], _record_dicts(edit)[1]
+    changes = {key: value for key, value in bad.items() if value != good[key]}
+    if "candidates" in changes:
+        changes["candidates"] = _candidates(bad)
+    record = _hand_built(good)
+    with pytest.raises(SchemaError, match="^%s$" % message):
+        dataclasses.replace(record, **changes)
+    vars(record).update(changes)
+    with pytest.raises(SchemaError, match="^%s$" % message):
+        dataclasses.replace(record)
+
+
+def test_forge_of_a_loaded_corpus_checks_each_record_once(tmp_path, monkeypatch):
+    checked = []
+
+    def check_kinds(part, *args):
+        if isinstance(part, ArticleRecord):
+            checked.append(part.id)
+        return fileio.check_kinds(part, *args)
+
+    path = dump_articles(toy_corpus(), tmp_path / "c.jsonl")
+    monkeypatch.setattr("hindpo.dataforge.check_kinds", check_kinds)
+    forge(load_articles(path))
+    assert sorted(checked) == sorted(record.id for record in toy_corpus())
 
 
 class TestToyCorpus:

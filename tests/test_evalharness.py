@@ -46,6 +46,23 @@ class TestGenerate:
         with pytest.raises(OutOfVocabularyError):
             generate(preferring_policy(), ["missing"])
 
+    @pytest.mark.parametrize(
+        "prompts, message",
+        [
+            ("p0", "prompts must be a sequence of strings, got 'p0'"),
+            ([5], "prompts[0] must be a string, got 5"),
+            (["p0", None], "prompts[1] must be a string, got None"),
+            (["p0", "p1", b"p0"], "prompts[2] must be a string, got b'p0'"),
+        ],
+        ids=["bare-string", "int", "none", "bytes"],
+    )
+    def test_a_bare_string_or_a_non_string_prompt_is_refused_by_name(self, prompts, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            generate(preferring_policy(), prompts)
+
+    def test_prompts_from_a_generator_are_all_decoded(self):
+        assert generate(preferring_policy(), (prompt for prompt in ["p0", "p1"]), max_len=4) == ["a", "a"]
+
     def test_nan_temperature_rejected(self):
         with pytest.raises(ValueError, match="^temperature must be finite, got nan$"):
             generate(preferring_policy(), ["p0"], temperature=float("nan"))
@@ -139,6 +156,21 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(["a"], ["a", "b"], "base")
+
+    @pytest.mark.parametrize(
+        "generated, references, message",
+        [
+            ("ab", ["a", "b"], "generated must be a sequence of strings, got 'ab'"),
+            (["a", "b"], "ab", "references must be a sequence of strings, got 'ab'"),
+            ([5], ["a"], "generated[0] must be a string, got 5"),
+            (["a", "b"], ["a", 1.5], "references[1] must be a string, got 1.5"),
+            (["a", None], ["a", "b"], "generated[1] must be a string, got None"),
+        ],
+        ids=["bare-generated", "bare-references", "int-generated", "float-reference", "none-generated"],
+    )
+    def test_a_bare_string_or_a_non_string_text_is_refused_by_name(self, generated, references, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            evaluate(generated, references, "x")
 
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(19)

@@ -56,7 +56,7 @@ BUILDERS = {
     LossConfig: LossConfig,
     TrainConfig: TrainConfig,
     RunConfig: RunConfig,
-    ArticleRecord: _validated(BASE_RECORD),
+    ArticleRecord: lambda **changes: replace(BASE_RECORD, **changes),
     PreferencePair: _validated(BASE_PAIR),
 }
 
@@ -146,9 +146,9 @@ CALLERS = {
     ("textmetrics", "final_score"): lambda name, value, tmp_path: final_score(
         **{"semantic": 0.5, "rouge_l_f1": 0.5, "meteor_score": 0.5, name: value}
     ),
-    ("dataforge", "validate"): lambda name, value, tmp_path: replace(
+    ("dataforge", "__post_init__"): lambda name, value, tmp_path: replace(
         BASE_RECORD, actuality_candidates=[value, 0.5, 0.5]
-    ).validate(),
+    ),
     ("dataforge", "embed_actuality"): _embed_actuality,
     ("dataforge", "bucketize"): lambda name, value, tmp_path: bucketize(score_and_rank(BASE_RECORD), **{name: value}),
     ("cli", "cmd_gradcheck"): _cli_gradcheck,
