@@ -459,24 +459,21 @@ def forge(
     ``semantic``, a ``(candidates, reference) -> scores`` function, is
     handed to :func:`score_and_rank`, which calls it once per article and
     weights each pair with its record's actuality scores. If any record
-    lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY``
-    instead, through ``replace``, which checks each new record once.
+    lacks them, every pair of the corpus gets ``DEFAULT_ACTUALITY`` as its
+    s_w and s_l instead, set on the scored pairs as ``bucketize`` sets
+    their bucket; no record is rebuilt or checked again.
     """
     corpus_sha256 = articles_sha256(articles)
-    if any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles):
-        articles = [
-            replace(
-                r,
-                actuality_preferred=DEFAULT_ACTUALITY,
-                actuality_candidates=[DEFAULT_ACTUALITY] * CANDIDATES_PER_ARTICLE,
-            )
-            for r in articles
-        ]
+    default = any(r.actuality_preferred is None or r.actuality_candidates is None for r in articles)
     train, val, test = split_articles(articles, split, seed)
 
     def build(records: Sequence[ArticleRecord]) -> list[PreferencePair]:
         scored = {record.id: score_and_rank(record, semantic) for record in records}
-        return [pair for article in sorted(scored) for pair in scored[article]]
+        pairs = [pair for article in sorted(scored) for pair in scored[article]]
+        if default:
+            for pair in pairs:
+                pair.s_w = pair.s_l = DEFAULT_ACTUALITY
+        return pairs
 
     curriculum = bucketize(build(train), order=order)
     return ForgeResult(

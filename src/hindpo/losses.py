@@ -45,7 +45,8 @@ at three levels:
   beta * mult and where each run's rows start in each batch, and one
   (batches, 5, K) table for the steps' statistics;
 - per step, ``loss_steps`` takes the plan and a batch index, gathers the
-  visited rows once, reads their log-softmax only at the batch's
+  visited rows once, shifts each by its maximum, read at its argmax
+  rather than by a reduction, reads their log-softmax only at the batch's
   transitions, through their flat entries, and computes every run's
   loss, its gradient on those rows (built in place of their softmax) and
   its norm, and the batch statistics, written into the batch's row of the
@@ -418,6 +419,16 @@ def _scatter(values: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's maximum of the 2-D ``x``, as a (rows, 1) column: one flat
+    ``take`` at ``x.argmax(axis=1)``, cheaper than the axis-1 reduction.
+    It equals ``np.maximum.reduce(x, axis=1, keepdims=True)``, a row
+    holding NaN giving NaN as there. Only where +0.0 and -0.0 tie for a
+    row's maximum may its sign differ, and then the row's softmax total is
+    at least 2, so no log-probability, gradient or statistic moves."""
+    return x.reshape(-1).take(x.argmax(axis=1) + np.arange(0, x.size, x.shape[1]))[:, None]
+
+
 def encode_runs(
     examples: Sequence[LossExample],
     policy: BigramPolicy,
@@ -433,8 +444,8 @@ def encode_runs(
     transitions visit are gathered once, as ``loss_steps`` gathers a
     batch's, and a transition's reference log-probability is
     ``normalise``'s log-softmax entry, bit for bit, read at the transition
-    only: its row's entry shifted by the row's maximum, minus the log of
-    the row's total. Every run's sequence
+    only: its row's entry shifted by the row's maximum (``_row_max``),
+    minus the log of the row's total. Every run's sequence
     reference log-probabilities come from one ``np.bincount`` over all
     runs' transitions, which adds each sequence's terms in order. The
     sequences' token indices are read by one ``np.fromiter``, each
@@ -459,7 +470,7 @@ def encode_runs(
     seen[stacked] = True
     gathered = references[seen]  # the visited rows, in order
     local = (np.cumsum(seen) - 1)[stacked]  # each transition's row among them
-    shifted = gathered - np.maximum.reduce(gathered, axis=1, keepdims=True)
+    shifted = gathered - _row_max(gathered)
     log_totals = np.log(np.add.reduce(np.exp(shifted), axis=1))
     terms = shifted[local, np.tile(cols, count)] - log_totals[local]
     owner = np.repeat(np.arange(count * sequences), np.tile(lengths, count))
@@ -494,11 +505,12 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     over the run's rows.
 
     The visited rows are gathered once, by ``take``; ``logits`` is never
-    written. Each row is shifted by its maximum into one buffer, which is
-    then exponentiated in place, and a transition's log-probability is its
-    shifted entry, read through the planned flat entries before the
-    exponential, minus the log of its row's total: ``normalise``'s value,
-    bit for bit, with no full log-softmax table. One ``np.bincount`` over
+    written. Each row is shifted by its maximum, read at its argmax by
+    ``_row_max``, into one buffer, which is then exponentiated in place,
+    and a transition's log-probability is its shifted entry, read through
+    the planned flat entries before the exponential, minus the log of its
+    row's total: ``normalise``'s value, bit for bit, with no full
+    log-softmax table. One ``np.bincount`` over
     the batch's transitions gives every sequence's policy log-probability,
     hence all r_w / r_l against the planned reference scores; the losses,
     the margins beta * (r_w - r_l), the accuracies and u = beta * S are
@@ -525,7 +537,7 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     reference = plan.reference[:, pairs]
     runs, m = reference.shape[:2]
     visited = logits.take(plan.rows_of(b), axis=0)
-    probs = visited - np.maximum.reduce(visited, axis=1, keepdims=True)
+    probs = visited - _row_max(visited)
     entries = probs.reshape(-1)  # a view: the block's entries, row-major
     shifted = entries.take(flat)
     np.exp(probs, out=probs)

@@ -3,20 +3,22 @@
 ``train_modes`` trains one run per loss mode from the same policy, all
 runs in lockstep, each into a new policy; ``train`` is the same loop with
 one mode (K = 1). The caller's policy is only read. Stages run in
-dataset order. At the start of each stage each finesse run computes its
-finesse variance once per unique prompt (from one temperature table),
-and the stage's pairs are encoded into transition indices once and
-scored under each run's frozen reference: with reference refresh, the
-runs' tables as the stage starts, else the initial policy's. Each epoch
-draws one permutation of the stage's pairs for every run and plans every
-run's batches, with the pairs' mode weights, in one call; each step then
-takes one plain gradient-descent step on its batch for every run, on the
-rows the batch visits, and writes its statistics into the plan's one
-table, from which the epoch's log records are built when it ends. The
-permutations come from one generator seeded with the config's seed, each
-finesse run's samples from its own, seeded with [seed, 1]: identical
-inputs give identical logs and parameters, and a run's are the same
-whichever modes train beside it.
+dataset order. The curriculum's pairs are tokenized up front, each
+distinct text once. At the start of each stage each finesse run computes
+its finesse variance once per unique prompt (from one temperature table),
+every other run takes neutral 0.0 variances, and the stage's pairs are
+encoded into transition indices once and scored under each run's frozen
+reference: with reference refresh, the runs' tables as the stage starts,
+else the initial policy's. Each epoch draws one permutation of the
+stage's pairs for every run and plans every run's batches, with the
+pairs' mode weights, in one call; each step then takes one plain
+gradient-descent step on its batch for every run, on the rows the batch
+visits, and writes its statistics into the plan's one table, from which
+the epoch's log records are built when it ends. The permutations come
+from one generator seeded with the config's seed, each finesse run's
+samples from its own, seeded with [seed, 1]: identical inputs give
+identical logs and parameters, and a run's are the same whichever
+modes train beside it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -108,14 +111,21 @@ class TrainLog:
 def encode_pairs(pairs: Sequence[PreferencePair]) -> list[LossExample]:
     """Tokenize pair texts and append EOS to both responses.
 
-    Missing actuality scores fall back to the neutral weights (s_w = 0,
-    s_l = 1), i.e. plain unweighted behaviour.
+    Each distinct text is tokenized once per call, through a text -> tokens
+    table; every example gets its own token lists, none shared with
+    another example. Missing actuality scores fall back to the neutral
+    weights (s_w = 0, s_l = 1), i.e. plain unweighted behaviour.
     """
+    tokens: dict[str, list[str]] = {}
+    for pair in pairs:
+        for text in (pair.prompt, pair.preferred, pair.rejected):
+            if text not in tokens:
+                tokens[text] = tokenize(text)
     return [
         LossExample(
-            prompt=tokenize(pair.prompt),
-            preferred=tokenize(pair.preferred) + [EOS],
-            rejected=tokenize(pair.rejected) + [EOS],
+            prompt=list(tokens[pair.prompt]),
+            preferred=tokens[pair.preferred] + [EOS],
+            rejected=tokens[pair.rejected] + [EOS],
             preferred_actuality=0.0 if pair.s_w is None else pair.s_w,
             rejected_actuality=1.0 if pair.s_l is None else pair.s_l,
         )
@@ -124,12 +134,9 @@ def encode_pairs(pairs: Sequence[PreferencePair]) -> list[LossExample]:
 
 
 def vocab_from_pairs(pairs: Sequence[PreferencePair]) -> Vocabulary:
-    tokens: set[str] = set()
-    for pair in pairs:
-        tokens.update(tokenize(pair.prompt))
-        tokens.update(tokenize(pair.preferred))
-        tokens.update(tokenize(pair.rejected))
-    return Vocabulary.from_tokens(tokens)
+    """The vocabulary of the pairs' texts, each distinct text tokenized once."""
+    texts = {text for pair in pairs for text in (pair.prompt, pair.preferred, pair.rejected)}
+    return Vocabulary.from_tokens(chain.from_iterable(map(tokenize, texts)))
 
 
 def attach_finesse(
@@ -192,8 +199,10 @@ def train_modes(
     as the run alone does. ``encode_runs`` scores a stage's pairs once, as
     the stage starts, before any step of it, so with reference refresh it
     reads each run's reference straight from the live table; without, it
-    reads one copy of the table made at entry. A stage's pairs are
-    tokenized and encoded once; each epoch plans every run's batches in
+    reads one copy of the table made at entry. One ``encode_pairs`` call
+    tokenizes the whole curriculum, each distinct text once, and each
+    stage encodes its slice of the examples once, a run without finesse
+    with neutral 0.0 variances; each epoch plans every run's batches in
     one ``plan_runs`` call and updates and checks its steps under one
     ``np.errstate``. Each step takes one ``loss_steps`` call and one update
     of the rows the batch visits, for every run at once: the step's copy
@@ -214,11 +223,13 @@ def train_modes(
         raise TrainingError("curriculum has no stages")
     if isinstance(modes, str) or not modes:
         raise ValueError("train_modes needs a sequence of at least one mode, got %r" % (modes,))
-    for pair in curriculum.all_pairs():
+    all_pairs = curriculum.all_pairs()
+    for pair in all_pairs:
         try:
             pair.validate()
         except SchemaError as exc:
             raise SchemaError("pair %r: %s" % (pair.id, exc)) from exc
+    all_examples = encode_pairs(all_pairs)
     configs = [replace(config.loss, mode=mode) for mode in modes]
     logits = np.tile(policy.logits, (len(configs), 1))
     policies = [copy.copy(policy) for _ in configs]
@@ -228,16 +239,19 @@ def train_modes(
     finesse_rngs = {k: np.random.default_rng([config.seed, 1]) for k, loss in enumerate(configs) if loss.uses_finesse()}
     reference = logits if config.refresh_reference_per_stage else logits.copy()
     logs = [TrainLog() for _ in configs]
-    step = 0
+    step = start = 0
     for stage_name, pairs in curriculum.stages:
         if not pairs:
             raise TrainingError("stage %r is empty" % stage_name)
-        examples = encode_pairs(pairs)
+        examples = all_examples[start : start + len(pairs)]
+        start += len(pairs)
         variances = []
         for k, (run, loss) in enumerate(zip(policies, configs)):
             if k in finesse_rngs:
                 attach_finesse(examples, run, loss, finesse_rngs[k])
-            variances.append([example.effective_variance for example in examples])
+                variances.append([example.effective_variance for example in examples])
+            else:
+                variances.append([0.0] * len(examples))
         encoded = encode_runs(examples, policy, reference, variances)
         for epoch in range(1, config.epochs_per_stage + 1):
             plan = plan_runs(encoded, order_rng.permutation(len(examples)), config.batch_size, configs)

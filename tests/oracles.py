@@ -620,3 +620,106 @@ def per_step_train(curriculum, policy, config):
 def trainlog_line(record) -> str:
     """A train-log record's JSONL line."""
     return json.dumps(vars(record), ensure_ascii=False) + "\n"
+
+
+# The step's and the stage encoding's softmax before each row's maximum was
+# read at its argmax: the maximum taken by ``np.maximum.reduce`` along the
+# row, as ``policy.normalise`` still takes it.
+
+
+def reduce_row_max(x):
+    """Each row's maximum as a column, by the axis-1 reduction."""
+    return np.maximum.reduce(x, axis=1, keepdims=True)
+
+
+def loss_steps_reduce(plan, b, logits):
+    """``loss_steps`` of batch b of ``plan`` with each visited row's
+    maximum taken by the reduction: (visited, gradient), the statistics
+    written into ``plan.stats[b]``."""
+    from hindpo.policy import transition_grad as fused_transition_grad
+
+    steps = slice(*plan.step_bounds[b : b + 2])
+    local, flat, owner = plan.local[steps], plan.flat[steps], plan.owner[steps]
+    pairs = slice(b * plan.batch_size, (b + 1) * plan.batch_size)
+    reference = plan.reference[:, pairs]
+    runs, m = reference.shape[:2]
+    visited = logits.take(plan.rows_of(b), axis=0)
+    probs = visited - reduce_row_max(visited)
+    entries = probs.reshape(-1)
+    shifted = entries.take(flat)
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    terms = shifted - np.log(total).take(local)
+    probs /= total
+    sequence_log_probs = np.bincount(owner, terms, minlength=2 * runs * m)
+    ratios = sequence_log_probs.reshape(runs, m, 2) - reference
+    weighted = plan.weights[:, pairs] * ratios
+    score = (weighted[:, :, 0] - weighted[:, :, 1]) * plan.mult[:, pairs]
+    diff = ratios[:, :, 0] - ratios[:, :, 1]
+    stats = plan.stats[b]
+    per_pair = np.empty((4, runs, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.multiply(plan.beta, score, out=per_pair[3])
+        np.logaddexp(0.0, -u, out=per_pair[0])
+        np.multiply(plan.beta, diff, out=per_pair[1])
+        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
+        np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+        coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))
+        side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()
+        gradient = fused_transition_grad(probs, local, flat, side.take(owner))
+        gradient /= m
+        row_norms = np.add.reduce(gradient * gradient, axis=1)
+        np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+    return visited, gradient
+
+
+def reference_scores_reduce(encoded, references):
+    """``encode_runs``' (K, n, 2) sequence reference log-probabilities of
+    ``encoded``'s transitions under the stacked ``references``, each
+    visited row's maximum taken by the reduction."""
+    count, sequences = len(references) // len(encoded.vocab), len(encoded.lengths)
+    stacked = (encoded.rows + len(encoded.vocab) * np.arange(count)[:, None]).ravel()
+    seen = np.zeros(len(references), dtype=bool)
+    seen[stacked] = True
+    gathered = references[seen]
+    local = (np.cumsum(seen) - 1)[stacked]
+    shifted = gathered - reduce_row_max(gathered)
+    log_totals = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    terms = shifted[local, np.tile(encoded.cols, count)] - log_totals[local]
+    owner = np.repeat(np.arange(count * sequences), np.tile(encoded.lengths, count))
+    return np.bincount(owner, terms, minlength=count * sequences).reshape(count, -1, 2)
+
+
+# Tokenizing before each call kept a text -> tokens table: one tokenize
+# call per text of every pair.
+
+
+def encode_pairs_per_pair(pairs):
+    """``trainer.encode_pairs`` with every text of every pair tokenized."""
+    from hindpo.losses import LossExample
+    from hindpo.policy import EOS
+    from hindpo.textmetrics import tokenize
+
+    return [
+        LossExample(
+            prompt=tokenize(pair.prompt),
+            preferred=tokenize(pair.preferred) + [EOS],
+            rejected=tokenize(pair.rejected) + [EOS],
+            preferred_actuality=0.0 if pair.s_w is None else pair.s_w,
+            rejected_actuality=1.0 if pair.s_l is None else pair.s_l,
+        )
+        for pair in pairs
+    ]
+
+
+def vocab_per_pair(pairs):
+    """``trainer.vocab_from_pairs`` with every text of every pair tokenized."""
+    from hindpo.policy import Vocabulary
+    from hindpo.textmetrics import tokenize
+
+    tokens = set()
+    for pair in pairs:
+        tokens.update(tokenize(pair.prompt))
+        tokens.update(tokenize(pair.preferred))
+        tokens.update(tokenize(pair.rejected))
+    return Vocabulary.from_tokens(tokens)

@@ -572,6 +572,29 @@ class TestForge:
         result = forge(records, split=(0.5, 0.25, 0.25), seed=0)
         assert all(p.s_w == 0.5 and p.s_l == 0.5 for p in result.curriculum.all_pairs())
 
+    def test_default_actuality_is_set_on_the_pairs_and_no_record_is_checked(self, tmp_path, monkeypatch):
+        # Every other record lacks actuality, so every pair takes the
+        # default: the pairs carry it, and no record is rebuilt to hold it.
+        stripped = [
+            dataclasses.replace(r, actuality_preferred=None, actuality_candidates=None) if i % 2 else r
+            for i, r in enumerate(toy_corpus())
+        ]
+        filled = [
+            dataclasses.replace(r, actuality_preferred=DEFAULT_ACTUALITY, actuality_candidates=[DEFAULT_ACTUALITY] * 3)
+            for r in stripped
+        ]
+        checked = []
+        monkeypatch.setattr("hindpo.dataforge.check_kinds", lambda *args: checked.append(args))
+        result = forge(stripped, seed=7)
+        monkeypatch.undo()
+        assert checked == []
+        assert all(p.s_w == p.s_l == DEFAULT_ACTUALITY for p in result.curriculum.all_pairs() + result.val_pairs + result.test_pairs)
+        emit_forge(result, tmp_path / "stripped")
+        emit_forge(forge(filled, seed=7), tmp_path / "filled")
+        names = [entry["file"] for entry in read_manifest(tmp_path / "filled")["stages"]] + ["val.jsonl", "test.jsonl"]
+        for name in names:
+            assert (tmp_path / "stripped" / name).read_bytes() == (tmp_path / "filled" / name).read_bytes(), name
+
 
 def test_dump_load_pairs_round_trip(tmp_path):
     pairs = score_and_rank(make_record(actuality_preferred=0.25, actuality_candidates=[0.25] * 3))

@@ -21,6 +21,7 @@ from hindpo.losses import (
     loss_steps,
     plan_runs,
     preference_score,
+    _row_max,
 )
 from hindpo.policy import EOS, BigramPolicy, Vocabulary
 
@@ -622,6 +623,81 @@ class TestStackedRuns:
         encoded = encode_examples(random_examples(np.random.default_rng(141), n=2), policy, policy.snapshot())
         with pytest.raises(ValueError, match="^position %d is outside the 2 encoded pairs$" % position):
             plan_runs(encoded, [0, position], 1, [LossConfig()])
+
+
+_VOCAB_SIZE = 5  # BOS, EOS, a, b, c
+_FINITE = st.floats(-4.0, 4.0)
+_ANY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), _FINITE)
+
+
+@st.composite
+def _special_rows(draw, rows):
+    """A (rows, V) table. A row is drawn from finite values, from values
+    that hold +-0.0, +-inf and NaN, or so that +0.0 and -0.0 tie for its
+    maximum, in either order, above negative finite values."""
+    table = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["finite", "special", "zero_tie"]))
+        if kind == "zero_tie":
+            row = draw(st.lists(st.floats(-4.0, -0.1), min_size=_VOCAB_SIZE, max_size=_VOCAB_SIZE))
+            first, second = draw(st.lists(st.integers(0, _VOCAB_SIZE - 1), min_size=2, max_size=2, unique=True))
+            row[first], row[second] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+        else:
+            values = _FINITE if kind == "finite" else _ANY
+            row = draw(st.lists(values, min_size=_VOCAB_SIZE, max_size=_VOCAB_SIZE))
+        table.append(row)
+    return np.array(table)
+
+
+@st.composite
+def _stacked_tables(draw):
+    """(runs, references, logits): two (runs * V, V) tables of such rows."""
+    runs = draw(st.integers(1, 3))
+    return runs, draw(_special_rows(runs * _VOCAB_SIZE)), draw(_special_rows(runs * _VOCAB_SIZE))
+
+
+class TestRowMaxAtArgmax:
+    """Each row's maximum read at its argmax gives the bytes the axis-1
+    reduction gives, in ``_row_max`` and in the two kernels that use it:
+    only a +0.0 / -0.0 tie may change its sign, and then nothing
+    downstream moves."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(table=st.integers(1, 12).flatmap(_special_rows))
+    def test_row_max_is_the_reduction(self, table):
+        got, want = _row_max(table), oracles.reduce_row_max(table)
+        assert got.shape == want.shape == (len(table), 1)
+        assert np.array_equal(got, want, equal_nan=True)
+        signed = want[:, 0] != 0
+        assert got[signed].tobytes() == want[signed].tobytes()
+
+    def test_row_max_of_a_zero_tie_is_a_zero(self):
+        table = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [math.nan, 1.0, math.inf], [-math.inf, -math.inf, -math.inf]])
+        got = _row_max(table)[:, 0]
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert math.isnan(got[2]) and got[3] == -math.inf
+
+    @settings(derandomize=True, deadline=None)
+    @given(tables=_stacked_tables(), seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 6), batch_size=st.integers(1, 4))
+    def test_encode_runs_and_loss_steps_are_their_reduction_forms(self, tables, seed, pairs, batch_size):
+        runs, references, logits = tables
+        rng = np.random.default_rng(seed)
+        examples = random_examples(rng, n=pairs)
+        policy = make_policy(seed)
+        variances = [rng.uniform(0, 1, pairs).tolist() for _ in range(runs)]
+        configs = [LossConfig(mode=MODES[k]) for k in rng.integers(len(MODES), size=runs)]
+        with np.errstate(all="ignore"):
+            encoded = encode_runs(examples, policy, references, variances)
+            assert encoded.reference.tobytes() == oracles.reference_scores_reduce(encoded, references).tobytes()
+            plan = plan_runs(encoded, rng.permutation(pairs), batch_size, configs)
+            for b in range(len(plan)):
+                want_visited, want_gradient = oracles.loss_steps_reduce(plan, b, logits)
+                want_stats = plan.stats[b].copy()
+                plan.stats[b] = 0.0
+                visited, gradient = loss_steps(plan, b, logits)
+                assert visited.tobytes() == want_visited.tobytes()
+                assert gradient.tobytes() == want_gradient.tobytes()
+                assert plan.stats[b].tobytes() == want_stats.tobytes()
 
 
 class TestLogRatios:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hindpo import fileio, trainer
+from hindpo import fileio, textmetrics, trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, SchemaError, forge
 from hindpo.losses import MODES, STATS, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
@@ -339,6 +339,77 @@ def demo_inputs(seed, order):
     result = forge(toy_corpus(), order=order, seed=seed)
     pairs = result.curriculum.all_pairs() + result.val_pairs + result.test_pairs
     return result.curriculum, BigramPolicy.new(vocab_from_pairs(pairs), seed=seed, noise_std=0.01)
+
+
+def texts_of(pairs):
+    return {text for pair in pairs for text in (pair.prompt, pair.preferred, pair.rejected)}
+
+
+class TestTokenizeOncePerText:
+    """``vocab_from_pairs``, ``encode_pairs`` and ``train_modes`` tokenize
+    each distinct text once per call and return what tokenizing every
+    text of every pair returns."""
+
+    @staticmethod
+    def count_tokenize(monkeypatch):
+        calls = []
+
+        def tokenize(text):
+            calls.append(text)
+            return textmetrics.tokenize(text)
+
+        monkeypatch.setattr(trainer, "tokenize", tokenize)
+        return calls
+
+    def test_vocab_from_pairs(self, monkeypatch):
+        pairs = demo_inputs(7, "algorithm1")[0].all_pairs()
+        assert len(texts_of(pairs)) < 3 * len(pairs)
+        calls = self.count_tokenize(monkeypatch)
+        vocab = vocab_from_pairs(pairs)
+        assert sorted(calls) == sorted(texts_of(pairs))
+        assert vocab == oracles.vocab_per_pair(pairs)
+
+    def test_encode_pairs_gives_every_example_its_own_lists(self, monkeypatch):
+        pairs = demo_inputs(7, "algorithm1")[0].all_pairs()
+        calls = self.count_tokenize(monkeypatch)
+        examples = encode_pairs(pairs)
+        assert sorted(calls) == sorted(texts_of(pairs))
+        assert list(map(vars, examples)) == list(map(vars, oracles.encode_pairs_per_pair(pairs)))
+        lists = [tokens for e in examples for tokens in (e.prompt, e.preferred, e.rejected)]
+        assert len({id(tokens) for tokens in lists}) == len(lists)
+
+    def test_train_modes_tokenizes_the_curriculum_once(self, monkeypatch):
+        curriculum, base = demo_inputs(7, "algorithm1")
+        config = TrainConfig(seed=7, epochs_per_stage=2)
+        monkeypatch.setattr(trainer, "encode_pairs", oracles.encode_pairs_per_pair)
+        expected = train_modes(curriculum, base, config, MODES)
+        monkeypatch.undo()
+        calls = self.count_tokenize(monkeypatch)
+        runs = train_modes(curriculum, base, config, MODES)
+        assert sorted(calls) == sorted(texts_of(curriculum.all_pairs()))
+        for (trained, log), (want, want_log) in zip(runs, expected):
+            assert trained.logits.tobytes() == want.logits.tobytes()
+            assert list(map(record_bits, log.records)) == list(map(record_bits, want_log.records))
+
+
+def test_a_run_without_finesse_is_scored_with_neutral_variances(monkeypatch):
+    # The examples are shared by the runs, and a finesse run writes its
+    # estimates into them; the dpo run beside it must not pick them up.
+    captured = []
+    real_encode = trainer.encode_runs
+
+    def recording_encode(examples, policy, reference, variances):
+        captured.append([list(v) for v in variances])
+        return real_encode(examples, policy, reference, variances)
+
+    monkeypatch.setattr(trainer, "encode_runs", recording_encode)
+    curriculum = two_stage_curriculum()
+    policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()), seed=4, noise_std=0.3)
+    train_modes(curriculum, policy, toy_train_config(epochs_per_stage=2), ["dpo_fin", "dpo"])
+    assert len(captured) == len(curriculum.stages)
+    for (finesse, plain), (_, pairs) in zip(captured, curriculum.stages):
+        assert plain == [0.0] * len(pairs)
+        assert len(finesse) == len(pairs) and finesse != plain
 
 
 class TestLockstepMatchesOneModeTraining:
