@@ -5,7 +5,7 @@ Library tour:
 - :mod:`hindpo.textmetrics` tokenization, ROUGE-N, ROUGE-L and METEOR
   (``rouge_l_and_meteor`` gives both from one walk of a candidate),
   ``char_trigram_cosine`` (the default semantic scorer; ``forge``,
-  ``score_and_rank`` and ``evaluate`` take any
+  ``score_and_rank``, ``evaluate`` and ``evaluate_configs`` take any
   ``(candidates, reference) -> scores`` function instead), the weighted
   final score used for candidate ranking
 - :mod:`hindpo.dataforge` corpus loading (actuality scores are record
@@ -30,7 +30,10 @@ Library tour:
   drawing from its own generator, each run into a new policy; ``train``
   one mode; both validate the pairs first and only read the policy they
   are given), gradient checking through ``loss_gradient``
-- :mod:`hindpo.evalharness` generation and metric tables
+- :mod:`hindpo.evalharness` generation and metric tables;
+  ``evaluate_configs`` scores every configuration's outputs in one pass
+  over the references (each text tokenized once, one semantic call per
+  reference), ``evaluate`` is its one-configuration view
 - :mod:`hindpo.cli` the ``hindpo`` command
 - :mod:`hindpo.fileio` ``KINDS``, the one kind table every check reads;
   ``json_lines``, which formats the pair files and the train log column
@@ -55,7 +58,7 @@ from .dataforge import (
     score_and_rank,
     split_articles,
 )
-from .evalharness import MetricReport, evaluate, generate, parse_table, report_table
+from .evalharness import MetricReport, evaluate, evaluate_configs, generate, parse_table, report_table
 from .losses import (
     EncodedPairs,
     EpochPlan,

@@ -183,6 +183,9 @@ def _run_train(config: RunConfig, modes: Sequence[str]) -> list[tuple[Path, Path
 
 
 def _run_eval(config: RunConfig) -> str:
+    """Generate each checkpointed config's test outputs (a mode with no
+    checkpoint is skipped), score them all in one ``evaluate_configs``
+    call and write the report."""
     out_dir = Path(config.out_dir)
     manifest = dataforge.read_manifest(out_dir)
     test_pairs = dataforge.load_checked_pairs(out_dir, manifest["test"])
@@ -191,7 +194,7 @@ def _run_eval(config: RunConfig) -> str:
         seen.setdefault(pair.article_id, (pair.prompt, pair.preferred))
     prompts = [seen[a][0] for a in sorted(seen)]
     references = [seen[a][1] for a in sorted(seen)]
-    reports = []
+    outputs = {}
     for name in evalharness.CONFIG_ORDER:
         path = out_dir / ("policy_%s.json" % name)
         if name == "base":
@@ -200,14 +203,14 @@ def _run_eval(config: RunConfig) -> str:
             policy = BigramPolicy.load(path)
         else:
             continue
-        generated = evalharness.generate(
+        outputs[name] = evalharness.generate(
             policy,
             prompts,
             max_len=config.eval_max_len,
             temperature=config.eval_temperature,
             seed=config.seed,
         )
-        reports.append(evalharness.evaluate(generated, references, name))
+    reports = evalharness.evaluate_configs(outputs, references)
     text = evalharness.report_table(reports, json_path=out_dir / "report.json")
     write_atomic(out_dir / "report.txt", text)
     return text

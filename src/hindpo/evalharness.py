@@ -6,23 +6,37 @@ Reporting produces one row per configuration (base, dpo, dpo_act,
 dpo_fin, hin_dpo) with corpus-level ROUGE-1/2/L, METEOR and semantic
 scores, rendered as an aligned text table (values x100, two decimals, best
 column value starred) plus a machine-readable JSON file with full
-precision.
+precision. ``evaluate_configs`` scores every configuration in one pass
+over the references: each distinct text is tokenized and counted once,
+and the semantic scorer is called once per reference with every
+configuration's output for it; ``evaluate`` is its one-configuration view.
+The per-configuration loop it replaced is kept as
+``tests/oracles.py:evaluate_per_config``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .fileio import check_seed, kind_problem, write_atomic
 from .losses import MODES
 from .policy import BOS, EOS, BigramPolicy, check_decoding
-from .textmetrics import SemanticScorer, rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
+from .textmetrics import (
+    SemanticScorer,
+    TokenSequence,
+    _gram_overlap,
+    _ngrams,
+    rouge_l_and_meteor,
+    semantic_scores,
+    tokenize,
+)
 
 CONFIG_ORDER = ("base", *MODES)
 
@@ -71,11 +85,14 @@ def generate(
     integer >= 1, a temperature that is not a finite number >= 0 or a seed
     that is not an integer >= 0 (a bool is none of them) raises ValueError
     before any prompt is read, as does a string passed as ``prompts`` or a
-    prompt that is not a string, named by its index.
+    prompt that is not a string, named by its index. Each distinct prompt
+    is tokenized once per call.
     """
     check_decoding(max_len, temperature)
     check_seed(seed)
-    token_prompts = [tokenize(prompt) for prompt in _texts("prompts", prompts)]
+    prompts = _texts("prompts", prompts)
+    tokens = {prompt: tokenize(prompt) for prompt in dict.fromkeys(prompts)}
+    token_prompts = [tokens[prompt] for prompt in prompts]
     responses = policy.sample_responses(token_prompts, temperature, max_len, np.random.default_rng(seed))
     return [" ".join(t for t in tokens if t not in (BOS, EOS)) for tokens in responses]
 
@@ -86,10 +103,11 @@ def evaluate(
     config_name: str,
     semantic: SemanticScorer | None = None,
 ) -> MetricReport:
-    """Corpus scores as the arithmetic mean of per-pair scores.
+    """Corpus scores as the arithmetic mean of per-pair scores:
+    ``evaluate_configs`` with one configuration.
 
-    ``semantic`` (by default ``char_trigram_cosine``) scores each
-    generated text against its reference as a one-candidate batch,
+    ``semantic`` (by default ``char_trigram_cosine``) is called once per
+    reference with every configuration's generated text for it, here
     ``[s] = semantic([generated], reference)``; a result that is not one
     real number raises ValueError naming the pair's index, as does a
     generated text or reference that is not a string; a string passed as
@@ -103,22 +121,65 @@ def evaluate(
         )
     if not generated:
         raise ValueError("evaluate needs at least one generated/reference pair, got none")
-    rows = []
-    for i, (cand_text, ref_text) in enumerate(zip(generated, references)):
-        cand = tokenize(cand_text)
-        ref = tokenize(ref_text)
-        rl, mt = rouge_l_and_meteor(cand, ref)
-        rows.append(
-            (
-                rouge_n(cand, ref, 1).f1,
-                rouge_n(cand, ref, 2).f1,
-                rl.f1,
-                mt,
-                *semantic_scores(semantic, [cand_text], ref_text, "pair %d" % i),
+    return evaluate_configs({config_name: generated}, references, semantic)[0]
+
+
+def evaluate_configs(
+    outputs: Mapping[str, Sequence[str]],
+    references: Sequence[str],
+    semantic: SemanticScorer | None = None,
+) -> list[MetricReport]:
+    """One report per configuration of ``outputs``, in its order, each the
+    mean of its per-pair scores against ``references``.
+
+    ``outputs`` maps each configuration name to its generated texts, one
+    per reference. One pass over the references scores them all: each
+    distinct text is tokenized and its 1-gram and 2-gram counts built once
+    per call; ``semantic`` (by default ``char_trigram_cosine``) is called
+    once per reference with every configuration's text for it, in
+    configuration order; each (configuration, reference) pair takes one
+    ``rouge_l_and_meteor`` walk, a reference's configurations sharing its
+    position-mask table. A configuration's report is what it alone gets
+    from the same references. A scorer result that is not one real number
+    in [0, 1] per configuration raises ValueError naming the pair's index.
+    ``outputs`` that is not a mapping or is empty, a text list that is a
+    string, holds a non-string or whose length differs from the
+    references' (named by its configuration), or no references at all,
+    raises ValueError.
+    """
+    if not isinstance(outputs, Mapping):
+        raise ValueError("outputs must map each config name to its texts, got %s" % type(outputs).__name__)
+    names = list(outputs)
+    columns = [_texts("outputs[%r]" % name, outputs[name]) for name in names]
+    references = _texts("references", references)
+    if not names:
+        raise ValueError("evaluate_configs needs at least one config, got none")
+    for name, texts in zip(names, columns):
+        if len(texts) != len(references):
+            raise ValueError(
+                "outputs[%r] and references must have equal length: %d vs %d" % (name, len(texts), len(references))
             )
-        )
-    means = [float(np.mean(col)) for col in zip(*rows)]
-    return MetricReport(config_name, *means)
+    if not references:
+        raise ValueError("evaluate_configs needs at least one reference, got none")
+    profiles: dict[str, tuple[TokenSequence, Counter, Counter]] = {}
+
+    def profile(text: str) -> tuple[TokenSequence, Counter, Counter]:
+        # The text's tokens and their 1-gram and 2-gram counts, built once per call.
+        if text not in profiles:
+            tokens = tokenize(text)
+            profiles[text] = (tokens, _ngrams(tokens, 1), _ngrams(tokens, 2))
+        return profiles[text]
+
+    rows: list[list[tuple[float, ...]]] = [[] for _ in names]
+    for i, ref_text in enumerate(references):
+        ref, ref_1, ref_2 = profile(ref_text)
+        texts = [column[i] for column in columns]
+        scores = semantic_scores(semantic, texts, ref_text, "pair %d" % i)
+        for row, text, score in zip(rows, texts, scores):
+            cand, cand_1, cand_2 = profile(text)
+            rl, mt = rouge_l_and_meteor(cand, ref)
+            row.append((_gram_overlap(cand_1, ref_1).f1, _gram_overlap(cand_2, ref_2).f1, rl.f1, mt, score))
+    return [MetricReport(name, *(float(np.mean(col)) for col in zip(*row))) for name, row in zip(names, rows)]
 
 
 def _ordered(reports: Sequence[MetricReport]) -> list[MetricReport]:

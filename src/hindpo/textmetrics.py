@@ -6,7 +6,9 @@ Latin letters are case-folded. It folds a whole string with one
 ``str.translate`` through a table that learns each code point's folding on
 first sight and holds at most 4096 of them; the per-character loop it
 replaced is kept as ``tests/oracles.py:tokenize_loop``. Lexical metrics
-(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-L and METEOR come
+(ROUGE-N, ROUGE-L, METEOR) are exact-match based. ROUGE-N is one formula
+over two n-gram multisets, which ``rouge_n`` counts from tokens and
+``evalharness.evaluate_configs`` counts once per text. ROUGE-L and METEOR come
 from one walk of the candidate (:func:`rouge_l_and_meteor`;
 :func:`rouge_l` and :func:`meteor` are its two halves) over one table per
 reference, each token mapped to an int bitmask of its positions; a
@@ -122,8 +124,12 @@ def _ngrams(tokens: TokenSequence, n: int) -> Counter:
 def rouge_n(cand: TokenSequence, ref: TokenSequence, n: int) -> PrfScore:
     """N-gram overlap score over multisets of n-grams."""
     check_value("n", "int", n, (">=", 1))
-    cand_grams = _ngrams(cand, n)
-    ref_grams = _ngrams(ref, n)
+    return _gram_overlap(_ngrams(cand, n), _ngrams(ref, n))
+
+
+def _gram_overlap(cand_grams: Counter, ref_grams: Counter) -> PrfScore:
+    # ROUGE-N of two n-gram multisets; evaluate_configs passes counts it
+    # built once per text.
     total_cand = sum(cand_grams.values())
     total_ref = sum(ref_grams.values())
     if total_cand == 0 or total_ref == 0:

@@ -723,3 +723,33 @@ def vocab_per_pair(pairs):
         tokens.update(tokenize(pair.preferred))
         tokens.update(tokenize(pair.rejected))
     return Vocabulary.from_tokens(tokens)
+
+
+# Eval before one pass scored every config: each config evaluated alone,
+# every text of every pair tokenized and counted again, the semantic scorer
+# called once per pair with a one-candidate batch.
+
+
+def evaluate_per_config(outputs, references, semantic=None):
+    """``evalharness.evaluate_configs`` as one per-pair loop per config."""
+    from hindpo.evalharness import MetricReport
+    from hindpo.textmetrics import rouge_l_and_meteor, rouge_n, semantic_scores, tokenize
+
+    reports = []
+    for name, generated in outputs.items():
+        rows = []
+        for i, (cand_text, ref_text) in enumerate(zip(generated, references)):
+            cand = tokenize(cand_text)
+            ref = tokenize(ref_text)
+            rl, mt = rouge_l_and_meteor(cand, ref)
+            rows.append(
+                (
+                    rouge_n(cand, ref, 1).f1,
+                    rouge_n(cand, ref, 2).f1,
+                    rl.f1,
+                    mt,
+                    *semantic_scores(semantic, [cand_text], ref_text, "pair %d" % i),
+                )
+            )
+        reports.append(MetricReport(name, *[float(np.mean(col)) for col in zip(*rows)]))
+    return reports

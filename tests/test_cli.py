@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 import hindpo
-from hindpo import cli, trainer
+from hindpo import cli, evalharness, textmetrics, trainer
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import SchemaError, read_manifest
 from hindpo.fileio import KINDS
@@ -199,6 +200,14 @@ class TestForge:
             main(["forge", "--out", str(tmp_path / "out"), "--corpus", "missing.jsonl", "--traceback"])
 
 
+@pytest.fixture(scope="module")
+def seed_7_demo(tmp_path_factory):
+    """The output directory of `hindpo demo --seed 7`; copy it before writing."""
+    out = tmp_path_factory.mktemp("seed_7_demo") / "out"
+    assert main(["demo", "--out", str(out), "--seed", "7"]) == 0
+    return out
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
         config = write_config(tmp_path)
@@ -212,6 +221,43 @@ class TestTrainEval:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [entry["config"] for entry in report] == ["base", "dpo"]
         assert (out / "report.txt").exists()
+
+    def test_eval_skips_a_mode_without_a_checkpoint_before_its_one_scoring_call(self, seed_7_demo, tmp_path, monkeypatch):
+        # dpo_fin's checkpoint is gone: the other four configs are scored
+        # in one evaluate_configs call, each row equal to the full demo's.
+        out = shutil.copytree(seed_7_demo, tmp_path / "out")
+        (out / "policy_dpo_fin.json").unlink()
+        (out / "policy_dpo_fin.json.logits").unlink()
+        calls = []
+        evaluate_configs = evalharness.evaluate_configs
+
+        def recording(outputs, references, semantic=None):
+            calls.append(list(outputs))
+            return evaluate_configs(outputs, references, semantic)
+
+        monkeypatch.setattr(evalharness, "evaluate_configs", recording)
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 0
+        assert calls == [["base", "dpo", "dpo_act", "hin_dpo"]]
+        full = {row["config"]: row for row in json.loads((seed_7_demo / "report.json").read_text(encoding="utf-8"))}
+        subset = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert subset == [full[name] for name in ("base", "dpo", "dpo_act", "hin_dpo")]
+
+    def test_seed_7_eval_tokenizes_each_text_once_per_call(self, seed_7_demo, tmp_path, monkeypatch):
+        # Five generate calls tokenize the 10 distinct prompts once each
+        # (50), scoring tokenizes its 17 distinct texts once (17), and the
+        # scorer takes one call per reference (12).
+        out = shutil.copytree(seed_7_demo, tmp_path / "out")
+        counts = {"tokenize": 0, "char_trigram_cosine": 0}
+        for module, name in ((evalharness, "tokenize"), (textmetrics, "char_trigram_cosine")):
+            def counting(*args, original=getattr(module, name), name=name):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert main(["eval", "--out", str(out), "--seed", "7"]) == 0
+        assert counts["tokenize"] <= 67
+        assert counts["char_trigram_cosine"] == 12
+        assert tree_bytes(out) == tree_bytes(seed_7_demo)
 
     def test_train_overflow_is_one_clean_error(self, tmp_path, capsys):
         # beta = 1e300 keeps every gradient entry finite but overflows

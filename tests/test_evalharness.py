@@ -1,19 +1,25 @@
 import json
 import re
+import unicodedata
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hindpo.evalharness import (
     CONFIG_ORDER,
     MetricReport,
     evaluate,
+    evaluate_configs,
     generate,
     parse_table,
     report_table,
 )
 from hindpo.policy import BOS, EOS, BigramPolicy, OutOfVocabularyError, Vocabulary
 from hindpo.textmetrics import rouge_l, tokenize
+from oracles import evaluate_per_config
 
 
 def preferring_policy():
@@ -188,6 +194,100 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="got none"):
             evaluate([], [], "x")
 
+
+
+def hexed(reports):
+    """Each report as its config name and the float.hex of every score."""
+    return [(r.config_name, *map(float.hex, astuple(r)[1:])) for r in reports]
+
+
+# Devanagari words with combining marks (virama, vowel signs), the danda and
+# double danda, Latin in both cases and café composed and decomposed.
+_WORDS = ["यह", "खबर", "गलत", "है", "दावे", "की", "पुष्टि", "नहीं", "हुई", "क्षि", "।", "॥",
+          "Fact", "fact", "café", unicodedata.normalize("NFD", "café"), "ि", "्"]
+_EVAL_TEXTS = (
+    st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)
+    | st.text(alphabet="aAb .।कखगा्ि", max_size=20)
+    | st.just("")
+)
+
+
+@st.composite
+def eval_cases(draw):
+    """(outputs, references): 1-5 configs in any order over 1-6 references
+    drawn with repeats from a small pool; a config's outputs are empty,
+    copies of an earlier config's, references or fresh texts."""
+    pool = draw(st.lists(_EVAL_TEXTS, min_size=1, max_size=4))
+    references = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    outputs = {}
+    for name in draw(st.permutations(CONFIG_ORDER))[: draw(st.integers(1, 5))]:
+        if outputs and draw(st.booleans()):
+            outputs[name] = list(draw(st.sampled_from(list(outputs.values()))))
+        else:
+            text = st.just("") | st.sampled_from(pool) | _EVAL_TEXTS
+            outputs[name] = draw(st.lists(text, min_size=len(references), max_size=len(references)))
+    return outputs, references
+
+
+class TestEvaluateConfigs:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=eval_cases())
+    @example(case=({"base": ["यह खबर गलत है।"], "dpo": ["दावे की पुष्टि नहीं हुई॥"]}, ["यह खबर गलत है।"]))
+    @example(case=({name: ["", ""] for name in CONFIG_ORDER}, ["पुष्टि नहीं", "पुष्टि नहीं"]))
+    @example(case=({name: ["क्षि ।", "a b"] for name in CONFIG_ORDER}, ["क्षि । a", "a b"]))
+    def test_one_pass_equals_the_per_config_loop_bit_for_bit(self, case):
+        outputs, references = case
+        expected = evaluate_per_config(outputs, references)
+        assert hexed(evaluate_configs(outputs, references)) == hexed(expected)
+        for name, report in zip(outputs, expected):
+            assert hexed([evaluate(outputs[name], references, name)]) == hexed([report])
+
+    def test_a_custom_scorer_is_called_once_per_reference_with_every_config(self):
+        calls = []
+
+        def recording(cands, ref):
+            calls.append((list(cands), ref))
+            return [len(cand) / 10 for cand in cands]
+
+        outputs = {
+            "hin_dpo": ["a b", "c", "d e f", "g"],
+            "base": ["x", "c", "", "g h"],
+            "dpo": ["a b", "y z", "d", "g"],
+        }
+        references = ["a b c", "c d", "d e", "g h"]
+        reports = evaluate_configs(outputs, references, semantic=recording)
+        assert calls == [([outputs[name][i] for name in outputs], references[i]) for i in range(4)]
+        assert [r.config_name for r in reports] == ["hin_dpo", "base", "dpo"]
+        assert hexed(reports) == hexed(evaluate_per_config(outputs, references, recording))
+
+    def test_a_wrong_length_result_names_the_reference(self):
+        calls = []
+
+        def scorer(cands, ref):
+            calls.append(list(cands))
+            return [0.5] * (len(cands) if len(calls) < 3 else len(cands) - 1)
+
+        outputs = {name: ["a b", "c d", "e f", "g h"] for name in ("base", "dpo", "hin_dpo")}
+        with pytest.raises(ValueError, match="of pair 2;"):
+            evaluate_configs(outputs, ["a c", "c d", "e g", "g h"], semantic=scorer)
+        assert calls == [["a b"] * 3, ["c d"] * 3, ["e f"] * 3]
+
+    @pytest.mark.parametrize(
+        "outputs, references, message",
+        [
+            ({"base": ["a", "b"], "dpo": ["a"]}, ["x", "y"], "outputs['dpo'] and references must have equal length: 1 vs 2"),
+            ({"base": ["a"], "dpo": "a"}, ["x"], "outputs['dpo'] must be a sequence of strings, got 'a'"),
+            ({"base": ["a", 5]}, ["x", "y"], "outputs['base'][1] must be a string, got 5"),
+            ({"base": ["a"]}, [None], "references[0] must be a string, got None"),
+            ({}, ["x"], "evaluate_configs needs at least one config, got none"),
+            ({"base": []}, [], "evaluate_configs needs at least one reference, got none"),
+            ([["a"]], ["x"], "outputs must map each config name to its texts, got list"),
+        ],
+        ids=["short-config", "bare-string", "non-string", "bad-reference", "no-config", "no-reference", "list"],
+    )
+    def test_bad_outputs_are_refused_naming_the_config(self, outputs, references, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            evaluate_configs(outputs, references)
 
 def sample_reports():
     return [
