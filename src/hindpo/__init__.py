@@ -19,12 +19,14 @@ Library tour:
   estimate, ``encode_runs`` (pairs as transition indices, scored under
   each run's frozen reference once), ``plan_runs`` (an epoch's batches
   of K runs in one shared batch order, planned once, batch-major, with
-  every run's loss weights and one statistics table) and ``loss_steps``:
-  one pass per batch giving every run's loss, its gradient, the raw and
-  weighted margins, the accuracy and the gradient norm, written into the
-  batch's row of that table; ``encode_examples`` is the one-run
-  form of ``encode_runs``, and ``loss_gradient`` takes one run's whole
-  encoding, plans it as one batch and steps it
+  every run's loss weights and the epoch-wide tables the steps write),
+  ``loss_steps`` (one pass per batch giving every run's gradient and
+  writing u = beta * S, r_w - r_l and the rows' squared-gradient sums
+  into those tables) and ``batch_stats`` (every batch's loss, raw and
+  weighted margins, accuracy and gradient norm from the tables, in one
+  pass); ``encode_examples`` is the one-run form of ``encode_runs``, and
+  ``loss_gradient`` takes one run's whole encoding, plans it as one batch
+  and steps it
 - :mod:`hindpo.trainer` staged training loop (``train_modes`` trains
   several loss modes in lockstep, in one batch order, each finesse run
   drawing from its own generator, each run into a new policy; ``train``
@@ -67,6 +69,7 @@ from .losses import (
     LossConfig,
     LossExample,
     LossStep,
+    batch_stats,
     compute_finesse,
     encode_examples,
     encode_runs,

@@ -27,8 +27,8 @@ in lockstep: the runs share one batch order, and their logit tables are
 stacked as one (K·V, V) table, run k's row r being row k·V + r. Every
 kernel works row by row, or sequence by sequence in transition order, so
 each run's values are bit for bit those of the run alone. Only what
-depends on the policies is computed per step; the rest is planned ahead,
-at three levels:
+depends on the policies and drives the update is computed per step; the
+rest is planned ahead or taken after the steps, at four levels:
 
 - per stage, ``encode_runs`` turns the pairs into transition indices once
   and scores them under each run's frozen reference, as one
@@ -42,19 +42,26 @@ at three levels:
   run 0's part of a batch, then run 1's and so on, by one scatter per
   array, so a batch is one contiguous slice of each. Beside them the plan
   holds every run's mode weights, the signed side weights (-m_w, +m_l),
-  beta * mult and where each run's rows start in each batch, and one
-  (batches, 5, K) table for the steps' statistics;
+  beta * mult and where each run's rows start in each batch, and the
+  epoch-wide tables the steps write to: u = beta * S and r_w - r_l per
+  run and pair, and each visited row's sum of squared gradient entries;
 - per step, ``loss_steps`` takes the plan and a batch index, gathers the
   visited rows once, shifts each by its maximum, read at its argmax
   rather than by a reduction, reads their log-softmax only at the batch's
   transitions, through their flat entries, and computes every run's
-  loss, its gradient on those rows (built in place of their softmax) and
-  its norm, and the batch statistics, written into the batch's row of the
-  plan's statistics table; it returns the gathered rows too, for the
-  caller to update in place.
+  gradient on those rows (built in place of their softmax), writing only
+  u, r_w - r_l and the rows' squared-gradient sums into the plan's
+  tables; it returns the gathered rows too, for the caller to update in
+  place;
+- per range of batches, ``batch_stats`` turns those tables into each
+  batch's loss, raw margin, accuracy, weighted margin and gradient norm,
+  the values a step that took them itself would give, bit for bit: the
+  trainer calls it once per epoch, and once per step only when it trains
+  again to name a failing step.
 
 ``loss_gradient`` is the one-run view: it takes a whole ``EncodedPairs``,
-plans it as one batch under one config and returns the run's step.
+plans it as one batch under one config, steps it and returns the run's
+step with its statistics.
 
 ``compute_finesse`` draws all its samples from one temperature table, in
 one ``draw`` call for all its prompts, which takes the uniforms from the
@@ -284,7 +291,7 @@ class EncodedPairs:
         return self.reference.shape[1]
 
 
-# The rows of an ``EpochPlan``'s statistics table: a train-log line's values, in its order.
+# The statistics ``batch_stats`` gives each batch and run: a train-log line's values, in its order.
 STATS = ("loss", "margin", "accuracy", "weighted_margin", "grad_norm")
 
 
@@ -292,8 +299,8 @@ STATS = ("loss", "margin", "accuracy", "weighted_margin", "grad_norm")
 class EpochPlan:
     """One epoch's train steps for K runs that share one batch order,
     planned before the steps: everything a step needs that does not
-    depend on the policies, and the table the steps write their
-    statistics to.
+    depend on the policies, and the tables the steps write what their
+    statistics are taken from.
 
     The runs' logit tables are stacked as one (K·V, V) table, run k's row r
     being row k·V + r. Every run takes the same m pairs per batch, so run
@@ -314,8 +321,10 @@ class EpochPlan:
     ``signed`` the same with the preferred side negated (-m_w, +m_l),
     ``mult`` the (K, n) finesse multipliers and ``beta_mult`` the products
     beta * mult; ``beta`` is the (K, 1) column of the runs' betas.
-    ``loss_steps`` writes batch b's per-run statistics, named by
-    ``STATS``, into ``stats[b]``.
+    ``loss_steps`` writes batch b's part of the epoch-wide tables: the
+    (K, n) ``u`` = beta * S and ``diff`` = r_w - r_l of its pairs, and
+    ``row_squares``, each of its visited rows' sum of squared gradient
+    entries, beside ``rows``; ``batch_stats`` reads them.
     """
 
     rows: np.ndarray
@@ -332,11 +341,13 @@ class EpochPlan:
     mult: np.ndarray
     beta: np.ndarray
     beta_mult: np.ndarray
-    stats: np.ndarray
+    u: np.ndarray
+    diff: np.ndarray
+    row_squares: np.ndarray
 
     def __len__(self) -> int:
         """Batches in the epoch."""
-        return len(self.stats)
+        return len(self.row_bounds) - 1
 
     def rows_of(self, b: int) -> np.ndarray:
         """The sorted stacked rows batch b visits, run-major."""
@@ -408,7 +419,8 @@ def plan_runs(
     return EpochPlan(
         rows, (count * key_bounds).tolist(), run.T * visited[:, None], local, flat, owner,
         (count * step_bounds).tolist(), batch_size, encoded.reference[:, order], table[:, :, :2],
-        table[:, :, :2] * (-1.0, 1.0), table[:, :, 2], beta, beta_mult, np.empty((batches, len(STATS), count)),
+        table[:, :, :2] * (-1.0, 1.0), table[:, :, 2], beta, beta_mult, np.empty((count, len(order))),
+        np.empty((count, len(order))), np.empty(len(rows)),
     )
 
 
@@ -492,17 +504,17 @@ def encode_examples(
 
 
 def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch b of ``plan``: every run's mean batch loss, its analytic
-    gradient w.r.t. the stacked (K·V, V) ``logits`` on the rows the batch
-    visits, and the batch's preference statistics, in count form. Returns
-    (visited, gradient): a fresh copy of the visited rows of ``logits``,
-    for the caller to update in place and write back to
-    ``plan.rows_of(b)``, and the (len(rows), V) block of every run's loss
-    gradient on them; every other row's gradient is zero. Each run's
-    loss, raw margin, accuracy, weighted margin and gradient norm go into
-    column k of ``plan.stats[b]``, row by row in ``STATS`` order, each as
-    ``LossStep`` defines it, the gradient norm being the Frobenius norm
-    over the run's rows.
+    """Batch b of ``plan``: every run's analytic gradient of its mean batch
+    loss w.r.t. the stacked (K·V, V) ``logits`` on the rows the batch
+    visits, in count form. Returns (visited, gradient): a fresh copy of
+    the visited rows of ``logits``, for the caller to update in place and
+    write back to ``plan.rows_of(b)``, and the (len(rows), V) block of
+    every run's loss gradient on them; every other row's gradient is zero.
+    What the batch's statistics are taken from goes into the plan's
+    epoch-wide tables: each pair's u = beta * S into ``plan.u`` and
+    r_w - r_l into ``plan.diff``, and each visited row's sum of squared
+    gradient entries into ``plan.row_squares``; ``batch_stats`` turns them
+    into the loss, margins, accuracy and gradient norm.
 
     The visited rows are gathered once, by ``take``; ``logits`` is never
     written. Each row is shifted by its maximum, read at its argmax by
@@ -512,24 +524,16 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     row's total: ``normalise``'s value, bit for bit, with no full
     log-softmax table. One ``np.bincount`` over
     the batch's transitions gives every sequence's policy log-probability,
-    hence all r_w / r_l against the planned reference scores; the losses,
-    the margins beta * (r_w - r_l), the accuracies and u = beta * S are
-    written in place into one (4, K, m) per-pair table, and each run's
-    mean is taken over its own m pairs as ``np.add.reduce(x) / m`` (how
-    ``np.mean`` sums), in one reduction over that table. With coeff =
+    hence all r_w / r_l against the planned reference scores. With coeff =
     (beta * mult) * (1 - sigma(u)), beta * mult planned, each preferred
     transition weighs -coeff * m_w and each rejected one +coeff * m_l (the
     planned signed weights) in one ``transition_grad`` call over the
     visited rows, which writes the gradient block on those rows over the
     softmax buffer, scattering the counts through the flat entries, then
-    divided by m in place. Each run's gradient norm takes the squares,
-    sums them per row, then sums the row sums over the run's block of
-    rows, from its planned start, with ``np.add.reduceat``: one fixed
-    order, whatever the BLAS thread count. Every kernel works row by row,
-    or sequence by sequence in transition order, so each run's values are
-    bit for bit those of the run planned alone. The finesse variance is a
-    constant computed outside this function; no gradient flows through
-    it.
+    divided by m in place. Every kernel works row by row, or sequence by
+    sequence in transition order, so each run's values are bit for bit
+    those of the run planned alone. The finesse variance is a constant
+    computed outside this function; no gradient flows through it.
     """
     steps = slice(*plan.step_bounds[b : b + 2])
     local, flat, owner = plan.local[steps], plan.flat[steps], plan.owner[steps]
@@ -549,36 +553,72 @@ def loss_steps(plan: EpochPlan, b: int, logits: np.ndarray) -> tuple[np.ndarray,
     ratios = sequence_log_probs.reshape(runs, m, 2) - reference
     weighted = plan.weights[:, pairs] * ratios  # m_w * r_w, m_l * r_l
     score = (weighted[:, :, 0] - weighted[:, :, 1]) * plan.mult[:, pairs]
-    diff = ratios[:, :, 0] - ratios[:, :, 1]
-    stats = plan.stats[b]
-    per_pair = np.empty((4, runs, m))  # loss, margin, accuracy and u = beta * S per run and pair
+    np.subtract(ratios[:, :, 0], ratios[:, :, 1], out=plan.diff[:, pairs])
     # An overflow shows as a non-finite value, which the trainer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.multiply(plan.beta, score, out=per_pair[3])
-        np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
-        np.multiply(plan.beta, diff, out=per_pair[1])
-        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
-        np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+        u = np.multiply(plan.beta, score, out=plan.u[:, pairs])
         coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))  # beta * mult * (1 - sigma(u))
         side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()  # -m_w, +m_l
         gradient = transition_grad(probs, local, flat, side.take(owner))
         gradient /= m
-        row_norms = np.add.reduce(gradient * gradient, axis=1)
-        np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+        np.add.reduce(gradient * gradient, axis=1, out=plan.row_squares[plan.row_bounds[b] : plan.row_bounds[b + 1]])
     return visited, gradient
+
+
+def batch_stats(plan: EpochPlan, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The statistics of batches ``start`` to ``stop`` (default: to the
+    end) of a stepped ``plan``, as a (batches, 5, K) table: batch b's
+    row holds every run's loss, raw margin, accuracy, weighted margin and
+    gradient norm, in ``STATS`` order, each as ``LossStep`` defines it,
+    the gradient norm being the Frobenius norm over the run's rows.
+
+    Each value is what its batch's step would give taking it itself, bit
+    for bit. The losses logaddexp(0, -u), the margins beta * (r_w - r_l),
+    the accuracies and u are laid out in one (4, K, pairs) table, and a
+    batch's mean over its m pairs is ``np.add.reduce(x) / m`` (how
+    ``np.mean`` sums): the full batches' pairs are reshaped to (4, K,
+    batches, m) and reduced along the last axis, and a short last batch on
+    its own (``np.add.reduceat`` over the pair axis would add a batch of 3
+    or more pairs in another order). Each run's gradient norm sums its
+    rows' squared-gradient sums from its planned start with
+    ``np.add.reduceat``, one fixed order whatever the BLAS thread count,
+    then takes the square root. An overflow shows as a non-finite value.
+    """
+    stop = len(plan) if stop is None else stop
+    m = plan.batch_size
+    lo, hi = start * m, min(stop * m, plan.u.shape[1])
+    u, diff = plan.u[:, lo:hi], plan.diff[:, lo:hi]
+    runs, full = len(u), (hi - lo) // m
+    stats = np.empty((stop - start, len(STATS), runs))
+    means = stats[:, :4].transpose(1, 2, 0)  # a view: (4, K, batches)
+    per_pair = np.empty((4, runs, hi - lo))  # loss, margin, accuracy and u per run and pair
+    bounds = plan.row_bounds[start : stop + 1]
+    block_starts = (np.array(bounds[:-1])[:, None] + plan.blocks[start:stop]).ravel() - bounds[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.logaddexp(0.0, -u, out=per_pair[0])  # hin_dpo_loss(score, beta)
+        per_pair[3] = u
+        np.multiply(plan.beta, diff, out=per_pair[1])
+        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
+        np.divide(np.add.reduce(per_pair[:, :, : full * m].reshape(4, runs, full, m), axis=3), m, out=means[:, :, :full])
+        if full < len(stats):
+            np.divide(np.add.reduce(per_pair[:, :, full * m :], axis=2), hi - lo - full * m, out=means[:, :, full])
+        row_sums = np.add.reduceat(plan.row_squares[bounds[0] : bounds[-1]], block_starts)
+        np.sqrt(row_sums.reshape(-1, runs), out=stats[:, 4])
+    return stats
 
 
 def loss_gradient(encoded: EncodedPairs, policy: BigramPolicy, config: LossConfig) -> LossStep:
     """Mean loss of the encoded pairs under ``config``, its analytic
     gradient w.r.t. the policy logits on the rows the pairs visit, and
     their preference statistics: the pairs planned as one batch in encoding
-    order, stepped by ``loss_steps`` as one run. A planned ``EpochPlan`` is
-    stepped by ``loss_steps`` itself."""
+    order, stepped by ``loss_steps`` as one run, its statistics taken by
+    ``batch_stats``. A planned ``EpochPlan`` is stepped by ``loss_steps``
+    itself."""
     if not isinstance(encoded, EncodedPairs):
         raise ValueError("loss_gradient takes EncodedPairs, got %s; step a planned EpochPlan with loss_steps" % type(encoded).__name__)
     if encoded.vocab != policy.vocab:
         raise ValueError("pairs were encoded for another vocabulary")
     plan = plan_runs(encoded, np.arange(len(encoded)), len(encoded), [config])
     _, gradient = loss_steps(plan, 0, policy.logits)
-    loss, margin, accuracy, weighted_margin, _ = plan.stats[0, :, 0].tolist()
+    loss, margin, accuracy, weighted_margin, _ = batch_stats(plan)[0, :, 0].tolist()
     return LossStep(plan.rows, gradient, loss, margin, weighted_margin, accuracy)

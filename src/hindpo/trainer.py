@@ -13,8 +13,9 @@ else the initial policy's. Each epoch draws one permutation of the
 stage's pairs for every run and plans every run's batches, with the
 pairs' mode weights, in one call; each step then takes one plain
 gradient-descent step on its batch for every run, on the rows the batch
-visits, and writes its statistics into the plan's one table, from which
-the epoch's log records are built when it ends. The permutations come
+visits, and writes what its statistics are taken from into the plan.
+When the epoch ends, every step's statistics are taken in one pass, the
+epoch is checked once, and its log records are built. The permutations come
 from one generator seeded with the config's seed, each finesse run's
 samples from its own, seeded with [seed, 1]: identical inputs give
 identical logs and parameters, and a run's are the same whichever
@@ -37,6 +38,7 @@ from .fileio import check_kinds, check_value, json_lines, limited, write_atomic
 from .losses import (
     LossConfig,
     LossExample,
+    batch_stats,
     compute_finesse,
     encode_examples,
     encode_runs,
@@ -166,7 +168,7 @@ def attach_finesse(
 
 def _non_finite(stats: np.ndarray, gradient: np.ndarray, updated: np.ndarray) -> Iterator[tuple[int, str]]:
     """(run, value name) of each non-finite value of a step, from its
-    (5, K) statistics row and its gradient and updated rows: runs in order
+    (5, K) statistics and its gradient and updated rows: runs in order
     and, within a run, its loss, gradient, updated logits, gradient norm,
     margin and weighted margin in that order. Every run visits the same
     number of rows, so run k's rows are the k-th of K equal blocks."""
@@ -179,6 +181,24 @@ def _non_finite(stats: np.ndarray, gradient: np.ndarray, updated: np.ndarray) ->
         ):
             if not np.isfinite(values).all():
                 yield k, name
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of ``arrays`` is finite: one sum of them all,
+    and entry by entry only when that sum is not finite, since finite
+    entries can overflow their sum."""
+    total = sum(np.add.reduce(array, axis=None) for array in arrays)
+    return math.isfinite(total) or all(np.isfinite(array).all() for array in arrays)
+
+
+def _check_step(stats: np.ndarray, gradient: np.ndarray, updated: np.ndarray, modes: Sequence[str], where: str) -> None:
+    """Raise ``TrainingError`` naming a step's first non-finite value and,
+    when K > 1, its run's mode, unless its updated rows and (5, K)
+    statistics are all finite."""
+    if not _all_finite(updated, stats):
+        for k, name in _non_finite(stats, gradient, updated):
+            run = " in mode %r" % modes[k] if len(modes) > 1 else ""
+            raise TrainingError("non-finite %s%s %s" % (name, run, where))
 
 
 def train_modes(
@@ -203,21 +223,27 @@ def train_modes(
     tokenizes the whole curriculum, each distinct text once, and each
     stage encodes its slice of the examples once, a run without finesse
     with neutral 0.0 variances; each epoch plans every run's batches in
-    one ``plan_runs`` call and updates and checks its steps under one
-    ``np.errstate``. Each step takes one ``loss_steps`` call and one update
-    of the rows the batch visits, for every run at once: the step's copy
-    of those rows is updated in place, checked, then written back. The
-    step is checked by one sum of its updated rows and its row of the
-    plan's statistics table, and entry by entry only when that sum is not
-    finite: finite rows whose sum overflows still train.
+    one ``plan_runs`` call and steps them under one ``np.errstate``. Each
+    step takes one ``loss_steps`` call and one update of the rows the
+    batch visits, for every run at once: the step's copy of those rows is
+    updated in place, then written back.
 
-    At the end of each epoch every run's ``TrainStepRecord``s for it are
-    built from the plan's statistics table. Every pair of the curriculum
-    is validated first: a pair that breaks the pair schema raises
-    ``SchemaError`` naming its id before any run is set up. A step whose
-    loss, gradient, updated logits, gradient norm or margins are not
-    finite in any run raises, naming the first such run's mode when K > 1,
-    before any run changes; no step of its epoch is logged.
+    When the epoch ends, one ``batch_stats`` call takes every step's
+    statistics, and the epoch is checked once, by one sum of the live
+    table and those statistics and entry by entry only when that sum is
+    not finite: finite rows whose sum overflows still train. A non-finite
+    value stays non-finite in the table through the epoch's later steps,
+    so an epoch that passes had only finite steps, and every run's
+    ``TrainStepRecord``s for it are built from its statistics. An epoch
+    that fails is not logged: the live table is restored in place from
+    ``policy``'s and training starts again, each step checked the same
+    way on its updated rows and statistics before they are written back.
+    The first step whose loss, gradient, updated logits, gradient norm or
+    margins are not finite in any run raises, naming the first such run's
+    mode when K > 1: the live table holds what that step saw, and no step
+    of its epoch is logged. Every pair of the curriculum is validated
+    first: a pair that breaks the pair schema raises ``SchemaError``
+    naming its id before any run is set up.
     """
     if not curriculum.stages:
         raise TrainingError("curriculum has no stages")
@@ -235,43 +261,54 @@ def train_modes(
     policies = [copy.copy(policy) for _ in configs]
     for run, table in zip(policies, np.split(logits, len(configs))):
         run.logits = table
-    order_rng = np.random.default_rng(config.seed)
-    finesse_rngs = {k: np.random.default_rng([config.seed, 1]) for k, loss in enumerate(configs) if loss.uses_finesse()}
     reference = logits if config.refresh_reference_per_stage else logits.copy()
-    logs = [TrainLog() for _ in configs]
-    step = start = 0
-    for stage_name, pairs in curriculum.stages:
-        if not pairs:
-            raise TrainingError("stage %r is empty" % stage_name)
-        examples = all_examples[start : start + len(pairs)]
-        start += len(pairs)
-        variances = []
-        for k, (run, loss) in enumerate(zip(policies, configs)):
-            if k in finesse_rngs:
-                attach_finesse(examples, run, loss, finesse_rngs[k])
-                variances.append([example.effective_variance for example in examples])
-            else:
-                variances.append([0.0] * len(examples))
-        encoded = encode_runs(examples, policy, reference, variances)
-        for epoch in range(1, config.epochs_per_stage + 1):
-            plan = plan_runs(encoded, order_rng.permutation(len(examples)), config.batch_size, configs)
-            # An overflow shows as a non-finite value, which is rejected.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for b in range(len(plan)):
-                    updated, gradient = loss_steps(plan, b, logits)
-                    updated -= config.learning_rate * gradient
-                    # A finite sum means every updated logit and statistic is
-                    # finite; only an infinite or NaN one is looked for entry by entry.
-                    total = np.add.reduce(updated, axis=None) + np.add.reduce(plan.stats[b], axis=None)
-                    if not math.isfinite(total):
-                        for k, name in _non_finite(plan.stats[b], gradient, updated):
-                            run = " in mode %r" % modes[k] if len(modes) > 1 else ""
+
+    def train_runs(checked: bool) -> list[TrainLog] | None:
+        """Every run's log, or None when an epoch holds a non-finite
+        value; with ``checked``, each step is checked and a failing one
+        raises."""
+        order_rng = np.random.default_rng(config.seed)
+        finesse_rngs = {k: np.random.default_rng([config.seed, 1]) for k, loss in enumerate(configs) if loss.uses_finesse()}
+        logs = [TrainLog() for _ in configs]
+        step = start = 0
+        for stage_name, pairs in curriculum.stages:
+            if not pairs:
+                raise TrainingError("stage %r is empty" % stage_name)
+            examples = all_examples[start : start + len(pairs)]
+            start += len(pairs)
+            variances = []
+            for k, (run, loss) in enumerate(zip(policies, configs)):
+                if k in finesse_rngs:
+                    attach_finesse(examples, run, loss, finesse_rngs[k])
+                    variances.append([example.effective_variance for example in examples])
+                else:
+                    variances.append([0.0] * len(examples))
+            encoded = encode_runs(examples, policy, reference, variances)
+            for epoch in range(1, config.epochs_per_stage + 1):
+                plan = plan_runs(encoded, order_rng.permutation(len(examples)), config.batch_size, configs)
+                # An overflow shows as a non-finite value, which is rejected.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for b in range(len(plan)):
+                        updated, gradient = loss_steps(plan, b, logits)
+                        updated -= config.learning_rate * gradient
+                        if checked:
                             where = "at stage %r epoch %d step %d" % (stage_name, epoch, step + b + 1)
-                            raise TrainingError("non-finite %s%s %s" % (name, run, where))
-                    logits[plan.rows_of(b)] = updated
-            for log, stats in zip(logs, plan.stats.transpose(2, 0, 1).tolist()):
-                log.records.extend(TrainStepRecord(stage_name, epoch, step + b, *values) for b, values in enumerate(stats, 1))
-            step += len(plan)
+                            _check_step(batch_stats(plan, b, b + 1)[0], gradient, updated, modes, where)
+                        logits[plan.rows_of(b)] = updated
+                    stats = batch_stats(plan)
+                    if not (checked or _all_finite(logits, stats)):
+                        return None
+                for log, run_stats in zip(logs, stats.transpose(2, 0, 1).tolist()):
+                    log.records.extend(TrainStepRecord(stage_name, epoch, step + b, *values) for b, values in enumerate(run_stats, 1))
+                step += len(plan)
+        return logs
+
+    logs = train_runs(checked=False)
+    if logs is None:
+        # Restored in place, so no second stacked table is kept; the rerun
+        # raises at the first step that fails its check.
+        logits.reshape(len(configs), *policy.logits.shape)[:] = policy.logits
+        logs = train_runs(checked=True)
     return list(zip(policies, logs))
 
 

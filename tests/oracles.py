@@ -454,11 +454,12 @@ def per_step_loss_gradient(batch, policy, config):
 
 def one_run_step(plan, b, logits):
     """The ``LossStep`` of batch b of a one-run ``EpochPlan`` stepped on
-    ``logits``: ``loss_steps``' values for its one run."""
-    from hindpo.losses import LossStep, loss_steps
+    ``logits``: ``loss_steps``' values for its one run, its statistics
+    taken by ``batch_stats``."""
+    from hindpo.losses import LossStep, batch_stats, loss_steps
 
     _, gradient = loss_steps(plan, b, logits)
-    loss, margin, accuracy, weighted_margin, _ = plan.stats[b, :, 0].tolist()
+    loss, margin, accuracy, weighted_margin, _ = batch_stats(plan, b, b + 1)[0, :, 0].tolist()
     return LossStep(plan.rows_of(b), gradient, loss, margin, weighted_margin, accuracy)
 
 
@@ -573,6 +574,30 @@ def unfused_step(plan, b, logits, learning_rate):
     return gradient, updated, stats
 
 
+# A step's statistics before they were taken once per epoch: each step
+# laid out its own (4, K, m) per-pair table, reduced it along the pair
+# axis, and summed its own gradient rows' squares over its run blocks.
+
+
+def per_step_stats(plan, b, gradient):
+    """The (5, K) statistics of batch b of a stepped ``EpochPlan``, from
+    the batch's u and r_w - r_l in the plan and the step's ``gradient``."""
+    pairs = slice(b * plan.batch_size, (b + 1) * plan.batch_size)
+    u, diff = plan.u[:, pairs], plan.diff[:, pairs]
+    runs, m = u.shape
+    stats = np.empty((5, runs))
+    per_pair = np.empty((4, runs, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_pair[3] = u
+        np.logaddexp(0.0, -u, out=per_pair[0])
+        np.multiply(plan.beta, diff, out=per_pair[1])
+        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
+        np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+        row_norms = np.add.reduce(gradient * gradient, axis=1)
+        np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+    return stats
+
+
 def train_generators(seed):
     """(order, finesse) generators of a run trained with ``seed``: every
     epoch's permutation comes from the first, a finesse run's samples from
@@ -634,8 +659,8 @@ def reduce_row_max(x):
 
 def loss_steps_reduce(plan, b, logits):
     """``loss_steps`` of batch b of ``plan`` with each visited row's
-    maximum taken by the reduction: (visited, gradient), the statistics
-    written into ``plan.stats[b]``."""
+    maximum taken by the reduction: (visited, gradient), u, r_w - r_l and
+    the rows' squared-gradient sums written into the plan's tables."""
     from hindpo.policy import transition_grad as fused_transition_grad
 
     steps = slice(*plan.step_bounds[b : b + 2])
@@ -655,21 +680,14 @@ def loss_steps_reduce(plan, b, logits):
     ratios = sequence_log_probs.reshape(runs, m, 2) - reference
     weighted = plan.weights[:, pairs] * ratios
     score = (weighted[:, :, 0] - weighted[:, :, 1]) * plan.mult[:, pairs]
-    diff = ratios[:, :, 0] - ratios[:, :, 1]
-    stats = plan.stats[b]
-    per_pair = np.empty((4, runs, m))
+    plan.diff[:, pairs] = ratios[:, :, 0] - ratios[:, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.multiply(plan.beta, score, out=per_pair[3])
-        np.logaddexp(0.0, -u, out=per_pair[0])
-        np.multiply(plan.beta, diff, out=per_pair[1])
-        np.greater(diff, TIE_TOLERANCE, out=per_pair[2])
-        np.divide(np.add.reduce(per_pair, axis=2), m, out=stats[:4])
+        u = plan.u[:, pairs] = plan.beta * score
         coeff = plan.beta_mult[:, pairs] / (1.0 + np.exp(u))
         side = (coeff[:, :, None] * plan.signed[:, pairs]).ravel()
         gradient = fused_transition_grad(probs, local, flat, side.take(owner))
         gradient /= m
-        row_norms = np.add.reduce(gradient * gradient, axis=1)
-        np.sqrt(np.add.reduceat(row_norms, plan.blocks[b]), out=stats[4])
+        plan.row_squares[plan.row_bounds[b] : plan.row_bounds[b + 1]] = np.add.reduce(gradient * gradient, axis=1)
     return visited, gradient
 
 

@@ -10,12 +10,13 @@ from dataclasses import fields
 
 import pytest
 
+import faults
 import hindpo
 from hindpo import cli, evalharness, textmetrics, trainer
 from hindpo.cli import RunConfig, main
 from hindpo.dataforge import SchemaError, read_manifest
 from hindpo.fileio import KINDS
-from hindpo.losses import MODES, STATS, LossConfig
+from hindpo.losses import MODES, LossConfig
 from hindpo.trainer import TrainConfig
 
 
@@ -302,23 +303,14 @@ class TestTrainEval:
         assert (tmp_path / "out" / "policy_base.json").exists()
 
     def test_demo_mode_failing_late_writes_no_earlier_mode(self, tmp_path, capsys, monkeypatch):
-        # dpo_fin's loss turns non-finite at step 100, after dpo and dpo_act
-        # have trained through step 99: neither of them is written either.
-        real = trainer.loss_steps
-        steps = []
-
-        def corrupt_hundredth(plan, b, logits):
-            result = real(plan, b, logits)
-            steps.append(b)
-            if len(steps) >= 100:
-                plan.stats[b, STATS.index("loss"), MODES.index("dpo_fin")] = float("nan")
-            return result
-
-        monkeypatch.setattr(trainer, "loss_steps", corrupt_hundredth)
+        # dpo_fin's loss turns non-finite at step 100, B_H's epoch 1 batch
+        # 8, after dpo and dpo_act have trained through step 99: neither of
+        # them is written either.
+        faults.StepFault(monkeypatch, ["B_L", "B_M", "B_H"], ("B_H", 1, 8), faults.set_value("loss", float("nan"), MODES.index("dpo_fin")))
         config = write_config(tmp_path)
         assert main(["demo", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: non-finite loss in mode 'dpo_fin' at stage '\w+' epoch \d+ step 100\n", err), err
+        assert err == "error: non-finite loss in mode 'dpo_fin' at stage 'B_H' epoch 1 step 100\n"
         assert not mode_files(tmp_path / "out")
 
     @pytest.mark.parametrize("where", ["parent", "absolute", "subdir"])

@@ -13,6 +13,7 @@ from hindpo.losses import (
     LogRatios,
     LossConfig,
     LossExample,
+    batch_stats,
     compute_finesse,
     encode_examples,
     encode_runs,
@@ -527,7 +528,7 @@ def assert_matches_unfused_step(plan, b, logits, learning_rate=0.3):
     visited -= learning_rate * gradient
     assert gradient.tobytes() == want_gradient.tobytes()
     assert visited.tobytes() == updated.tobytes()
-    assert [list(map(float.hex, v)) for v in plan.stats[b].tolist()] == [list(map(float.hex, v)) for v in stats]
+    assert [list(map(float.hex, v)) for v in batch_stats(plan, b, b + 1)[0].tolist()] == [list(map(float.hex, v)) for v in stats]
 
 
 class TestStackedRuns:
@@ -570,7 +571,7 @@ class TestStackedRuns:
                 assert stacked.reference[:, pairs].shape[1] == alone[k].reference[:, pairs].shape[1]
                 assert np.array_equal(rows[k], own.rows + k * size)
                 assert gradients[k].tobytes() == own.gradient.tobytes()
-                loss, margin, accuracy, weighted_margin, norm = stacked.stats[j, :, k].tolist()
+                loss, margin, accuracy, weighted_margin, norm = batch_stats(stacked, j, j + 1)[0, :, k].tolist()
                 values = (loss, margin, weighted_margin, accuracy, norm)
                 expected = (own.loss, own.margin, own.weighted_margin, own.accuracy, oracles.grad_norm(own.gradient))
                 assert list(map(float.hex, values)) == list(map(float.hex, expected))
@@ -595,7 +596,8 @@ class TestStackedRuns:
         plan = plan_runs(encoded, order, batch_size, configs)
         want = oracles.run_major_plan(encoded, order, batch_size, configs)
         assert len(plan) == len(want) == -(-len(order) // batch_size)
-        assert plan.stats.shape == (len(want), 5, 4)
+        assert plan.u.shape == plan.diff.shape == (4, len(order))
+        assert plan.row_squares.shape == plan.rows.shape
         for b, batch in enumerate(want):
             got = vars(oracles.batch_arrays(plan, b))
             assert got.keys() == vars(batch).keys()
@@ -612,7 +614,7 @@ class TestStackedRuns:
             plan_runs(encoded, [0, 1, 2], 2, [LossConfig()])
         plan = plan_runs(encoded, [0, 1, 2], 3, [LossConfig()] * 2)
         loss_steps(plan, 0, np.vstack([policy.logits] * 2))
-        assert plan.stats.shape == (1, 5, 2)
+        assert batch_stats(plan).shape == (1, 5, 2)
         with pytest.raises(ValueError, match="holds 2 runs, got 1 configs"):
             loss_gradient(encoded, policy, LossConfig())
 
@@ -623,6 +625,49 @@ class TestStackedRuns:
         encoded = encode_examples(random_examples(np.random.default_rng(141), n=2), policy, policy.snapshot())
         with pytest.raises(ValueError, match="^position %d is outside the 2 encoded pairs$" % position):
             plan_runs(encoded, [0, position], 1, [LossConfig()])
+
+
+class TestBatchStats:
+    """An epoch's statistics, taken in one ``batch_stats`` pass after its
+    steps, are every batch's five statistics as the step took them itself
+    (``oracles.per_step_stats``), bit for bit. The pass reduces each full
+    batch's pairs along their own axis and a short last batch on its own:
+    ``np.add.reduceat`` over the pair axis adds 3 or more values in
+    another order, which batches of 1 or 2 pairs never show."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stage=st.integers(1, 25),
+        length=st.integers(1, 45),
+        batch_size=st.one_of(st.integers(1, 20), st.just(None)),
+        runs=st.integers(1, 4),
+    )
+    def test_every_batch_is_its_per_step_statistics(self, seed, stage, length, batch_size, runs):
+        # An order of any length over the stage's pairs, repeats allowed, so
+        # the last batch is often short; None is a batch larger than the stage.
+        rng = np.random.default_rng(seed)
+        examples = random_examples(rng, n=stage)
+        policy = make_policy(seed, std=2.0)
+        references = np.vstack([make_policy(seed + 1 + k, std=2.0).logits for k in range(runs)])
+        variances = [rng.uniform(0, 1, stage).tolist() for _ in range(runs)]
+        configs = [LossConfig(mode=MODES[m], beta=float(rng.uniform(0.1, 2.0))) for m in rng.integers(len(MODES), size=runs)]
+        order = rng.permutation(stage) if length <= stage else rng.integers(stage, size=length)
+        plan = plan_runs(encode_runs(examples, policy, references, variances), order, batch_size or stage + 1, configs)
+        logits = np.vstack([make_policy(seed + 10 + k, std=2.0).logits for k in range(runs)])
+        want = []
+        for b in range(len(plan)):
+            visited, gradient = loss_steps(plan, b, logits)
+            want.append(oracles.per_step_stats(plan, b, gradient))
+            visited -= 0.5 * gradient
+            logits[plan.rows_of(b)] = visited
+        hexes = lambda table: [[list(map(float.hex, row)) for row in batch] for batch in np.asarray(table).tolist()]
+        got = batch_stats(plan)
+        assert got.shape == (len(plan), 5, runs)
+        assert hexes(got) == hexes(want)
+        start = int(rng.integers(len(plan)))
+        stop = int(rng.integers(start, len(plan))) + 1
+        assert hexes(batch_stats(plan, start, stop)) == hexes(want[start:stop])
 
 
 _VOCAB_SIZE = 5  # BOS, EOS, a, b, c
@@ -692,12 +737,17 @@ class TestRowMaxAtArgmax:
             plan = plan_runs(encoded, rng.permutation(pairs), batch_size, configs)
             for b in range(len(plan)):
                 want_visited, want_gradient = oracles.loss_steps_reduce(plan, b, logits)
-                want_stats = plan.stats[b].copy()
-                plan.stats[b] = 0.0
+                want_tables = [table.copy() for table in (plan.u, plan.diff, plan.row_squares)]
+                for table in (plan.u, plan.diff, plan.row_squares):
+                    table[...] = 0.0
                 visited, gradient = loss_steps(plan, b, logits)
                 assert visited.tobytes() == want_visited.tobytes()
                 assert gradient.tobytes() == want_gradient.tobytes()
-                assert plan.stats[b].tobytes() == want_stats.tobytes()
+                pairs = slice(b * batch_size, (b + 1) * batch_size)
+                rows = slice(*plan.row_bounds[b : b + 2])
+                assert plan.u[:, pairs].tobytes() == want_tables[0][:, pairs].tobytes()
+                assert plan.diff[:, pairs].tobytes() == want_tables[1][:, pairs].tobytes()
+                assert plan.row_squares[rows].tobytes() == want_tables[2][rows].tobytes()
 
 
 class TestLogRatios:

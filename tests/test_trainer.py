@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import faults
 import oracles
 from hindpo import fileio, textmetrics, trainer
 from hindpo.corpora import separable_curriculum, toy_corpus
 from hindpo.dataforge import CurriculumDataset, SchemaError, forge
-from hindpo.losses import MODES, STATS, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
+from hindpo.losses import MODES, EncodedPairs, LossConfig, compute_finesse, encode_examples, loss_gradient, plan_runs
 from hindpo.policy import EOS, BigramPolicy
 from hindpo.trainer import (
     TrainConfig,
@@ -544,22 +545,46 @@ class TestCallersPolicyOnlyRead:
             assert events[encodes[1]][2].tobytes() != initial.tobytes()  # the first stage moved the table
 
 
-def corrupt(plan, b, result, field, value):
-    """A step's (visited, gradient) with its gradient, or its row of the
-    plan's statistics table for every run, set to ``value``."""
-    visited, gradient = result
-    if field == "gradient":
-        return visited, np.full_like(gradient, value)
-    plan.stats[b, STATS.index(field)] = value
-    return result
+def record_calls(monkeypatch):
+    """The arguments of every ``TrainStepRecord`` train builds, in order."""
+    logged, real = [], trainer.TrainStepRecord
+
+    def record(*args):
+        logged.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "TrainStepRecord", record)
+    return logged
+
+
+def epoch_steps(curriculum, config):
+    """Steps per epoch of a one-stage curriculum."""
+    return -(-len(curriculum.stages[0][1]) // config.batch_size)
+
+
+def assert_raised_after_one_checked_rerun(fault, failing, epoch_end):
+    """The failing step, ``failing`` steps into training and in the epoch
+    that ends ``epoch_end`` steps in, was reached twice: once by the
+    unchecked pass, which stepped on to the end of its epoch, and once by
+    the one checked rerun, which saw what the first pass saw and raised
+    there. Every step was given the one live table, which at the raise
+    holds what the failing step saw: the step before it had moved it."""
+    assert fault.hits == 2
+    assert fault.calls == epoch_end + failing
+    assert all(table is fault.tables[0] for table in fault.tables)
+    rerun = fault.seen[epoch_end:]
+    assert all(again.tobytes() == first.tobytes() for again, first in zip(rerun, fault.seen))
+    assert fault.tables[-1].tobytes() == rerun[-1].tobytes()
+    assert failing == 1 or not np.array_equal(rerun[-1], rerun[-2])
 
 
 class TestRaiseBeforeUpdate:
-    """A real planned step whose third result is made non-finite: train
-    raises naming the step, before the live table, seen through the
-    ``logits`` argument of ``loss_steps``, takes it. Records are built
-    from an epoch's statistics table when the epoch ends, so no step of
-    the failing epoch is logged."""
+    """A real planned step made non-finite at (stage, epoch, batch): its
+    epoch fails the end-of-epoch check, training starts again checking
+    every step, and the rerun raises naming the step, before the live
+    table, seen through the ``logits`` argument of ``loss_steps``, takes
+    it. Records are built when an epoch ends, so no step of the failing
+    epoch is logged."""
 
     @pytest.mark.parametrize(
         "field, value, learning_rate, message",
@@ -574,91 +599,68 @@ class TestRaiseBeforeUpdate:
     )
     def test_third_step_raises_unapplied_and_unlogged(self, monkeypatch, field, value, learning_rate, message):
         curriculum, policy = separable_setup()
-        seen, tables, logged = [], [], []
-        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
-
-        def corrupt_third(plan, b, logits):
-            seen.append(logits.copy())
-            tables.append(logits)
-            result = real(plan, b, logits)
-            return corrupt(plan, b, result, field, value) if len(seen) == 3 else result
-
-        def record(*args):
-            logged.append(args)
-            return real_record(*args)
-
-        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
-        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        config = toy_train_config(learning_rate=learning_rate)
+        fault = faults.StepFault(monkeypatch, ["B_H"], ("B_H", 1, 3), faults.set_value(field, value), record=True)
+        logged = record_calls(monkeypatch)
         with pytest.raises(TrainingError, match="^%s at stage 'B_H' epoch 1 step 3$" % message):
-            train(curriculum, policy, toy_train_config(learning_rate=learning_rate))
-        assert len(seen) == 3 and logged == []
-        assert tables[2] is tables[0] and tables[2].tobytes() == seen[2].tobytes()
-        assert not np.array_equal(seen[2], seen[1])
+            train(curriculum, policy, config)
+        assert logged == []
+        assert_raised_after_one_checked_rerun(fault, 3, epoch_steps(curriculum, config))
 
     def test_a_later_epoch_logs_the_epochs_before_it(self, monkeypatch):
         curriculum, policy = separable_setup()
         config = toy_train_config(epochs_per_stage=3)
-        _, full_log = train(curriculum, policy, config)
-        per_epoch = sum(r.epoch == 1 and r.stage == full_log.records[0].stage for r in full_log.records)
-        seen, tables, logged = [], [], []
-        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
-
-        def corrupt_first_of_epoch_two(plan, b, logits):
-            seen.append(logits.copy())
-            tables.append(logits)
-            result = real(plan, b, logits)
-            return corrupt(plan, b, result, "loss", float("nan")) if len(seen) == per_epoch + 1 else result
-
-        def record(*args):
-            logged.append(args)
-            return real_record(*args)
-
-        monkeypatch.setattr(trainer, "loss_steps", corrupt_first_of_epoch_two)
-        monkeypatch.setattr(trainer, "TrainStepRecord", record)
-        stage = full_log.records[0].stage
-        with pytest.raises(TrainingError, match="^non-finite loss at stage %r epoch 2 step %d$" % (stage, per_epoch + 1)):
+        per_epoch = epoch_steps(curriculum, config)
+        fault = faults.StepFault(monkeypatch, ["B_H"], ("B_H", 2, 1), faults.set_value("loss", float("nan")), record=True)
+        logged = record_calls(monkeypatch)
+        with pytest.raises(TrainingError, match="^non-finite loss at stage 'B_H' epoch 2 step %d$" % (per_epoch + 1)):
             train(curriculum, policy, config)
-        assert [args[:3] for args in logged] == [(stage, 1, step) for step in range(1, per_epoch + 1)]
-        assert tables[-1] is tables[0] and tables[-1].tobytes() == seen[-1].tobytes()
-
+        # Epoch 1 is logged by each pass; epoch 2 by neither.
+        assert [args[:3] for args in logged] == [("B_H", 1, step) for step in range(1, per_epoch + 1)] * 2
+        assert_raised_after_one_checked_rerun(fault, per_epoch + 1, 2 * per_epoch)
 
     def test_a_later_run_raises_naming_its_mode_and_no_run_steps(self, monkeypatch):
         curriculum, policy = separable_setup()
-        seen, tables, logged = [], [], []
-        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
-
-        def corrupt_third(plan, b, logits):
-            seen.append(logits.copy())
-            tables.append(logits)
-            result = real(plan, b, logits)
-            return corrupt(plan, b, result, "margin", [0.0, float("nan"), 0.0]) if len(seen) == 3 else result
-
-        def record(*args):
-            logged.append(args)
-            return real_record(*args)
-
-        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
-        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        config = toy_train_config()
+        fault = faults.StepFault(monkeypatch, ["B_H"], ("B_H", 1, 3), faults.set_value("margin", float("nan"), run=1), record=True)
+        logged = record_calls(monkeypatch)
         with pytest.raises(TrainingError, match="^non-finite margin in mode 'hin_dpo' at stage 'B_H' epoch 1 step 3$"):
-            train_modes(curriculum, policy, toy_train_config(), ["dpo", "hin_dpo", "dpo_act"])
-        assert len(seen) == 3 and logged == []
-        assert tables[2] is tables[0] and tables[2].tobytes() == seen[2].tobytes()
-        assert not np.array_equal(seen[2], seen[1])
+            train_modes(curriculum, policy, config, ["dpo", "hin_dpo", "dpo_act"])
+        assert logged == []
+        assert_raised_after_one_checked_rerun(fault, 3, epoch_steps(curriculum, config))
+
+    def test_a_later_stage_is_named(self, monkeypatch):
+        # The rerun trains the first stage again before it reaches the
+        # failing one, which it raises naming.
+        curriculum = two_stage_curriculum()
+        policy = BigramPolicy.new(vocab_from_pairs(curriculum.all_pairs()))
+        config = toy_train_config(batch_size=3, epochs_per_stage=2)
+        fault = faults.StepFault(monkeypatch, ["B_L", "B_H"], ("B_H", 2, 2), faults.set_value("gradient", np.inf), record=True)
+        logged = record_calls(monkeypatch)
+        # Ten pairs a stage: four steps an epoch, so B_H's epoch 2 starts at step 13.
+        with pytest.raises(TrainingError, match="^non-finite gradient at stage 'B_H' epoch 2 step 14$"):
+            train(curriculum, policy, config)
+        assert [args[:2] for args in logged] == ([("B_L", 1)] * 4 + [("B_L", 2)] * 4 + [("B_H", 1)] * 4) * 2
+        assert_raised_after_one_checked_rerun(fault, 14, 16)
 
 
 class TestUpdatedLogitsCheckedByOneSum:
-    """A step's updated rows are checked by one sum, and entry by entry
-    only when that sum is not finite."""
+    """An epoch's live table and statistics, and in the checked rerun a
+    step's updated rows and statistics, are checked by one sum, and entry
+    by entry only when that sum is not finite."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_finite_rows_whose_sum_overflows_still_train(self, sign):
+    def test_finite_rows_whose_sum_overflows_still_train(self, monkeypatch, sign):
         # Every entry of the table is ±1e308, so every row is uniform and a
-        # step's updated rows are finite while their sum overflows.
+        # step's updated rows are finite while their sum overflows: every
+        # epoch's sum overflows, and no epoch is trained again.
         curriculum, policy = separable_setup()
         policy.logits[:] = sign * 1e308
         config = toy_train_config(epochs_per_stage=2)
         want, want_log = oracles.per_step_train(curriculum, policy.copy(), config)
+        fault = faults.StepFault(monkeypatch, ["B_H"], None, None)
         trained, log = train(curriculum, policy, config)
+        assert fault.calls == len(log.records) == 2 * epoch_steps(curriculum, config)
         assert np.isfinite(trained.logits).all()
         with np.errstate(over="ignore"):
             assert np.add.reduce(trained.logits[:2], axis=None) == sign * np.inf
@@ -676,29 +678,20 @@ class TestUpdatedLogitsCheckedByOneSum:
     )
     def test_one_non_finite_updated_logit_raises_before_any_run_changes(self, monkeypatch, modes, run, value, message):
         curriculum, policy = separable_setup()
-        seen, tables, logged = [], [], []
-        real, real_record = trainer.loss_steps, trainer.TrainStepRecord
+        config = toy_train_config()
 
-        def corrupt_third(plan, b, logits):
-            seen.append(logits.copy())
-            tables.append(logits)
-            visited, gradient = real(plan, b, logits)
-            if len(seen) == 3:
-                # One entry of the run's first visited row; the gradient stays finite.
-                visited[run * len(visited) // len(modes), 1] = value
-            return visited, gradient
+        def corrupt_one_logit(plan, b, result):
+            # One entry of the run's first visited row; the gradient stays finite.
+            visited, gradient = result
+            visited[run * len(visited) // len(modes), 1] = value
+            return result
 
-        def record(*args):
-            logged.append(args)
-            return real_record(*args)
-
-        monkeypatch.setattr(trainer, "loss_steps", corrupt_third)
-        monkeypatch.setattr(trainer, "TrainStepRecord", record)
+        fault = faults.StepFault(monkeypatch, ["B_H"], ("B_H", 1, 3), corrupt_one_logit, record=True)
+        logged = record_calls(monkeypatch)
         with pytest.raises(TrainingError, match="^%s stage 'B_H' epoch 1 step 3$" % re.escape(message)):
-            train_modes(curriculum, policy, toy_train_config(), modes)
-        assert len(seen) == 3 and logged == []
-        assert tables[2].tobytes() == seen[2].tobytes()
-        assert not np.array_equal(seen[2], seen[1])
+            train_modes(curriculum, policy, config, modes)
+        assert logged == []
+        assert_raised_after_one_checked_rerun(fault, 3, epoch_steps(curriculum, config))
 
 
 class TestPairsCheckedBeforeTraining:
